@@ -18,9 +18,9 @@ import (
 	"rexchange/internal/baseline"
 	"rexchange/internal/cluster"
 	"rexchange/internal/core"
+	"rexchange/internal/ctl"
 	"rexchange/internal/metrics"
 	"rexchange/internal/plan"
-	"rexchange/internal/sim"
 	"rexchange/internal/workload"
 )
 
@@ -69,15 +69,8 @@ func run() error {
 		return err
 	}
 
-	// borrow exchange machines shaped like the fleet average
-	if *k > 0 {
-		c := p.Cluster()
-		capacity := c.TotalCapacity().Scale(1 / float64(c.NumMachines()))
-		speed := c.TotalSpeed() / float64(c.NumMachines())
-		ec := c.WithExchange(*k, capacity, speed)
-		if p, err = cluster.FromAssignment(ec, p.Assignment()); err != nil {
-			return err
-		}
+	if p, err = cluster.BorrowExchange(p, *k); err != nil {
+		return err
 	}
 
 	before := metrics.Compute(p)
@@ -129,14 +122,14 @@ func run() error {
 	}
 
 	if *simulate && schedule.NumMoves() > 0 {
-		mig, err := sim.SimulateMigration(p, schedule, sim.MigrationConfig{
+		mig, makespan, err := ctl.ExecutePlan(p, schedule, ctl.MigrationConfig{
 			Bandwidth: *bandwidth, Concurrency: *parallel,
 		})
 		if err != nil {
 			return err
 		}
 		fmt.Printf("migration: %.1fs wall clock, %.1f units copied, peak %d parallel\n",
-			mig.Duration, mig.Bytes, mig.PeakParallel)
+			makespan, mig.BytesMoved, mig.PeakParallel)
 	}
 	_ = final
 	return nil

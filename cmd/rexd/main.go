@@ -17,9 +17,9 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"os"
@@ -31,7 +31,6 @@ import (
 	"rexchange/internal/metrics"
 	"rexchange/internal/obs"
 	"rexchange/internal/plan"
-	"rexchange/internal/sim"
 	"rexchange/internal/workload"
 )
 
@@ -87,15 +86,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if *k > 0 {
-		// borrow exchange machines shaped like the fleet average
-		c := p.Cluster()
-		capacity := c.TotalCapacity().Scale(1 / float64(c.NumMachines()))
-		speed := c.TotalSpeed() / float64(c.NumMachines())
-		ec := c.WithExchange(*k, capacity, speed)
-		if p, err = cluster.FromAssignment(ec, p.Assignment()); err != nil {
-			return err
-		}
+	if p, err = cluster.BorrowExchange(p, *k); err != nil {
+		return err
 	}
 
 	var clock ctl.Clock
@@ -106,7 +98,7 @@ func run() error {
 	}
 
 	ecfg := ctl.ExecConfig{
-		Migration:   sim.MigrationConfig{Bandwidth: *bandwidth, Concurrency: *inflight},
+		Migration:   ctl.MigrationConfig{Bandwidth: *bandwidth, Concurrency: *inflight},
 		MaxAttempts: *retries,
 	}
 	if *failRate > 0 {
@@ -121,7 +113,7 @@ func run() error {
 	// the journal only when -events asks for one. On the virtual clock
 	// the journal is bit-reproducible across runs and GOMAXPROCS.
 	reg := obs.NewRegistry()
-	journal, closeJournal, err := openJournal(*eventsPath)
+	journal, closeJournal, err := obs.CreateJournal(*eventsPath)
 	if err != nil {
 		return err
 	}
@@ -232,33 +224,6 @@ func run() error {
 	return finishObs(reg, journal, closeJournal, *eventsPath, *metricsOut)
 }
 
-// openJournal opens a buffered JSONL journal on path; with an empty path
-// it returns a nil journal and a no-op closer.
-func openJournal(path string) (*obs.Journal, func() error, error) {
-	if path == "" {
-		return nil, func() error { return nil }, nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	bw := bufio.NewWriter(f)
-	j := obs.NewJournal(bw)
-	closed := false
-	closer := func() error {
-		if closed {
-			return nil
-		}
-		closed = true
-		if err := bw.Flush(); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	return j, closer, nil
-}
-
 // finishObs flushes the journal (surfacing any sticky write error) and
 // renders the final exposition to -metrics-out.
 func finishObs(reg *obs.Registry, journal *obs.Journal, closeJournal func() error, eventsPath, metricsOut string) error {
@@ -272,15 +237,7 @@ func finishObs(reg *obs.Registry, journal *obs.Journal, closeJournal func() erro
 		fmt.Printf("events: %d journal events → %s\n", journal.Len(), eventsPath)
 	}
 	if metricsOut != "" {
-		f, err := os.Create(metricsOut)
-		if err != nil {
-			return err
-		}
-		if err := reg.WritePrometheus(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := reg.WritePrometheusFile(metricsOut, false); err != nil {
 			return err
 		}
 		fmt.Printf("metrics: exposition → %s\n", metricsOut)
@@ -305,19 +262,13 @@ func runPlan(p *cluster.Placement, path string, clock ctl.Clock, ecfg ctl.ExecCo
 	if err := ex.Tick(p, start); err != nil {
 		return err
 	}
-	for !ex.Done() {
-		next, ok := ex.NextEvent(clock.Now())
-		if !ok {
-			return fmt.Errorf("plan stalled with moves pending")
-		}
-		clock.Sleep(next - clock.Now())
-		if err := ex.Tick(p, clock.Now()); err != nil {
-			return err
-		}
+	end, err := ex.Drive(p, start, math.Inf(1), ctl.SleepTo(clock))
+	if err != nil {
+		return err
 	}
 	ctr := ex.Counters()
 	fmt.Printf("plan executed: %d moves in %.1fs, %d failures retried, peak %d parallel, %.1f units moved\n",
-		ctr.Completed, clock.Now()-start, ctr.Failures, ctr.PeakParallel, ctr.BytesMoved)
+		ctr.Completed, end-start, ctr.Failures, ctr.PeakParallel, ctr.BytesMoved)
 	rep := metrics.Compute(p)
 	fmt.Printf("final imbalance=%.4f max=%.4f mean=%.4f\n", rep.Imbalance, rep.MaxUtil, rep.MeanUtil)
 	return nil

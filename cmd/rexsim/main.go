@@ -16,7 +16,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -101,7 +100,7 @@ func run() error {
 		}
 		vcfg := cfg
 		vcfg.Registry = obs.NewRegistry()
-		journal, closeJournal, err := openJournal(variantPath(*eventsPath, variant))
+		journal, closeJournal, err := obs.CreateJournal(variantPath(*eventsPath, variant))
 		if err != nil {
 			return err
 		}
@@ -127,7 +126,7 @@ func run() error {
 			return err
 		}
 		if *metricsOut != "" {
-			if err := writeExposition(vcfg.Registry, variantPath(*metricsOut, variant), *exemplars); err != nil {
+			if err := vcfg.Registry.WritePrometheusFile(variantPath(*metricsOut, variant), *exemplars); err != nil {
 				return err
 			}
 		}
@@ -158,50 +157,6 @@ func variantPath(path, variant string) string {
 		return ""
 	}
 	return path + "." + variant
-}
-
-// openJournal opens a buffered JSONL journal; an empty path yields a nil
-// journal and a no-op closer.
-func openJournal(path string) (*obs.Journal, func() error, error) {
-	if path == "" {
-		return nil, func() error { return nil }, nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	bw := bufio.NewWriter(f)
-	closed := false
-	closer := func() error {
-		if closed {
-			return nil
-		}
-		closed = true
-		if err := bw.Flush(); err != nil {
-			f.Close() //rexlint:ignore errignore flush failure wins; close is best-effort
-			return err
-		}
-		return f.Close()
-	}
-	return obs.NewJournal(bw), closer, nil
-}
-
-// writeExposition renders the registry to path, with histogram trace
-// exemplars when requested.
-func writeExposition(reg *obs.Registry, path string, exemplars bool) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	write := reg.WritePrometheus
-	if exemplars {
-		write = reg.WritePrometheusExemplars
-	}
-	if err := write(f); err != nil {
-		f.Close() //rexlint:ignore errignore render failure wins; close is best-effort
-		return err
-	}
-	return f.Close()
 }
 
 // benchFile is the BENCH_F5_DES.json schema: the campaign configuration

@@ -48,11 +48,7 @@ func main() {
 		"sra (k=0)", s0.After.MaxUtil, s0.After.Imbalance, s0.MovedShards)
 
 	// Borrow 4 average-shaped exchange machines.
-	c := p.Cluster()
-	capacity := c.TotalCapacity().Scale(1 / float64(c.NumMachines()))
-	speed := c.TotalSpeed() / float64(c.NumMachines())
-	ec := c.WithExchange(4, capacity, speed)
-	pk, err := cluster.FromAssignment(ec, p.Assignment())
+	pk, err := cluster.BorrowExchange(p, 4)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -25,10 +25,7 @@ func main() {
 	}
 
 	// Borrow one exchange machine (K=1).
-	c := inst.Cluster
-	capacity := c.TotalCapacity().Scale(1 / float64(c.NumMachines()))
-	ec := c.WithExchange(1, capacity, 1)
-	p, err := cluster.FromAssignment(ec, inst.Placement.Assignment())
+	p, err := cluster.BorrowExchange(inst.Placement, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,7 +38,7 @@ func main() {
 	}
 	fmt.Printf("SRA:   maxU = %.6f (moved %d shards)\n", res.After.MaxUtil, res.MovedShards)
 
-	md, err := ip.BuildModel(ec, 1)
+	md, err := ip.BuildModel(p.Cluster(), 1)
 	if err != nil {
 		log.Fatal(err)
 	}

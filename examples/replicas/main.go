@@ -31,9 +31,7 @@ func main() {
 		gen.Machines, gen.Shards)
 
 	// Borrow two exchange machines and rebalance with 4 parallel restarts.
-	c := inst.Cluster
-	ec := c.WithExchange(2, c.TotalCapacity().Scale(1/float64(c.NumMachines())), 1)
-	p, err := cluster.FromAssignment(ec, inst.Placement.Assignment())
+	p, err := cluster.BorrowExchange(inst.Placement, 2)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 
 	"rexchange/internal/cluster"
 	"rexchange/internal/core"
+	"rexchange/internal/ctl"
 	"rexchange/internal/invindex"
 	"rexchange/internal/sim"
 	"rexchange/internal/workload"
@@ -51,10 +52,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	c := p.Cluster()
-	capacity := c.TotalCapacity().Scale(1 / float64(c.NumMachines()))
-	ec := c.WithExchange(2, capacity, 1)
-	pk, err := cluster.FromAssignment(ec, p.Assignment())
+	pk, err := cluster.BorrowExchange(p, 2)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -91,12 +89,12 @@ func main() {
 		"rebalanced:", afterRep.P50, afterRep.P95, afterRep.P99, afterRep.MaxBusy)
 
 	// 5. And the cost of getting there.
-	mig, err := sim.SimulateMigration(pk, res.Plan, sim.MigrationConfig{
+	mig, makespan, err := ctl.ExecutePlan(pk, res.Plan, ctl.MigrationConfig{
 		Bandwidth: 50, Concurrency: 4,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nmigration: %d moves, %.1f disk units, %.1fs wall clock\n",
-		mig.Steps, mig.Bytes, mig.Duration)
+		mig.Completed, mig.BytesMoved, makespan)
 }

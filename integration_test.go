@@ -12,6 +12,7 @@ import (
 	"rexchange/internal/baseline"
 	"rexchange/internal/cluster"
 	"rexchange/internal/core"
+	"rexchange/internal/ctl"
 	"rexchange/internal/invindex"
 	"rexchange/internal/metrics"
 	"rexchange/internal/sim"
@@ -64,15 +65,15 @@ func TestEndToEndSyntheticPipeline(t *testing.T) {
 	if len(res.Returned) != 3 {
 		t.Fatalf("returned %d machines", len(res.Returned))
 	}
-	// contract 4: the schedule executes in the migration simulator
-	mig, err := sim.SimulateMigration(p, res.Plan, sim.MigrationConfig{
+	// contract 4: the schedule executes under the migration executor
+	mig, _, err := ctl.ExecutePlan(p, res.Plan, ctl.MigrationConfig{
 		Bandwidth: 100, Concurrency: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mig.Steps != res.Plan.NumMoves() {
-		t.Errorf("migration executed %d of %d moves", mig.Steps, res.Plan.NumMoves())
+	if mig.Completed != res.Plan.NumMoves() {
+		t.Errorf("migration executed %d of %d moves", mig.Completed, res.Plan.NumMoves())
 	}
 	// contract 5: serving simulation sees the better balance
 	trace, err := workload.GenerateTrace(workload.TraceConfig{

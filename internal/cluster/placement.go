@@ -80,6 +80,19 @@ func FromAssignment(c *Cluster, assign []MachineID) (*Placement, error) {
 	return p, nil
 }
 
+// BorrowExchange rebuilds p over its cluster extended with k exchange
+// machines shaped like the fleet average (mean capacity, mean speed), every
+// shard staying where it is. With k <= 0 it returns p itself.
+func BorrowExchange(p *Placement, k int) (*Placement, error) {
+	if k <= 0 {
+		return p, nil
+	}
+	c := p.c
+	n := float64(c.NumMachines())
+	ec := c.WithExchange(k, c.TotalCapacity().Scale(1/n), c.TotalSpeed()/n)
+	return FromAssignment(ec, p.home)
+}
+
 // Cluster returns the cluster this placement refers to.
 func (p *Placement) Cluster() *Cluster { return p.c }
 

@@ -7,7 +7,7 @@ import (
 	"rexchange/internal/cluster"
 )
 
-// errIdentityPlan is a defensive sentinel; see state.finish.
+// errIdentityPlan is a defensive sentinel; see compileBest.
 var errIdentityPlan = errorString("core: internal error: identity reassignment failed to plan")
 
 type errorString string

@@ -9,9 +9,6 @@ import (
 	"rexchange/internal/rng"
 )
 
-// Note: runtime.GOMAXPROCS is used only to cap worker concurrency (a pure
-// throughput knob); it must never influence which searches run.
-
 // DefaultRestarts is the portfolio width used when SolveParallel is called
 // with restarts <= 0. It is a pinned constant — never derived from
 // GOMAXPROCS or any other machine property — so that a defaulted portfolio
@@ -45,25 +42,37 @@ func (sv *Solver) SolveParallel(p *cluster.Placement, restarts int) (*Result, er
 	}
 
 	outcomes := make([]outcome, restarts)
+	// Workers read p only; Solve clones before mutating (newState).
+	fanOut(restarts, func(i int) {
+		cfg := sv.cfg
+		cfg.Seed = rng.WorkerSeed(sv.cfg.Seed, i)
+		res, err := New(cfg).Solve(p)
+		outcomes[i] = outcome{res, err}
+	})
+	return reduceOutcomes(outcomes)
+}
+
+// fanOut runs work(0) … work(n-1) on one goroutine each and returns when
+// all have finished, with at most GOMAXPROCS of them running at a time:
+// every worker clones or owns a placement, and more parallelism than cores
+// only adds memory pressure. GOMAXPROCS is a throughput cap only — it must
+// never influence which searches run or which results win. sharecheck does
+// not follow a placement that work captures onto these goroutines, so the
+// single-owner rule is the caller's to keep: a captured placement is read
+// only, or owned by exactly one index.
+func fanOut(n int, work func(i int)) {
 	var wg sync.WaitGroup
-	// Cap concurrent workers at GOMAXPROCS: each clones the placement and
-	// more parallelism than cores only adds memory pressure.
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i := 0; i < restarts; i++ {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
-		//rexlint:transfer workers read p only; Solve clones before mutating (newState)
 		go func(i int) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			cfg := sv.cfg
-			cfg.Seed = rng.WorkerSeed(sv.cfg.Seed, i)
-			res, err := New(cfg).Solve(p)
-			outcomes[i] = outcome{res, err}
+			work(i)
 		}(i)
 	}
 	wg.Wait()
-	return reduceOutcomes(outcomes)
 }
 
 // outcome is one restart's result in the portfolio.

@@ -2,13 +2,9 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"rexchange/internal/cluster"
-	"rexchange/internal/metrics"
-	"rexchange/internal/plan"
 	"rexchange/internal/rng"
 )
 
@@ -160,7 +156,7 @@ func (sv *Solver) SolvePartitioned(p *cluster.Placement, pc PartitionConfig) (*R
 	improving := []*cluster.Placement{p.Clone()}
 	bestObj := objective(work, cfg.SpreadWeight, cfg.MovePenalty, initial)
 
-	var iterations, accepted, repairFailures, planFallbacks, failedParts int
+	var iterations, accepted, repairFailures, failedParts int
 	prec, hasPRec := cfg.Recorder.(PartitionRecorder)
 
 	dirty := make([]int, len(parts))
@@ -183,36 +179,26 @@ func (sv *Solver) SolvePartitioned(p *cluster.Placement, pc PartitionConfig) (*R
 		}
 
 		results := make([]outcome, len(parts))
-		var wg sync.WaitGroup
-		// Cap concurrency at GOMAXPROCS (a pure throughput knob, like
-		// SolveParallel's worker cap: it never influences which searches
-		// run or which results win).
-		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-		for _, pi := range dirty {
+		// Each view is owned by exactly one goroutine; partitions share no
+		// machines or shards.
+		fanOut(len(dirty), func(j int) {
+			pi := dirty[j]
 			v := views[pi]
 			if v.NumShards() == 0 {
-				continue // nothing to rebalance; leave results[pi] zero
+				return // nothing to rebalance; leave results[pi] zero
 			}
-			wg.Add(1)
-			//rexlint:transfer each view is owned by exactly one goroutine; partitions share no machines or shards
-			go func(round, pi int, v *cluster.PlacementView) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				if round == 0 && pc.failPartition == pi+1 {
-					results[pi] = outcome{nil, fmt.Errorf("core: injected failure in partition %d", pi)}
-					return
-				}
-				pcfg := cfg
-				pcfg.Seed = rng.CellSeed(cfg.Seed, round, pi)
-				pcfg.Iterations = sliceIterations(cfg.Iterations, v.NumShards(), totalShards, pc.MinIterations)
-				pcfg.ReturnCount = kByPart[pi]
-				pcfg.KeepTrajectory = false
-				res, err := New(pcfg).Solve(v.Sub())
-				results[pi] = outcome{res, err}
-			}(round, pi, v)
-		}
-		wg.Wait()
+			if round == 0 && pc.failPartition == pi+1 {
+				results[pi] = outcome{nil, fmt.Errorf("core: injected failure in partition %d", pi)}
+				return
+			}
+			pcfg := cfg
+			pcfg.Seed = rng.CellSeed(cfg.Seed, round, pi)
+			pcfg.Iterations = sliceIterations(cfg.Iterations, v.NumShards(), totalShards, pc.MinIterations)
+			pcfg.ReturnCount = kByPart[pi]
+			pcfg.KeepTrajectory = false
+			res, err := New(pcfg).Solve(v.Sub())
+			results[pi] = outcome{res, err}
+		})
 
 		// Apply in ascending partition index order — deterministic and,
 		// because partitions are disjoint, order-independent in effect.
@@ -269,36 +255,15 @@ func (sv *Solver) SolvePartitioned(p *cluster.Placement, pc PartitionConfig) (*R
 		dirty = ex.dirty
 	}
 
-	// Compile the best reassignment into a move schedule, falling back to
-	// earlier improving solutions exactly like state.finish.
-	var final *cluster.Placement
-	var schedule *plan.Plan
-	for i := len(improving) - 1; i >= 0; i-- {
-		pl, err := cfg.Planner.Build(p, improving[i])
-		if err == nil {
-			final = improving[i]
-			schedule = pl
-			break
-		}
-		planFallbacks++
+	res, err := compileBest(cfg, p, initial, improving, k)
+	if err != nil {
+		return nil, err
 	}
-	if final == nil {
-		return nil, errIdentityPlan
-	}
-	return &Result{
-		Final:            final,
-		Plan:             schedule,
-		Returned:         pickReturned(final, k),
-		Before:           metrics.Compute(p),
-		After:            metrics.Compute(final),
-		Objective:        objective(final, cfg.SpreadWeight, cfg.MovePenalty, initial),
-		MovedShards:      movedCount(final, initial),
-		Iterations:       iterations,
-		Accepted:         accepted,
-		RepairFailures:   repairFailures,
-		PlanFallbacks:    planFallbacks,
-		FailedPartitions: failedParts,
-	}, nil
+	res.Iterations = iterations
+	res.Accepted = accepted
+	res.RepairFailures = repairFailures
+	res.FailedPartitions = failedParts
+	return res, nil
 }
 
 // Sub-solver seeds for (round, partition) cells come from rng.CellSeed:

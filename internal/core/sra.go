@@ -8,7 +8,6 @@ import (
 
 	"rexchange/internal/cluster"
 	"rexchange/internal/metrics"
-	"rexchange/internal/plan"
 )
 
 // state carries one Solve invocation.
@@ -63,7 +62,6 @@ type state struct {
 	trajectory     []float64
 	accepted       int
 	repairFailures int
-	planFallbacks  int
 
 	// iterCounts batches Recorder outcome counts locally, indexed
 	// (di*len(repairOps)+ri)*numIterOutcomes+outcome, so the hot loop
@@ -329,44 +327,48 @@ func (st *state) updateWeight(weights []float64, i int, reward float64) {
 	}
 }
 
-// finish compiles the best reassignment into a move schedule, falling back
-// to earlier improving solutions when the best has no feasible schedule
-// (rare, but possible when every intermediate machine is saturated).
+// finish compiles the search's best reassignment into the solve result.
 func (st *state) finish() (*Result, error) {
-	cfg := st.cfg
-
-	var final *cluster.Placement
-	var schedule *plan.Plan
-	for i := len(st.improving) - 1; i >= 0; i-- {
-		cand := st.improving[i]
-		pl, err := cfg.Planner.Build(st.initialP, cand)
-		if err == nil {
-			final = cand
-			schedule = pl
-			break
-		}
-		st.planFallbacks++
+	res, err := compileBest(st.cfg, st.initialP, st.initial, st.improving, st.k)
+	if err != nil {
+		return nil, err
 	}
-	if final == nil {
-		// The identity reassignment always plans (zero moves); improving[0]
-		// is the initial placement, so this is unreachable unless the
-		// planner itself errors on identical placements — treat as a bug.
-		return nil, errIdentityPlan
-	}
-
-	res := &Result{
-		Final:          final,
-		Plan:           schedule,
-		Returned:       pickReturned(final, st.k),
-		Before:         metrics.Compute(st.initialP),
-		After:          metrics.Compute(final),
-		Objective:      objective(final, cfg.SpreadWeight, cfg.MovePenalty, st.initial),
-		MovedShards:    movedCount(final, st.initial),
-		Iterations:     cfg.Iterations,
-		Accepted:       st.accepted,
-		RepairFailures: st.repairFailures,
-		PlanFallbacks:  st.planFallbacks,
-		Trajectory:     st.trajectory,
-	}
+	res.Iterations = st.cfg.Iterations
+	res.Accepted = st.accepted
+	res.RepairFailures = st.repairFailures
+	res.Trajectory = st.trajectory
 	return res, nil
+}
+
+// compileBest compiles the best improving placement into a move schedule
+// from the starting placement, falling back to earlier improving solutions
+// when the best has no feasible schedule (rare, but possible when every
+// intermediate machine is saturated), and assembles everything in the
+// Result that derives from the chosen placement. improving is in discovery
+// order with the starting placement at index 0; initial is its assignment.
+// Search counters are the caller's to fill in.
+func compileBest(cfg Config, from *cluster.Placement, initial []cluster.MachineID, improving []*cluster.Placement, k int) (*Result, error) {
+	fallbacks := 0
+	for i := len(improving) - 1; i >= 0; i-- {
+		final := improving[i]
+		schedule, err := cfg.Planner.Build(from, final)
+		if err != nil {
+			fallbacks++
+			continue
+		}
+		return &Result{
+			Final:         final,
+			Plan:          schedule,
+			Returned:      pickReturned(final, k),
+			Before:        metrics.Compute(from),
+			After:         metrics.Compute(final),
+			Objective:     objective(final, cfg.SpreadWeight, cfg.MovePenalty, initial),
+			MovedShards:   movedCount(final, initial),
+			PlanFallbacks: fallbacks,
+		}, nil
+	}
+	// The identity reassignment always plans (zero moves) and improving[0]
+	// is the starting placement, so this is unreachable unless the planner
+	// itself errors on identical placements — treat as a bug.
+	return nil, errIdentityPlan
 }

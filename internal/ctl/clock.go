@@ -33,6 +33,15 @@ type Clock interface {
 	Sleep(d float64)
 }
 
+// SleepTo adapts clock to Executor.Drive's advance parameter: sleep until
+// t, report the time reached.
+func SleepTo(clock Clock) func(t float64) float64 {
+	return func(t float64) float64 {
+		clock.Sleep(t - clock.Now())
+		return clock.Now()
+	}
+}
+
 // VirtualClock is a deterministic simulated clock: Sleep advances time
 // instantly. It makes the control loop fully reproducible and lets tests
 // cover hours of simulated operation in milliseconds.

@@ -63,8 +63,7 @@ type Config struct {
 	// Registry, when non-nil, receives the control-plane metric families
 	// (round/solve lifecycle, executor migration lifecycle, solver
 	// telemetry, and the live balance report) and is what /metrics
-	// renders. Nil disables registry-backed metrics; the HTTP handler
-	// falls back to synthesizing gauges from Status snapshots.
+	// renders. Nil disables metrics, and /metrics answers 404.
 	Registry *obs.Registry
 	// Journal, when non-nil, receives structured round/solve/move span
 	// events. Every event is emitted from the Run goroutine with Clock
@@ -224,60 +223,48 @@ func (c *Controller) Run(rounds int) error {
 // way. Executor plan failures abort the plan and surface as the returned
 // error; the controller keeps running.
 func (c *Controller) serviceUntil(t float64) error {
-	for {
-		c.mu.Lock()
-		next, ok := c.exec.NextEvent(c.clock.Now())
-		c.mu.Unlock()
-		if !ok || next > t {
-			c.clock.Sleep(t - c.clock.Now())
-			return nil
-		}
-		c.clock.Sleep(next - c.clock.Now())
-		if err := c.tickExec(); err != nil {
-			return err
-		}
+	if err := c.driveExec(t); err != nil {
+		return err
 	}
+	c.clock.Sleep(t - c.clock.Now())
+	return nil
 }
 
-// tickExec runs one executor step at the current time and updates the
-// controller state when the plan drains or fails.
-func (c *Controller) tickExec() error {
+// drain services the executor until the installed plan finishes (or
+// fails), without ingesting further snapshots.
+func (c *Controller) drain() error {
+	if err := c.driveExec(math.Inf(1)); err != nil {
+		c.noteExecError(err)
+	}
+	return nil
+}
+
+// driveExec runs the executor's events scheduled at or before until and
+// returns the controller to idle when the plan drains or fails. c.mu is
+// held across executor calls and released while the clock advances.
+func (c *Controller) driveExec(until float64) error {
+	sleepTo := SleepTo(c.clock)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	err := c.exec.Tick(c.live, c.clock.Now())
+	_, err := c.exec.Drive(c.live, c.clock.Now(), until, func(t float64) float64 {
+		c.mu.Unlock()
+		defer c.mu.Lock()
+		return sleepTo(t)
+	})
 	if c.exec.Done() && c.state == StateMigrating {
 		c.setState(StateIdle)
 	}
 	return err
 }
 
-// drain services the executor until the installed plan finishes (or
-// fails), without ingesting further snapshots.
-func (c *Controller) drain() error {
-	for {
-		c.mu.Lock()
-		next, ok := c.exec.NextEvent(c.clock.Now())
-		c.mu.Unlock()
-		if !ok {
-			return nil
-		}
-		c.clock.Sleep(next - c.clock.Now())
-		if err := c.tickExec(); err != nil {
-			c.noteExecError(err)
-			return nil
-		}
-	}
-}
-
 // noteExecError records an executor plan failure in the round history.
+// driveExec has already returned the controller to idle: the executor
+// aborts a failed plan before reporting it.
 func (c *Controller) noteExecError(err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.m != nil {
 		c.m.execErrors.Inc()
-	}
-	if c.state == StateMigrating {
-		c.setState(StateIdle)
 	}
 	if n := len(c.history); n > 0 && c.history[n-1].Err == "" {
 		c.history[n-1].Err = err.Error()
@@ -407,6 +394,8 @@ func (c *Controller) solveRound(stat *RoundStat) {
 	c.exec.round = stat.Round
 	c.exec.SetPlan(nil) // supersede: abort in-flight, cancel pending
 	c.setState(StateSolving)
+	// The solvers only read planning, and it is the controller's private
+	// clone; the live placement stays behind the mutex.
 	planning := c.live.Clone()
 	c.mu.Unlock()
 
@@ -440,12 +429,8 @@ func (c *Controller) solveRound(stat *RoundStat) {
 		pc := core.DefaultPartitionConfig()
 		pc.Partitions = c.cfg.Budget.Partitions
 		pc.ExchangeRounds = c.cfg.Budget.ExchangeRounds
-		// No transfer annotation needed: SolvePartitioned clones planning
-		// before any goroutine sees it (each partition goroutine owns its
-		// PlacementView), which sharecheck proves interprocedurally.
 		res, err = core.New(scfg).SolvePartitioned(planning, pc)
 	} else {
-		//rexlint:transfer planning is the controller's private clone; the live placement stays behind the mutex
 		res, err = core.New(scfg).SolveParallel(planning, c.cfg.Budget.Restarts)
 	}
 	if c.m != nil {

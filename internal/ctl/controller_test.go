@@ -9,7 +9,6 @@ import (
 
 	"rexchange/internal/cluster"
 	"rexchange/internal/plan"
-	"rexchange/internal/sim"
 	"rexchange/internal/workload"
 )
 
@@ -102,7 +101,7 @@ func e2eConfig(t *testing.T, machines, shards int, seed int64) (Config, *cluster
 	cfg.Window = 10
 	cfg.Policy = Policy{HighWater: 1.25, LowWater: 1.10}
 	cfg.Budget = Budget{Iterations: 400, Restarts: 2, SolveSeconds: 1}
-	cfg.Exec.Migration = sim.MigrationConfig{Bandwidth: 250, Concurrency: 8}
+	cfg.Exec.Migration = MigrationConfig{Bandwidth: 250, Concurrency: 8}
 	cfg.Seed = seed
 	return cfg, inst.Placement, src
 }
@@ -284,7 +283,7 @@ func TestControllerSupersedesPlan(t *testing.T) {
 	cfg.Budget = Budget{Iterations: 200, Restarts: 1}
 	// one slow copy at a time: 2 disk units / 0.04 = 50s per move,
 	// far longer than the 10s window, so round 1 arrives mid-migration
-	cfg.Exec.Migration = sim.MigrationConfig{Bandwidth: 0.04, Concurrency: 1}
+	cfg.Exec.Migration = MigrationConfig{Bandwidth: 0.04, Concurrency: 1}
 	cfg.Seed = 9
 
 	ctl, err := New(cfg, NewVirtualClock(), p, src)

@@ -7,7 +7,6 @@ import (
 	"rexchange/internal/cluster"
 	"rexchange/internal/obs"
 	"rexchange/internal/plan"
-	"rexchange/internal/sim"
 	"rexchange/internal/vec"
 )
 
@@ -99,12 +98,22 @@ type MoveObserver interface {
 	MoveFinished(mv plan.Move, ref MoveRef, at float64, committed bool)
 }
 
+// MigrationConfig is the copy physics of one migration: every move streams
+// at Bandwidth, and at most Concurrency moves are in flight at once.
+type MigrationConfig struct {
+	// Bandwidth is copy throughput in disk units per second per move.
+	Bandwidth float64
+	// Concurrency is the maximum number of simultaneously in-flight
+	// moves.
+	Concurrency int
+}
+
 // ExecConfig parameterizes the asynchronous migration executor.
 type ExecConfig struct {
 	// Migration supplies the per-move bandwidth model and the bound on
-	// simultaneously in-flight moves (Concurrency), shared with the
-	// offline simulator so both agree on migration physics.
-	Migration sim.MigrationConfig
+	// simultaneously in-flight moves. ExecutePlan takes the same type, so
+	// an offline what-if and the live executor run identical physics.
+	Migration MigrationConfig
 	// MaxAttempts bounds dispatch attempts per move before the executor
 	// abandons the whole plan; 0 means 8.
 	MaxAttempts int
@@ -119,11 +128,11 @@ type ExecConfig struct {
 	Observer MoveObserver
 }
 
-// DefaultExecConfig matches the offline simulator's default bandwidth with
-// four concurrent copies.
+// DefaultExecConfig copies at 100 disk units/second with four concurrent
+// moves.
 func DefaultExecConfig() ExecConfig {
 	return ExecConfig{
-		Migration: sim.MigrationConfig{Bandwidth: 100, Concurrency: 4},
+		Migration: MigrationConfig{Bandwidth: 100, Concurrency: 4},
 	}
 }
 
@@ -232,11 +241,6 @@ func (e *Executor) AttachObs(reg *obs.Registry, j *obs.Journal) {
 	}
 	e.journal = j
 }
-
-// AttachTracer wires a tracer into a standalone executor; every copy then
-// emits a move trace span when it ends. Executors owned by a Controller
-// are wired through Config.Tracer instead.
-func (e *Executor) AttachTracer(t *obs.Tracer) { e.tracer = t }
 
 // emitMoveTrace journals the trace span of move seq ending at time t.
 // Span identity is a pure function of (planRound, seq), so the query legs
@@ -406,6 +410,47 @@ func (e *Executor) Tick(live *cluster.Placement, now float64) error {
 		e.m.inFlight.Set(float64(e.inflight))
 	}
 	return nil
+}
+
+// Drive is the executor's event loop: while a completion or retry is
+// scheduled at or before until, advance(t) takes the owner's clock to it
+// and returns the time reached — SleepTo(clock) on a Clock, the identity
+// for an offline run that jumps — and the executor Ticks there. The
+// executor is quiescent during advance, so an owner that guards it with a
+// lock may release the lock for the call (the sync.Cond.Wait shape). Drive
+// returns the time of its last Tick (now when there was none) and the
+// first Tick error.
+func (e *Executor) Drive(live *cluster.Placement, now, until float64, advance func(t float64) float64) (float64, error) {
+	for {
+		next, ok := e.NextEvent(now)
+		if !ok || next > until {
+			return now, nil
+		}
+		now = advance(next)
+		if err := e.Tick(live, now); err != nil {
+			return now, err
+		}
+	}
+}
+
+// ExecutePlan executes p offline: a fresh executor drains it against a
+// clone of from (from itself is not modified), jumping time from event to
+// event, so the admission rules are exactly a live run's. It returns the
+// executor's counters and the makespan in seconds; a plan the executor
+// abandons (wrong source, a head move that can never be admitted) is an
+// error.
+func ExecutePlan(from *cluster.Placement, p *plan.Plan, cfg MigrationConfig) (ExecCounters, float64, error) {
+	e, err := NewExecutor(from.Cluster(), ExecConfig{Migration: cfg})
+	if err != nil {
+		return ExecCounters{}, 0, err
+	}
+	live := from.Clone()
+	e.SetPlan(p)
+	if err := e.Tick(live, 0); err != nil {
+		return e.Counters(), 0, err
+	}
+	makespan, err := e.Drive(live, 0, math.Inf(1), func(t float64) float64 { return t })
+	return e.Counters(), makespan, err
 }
 
 // complete commits or fails every in-flight move whose copy has finished,

@@ -2,12 +2,12 @@ package ctl
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"rexchange/internal/cluster"
 	"rexchange/internal/plan"
-	"rexchange/internal/sim"
 	"rexchange/internal/vec"
 )
 
@@ -74,22 +74,22 @@ func drive(t *testing.T, ex *Executor, live *cluster.Placement, clock *VirtualCl
 	if err := ex.Tick(live, clock.Now()); err != nil {
 		t.Fatal(err)
 	}
-	checkTransient(t, ex, live)
-	for !ex.Done() {
-		next, ok := ex.NextEvent(clock.Now())
-		if !ok {
-			t.Fatalf("executor stalled: %+v", ex.Counters())
-		}
-		clock.Sleep(next - clock.Now())
-		if err := ex.Tick(live, clock.Now()); err != nil {
-			t.Fatal(err)
-		}
+	sleepTo := SleepTo(clock)
+	_, err := ex.Drive(live, clock.Now(), math.Inf(1), func(next float64) float64 {
 		checkTransient(t, ex, live)
+		return sleepTo(next)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkTransient(t, ex, live)
+	if !ex.Done() {
+		t.Fatalf("executor stalled: %+v", ex.Counters())
 	}
 }
 
 func execCfg(conc int) ExecConfig {
-	return ExecConfig{Migration: sim.MigrationConfig{Bandwidth: 1, Concurrency: conc}}
+	return ExecConfig{Migration: MigrationConfig{Bandwidth: 1, Concurrency: conc}}
 }
 
 func TestExecutorRunsPlanToCompletion(t *testing.T) {
@@ -217,18 +217,10 @@ func TestExecutorAbandonsAfterMaxAttempts(t *testing.T) {
 	ex.SetPlan(pl)
 	clock := NewVirtualClock()
 
-	var tickErr error
-	if tickErr = ex.Tick(live, clock.Now()); tickErr != nil {
-		t.Fatal(tickErr)
+	if err := ex.Tick(live, clock.Now()); err != nil {
+		t.Fatal(err)
 	}
-	for tickErr == nil {
-		next, ok := ex.NextEvent(clock.Now())
-		if !ok {
-			break
-		}
-		clock.Sleep(next - clock.Now())
-		tickErr = ex.Tick(live, clock.Now())
-	}
+	_, tickErr := ex.Drive(live, clock.Now(), math.Inf(1), SleepTo(clock))
 	if tickErr == nil || !strings.Contains(tickErr.Error(), "abandoning plan") {
 		t.Fatalf("expected abandonment error, got %v", tickErr)
 	}

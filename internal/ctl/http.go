@@ -2,11 +2,8 @@ package ctl
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/pprof"
-
-	"rexchange/internal/metrics"
 )
 
 // Handler returns the controller's HTTP surface on a fresh ServeMux:
@@ -17,10 +14,9 @@ import (
 //	/metrics       Prometheus text exposition (balance report + control-plane counters)
 //	/debug/pprof/  standard net/http/pprof profiling surface
 //
-// With Config.Registry set, /metrics renders the shared registry — every
-// family the control plane, executor, solver, and balance collector
-// registered. Without one it falls back to synthesizing gauges from
-// Status snapshots (the pre-registry exposition).
+// /metrics renders Config.Registry — every family the control plane,
+// executor, solver, and balance collector registered — and answers 404
+// when the controller was built without one.
 //
 // All endpoints are read-only snapshots taken under the controller lock;
 // serving them concurrently with Run is race-free on any clock.
@@ -46,16 +42,12 @@ func (c *Controller) Handler() http.Handler {
 		}{Moves: c.PlanView()})
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if c.cfg.Registry != nil {
-			_ = c.cfg.Registry.WritePrometheus(w) // write error = client went away
+		if c.cfg.Registry == nil {
+			http.Error(w, "metrics registry not configured", http.StatusNotFound)
 			return
 		}
-		st := c.Status()
-		if err := metrics.WritePrometheus(w, c.Report()); err != nil {
-			return // client went away; nothing useful to do
-		}
-		writeCounterGauges(w, st)
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		_ = c.cfg.Registry.WritePrometheus(w) // write error = client went away
 	})
 	return mux
 }
@@ -67,40 +59,6 @@ func writeJSON(w http.ResponseWriter, v interface{}) {
 	enc.SetIndent("", " ")
 	if err := enc.Encode(v); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
-
-// ctlGauges renders the controller/executor counters appended to /metrics
-// after the balance report.
-func writeCounterGauges(w http.ResponseWriter, st Status) {
-	stateVal := 0.0
-	switch st.State {
-	case StateSolving.String():
-		stateVal = 1
-	case StateMigrating.String():
-		stateVal = 2
-	}
-	gauges := []struct {
-		name, help string
-		val        float64
-	}{
-		{"rex_ctl_state", "Controller state (0=idle, 1=solving, 2=migrating).", stateVal},
-		{"rex_ctl_rounds_total", "Control rounds completed.", float64(st.Round)},
-		{"rex_ctl_solves_total", "Solve rounds triggered.", float64(st.Solves)},
-		{"rex_ctl_campaign", "Whether a rebalancing campaign is active.", boolGauge(st.Campaign)},
-		{"rex_exec_dispatched_total", "Moves dispatched by the executor.", float64(st.Executor.Dispatched)},
-		{"rex_exec_completed_total", "Moves committed to the live placement.", float64(st.Executor.Completed)},
-		{"rex_exec_failures_total", "Injected/observed copy failures.", float64(st.Executor.Failures)},
-		{"rex_exec_aborted_total", "In-flight moves aborted by plan supersession.", float64(st.Executor.Aborted)},
-		{"rex_exec_cancelled_total", "Pending moves cancelled by plan supersession.", float64(st.Executor.Cancelled)},
-		{"rex_exec_in_flight", "Moves currently in flight.", float64(st.Executor.InFlight)},
-		{"rex_exec_bytes_moved_total", "Disk units copied by completed and in-flight moves.", st.Executor.BytesMoved},
-	}
-	for _, g := range gauges {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n",
-			g.name, g.help, g.name, g.name, g.val); err != nil {
-			return
-		}
 	}
 }
 

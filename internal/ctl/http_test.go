@@ -2,12 +2,14 @@ package ctl
 
 import (
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 
 	"rexchange/internal/cluster"
+	"rexchange/internal/obs"
 )
 
 // httpController builds a small controller, runs a few rounds (so state is
@@ -16,6 +18,7 @@ func httpController(t *testing.T) *Controller {
 	t.Helper()
 	cfg, p, src := e2eConfig(t, 40, 480, 17)
 	cfg.Budget = Budget{Iterations: 100, Restarts: 1}
+	cfg.Registry = obs.NewRegistry()
 	c, err := New(cfg, NewVirtualClock(), p, src)
 	if err != nil {
 		t.Fatal(err)
@@ -99,6 +102,18 @@ func TestHTTPMetrics(t *testing.T) {
 	if !strings.Contains(body, "# TYPE rex_imbalance gauge") {
 		t.Fatal("/metrics missing TYPE annotation")
 	}
+
+	// Without a registry there is nothing to render.
+	cfg, p, src := e2eConfig(t, 40, 480, 17)
+	bare, err := New(cfg, NewVirtualClock(), p, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	bare.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if rec.Code != http.StatusNotFound || !strings.Contains(rec.Body.String(), "metrics registry not configured") {
+		t.Fatalf("/metrics without a registry: status %d body %q", rec.Code, rec.Body.String())
+	}
 }
 
 // TestHTTPConcurrentWithRun serves the endpoints while the control loop is
@@ -106,6 +121,7 @@ func TestHTTPMetrics(t *testing.T) {
 func TestHTTPConcurrentWithRun(t *testing.T) {
 	cfg, p, src := e2eConfig(t, 40, 480, 23)
 	cfg.Budget = Budget{Iterations: 100, Restarts: 2}
+	cfg.Registry = obs.NewRegistry()
 	c, err := New(cfg, NewVirtualClock(), p, src)
 	if err != nil {
 		t.Fatal(err)

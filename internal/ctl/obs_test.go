@@ -2,6 +2,7 @@ package ctl
 
 import (
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -11,7 +12,6 @@ import (
 	"rexchange/internal/cluster"
 	"rexchange/internal/obs"
 	"rexchange/internal/plan"
-	"rexchange/internal/sim"
 )
 
 // obsExec attaches a fresh registry + journal to an executor and returns
@@ -37,7 +37,7 @@ func TestAbortClearsRetryState(t *testing.T) {
 		{S: 0, From: 0, To: 1},
 		{S: 1, From: 0, To: 2},
 	}}
-	cfg := ExecConfig{Migration: sim.MigrationConfig{Bandwidth: 1, Concurrency: 2}}
+	cfg := ExecConfig{Migration: MigrationConfig{Bandwidth: 1, Concurrency: 2}}
 	cfg.Failure = func(mv plan.Move, attempt int) bool { return mv.S == 0 && attempt == 1 }
 	ex, m, buf := obsExec(t, c, cfg)
 	ex.SetPlan(pl)
@@ -123,18 +123,10 @@ func TestAbandonedPlanReleasesReservationsOnce(t *testing.T) {
 	ex.SetPlan(pl)
 	clock := NewVirtualClock()
 
-	var tickErr error
-	for tickErr == nil {
-		tickErr = ex.Tick(live, clock.Now())
-		if tickErr != nil {
-			break
-		}
-		next, ok := ex.NextEvent(clock.Now())
-		if !ok {
-			break
-		}
-		clock.Sleep(next - clock.Now())
+	if err := ex.Tick(live, clock.Now()); err != nil {
+		t.Fatal(err)
 	}
+	_, tickErr := ex.Drive(live, clock.Now(), math.Inf(1), SleepTo(clock))
 	if tickErr == nil || !strings.Contains(tickErr.Error(), "abandoning plan") {
 		t.Fatalf("expected abandonment, got %v", tickErr)
 	}

@@ -123,11 +123,7 @@ func RunCampaign(cfg CampaignConfig, variant string) (*CampaignResult, error) {
 		if cfg.ExchangeK <= 0 {
 			return nil, fmt.Errorf("des: kexchange variant needs ExchangeK > 0")
 		}
-		c := p.Cluster()
-		capacity := c.TotalCapacity().Scale(1 / float64(c.NumMachines()))
-		speed := c.TotalSpeed() / float64(c.NumMachines())
-		ec := c.WithExchange(cfg.ExchangeK, capacity, speed)
-		if p, err = cluster.FromAssignment(ec, p.Assignment()); err != nil {
+		if p, err = cluster.BorrowExchange(p, cfg.ExchangeK); err != nil {
 			return nil, err
 		}
 	case "partitioned":

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"rexchange/internal/cluster"
 	"rexchange/internal/core"
 	"rexchange/internal/metrics"
 )
@@ -17,7 +18,7 @@ func F6OperatorAblation(sc Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := withExchange(p0, 3)
+	p, err := cluster.BorrowExchange(p0, 3)
 	if err != nil {
 		return nil, err
 	}

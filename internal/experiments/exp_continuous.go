@@ -23,7 +23,7 @@ func F7ContinuousRebalance(sc Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	pk, err := withExchange(p0, 2)
+	pk, err := cluster.BorrowExchange(p0, 2)
 	if err != nil {
 		return nil, err
 	}

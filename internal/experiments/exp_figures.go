@@ -7,9 +7,9 @@ import (
 	"rexchange/internal/baseline"
 	"rexchange/internal/cluster"
 	"rexchange/internal/core"
+	"rexchange/internal/ctl"
 	"rexchange/internal/metrics"
 	"rexchange/internal/plan"
-	"rexchange/internal/sim"
 )
 
 // F1ExchangeSweep sweeps the number of borrowed exchange machines K in the
@@ -38,7 +38,7 @@ func F1ExchangeSweep(sc Scale) (*Table, error) {
 	ks = ks[:sc.sel(3, len(ks))]
 	iters := sc.sel(300, 3000)
 	for _, k := range ks {
-		pk, err := withExchange(p, k)
+		pk, err := cluster.BorrowExchange(p, k)
 		if err != nil {
 			return nil, err
 		}
@@ -52,17 +52,14 @@ func F1ExchangeSweep(sc Scale) (*Table, error) {
 	return tbl, nil
 }
 
-// migSeconds simulates executing the plan at the default bandwidth with 4
-// parallel streams and returns its wall-clock duration.
+// migSeconds executes the plan offline at the default bandwidth with 4
+// parallel streams and returns its makespan.
 func migSeconds(from *cluster.Placement, p *plan.Plan) float64 {
-	if p.NumMoves() == 0 {
-		return 0
-	}
-	rep, err := sim.SimulateMigration(from, p, sim.MigrationConfig{Bandwidth: 100, Concurrency: 4})
+	_, makespan, err := ctl.ExecutePlan(from, p, ctl.MigrationConfig{Bandwidth: 100, Concurrency: 4})
 	if err != nil {
 		return -1 // signal an unexecutable schedule in the table
 	}
-	return rep.Duration
+	return makespan
 }
 
 // F2TightnessSweep plots every method's achieved imbalance against cluster
@@ -93,7 +90,7 @@ func F2TightnessSweep(sc Scale) (*Table, error) {
 		ls := baseline.LocalSearch(p, baseline.Config{AllowSwaps: true})
 		tbl.AddRow(fill, "local-search", before.MaxUtil, ls.After.MaxUtil, ls.After.Imbalance)
 
-		pk, err := withExchange(p, k)
+		pk, err := cluster.BorrowExchange(p, k)
 		if err != nil {
 			return nil, err
 		}
@@ -123,7 +120,7 @@ func F3Scalability(sc Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		p, err := withExchange(p0, 4)
+		p, err := cluster.BorrowExchange(p0, 4)
 		if err != nil {
 			return nil, err
 		}
@@ -150,7 +147,7 @@ func F4Convergence(sc Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := withExchange(p0, 3)
+	p, err := cluster.BorrowExchange(p0, 3)
 	if err != nil {
 		return nil, err
 	}

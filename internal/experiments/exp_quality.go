@@ -37,7 +37,7 @@ func T1OptimalityGap(sc Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		p, err := withExchange(p0, cs.k)
+		p, err := cluster.BorrowExchange(p0, cs.k)
 		if err != nil {
 			return nil, err
 		}
@@ -123,7 +123,7 @@ func T2EndToEnd(sc Scale) (*Table, error) {
 		}
 		tbl.AddRow(ds.name, "sra-k0", s0.After.MaxUtil, s0.After.Imbalance, s0.After.CV, s0.MovedShards, 0)
 
-		pk, err := withExchange(ds.p, k)
+		pk, err := cluster.BorrowExchange(ds.p, k)
 		if err != nil {
 			return nil, err
 		}
@@ -165,7 +165,7 @@ func T3PlanFeasibility(sc Scale) (*Table, error) {
 					if err != nil {
 						return nil, err
 					}
-					p, err := withExchange(p0, k)
+					p, err := cluster.BorrowExchange(p0, k)
 					if err != nil {
 						return nil, err
 					}
@@ -235,7 +235,7 @@ func T4Replicated(sc Scale) (*Table, error) {
 		tbl.AddRow(replicas, "local-search", before.MaxUtil, ls.After.MaxUtil,
 			ls.MovedShards, yesNo(affinityOK(ls.Final)))
 
-		pk, err := withExchange(p, 2)
+		pk, err := cluster.BorrowExchange(p, 2)
 		if err != nil {
 			return nil, err
 		}

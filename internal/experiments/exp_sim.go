@@ -3,6 +3,7 @@ package experiments
 import (
 	"rexchange/internal/cluster"
 	"rexchange/internal/core"
+	"rexchange/internal/ctl"
 	"rexchange/internal/invindex"
 	"rexchange/internal/sim"
 	"rexchange/internal/workload"
@@ -50,7 +51,7 @@ func F5LatencySim(sc Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	pk, err := withExchange(p, 2)
+	pk, err := cluster.BorrowExchange(p, 2)
 	if err != nil {
 		return nil, err
 	}
@@ -86,14 +87,14 @@ func F5LatencySim(sc Scale) (*Table, error) {
 
 	// 4. migration cost of getting there (columns reused: the row label
 	// names each cell in order)
-	mig, err := sim.SimulateMigration(pk, res.Plan, sim.MigrationConfig{
+	mig, makespan, err := ctl.ExecutePlan(pk, res.Plan, ctl.MigrationConfig{
 		Bandwidth: 50, Concurrency: 4,
 	})
 	if err != nil {
 		return nil, err
 	}
 	tbl.AddRow("migration[sec/moves/bytes/peak]", "-", "-",
-		mig.Duration, float64(mig.Steps), mig.Bytes, float64(mig.PeakParallel))
+		makespan, float64(mig.Completed), mig.BytesMoved, float64(mig.PeakParallel))
 	return tbl, nil
 }
 
@@ -116,7 +117,7 @@ func F8ReplicaRouting(sc Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	pk, err := withExchange(inst.Placement, 2)
+	pk, err := cluster.BorrowExchange(inst.Placement, 2)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,12 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"rexchange/internal/baseline"
+	"rexchange/internal/cluster"
+	"rexchange/internal/core"
+	"rexchange/internal/ctl"
+	"rexchange/internal/plan"
 )
 
 var quick = Scale{Quick: true}
@@ -218,6 +224,60 @@ func TestF5LatencyImproves(t *testing.T) {
 	// p99 should improve (allow small slack: queues are stochastic)
 	if parseF(t, after[5]) > parseF(t, before[5])*1.05 {
 		t.Errorf("p99 did not improve: %s → %s", before[5], after[5])
+	}
+}
+
+// TestFigureMakespansGolden pins the migration numbers of the F-figures at
+// quick scale: the F1 instances compare with == at full precision (event
+// times are exact sums, no tolerance is needed) and the F5 row as the exact
+// cells the table prints.
+func TestFigureMakespansGolden(t *testing.T) {
+	type golden struct {
+		makespan, bytes float64
+		steps, peak     int
+	}
+	cfg := ctl.MigrationConfig{Bandwidth: 100, Concurrency: 4}
+	check := func(name string, from *cluster.Placement, pl *plan.Plan, want golden) {
+		t.Helper()
+		ctr, makespan, err := ctl.ExecutePlan(from, pl, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := (golden{makespan, ctr.BytesMoved, ctr.Completed, ctr.PeakParallel}); got != want {
+			t.Errorf("%s: ExecutePlan = %+v, want %+v", name, got, want)
+		}
+	}
+
+	// F1's quick-scale instance and plans.
+	p, err := genInstance(16, 200, 0.95, 401)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls := baseline.LocalSearch(p, baseline.Config{AllowSwaps: true})
+	check("F1 local-search", p, ls.Plan, golden{0.07065415967601486, 21.96506811084895, 5, 4})
+	for k, want := range []golden{
+		{6.424206453224407, 1122.891747513398, 157, 4},
+		{5.752454422948842, 1329.921764154131, 168, 4},
+		{4.870132202070855, 1340.7303039697367, 174, 4},
+	} {
+		pk, err := cluster.BorrowExchange(p, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.New(solverConfig(300, 11)).Solve(pk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("F1 sra k="+strconv.Itoa(k), pk, res.Plan, want)
+	}
+
+	tbl, err := F5LatencySim(quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Join(tbl.Rows[len(tbl.Rows)-1], " ")
+	if want := "migration[sec/moves/bytes/peak] - - 0.2141 45.0000 39.5876 4.0000"; got != want {
+		t.Errorf("F5 migration row = %q, want %q", got, want)
 	}
 }
 

@@ -25,20 +25,6 @@ func (s Scale) sel(q, f int) int {
 	return f
 }
 
-// withExchange appends k exchange machines sized like the instance's
-// average machine and rebuilds the placement over the extended cluster.
-func withExchange(p *cluster.Placement, k int) (*cluster.Placement, error) {
-	if k == 0 {
-		return p, nil
-	}
-	c := p.Cluster()
-	// exchange machines shaped like the fleet average
-	capacity := c.TotalCapacity().Scale(1 / float64(c.NumMachines()))
-	speed := c.TotalSpeed() / float64(c.NumMachines())
-	ec := c.WithExchange(k, capacity, speed)
-	return cluster.FromAssignment(ec, p.Assignment())
-}
-
 // genInstance builds a synthetic instance with the given sizing.
 func genInstance(machines, shards int, fill float64, seed int64) (*cluster.Placement, error) {
 	cfg := workload.DefaultConfig()
@@ -144,11 +130,4 @@ func repackTarget(p *cluster.Placement, keepVacant int) (*cluster.Placement, err
 		}
 	}
 	return t, nil
-}
-
-// exchangeCapacity returns a capacity vector for a single exchange machine
-// matching the fleet average of c.
-func exchangeCapacity(c *cluster.Cluster) (vec.Vec, float64) {
-	return c.TotalCapacity().Scale(1 / float64(c.NumMachines())),
-		c.TotalSpeed() / float64(c.NumMachines())
 }

@@ -7,8 +7,9 @@ import "strings"
 //
 //   - noglobalrand guards the whole module: reproducibility is a global
 //     property and one stray global draw anywhere breaks it.
-//   - maporder guards the solver, planner, cluster model, and simulator —
-//     the packages whose outputs must be bit-reproducible for a fixed seed.
+//   - maporder guards the solver, planner, cluster model, and the two
+//     simulators (sim's serving queues, des) — the packages whose outputs
+//     must be bit-reproducible for a fixed seed.
 //   - floateq guards objective/metrics/aggregate code, where quantities are
 //     computed incrementally and exact comparison is a latent bug.
 //   - errignore guards every internal package.

@@ -1,9 +1,6 @@
 package metrics
 
 import (
-	"io"
-	"sync"
-
 	"rexchange/internal/obs"
 	"rexchange/internal/vec"
 )
@@ -26,9 +23,6 @@ type Collector struct {
 	cv        *obs.Gauge
 	gini      *obs.Gauge
 	pressure  *obs.GaugeVec
-
-	mu   sync.Mutex
-	last Report // guarded by: mu
 }
 
 // NewCollector registers the balance-report families on reg.
@@ -49,12 +43,8 @@ func NewCollector(reg *obs.Registry) *Collector {
 }
 
 // Set republishes r onto the registered gauges. Safe for concurrent use
-// with renders; each gauge updates atomically, and the full report is
-// retained for Last.
+// with renders; each gauge updates atomically.
 func (c *Collector) Set(r Report) {
-	c.mu.Lock()
-	c.last = r
-	c.mu.Unlock()
 	c.machines.Set(float64(r.Machines))
 	c.vacant.Set(float64(r.Vacant))
 	if r.Machines > 0 {
@@ -76,31 +66,4 @@ func (c *Collector) Set(r Report) {
 	for res := 0; res < vec.NumResources; res++ {
 		c.pressure.With(vec.Resource(res).String()).Set(r.StaticPressure[res])
 	}
-}
-
-// Last returns the most recent report passed to Set — the typed
-// counterpart of scraping the gauges, useful for handlers that want the
-// structured Report without recomputing it.
-func (c *Collector) Last() Report {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.last
-}
-
-// WritePrometheus emits the report in the Prometheus text exposition format
-// (version 0.0.4): every Report field as a #-annotated gauge, with the
-// per-resource static pressure as one labelled family. It is a one-shot
-// renderer over a throwaway registry — long-lived servers should register a
-// Collector on their shared registry instead so balance gauges interleave
-// with the control-plane families.
-func WritePrometheus(w io.Writer, r Report) error {
-	reg := obs.NewRegistry()
-	NewCollector(reg).Set(r)
-	return reg.WritePrometheus(w)
-}
-
-// promFloat renders a float the way Prometheus expects (shortest
-// round-trip representation; NaN/+Inf/-Inf in their canonical spellings).
-func promFloat(x float64) string {
-	return obs.FormatFloat(x)
 }

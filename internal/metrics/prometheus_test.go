@@ -9,6 +9,19 @@ import (
 	"rexchange/internal/vec"
 )
 
+// render publishes r through a Collector on a fresh registry and returns
+// the registry's exposition — the path every /metrics scrape takes.
+func render(t *testing.T, r Report) string {
+	t.Helper()
+	reg := obs.NewRegistry()
+	NewCollector(reg).Set(r)
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
 // TestWritePrometheusFormat pins the exact exposition text for a fixed
 // report: scrapers parse this format, so any drift is a breaking change.
 // Families render in registry order (alphabetical); series within
@@ -26,10 +39,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 		Gini:           0.2,
 		StaticPressure: vec.New(0.5, 1, 0.25),
 	}
-	var b strings.Builder
-	if err := WritePrometheus(&b, r); err != nil {
-		t.Fatal(err)
-	}
+	got := render(t, r)
 	want := `# HELP rex_imbalance MaxUtil/MeanUtil; 1.0 is perfect balance.
 # TYPE rex_imbalance gauge
 rex_imbalance 1.5
@@ -66,10 +76,10 @@ rex_util_stddev 0.25
 # TYPE rex_vacant_machines gauge
 rex_vacant_machines 1
 `
-	if got := b.String(); got != want {
+	if got != want {
 		t.Fatalf("exposition format drifted:\ngot:\n%s\nwant:\n%s", got, want)
 	}
-	if problems := obs.LintExposition(strings.NewReader(b.String())); len(problems) != 0 {
+	if problems := obs.LintExposition(strings.NewReader(got)); len(problems) != 0 {
 		t.Fatalf("exposition fails lint: %v", problems)
 	}
 }
@@ -77,12 +87,7 @@ rex_vacant_machines 1
 // TestWritePrometheusFloats checks the value rendering corner cases survive
 // a Prometheus parse: shortest round-trip form, no localized formatting.
 func TestWritePrometheusFloats(t *testing.T) {
-	r := Report{MaxUtil: 1.0 / 3.0, Imbalance: 1e-9}
-	var b strings.Builder
-	if err := WritePrometheus(&b, r); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
+	out := render(t, Report{MaxUtil: 1.0 / 3.0, Imbalance: 1e-9})
 	if !strings.Contains(out, "rex_max_util 0.3333333333333333\n") {
 		t.Fatalf("unexpected float rendering:\n%s", out)
 	}
@@ -92,22 +97,21 @@ func TestWritePrometheusFloats(t *testing.T) {
 }
 
 // TestPromFloatSpecials pins the Prometheus spellings of the IEEE special
-// values: a scraper must see NaN / +Inf / -Inf, never Go's default
+// values as a scraper sees them: NaN / +Inf / -Inf, never Go's default
 // renderings of them embedded in some other spelling.
 func TestPromFloatSpecials(t *testing.T) {
-	cases := []struct {
-		in   float64
-		want string
-	}{
-		{math.NaN(), "NaN"},
-		{math.Inf(+1), "+Inf"},
-		{math.Inf(-1), "-Inf"},
-		{0, "0"},
-		{-0.5, "-0.5"},
-	}
-	for _, c := range cases {
-		if got := promFloat(c.in); got != c.want {
-			t.Errorf("promFloat(%v) = %q, want %q", c.in, got, c.want)
+	out := render(t, Report{
+		MaxUtil: math.NaN(), Imbalance: math.Inf(+1), MinUtil: math.Inf(-1), MeanUtil: -0.5,
+	})
+	for _, want := range []string{
+		"rex_max_util NaN\n",
+		"rex_imbalance +Inf\n",
+		"rex_min_util -Inf\n",
+		"rex_mean_util -0.5\n",
+		"rex_util_gini 0\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("missing %q in exposition:\n%s", want, out)
 		}
 	}
 }
@@ -117,11 +121,7 @@ func TestPromFloatSpecials(t *testing.T) {
 // rex_serving distinguishes the empty cluster from a perfectly balanced
 // one.
 func TestWritePrometheusZeroServing(t *testing.T) {
-	var b strings.Builder
-	if err := WritePrometheus(&b, Report{Vacant: 4}); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
+	out := render(t, Report{Vacant: 4})
 	if strings.Contains(out, "NaN") {
 		t.Fatalf("zero-serving report leaked NaN:\n%s", out)
 	}

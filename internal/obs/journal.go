@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sync"
 )
 
@@ -145,6 +146,41 @@ func (j *Journal) Err() error {
 // failures ever become visible.
 func (j *Journal) Close() error {
 	return j.Err()
+}
+
+// CreateJournal opens a buffered JSONL journal on a new file at path. The
+// returned close function flushes the buffer and closes the file: a flush
+// failure is the error it reports, and the file is closed all the same.
+// Calling it again is a no-op. An empty path yields a nil journal and a
+// no-op close.
+func CreateJournal(path string) (*Journal, func() error, error) {
+	if path == "" {
+		return nil, func() error { return nil }, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	j, closeFn := bufferJournal(f)
+	return j, closeFn, nil
+}
+
+// bufferJournal is CreateJournal on an already opened destination.
+func bufferJournal(wc io.WriteCloser) (*Journal, func() error) {
+	bw := bufio.NewWriter(wc)
+	closed := false
+	return NewJournal(bw), func() error {
+		if closed {
+			return nil
+		}
+		closed = true
+		flushErr := bw.Flush()
+		closeErr := wc.Close()
+		if flushErr != nil {
+			return flushErr
+		}
+		return closeErr
+	}
 }
 
 // ReadJournal parses a JSONL event stream. It fails on the first

@@ -124,3 +124,32 @@ func TestJournalStickyError(t *testing.T) {
 		t.Fatalf("Len = %d, want 0", j.Len())
 	}
 }
+
+// failCloser fails every write and records whether it was closed.
+type failCloser struct {
+	failWriter
+	closed bool
+}
+
+func (f *failCloser) Close() error { f.closed = true; return nil }
+
+// TestCreateJournalCloseReportsFlushFailure: buffered events reach the
+// destination only at close, so a failing flush must be the reported
+// error, and the file must be closed all the same.
+func TestCreateJournalCloseReportsFlushFailure(t *testing.T) {
+	fc := &failCloser{}
+	j, closeFn := bufferJournal(fc)
+	j.Emit(Event{T: 1, Span: SpanRound, Phase: PhaseBegin})
+	if err := j.Close(); err != nil {
+		t.Fatalf("emit into the buffer failed early: %v", err)
+	}
+	if err := closeFn(); err == nil {
+		t.Fatal("close swallowed the flush failure")
+	}
+	if !fc.closed {
+		t.Fatal("file left open after a failed flush")
+	}
+	if err := closeFn(); err != nil {
+		t.Fatalf("second close = %v, want a no-op", err)
+	}
+}

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -260,6 +261,22 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 //rexlint:detsink Prometheus exposition
 func (r *Registry) WritePrometheusExemplars(w io.Writer) error {
 	return r.writePrometheus(w, true)
+}
+
+// WritePrometheusFile renders the exposition into a new file at path, with
+// histogram exemplars when asked. A render failure wins over the close
+// error.
+func (r *Registry) WritePrometheusFile(path string, exemplars bool) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	renderErr := r.writePrometheus(f, exemplars)
+	closeErr := f.Close()
+	if renderErr != nil {
+		return renderErr
+	}
+	return closeErr
 }
 
 // writePrometheus renders every family, optionally with exemplars.

@@ -1,9 +1,11 @@
 // Package sim simulates a search cluster serving a query trace over a given
-// placement (fan-out to every serving machine, FIFO multi-server queues per
-// machine) and simulates executing a migration plan under bandwidth and
-// concurrency limits. It supplies the latency evidence for experiment F5:
-// better balance → less queueing on hot machines → lower tail latency,
-// which is the operational phenomenon motivating the paper.
+// placement: fan-out to every serving machine, FIFO multi-server queues per
+// machine, static / round-robin / least-loaded replica routing. It supplies
+// the latency evidence for experiments F5 and F8: better balance → less
+// queueing on hot machines → lower tail latency, which is the operational
+// phenomenon motivating the paper. It is serving-only: executing a
+// migration plan under bandwidth and concurrency limits is the job of
+// ctl.Executor (offline through ctl.ExecutePlan).
 package sim
 
 import (

@@ -1,11 +1,9 @@
 package sim
 
 import (
-	"math"
 	"testing"
 
 	"rexchange/internal/cluster"
-	"rexchange/internal/plan"
 	"rexchange/internal/vec"
 	"rexchange/internal/workload"
 )
@@ -162,181 +160,5 @@ func TestRunValidation(t *testing.T) {
 	})
 	if _, err := Run(empty, tr, DefaultConfig()); err == nil {
 		t.Error("expected no-serving-machines error")
-	}
-}
-
-func TestSimulateMigrationSerial(t *testing.T) {
-	c := &cluster.Cluster{
-		Machines: []cluster.Machine{
-			{ID: 0, Capacity: vec.Uniform(10), Speed: 1},
-			{ID: 1, Capacity: vec.Uniform(10), Speed: 1},
-		},
-		Shards: []cluster.Shard{
-			{ID: 0, Static: vec.New(1, 50, 1), Load: 1},
-			{ID: 1, Static: vec.New(1, 30, 1), Load: 1},
-		},
-	}
-	// Oversized statics vs capacity? capacities 10 < 50 — fix: use cap 100.
-	c.Machines[0].Capacity = vec.Uniform(100)
-	c.Machines[1].Capacity = vec.Uniform(100)
-	from, _ := cluster.FromAssignment(c, []cluster.MachineID{0, 0})
-	pl := &plan.Plan{Moves: []plan.Move{
-		{S: 0, From: 0, To: 1},
-		{S: 1, From: 0, To: 1},
-	}}
-	rep, err := SimulateMigration(from, pl, MigrationConfig{Bandwidth: 10, Concurrency: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Steps != 2 || rep.Bytes != 80 {
-		t.Errorf("steps/bytes = %d/%v", rep.Steps, rep.Bytes)
-	}
-	if math.Abs(rep.Duration-8) > 1e-9 { // (50+30)/10 serial
-		t.Errorf("duration = %v, want 8", rep.Duration)
-	}
-	if rep.PeakParallel != 1 {
-		t.Errorf("peak parallel = %d", rep.PeakParallel)
-	}
-}
-
-func TestSimulateMigrationConcurrencySpeedsUp(t *testing.T) {
-	c := &cluster.Cluster{
-		Machines: []cluster.Machine{
-			{ID: 0, Capacity: vec.Uniform(1000), Speed: 1},
-			{ID: 1, Capacity: vec.Uniform(1000), Speed: 1},
-		},
-	}
-	var assign []cluster.MachineID
-	var moves []plan.Move
-	for i := 0; i < 4; i++ {
-		c.Shards = append(c.Shards, cluster.Shard{
-			ID: cluster.ShardID(i), Static: vec.New(1, 40, 1), Load: 1,
-		})
-		assign = append(assign, 0)
-		moves = append(moves, plan.Move{S: cluster.ShardID(i), From: 0, To: 1})
-	}
-	from, _ := cluster.FromAssignment(c, assign)
-	pl := &plan.Plan{Moves: moves}
-
-	serial, err := SimulateMigration(from, pl, MigrationConfig{Bandwidth: 10, Concurrency: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := SimulateMigration(from, pl, MigrationConfig{Bandwidth: 10, Concurrency: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Duration >= serial.Duration {
-		t.Errorf("parallel (%v) should beat serial (%v)", par.Duration, serial.Duration)
-	}
-	if par.PeakParallel != 4 {
-		t.Errorf("peak parallel = %d, want 4", par.PeakParallel)
-	}
-}
-
-func TestSimulateMigrationTransientBlocks(t *testing.T) {
-	// Target fits one shard at a time: concurrency 2 must degrade to
-	// serial because of the transient reservation.
-	// Chain: s0 vacates machine 1 (→2), then s1 moves 0→1. While s0 is
-	// still copying it occupies machine 1 (disk cap 60), so s1's incoming
-	// copy (40+40 > 60) must wait — concurrency 2 degrades to serial.
-	c := &cluster.Cluster{
-		Machines: []cluster.Machine{
-			{ID: 0, Capacity: vec.Uniform(100), Speed: 1},
-			{ID: 1, Capacity: vec.New(100, 60, 100), Speed: 1},
-			{ID: 2, Capacity: vec.Uniform(100), Speed: 1},
-		},
-		Shards: []cluster.Shard{
-			{ID: 0, Static: vec.New(1, 40, 1), Load: 1},
-			{ID: 1, Static: vec.New(1, 40, 1), Load: 1},
-		},
-	}
-	from, _ := cluster.FromAssignment(c, []cluster.MachineID{1, 0})
-	pl := &plan.Plan{Moves: []plan.Move{
-		{S: 0, From: 1, To: 2},
-		{S: 1, From: 0, To: 1},
-	}}
-	rep, err := SimulateMigration(from, pl, MigrationConfig{Bandwidth: 10, Concurrency: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.PeakParallel != 1 {
-		t.Errorf("transient reservation should serialize: peak = %d", rep.PeakParallel)
-	}
-	if math.Abs(rep.Duration-8) > 1e-9 {
-		t.Errorf("duration = %v, want 8", rep.Duration)
-	}
-}
-
-// TestSimulateMigrationMultiHop covers staged plans where one shard moves
-// twice: the second hop must wait for the first to land (regression: this
-// used to be misreported as an inconsistent plan under concurrency > 1).
-func TestSimulateMigrationMultiHop(t *testing.T) {
-	c := &cluster.Cluster{
-		Machines: []cluster.Machine{
-			{ID: 0, Capacity: vec.Uniform(100), Speed: 1},
-			{ID: 1, Capacity: vec.Uniform(100), Speed: 1},
-			{ID: 2, Capacity: vec.Uniform(100), Speed: 1},
-		},
-		Shards: []cluster.Shard{
-			{ID: 0, Static: vec.New(1, 40, 1), Load: 1},
-			{ID: 1, Static: vec.New(1, 20, 1), Load: 1},
-		},
-	}
-	from, _ := cluster.FromAssignment(c, []cluster.MachineID{0, 0})
-	pl := &plan.Plan{Moves: []plan.Move{
-		{S: 0, From: 0, To: 1}, // hop 1
-		{S: 0, From: 1, To: 2}, // hop 2: same shard, must wait for hop 1
-		{S: 1, From: 0, To: 1},
-	}}
-	rep, err := SimulateMigration(from, pl, MigrationConfig{Bandwidth: 10, Concurrency: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Steps != 3 {
-		t.Errorf("steps = %d", rep.Steps)
-	}
-	// hops of shard 0 serialize (4s + 4s); shard 1 (2s) overlaps hop 1 —
-	// but only after hop 2 is no longer head-of-line, i.e. from t=4.
-	if math.Abs(rep.Duration-8) > 1e-9 {
-		t.Errorf("duration = %v, want 8", rep.Duration)
-	}
-}
-
-func TestSimulateMigrationDetectsBadPlan(t *testing.T) {
-	c := &cluster.Cluster{
-		Machines: []cluster.Machine{
-			{ID: 0, Capacity: vec.Uniform(100), Speed: 1},
-			{ID: 1, Capacity: vec.New(100, 10, 100), Speed: 1},
-		},
-		Shards: []cluster.Shard{{ID: 0, Static: vec.New(1, 40, 1), Load: 1}},
-	}
-	from, _ := cluster.FromAssignment(c, []cluster.MachineID{0})
-	pl := &plan.Plan{Moves: []plan.Move{{S: 0, From: 0, To: 1}}}
-	if _, err := SimulateMigration(from, pl, DefaultMigrationConfig()); err == nil {
-		t.Error("expected never-fits error")
-	}
-	// wrong source
-	pl = &plan.Plan{Moves: []plan.Move{{S: 0, From: 1, To: 0}}}
-	if _, err := SimulateMigration(from, pl, DefaultMigrationConfig()); err == nil {
-		t.Error("expected wrong-source error")
-	}
-}
-
-func TestSimulateMigrationValidation(t *testing.T) {
-	p := mkPlacement(t, []float64{1})
-	empty := &plan.Plan{}
-	if _, err := SimulateMigration(p, empty, MigrationConfig{Bandwidth: 0, Concurrency: 1}); err == nil {
-		t.Error("expected bandwidth error")
-	}
-	if _, err := SimulateMigration(p, empty, MigrationConfig{Bandwidth: 1, Concurrency: 0}); err == nil {
-		t.Error("expected concurrency error")
-	}
-	rep, err := SimulateMigration(p, empty, DefaultMigrationConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Duration != 0 || rep.Steps != 0 {
-		t.Error("empty plan should be a no-op")
 	}
 }
