@@ -46,8 +46,6 @@
 //	go run ./cmd/rexlint ./...
 //	go run ./cmd/rexlint -tags debugasserts ./...
 //	go run ./cmd/rexlint -json ./internal/core ./internal/plan
-//	go run ./cmd/rexlint -changed            # only packages touched vs origin/main
-//	go run ./cmd/rexlint -baseline lint.baseline ./...
 //
 // Exit status: 0 clean, 1 diagnostics reported, 2 usage or load failure.
 // Suppress a finding with a trailing or preceding comment:
@@ -60,7 +58,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 
@@ -71,32 +68,17 @@ func main() {
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
 	tags := flag.String("tags", "", "comma-separated build tags for module file selection (e.g. debugasserts)")
-	changed := flag.Bool("changed", false, "lint only packages with files differing from the base ref (summaries still span the whole module)")
-	changedBase := flag.String("changed-base", "origin/main", "base ref for -changed")
-	baselinePath := flag.String("baseline", "", "baseline file of accepted diagnostics; only findings not in it fail the run")
-	writeBaseline := flag.String("write-baseline", "", "write current diagnostics to this baseline file and exit 0")
-	allowNewAnalyzer := flag.Bool("baseline-allow-new-analyzer", false, "let -write-baseline absorb findings from analyzers absent from the existing baseline")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: rexlint [-list] [-json] [-tags t1,t2] [-changed [-changed-base ref]] [-baseline file] [-write-baseline file] <package patterns>\nexample: go run ./cmd/rexlint ./...\n")
+		fmt.Fprintf(os.Stderr, "usage: rexlint [-list] [-json] [-tags t1,t2] <package patterns>\nexample: go run ./cmd/rexlint ./...\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	os.Exit(run(options{
-		list: *list, jsonOut: *jsonOut, tags: *tags,
-		changed: *changed, changedBase: *changedBase,
-		baselinePath: *baselinePath, writeBaseline: *writeBaseline,
-		allowNewAnalyzer: *allowNewAnalyzer,
-	}, flag.Args()))
+	os.Exit(run(options{list: *list, jsonOut: *jsonOut, tags: *tags}, flag.Args()))
 }
 
 type options struct {
-	list, jsonOut    bool
-	tags             string
-	changed          bool
-	changedBase      string
-	baselinePath     string
-	writeBaseline    string
-	allowNewAnalyzer bool
+	list, jsonOut bool
+	tags          string
 }
 
 // jsonDiag is the machine-readable diagnostic record emitted by -json.
@@ -132,35 +114,10 @@ func run(opts options, patterns []string) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	if opts.changed {
-		// Summaries must still span the whole module — a changed callee
-		// can invalidate an unchanged caller's noalloc or purity proof —
-		// so load everything and restrict only the analyzed set below.
-		patterns = []string{"./..."}
-	}
 	pkgs, err := loader.Load(patterns)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rexlint:", err)
 		return 2
-	}
-
-	if opts.changed {
-		dirs, err := changedDirs(modDir, opts.changedBase)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rexlint: -changed: %v; linting everything\n", err)
-		} else {
-			var kept []*lint.Package
-			for _, pkg := range pkgs {
-				if dirs[pkg.Dir] {
-					kept = append(kept, pkg)
-				}
-			}
-			pkgs = kept
-			if len(pkgs) == 0 {
-				fmt.Fprintf(os.Stderr, "rexlint: no packages changed vs %s\n", opts.changedBase)
-				return 0
-			}
-		}
 	}
 
 	// One interprocedural program over every package the loader
@@ -181,47 +138,6 @@ func run(opts options, patterns []string) int {
 			}
 			all = append(all, d)
 		}
-	}
-
-	if opts.writeBaseline != "" {
-		// Rewriting an existing baseline must not silently accept every
-		// finding of an analyzer added in the same change: that would
-		// ratchet in the new analyzer with zero enforced findings exactly
-		// where it was meant to bite.
-		if old, err := lint.LoadBaseline(opts.writeBaseline); err == nil && !opts.allowNewAnalyzer {
-			if fresh := lint.NewAnalyzerNames(old, all); len(fresh) > 0 {
-				fmt.Fprintf(os.Stderr, "rexlint: refusing to absorb findings from analyzers not in %s: %s\nrerun with -baseline-allow-new-analyzer to accept them deliberately\n",
-					opts.writeBaseline, strings.Join(fresh, ", "))
-				return 2
-			}
-		}
-		f, err := os.Create(opts.writeBaseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rexlint:", err)
-			return 2
-		}
-		werr := lint.WriteBaseline(f, all)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "rexlint:", werr)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "rexlint: wrote %d accepted diagnostics to %s\n", len(all), opts.writeBaseline)
-		return 0
-	}
-	if opts.baselinePath != "" {
-		base, err := lint.LoadBaseline(opts.baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rexlint:", err)
-			return 2
-		}
-		fresh, absorbed := base.Filter(all)
-		if absorbed > 0 {
-			fmt.Fprintf(os.Stderr, "rexlint: %d diagnostics absorbed by baseline %s\n", absorbed, opts.baselinePath)
-		}
-		all = fresh
 	}
 
 	out := make([]jsonDiag, 0, len(all))
@@ -247,33 +163,6 @@ func run(opts options, patterns []string) int {
 		return 1
 	}
 	return 0
-}
-
-// changedDirs reports the set of absolute package directories containing
-// .go files that differ from base: committed changes (base...HEAD), the
-// working tree, and untracked files all count.
-func changedDirs(modDir, base string) (map[string]bool, error) {
-	var files []string
-	for _, args := range [][]string{
-		{"diff", "--name-only", base, "--", "*.go"},
-		{"ls-files", "--others", "--exclude-standard", "--", "*.go"},
-	} {
-		cmd := exec.Command("git", append([]string{"-C", modDir}, args...)...)
-		out, err := cmd.Output()
-		if err != nil {
-			return nil, fmt.Errorf("git %s: %v", strings.Join(args, " "), err)
-		}
-		for _, line := range strings.Split(string(out), "\n") {
-			if line = strings.TrimSpace(line); line != "" {
-				files = append(files, line)
-			}
-		}
-	}
-	dirs := make(map[string]bool)
-	for _, f := range files {
-		dirs[filepath.Join(modDir, filepath.Dir(f))] = true
-	}
-	return dirs, nil
 }
 
 // findModuleRoot walks up from the working directory to the nearest go.mod.

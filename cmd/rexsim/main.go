@@ -7,7 +7,7 @@
 // Usage:
 //
 //	rexsim -machines 100 -shards 1500 -rounds 12                   # one "solve" campaign
-//	rexsim -variants baseline,solve,kexchange -k 4 -bench-out b.json
+//	rexsim -variants baseline,solve,kexchange -k 4 -report-out r.txt
 //	rexsim -machines 1000 -shards 8000 -rate 2000 -rounds 10       # large-fleet campaign
 //
 // Everything runs on the simulator's deterministic clock: for a fixed
@@ -16,7 +16,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -70,7 +69,6 @@ func run() error {
 
 		variants   = flag.String("variants", "solve", "comma-separated campaigns: baseline, solve, kexchange, partitioned")
 		reportOut  = flag.String("report-out", "", "write the rendered latency reports to this file")
-		benchOut   = flag.String("bench-out", "", "write campaign results as JSON to this file")
 		eventsPath = flag.String("events", "", "write per-variant JSONL journals to <path>.<variant>")
 		metricsOut = flag.String("metrics-out", "", "write per-variant Prometheus expositions to <path>.<variant>")
 	)
@@ -92,7 +90,6 @@ func run() error {
 	}
 
 	var reports strings.Builder
-	var results []*des.CampaignResult
 	for _, variant := range strings.Split(*variants, ",") {
 		variant = strings.TrimSpace(variant)
 		if variant == "" {
@@ -111,7 +108,6 @@ func run() error {
 			closeJournal() //rexlint:ignore errignore best-effort cleanup on the error path; the campaign error wins
 			return fmt.Errorf("variant %s: %w", variant, err)
 		}
-		results = append(results, res)
 
 		fmt.Fprintf(&reports, "== %s ==\n%s", variant, res.Report.Render())
 		fmt.Fprintf(&reports, "rounds %d solves %d moves %d aborted %d final-imbalance %.6f\n\n",
@@ -131,7 +127,7 @@ func run() error {
 			}
 		}
 	}
-	if len(results) == 0 {
+	if reports.Len() == 0 {
 		return fmt.Errorf("no variants selected")
 	}
 
@@ -142,12 +138,6 @@ func run() error {
 		}
 		fmt.Printf("report → %s\n", *reportOut)
 	}
-	if *benchOut != "" {
-		if err := writeBench(*benchOut, cfg, results); err != nil {
-			return err
-		}
-		fmt.Printf("bench → %s\n", *benchOut)
-	}
 	return nil
 }
 
@@ -157,22 +147,4 @@ func variantPath(path, variant string) string {
 		return ""
 	}
 	return path + "." + variant
-}
-
-// benchFile is the BENCH_F5_DES.json schema: the campaign configuration
-// and every variant's per-phase latency summary.
-type benchFile struct {
-	Bench   string                `json:"bench"`
-	Config  des.CampaignConfig    `json:"config"`
-	Results []*des.CampaignResult `json:"results"`
-}
-
-// writeBench writes the campaign comparison JSON.
-func writeBench(path string, cfg des.CampaignConfig, results []*des.CampaignResult) error {
-	cfg.Registry, cfg.Journal = nil, nil
-	data, err := json.MarshalIndent(benchFile{Bench: "F5_DES", Config: cfg, Results: results}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -12,7 +12,7 @@ import (
 
 	"rexchange/internal/cluster"
 	"rexchange/internal/core"
-	"rexchange/internal/sim"
+	"rexchange/internal/des"
 	"rexchange/internal/workload"
 )
 
@@ -51,24 +51,28 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	workScale := 0.9 * 4 / (40 * res.Before.MaxUtil)
+	// The hottest machine of the initial placement sits just below
+	// saturation.
+	util := 0.9 / res.Before.Imbalance
 
-	fmt.Printf("%-12s %-14s %8s %8s %8s\n", "placement", "routing", "p50", "p95", "p99")
+	fmt.Printf("%-12s %-14s %8s %8s %8s\n", "placement", "routing", "p50", "p99", "p99.9")
 	for _, pl := range []struct {
 		name string
 		p    *cluster.Placement
 	}{{"initial", p}, {"rebalanced", res.Final}} {
-		for _, routing := range []sim.Routing{
-			sim.RouteStatic, sim.RouteRoundRobin, sim.RouteLeastLoaded,
+		for _, routing := range []des.Routing{
+			des.RouteStatic, des.RouteRoundRobin, des.RouteLeastLoaded,
 		} {
-			rep, err := sim.Run(pl.p, trace, sim.Config{
-				Cores: 4, WorkScale: workScale, Routing: routing,
-			})
+			sim, err := des.New(des.Config{
+				TargetUtil: util, CostSigma: 0.4, Seed: 29, Routing: routing,
+			}, pl.p, trace)
 			if err != nil {
 				log.Fatal(err)
 			}
+			sim.Sleep(trace.Duration)
+			lat := sim.Report().All
 			fmt.Printf("%-12s %-14s %7.3fs %7.3fs %7.3fs\n",
-				pl.name, routing, rep.P50, rep.P95, rep.P99)
+				pl.name, routing, lat.P50, lat.P99, lat.P999)
 		}
 	}
 }

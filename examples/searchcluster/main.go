@@ -13,8 +13,9 @@ import (
 	"rexchange/internal/cluster"
 	"rexchange/internal/core"
 	"rexchange/internal/ctl"
+	"rexchange/internal/des"
 	"rexchange/internal/invindex"
-	"rexchange/internal/sim"
+	"rexchange/internal/stats"
 	"rexchange/internal/workload"
 )
 
@@ -74,19 +75,23 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	simCfg := sim.Config{Cores: 4, WorkScale: 0.9 * 4 / (40 * res.Before.MaxUtil)}
-	beforeRep, err := sim.Run(pk, trace, simCfg)
-	if err != nil {
-		log.Fatal(err)
+	// The hottest machine of the initial placement sits just below
+	// saturation.
+	simCfg := des.Config{TargetUtil: 0.9 / res.Before.Imbalance, CostSigma: 0.4, Seed: 5}
+	fmt.Println()
+	for _, pl := range []struct {
+		name string
+		p    *cluster.Placement
+	}{{"initial:", pk}, {"rebalanced:", res.Final}} {
+		sim, err := des.New(simCfg, pl.p, trace)
+		if err != nil {
+			log.Fatal(err)
+		}
+		sim.Sleep(trace.Duration)
+		lat := sim.Report().All
+		fmt.Printf("%-11s p50=%.4fs p99=%.4fs p99.9=%.4fs (max busy %.2f)\n",
+			pl.name, lat.P50, lat.P99, lat.P999, stats.Max(sim.Busy()))
 	}
-	afterRep, err := sim.Run(res.Final, trace, simCfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\n%-11s p50=%.4fs p95=%.4fs p99=%.4fs (max busy %.2f)\n",
-		"initial:", beforeRep.P50, beforeRep.P95, beforeRep.P99, beforeRep.MaxBusy)
-	fmt.Printf("%-11s p50=%.4fs p95=%.4fs p99=%.4fs (max busy %.2f)\n",
-		"rebalanced:", afterRep.P50, afterRep.P95, afterRep.P99, afterRep.MaxBusy)
 
 	// 5. And the cost of getting there.
 	mig, makespan, err := ctl.ExecutePlan(pk, res.Plan, ctl.MigrationConfig{

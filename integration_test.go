@@ -13,9 +13,10 @@ import (
 	"rexchange/internal/cluster"
 	"rexchange/internal/core"
 	"rexchange/internal/ctl"
+	"rexchange/internal/des"
 	"rexchange/internal/invindex"
 	"rexchange/internal/metrics"
-	"rexchange/internal/sim"
+	"rexchange/internal/stats"
 	"rexchange/internal/workload"
 )
 
@@ -82,17 +83,18 @@ func TestEndToEndSyntheticPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simCfg := sim.Config{Cores: 2, WorkScale: 1.0 / (50 * res.Before.MaxUtil)}
-	before, err := sim.Run(p, trace, simCfg)
-	if err != nil {
-		t.Fatal(err)
+	simCfg := des.Config{TargetUtil: 0.9 / res.Before.Imbalance, CostSigma: 0.3, Seed: 7}
+	var maxBusy [2]float64
+	for i, pl := range []*cluster.Placement{p, res.Final} {
+		sim, err := des.New(simCfg, pl, trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.Sleep(trace.Duration)
+		maxBusy[i] = stats.Max(sim.Busy())
 	}
-	after, err := sim.Run(res.Final, trace, simCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.MaxBusy >= before.MaxBusy {
-		t.Errorf("max busy did not drop: %.3f → %.3f", before.MaxBusy, after.MaxBusy)
+	if maxBusy[1] >= maxBusy[0] {
+		t.Errorf("max busy did not drop: %.3f → %.3f", maxBusy[0], maxBusy[1])
 	}
 }
 

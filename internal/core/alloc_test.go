@@ -13,6 +13,12 @@ import (
 // verifies the same property statically over the call graph; this test
 // keeps the static proof honest.
 func TestDeltaKernelAllocFree(t *testing.T) {
+	if cluster.DebugAsserts {
+		// The invariant hooks allocate by design; alloccheck folds them
+		// away as dead under the default build, which is the one the
+		// zero-allocation claim is about.
+		t.Skip("debugasserts build: invariant hooks allocate on the kernel path")
+	}
 	p := smallInstance(t, 11, 0)
 	st := newState(DefaultConfig(), p, 0)
 	st.initIncremental()

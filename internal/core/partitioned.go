@@ -37,25 +37,10 @@ type PartitionConfig struct {
 	// single class) falls back to the whole-cluster Solve, which the
 	// partition-closed golden test pins as bit-identical.
 	Partitions int
-	// MinMachines is the smallest acceptable partition (PartitionByShape
-	// merges smaller classes); it also floors donor partitions in the
-	// exchange phase so no partition is traded down to nothing. <= 0
-	// defaults to 2.
-	MinMachines int
 	// ExchangeRounds bounds the cross-partition exchange phases. Each
 	// round re-solves only the partitions the exchange touched. 0 solves
 	// every partition once and stops.
 	ExchangeRounds int
-	// OffloadPerRound caps the shards traded from the hottest partition's
-	// peak machine to the coolest partition per exchange. <= 0 defaults
-	// to 8.
-	OffloadPerRound int
-	// VacantPerRound caps the vacant machines re-homed into the hottest
-	// partition per exchange. <= 0 defaults to 1.
-	VacantPerRound int
-	// MinIterations floors each partition's iteration slice so tiny
-	// partitions still search. <= 0 defaults to 50.
-	MinIterations int
 
 	// failPartition (tests only) injects a solve failure in the 1-based
 	// partition with that index on the first round, to exercise the
@@ -63,35 +48,27 @@ type PartitionConfig struct {
 	failPartition int
 }
 
+const (
+	// minPartitionMachines is the smallest acceptable partition
+	// (PartitionByShape merges smaller classes); it also floors donor
+	// partitions in the exchange phase so no partition is traded down to
+	// nothing.
+	minPartitionMachines = 2
+	// offloadPerRound caps the shards traded from the hottest partition's
+	// peak machine to the coolest partition per exchange.
+	offloadPerRound = 8
+	// vacantPerRound caps the vacant machines re-homed into the hottest
+	// partition per exchange.
+	vacantPerRound = 1
+	// minPartitionIterations floors each partition's iteration slice so
+	// tiny partitions still search.
+	minPartitionIterations = 50
+)
+
 // DefaultPartitionConfig returns the partitioned-solver settings used by
 // the control plane and the F4 experiment.
 func DefaultPartitionConfig() PartitionConfig {
-	return PartitionConfig{
-		Partitions:      8,
-		ExchangeRounds:  2,
-		OffloadPerRound: 8,
-		VacantPerRound:  1,
-		MinIterations:   50,
-	}
-}
-
-// normalize applies the documented defaults.
-func (pc *PartitionConfig) normalize() {
-	if pc.MinMachines <= 0 {
-		pc.MinMachines = 2
-	}
-	if pc.OffloadPerRound <= 0 {
-		pc.OffloadPerRound = 8
-	}
-	if pc.VacantPerRound <= 0 {
-		pc.VacantPerRound = 1
-	}
-	if pc.MinIterations <= 0 {
-		pc.MinIterations = 50
-	}
-	if pc.ExchangeRounds < 0 {
-		pc.ExchangeRounds = 0
-	}
+	return PartitionConfig{Partitions: 8, ExchangeRounds: 2}
 }
 
 // PartitionRecorder is an optional extension of Recorder: a Recorder that
@@ -125,7 +102,6 @@ const exchangeGainEps = 0.01
 // counted in Result.FailedPartitions; an error is returned only when the
 // first round produces no successful partition at all.
 func (sv *Solver) SolvePartitioned(p *cluster.Placement, pc PartitionConfig) (*Result, error) {
-	pc.normalize()
 	cfg := sv.cfg
 	k, err := cfg.validate(p)
 	if err != nil {
@@ -133,7 +109,7 @@ func (sv *Solver) SolvePartitioned(p *cluster.Placement, pc PartitionConfig) (*R
 	}
 	parts := cluster.PartitionByShape(p.Cluster(), cluster.PartitionOptions{
 		Target:      pc.Partitions,
-		MinMachines: pc.MinMachines,
+		MinMachines: minPartitionMachines,
 	})
 	if len(parts) <= 1 {
 		return sv.Solve(p)
@@ -193,7 +169,7 @@ func (sv *Solver) SolvePartitioned(p *cluster.Placement, pc PartitionConfig) (*R
 			}
 			pcfg := cfg
 			pcfg.Seed = rng.CellSeed(cfg.Seed, round, pi)
-			pcfg.Iterations = sliceIterations(cfg.Iterations, v.NumShards(), totalShards, pc.MinIterations)
+			pcfg.Iterations = sliceIterations(cfg.Iterations, v.NumShards(), totalShards, minPartitionIterations)
 			pcfg.ReturnCount = kByPart[pi]
 			pcfg.KeepTrajectory = false
 			res, err := New(pcfg).Solve(v.Sub())
@@ -239,7 +215,7 @@ func (sv *Solver) SolvePartitioned(p *cluster.Placement, pc PartitionConfig) (*R
 			break
 		}
 
-		ex := exchangePhase(work, parts, kByPart, pc)
+		ex := exchangePhase(work, parts, kByPart)
 		if hasPRec {
 			prec.RecordExchange(ex.shardMoves, ex.vacantTrades)
 		}
@@ -355,7 +331,7 @@ type exchangeOutcome struct {
 // and parts (machine membership) in place; every trade respects the
 // per-partition vacancy floors in kByPart, so the global return contract
 // survives. Entirely sequential and tie-broken on IDs — deterministic.
-func exchangePhase(work *cluster.Placement, parts [][]cluster.MachineID, kByPart []int, pc PartitionConfig) exchangeOutcome {
+func exchangePhase(work *cluster.Placement, parts [][]cluster.MachineID, kByPart []int) exchangeOutcome {
 	c := work.Cluster()
 	partOf := partIndex(c, parts)
 
@@ -411,10 +387,10 @@ func exchangePhase(work *cluster.Placement, parts [][]cluster.MachineID, kByPart
 	// (ties to the lower index); the machine picked is the donor's fastest
 	// vacant one (ties to the lower ID) — the most serving value moved per
 	// trade.
-	for t := 0; t < pc.VacantPerRound; t++ {
+	for t := 0; t < vacantPerRound; t++ {
 		donor := -1
 		for pi := range parts {
-			if pi == hot || len(parts[pi]) <= pc.MinMachines {
+			if pi == hot || len(parts[pi]) <= minPartitionMachines {
 				continue
 			}
 			if vac[pi]-kByPart[pi] <= 0 {
@@ -463,7 +439,7 @@ func exchangePhase(work *cluster.Placement, parts [][]cluster.MachineID, kByPart
 			return shards[i] < shards[j]
 		})
 		for _, s := range shards {
-			if out.shardMoves >= pc.OffloadPerRound {
+			if out.shardMoves >= offloadPerRound {
 				break
 			}
 			target := cluster.Unassigned

@@ -1,6 +1,6 @@
 package core
 
-// The F4 partitioned-solver sweep (bench/BENCH_F4.json): the same global
+// The F4 partitioned-solver sweep: the same global
 // iteration budget spent by the whole-cluster solve (p=1, the
 // single-partition delegate) versus the partitioned parallel solve at
 // several partition counts, on 10k–100k machine fleets. The partitioned

@@ -308,10 +308,8 @@ func TestExchangePhaseTradesTowardCool(t *testing.T) {
 	}
 	parts := [][]cluster.MachineID{{0, 1, 2, 3}, {4, 5, 6, 7}}
 	kByPart := []int{0, 1}
-	pc := DefaultPartitionConfig()
-	pc.normalize()
 
-	ex := exchangePhase(p, parts, kByPart, pc)
+	ex := exchangePhase(p, parts, kByPart)
 	if ex.shardMoves == 0 {
 		t.Error("exchange moved no shards despite gross imbalance")
 	}

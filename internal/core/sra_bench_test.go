@@ -48,8 +48,7 @@ func BenchmarkSolveSmall(b *testing.B)  { benchSolve(b, 20, 300, 2, 200) }
 func BenchmarkSolveMedium(b *testing.B) { benchSolve(b, 100, 1500, 4, 200) }
 
 // BenchmarkSolveLarge is the F3-scale working set (400 machines, 6000
-// shards) at a reduced iteration budget; its allocs/op and ns/op before and
-// after the delta kernel are recorded in bench/BENCH_F3.json.
+// shards) at a reduced iteration budget.
 func BenchmarkSolveLarge(b *testing.B) { benchSolve(b, 400, 6000, 4, 60) }
 
 func BenchmarkSolveParallel4(b *testing.B) {

@@ -1,9 +1,17 @@
-// Package des is a deterministic discrete-event cluster simulator with
-// per-query tail-latency accounting. It models a partition-by-document
-// search fleet at query granularity: each query arrival fans out to the
-// machines hosting a sample of shards, waits in per-machine FIFO queues,
-// is served at a rate set by the machine's speed (degraded while migration
-// copies stream off it), and completes when its slowest leg merges.
+// Package des is the repository's serving physics: a deterministic
+// discrete-event cluster simulator with per-query tail-latency
+// accounting. It models a partition-by-document search fleet at query
+// granularity: each query arrival fans out to the machines hosting a
+// sample of shards (Config.Routing picks the replica of a grouped shard),
+// waits in per-machine FIFO queues, is served at a rate set by the
+// machine's speed (degraded while migration copies stream off it), and
+// completes when its slowest leg merges.
+//
+// Offline — one placement, one trace, no controller — it is three calls:
+//
+//	sim, err := des.New(cfg, placement, trace)
+//	sim.Sleep(trace.Duration)
+//	lat, busy := sim.Report().All, sim.Busy()
 //
 // The simulator plugs into the online control plane unchanged: it
 // implements ctl.Clock (the controller's Sleep advances the event heap),

@@ -55,6 +55,11 @@ type machine struct {
 	speed  float64 // cluster serving speed (Load units per second)
 	copies int     // outbound migration copies currently streaming
 
+	// busy is the service time of every leg started so far; busyUntil is
+	// when the most recently started one ends.
+	busy      float64
+	busyUntil float64
+
 	// refs identifies the copies behind the count, oldest first. Blame
 	// attribution charges a delayed leg to the oldest active copy: it
 	// has degraded the machine longest over the leg's lifetime. Kept in

@@ -73,6 +73,10 @@ type Config struct {
 	// from the isolated rng "trace" sub-stream, so any setting leaves
 	// offered load and arrival sequences bit-identical.
 	TraceSample float64 `json:"trace_sample"`
+	// Routing picks the replica that serves each leg of a grouped shard.
+	// The zero value, RouteStatic, leaves every leg on its sampled shard;
+	// a fleet without replica groups behaves identically under all three.
+	Routing Routing `json:"routing"`
 	// Seed derives the workload, drift, and chaos sub-streams. Policy
 	// and solver randomness live elsewhere, so changing them never
 	// perturbs the workload.
@@ -119,6 +123,9 @@ func (cfg *Config) normalize() error {
 	if cfg.TraceSample < 0 || cfg.TraceSample > 1 {
 		return fmt.Errorf("des: TraceSample must be in [0,1], got %g", cfg.TraceSample)
 	}
+	if cfg.Routing < RouteStatic || cfg.Routing > RouteLeastLoaded {
+		return fmt.Errorf("des: unknown Routing %d", int(cfg.Routing))
+	}
 	return nil
 }
 
@@ -149,6 +156,7 @@ type Sim struct {
 	// machine map: it re-routes on committed moves only, independent of
 	// the controller's planning copies.
 	home     []cluster.MachineID
+	groupOf  []*replicaGroup // shard → replica group; nil unless legs are routed
 	weights  []float64
 	cum      []float64 // prefix sums over weights, rebuilt per window
 	wtotal   float64   // invariant Σweights, restored after each drift step
@@ -233,6 +241,9 @@ func New(cfg Config, p *cluster.Placement, tr *workload.Trace) (*Sim, error) {
 	s.workload = s.streams.Stream(rng.StreamWorkload)
 	s.drift = s.streams.Stream(rng.StreamDrift)
 	s.picks = make([]cluster.ShardID, cfg.Fanout)
+	if cfg.Routing != RouteStatic {
+		s.groupOf = indexGroups(c.Shards)
+	}
 	totalSpeed := 0.0
 	for i := range s.machines {
 		s.machines[i].speed = c.Machines[i].Speed
@@ -479,6 +490,13 @@ func (s *Sim) arrivalEvent(t float64) {
 	for i := range picks {
 		picks[i] = s.pickShard()
 	}
+	if s.groupOf != nil {
+		// Replica routing replaces each pick before anything observes it,
+		// so load, admission, and tracing all see the serving replica.
+		for i, sh := range picks {
+			picks[i] = s.route(sh)
+		}
+	}
 	work := s.legUnit * cost
 	s.arrived++
 	s.winArrivals++
@@ -558,6 +576,8 @@ func (s *Sim) startService(t float64, mi int32) {
 		}
 	}
 	service := l.work * s.serveScale / eff
+	m.busy += service
+	m.busyUntil = t + service
 	s.heap.Push(Event{At: t + service, Kind: KindLegDone, Q: l.q, M: mi})
 }
 
@@ -616,6 +636,23 @@ func (s *Sim) classify(arrive float64) Phase {
 	default:
 		return PhaseAfter
 	}
+}
+
+// Busy returns every machine's busy fraction over [0, Now()], indexed by
+// MachineID. A machine serves one leg at a time and busy time accrues per
+// leg at service start, so the part of the running leg that lies beyond
+// now is taken back: every fraction is in [0,1].
+func (s *Sim) Busy() []float64 {
+	now := s.Now()
+	out := make([]float64, len(s.machines))
+	if now <= 0 {
+		return out
+	}
+	for i := range s.machines {
+		m := &s.machines[i]
+		out[i] = (m.busy - math.Max(0, m.busyUntil-now)) / now
+	}
+	return out
 }
 
 // Events returns the number of simulator events processed so far.

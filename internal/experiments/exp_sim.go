@@ -4,8 +4,9 @@ import (
 	"rexchange/internal/cluster"
 	"rexchange/internal/core"
 	"rexchange/internal/ctl"
+	"rexchange/internal/des"
 	"rexchange/internal/invindex"
-	"rexchange/internal/sim"
+	"rexchange/internal/stats"
 	"rexchange/internal/workload"
 )
 
@@ -17,7 +18,7 @@ func F5LatencySim(sc Scale) (*Table, error) {
 	tbl := &Table{
 		ID:      "F5",
 		Title:   "Serving latency before vs after rebalancing (simulated cluster)",
-		Columns: []string{"placement", "maxBusy", "meanBusy", "p50", "p95", "p99", "mean"},
+		Columns: []string{"placement", "maxBusy", "meanBusy", "mean", "p50", "p99", "p99.9"},
 	}
 
 	// 1. corpus → sharded index → measured shard profiles
@@ -60,9 +61,9 @@ func F5LatencySim(sc Scale) (*Table, error) {
 		return nil, err
 	}
 
-	// 3. simulate the same trace against both placements
-	// Scale work so that the hottest machine of the initial placement sits
-	// just below saturation — the regime where imbalance hurts tails.
+	// 3. serve the same trace on both placements, calibrated so that the
+	// hottest machine of the initial placement sits just below saturation
+	// — the regime where imbalance hurts tails.
 	trace, err := workload.GenerateTrace(workload.TraceConfig{
 		Duration: float64(sc.sel(20, 120)), BaseRate: 30,
 		DiurnalAmp: 0.3, Period: 60, CostMu: 0, CostSigma: 0.4, Seed: 29,
@@ -70,20 +71,25 @@ func F5LatencySim(sc Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	simCfg := sim.Config{Cores: 4, WorkScale: 0.9 * 4 / (30 * res.Before.MaxUtil)}
-
-	beforeRep, err := sim.Run(pk, trace, simCfg)
-	if err != nil {
-		return nil, err
+	simCfg := des.Config{TargetUtil: 0.9 / res.Before.Imbalance, CostSigma: 0.4, Seed: 29}
+	for _, pl := range []struct {
+		name string
+		p    *cluster.Placement
+	}{{"initial", pk}, {"rebalanced", res.Final}} {
+		sim, err := des.New(simCfg, pl.p, trace)
+		if err != nil {
+			return nil, err
+		}
+		sim.Sleep(trace.Duration)
+		var busy []float64 // serving machines only
+		for m, b := range sim.Busy() {
+			if !pl.p.IsVacant(cluster.MachineID(m)) {
+				busy = append(busy, b)
+			}
+		}
+		lat := sim.Report().All
+		tbl.AddRow(pl.name, stats.Max(busy), stats.Mean(busy), lat.Mean, lat.P50, lat.P99, lat.P999)
 	}
-	afterRep, err := sim.Run(res.Final, trace, simCfg)
-	if err != nil {
-		return nil, err
-	}
-	tbl.AddRow("initial", beforeRep.MaxBusy, beforeRep.MeanBusy,
-		beforeRep.P50, beforeRep.P95, beforeRep.P99, beforeRep.MeanLatency)
-	tbl.AddRow("rebalanced", afterRep.MaxBusy, afterRep.MeanBusy,
-		afterRep.P50, afterRep.P95, afterRep.P99, afterRep.MeanLatency)
 
 	// 4. migration cost of getting there (columns reused: the row label
 	// names each cell in order)
@@ -105,7 +111,7 @@ func F8ReplicaRouting(sc Scale) (*Table, error) {
 	tbl := &Table{
 		ID:      "F8",
 		Title:   "Replica routing × rebalancing (tail latency) — extension",
-		Columns: []string{"placement", "routing", "maxBusy", "p50", "p95", "p99"},
+		Columns: []string{"placement", "routing", "maxBusy", "mean", "p50", "p99", "p99.9"},
 	}
 	gen := workload.DefaultConfig()
 	gen.Machines = sc.sel(12, 40)
@@ -132,19 +138,20 @@ func F8ReplicaRouting(sc Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	workScale := 0.9 * 4 / (30 * res.Before.MaxUtil)
 	for _, pl := range []struct {
 		name string
 		p    *cluster.Placement
 	}{{"initial", pk}, {"rebalanced", res.Final}} {
-		for _, routing := range []sim.Routing{sim.RouteStatic, sim.RouteRoundRobin, sim.RouteLeastLoaded} {
-			rep, err := sim.Run(pl.p, trace, sim.Config{
-				Cores: 4, WorkScale: workScale, Routing: routing,
-			})
+		for _, routing := range []des.Routing{des.RouteStatic, des.RouteRoundRobin, des.RouteLeastLoaded} {
+			sim, err := des.New(des.Config{
+				TargetUtil: 0.9 / res.Before.Imbalance, CostSigma: 0.4, Seed: 47, Routing: routing,
+			}, pl.p, trace)
 			if err != nil {
 				return nil, err
 			}
-			tbl.AddRow(pl.name, routing.String(), rep.MaxBusy, rep.P50, rep.P95, rep.P99)
+			sim.Sleep(trace.Duration)
+			lat := sim.Report().All
+			tbl.AddRow(pl.name, routing.String(), stats.Max(sim.Busy()), lat.Mean, lat.P50, lat.P99, lat.P999)
 		}
 	}
 	return tbl, nil

@@ -371,6 +371,16 @@ func TestF8RoutingAndRebalanceBothHelp(t *testing.T) {
 		t.Errorf("least-loaded (%s) much worse than round-robin (%s)",
 			get("initial", "least-loaded")[5], get("initial", "round-robin")[5])
 	}
+	// and it absorbs the bad placement: at most half of static's p99
+	if ll, st := parseF(t, get("initial", "least-loaded")[5]), parseF(t, get("initial", "static")[5]); ll > st/2 {
+		t.Errorf("least-loaded p99 %v on the initial placement is not ≤ ½ of static %v", ll, st)
+	}
+	// rebalancing never hurts, whatever the routing
+	for _, routing := range []string{"static", "round-robin", "least-loaded"} {
+		if after, before := parseF(t, get("rebalanced", routing)[5]), parseF(t, get("initial", routing)[5]); after > before {
+			t.Errorf("%s: rebalanced p99 %v above initial %v", routing, after, before)
+		}
+	}
 }
 
 func TestByID(t *testing.T) {

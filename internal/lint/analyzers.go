@@ -7,9 +7,9 @@ import "strings"
 //
 //   - noglobalrand guards the whole module: reproducibility is a global
 //     property and one stray global draw anywhere breaks it.
-//   - maporder guards the solver, planner, cluster model, and the two
-//     simulators (sim's serving queues, des) — the packages whose outputs
-//     must be bit-reproducible for a fixed seed.
+//   - maporder guards the solver, planner, cluster model, and the
+//     simulator (des) — the packages whose outputs must be
+//     bit-reproducible for a fixed seed.
 //   - floateq guards objective/metrics/aggregate code, where quantities are
 //     computed incrementally and exact comparison is a latent bug.
 //   - errignore guards every internal package.
@@ -19,12 +19,12 @@ import "strings"
 //     per field, so un-annotated packages cost nothing.
 //   - statecheck guards the whole module: it activates only in packages
 //     that declare transition/resource directives.
-//   - clockpurity guards the deterministic packages (core, sim, ctl, obs,
-//     des): wall time must enter through the ctl.Clock seam only.
+//   - clockpurity guards the deterministic packages (core, ctl, obs, des):
+//     wall time must enter through the ctl.Clock seam only.
 //   - leakcheck guards the long-running control plane (ctl and the
 //     commands), where an unstoppable goroutine defeats shutdown.
 //   - sharecheck guards the packages that handle cluster.Placement and the
-//     partition views built on it (core, cluster, ctl, sim): the
+//     partition views built on it (core, cluster, ctl): the
 //     single-owner contract the partitioned parallel solver depends on.
 //   - alloccheck and purity guard the whole module: both activate only on
 //     functions that opt in via //rexlint:noalloc / //rexlint:pure, so
@@ -59,13 +59,12 @@ func Analyzers(modPath string) []*Analyzer {
 
 	mapOrder := *MapOrder
 	mapOrder.AppliesTo = inModule(
-		"/internal/core", "/internal/plan", "/internal/cluster", "/internal/sim",
-		"/internal/des",
+		"/internal/core", "/internal/plan", "/internal/cluster", "/internal/des",
 	)
 
 	floatEq := *FloatEq
 	floatEq.AppliesTo = inModule(
-		"/internal/core", "/internal/plan", "/internal/cluster", "/internal/sim",
+		"/internal/core", "/internal/plan", "/internal/cluster",
 		"/internal/metrics", "/internal/stats", "/internal/vec", "/internal/des",
 	)
 
@@ -89,17 +88,14 @@ func Analyzers(modPath string) []*Analyzer {
 
 	clockPurity := *ClockPurity
 	clockPurity.AppliesTo = inModule(
-		"/internal/core", "/internal/sim", "/internal/ctl", "/internal/obs",
-		"/internal/des",
+		"/internal/core", "/internal/ctl", "/internal/obs", "/internal/des",
 	)
 
 	leakCheck := *LeakCheck
 	leakCheck.AppliesTo = inModule("/internal/ctl", "/cmd")
 
 	shareCheck := *ShareCheck
-	shareCheck.AppliesTo = inModule(
-		"/internal/core", "/internal/cluster", "/internal/ctl", "/internal/sim",
-	)
+	shareCheck.AppliesTo = inModule("/internal/core", "/internal/cluster", "/internal/ctl")
 
 	allocCheck := *AllocCheck
 	allocCheck.AppliesTo = func(pkgPath string) bool {

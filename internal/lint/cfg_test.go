@@ -549,90 +549,3 @@ func TestForwardLoopConverges(t *testing.T) {
 		t.Errorf("must-assigned at exit = %v, want i,y but not x\n%s", atExit, g)
 	}
 }
-
-// mustCallFlow is a backward must-analysis: the fact is true when every
-// path from this point to exit calls the function named fn.
-type mustCallFlow struct{ fn string }
-
-func (mustCallFlow) Entry() bool          { return false }
-func (mustCallFlow) Join(a, b bool) bool  { return a && b }
-func (mustCallFlow) Equal(a, b bool) bool { return a == b }
-
-func (m mustCallFlow) Transfer(n ast.Node, after bool) bool {
-	found := false
-	ast.Inspect(n, func(x ast.Node) bool {
-		if call, ok := x.(*ast.CallExpr); ok {
-			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == m.fn {
-				found = true
-			}
-		}
-		return true
-	})
-	if found {
-		return true
-	}
-	return after
-}
-
-func TestBackwardMustCall(t *testing.T) {
-	tests := []struct {
-		name string
-		src  string
-		want bool
-	}{
-		{
-			name: "called on both branches",
-			src: `func f(c bool) {
-				if c {
-					cleanup()
-				} else {
-					cleanup()
-				}
-			}`,
-			want: true,
-		},
-		{
-			name: "missed on else path",
-			src: `func f(c bool) {
-				if c {
-					cleanup()
-				}
-			}`,
-			want: false,
-		},
-		{
-			name: "early return skips call",
-			src: `func f(c bool) {
-				if c {
-					return
-				}
-				cleanup()
-			}`,
-			want: false,
-		},
-		{
-			name: "called before any branch",
-			src: `func f(c bool) {
-				cleanup()
-				if c {
-					return
-				}
-			}`,
-			want: true,
-		},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			t.Parallel()
-			g := buildTestCFG(t, tt.src)
-			facts := Backward[bool](g, mustCallFlow{fn: "cleanup"})
-			got, ok := facts.Out[g.Entry]
-			if !ok {
-				t.Fatalf("no fact at entry\n%s", g)
-			}
-			if got != tt.want {
-				t.Errorf("must-call(cleanup) at entry = %v, want %v\n%s", got, tt.want, g)
-			}
-		})
-	}
-}

@@ -16,8 +16,7 @@ import "go/ast"
 // must treat facts as immutable (Transfer and Join return fresh values or
 // shared unmodified ones).
 type Flow[F any] interface {
-	// Entry is the fact at function entry (forward) or function exit
-	// (backward).
+	// Entry is the fact at function entry.
 	Entry() F
 	// Join merges facts at control-flow merges.
 	Join(a, b F) F
@@ -109,81 +108,6 @@ func Forward[F any](g *CFG, fl Flow[F]) Facts[F] {
 			if !queued[e.To] {
 				queued[e.To] = true
 				work = append(work, e.To)
-			}
-		}
-	}
-	return Facts[F]{In: in, Out: out}
-}
-
-// Backward solves a backward dataflow problem over g: facts flow from Exit
-// toward Entry, each block's nodes are applied in reverse order, and a
-// block's input (which is its fact *after* execution) joins over computed
-// successors. Edge refinement is not applied in the backward direction.
-func Backward[F any](g *CFG, fl Flow[F]) Facts[F] {
-	// In this map orientation: In[b] = fact after b executes (join of
-	// successors), Out[b] = fact before b executes (what predecessors
-	// observe).
-	in := make(map[*Block]F)
-	out := make(map[*Block]F)
-
-	transferBlock := func(b *Block, f F) F {
-		for i := len(b.Nodes) - 1; i >= 0; i-- {
-			f = fl.Transfer(b.Nodes[i], f)
-		}
-		return f
-	}
-
-	blockIn := func(b *Block) (F, bool) {
-		var acc F
-		have := false
-		if b == g.Exit {
-			acc, have = fl.Entry(), true
-		}
-		for _, e := range b.Succs {
-			so, ok := out[e.To]
-			if !ok {
-				continue
-			}
-			if !have {
-				acc, have = so, true
-			} else {
-				acc = fl.Join(acc, so)
-			}
-		}
-		return acc, have
-	}
-
-	// Seed with every reachable block so loops whose only path to Exit is
-	// via break still converge; unreachable blocks stay out of the maps.
-	reach := g.Reachable()
-	var work []*Block
-	queued := make(map[*Block]bool)
-	for _, b := range g.Blocks {
-		if reach[b] {
-			work = append(work, b)
-			queued[b] = true
-		}
-	}
-	for len(work) > 0 {
-		b := work[0]
-		work = work[1:]
-		queued[b] = false
-
-		bin, ok := blockIn(b)
-		if !ok {
-			continue
-		}
-		bout := transferBlock(b, bin)
-		old, seen := out[b]
-		if seen && fl.Equal(old, bout) {
-			in[b] = bin
-			continue
-		}
-		in[b], out[b] = bin, bout
-		for _, p := range b.Preds {
-			if reach[p] && !queued[p] {
-				queued[p] = true
-				work = append(work, p)
 			}
 		}
 	}

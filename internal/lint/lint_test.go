@@ -54,7 +54,6 @@ func TestAnalyzerScopes(t *testing.T) {
 		{"noglobalrand", "rexchange/internal/core", true},
 		{"noglobalrand", "rexchange/cmd/rexbench", true},
 		{"maporder", "rexchange/internal/core", true},
-		{"maporder", "rexchange/internal/sim", true},
 		{"maporder", "rexchange/internal/des", true},
 		{"maporder", "rexchange/internal/invindex", false},
 		{"floateq", "rexchange/internal/metrics", true},
@@ -68,7 +67,6 @@ func TestAnalyzerScopes(t *testing.T) {
 		{"lockcheck", "rexchange/cmd/rexd", true},
 		{"statecheck", "rexchange/internal/ctl", true},
 		{"clockpurity", "rexchange/internal/ctl", true},
-		{"clockpurity", "rexchange/internal/sim", true},
 		{"clockpurity", "rexchange/internal/des", true},
 		{"clockpurity", "rexchange/internal/lint", false},
 		{"leakcheck", "rexchange/internal/ctl", true},

@@ -87,17 +87,22 @@ func pieceArrivals(t *Trace, x, ws, width float64, rng *rand.Rand) []float64 {
 	return out
 }
 
-// poisson draws a Poisson-distributed count by Knuth's product method. A
-// non-positive mean consumes no randomness and returns 0, so empty trace
-// windows keep the stream aligned regardless of float noise in the mean.
+// poissonMaxMean is the largest mean one product loop draws: exp(-mean)
+// underflows to zero near 745, which would cap every count there.
+const poissonMaxMean = 700
+
+// poisson draws a Poisson-distributed count by Knuth's product method,
+// summing draws of at most poissonMaxMean each (exact, since independent
+// Poisson counts add). A non-positive mean consumes no randomness and
+// returns 0, so empty trace windows keep the stream aligned regardless of
+// float noise in the mean.
 func poisson(rng *rand.Rand, mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	limit := math.Exp(-mean)
 	n := 0
-	for p := rng.Float64(); p > limit; p *= rng.Float64() {
-		n++
+	for ; mean > 0; mean -= poissonMaxMean {
+		limit := math.Exp(-math.Min(mean, poissonMaxMean))
+		for p := rng.Float64(); p > limit; p *= rng.Float64() {
+			n++
+		}
 	}
 	return n
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -159,5 +160,33 @@ func TestArrivalsDegenerateSpans(t *testing.T) {
 	empty := &Trace{}
 	if got := empty.Arrivals(0, 1, rng); got != nil {
 		t.Fatalf("zero-duration trace: got %v", got)
+	}
+}
+
+// TestArrivalsHighRate: one-second buckets far above the single-draw
+// ceiling still offer their full rate (a lone Knuth product loop caps
+// near 745 per bucket, where exp(-mean) underflows).
+func TestArrivalsHighRate(t *testing.T) {
+	for _, rate := range []int{1000, 2000} {
+		got := len(flatTrace(rate, 20).Arrivals(0, 20, rand.New(rand.NewSource(5))))
+		want := float64(rate) * 20
+		if d := math.Abs(float64(got) - want); d > 4*math.Sqrt(want) {
+			t.Errorf("rate %d: %d arrivals over 20s, want %.0f ±4σ", rate, got, want)
+		}
+	}
+}
+
+// TestArrivalsDrawSequencePinned: means at or below the ceiling keep the
+// single product loop, so every existing seed keeps its arrival sequence.
+func TestArrivalsDrawSequencePinned(t *testing.T) {
+	got := flatTrace(600, 3).Arrivals(0, 3, rand.New(rand.NewSource(11)))
+	sum := 0.0
+	for _, at := range got {
+		sum += at
+	}
+	if len(got) != 1800 || got[0] != 0.004171608547574677 ||
+		got[len(got)-1] != 2.9965329357230575 || sum != 2723.1351574695186 {
+		t.Errorf("pinned sequence moved: n=%d first=%v last=%v sum=%v",
+			len(got), got[0], got[len(got)-1], sum)
 	}
 }
