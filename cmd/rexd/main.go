@@ -228,9 +228,6 @@ func run() error {
 // renders the final exposition to -metrics-out.
 func finishObs(reg *obs.Registry, journal *obs.Journal, closeJournal func() error, eventsPath, metricsOut string) error {
 	if journal != nil {
-		if err := journal.Close(); err != nil {
-			return err
-		}
 		if err := closeJournal(); err != nil {
 			return fmt.Errorf("events %s: %w", eventsPath, err)
 		}

@@ -113,11 +113,6 @@ func run() error {
 		fmt.Fprintf(&reports, "rounds %d solves %d moves %d aborted %d final-imbalance %.6f\n\n",
 			res.Rounds, res.Solves, res.Moves, res.Aborted, res.Final)
 
-		if journal != nil {
-			if err := journal.Close(); err != nil {
-				return err
-			}
-		}
 		if err := closeJournal(); err != nil {
 			return err
 		}

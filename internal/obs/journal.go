@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"sync"
 )
 
@@ -97,14 +98,17 @@ type Journal struct {
 	w   io.Writer // guarded by: mu
 	n   int       // guarded by: mu
 	err error     // guarded by: mu
+	buf []byte    // guarded by: mu; the line being encoded, reused across emits
 }
 
 // NewJournal wraps w. The caller owns closing any underlying file; Close
 // on the journal only flushes the sticky error state.
 func NewJournal(w io.Writer) *Journal { return &Journal{w: w} }
 
-// Emit appends one event. The first write error is retained and all
-// subsequent emits become no-ops.
+// Emit appends one event. The first failure — an event JSON cannot carry
+// (a NaN or ±Inf field) or a write error — is retained and all subsequent
+// emits become no-ops; an event that fails to encode never reaches the
+// writer, not even in part.
 //
 //rexlint:detsink journal write
 func (j *Journal) Emit(ev Event) {
@@ -113,12 +117,15 @@ func (j *Journal) Emit(ev Event) {
 	if j.err != nil {
 		return
 	}
-	line, err := json.Marshal(ev)
+	line, err := appendEvent(j.buf[:0], &ev)
 	if err != nil {
-		j.err = fmt.Errorf("obs: marshal event: %w", err)
+		// The span kind is cloned: handing fmt a string of ev's would
+		// make every caller's event escape (see encode.go).
+		j.err = fmt.Errorf("obs: event %d (span %s): %w", j.n, strings.Clone(ev.Span), err)
 		return
 	}
 	line = append(line, '\n')
+	j.buf = line
 	if _, err := j.w.Write(line); err != nil {
 		j.err = fmt.Errorf("obs: write event: %w", err)
 		return
@@ -141,18 +148,19 @@ func (j *Journal) Err() error {
 }
 
 // Close surfaces the sticky error state. It does not close the underlying
-// writer — the caller owns that — but callers that tear a journal down
-// should check this result: it is the only place the deferred write
-// failures ever become visible.
+// writer — the caller of NewJournal owns that — but callers that tear a
+// journal down should check this result: it is the only place the deferred
+// write failures ever become visible. CreateJournal's close function calls
+// it for its callers.
 func (j *Journal) Close() error {
 	return j.Err()
 }
 
 // CreateJournal opens a buffered JSONL journal on a new file at path. The
-// returned close function flushes the buffer and closes the file: a flush
-// failure is the error it reports, and the file is closed all the same.
-// Calling it again is a no-op. An empty path yields a nil journal and a
-// no-op close.
+// returned close function is the whole teardown: it reports the journal's
+// sticky emit error if there is one, else a flush failure, else the file's
+// close error, and the file is closed in every case. Calling it again is a
+// no-op. An empty path yields a nil journal and a no-op close.
 func CreateJournal(path string) (*Journal, func() error, error) {
 	if path == "" {
 		return nil, func() error { return nil }, nil
@@ -168,15 +176,20 @@ func CreateJournal(path string) (*Journal, func() error, error) {
 // bufferJournal is CreateJournal on an already opened destination.
 func bufferJournal(wc io.WriteCloser) (*Journal, func() error) {
 	bw := bufio.NewWriter(wc)
+	j := NewJournal(bw)
 	closed := false
-	return NewJournal(bw), func() error {
+	return j, func() error {
 		if closed {
 			return nil
 		}
 		closed = true
+		emitErr := j.Close()
 		flushErr := bw.Flush()
 		closeErr := wc.Close()
-		if flushErr != nil {
+		switch {
+		case emitErr != nil:
+			return emitErr
+		case flushErr != nil:
 			return flushErr
 		}
 		return closeErr

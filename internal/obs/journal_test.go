@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -27,6 +28,14 @@ func TestJournalPinnedSchema(t *testing.T) {
 	j.Emit(Event{T: 22, Span: SpanTrace, Phase: PhaseEnd, Round: 2,
 		Trace: &TraceEvent{ID: "00000000000000ab", Span: "00000000000000aa",
 			Op: OpQuery, Start: 20, Machine: -1, Shard: -1, Seq: -1, Mig: "during"}})
+	// Floats at json's exponent cutoffs and negative zero (kept where the
+	// field is always written, dropped under omitempty).
+	j.Emit(Event{T: 1e21, Span: SpanSolve, Phase: PhaseEnd, Round: 3,
+		Imbalance: 2.5e-7, Objective: 1e-6, Seconds: math.Copysign(0, -1)})
+	j.Emit(Event{T: math.Copysign(0, -1), Span: SpanSim, Phase: PhaseEnd, Round: 3,
+		Sim: &SimEvent{Window: 3, P50: 1.25e-10, P99: 999999999999999900000, P999: -3e22}})
+	j.Emit(Event{T: 23, Span: SpanRound, Phase: PhaseEnd, Round: 3, Outcome: OutcomeErr,
+		Err: "solve \"m<3>\" & co:\n\tbad\\path \x01\u2028\xff é"})
 	if err := j.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -37,12 +46,15 @@ func TestJournalPinnedSchema(t *testing.T) {
 {"t":20,"span":"sim","phase":"end","round":2,"sim":{"window":2,"arrivals":100,"completed":98,"dropped":1,"p50":0.01,"p99":0.25,"p999":0.5,"copies":3}}
 {"t":21.5,"span":"trace","phase":"end","round":2,"trace":{"id":"00000000000000ab","sid":"00000000000000cd","pid":"00000000000000ef","op":"leg","start":20.25,"machine":4,"shard":9,"seq":-1,"blocked_by":{"round":2,"seq":5,"machine":4,"kind":"queue","delay":0.125}}}
 {"t":22,"span":"trace","phase":"end","round":2,"trace":{"id":"00000000000000ab","sid":"00000000000000aa","op":"query","start":20,"machine":-1,"shard":-1,"seq":-1,"mig":"during"}}
+{"t":1e+21,"span":"solve","phase":"end","round":3,"imbalance":2.5e-7,"objective":0.000001}
+{"t":-0,"span":"sim","phase":"end","round":3,"sim":{"window":3,"arrivals":0,"completed":0,"p50":1.25e-10,"p99":999999999999999900000,"p999":-3e+22}}
+{"t":23,"span":"round","phase":"end","round":3,"outcome":"err","err":"solve \"m\u003c3\u003e\" \u0026 co:\n\tbad\\path \u0001\u2028\ufffd é"}
 `
 	if got := b.String(); got != want {
 		t.Fatalf("journal schema drifted:\ngot:\n%s\nwant:\n%s", got, want)
 	}
-	if j.Len() != 7 {
-		t.Fatalf("Len = %d, want 7", j.Len())
+	if j.Len() != 10 {
+		t.Fatalf("Len = %d, want 10", j.Len())
 	}
 }
 
@@ -135,12 +147,14 @@ func (f *failCloser) Close() error { f.closed = true; return nil }
 
 // TestCreateJournalCloseReportsFlushFailure: buffered events reach the
 // destination only at close, so a failing flush must be the reported
-// error, and the file must be closed all the same.
+// error, and the file must be closed all the same. The close function is
+// the journal's whole teardown: a sticky emit error comes out of it too,
+// ahead of anything the flush has to say.
 func TestCreateJournalCloseReportsFlushFailure(t *testing.T) {
 	fc := &failCloser{}
 	j, closeFn := bufferJournal(fc)
 	j.Emit(Event{T: 1, Span: SpanRound, Phase: PhaseBegin})
-	if err := j.Close(); err != nil {
+	if err := j.Err(); err != nil {
 		t.Fatalf("emit into the buffer failed early: %v", err)
 	}
 	if err := closeFn(); err == nil {
@@ -148,6 +162,23 @@ func TestCreateJournalCloseReportsFlushFailure(t *testing.T) {
 	}
 	if !fc.closed {
 		t.Fatal("file left open after a failed flush")
+	}
+	if err := closeFn(); err != nil {
+		t.Fatalf("second close = %v, want a no-op", err)
+	}
+
+	fc = &failCloser{}
+	j, closeFn = bufferJournal(fc)
+	j.Emit(Event{T: math.NaN(), Span: SpanRound, Phase: PhaseBegin})
+	err := closeFn()
+	if err == nil || !strings.Contains(err.Error(), `field "t"`) {
+		t.Fatalf("close = %v, want the journal's sticky emit error", err)
+	}
+	if !fc.closed {
+		t.Fatal("file left open after a sticky emit error")
+	}
+	if fc.n != 0 {
+		t.Fatalf("writer called %d times for a journal that never accepted an event", fc.n)
 	}
 	if err := closeFn(); err != nil {
 		t.Fatalf("second close = %v, want a no-op", err)

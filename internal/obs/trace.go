@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"math/rand"
 
 	"rexchange/internal/rng"
@@ -31,13 +30,13 @@ import (
 type TraceID uint64
 
 // String renders the ID as 16 lowercase hex digits.
-func (id TraceID) String() string { return fmt.Sprintf("%016x", uint64(id)) }
+func (id TraceID) String() string { return hex16(uint64(id)) }
 
 // SpanID identifies one span within a trace.
 type SpanID uint64
 
 // String renders the ID as 16 lowercase hex digits.
-func (id SpanID) String() string { return fmt.Sprintf("%016x", uint64(id)) }
+func (id SpanID) String() string { return hex16(uint64(id)) }
 
 // DeriveSpan derives the span ID at an index tuple of the trace's span
 // tree. The same (trace, tuple) always yields the same ID; distinct
