@@ -45,7 +45,7 @@ compare() {
 }
 
 status=0
-for w in campaign_traced journal_replay sim_steady; do
+for w in campaign_traced journal_replay sim_steady offline_tight campaign_closed_loop fleet_partitioned; do
 	measure parent "$w" 1
 	measure change "$w" 1
 	compare "$w" 1

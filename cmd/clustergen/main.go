@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"os"
 
-	"rexchange/internal/metrics"
 	"rexchange/internal/workload"
 )
 
@@ -83,7 +82,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	rep := metrics.Compute(inst.Placement)
+	rep := inst.Placement.Report()
 	fmt.Printf("instance: %d machines, %d shards, fill %.2f → %s\n",
 		cfg.Machines, cfg.Shards, cfg.TargetFill, rep)
 

@@ -19,7 +19,6 @@ import (
 	"rexchange/internal/cluster"
 	"rexchange/internal/core"
 	"rexchange/internal/ctl"
-	"rexchange/internal/metrics"
 	"rexchange/internal/plan"
 	"rexchange/internal/workload"
 )
@@ -73,27 +72,26 @@ func run() error {
 		return err
 	}
 
-	before := metrics.Compute(p)
+	before := p.Report()
 	fmt.Println("before:", before)
 
-	var final *cluster.Placement
 	var schedule *plan.Plan
 	switch *method {
 	case "sra":
 		cfg := core.DefaultConfig()
 		cfg.Iterations = *iters
 		cfg.Seed = *seed
-		res, err := core.New(cfg).SolveParallel(p, *restarts)
+		res, err := core.New(cfg).SolvePartitioned(p, core.PartitionConfig{Restarts: *restarts})
 		if err != nil {
 			return err
 		}
-		final, schedule = res.Final, res.Plan
+		schedule = res.Plan
 		fmt.Println("after: ", res.After)
 		fmt.Printf("search: %d iterations, %d accepted, %d repair failures, %d plan fallbacks\n",
 			res.Iterations, res.Accepted, res.RepairFailures, res.PlanFallbacks)
 		fmt.Printf("moved %d shards in %d steps (%d staged, %d displaced), %.1f disk units copied\n",
 			res.MovedShards, res.Plan.NumMoves(), res.Plan.Staged, res.Plan.Displaced,
-			res.Plan.BytesMoved(final.Cluster()))
+			res.Plan.BytesMoved(p.Cluster()))
 		fmt.Print("returned machines:")
 		for _, m := range res.Returned {
 			fmt.Printf(" %d", m)
@@ -107,7 +105,7 @@ func run() error {
 		} else {
 			res = baseline.LocalSearch(p, cfg)
 		}
-		final, schedule = res.Final, res.Plan
+		schedule = res.Plan
 		fmt.Println("after: ", res.After)
 		fmt.Printf("moved %d shards in %d steps\n", res.MovedShards, res.Plan.NumMoves())
 	default:
@@ -131,7 +129,6 @@ func run() error {
 		fmt.Printf("migration: %.1fs wall clock, %.1f units copied, peak %d parallel\n",
 			makespan, mig.BytesMoved, mig.PeakParallel)
 	}
-	_ = final
 	return nil
 }
 

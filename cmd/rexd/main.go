@@ -28,7 +28,6 @@ import (
 	"rexchange/internal/cluster"
 	"rexchange/internal/ctl"
 	"rexchange/internal/des"
-	"rexchange/internal/metrics"
 	"rexchange/internal/obs"
 	"rexchange/internal/plan"
 	"rexchange/internal/workload"
@@ -266,7 +265,7 @@ func runPlan(p *cluster.Placement, path string, clock ctl.Clock, ecfg ctl.ExecCo
 	ctr := ex.Counters()
 	fmt.Printf("plan executed: %d moves in %.1fs, %d failures retried, peak %d parallel, %.1f units moved\n",
 		ctr.Completed, end-start, ctr.Failures, ctr.PeakParallel, ctr.BytesMoved)
-	rep := metrics.Compute(p)
+	rep := p.Report()
 	fmt.Printf("final imbalance=%.4f max=%.4f mean=%.4f\n", rep.Imbalance, rep.MaxUtil, rep.MeanUtil)
 	return nil
 }

@@ -12,7 +12,6 @@ import (
 	"rexchange/internal/baseline"
 	"rexchange/internal/cluster"
 	"rexchange/internal/core"
-	"rexchange/internal/metrics"
 	"rexchange/internal/workload"
 )
 
@@ -26,7 +25,7 @@ func main() {
 		log.Fatal(err)
 	}
 	p := inst.Placement
-	before := metrics.Compute(p)
+	before := p.Report()
 	fmt.Printf("%-14s maxU=%.4f imbalance=%.4f cv=%.4f\n",
 		"initial", before.MaxUtil, before.Imbalance, before.CV)
 

@@ -37,7 +37,7 @@ func main() {
 	}
 	cfg := core.DefaultConfig()
 	cfg.Iterations = 1500
-	res, err := core.New(cfg).SolveParallel(p, 4)
+	res, err := core.New(cfg).SolvePartitioned(p, core.PartitionConfig{Restarts: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

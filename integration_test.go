@@ -15,7 +15,6 @@ import (
 	"rexchange/internal/ctl"
 	"rexchange/internal/des"
 	"rexchange/internal/invindex"
-	"rexchange/internal/metrics"
 	"rexchange/internal/stats"
 	"rexchange/internal/workload"
 )
@@ -118,8 +117,8 @@ func TestPersistenceRoundTripPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := metrics.Compute(inst.Placement)
-	b := metrics.Compute(loaded)
+	a := inst.Placement.Report()
+	b := loaded.Report()
 	if math.Abs(a.MaxUtil-b.MaxUtil) > 1e-9 || a.Vacant != b.Vacant {
 		t.Fatalf("metrics changed over round trip: %+v vs %+v", a, b)
 	}

@@ -11,7 +11,6 @@ import (
 	"sort"
 
 	"rexchange/internal/cluster"
-	"rexchange/internal/metrics"
 	"rexchange/internal/plan"
 )
 
@@ -23,15 +22,13 @@ type Result struct {
 	// construction).
 	Plan *plan.Plan
 	// Before/After summarize balance quality.
-	Before, After metrics.Report
+	Before, After cluster.Report
 	// MovedShards counts shards that changed machines.
 	MovedShards int
 }
 
 // Config bounds a baseline run.
 type Config struct {
-	// MaxMoves caps executed migration steps; 0 means 4×shards.
-	MaxMoves int
 	// Keep is the vacancy budget: the run must leave at least Keep
 	// machines vacant (0 for the standard no-exchange setting).
 	Keep int
@@ -42,6 +39,10 @@ type Config struct {
 // eps guards strict-improvement comparisons against float drift.
 const eps = 1e-12
 
+// maxMovesPerShard caps executed migration steps at this multiple of the
+// shard count.
+const maxMovesPerShard = 4
+
 // Greedy repeatedly moves the most beneficial shard off the currently
 // hottest machine onto the machine that minimizes the resulting pair
 // utilization, until no strictly improving move exists or the move budget
@@ -49,11 +50,8 @@ const eps = 1e-12
 // baseline.
 func Greedy(p *cluster.Placement, cfg Config) *Result {
 	w := p.Clone()
-	before := metrics.Compute(p)
-	maxMoves := cfg.MaxMoves
-	if maxMoves == 0 {
-		maxMoves = 4 * w.Cluster().NumShards()
-	}
+	before := p.Report()
+	maxMoves := maxMovesPerShard * w.Cluster().NumShards()
 	sched := &plan.Plan{}
 	for len(sched.Moves) < maxMoves {
 		if !greedyStep(w, cfg.Keep, sched) {
@@ -64,7 +62,7 @@ func Greedy(p *cluster.Placement, cfg Config) *Result {
 		Final:       w,
 		Plan:        sched,
 		Before:      before,
-		After:       metrics.Compute(w),
+		After:       w.Report(),
 		MovedShards: countMoved(p, w),
 	}
 }
@@ -124,11 +122,8 @@ func greedyStep(w *cluster.Placement, keep int, sched *plan.Plan) bool {
 // every step and stops at a local optimum.
 func LocalSearch(p *cluster.Placement, cfg Config) *Result {
 	w := p.Clone()
-	before := metrics.Compute(p)
-	maxMoves := cfg.MaxMoves
-	if maxMoves == 0 {
-		maxMoves = 4 * w.Cluster().NumShards()
-	}
+	before := p.Report()
+	maxMoves := maxMovesPerShard * w.Cluster().NumShards()
 	sched := &plan.Plan{}
 	for len(sched.Moves) < maxMoves {
 		if greedyStep(w, cfg.Keep, sched) {
@@ -143,7 +138,7 @@ func LocalSearch(p *cluster.Placement, cfg Config) *Result {
 		Final:       w,
 		Plan:        sched,
 		Before:      before,
-		After:       metrics.Compute(w),
+		After:       w.Report(),
 		MovedShards: countMoved(p, w),
 	}
 }

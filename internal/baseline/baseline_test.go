@@ -52,14 +52,6 @@ func TestGreedyPlanReplays(t *testing.T) {
 	}
 }
 
-func TestGreedyRespectsMoveBudget(t *testing.T) {
-	p := genInstance(t, 3, 0.7)
-	res := Greedy(p, Config{MaxMoves: 5})
-	if res.Plan.NumMoves() > 5 {
-		t.Errorf("exceeded move budget: %d", res.Plan.NumMoves())
-	}
-}
-
 func TestGreedyInputUntouched(t *testing.T) {
 	p := genInstance(t, 4, 0.7)
 	before := p.Assignment()

@@ -442,16 +442,6 @@ func (p *Placement) Validate() error {
 	return nil
 }
 
-// Utilizations returns every machine's load/speed as a slice (index =
-// MachineID). Exchange machines are included.
-func (p *Placement) Utilizations() []float64 {
-	out := make([]float64, len(p.c.Machines))
-	for m := range out {
-		out[m] = p.load[m] / p.c.Machines[m].Speed
-	}
-	return out
-}
-
 // placementJSON is the serialized form of a placement: the cluster plus the
 // assignment vector.
 type placementJSON struct {

@@ -64,11 +64,3 @@ func BenchmarkClone(b *testing.B) {
 		_ = p.Clone()
 	}
 }
-
-func BenchmarkUtilizations(b *testing.B) {
-	p := benchPlacement(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = p.Utilizations()
-	}
-}

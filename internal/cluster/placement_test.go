@@ -180,15 +180,6 @@ func TestShardsOnAndEach(t *testing.T) {
 	}
 }
 
-func TestUtilizations(t *testing.T) {
-	c := testCluster()
-	p, _ := FromAssignment(c, []MachineID{0, 0, 1, 2})
-	us := p.Utilizations()
-	if us[0] != 8 || us[1] != 4 || us[2] != 2 {
-		t.Errorf("Utilizations = %v", us)
-	}
-}
-
 func TestPlacementSaveLoad(t *testing.T) {
 	c := testCluster()
 	p, _ := FromAssignment(c, []MachineID{0, 1, 1, 2})

@@ -1,21 +1,18 @@
-// Package metrics computes load-balance quality measures over a placement:
-// maximum and mean machine utilization, the max/mean imbalance ratio that is
-// the paper's primary objective, dispersion statistics, and per-resource
-// static pressure. Vacant machines are excluded from load statistics —
-// machines being handed back as compensation serve no queries — but their
-// count is reported.
-package metrics
+package cluster
 
 import (
 	"fmt"
-	"strings"
 
-	"rexchange/internal/cluster"
 	"rexchange/internal/stats"
 	"rexchange/internal/vec"
 )
 
-// Report summarizes the balance quality of a placement.
+// Report summarizes the balance quality of a placement: maximum and mean
+// machine utilization, the max/mean imbalance ratio that is the paper's
+// primary objective, dispersion statistics, and per-resource static
+// pressure. Vacant machines are excluded from load statistics — machines
+// being handed back as compensation serve no queries — but their count is
+// reported.
 type Report struct {
 	// Machines is the number of serving (non-vacant) machines.
 	Machines int
@@ -43,16 +40,16 @@ type Report struct {
 	StaticPressure vec.Vec
 }
 
-// Compute builds a Report for placement p. Machines hosting no shards are
+// Report computes the balance report of p. Machines hosting no shards are
 // excluded from utilization statistics but counted in Vacant.
-func Compute(p *cluster.Placement) Report {
-	c := p.Cluster()
+func (p *Placement) Report() Report {
+	c := p.c
 	var utils []float64
 	var totalLoad, totalSpeed float64
 	var pressure vec.Vec
 	vacant := 0
 	for m := 0; m < c.NumMachines(); m++ {
-		id := cluster.MachineID(m)
+		id := MachineID(m)
 		if p.IsVacant(id) {
 			vacant++
 			continue
@@ -99,32 +96,6 @@ func Compute(p *cluster.Placement) Report {
 
 // String renders the report as a one-line summary used by CLI output.
 func (r Report) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "machines=%d vacant=%d max=%.4f mean=%.4f imb=%.4f cv=%.4f gini=%.4f pressure=%s",
+	return fmt.Sprintf("machines=%d vacant=%d max=%.4f mean=%.4f imb=%.4f cv=%.4f gini=%.4f pressure=%s",
 		r.Machines, r.Vacant, r.MaxUtil, r.MeanUtil, r.Imbalance, r.CV, r.Gini, r.StaticPressure)
-	return b.String()
-}
-
-// Improvement summarizes before→after change of the primary objective.
-// Positive values mean the rebalance helped.
-type Improvement struct {
-	Before, After Report
-}
-
-// ImbalanceDrop returns before.Imbalance − after.Imbalance.
-func (i Improvement) ImbalanceDrop() float64 { return i.Before.Imbalance - i.After.Imbalance }
-
-// MaxUtilDrop returns before.MaxUtil − after.MaxUtil.
-func (i Improvement) MaxUtilDrop() float64 { return i.Before.MaxUtil - i.After.MaxUtil }
-
-// RelativeImprovement returns the fractional reduction of the gap between
-// Imbalance and the ideal 1.0: (before−after)/(before−1). It is 1 for a
-// perfect rebalance, 0 for no change, and 0 when the initial placement was
-// already perfectly balanced.
-func (i Improvement) RelativeImprovement() float64 {
-	gap := i.Before.Imbalance - 1
-	if gap <= 0 {
-		return 0
-	}
-	return (i.Before.Imbalance - i.After.Imbalance) / gap
 }

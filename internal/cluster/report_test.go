@@ -1,30 +1,29 @@
-package metrics
+package cluster
 
 import (
 	"math"
 	"strings"
 	"testing"
 
-	"rexchange/internal/cluster"
 	"rexchange/internal/vec"
 )
 
-func buildPlacement(t *testing.T, assign []cluster.MachineID) *cluster.Placement {
+func buildPlacement(t *testing.T, assign []MachineID) *Placement {
 	t.Helper()
-	c := &cluster.Cluster{
-		Machines: []cluster.Machine{
+	c := &Cluster{
+		Machines: []Machine{
 			{ID: 0, Capacity: vec.New(10, 10, 10), Speed: 1},
 			{ID: 1, Capacity: vec.New(10, 10, 10), Speed: 1},
 			{ID: 2, Capacity: vec.New(20, 20, 20), Speed: 2},
 		},
-		Shards: []cluster.Shard{
+		Shards: []Shard{
 			{ID: 0, Static: vec.New(2, 2, 2), Load: 4},
 			{ID: 1, Static: vec.New(2, 2, 2), Load: 4},
 			{ID: 2, Static: vec.New(5, 1, 1), Load: 8},
 			{ID: 3, Static: vec.New(1, 1, 1), Load: 2},
 		},
 	}
-	p, err := cluster.FromAssignment(c, assign)
+	p, err := FromAssignment(c, assign)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,8 +33,8 @@ func buildPlacement(t *testing.T, assign []cluster.MachineID) *cluster.Placement
 func TestComputeBalanced(t *testing.T) {
 	// loads: m0=4, m1=4+2=6... choose a perfectly balanced one instead:
 	// m0: shard0 (4), m1: shard1 (4), m2: shard2 (8) with speed 2 → util 4.
-	p := buildPlacement(t, []cluster.MachineID{0, 1, 2, 2})
-	rep := Compute(p)
+	p := buildPlacement(t, []MachineID{0, 1, 2, 2})
+	rep := p.Report()
 	if rep.Machines != 3 || rep.Vacant != 0 {
 		t.Fatalf("machines/vacant = %d/%d", rep.Machines, rep.Vacant)
 	}
@@ -55,8 +54,8 @@ func TestComputeBalanced(t *testing.T) {
 }
 
 func TestComputeVacantExcluded(t *testing.T) {
-	p := buildPlacement(t, []cluster.MachineID{0, 0, 0, 0})
-	rep := Compute(p)
+	p := buildPlacement(t, []MachineID{0, 0, 0, 0})
+	rep := p.Report()
 	if rep.Machines != 1 || rep.Vacant != 2 {
 		t.Fatalf("machines/vacant = %d/%d", rep.Machines, rep.Vacant)
 	}
@@ -70,11 +69,11 @@ func TestComputeVacantExcluded(t *testing.T) {
 }
 
 func TestComputeEmptyPlacement(t *testing.T) {
-	c := &cluster.Cluster{
-		Machines: []cluster.Machine{{ID: 0, Capacity: vec.Uniform(1), Speed: 1}},
+	c := &Cluster{
+		Machines: []Machine{{ID: 0, Capacity: vec.Uniform(1), Speed: 1}},
 	}
-	p := cluster.NewPlacement(c)
-	rep := Compute(p)
+	p := NewPlacement(c)
+	rep := p.Report()
 	if rep.Machines != 0 || rep.Vacant != 1 {
 		t.Fatalf("machines/vacant = %d/%d", rep.Machines, rep.Vacant)
 	}
@@ -85,8 +84,8 @@ func TestComputeEmptyPlacement(t *testing.T) {
 
 func TestStaticPressure(t *testing.T) {
 	// shard2 uses 5 mem on m0 (cap 10) → pressure mem ≥ 0.5
-	p := buildPlacement(t, []cluster.MachineID{1, 1, 0, 0})
-	rep := Compute(p)
+	p := buildPlacement(t, []MachineID{1, 1, 0, 0})
+	rep := p.Report()
 	if rep.StaticPressure[vec.Memory] != 0.6 { // (5+1)/10
 		t.Errorf("mem pressure = %v", rep.StaticPressure[vec.Memory])
 	}
@@ -96,48 +95,23 @@ func TestStaticPressure(t *testing.T) {
 }
 
 func TestZeroLoadImbalance(t *testing.T) {
-	c := &cluster.Cluster{
-		Machines: []cluster.Machine{{ID: 0, Capacity: vec.Uniform(10), Speed: 1}},
-		Shards:   []cluster.Shard{{ID: 0, Static: vec.Uniform(1), Load: 0}},
+	c := &Cluster{
+		Machines: []Machine{{ID: 0, Capacity: vec.Uniform(10), Speed: 1}},
+		Shards:   []Shard{{ID: 0, Static: vec.Uniform(1), Load: 0}},
 	}
-	p, _ := cluster.FromAssignment(c, []cluster.MachineID{0})
-	rep := Compute(p)
+	p, _ := FromAssignment(c, []MachineID{0})
+	rep := p.Report()
 	if rep.Imbalance != 1 {
 		t.Errorf("Imbalance with zero load = %v, want 1", rep.Imbalance)
 	}
 }
 
 func TestReportString(t *testing.T) {
-	p := buildPlacement(t, []cluster.MachineID{0, 1, 2, 2})
-	s := Compute(p).String()
+	p := buildPlacement(t, []MachineID{0, 1, 2, 2})
+	s := p.Report().String()
 	for _, want := range []string{"machines=3", "imb=", "pressure="} {
 		if !strings.Contains(s, want) {
 			t.Errorf("String missing %q: %s", want, s)
 		}
-	}
-}
-
-func TestImprovement(t *testing.T) {
-	// before: m0 hosts s0,s1,s2 (load 16), m1 hosts s3 (load 2) →
-	// utils 16 and 2, mean 18/2 = 9, imbalance 16/9.
-	before := buildPlacement(t, []cluster.MachineID{0, 0, 0, 1})
-	// after: m0: s0; m1: s1,s3; m2: s2 → utils 4, 6, 4 (max 6, mean 4.5)
-	after := buildPlacement(t, []cluster.MachineID{0, 1, 2, 1})
-	imp := Improvement{Before: Compute(before), After: Compute(after)}
-	if imp.MaxUtilDrop() != 10 { // 16 → 6
-		t.Errorf("MaxUtilDrop = %v", imp.MaxUtilDrop())
-	}
-	if imp.ImbalanceDrop() <= 0 {
-		t.Errorf("ImbalanceDrop = %v, want > 0", imp.ImbalanceDrop())
-	}
-	rel := imp.RelativeImprovement()
-	if rel <= 0 || rel > 1 {
-		t.Errorf("RelativeImprovement = %v", rel)
-	}
-	// Already-perfect before → 0.
-	perfect := Improvement{Before: Compute(after), After: Compute(after)}
-	perfect.Before.Imbalance = 1
-	if perfect.RelativeImprovement() != 0 {
-		t.Error("RelativeImprovement with no gap should be 0")
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"math/rand"
 
 	"rexchange/internal/cluster"
-	"rexchange/internal/metrics"
 	"rexchange/internal/plan"
 )
 
@@ -63,16 +62,8 @@ type Config struct {
 	// Seed drives all solver randomness.
 	Seed int64
 
-	// DestroyFrac is the fraction of the shard population removed per
-	// iteration, clamped to [MinDestroy, MaxDestroy].
-	DestroyFrac            float64
-	MinDestroy, MaxDestroy int
-
-	// TempFrac sets the initial simulated-annealing temperature as a
-	// fraction of the starting objective; EndTempFrac the final one.
 	// HillClimb disables annealing entirely (accept only improvements).
-	TempFrac, EndTempFrac float64
-	HillClimb             bool
+	HillClimb bool
 
 	// SpreadWeight weights the RMS-utilization term that breaks ties below
 	// the maximum; MovePenalty charges (scaled) reassignment volume so the
@@ -90,8 +81,6 @@ type Config struct {
 	// weights; otherwise operators are drawn uniformly.
 	Adaptive bool
 
-	// Planner builds the final move schedule.
-	Planner plan.Planner
 	// KeepTrajectory records the best objective after every iteration
 	// (experiment F4).
 	KeepTrajectory bool
@@ -115,25 +104,30 @@ func DefaultConfig() Config {
 	return Config{
 		Iterations:   2500,
 		Seed:         1,
-		DestroyFrac:  0.06,
-		MinDestroy:   4,
-		MaxDestroy:   80,
-		TempFrac:     0.03,
-		EndTempFrac:  0.0005,
 		SpreadWeight: 0.10,
 		MovePenalty:  0.02,
 		ReturnCount:  -1,
 		Operators:    AllOperators(),
 		Adaptive:     true,
-		Planner:      plan.DefaultPlanner(),
 	}
 }
 
+// Search constants no caller varies.
+const (
+	// destroyFrac is the fraction of the shard population removed per
+	// iteration, clamped to [minDestroy, maxDestroy].
+	destroyFrac            = 0.06
+	minDestroy, maxDestroy = 4, 80
+	// tempFrac sets the initial simulated-annealing temperature as a
+	// fraction of the starting objective; endTempFrac the final one.
+	tempFrac, endTempFrac = 0.03, 0.0005
+)
+
 // Recorder observes solver progress. Implementations must be safe for
-// concurrent use: SolveParallel restarts flush their counts from worker
-// goroutines. internal/obs.SolverRecorder is the standard implementation;
-// the interface lives here (with string-typed labels) so the solver stays
-// free of telemetry dependencies.
+// concurrent use: SolvePartitioned's restarts and partition sub-solves
+// flush their counts from worker goroutines. internal/obs.SolverRecorder is
+// the standard implementation; the interface lives here (with string-typed
+// labels) so the solver stays free of telemetry dependencies.
 type Recorder interface {
 	// RecordIterations reports that n LNS iterations paired destroyOp
 	// with repairOp and ended with the given outcome — one of
@@ -185,7 +179,7 @@ type Result struct {
 	// vacant in Final.
 	Returned []cluster.MachineID
 	// Before/After summarize balance quality.
-	Before, After metrics.Report
+	Before, After cluster.Report
 	// Objective is the solver objective of Final.
 	Objective float64
 	// MovedShards counts shards whose final machine differs from the
@@ -197,14 +191,15 @@ type Result struct {
 	Accepted       int
 	RepairFailures int
 	PlanFallbacks  int
-	// FailedRestarts counts portfolio restarts that returned an error in
-	// SolveParallel (always 0 for Solve). A non-zero value means the
-	// returned best came from a degraded portfolio.
+	// FailedRestarts counts portfolio restarts that returned an error
+	// when SolvePartitioned solved the fleet as one partition (always 0
+	// for Solve). A non-zero value means the returned best came from a
+	// degraded portfolio.
 	FailedRestarts int
 	// FailedPartitions counts partition sub-solves that returned an error
-	// in SolvePartitioned (always 0 for Solve and SolveParallel). A failed
-	// partition keeps its pre-round placement, so a non-zero value means
-	// parts of the fleet went unoptimized this run.
+	// in SolvePartitioned (always 0 for Solve). A failed partition keeps
+	// its pre-round placement, so a non-zero value means parts of the
+	// fleet went unoptimized this run.
 	FailedPartitions int
 	// Trajectory is the best objective after each iteration when
 	// Config.KeepTrajectory is set.
@@ -219,7 +214,7 @@ type Solver struct {
 // New creates a Solver. The configuration is validated lazily in Solve.
 func New(cfg Config) *Solver { return &Solver{cfg: cfg} }
 
-// validate checks and normalizes the configuration against an instance.
+// validate checks the configuration against an instance and resolves K.
 func (cfg *Config) validate(p *cluster.Placement) (int, error) {
 	if p.UnassignedCount() > 0 {
 		return 0, fmt.Errorf("core: initial placement has %d unassigned shards", p.UnassignedCount())
@@ -239,12 +234,6 @@ func (cfg *Config) validate(p *cluster.Placement) (int, error) {
 	}
 	if p.NumVacant() < k {
 		return 0, fmt.Errorf("core: initial placement has %d vacant machines, need ≥ K=%d", p.NumVacant(), k)
-	}
-	if cfg.MinDestroy <= 0 {
-		cfg.MinDestroy = 2
-	}
-	if cfg.MaxDestroy < cfg.MinDestroy {
-		cfg.MaxDestroy = cfg.MinDestroy
 	}
 	return k, nil
 }
@@ -309,9 +298,6 @@ func sortMachines(ids []cluster.MachineID, less func(a, b cluster.MachineID) boo
 func tempAt(t0, tEnd float64, i, n int) float64 {
 	if t0 <= 0 {
 		return 0
-	}
-	if tEnd <= 0 {
-		tEnd = t0 * 1e-3
 	}
 	frac := float64(i) / math.Max(1, float64(n-1))
 	return t0 * math.Pow(tEnd/t0, frac)

@@ -359,10 +359,6 @@ func TestTempAt(t *testing.T) {
 	if mid >= first || mid <= last {
 		t.Errorf("temperature not interpolating: %v", mid)
 	}
-	// tEnd <= 0 defaults to t0/1000
-	if got := tempAt(1, 0, 99, 100); got > 1e-2 {
-		t.Errorf("default end temp = %v", got)
-	}
 }
 
 func TestRouletteIndex(t *testing.T) {

@@ -7,9 +7,10 @@ import (
 )
 
 // TestSolveParallelDeterministicAcrossGOMAXPROCS pins the determinism
-// contract the rexlint suite exists to protect: for a fixed seed,
-// SolveParallel must produce a byte-identical assignment and bit-identical
-// objective regardless of how much real parallelism the runtime provides.
+// contract the rexlint suite exists to protect: for a fixed seed, the
+// restart portfolio must produce a byte-identical assignment and
+// bit-identical objective regardless of how much real parallelism the
+// runtime provides.
 // The solver's worker results are reduced by worker index, not completion
 // order, so scheduling must not be observable.
 func TestSolveParallelDeterministicAcrossGOMAXPROCS(t *testing.T) {
@@ -20,9 +21,9 @@ func TestSolveParallelDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	run := func(procs, restarts int) ([]int32, float64) {
 		prev := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(prev)
-		res, err := New(cfg).SolveParallel(inst, restarts)
+		res, err := New(cfg).SolvePartitioned(inst, PartitionConfig{Restarts: restarts})
 		if err != nil {
-			t.Fatalf("SolveParallel with GOMAXPROCS=%d: %v", procs, err)
+			t.Fatalf("SolvePartitioned with GOMAXPROCS=%d: %v", procs, err)
 		}
 		assign := res.Final.Assignment()
 		out := make([]int32, len(assign))

@@ -120,20 +120,20 @@ func TestKernelEquivalence(t *testing.T) {
 }
 
 // TestKernelEquivalenceParallel extends the golden contract to the restart
-// portfolio: SolveParallel must pick bit-identical winners under both
-// kernels.
+// portfolio: SolvePartitioned over one partition must pick bit-identical
+// winners under both kernels.
 func TestKernelEquivalenceParallel(t *testing.T) {
 	p := smallInstance(t, 5, 2)
 	cfg := quickConfig()
 	cfg.KeepTrajectory = true
 
-	delta, err := New(cfg).SolveParallel(p, 4)
+	delta, err := New(cfg).SolvePartitioned(p, PartitionConfig{Restarts: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	refCfg := cfg
 	refCfg.refKernel = true
-	ref, err := New(refCfg).SolveParallel(p, 4)
+	ref, err := New(refCfg).SolvePartitioned(p, PartitionConfig{Restarts: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

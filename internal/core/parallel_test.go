@@ -4,6 +4,10 @@ import (
 	"testing"
 )
 
+// The tests in this file cover the restart portfolio SolvePartitioned runs
+// when the fleet solves as one partition. They keep the names they had when
+// the portfolio was its own entry point.
+
 func TestSolveParallelAtLeastAsGoodAsSingle(t *testing.T) {
 	p := smallInstance(t, 55, 2)
 	cfg := quickConfig()
@@ -12,7 +16,7 @@ func TestSolveParallelAtLeastAsGoodAsSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := New(cfg).SolveParallel(p, 4)
+	multi, err := New(cfg).SolvePartitioned(p, PartitionConfig{Restarts: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,11 +36,11 @@ func TestSolveParallelAtLeastAsGoodAsSingle(t *testing.T) {
 func TestSolveParallelDeterministic(t *testing.T) {
 	cfg := quickConfig()
 	cfg.Iterations = 150
-	a, err := New(cfg).SolveParallel(smallInstance(t, 56, 1), 3)
+	a, err := New(cfg).SolvePartitioned(smallInstance(t, 56, 1), PartitionConfig{Restarts: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(cfg).SolveParallel(smallInstance(t, 56, 1), 3)
+	b, err := New(cfg).SolvePartitioned(smallInstance(t, 56, 1), PartitionConfig{Restarts: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +55,7 @@ func TestSolveParallelInputUntouched(t *testing.T) {
 	before := p.Assignment()
 	cfg := quickConfig()
 	cfg.Iterations = 100
-	if _, err := New(cfg).SolveParallel(p, 4); err != nil {
+	if _, err := New(cfg).SolvePartitioned(p, PartitionConfig{Restarts: 4}); err != nil {
 		t.Fatal(err)
 	}
 	for s, m := range p.Assignment() {
@@ -69,7 +73,7 @@ func TestSolveParallelSingleRestartDelegates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(cfg).SolveParallel(p, 1)
+	b, err := New(cfg).SolvePartitioned(p, PartitionConfig{Restarts: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,13 +87,28 @@ func TestSolveParallelSingleRestartDelegates(t *testing.T) {
 // the seed-derivation helpers; TestSolveParallelAtLeastAsGoodAsSingle
 // above still pins that restart 0 runs the base-seed search.
 
+// TestSolveParallelPropagatesErrors pins where a bad placement is reported:
+// through the portfolio ("all N restarts failed") when the call asks for
+// one partition, bare when it asks for several or for a single restart —
+// the texts journals already carry.
 func TestSolveParallelPropagatesErrors(t *testing.T) {
 	p := smallInstance(t, 59, 1)
 	q := p.Clone()
 	if err := q.Remove(0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(quickConfig()).SolveParallel(q, 3); err == nil {
-		t.Error("expected error for partial placement")
+	const bare = "core: initial placement has 1 unassigned shards"
+	for _, tc := range []struct {
+		pc   PartitionConfig
+		want string
+	}{
+		{PartitionConfig{Restarts: 3}, "core: all 3 restarts failed: " + bare},
+		{PartitionConfig{Restarts: 1}, bare},
+		{PartitionConfig{Partitions: 3, Restarts: 3}, bare},
+	} {
+		_, err := New(quickConfig()).SolvePartitioned(q, tc.pc)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%+v: error %v, want %q", tc.pc, err, tc.want)
+		}
 	}
 }

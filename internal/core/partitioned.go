@@ -2,13 +2,17 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 
 	"rexchange/internal/cluster"
 	"rexchange/internal/rng"
 )
 
-// This file implements the partitioned parallel solver: the fleet is
+// This file implements the multi-solve entry point, SolvePartitioned. A
+// fleet that solves as one partition gets a portfolio of decorrelated
+// whole-cluster restarts (solveRestarts). Otherwise the fleet is
 // factored into resource-equivalence partitions (cluster.PartitionByShape,
 // after the authors' 2021 follow-up "Resource Equivalence Classes"), each
 // partition is projected into an owned cluster.PlacementView and solved
@@ -34,13 +38,19 @@ import (
 type PartitionConfig struct {
 	// Partitions is the target partition count handed to
 	// cluster.PartitionByShape. <= 1 (or a fleet that factors into a
-	// single class) falls back to the whole-cluster Solve, which the
-	// partition-closed golden test pins as bit-identical.
+	// single class) solves the whole cluster as one partition, with the
+	// restart portfolio below.
 	Partitions int
 	// ExchangeRounds bounds the cross-partition exchange phases. Each
 	// round re-solves only the partitions the exchange touched. 0 solves
 	// every partition once and stops.
 	ExchangeRounds int
+	// Restarts is the portfolio width when the fleet solves as one
+	// partition: that many whole-cluster searches run concurrently on
+	// decorrelated seeds and the best objective wins. <= 0 selects the
+	// pinned DefaultRestarts; 1 is exactly Solve, which
+	// TestSolvePartitionedSinglePartitionBitIdentical pins.
+	Restarts int
 
 	// failPartition (tests only) injects a solve failure in the 1-based
 	// partition with that index on the first round, to exercise the
@@ -65,8 +75,8 @@ const (
 	minPartitionIterations = 50
 )
 
-// DefaultPartitionConfig returns the partitioned-solver settings used by
-// the control plane and the F4 experiment.
+// DefaultPartitionConfig returns the partitioned-solver settings the
+// benchmark harness and the tests start from.
 func DefaultPartitionConfig() PartitionConfig {
 	return PartitionConfig{Partitions: 8, ExchangeRounds: 2}
 }
@@ -95,13 +105,20 @@ const exchangeGainEps = 0.01
 // SolvePartitioned rebalances the placement by solving resource-equivalence
 // partitions concurrently and reconciling them with a bounded number of
 // cross-partition exchange rounds. The input placement is never modified —
-// all work happens on a clone, so a failed run leaves p untouched. When the
-// fleet factors into a single partition the call is exactly sv.Solve(p).
+// all work happens on a clone, so a failed run leaves p untouched. When
+// pc.Partitions <= 1 or the fleet factors into a single partition, the call
+// is the restart portfolio over the whole cluster (see solveRestarts).
 //
 // A partition whose sub-solve fails is left at its pre-round placement and
 // counted in Result.FailedPartitions; an error is returned only when the
 // first round produces no successful partition at all.
 func (sv *Solver) SolvePartitioned(p *cluster.Placement, pc PartitionConfig) (*Result, error) {
+	if pc.Partitions <= 1 {
+		// Decided before validation, so a bad placement reports through
+		// the portfolio ("all N restarts failed: …"), the text journals
+		// and operators' greps already carry.
+		return sv.solveRestarts(p, pc.Restarts)
+	}
 	cfg := sv.cfg
 	k, err := cfg.validate(p)
 	if err != nil {
@@ -112,7 +129,7 @@ func (sv *Solver) SolvePartitioned(p *cluster.Placement, pc PartitionConfig) (*R
 		MinMachines: minPartitionMachines,
 	})
 	if len(parts) <= 1 {
-		return sv.Solve(p)
+		return sv.solveRestarts(p, pc.Restarts)
 	}
 	if cluster.DebugAsserts {
 		if err := cluster.CheckPartition(p.Cluster(), parts); err != nil {
@@ -240,6 +257,106 @@ func (sv *Solver) SolvePartitioned(p *cluster.Placement, pc PartitionConfig) (*R
 	res.RepairFailures = repairFailures
 	res.FailedPartitions = failedParts
 	return res, nil
+}
+
+// DefaultRestarts is the portfolio width PartitionConfig.Restarts <= 0
+// selects. It is a pinned constant — never derived from GOMAXPROCS or any
+// other machine property — so that a defaulted portfolio runs the same set
+// of searches on every host.
+const DefaultRestarts = 4
+
+// solveRestarts runs `restarts` independent LNS searches over the whole
+// cluster concurrently — same configuration, decorrelated seeds — and
+// returns the best result by solver objective. The placement state is
+// cloned per worker, so speedup is near-linear until memory bandwidth
+// binds; the input placement is shared read-only and never modified.
+//
+// Determinism: for a fixed (Config.Seed, restarts) the set of searches and
+// the returned result are reproducible regardless of scheduling — and of
+// GOMAXPROCS, including on the defaulted path — because selection uses the
+// objective with the restart index as tie-breaker. rng.WorkerSeed keeps
+// restart 0 on the base seed, so the portfolio always contains the plain
+// single run.
+//
+// Individual restart failures do not abort the portfolio: the best
+// successful result is returned with Result.FailedRestarts counting the
+// losses, and an error is returned only when every restart failed.
+func (sv *Solver) solveRestarts(p *cluster.Placement, restarts int) (*Result, error) {
+	if restarts <= 0 {
+		restarts = DefaultRestarts
+	}
+	if restarts == 1 {
+		return sv.Solve(p)
+	}
+
+	outcomes := make([]outcome, restarts)
+	// Workers read p only; Solve clones before mutating (newState).
+	fanOut(restarts, func(i int) {
+		cfg := sv.cfg
+		cfg.Seed = rng.WorkerSeed(sv.cfg.Seed, i)
+		res, err := New(cfg).Solve(p)
+		outcomes[i] = outcome{res, err}
+	})
+	return reduceOutcomes(outcomes)
+}
+
+// fanOut runs work(0) … work(n-1) on one goroutine each and returns when
+// all have finished, with at most GOMAXPROCS of them running at a time:
+// every worker clones or owns a placement, and more parallelism than cores
+// only adds memory pressure. GOMAXPROCS is a throughput cap only — it must
+// never influence which searches run or which results win. sharecheck does
+// not follow a placement that work captures onto these goroutines, so the
+// single-owner rule is the caller's to keep: a captured placement is read
+// only, or owned by exactly one index.
+func fanOut(n int, work func(i int)) {
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			work(i)
+		}(i)
+	}
+	wg.Wait()
+}
+
+// outcome is one restart's (or one partition sub-solve's) result.
+type outcome struct {
+	res *Result
+	err error
+}
+
+// reduceOutcomes selects the best successful restart by objective (ties
+// resolved by restart index, never completion order, preserving the
+// determinism contract). Partially failed portfolios are not silent: the
+// number of failed restarts is recorded in the winner's FailedRestarts so
+// callers can detect a degraded portfolio. Only when every restart fails
+// does the reduction return an error (wrapping the first, by index).
+func reduceOutcomes(outcomes []outcome) (*Result, error) {
+	var best *Result
+	var firstErr error
+	failed := 0
+	for i := range outcomes {
+		o := outcomes[i]
+		if o.err != nil {
+			failed++
+			if firstErr == nil {
+				firstErr = o.err
+			}
+			continue
+		}
+		if best == nil || o.res.Objective < best.Objective {
+			best = o.res
+		}
+	}
+	if best == nil {
+		return nil, fmt.Errorf("core: all %d restarts failed: %w", len(outcomes), firstErr)
+	}
+	best.FailedRestarts = failed
+	return best, nil
 }
 
 // Sub-solver seeds for (round, partition) cells come from rng.CellSeed:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"runtime"
@@ -56,34 +57,87 @@ func partitionedInstance(t *testing.T, machines, shards int, seed int64, k int) 
 }
 
 // TestSolvePartitionedSinglePartitionBitIdentical pins the golden
-// equivalence the partitioned path is built on: when the fleet factors into
-// one partition, SolvePartitioned IS Solve — bit-identical objective and
-// byte-identical assignment, not merely equivalent quality. (The view
-// layer's half of the property — an all-machines view is a bit-exact
-// replica — is pinned by cluster.TestViewIdentityIsBitExact.)
+// equivalence the one entry point is built on: when the fleet solves as one
+// partition and the portfolio is one restart wide, SolvePartitioned IS
+// Solve — bit-identical objective and byte-identical assignment, not merely
+// equivalent quality. (The view layer's half of the property — an
+// all-machines view is a bit-exact replica — is pinned by
+// cluster.TestViewIdentityIsBitExact.)
 func TestSolvePartitionedSinglePartitionBitIdentical(t *testing.T) {
-	p := partitionedInstance(t, 18, 120, 7, 2)
-	cfg := quickConfig()
-	want, err := New(cfg).Solve(p)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		p    *cluster.Placement
+		pc   PartitionConfig
+	}{
+		{"partitions=1", partitionedInstance(t, 18, 120, 7, 2), PartitionConfig{Partitions: 1, Restarts: 1}},
+		// Three machines cannot make two partitions of
+		// minPartitionMachines, whatever the target.
+		{"tiny fleet", partitionedInstance(t, 3, 20, 7, 0), PartitionConfig{Partitions: 3, Restarts: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := quickConfig()
+			want, err := New(cfg).Solve(tc.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := New(cfg).SolvePartitioned(tc.p, tc.pc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got.Objective) != math.Float64bits(want.Objective) {
+				t.Errorf("objective bits differ: %x vs %x",
+					math.Float64bits(got.Objective), math.Float64bits(want.Objective))
+			}
+			wantAssign, gotAssign := want.Final.Assignment(), got.Final.Assignment()
+			for s := range wantAssign {
+				if wantAssign[s] != gotAssign[s] {
+					t.Fatalf("shard %d differs: %d vs %d", s, gotAssign[s], wantAssign[s])
+				}
+			}
+			if got.MovedShards != want.MovedShards {
+				t.Errorf("MovedShards %d, want %d", got.MovedShards, want.MovedShards)
+			}
+		})
 	}
-	got, err := New(cfg).SolvePartitioned(p, PartitionConfig{Partitions: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(got.Objective) != math.Float64bits(want.Objective) {
-		t.Errorf("objective bits differ: %x vs %x",
-			math.Float64bits(got.Objective), math.Float64bits(want.Objective))
-	}
-	wantAssign, gotAssign := want.Final.Assignment(), got.Final.Assignment()
-	for s := range wantAssign {
-		if wantAssign[s] != gotAssign[s] {
-			t.Fatalf("shard %d differs: %d vs %d", s, gotAssign[s], wantAssign[s])
+}
+
+// TestSolvePartitionedRestartsPinned pins the restart portfolio to the bits
+// it produced as an entry point of its own, before it was folded into
+// SolvePartitioned: rng.WorkerSeed seeds, objective-then-index reduction,
+// and Restarts <= 0 meaning DefaultRestarts. At 100 iterations restart 3
+// wins (so the defaulted width must be 4, not 3); at 380 restart 1 wins.
+func TestSolvePartitionedRestartsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		iterations, restarts int
+		objective, assign    uint64
+	}{
+		{100, 1, 0x3fe5e984529a6f64, 0x4c55c97de5e4af01},
+		{100, 3, 0x3fe5e984529a6f64, 0x4c55c97de5e4af01},
+		{100, 0, 0x3fe5e546aa36cc70, 0xb4e013001a2e4534},
+		{380, 1, 0x3fe5d560b5e26fa3, 0xa3ff9e84a9ce42e7},
+		{380, 3, 0x3fe5d160b4d8847b, 0x902c9c0583d420ee},
+		{380, 0, 0x3fe5d160b4d8847b, 0x902c9c0583d420ee},
+	} {
+		cfg := quickConfig()
+		cfg.Iterations = tc.iterations
+		res, err := New(cfg).SolvePartitioned(smallInstance(t, 56, 1), PartitionConfig{Restarts: tc.restarts})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if got.MovedShards != want.MovedShards {
-		t.Errorf("MovedShards %d, want %d", got.MovedShards, want.MovedShards)
+		if got := math.Float64bits(res.Objective); got != tc.objective {
+			t.Errorf("iterations=%d restarts=%d: objective bits %#x, want %#x", tc.iterations, tc.restarts, got, tc.objective)
+		}
+		// FNV-1a over the assignment, four little-endian bytes per shard.
+		h := fnv.New64a()
+		for _, m := range res.Final.Assignment() {
+			h.Write([]byte{byte(m), byte(m >> 8), byte(m >> 16), byte(m >> 24)})
+		}
+		if got := h.Sum64(); got != tc.assign {
+			t.Errorf("iterations=%d restarts=%d: assignment hash %#x, want %#x", tc.iterations, tc.restarts, got, tc.assign)
+		}
+		if res.FailedRestarts != 0 {
+			t.Errorf("iterations=%d restarts=%d: FailedRestarts = %d", tc.iterations, tc.restarts, res.FailedRestarts)
+		}
 	}
 }
 

@@ -108,9 +108,9 @@ func TestRecorderDoesNotPerturbSearch(t *testing.T) {
 	}
 }
 
-// TestRecorderParallelRestarts checks that SolveParallel flushes once per
-// restart and the obs.SolverRecorder implementation is race-free under it
-// (meaningful with -race).
+// TestRecorderParallelRestarts checks that the restart portfolio flushes
+// once per restart and the obs.SolverRecorder implementation is race-free
+// under it (meaningful with -race).
 func TestRecorderParallelRestarts(t *testing.T) {
 	p := smallInstance(t, 7, 2)
 	cfg := quickConfig()
@@ -118,7 +118,7 @@ func TestRecorderParallelRestarts(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg.Recorder = obs.NewSolverRecorder(reg)
 	const restarts = 4
-	if _, err := New(cfg).SolveParallel(p, restarts); err != nil {
+	if _, err := New(cfg).SolvePartitioned(p, PartitionConfig{Restarts: restarts}); err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder

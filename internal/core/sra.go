@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"rexchange/internal/cluster"
-	"rexchange/internal/metrics"
+	"rexchange/internal/plan"
 )
 
 // state carries one Solve invocation.
@@ -157,16 +157,16 @@ func (st *state) run() {
 		st.initIncremental()
 	}
 
-	t0 := cfg.TempFrac * st.curObj
-	tEnd := cfg.EndTempFrac * st.curObj
+	t0 := tempFrac * st.curObj
+	tEnd := endTempFrac * st.curObj
 
 	n := st.cur.Cluster().NumShards()
-	baseQ := int(cfg.DestroyFrac * float64(n))
-	if baseQ < cfg.MinDestroy {
-		baseQ = cfg.MinDestroy
+	baseQ := int(destroyFrac * float64(n))
+	if baseQ < minDestroy {
+		baseQ = minDestroy
 	}
-	if baseQ > cfg.MaxDestroy {
-		baseQ = cfg.MaxDestroy
+	if baseQ > maxDestroy {
+		baseQ = maxDestroy
 	}
 
 	if cfg.KeepTrajectory {
@@ -182,10 +182,10 @@ func (st *state) run() {
 			st.saveObjState()
 		}
 
-		// destroy size: jitter around baseQ in [MinDestroy, MaxDestroy]
-		q := cfg.MinDestroy
-		if baseQ > cfg.MinDestroy {
-			q += st.rng.Intn(baseQ - cfg.MinDestroy + 1)
+		// destroy size: jitter around baseQ in [minDestroy, maxDestroy]
+		q := minDestroy
+		if baseQ > minDestroy {
+			q += st.rng.Intn(baseQ - minDestroy + 1)
 		}
 		if q > n {
 			q = n
@@ -351,7 +351,7 @@ func compileBest(cfg Config, from *cluster.Placement, initial []cluster.MachineI
 	fallbacks := 0
 	for i := len(improving) - 1; i >= 0; i-- {
 		final := improving[i]
-		schedule, err := cfg.Planner.Build(from, final)
+		schedule, err := plan.DefaultPlanner().Build(from, final)
 		if err != nil {
 			fallbacks++
 			continue
@@ -360,8 +360,8 @@ func compileBest(cfg Config, from *cluster.Placement, initial []cluster.MachineI
 			Final:         final,
 			Plan:          schedule,
 			Returned:      pickReturned(final, k),
-			Before:        metrics.Compute(from),
-			After:         metrics.Compute(final),
+			Before:        from.Report(),
+			After:         final.Report(),
 			Objective:     objective(final, cfg.SpreadWeight, cfg.MovePenalty, initial),
 			MovedShards:   movedCount(final, initial),
 			PlanFallbacks: fallbacks,

@@ -51,13 +51,13 @@ func BenchmarkSolveMedium(b *testing.B) { benchSolve(b, 100, 1500, 4, 200) }
 // shards) at a reduced iteration budget.
 func BenchmarkSolveLarge(b *testing.B) { benchSolve(b, 400, 6000, 4, 60) }
 
-func BenchmarkSolveParallel4(b *testing.B) {
+func BenchmarkSolveRestarts4(b *testing.B) {
 	p := benchInstance(b, 100, 1500, 4)
 	cfg := DefaultConfig()
 	cfg.Iterations = 200
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := New(cfg).SolveParallel(p, 4); err != nil {
+		if _, err := New(cfg).SolvePartitioned(p, PartitionConfig{Restarts: 4}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,7 +9,6 @@ import (
 
 	"rexchange/internal/cluster"
 	"rexchange/internal/core"
-	"rexchange/internal/metrics"
 	"rexchange/internal/obs"
 )
 
@@ -123,14 +122,15 @@ type Controller struct {
 	// lastSolveAt is meaningful only once everSolved is true.
 	lastSolveAt float64        // guarded by: mu
 	everSolved  bool           // guarded by: mu
-	lastReport  metrics.Report // guarded by: mu
+	lastReport  cluster.Report // guarded by: mu
 	history     []RoundStat    // guarded by: mu
 
-	// Telemetry (all may be nil/zero when Config.Registry/Journal are
-	// unset). recorder is handed to per-round solves unless the solver
-	// config carries its own.
+	// Telemetry. m and collector hold nil handles without a
+	// Config.Registry; journal, tracer and recorder are nil when unset.
+	// recorder is handed to per-round solves unless the solver config
+	// carries its own.
 	m         *ctlMetrics
-	collector *metrics.Collector
+	collector *collector
 	journal   *obs.Journal
 	tracer    *obs.Tracer
 	recorder  core.Recorder
@@ -166,12 +166,15 @@ func New(cfg Config, clock Clock, p *cluster.Placement, src LoadSource) (*Contro
 		exec:       ex,
 		journal:    cfg.Journal,
 		tracer:     cfg.Tracer,
-		lastReport: metrics.Compute(p),
+		lastReport: p.Report(),
+		m:          newCtlMetrics(cfg.Registry),
+		collector:  newCollector(cfg.Registry),
 	}
+	c.collector.set(c.lastReport)
+	// Only with a registry: a SolverRecorder over nil handles would still
+	// be a non-nil core.Recorder, and the solver times each run and batches
+	// iteration outcomes for any non-nil Recorder.
 	if cfg.Registry != nil {
-		c.m = newCtlMetrics(cfg.Registry)
-		c.collector = metrics.NewCollector(cfg.Registry)
-		c.collector.Set(c.lastReport)
 		c.recorder = obs.NewSolverRecorder(cfg.Registry)
 	}
 	ex.m, ex.journal, ex.tracer = c.m, c.journal, c.tracer
@@ -184,15 +187,7 @@ func New(cfg Config, clock Clock, p *cluster.Placement, src LoadSource) (*Contro
 //rexlint:holds c.mu
 func (c *Controller) setState(s State) {
 	c.state = s
-	c.m.stateGauge(s)
-}
-
-// emit journals one round/solve event; no-op without a journal. Only the
-// Run goroutine emits, which keeps the event order deterministic.
-func (c *Controller) emit(ev obs.Event) {
-	if c.journal != nil {
-		c.journal.Emit(ev)
-	}
+	c.m.state.Set(float64(s))
 }
 
 // Stop makes Run return after the current round. Safe to call from any
@@ -263,9 +258,7 @@ func (c *Controller) driveExec(until float64) error {
 func (c *Controller) noteExecError(err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.m != nil {
-		c.m.execErrors.Inc()
-	}
+	c.m.execErrors.Inc()
 	if n := len(c.history); n > 0 && c.history[n-1].Err == "" {
 		c.history[n-1].Err = err.Error()
 	} else {
@@ -285,7 +278,7 @@ func (c *Controller) snapshotAndDecide(t0, t1 float64) error {
 	}
 
 	c.mu.Lock()
-	rep := metrics.Compute(c.live)
+	rep := c.live.Report()
 	c.lastReport = rep
 	now := c.clock.Now()
 	migrating := c.state == StateMigrating && !c.exec.Done()
@@ -298,15 +291,11 @@ func (c *Controller) snapshotAndDecide(t0, t1 float64) error {
 		Imbalance: rep.Imbalance, MaxUtil: rep.MaxUtil, MeanUtil: rep.MeanUtil,
 	}
 	c.round++
-	if c.m != nil {
-		c.m.rounds.Inc()
-	}
-	if c.collector != nil {
-		c.collector.Set(rep)
-	}
+	c.m.rounds.Inc()
+	c.collector.set(rep)
 	c.mu.Unlock()
 
-	c.emit(obs.Event{T: now, Span: obs.SpanRound, Phase: obs.PhaseBegin,
+	c.journal.Emit(obs.Event{T: now, Span: obs.SpanRound, Phase: obs.PhaseBegin,
 		Round: stat.Round, Imbalance: rep.Imbalance})
 
 	if trigger {
@@ -319,9 +308,7 @@ func (c *Controller) snapshotAndDecide(t0, t1 float64) error {
 	if c.campaign && rep.Imbalance <= c.cfg.Policy.LowWater {
 		c.campaign = false
 	}
-	if c.m != nil {
-		c.m.campaign.Set(boolGauge(c.campaign))
-	}
+	c.m.campaign.Set(boolGauge(c.campaign))
 	c.history = append(c.history, stat)
 	c.mu.Unlock()
 
@@ -330,7 +317,7 @@ func (c *Controller) snapshotAndDecide(t0, t1 float64) error {
 		outcome = obs.OutcomeErr
 	}
 	endNow := c.clock.Now()
-	c.emit(obs.Event{T: endNow, Span: obs.SpanRound, Phase: obs.PhaseEnd,
+	c.journal.Emit(obs.Event{T: endNow, Span: obs.SpanRound, Phase: obs.PhaseEnd,
 		Round: stat.Round, Outcome: outcome, Err: stat.Err,
 		Imbalance: rep.Imbalance, Moves: stat.PlanMoves})
 	if c.tracer != nil {
@@ -386,7 +373,7 @@ func (c *Controller) applyLoads(loads []float64) error {
 // later trigger.
 func (c *Controller) solveRound(stat *RoundStat) {
 	c.mu.Lock()
-	if c.m != nil && !c.exec.Done() {
+	if !c.exec.Done() {
 		c.m.supersessions.Inc()
 	}
 	// Journal move events from here on belong to the round that installed
@@ -400,7 +387,7 @@ func (c *Controller) solveRound(stat *RoundStat) {
 	c.mu.Unlock()
 
 	solveStart := c.clock.Now()
-	c.emit(obs.Event{T: solveStart, Span: obs.SpanSolve, Phase: obs.PhaseBegin,
+	c.journal.Emit(obs.Event{T: solveStart, Span: obs.SpanSolve, Phase: obs.PhaseBegin,
 		Round: stat.Round, Imbalance: stat.Imbalance})
 	emitSolveTrace := func(end float64) {
 		if c.tracer == nil {
@@ -423,37 +410,28 @@ func (c *Controller) solveRound(stat *RoundStat) {
 		scfg.Recorder = c.recorder
 	}
 	wallStart := time.Now() //rexlint:ignore clockpurity wall time feeds metrics only, never decisions
-	var res *core.Result
-	var err error
-	if c.cfg.Budget.Partitions > 1 {
-		pc := core.DefaultPartitionConfig()
-		pc.Partitions = c.cfg.Budget.Partitions
-		pc.ExchangeRounds = c.cfg.Budget.ExchangeRounds
-		res, err = core.New(scfg).SolvePartitioned(planning, pc)
-	} else {
-		res, err = core.New(scfg).SolveParallel(planning, c.cfg.Budget.Restarts)
-	}
-	if c.m != nil {
-		// Wall time feeds metrics only; the journal sticks to Clock
-		// seconds so virtual-clock runs stay bit-reproducible.
-		c.m.solveSeconds.Observe(time.Since(wallStart).Seconds()) //rexlint:ignore clockpurity metrics-only wall time
-	}
+	res, err := core.New(scfg).SolvePartitioned(planning, core.PartitionConfig{
+		Partitions:     c.cfg.Budget.Partitions,
+		ExchangeRounds: c.cfg.Budget.ExchangeRounds,
+		Restarts:       c.cfg.Budget.Restarts,
+	})
+	// Wall time feeds metrics only; the journal sticks to Clock seconds so
+	// virtual-clock runs stay bit-reproducible.
+	c.m.solveSeconds.Observe(time.Since(wallStart).Seconds()) //rexlint:ignore clockpurity metrics-only wall time
 	c.clock.Sleep(c.cfg.Budget.SolveSeconds)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.clock.Now()
 	c.solves++
-	if c.m != nil {
-		c.m.solves.Inc()
-	}
+	c.m.solves.Inc()
 	c.lastSolveAt = now
 	c.everSolved = true
 	stat.Solved = true
 	if err != nil {
 		stat.Err = err.Error()
 		c.setState(StateIdle)
-		c.emit(obs.Event{T: now, Span: obs.SpanSolve, Phase: obs.PhaseEnd,
+		c.journal.Emit(obs.Event{T: now, Span: obs.SpanSolve, Phase: obs.PhaseEnd,
 			Round: stat.Round, Outcome: obs.OutcomeErr, Err: stat.Err,
 			Seconds: c.cfg.Budget.SolveSeconds})
 		emitSolveTrace(now)
@@ -461,11 +439,9 @@ func (c *Controller) solveRound(stat *RoundStat) {
 	}
 	stat.PlanMoves = res.Plan.NumMoves()
 	stat.Objective = res.Objective
-	if c.m != nil {
-		c.m.plannedMoves.Add(float64(res.Plan.NumMoves()))
-		c.m.lastPlanMoves.Set(float64(res.Plan.NumMoves()))
-	}
-	c.emit(obs.Event{T: now, Span: obs.SpanSolve, Phase: obs.PhaseEnd,
+	c.m.plannedMoves.Add(float64(res.Plan.NumMoves()))
+	c.m.lastPlanMoves.Set(float64(res.Plan.NumMoves()))
+	c.journal.Emit(obs.Event{T: now, Span: obs.SpanSolve, Phase: obs.PhaseEnd,
 		Round: stat.Round, Outcome: obs.OutcomeOK,
 		Objective: res.Objective, Moves: res.Plan.NumMoves(),
 		Seconds: c.cfg.Budget.SolveSeconds})
@@ -528,7 +504,7 @@ func (c *Controller) Status() Status {
 }
 
 // Report returns the balance report of the most recent snapshot.
-func (c *Controller) Report() metrics.Report {
+func (c *Controller) Report() cluster.Report {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.lastReport

@@ -216,8 +216,9 @@ type Executor struct {
 	pending  int //rexlint:nonneg — moves not yet terminal
 	counters ExecCounters
 
-	// Telemetry, attached by the controller (all may be nil). round tags
-	// journal events with the current control round; planRound is the
+	// Telemetry, attached by the controller (journal and tracer may be
+	// nil; m holds nil handles without a registry). round tags journal
+	// events with the current control round; planRound is the
 	// round whose solve installed the running plan (they differ during a
 	// supersession abort, where round is already the superseding round)
 	// and keys the MoveRefs and trace span IDs of its moves; lastNow is
@@ -236,9 +237,7 @@ type Executor struct {
 // a Controller are wired through Config.Registry/Journal in New instead —
 // do not call both, the control-plane families register once per registry.
 func (e *Executor) AttachObs(reg *obs.Registry, j *obs.Journal) {
-	if reg != nil {
-		e.m = newCtlMetrics(reg)
-	}
+	e.m = newCtlMetrics(reg)
 	e.journal = j
 }
 
@@ -261,13 +260,9 @@ func (e *Executor) emitMoveTrace(t float64, seq int, st *moveState) {
 	})
 }
 
-// emitMove journals one move-span event; no-op without a journal. Events
-// carry Clock timestamps only, so a virtual-clock run journals
-// bit-reproducibly.
+// emitMove journals one move-span event. Events carry Clock timestamps
+// only, so a virtual-clock run journals bit-reproducibly.
 func (e *Executor) emitMove(t float64, phase, outcome string, seq int, st *moveState, seconds float64) {
-	if e.journal == nil {
-		return
-	}
 	e.journal.Emit(obs.Event{
 		T: t, Span: obs.SpanMove, Phase: phase, Round: e.round,
 		Outcome: outcome, Seconds: seconds,
@@ -289,6 +284,7 @@ func NewExecutor(c *cluster.Cluster, cfg ExecConfig) (*Executor, error) {
 		c:        c,
 		reserved: make([]vec.Vec, c.NumMachines()),
 		airborne: make(map[cluster.ShardID]bool),
+		m:        newCtlMetrics(nil),
 	}, nil
 }
 
@@ -320,19 +316,11 @@ func (e *Executor) abort() {
 		case MoveInFlight:
 			e.release(st.mv)
 			e.counters.Aborted++
-			if e.m != nil {
-				e.m.aborted.Inc()
-			}
-			e.emitMove(e.lastNow, obs.PhaseEnd, obs.OutcomeAborted, i, st, e.lastNow-st.startedAt)
-			e.emitMoveTrace(e.lastNow, i, st)
-			if e.cfg.Observer != nil {
-				e.cfg.Observer.MoveFinished(st.mv, MoveRef{Round: e.planRound, Seq: i}, e.lastNow, false)
-			}
+			e.m.aborted.Inc()
+			e.copyEnded(i, st, e.lastNow, obs.OutcomeAborted)
 		case MovePending, MoveRetrying:
 			e.counters.Cancelled++
-			if e.m != nil {
-				e.m.cancelled.Inc()
-			}
+			e.m.cancelled.Inc()
 		default:
 			continue
 		}
@@ -342,8 +330,16 @@ func (e *Executor) abort() {
 	e.inflight = 0
 	e.pending = 0
 	clear(e.airborne)
-	if e.m != nil {
-		e.m.inFlight.Set(0)
+	e.m.inFlight.Set(0)
+}
+
+// copyEnded reports the end of move seq's in-flight copy at time at:
+// journal end event, trace span, then the observer, in that order.
+func (e *Executor) copyEnded(seq int, st *moveState, at float64, outcome string) {
+	e.emitMove(at, obs.PhaseEnd, outcome, seq, st, at-st.startedAt)
+	e.emitMoveTrace(at, seq, st)
+	if e.cfg.Observer != nil {
+		e.cfg.Observer.MoveFinished(st.mv, MoveRef{Round: e.planRound, Seq: seq}, at, outcome == obs.OutcomeOK)
 	}
 }
 
@@ -406,9 +402,7 @@ func (e *Executor) Tick(live *cluster.Placement, now float64) error {
 	if cluster.DebugAsserts {
 		e.assertTransient(live)
 	}
-	if e.m != nil {
-		e.m.inFlight.Set(float64(e.inflight))
-	}
+	e.m.inFlight.Set(float64(e.inflight))
 	return nil
 }
 
@@ -477,20 +471,11 @@ func (e *Executor) complete(live *cluster.Placement, now float64) error {
 		//rexlint:ignore nonneg best indexes a MoveCopying entry, and statecheck proves each reaches MoveCopying via start (inflight++) exactly once
 		e.inflight--
 		delete(e.airborne, mv.S)
-		copySecs := st.finishAt - st.startedAt
-		if e.m != nil {
-			e.m.copySeconds.Observe(copySecs)
-		}
+		e.m.copySeconds.Observe(st.finishAt - st.startedAt)
 		if e.cfg.Failure != nil && e.cfg.Failure(mv, st.attempts) {
 			e.counters.Failures++
-			if e.m != nil {
-				e.m.failures.Inc()
-			}
-			e.emitMove(st.finishAt, obs.PhaseEnd, obs.OutcomeFailed, best, st, copySecs)
-			e.emitMoveTrace(st.finishAt, best, st)
-			if e.cfg.Observer != nil {
-				e.cfg.Observer.MoveFinished(mv, MoveRef{Round: e.planRound, Seq: best}, st.finishAt, false)
-			}
+			e.m.failures.Inc()
+			e.copyEnded(best, st, st.finishAt, obs.OutcomeFailed)
 			if st.attempts >= e.cfg.MaxAttempts {
 				// Terminal failure. Mark the move cancelled here — its
 				// reservation is already released above, so the abort()
@@ -501,9 +486,7 @@ func (e *Executor) complete(live *cluster.Placement, now float64) error {
 				st.status = MoveCancelled
 				st.attempts, st.readyAt, st.finishAt, st.startedAt = 0, 0, 0, 0
 				e.counters.Cancelled++
-				if e.m != nil {
-					e.m.cancelled.Inc()
-				}
+				e.m.cancelled.Inc()
 				return fmt.Errorf("ctl: move %d (shard %d → machine %d) failed %d times; abandoning plan",
 					best, mv.S, mv.To, attempts)
 			}
@@ -519,14 +502,8 @@ func (e *Executor) complete(live *cluster.Placement, now float64) error {
 		//rexlint:ignore nonneg pending counts non-terminal moves and this transition to MoveDone is the move's only terminal edge (statecheck)
 		e.pending--
 		e.counters.Completed++
-		if e.m != nil {
-			e.m.completed.Inc()
-		}
-		e.emitMove(st.finishAt, obs.PhaseEnd, obs.OutcomeOK, best, st, copySecs)
-		e.emitMoveTrace(st.finishAt, best, st)
-		if e.cfg.Observer != nil {
-			e.cfg.Observer.MoveFinished(mv, MoveRef{Round: e.planRound, Seq: best}, st.finishAt, true)
-		}
+		e.m.completed.Inc()
+		e.copyEnded(best, st, st.finishAt, obs.OutcomeOK)
 	}
 }
 
@@ -561,9 +538,7 @@ func (e *Executor) dispatch(live *cluster.Placement, now float64) error {
 				i, mv.S, mv.From, live.Home(mv.S))
 		}
 		if !e.canAdmit(live, mv.S, mv.To) {
-			if e.m != nil {
-				e.m.admissionBlocked.Inc()
-			}
+			e.m.admissionBlocked.Inc()
 			if e.inflight == 0 {
 				// Nothing in flight will ever free space: the plan is not
 				// serially feasible against the live placement.
@@ -586,12 +561,10 @@ func (e *Executor) dispatch(live *cluster.Placement, now float64) error {
 		if e.inflight > e.counters.PeakParallel {
 			e.counters.PeakParallel = e.inflight
 		}
-		if e.m != nil {
-			e.m.dispatched.Inc()
-			e.m.bytesMoved.Add(size)
-			if retry {
-				e.m.retries.Inc()
-			}
+		e.m.dispatched.Inc()
+		e.m.bytesMoved.Add(size)
+		if retry {
+			e.m.retries.Inc()
 		}
 		e.emitMove(now, obs.PhaseBegin, "", i, st, 0)
 		if e.cfg.Observer != nil {

@@ -1,14 +1,15 @@
 package ctl
 
 import (
+	"rexchange/internal/cluster"
 	"rexchange/internal/obs"
+	"rexchange/internal/vec"
 )
 
 // ctlMetrics bundles every control-plane metric handle registered on the
-// shared registry. The controller and executor hold a possibly-nil
-// pointer; every instrumentation site guards on it, so running without a
-// registry costs one nil check per event (the control plane is not a hot
-// path — events happen per move, not per solver iteration).
+// shared registry. The controller and executor always hold one: without a
+// registry every handle in it is nil, and a nil handle does nothing, so no
+// instrumentation site guards on telemetry being on.
 type ctlMetrics struct {
 	// Controller round/solve lifecycle.
 	rounds        *obs.Counter
@@ -34,7 +35,8 @@ type ctlMetrics struct {
 	copySeconds      *obs.Histogram
 }
 
-// newCtlMetrics registers the control-plane families on reg.
+// newCtlMetrics registers the control-plane families on reg (none when reg
+// is nil).
 func newCtlMetrics(reg *obs.Registry) *ctlMetrics {
 	return &ctlMetrics{
 		rounds: reg.Counter("rex_ctl_rounds_total",
@@ -79,9 +81,56 @@ func newCtlMetrics(reg *obs.Registry) *ctlMetrics {
 	}
 }
 
-// stateGauge mirrors a state change onto rex_ctl_state; nil-safe.
-func (m *ctlMetrics) stateGauge(s State) {
-	if m != nil {
-		m.state.Set(float64(s))
+// collector publishes balance reports as gauge families. The rex_serving
+// indicator lets dashboards distinguish an empty cluster (every utilization
+// gauge pinned to 0) from a perfectly balanced one: a zero-serving
+// placement scrapes as 0s, never as NaN.
+type collector struct {
+	machines  *obs.Gauge
+	vacant    *obs.Gauge
+	serving   *obs.Gauge
+	maxUtil   *obs.Gauge
+	minUtil   *obs.Gauge
+	meanUtil  *obs.Gauge
+	imbalance *obs.Gauge
+	stddev    *obs.Gauge
+	cv        *obs.Gauge
+	gini      *obs.Gauge
+	pressure  *obs.GaugeVec
+}
+
+// newCollector registers the balance-report families on reg.
+func newCollector(reg *obs.Registry) *collector {
+	return &collector{
+		machines:  reg.Gauge("rex_machines", "Number of serving (non-vacant) machines."),
+		vacant:    reg.Gauge("rex_vacant_machines", "Number of machines hosting no shards."),
+		serving:   reg.Gauge("rex_serving", "1 when at least one machine serves shards; utilization gauges are meaningful only then."),
+		maxUtil:   reg.Gauge("rex_max_util", "Highest load/speed among serving machines."),
+		minUtil:   reg.Gauge("rex_min_util", "Lowest load/speed among serving machines."),
+		meanUtil:  reg.Gauge("rex_mean_util", "Capacity-weighted ideal utilization."),
+		imbalance: reg.Gauge("rex_imbalance", "MaxUtil/MeanUtil; 1.0 is perfect balance."),
+		stddev:    reg.Gauge("rex_util_stddev", "Standard deviation of per-machine utilization."),
+		cv:        reg.Gauge("rex_util_cv", "Coefficient of variation of per-machine utilization."),
+		gini:      reg.Gauge("rex_util_gini", "Gini coefficient of per-machine utilization."),
+		pressure:  reg.GaugeVec("rex_static_pressure", "Max used/capacity over machines, per static resource.", "resource"),
+	}
+}
+
+// set republishes r onto the registered gauges. Safe for concurrent use
+// with renders; each gauge updates atomically. Every gauge is overwritten,
+// so a drained cluster never keeps stale (or NaN) utilization values.
+func (c *collector) set(r cluster.Report) {
+	c.machines.Set(float64(r.Machines))
+	c.vacant.Set(float64(r.Vacant))
+	c.serving.Set(boolGauge(r.Machines > 0))
+	c.maxUtil.Set(r.MaxUtil)
+	c.minUtil.Set(r.MinUtil)
+	c.meanUtil.Set(r.MeanUtil)
+	c.imbalance.Set(r.Imbalance)
+	c.stddev.Set(r.StdDev)
+	c.cv.Set(r.CV)
+	c.gini.Set(r.Gini)
+	for res := 0; res < vec.NumResources; res++ {
+		c.pressure.With(vec.Resource(res).String()).Set(r.StaticPressure[res])
 	}
 }

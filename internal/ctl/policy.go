@@ -61,25 +61,24 @@ func (p Policy) ShouldSolve(imb float64, campaign, migrating bool, now, lastSolv
 	return campaign && !migrating && imb > p.LowWater
 }
 
-// Budget bounds one solve round. The LNS iteration count is the paper's
-// natural work unit (wall time per iteration is instance-dependent but
-// stable), and restarts multiply it across cores via core.SolveParallel.
-// When Partitions > 1 the round runs core.SolvePartitioned instead: the
-// fleet is factored into resource-equivalence partitions solved
-// concurrently on slices of the iteration budget, with ExchangeRounds
-// cross-partition exchange phases in between.
+// Budget bounds one solve round, which is one core.SolvePartitioned call.
+// The LNS iteration count is the paper's natural work unit (wall time per
+// iteration is instance-dependent but stable). A fleet that solves as one
+// partition multiplies it across cores with a portfolio of restarts; with
+// Partitions > 1 the fleet is factored into resource-equivalence partitions
+// solved concurrently on slices of the iteration budget, with
+// ExchangeRounds cross-partition exchange phases in between.
 type Budget struct {
 	// Iterations is the LNS iteration budget per restart (or the global
 	// budget split across partitions when Partitions > 1).
 	Iterations int
-	// Restarts is the number of parallel SRA restarts (best result wins);
-	// 0 means the pinned core.DefaultRestarts — never GOMAXPROCS, so a
-	// defaulted budget runs the same searches on every host. Ignored when
-	// Partitions > 1.
+	// Restarts is the portfolio width when the fleet solves as one
+	// partition (best result wins); 0 means the pinned
+	// core.DefaultRestarts — never GOMAXPROCS, so a defaulted budget runs
+	// the same searches on every host.
 	Restarts int
-	// Partitions, when > 1, selects the partitioned parallel solver with
-	// this target partition count. 0 or 1 keeps the whole-cluster
-	// restart portfolio.
+	// Partitions, when > 1, is the target partition count. 0 or 1 solves
+	// the whole cluster as one partition.
 	Partitions int
 	// ExchangeRounds bounds the cross-partition exchange phases per solve
 	// when Partitions > 1; 0 solves each partition once with no exchange.

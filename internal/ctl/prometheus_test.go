@@ -1,20 +1,21 @@
-package metrics
+package ctl
 
 import (
 	"math"
 	"strings"
 	"testing"
 
+	"rexchange/internal/cluster"
 	"rexchange/internal/obs"
 	"rexchange/internal/vec"
 )
 
-// render publishes r through a Collector on a fresh registry and returns
+// render publishes r through a collector on a fresh registry and returns
 // the registry's exposition — the path every /metrics scrape takes.
-func render(t *testing.T, r Report) string {
+func render(t *testing.T, r cluster.Report) string {
 	t.Helper()
 	reg := obs.NewRegistry()
-	NewCollector(reg).Set(r)
+	newCollector(reg).set(r)
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -27,7 +28,7 @@ func render(t *testing.T, r Report) string {
 // Families render in registry order (alphabetical); series within
 // rex_static_pressure sort by label value.
 func TestWritePrometheusFormat(t *testing.T) {
-	r := Report{
+	r := cluster.Report{
 		Machines:       3,
 		Vacant:         1,
 		MaxUtil:        0.9,
@@ -87,7 +88,7 @@ rex_vacant_machines 1
 // TestWritePrometheusFloats checks the value rendering corner cases survive
 // a Prometheus parse: shortest round-trip form, no localized formatting.
 func TestWritePrometheusFloats(t *testing.T) {
-	out := render(t, Report{MaxUtil: 1.0 / 3.0, Imbalance: 1e-9})
+	out := render(t, cluster.Report{MaxUtil: 1.0 / 3.0, Imbalance: 1e-9})
 	if !strings.Contains(out, "rex_max_util 0.3333333333333333\n") {
 		t.Fatalf("unexpected float rendering:\n%s", out)
 	}
@@ -100,7 +101,7 @@ func TestWritePrometheusFloats(t *testing.T) {
 // values as a scraper sees them: NaN / +Inf / -Inf, never Go's default
 // renderings of them embedded in some other spelling.
 func TestPromFloatSpecials(t *testing.T) {
-	out := render(t, Report{
+	out := render(t, cluster.Report{
 		MaxUtil: math.NaN(), Imbalance: math.Inf(+1), MinUtil: math.Inf(-1), MeanUtil: -0.5,
 	})
 	for _, want := range []string{
@@ -121,7 +122,7 @@ func TestPromFloatSpecials(t *testing.T) {
 // rex_serving distinguishes the empty cluster from a perfectly balanced
 // one.
 func TestWritePrometheusZeroServing(t *testing.T) {
-	out := render(t, Report{Vacant: 4})
+	out := render(t, cluster.Report{Vacant: 4})
 	if strings.Contains(out, "NaN") {
 		t.Fatalf("zero-serving report leaked NaN:\n%s", out)
 	}
@@ -143,9 +144,9 @@ func TestWritePrometheusZeroServing(t *testing.T) {
 // indicator flipping when a cluster drains.
 func TestCollectorOverwritesStale(t *testing.T) {
 	reg := obs.NewRegistry()
-	col := NewCollector(reg)
-	col.Set(Report{Machines: 2, MaxUtil: 0.8, Imbalance: 1.2, StaticPressure: vec.Uniform(0.5)})
-	col.Set(Report{Vacant: 2})
+	col := newCollector(reg)
+	col.set(cluster.Report{Machines: 2, MaxUtil: 0.8, Imbalance: 1.2, StaticPressure: vec.Uniform(0.5)})
+	col.set(cluster.Report{Vacant: 2})
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)

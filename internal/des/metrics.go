@@ -20,7 +20,8 @@ type simMetrics struct {
 	lastEvents uint64
 }
 
-// newSimMetrics registers the rex_sim_* families.
+// newSimMetrics registers the rex_sim_* families on reg; a nil reg yields
+// nil handles, which do nothing.
 func newSimMetrics(reg *obs.Registry) *simMetrics {
 	m := &simMetrics{
 		queries: reg.CounterVec("rex_sim_queries_total",

@@ -237,6 +237,7 @@ func New(cfg Config, p *cluster.Placement, tr *workload.Trace) (*Sim, error) {
 		machines: make([]machine, c.NumMachines()),
 		streams:  rng.NewPartitioned(cfg.Seed),
 		srcLoad:  make([]float64, c.NumShards()),
+		m:        newSimMetrics(nil),
 	}
 	s.workload = s.streams.Stream(rng.StreamWorkload)
 	s.drift = s.streams.Stream(rng.StreamDrift)
@@ -294,9 +295,7 @@ func New(cfg Config, p *cluster.Placement, tr *workload.Trace) (*Sim, error) {
 //
 //rexlint:stream trace
 func (s *Sim) AttachObs(reg *obs.Registry, j *obs.Journal) {
-	if reg != nil {
-		s.m = newSimMetrics(reg)
-	}
+	s.m = newSimMetrics(reg)
 	s.journal = j
 	if s.cfg.TraceSample > 0 {
 		s.tracer = obs.NewTracer(s.streams.Stream(rng.StreamTrace), s.cfg.TraceSample, j)
@@ -354,9 +353,7 @@ func (s *Sim) Sleep(d float64) {
 		}
 	}
 	s.setNow(target)
-	if s.m != nil {
-		s.m.syncLow(s)
-	}
+	s.m.syncLow(s)
 }
 
 // Next implements ctl.LoadSource: per-shard work routed since the last
@@ -387,9 +384,7 @@ func (s *Sim) MoveStarted(mv plan.Move, ref ctl.MoveRef, at, eta float64) {
 	s.machines[mv.From].addRef(ref)
 	s.copiesStarted++
 	s.activeCopies++
-	if s.m != nil {
-		s.m.copiesActive.Set(float64(s.activeCopies))
-	}
+	s.m.copiesActive.Set(float64(s.activeCopies))
 }
 
 // MoveFinished implements ctl.MoveObserver: the copy's degradation ends,
@@ -405,9 +400,7 @@ func (s *Sim) MoveFinished(mv plan.Move, ref ctl.MoveRef, at float64, committed 
 	if committed {
 		s.home[mv.S] = mv.To
 	}
-	if s.m != nil {
-		s.m.copiesActive.Set(float64(s.activeCopies))
-	}
+	s.m.copiesActive.Set(float64(s.activeCopies))
 }
 
 // windowEvent closes the measurement window ending at t, applies one
@@ -542,9 +535,7 @@ func (s *Sim) drop(t float64) {
 	ph := s.classify(t)
 	s.drops[ph]++
 	s.winDropped++
-	if s.m != nil {
-		s.m.dropped.Inc()
-	}
+	s.m.dropped.Inc()
 }
 
 // allocQuery takes a query slot from the free list or grows the table.
@@ -616,12 +607,10 @@ func (s *Sim) complete(t float64, qi int32) {
 	if tq != nil {
 		s.traceComplete(t, qi, tq, q.arrive, ph)
 	}
-	if s.m != nil {
-		if tq != nil {
-			s.m.observeTraced(ph, latency, tq.id)
-		} else {
-			s.m.observe(ph, latency)
-		}
+	if tq != nil {
+		s.m.observeTraced(ph, latency, tq.id)
+	} else {
+		s.m.observe(ph, latency)
 	}
 }
 
@@ -654,9 +643,6 @@ func (s *Sim) Busy() []float64 {
 	}
 	return out
 }
-
-// Events returns the number of simulator events processed so far.
-func (s *Sim) Events() uint64 { return s.events }
 
 // InFlight returns the number of queries currently outstanding.
 func (s *Sim) InFlight() int { return len(s.qs) - len(s.free) }

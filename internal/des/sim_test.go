@@ -33,6 +33,7 @@ func bareSim(speeds []float64, shards int) *Sim {
 		machines: make([]machine, len(speeds)),
 		streams:  rng.NewPartitioned(1),
 		srcLoad:  make([]float64, shards),
+		m:        newSimMetrics(nil),
 
 		legUnit:    1,
 		serveScale: 1,

@@ -3,7 +3,6 @@ package experiments
 import (
 	"rexchange/internal/cluster"
 	"rexchange/internal/core"
-	"rexchange/internal/metrics"
 )
 
 // F6OperatorAblation compares SRA variants with parts of the algorithm
@@ -22,7 +21,7 @@ func F6OperatorAblation(sc Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	before := metrics.Compute(p)
+	before := p.Report()
 	tbl.AddRow("initial", before.MaxUtil, before.Imbalance, 0, 0, 0)
 
 	all := core.AllOperators()

@@ -3,7 +3,6 @@ package experiments
 import (
 	"rexchange/internal/cluster"
 	"rexchange/internal/core"
-	"rexchange/internal/metrics"
 	"rexchange/internal/workload"
 )
 
@@ -58,7 +57,7 @@ func F7ContinuousRebalance(sc Scale) (*Table, error) {
 		rebalAssign = res.Final.Assignment()
 
 		tbl.AddRow(round,
-			metrics.Compute(staticP).MaxUtil,
+			staticP.Report().MaxUtil,
 			res.Before.MaxUtil,
 			res.After.MaxUtil,
 			res.Plan.NumMoves(),

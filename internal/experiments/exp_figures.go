@@ -8,7 +8,6 @@ import (
 	"rexchange/internal/cluster"
 	"rexchange/internal/core"
 	"rexchange/internal/ctl"
-	"rexchange/internal/metrics"
 	"rexchange/internal/plan"
 )
 
@@ -28,7 +27,7 @@ func F1ExchangeSweep(sc Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	before := metrics.Compute(p)
+	before := p.Report()
 	tbl.AddRow("-", "initial", before.MaxUtil, 0, 0, 0, 0, 0)
 
 	ls := baseline.LocalSearch(p, baseline.Config{AllowSwaps: true})
@@ -82,7 +81,7 @@ func F2TightnessSweep(sc Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		before := metrics.Compute(p)
+		before := p.Report()
 
 		g := baseline.Greedy(p, baseline.Config{})
 		tbl.AddRow(fill, "greedy", before.MaxUtil, g.After.MaxUtil, g.After.Imbalance)

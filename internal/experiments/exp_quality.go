@@ -8,7 +8,6 @@ import (
 	"rexchange/internal/cluster"
 	"rexchange/internal/core"
 	"rexchange/internal/ip"
-	"rexchange/internal/metrics"
 	"rexchange/internal/plan"
 	"rexchange/internal/workload"
 )
@@ -108,7 +107,7 @@ func T2EndToEnd(sc Scale) (*Table, error) {
 	k := sc.sel(2, 4)
 	iters := sc.sel(800, 4000)
 	for _, ds := range []dataset{{"synthetic", syn}, {"realistic", real_}} {
-		before := metrics.Compute(ds.p)
+		before := ds.p.Report()
 		tbl.AddRow(ds.name, "initial", before.MaxUtil, before.Imbalance, before.CV, 0, 0)
 
 		g := baseline.Greedy(ds.p, baseline.Config{})
@@ -229,7 +228,7 @@ func T4Replicated(sc Scale) (*Table, error) {
 			return nil, err
 		}
 		p := inst.Placement
-		before := metrics.Compute(p)
+		before := p.Report()
 
 		ls := baseline.LocalSearch(p, baseline.Config{AllowSwaps: true})
 		tbl.AddRow(replicas, "local-search", before.MaxUtil, ls.After.MaxUtil,

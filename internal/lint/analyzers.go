@@ -10,7 +10,7 @@ import "strings"
 //   - maporder guards the solver, planner, cluster model, and the
 //     simulator (des) — the packages whose outputs must be
 //     bit-reproducible for a fixed seed.
-//   - floateq guards objective/metrics/aggregate code, where quantities are
+//   - floateq guards objective/aggregate code, where quantities are
 //     computed incrementally and exact comparison is a latent bug.
 //   - errignore guards every internal package.
 //   - metricname guards the whole module: any package may register metrics
@@ -65,7 +65,7 @@ func Analyzers(modPath string) []*Analyzer {
 	floatEq := *FloatEq
 	floatEq.AppliesTo = inModule(
 		"/internal/core", "/internal/plan", "/internal/cluster",
-		"/internal/metrics", "/internal/stats", "/internal/vec", "/internal/des",
+		"/internal/stats", "/internal/vec", "/internal/des",
 	)
 
 	errIgnore := *ErrIgnore

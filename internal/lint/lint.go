@@ -4,18 +4,9 @@
 // diagnostics — but is built entirely on the standard library (go/ast,
 // go/parser, go/types) so the repository carries no external dependencies.
 //
-// The suite encodes the solver's correctness contracts as machine-checked
-// rules:
-//
-//   - noglobalrand: all randomness must flow from an explicit seed
-//     (Config.Seed); global math/rand calls break run-for-run
-//     reproducibility.
-//   - maporder: map iteration order is randomized in Go; ranging over a map
-//     while appending to a slice silently injects nondeterminism into
-//     solver and planner state.
-//   - floateq: ==/!= between floats in objective/metrics code is almost
-//     always a bug; use an epsilon helper.
-//   - errignore: silently dropped error returns in internal packages.
+// The suite encodes the project's correctness contracts as machine-checked
+// rules; Analyzers (analyzers.go) lists all of them with the packages each
+// one guards.
 //
 // A diagnostic can be suppressed by a comment on the same line or the line
 // directly above it:

@@ -56,7 +56,6 @@ func TestAnalyzerScopes(t *testing.T) {
 		{"maporder", "rexchange/internal/core", true},
 		{"maporder", "rexchange/internal/des", true},
 		{"maporder", "rexchange/internal/invindex", false},
-		{"floateq", "rexchange/internal/metrics", true},
 		{"floateq", "rexchange/internal/des", true},
 		{"floateq", "rexchange/internal/lint", false},
 		{"errignore", "rexchange/internal/plan", true},

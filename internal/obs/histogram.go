@@ -63,6 +63,9 @@ func checkBuckets(name string, bounds []float64) []float64 {
 // bucket so a concurrent render (which reads buckets first, count last)
 // never sees a finite cumulative bucket exceed the +Inf bucket.
 func (h *Histogram) Observe(v float64) {
+	if h == nil {
+		return
+	}
 	h.sum.Add(v)
 	h.count.Add(1)
 	for i, b := range h.bounds {
@@ -77,6 +80,9 @@ func (h *Histogram) Observe(v float64) {
 // exemplar of the bucket v lands in, replacing any previous one. The
 // observation itself is identical to Observe.
 func (h *Histogram) ObserveTraced(v float64, trace string) {
+	if h == nil {
+		return
+	}
 	h.sum.Add(v)
 	h.count.Add(1)
 	idx := len(h.bounds) // +Inf
@@ -91,10 +97,12 @@ func (h *Histogram) ObserveTraced(v float64, trace string) {
 }
 
 // Count returns the total number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return h.sum.Load() }
+func (h *Histogram) Count() uint64 {
+	if h == nil {
+		return 0
+	}
+	return h.count.Load()
+}
 
 // write renders the histogram exposition: cumulative _bucket series with
 // le labels (ending in +Inf), then _sum and _count. With exemplars set,
@@ -129,10 +137,4 @@ func (h *Histogram) write(w io.Writer, name string, labels, vals []string, exemp
 // wall-clock migrations.
 func TimeBuckets() []float64 {
 	return []float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 2.5, 5, 10, 30, 60, 120, 300}
-}
-
-// SizeBuckets returns exponential bucket bounds for plan sizes and other
-// small counts.
-func SizeBuckets() []float64 {
-	return []float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000}
 }

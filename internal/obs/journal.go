@@ -108,10 +108,13 @@ func NewJournal(w io.Writer) *Journal { return &Journal{w: w} }
 // Emit appends one event. The first failure — an event JSON cannot carry
 // (a NaN or ±Inf field) or a write error — is retained and all subsequent
 // emits become no-ops; an event that fails to encode never reaches the
-// writer, not even in part.
+// writer, not even in part. A nil journal drops the event.
 //
 //rexlint:detsink journal write
 func (j *Journal) Emit(ev Event) {
+	if j == nil {
+		return
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.err != nil {

@@ -47,15 +47,25 @@ func (a *atomicFloat) Store(v float64) { a.bits.Store(math.Float64bits(v)) }
 // Load atomically reads the value.
 func (a *atomicFloat) Load() float64 { return math.Float64frombits(a.bits.Load()) }
 
-// Counter is a monotonically increasing metric.
+// Counter is a monotonically increasing metric. Like every handle kind, a
+// nil *Counter is valid and does nothing — what a nil Registry hands out —
+// so instrumentation sites need no telemetry-on guard.
 type Counter struct{ v atomicFloat }
 
 // Inc adds 1.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() {
+	if c == nil {
+		return
+	}
+	c.v.Add(1)
+}
 
 // Add increases the counter by v. Negative v panics: counters are
 // monotone by contract and a silent decrease corrupts rate() queries.
 func (c *Counter) Add(v float64) {
+	if c == nil {
+		return
+	}
 	if v < 0 {
 		panic(fmt.Sprintf("obs: counter decreased by %g", v))
 	}
@@ -63,19 +73,31 @@ func (c *Counter) Add(v float64) {
 }
 
 // Value returns the current count.
-func (c *Counter) Value() float64 { return c.v.Load() }
+func (c *Counter) Value() float64 {
+	if c == nil {
+		return 0
+	}
+	return c.v.Load()
+}
 
 // Gauge is a metric that can go up and down.
 type Gauge struct{ v atomicFloat }
 
 // Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.v.Store(v) }
-
-// Add increases (or with negative v decreases) the gauge.
-func (g *Gauge) Add(v float64) { g.v.Add(v) }
+func (g *Gauge) Set(v float64) {
+	if g == nil {
+		return
+	}
+	g.v.Store(v)
+}
 
 // Value returns the current value.
-func (g *Gauge) Value() float64 { return g.v.Load() }
+func (g *Gauge) Value() float64 {
+	if g == nil {
+		return 0
+	}
+	return g.v.Load()
+}
 
 // metric kinds as they appear on # TYPE lines.
 const (
@@ -141,7 +163,9 @@ func (f *family) get(vals []string) *child {
 
 // Registry holds metric families and renders them as Prometheus text
 // exposition. Registration panics on invalid or duplicate names — metric
-// identity is a build-time property, not a runtime condition.
+// identity is a build-time property, not a runtime condition. A nil
+// *Registry is telemetry switched off: it registers nothing and hands out
+// nil handles.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family // guarded by: mu
@@ -182,17 +206,26 @@ func (r *Registry) register(name, help, kind string, labels []string, bounds []f
 
 // Counter registers and returns a plain counter.
 func (r *Registry) Counter(name, help string) *Counter {
+	if r == nil {
+		return nil
+	}
 	return r.register(name, help, kindCounter, nil, nil).get(nil).c
 }
 
 // Gauge registers and returns a plain gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
+	if r == nil {
+		return nil
+	}
 	return r.register(name, help, kindGauge, nil, nil).get(nil).g
 }
 
 // Histogram registers and returns a plain histogram with the given bucket
 // upper bounds (strictly increasing; the +Inf bucket is implicit).
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
+	if r == nil {
+		return nil
+	}
 	return r.register(name, help, kindHistogram, nil, checkBuckets(name, buckets)).get(nil).h
 }
 
@@ -201,6 +234,9 @@ type CounterVec struct{ f *family }
 
 // CounterVec registers a labelled counter family.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
+	if r == nil {
+		return nil
+	}
 	if len(labels) == 0 {
 		panic(fmt.Sprintf("obs: CounterVec %s needs at least one label", name))
 	}
@@ -209,13 +245,21 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 
 // With returns the counter for the given label values, creating it on
 // first use. Resolve once outside hot loops.
-func (v *CounterVec) With(labelValues ...string) *Counter { return v.f.get(labelValues).c }
+func (v *CounterVec) With(labelValues ...string) *Counter {
+	if v == nil {
+		return nil
+	}
+	return v.f.get(labelValues).c
+}
 
 // GaugeVec is a gauge family partitioned by a fixed label set.
 type GaugeVec struct{ f *family }
 
 // GaugeVec registers a labelled gauge family.
 func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
+	if r == nil {
+		return nil
+	}
 	if len(labels) == 0 {
 		panic(fmt.Sprintf("obs: GaugeVec %s needs at least one label", name))
 	}
@@ -224,7 +268,12 @@ func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 
 // With returns the gauge for the given label values, creating it on first
 // use.
-func (v *GaugeVec) With(labelValues ...string) *Gauge { return v.f.get(labelValues).g }
+func (v *GaugeVec) With(labelValues ...string) *Gauge {
+	if v == nil {
+		return nil
+	}
+	return v.f.get(labelValues).g
+}
 
 // HistogramVec is a histogram family partitioned by a fixed label set;
 // every series shares the family's bucket bounds. The "le" label is
@@ -233,6 +282,9 @@ type HistogramVec struct{ f *family }
 
 // HistogramVec registers a labelled histogram family.
 func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
+	if r == nil {
+		return nil
+	}
 	if len(labels) == 0 {
 		panic(fmt.Sprintf("obs: HistogramVec %s needs at least one label", name))
 	}
@@ -241,7 +293,12 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...
 
 // With returns the histogram for the given label values, creating it on
 // first use. Resolve once outside hot loops.
-func (v *HistogramVec) With(labelValues ...string) *Histogram { return v.f.get(labelValues).h }
+func (v *HistogramVec) With(labelValues ...string) *Histogram {
+	if v == nil {
+		return nil
+	}
+	return v.f.get(labelValues).h
+}
 
 // WritePrometheus renders every registered family in the Prometheus text
 // exposition format (version 0.0.4), deterministically: families sorted
@@ -252,20 +309,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return r.writePrometheus(w, false)
 }
 
-// WritePrometheusExemplars renders the same exposition with histogram
-// exemplars appended to bucket lines (OpenMetrics-style
-// `# {trace_id="…"} value` suffixes). Kept behind its own entry point —
-// classic 0.0.4 scrapers may reject exemplar suffixes, so callers opt in
-// explicitly (rexsim's -metrics-exemplars flag).
-//
-//rexlint:detsink Prometheus exposition
-func (r *Registry) WritePrometheusExemplars(w io.Writer) error {
-	return r.writePrometheus(w, true)
-}
-
 // WritePrometheusFile renders the exposition into a new file at path, with
-// histogram exemplars when asked. A render failure wins over the close
-// error.
+// histogram exemplars (OpenMetrics-style `# {trace_id="…"} value` suffixes
+// on bucket lines) when asked — classic 0.0.4 scrapers may reject the
+// suffixes, so callers opt in explicitly (rexsim's -metrics-exemplars
+// flag). A render failure wins over the close error.
 func (r *Registry) WritePrometheusFile(path string, exemplars bool) error {
 	f, err := os.Create(path)
 	if err != nil {

@@ -246,3 +246,42 @@ func TestLintAcceptsSpecials(t *testing.T) {
 		t.Fatalf("unexpected problems: %v", problems)
 	}
 }
+
+// TestNilHandlesAreNoOps pins the telemetry-off contract instrumented code
+// relies on instead of guards: a nil Registry registers nothing and hands
+// out nil handles, every method of a nil handle does nothing (reads are
+// zero), and a nil Journal drops events.
+func TestNilHandlesAreNoOps(t *testing.T) {
+	var reg *Registry
+	c := reg.Counter("rex_test_ops_total", "h.")
+	g := reg.Gauge("rex_test_depth", "h.")
+	h := reg.Histogram("rex_test_seconds", "h.", TimeBuckets())
+	cv := reg.CounterVec("rex_test_outcomes_total", "h.", "kind")
+	gv := reg.GaugeVec("rex_test_pressure", "h.", "resource")
+	hv := reg.HistogramVec("rex_test_latency_seconds", "h.", TimeBuckets(), "phase")
+	if c != nil || g != nil || h != nil || cv != nil || gv != nil || hv != nil {
+		t.Fatalf("nil registry handed out a non-nil handle: %v %v %v %v %v %v", c, g, h, cv, gv, hv)
+	}
+	if cv.With("ok") != nil || gv.With("mem") != nil || hv.With("before") != nil {
+		t.Fatal("nil vec resolved a non-nil series")
+	}
+
+	c.Inc()
+	c.Add(2)
+	g.Set(3)
+	h.Observe(0.5)
+	h.ObserveTraced(0.5, "00000000000000ab")
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
+		t.Errorf("nil handles read %v/%v/%v, want zeros", c.Value(), g.Value(), h.Count())
+	}
+
+	var j *Journal
+	j.Emit(Event{T: 1, Span: SpanRound, Phase: PhaseBegin})
+	if allocs := testing.AllocsPerRun(100, func() {
+		c.Inc()
+		h.Observe(0.5)
+		j.Emit(Event{T: 1, Span: SpanMove, Phase: PhaseEnd, Move: &MoveEvent{Seq: 1}})
+	}); allocs != 0 {
+		t.Errorf("telemetry-off calls allocate %v per run, want 0", allocs)
+	}
+}

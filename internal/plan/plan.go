@@ -63,11 +63,6 @@ var ErrInfeasible = errors.New("plan: no transiently feasible move schedule foun
 
 // Planner configures schedule construction.
 type Planner struct {
-	// MaxSteps bounds total scheduled moves; 0 means 8×(moves needed)+64.
-	MaxSteps int
-	// MaxHops bounds staging hops per shard before the planner refuses to
-	// stage it again; 0 means 4.
-	MaxHops int
 	// AllowDisplace permits temporarily evicting shards that the
 	// reassignment did not intend to move. Disabling it models operators
 	// who only allow touching the shards selected by the optimizer.
@@ -78,6 +73,10 @@ type Planner struct {
 func DefaultPlanner() Planner {
 	return Planner{AllowDisplace: true}
 }
+
+// maxHops bounds staging hops per shard before the planner refuses to stage
+// it again.
+const maxHops = 4
 
 // Build computes a transiently feasible schedule that transforms from into
 // to. Both placements must be over the same cluster with every shard
@@ -102,15 +101,8 @@ func (pl Planner) Build(from, to *cluster.Placement) (*Plan, error) {
 			pendingSet[cluster.ShardID(s)] = true
 		}
 	}
-	needed := len(pendingSet)
-	maxSteps := pl.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = 8*needed + 64
-	}
-	maxHops := pl.MaxHops
-	if maxHops == 0 {
-		maxHops = 4
-	}
+	// The step budget bounds total scheduled moves, staging hops included.
+	maxSteps := 8*len(pendingSet) + 64
 
 	plan := &Plan{}
 	hops := make(map[cluster.ShardID]int)
@@ -151,7 +143,7 @@ func (pl Planner) Build(from, to *cluster.Placement) (*Plan, error) {
 
 		// Phase 2: deadlock. Stage one blocking shard to an intermediate
 		// machine to open space.
-		if pl.stageOne(c, w, target, pendingSet, hops, maxHops, plan) {
+		if pl.stageOne(c, w, target, pendingSet, hops, plan) {
 			continue
 		}
 		return nil, fmt.Errorf("%w: %d shards pending and no staging possible",
@@ -188,7 +180,6 @@ func (pl Planner) stageOne(
 	target []cluster.MachineID,
 	pendingSet map[cluster.ShardID]bool,
 	hops map[cluster.ShardID]int,
-	maxHops int,
 	plan *Plan,
 ) bool {
 	pending := sortedPending(c, pendingSet)
@@ -229,15 +220,15 @@ func (pl Planner) stageOne(
 
 	// Preference 1: pending shards that sit on blocked machines.
 	for _, t := range blocked {
-		var victims []candidate
+		var victims []cluster.ShardID
 		w.EachShardOn(t, func(u cluster.ShardID) {
 			if pendingSet[u] {
-				victims = append(victims, candidate{u, true})
+				victims = append(victims, u)
 			}
 		})
 		sortCandidates(c, victims)
 		for _, v := range victims {
-			if tryStage(v.victim, true) {
+			if tryStage(v, true) {
 				return true
 			}
 		}
@@ -247,15 +238,15 @@ func (pl Planner) stageOne(
 	}
 	// Preference 2: displace settled shards off blocked machines.
 	for _, t := range blocked {
-		var victims []candidate
+		var victims []cluster.ShardID
 		w.EachShardOn(t, func(u cluster.ShardID) {
 			if !pendingSet[u] {
-				victims = append(victims, candidate{u, false})
+				victims = append(victims, u)
 			}
 		})
 		sortCandidates(c, victims)
 		for _, v := range victims {
-			if tryStage(v.victim, false) {
+			if tryStage(v, false) {
 				return true
 			}
 		}
@@ -263,21 +254,15 @@ func (pl Planner) stageOne(
 	return false
 }
 
-// candidate is an eviction candidate considered by stageOne.
-type candidate struct {
-	victim cluster.ShardID
-	isPend bool
-}
-
 // sortCandidates orders eviction candidates smallest-first: evicting the
 // smallest shard that opens enough space minimizes wasted migration volume.
-func sortCandidates(c *cluster.Cluster, vs []candidate) {
+func sortCandidates(c *cluster.Cluster, vs []cluster.ShardID) {
 	sort.Slice(vs, func(i, j int) bool {
-		a, b := c.Shards[vs[i].victim].Static.MaxDim(), c.Shards[vs[j].victim].Static.MaxDim()
+		a, b := c.Shards[vs[i]].Static.MaxDim(), c.Shards[vs[j]].Static.MaxDim()
 		if a != b {
 			return a < b
 		}
-		return vs[i].victim < vs[j].victim
+		return vs[i] < vs[j]
 	})
 }
 

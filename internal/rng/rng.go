@@ -55,9 +55,9 @@ func Mix64(z uint64) uint64 {
 
 // WorkerSeed derives the seed of worker/restart i from the base seed.
 // Index 0 keeps the base seed unchanged so a portfolio always contains the
-// single-run search (core's TestSolveParallelAtLeastAsGoodAsSingle relies
-// on it). Higher indices hash the *mixed* base with a Weyl-sequence step
-// and re-mix — a splitmix64-style combination of (base, i).
+// single-run search (core's restart-portfolio tests rely on it). Higher
+// indices hash the *mixed* base with a Weyl-sequence step and re-mix — a
+// splitmix64-style combination of (base, i).
 //
 // The additive stride this construction replaced — base + i·0x9E3779B1 —
 // made restart i of a run seeded S collide with restart i−1 of a run

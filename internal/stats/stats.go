@@ -1,14 +1,11 @@
-// Package stats provides the small statistical toolkit used by the metrics,
-// simulator, and experiment-harness packages: percentiles, dispersion
-// measures (coefficient of variation, Gini), online moment accumulation, and
-// fixed-width histograms.
+// Package stats provides the small statistical toolkit used by the balance
+// report, simulator, and experiment-harness packages: moments, percentiles,
+// and dispersion measures (coefficient of variation, Gini).
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
@@ -97,27 +94,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// Percentile returns the p-th percentile (p in [0,100]) of xs using linear
-// interpolation between closest ranks. It copies and sorts its input; for
-// repeated queries over the same data use Percentiles.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, p)
-}
-
 // Percentiles returns the requested percentiles of xs in one pass over a
 // single sorted copy.
 func Percentiles(xs []float64, ps ...float64) []float64 {
@@ -179,179 +155,4 @@ func Gini(xs []float64) float64 {
 	}
 	nf := float64(n)
 	return (2*cum - (nf+1)*total) / (nf * total)
-}
-
-// Online accumulates count/mean/variance incrementally using Welford's
-// algorithm, plus min/max. The zero value is ready to use.
-type Online struct {
-	n        int
-	mean, m2 float64
-	min, max float64
-}
-
-// Add incorporates one observation.
-func (o *Online) Add(x float64) {
-	if o.n == 0 {
-		o.min, o.max = x, x
-	} else {
-		if x < o.min {
-			o.min = x
-		}
-		if x > o.max {
-			o.max = x
-		}
-	}
-	o.n++
-	d := x - o.mean
-	o.mean += d / float64(o.n)
-	o.m2 += d * (x - o.mean)
-}
-
-// N returns the number of observations.
-func (o *Online) N() int { return o.n }
-
-// Mean returns the running mean (0 with no observations).
-func (o *Online) Mean() float64 { return o.mean }
-
-// Variance returns the running population variance.
-func (o *Online) Variance() float64 {
-	if o.n < 2 {
-		return 0
-	}
-	return o.m2 / float64(o.n)
-}
-
-// StdDev returns the running population standard deviation.
-func (o *Online) StdDev() float64 { return math.Sqrt(o.Variance()) }
-
-// Min returns the smallest observation (NaN with none).
-func (o *Online) Min() float64 {
-	if o.n == 0 {
-		return math.NaN()
-	}
-	return o.min
-}
-
-// Max returns the largest observation (NaN with none).
-func (o *Online) Max() float64 {
-	if o.n == 0 {
-		return math.NaN()
-	}
-	return o.max
-}
-
-// Merge folds the observations of other into o (parallel reduction).
-func (o *Online) Merge(other *Online) {
-	if other.n == 0 {
-		return
-	}
-	if o.n == 0 {
-		*o = *other
-		return
-	}
-	n1, n2 := float64(o.n), float64(other.n)
-	d := other.mean - o.mean
-	tot := n1 + n2
-	o.m2 += other.m2 + d*d*n1*n2/tot
-	o.mean += d * n2 / tot
-	o.n += other.n
-	if other.min < o.min {
-		o.min = other.min
-	}
-	if other.max > o.max {
-		o.max = other.max
-	}
-}
-
-// Histogram is a fixed-width bucket histogram over [Lo, Hi). Values outside
-// the range land in saturating under/overflow buckets.
-type Histogram struct {
-	Lo, Hi    float64
-	Counts    []int
-	Under     int
-	Over      int
-	total     int
-	bucketW   float64
-	sumValues float64
-}
-
-// NewHistogram builds a histogram with n equal-width buckets over [lo, hi).
-// It panics if n <= 0 or hi <= lo, which indicates a programming error.
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic(fmt.Sprintf("stats: invalid histogram [%g,%g)/%d", lo, hi, n))
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, n), bucketW: (hi - lo) / float64(n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	h.sumValues += x
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / h.bucketW)
-		if i >= len(h.Counts) { // guard float edge at Hi
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() int { return h.total }
-
-// Mean returns the mean of all recorded observations (exact, not bucketed).
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.sumValues / float64(h.total)
-}
-
-// Quantile returns an approximate q-quantile (q in [0,1]) from bucket
-// midpoints. Underflow maps to Lo and overflow to Hi.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 {
-		return math.NaN()
-	}
-	target := int(math.Ceil(q * float64(h.total)))
-	if target <= h.Under {
-		return h.Lo
-	}
-	seen := h.Under
-	for i, c := range h.Counts {
-		seen += c
-		if seen >= target {
-			return h.Lo + (float64(i)+0.5)*h.bucketW
-		}
-	}
-	return h.Hi
-}
-
-// String renders a compact ASCII bar chart, used by the CLI reports.
-func (h *Histogram) String() string {
-	var b strings.Builder
-	maxC := 1
-	for _, c := range h.Counts {
-		if c > maxC {
-			maxC = c
-		}
-	}
-	for i, c := range h.Counts {
-		lo := h.Lo + float64(i)*h.bucketW
-		bar := strings.Repeat("#", c*40/maxC)
-		fmt.Fprintf(&b, "%10.3f | %-40s %d\n", lo, bar, c)
-	}
-	if h.Under > 0 {
-		fmt.Fprintf(&b, "  under: %d\n", h.Under)
-	}
-	if h.Over > 0 {
-		fmt.Fprintf(&b, "   over: %d\n", h.Over)
-	}
-	return b.String()
 }

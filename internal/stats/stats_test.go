@@ -40,8 +40,8 @@ func TestCV(t *testing.T) {
 
 func TestMinMaxSum(t *testing.T) {
 	xs := []float64{3, -1, 7}
-	if Min(xs) != -1 || Max(xs) != 7 || Sum(xs) != 9 {
-		t.Errorf("Min/Max/Sum = %v/%v/%v", Min(xs), Max(xs), Sum(xs))
+	if Min(xs) != -1 || Max(xs) != 7 {
+		t.Errorf("Min/Max = %v/%v", Min(xs), Max(xs))
 	}
 	if !math.IsInf(Min(nil), 1) || !math.IsInf(Max(nil), -1) {
 		t.Error("empty Min/Max should be ±Inf")
@@ -54,11 +54,11 @@ func TestPercentile(t *testing.T) {
 		{0, 1}, {25, 2}, {50, 3}, {75, 4}, {100, 5}, {-10, 1}, {110, 5}, {10, 1.4},
 	}
 	for _, c := range cases {
-		if got := Percentile(xs, c.p); !almostEq(got, c.want, 1e-12) {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
+		if got := Percentiles(xs, c.p)[0]; !almostEq(got, c.want, 1e-12) {
+			t.Errorf("Percentiles(%v) = %v, want %v", c.p, got, c.want)
 		}
 	}
-	if !math.IsNaN(Percentile(nil, 50)) {
+	if !math.IsNaN(Percentiles(nil, 50)[0]) {
 		t.Error("empty percentile should be NaN")
 	}
 }
@@ -96,134 +96,6 @@ func TestGini(t *testing.T) {
 	// Negative values are clamped, not panicking.
 	if g := Gini([]float64{-5, 5}); !almostEq(g, 0.5, 1e-12) {
 		t.Errorf("Gini with negative = %v", g)
-	}
-}
-
-func TestOnlineMatchesBatch(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	xs := make([]float64, 1000)
-	var o Online
-	for i := range xs {
-		xs[i] = r.NormFloat64()*3 + 10
-		o.Add(xs[i])
-	}
-	if o.N() != len(xs) {
-		t.Fatalf("N = %d", o.N())
-	}
-	if !almostEq(o.Mean(), Mean(xs), 1e-9) {
-		t.Errorf("online mean %v vs %v", o.Mean(), Mean(xs))
-	}
-	if !almostEq(o.Variance(), Variance(xs), 1e-9) {
-		t.Errorf("online var %v vs %v", o.Variance(), Variance(xs))
-	}
-	if o.Min() != Min(xs) || o.Max() != Max(xs) {
-		t.Errorf("online min/max %v/%v vs %v/%v", o.Min(), o.Max(), Min(xs), Max(xs))
-	}
-}
-
-func TestOnlineEmpty(t *testing.T) {
-	var o Online
-	if o.Mean() != 0 || o.Variance() != 0 {
-		t.Error("empty Online should report zeros")
-	}
-	if !math.IsNaN(o.Min()) || !math.IsNaN(o.Max()) {
-		t.Error("empty Online min/max should be NaN")
-	}
-}
-
-func TestOnlineMerge(t *testing.T) {
-	r := rand.New(rand.NewSource(8))
-	xs := make([]float64, 600)
-	var a, b, whole Online
-	for i := range xs {
-		xs[i] = r.Float64() * 100
-		whole.Add(xs[i])
-		if i%2 == 0 {
-			a.Add(xs[i])
-		} else {
-			b.Add(xs[i])
-		}
-	}
-	a.Merge(&b)
-	if a.N() != whole.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), whole.N())
-	}
-	if !almostEq(a.Mean(), whole.Mean(), 1e-9) || !almostEq(a.Variance(), whole.Variance(), 1e-6) {
-		t.Errorf("merge mean/var %v/%v vs %v/%v", a.Mean(), a.Variance(), whole.Mean(), whole.Variance())
-	}
-	// Merging into empty copies.
-	var empty Online
-	empty.Merge(&whole)
-	if empty.N() != whole.N() || empty.Mean() != whole.Mean() {
-		t.Error("merge into empty should copy")
-	}
-	// Merging empty is a no-op.
-	n := whole.N()
-	var e2 Online
-	whole.Merge(&e2)
-	if whole.N() != n {
-		t.Error("merging empty changed state")
-	}
-}
-
-func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.999, 10, 42} {
-		h.Add(x)
-	}
-	if h.Total() != 7 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Errorf("Under/Over = %d/%d", h.Under, h.Over)
-	}
-	if h.Counts[0] != 2 { // 0 and 1.9
-		t.Errorf("bucket0 = %d", h.Counts[0])
-	}
-	if h.Counts[1] != 1 { // 2
-		t.Errorf("bucket1 = %d", h.Counts[1])
-	}
-	if h.Counts[4] != 1 { // 9.999
-		t.Errorf("bucket4 = %d", h.Counts[4])
-	}
-	wantMean := (-1 + 0 + 1.9 + 2 + 9.999 + 10 + 42) / 7
-	if !almostEq(h.Mean(), wantMean, 1e-12) {
-		t.Errorf("Mean = %v, want %v", h.Mean(), wantMean)
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(0, 100, 100)
-	for i := 0; i < 1000; i++ {
-		h.Add(float64(i % 100))
-	}
-	q50 := h.Quantile(0.5)
-	if q50 < 45 || q50 > 55 {
-		t.Errorf("Quantile(0.5) = %v", q50)
-	}
-	if !math.IsNaN(NewHistogram(0, 1, 1).Quantile(0.5)) {
-		t.Error("empty histogram quantile should be NaN")
-	}
-}
-
-func TestHistogramPanicsOnBadArgs(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for invalid histogram")
-		}
-	}()
-	NewHistogram(5, 5, 10)
-}
-
-func TestHistogramString(t *testing.T) {
-	h := NewHistogram(0, 2, 2)
-	h.Add(0.5)
-	h.Add(1.5)
-	h.Add(-1)
-	h.Add(3)
-	s := h.String()
-	if s == "" {
-		t.Error("String should render bars")
 	}
 }
 

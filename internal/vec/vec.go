@@ -89,45 +89,6 @@ func (v Vec) Scale(k float64) Vec {
 	return v
 }
 
-// Mul returns the element-wise product of v and w.
-func (v Vec) Mul(w Vec) Vec {
-	for i := range v {
-		v[i] *= w[i]
-	}
-	return v
-}
-
-// Div returns the element-wise quotient v/w. Dimensions where w is zero
-// yield +Inf when v is positive, NaN when v is zero, and -Inf when v is
-// negative, following IEEE semantics; callers that need a guarded ratio
-// should use MaxRatio.
-func (v Vec) Div(w Vec) Vec {
-	for i := range v {
-		v[i] /= w[i]
-	}
-	return v
-}
-
-// Max returns the element-wise maximum of v and w.
-func (v Vec) Max(w Vec) Vec {
-	for i := range v {
-		if w[i] > v[i] {
-			v[i] = w[i]
-		}
-	}
-	return v
-}
-
-// Min returns the element-wise minimum of v and w.
-func (v Vec) Min(w Vec) Vec {
-	for i := range v {
-		if w[i] < v[i] {
-			v[i] = w[i]
-		}
-	}
-	return v
-}
-
 // LEQ reports whether v ≤ w in every dimension (resource fit test).
 func (v Vec) LEQ(w Vec) bool {
 	for i := range v {

@@ -28,27 +28,15 @@ type Config struct {
 
 	// Shards is the shard population size.
 	Shards int
-	// SizeMu/SizeSigma parameterize lognormal shard memory size before
-	// rescaling. Disk is DiskPerMem × memory; net is NetPerMem × memory.
-	SizeMu, SizeSigma float64
-	DiskPerMem        float64
-	NetPerMem         float64
+	// SizeSigma is the log-space spread of lognormal shard memory size
+	// before rescaling (heavier tails as it grows).
+	SizeSigma float64
 	// LoadSkew is the Zipf exponent of shard query loads (0 = uniform,
 	// ~0.8-1.2 = realistic search-traffic skew).
 	LoadSkew float64
 	// LoadSizeCorr in [0,1] mixes size-proportional load with pure
 	// popularity: load_i = corr·sizeShare_i + (1−corr)·zipfShare_i.
 	LoadSizeCorr float64
-	// MaxShardLoadFrac caps one shard's load at this fraction of an
-	// average machine's speed (production engines replica-split hotter
-	// shards; this model is single-copy). ≤0 defaults to 0.4; set very
-	// large to disable.
-	MaxShardLoadFrac float64
-	// MaxShardSizeFrac caps one shard's static footprint at this fraction
-	// of the smallest machine's capacity (engines split oversized shards
-	// when indexes grow). ≤0 defaults to 0.25. Without the cap, heavy
-	// lognormal tails make high-fill instances unpackable.
-	MaxShardSizeFrac float64
 	// Replicas expands every logical shard into this many replicas in one
 	// anti-affinity group (distinct machines required), each carrying an
 	// equal split of the logical shard's load and the full static
@@ -60,9 +48,6 @@ type Config struct {
 	// shards (the "stringency" of the environment; the paper's regime is
 	// high fill, ≥ 0.8).
 	TargetFill float64
-	// TotalLoad is the cluster-wide query load; MeanUtil ends up at
-	// TotalLoad / ΣSpeed. Zero defaults to 0.6 × ΣSpeed.
-	TotalLoad float64
 
 	// Seed drives all randomness.
 	Seed int64
@@ -73,16 +58,33 @@ func DefaultConfig() Config {
 	return Config{
 		Machines:     100,
 		Shards:       1500,
-		SizeMu:       0,
 		SizeSigma:    0.8,
-		DiskPerMem:   2.0,
-		NetPerMem:    0.5,
 		LoadSkew:     0.9,
 		LoadSizeCorr: 0.4,
 		TargetFill:   0.8,
 		Seed:         1,
 	}
 }
+
+// Generator constants no caller varies.
+const (
+	// sizeMu is the log-space mean of shard memory size before rescaling.
+	sizeMu = 0
+	// diskPerMem and netPerMem derive a shard's disk and net demand from
+	// its memory size.
+	diskPerMem, netPerMem = 2.0, 0.5
+	// maxShardLoadFrac caps one shard's load at this fraction of an
+	// average machine's speed (production engines replica-split hotter
+	// shards; this model is single-copy).
+	maxShardLoadFrac = 0.4
+	// maxShardSizeFrac caps one shard's static footprint at this fraction
+	// of the smallest machine's capacity (engines split oversized shards
+	// when indexes grow). Without the cap, heavy lognormal tails make
+	// high-fill instances unpackable.
+	maxShardSizeFrac = 0.25
+	// meanUtil is the cluster-wide query load per unit of serving speed.
+	meanUtil = 0.6
+)
 
 // RealisticConfig returns a configuration modeled on the stylized facts of
 // production search clusters: three hardware generations, heavier size
@@ -123,12 +125,6 @@ func (cfg *Config) validate() error {
 			return fmt.Errorf("workload: tier %d has non-positive speed/weight", i)
 		}
 	}
-	if cfg.DiskPerMem <= 0 {
-		cfg.DiskPerMem = 1
-	}
-	if cfg.NetPerMem <= 0 {
-		cfg.NetPerMem = 1
-	}
 	return nil
 }
 
@@ -168,11 +164,11 @@ func Generate(cfg Config) (*Instance, error) {
 	// tightest dimension.
 	rawMem := make([]float64, cfg.Shards)
 	for i := range rawMem {
-		rawMem[i] = LogNormal(r, cfg.SizeMu, cfg.SizeSigma)
+		rawMem[i] = LogNormal(r, sizeMu, cfg.SizeSigma)
 	}
 	totCap := c.TotalCapacity()
 	// per-dimension multiplier on memory units
-	dimMul := vec.New(1, cfg.DiskPerMem, cfg.NetPerMem)
+	dimMul := vec.New(1, diskPerMem, netPerMem)
 	var rawTotal vec.Vec
 	for _, m := range rawMem {
 		rawTotal = rawTotal.Add(dimMul.Scale(m))
@@ -189,10 +185,6 @@ func Generate(cfg Config) (*Instance, error) {
 	}
 	// cap oversized shards (in memory units; all dims scale together via
 	// dimMul), water-filling the excess to preserve total fill.
-	sizeFrac := cfg.MaxShardSizeFrac
-	if sizeFrac <= 0 {
-		sizeFrac = 0.25
-	}
 	memCap := math.Inf(1)
 	for m := range c.Machines {
 		for d := 0; d < vec.NumResources; d++ {
@@ -204,7 +196,7 @@ func Generate(cfg Config) (*Instance, error) {
 			}
 		}
 	}
-	if err := capLoads(rawMem, sizeFrac*memCap); err != nil {
+	if err := capLoads(rawMem, maxShardSizeFrac*memCap); err != nil {
 		return nil, fmt.Errorf("workload: shard sizes cannot fit under cap: %w", err)
 	}
 
@@ -216,21 +208,14 @@ func Generate(cfg Config) (*Instance, error) {
 	for _, m := range rawMem {
 		memTotal += m
 	}
-	totalLoad := cfg.TotalLoad
-	if totalLoad <= 0 {
-		totalLoad = 0.6 * c.TotalSpeed()
-	}
+	totalLoad := meanUtil * c.TotalSpeed()
 	corr := clamp(cfg.LoadSizeCorr, 0, 1)
 	loads := make([]float64, cfg.Shards)
 	for i := 0; i < cfg.Shards; i++ {
 		share := corr*(rawMem[i]/memTotal) + (1-corr)*zipf[perm[i]]
 		loads[i] = share * totalLoad
 	}
-	maxFrac := cfg.MaxShardLoadFrac
-	if maxFrac <= 0 {
-		maxFrac = 0.4
-	}
-	if err := capLoads(loads, maxFrac*c.TotalSpeed()/float64(cfg.Machines)); err != nil {
+	if err := capLoads(loads, maxShardLoadFrac*c.TotalSpeed()/float64(cfg.Machines)); err != nil {
 		return nil, err
 	}
 	replicas := cfg.Replicas

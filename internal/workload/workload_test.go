@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"rexchange/internal/cluster"
-	"rexchange/internal/metrics"
 )
 
 func TestZipfWeights(t *testing.T) {
@@ -78,7 +77,7 @@ func TestGenerateDefault(t *testing.T) {
 		t.Errorf("fill = %v, want %v", fill, cfg.TargetFill)
 	}
 	// generated instance should be load-imbalanced (that's the point)
-	rep := metrics.Compute(inst.Placement)
+	rep := inst.Placement.Report()
 	if rep.Imbalance < 1.05 {
 		t.Errorf("initial imbalance = %v, expected > 1.05", rep.Imbalance)
 	}
