@@ -44,6 +44,9 @@ compare() {
 	fi
 }
 
+# lint_module is left out on purpose: it lints the tree it runs in, so its
+# exact-repeat metric lint.klines differs between any two commits and
+# -compare would report it as `changed` on every pull request.
 status=0
 for w in campaign_traced journal_replay sim_steady offline_tight campaign_closed_loop fleet_partitioned; do
 	measure parent "$w" 1

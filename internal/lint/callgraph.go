@@ -189,18 +189,22 @@ func buildCallGraph(pkgs []*Package) *callGraph {
 	for _, n := range g.nodes {
 		g.resolveCalls(n)
 	}
-	sort.Slice(g.nodes, func(i, j int) bool {
-		a, b := g.nodes[i], g.nodes[j]
-		if a.Pkg.Path != b.Pkg.Path {
-			return a.Pkg.Path < b.Pkg.Path
-		}
-		pa, pb := a.Pkg.Fset.Position(a.Pos()), b.Pkg.Fset.Position(b.Pos())
-		if pa.Filename != pb.Filename {
-			return pa.Filename < pb.Filename
-		}
-		return pa.Offset < pb.Offset
-	})
+	sort.Slice(g.nodes, func(i, j int) bool { return nodeLess(g.nodes[i], g.nodes[j]) })
 	return g
+}
+
+// nodeLess orders nodes by package path, file name, then offset — never by
+// raw token.Pos across files, which follows the order the loader's
+// concurrent parse happened to register them in the FileSet.
+func nodeLess(a, b *FuncNode) bool {
+	if a.Pkg.Path != b.Pkg.Path {
+		return a.Pkg.Path < b.Pkg.Path
+	}
+	pa, pb := a.Pkg.Fset.Position(a.Pos()), b.Pkg.Fset.Position(b.Pos())
+	if pa.Filename != pb.Filename {
+		return pa.Filename < pb.Filename
+	}
+	return pa.Offset < pb.Offset
 }
 
 // addLits registers a node for every function literal nested in body,
@@ -470,13 +474,7 @@ func (g *callGraph) resolveInterface(site *CallSite, recv types.Type, iface *typ
 	if !moduleDeclared || len(site.Callees) == 0 {
 		site.Unknown = true
 	}
-	sort.Slice(site.Callees, func(i, j int) bool {
-		a, b := site.Callees[i], site.Callees[j]
-		if a.Pkg.Path != b.Pkg.Path {
-			return a.Pkg.Path < b.Pkg.Path
-		}
-		return a.Pos() < b.Pos()
-	})
+	sort.Slice(site.Callees, func(i, j int) bool { return nodeLess(site.Callees[i], site.Callees[j]) })
 }
 
 // methodValue records edges for method values and method expressions used

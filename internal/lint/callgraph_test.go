@@ -261,3 +261,124 @@ func unused() int {
 		t.Errorf("reported at line %d, want %d (the unused directive)", diags[0].Pos.Line, want)
 	}
 }
+
+// TestProgramCFGShared pins the substrate's one-graph-per-node contract:
+// every analysis that asks the Program for a node's CFG gets the same
+// graph, and a literal's node owns a graph of its own, distinct from its
+// enclosing declaration's.
+func TestProgramCFGShared(t *testing.T) {
+	src := `package p
+
+func outer(n int) func() int {
+	if n > 0 {
+		n--
+	}
+	return func() int { return n }
+}
+`
+	prog, pkg := loadSnippet(t, "cfgshared", src)
+	outer := nodeByName(t, prog, pkg, "p.outer")
+	if g := prog.CFG(outer); g == nil || g != prog.CFG(outer) {
+		t.Fatalf("two CFG(outer) calls returned %p and %p, want one shared graph", g, prog.CFG(outer))
+	}
+	var lit *lint.FuncNode
+	for _, n := range prog.NodesOf(pkg) {
+		if n.Enclosing == outer {
+			lit = n
+		}
+	}
+	if lit == nil {
+		t.Fatal("no node for the literal nested in outer")
+	}
+	if prog.CFG(lit) == prog.CFG(outer) {
+		t.Error("the literal and its enclosing declaration share one CFG")
+	}
+	if prog.CFG(lit) != prog.CFG(lit) {
+		t.Error("two CFG(literal) calls returned different graphs")
+	}
+}
+
+// TestIgnoreAndTransferShareOneIndex pins the waiver index both directive
+// kinds live in: each covers its own line and the next, marks itself used,
+// a stale one is reported under its historical pseudo-analyzer with its
+// historical message, a transfer suppresses no finding, and directive names
+// end at a word boundary.
+func TestIgnoreAndTransferShareOneIndex(t *testing.T) {
+	src := `package p
+
+import "math/rand"
+
+//rexlint:owned
+type Box struct{ n int }
+
+var keep *Box
+
+func handOff(b *Box) {
+	//rexlint:ignore all suppresses every analyzer, sharecheck included
+	keep = b
+}
+
+func draws() int {
+	//rexlint:transfer a transfer is not an ignore
+	return rand.Intn(3)
+}
+
+func waived() int {
+	return rand.Intn(3) //rexlint:ignore noglobalrand,floateq fixture
+}
+
+//rexlint:ignoreall noglobalrand not a directive: no word boundary
+func stale() int {
+	//rexlint:ignore noglobalrand nothing fires below
+	return 1
+}
+`
+	prog, pkg := loadSnippet(t, "waivers", src)
+	diags, err := lint.RunAnalyzersIn(prog, pkg, []*lint.Analyzer{lint.NoGlobalRand, lint.ShareCheck})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, d := range diags {
+		got = append(got, strings.TrimPrefix(d.String(), d.Pos.Filename+":"))
+	}
+	want := []string{
+		"16:2: unused rexlint:transfer: no ownership hand-off here to sanction (sharecheck)",
+		"17:9: global math/rand.Intn draws from shared scheduler-dependent state; thread a seeded *rand.Rand (from Config.Seed) instead (noglobalrand)",
+		"26:2: unused rexlint:ignore for noglobalrand: no diagnostic here to suppress (rexlint)",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("diagnostics:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestInterfaceCalleesInFileOrder pins that interface dispatch lists its
+// candidate callees by file name and offset, not by raw token.Pos: the
+// loader parses a package's files concurrently, so which file gets the
+// lower FileSet base varies from run to run, and first-trace-wins
+// provenance follows callee order.
+func TestInterfaceCalleesInFileOrder(t *testing.T) {
+	files := map[string]string{
+		"a.go": "package p\n\ntype A struct{}\n\nfunc (A) Do() {}\n",
+		"b.go": "package p\n\ntype B struct{}\n\nfunc (B) Do() {}\n",
+		"c.go": "package p\n\ntype C struct{}\n\nfunc (C) Do() {}\n",
+		"z.go": "package p\n\ntype Doer interface{ Do() }\n\nfunc run(d Doer) { d.Do() }\n",
+	}
+	for i := 0; i < 20; i++ {
+		dir := t.TempDir()
+		for name, src := range files {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pkg, err := linttest.NewLoader(t).LoadDir(dir, "snippet/order")
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog := lint.NewProgram([]*lint.Package{pkg})
+		got := calleeNames(prog, nodeByName(t, prog, pkg, "p.run"))
+		if want := "(p.A).Do,(p.B).Do,(p.C).Do"; len(got) != 1 || got[0] != want {
+			t.Fatalf("run %d: callees of d.Do() = %v, want [%s]", i, got, want)
+		}
+	}
+}

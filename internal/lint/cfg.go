@@ -413,41 +413,23 @@ func (b *builder) selectStmt(s *ast.SelectStmt, cur *Block, label string) *Block
 
 func (b *builder) labeledStmt(s *ast.LabeledStmt, cur *Block) *Block {
 	name := s.Label.Name
+	target := b.newBlock()
+	b.edge(cur, target, nil, false)
+	b.labels[name] = target
 	switch inner := s.Stmt.(type) {
 	case *ast.ForStmt:
-		target := b.newBlock()
-		b.edge(cur, target, nil, false)
-		b.labels[name] = target
 		return b.forStmt(inner, target, name)
 	case *ast.RangeStmt:
-		target := b.newBlock()
-		b.edge(cur, target, nil, false)
-		b.labels[name] = target
 		return b.rangeStmt(inner, target, name)
 	case *ast.SwitchStmt:
-		target := b.newBlock()
-		b.edge(cur, target, nil, false)
-		b.labels[name] = target
 		return b.switchStmt(inner, target, name)
 	case *ast.TypeSwitchStmt:
-		target := b.newBlock()
-		b.edge(cur, target, nil, false)
-		b.labels[name] = target
 		return b.typeSwitchStmt(inner, target, name)
 	case *ast.SelectStmt:
-		target := b.newBlock()
-		b.edge(cur, target, nil, false)
-		b.labels[name] = target
 		return b.selectStmt(inner, target, name)
 	case *ast.IfStmt:
-		target := b.newBlock()
-		b.edge(cur, target, nil, false)
-		b.labels[name] = target
 		return b.ifStmt(inner, target, name)
 	default:
-		target := b.newBlock()
-		b.edge(cur, target, nil, false)
-		b.labels[name] = target
 		return b.stmt(s.Stmt, target)
 	}
 }

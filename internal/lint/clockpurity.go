@@ -126,10 +126,7 @@ func bannedTimeValue(info *types.Info, e ast.Expr) string {
 	if !ok {
 		return ""
 	}
-	if name := bannedTimeFunc(info, sel); name != "" {
-		return name
-	}
-	return ""
+	return bannedTimeFunc(info, sel)
 }
 
 // bannedTimeFunc reports "time.<Name>" when sel resolves to a banned
@@ -149,14 +146,13 @@ func bannedTimeFunc(info *types.Info, sel *ast.SelectorExpr) string {
 }
 
 func runClockPurity(pass *Pass) error {
-	clockIface := findClockInterface(pass.Pkg)
-	for _, file := range pass.Files {
-		funcBodies(file, func(fd *ast.FuncDecl, body *ast.BlockStmt) {
-			if fd != nil && clockExempt(pass.TypesInfo, fd, clockIface) {
-				return
-			}
-			checkClockPurity(pass, body)
-		})
+	for _, node := range pass.Prog.NodesOf(pass.pkg()) {
+		// Only the declaration itself is exempt from the local check: a
+		// literal nested in a Clock implementation is still held to it
+		// (the interprocedural half exempts it as a caller).
+		if !node.ClockExempt {
+			checkClockPurity(pass, node)
+		}
 	}
 	checkHiddenClockReads(pass)
 	return nil
@@ -277,28 +273,12 @@ func clockExempt(info *types.Info, fd *ast.FuncDecl, iface *types.Interface) boo
 	return false
 }
 
-// checkClockPurity solves the taint facts over body's CFG and reports
+// checkClockPurity solves the taint facts over the node's CFG and reports
 // banned calls.
-func checkClockPurity(pass *Pass, body *ast.BlockStmt) {
-	info := pass.TypesInfo
-	g := BuildCFG(body, info)
-	facts := Forward[taintFact](g, &taintFlow{info: info})
-	flow := &taintFlow{info: info}
-
-	reach := g.Reachable()
-	for _, b := range g.Blocks {
-		if !reach[b] {
-			continue
-		}
-		f, ok := facts.In[b]
-		if !ok {
-			continue
-		}
-		for _, n := range b.Nodes {
-			reportClockCalls(pass, n, f)
-			f = flow.Transfer(n, f)
-		}
-	}
+func checkClockPurity(pass *Pass, node *FuncNode) {
+	replay[taintFact](pass.Prog.CFG(node), &taintFlow{info: pass.TypesInfo}, func(n ast.Node, f taintFact) {
+		reportClockCalls(pass, n, f)
+	})
 }
 
 // reportClockCalls flags direct and stored-value calls of banned time

@@ -113,3 +113,23 @@ func Forward[F any](g *CFG, fl Flow[F]) Facts[F] {
 	}
 	return Facts[F]{In: in, Out: out}
 }
+
+// replay solves fl over g, then walks every reachable block in index order
+// and shows visit each straight-line node with the fact that holds just
+// before it. This is the reporting pass of every flow-sensitive analyzer —
+// facts are solved to a fixpoint first, diagnostics are emitted once
+// afterwards. The solved facts are returned for checks at block ends.
+func replay[F any](g *CFG, fl Flow[F], visit func(n ast.Node, before F)) Facts[F] {
+	facts := Forward(g, fl)
+	for _, b := range g.Blocks {
+		f, ok := facts.In[b]
+		if !ok {
+			continue // unreachable
+		}
+		for _, n := range b.Nodes {
+			visit(n, f)
+			f = fl.Transfer(n, f)
+		}
+	}
+	return facts
+}

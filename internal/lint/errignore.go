@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // ErrIgnore flags statements that call a function returning an error and
@@ -120,12 +121,8 @@ func stickyCall(pass *Pass, call *ast.CallExpr) bool {
 // firstPathSegment returns the import path up to the first slash — the
 // module root for module-local packages.
 func firstPathSegment(path string) string {
-	for i := 0; i < len(path); i++ {
-		if path[i] == '/' {
-			return path[:i]
-		}
-	}
-	return path
+	first, _, _ := strings.Cut(path, "/")
+	return first
 }
 
 // returnsError reports whether the call's (last) result is an error.
@@ -224,13 +221,6 @@ func isStdStream(pass *Pass, e ast.Expr) bool {
 	if !ok {
 		return false
 	}
-	pkgIdent, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	pkgName, ok := pass.TypesInfo.Uses[pkgIdent].(*types.PkgName)
-	if !ok || pkgName.Imported().Path() != "os" {
-		return false
-	}
-	return sel.Sel.Name == "Stdout" || sel.Sel.Name == "Stderr"
+	path, _ := qualifierPath(pass.TypesInfo, sel)
+	return path == "os" && (sel.Sel.Name == "Stdout" || sel.Sel.Name == "Stderr")
 }

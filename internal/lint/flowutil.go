@@ -9,6 +9,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 	"strings"
 )
 
@@ -27,7 +28,7 @@ func exprKey(info *types.Info, e ast.Expr) (string, bool) {
 		if obj == nil {
 			return "", false
 		}
-		return fmt.Sprintf("v%p", obj), true
+		return objKey(obj), true
 	case *ast.SelectorExpr:
 		base, ok := exprKey(info, x.X)
 		if !ok {
@@ -39,6 +40,9 @@ func exprKey(info *types.Info, e ast.Expr) (string, bool) {
 	}
 	return "", false
 }
+
+// objKey renders the key root exprKey uses for obj.
+func objKey(obj types.Object) string { return fmt.Sprintf("v%p", obj) }
 
 // rootObject returns the types.Object of the leftmost identifier of a
 // path expression, or nil.
@@ -103,40 +107,41 @@ func inspectHeader(n ast.Node, fn func(ast.Node) bool) {
 	})
 }
 
-// funcBodies yields every function body in the file together with its
-// declaration (nil for function literals): top-level FuncDecls first, then
-// any nested FuncLits, each exactly once.
-func funcBodies(file *ast.File, visit func(decl *ast.FuncDecl, body *ast.BlockStmt)) {
-	for _, d := range file.Decls {
-		fd, ok := d.(*ast.FuncDecl)
-		if !ok || fd.Body == nil {
-			continue
-		}
-		visit(fd, fd.Body)
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			if lit, ok := n.(*ast.FuncLit); ok {
-				visit(nil, lit.Body)
-			}
-			return true
-		})
+// directiveArgs parses one comment as a `//rexlint:<name> args...`
+// directive and returns its argument fields. The name must end at a word
+// boundary, so `rexlint:stream` never matches `rexlint:streamsource`.
+func directiveArgs(c *ast.Comment, name string) (args []string, ok bool) {
+	text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+	rest, ok := strings.CutPrefix(text, "rexlint:"+name)
+	if !ok || (rest != "" && rest[0] != ' ' && rest[0] != '\t') {
+		return nil, false
 	}
+	return strings.Fields(rest), true
 }
 
-// directives scans the comments of all files for `//rexlint:<name> ...`
-// lines and returns the argument fields of each occurrence of name.
+// groupDirective returns the argument fields of each occurrence of the
+// named directive in one comment group (nil-safe): a function's, type's or
+// field's doc comment.
+func groupDirective(cg *ast.CommentGroup, name string) [][]string {
+	if cg == nil {
+		return nil
+	}
+	var out [][]string
+	for _, c := range cg.List {
+		if args, ok := directiveArgs(c, name); ok {
+			out = append(out, args)
+		}
+	}
+	return out
+}
+
+// directives returns the argument fields of each occurrence of the named
+// directive anywhere in the files' comments.
 func directives(files []*ast.File, name string) [][]string {
-	prefix := "rexlint:" + name
 	var out [][]string
 	for _, f := range files {
 		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-				rest, ok := strings.CutPrefix(text, prefix)
-				if !ok || (rest != "" && rest[0] != ' ' && rest[0] != '\t') {
-					continue
-				}
-				out = append(out, strings.Fields(rest))
-			}
+			out = append(out, groupDirective(cg, name)...)
 		}
 	}
 	return out
@@ -145,20 +150,46 @@ func directives(files []*ast.File, name string) [][]string {
 // funcDirective extracts `//rexlint:<name> ...` lines from one function's
 // doc comment.
 func funcDirective(fd *ast.FuncDecl, name string) [][]string {
-	if fd == nil || fd.Doc == nil {
+	if fd == nil {
 		return nil
 	}
-	prefix := "rexlint:" + name
-	var out [][]string
-	for _, c := range fd.Doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		rest, ok := strings.CutPrefix(text, prefix)
-		if !ok || (rest != "" && rest[0] != ' ' && rest[0] != '\t') {
-			continue
-		}
-		out = append(out, strings.Fields(rest))
+	return groupDirective(fd.Doc, name)
+}
+
+// qualifierPath reports the import path when sel is a package-qualified
+// reference (`pkg.Name`); ok is false for field and method selections.
+func qualifierPath(info *types.Info, sel *ast.SelectorExpr) (string, bool) {
+	id, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return "", false
 	}
-	return out
+	pn, ok := info.Uses[id].(*types.PkgName)
+	if !ok {
+		return "", false
+	}
+	return pn.Imported().Path(), true
+}
+
+// stdlibCallee resolves pkg.Fn calls to (import path, function name) for
+// package-qualified callees outside the module. Method calls return false.
+func stdlibCallee(info *types.Info, call *ast.CallExpr) (string, string, bool) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return "", "", false
+	}
+	path, ok := qualifierPath(info, sel)
+	return path, sel.Sel.Name, ok
+}
+
+// sortedKeys returns m's keys in lexicographic order, the iteration order
+// of every map whose contents reach a diagnostic or a summary.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // derefStruct unwraps pointers and named types down to a struct type, or

@@ -6,7 +6,7 @@ import (
 )
 
 // LeakCheck flags goroutines with no reachable shutdown path. For every
-// `go` statement it builds the CFG of the spawned function — a literal,
+// `go` statement it takes the CFG of the spawned function — a literal,
 // or a same-package named function/method — and requires the synthetic
 // exit block to be reachable from entry. A goroutine whose body is an
 // unconditional loop with no break, return, or terminating range/receive
@@ -29,33 +29,14 @@ var LeakCheck = &Analyzer{
 }
 
 func runLeakCheck(pass *Pass) error {
-	// Map named functions/methods of this package to their declarations so
-	// `go e.loop()` can be resolved to a body.
-	decls := map[*types.Func]*ast.FuncDecl{}
-	for _, file := range pass.Files {
-		for _, d := range file.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-				decls[fn] = fd
-			}
-		}
-	}
-
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			gs, ok := n.(*ast.GoStmt)
 			if !ok {
 				return true
 			}
-			body, name := spawnedBody(pass.TypesInfo, gs, decls)
-			if body == nil {
-				return true
-			}
-			g := BuildCFG(body, pass.TypesInfo)
-			if !g.ExitReachable() {
+			node, name := spawnedNode(pass, gs)
+			if node != nil && !pass.Prog.CFG(node).ExitReachable() {
 				pass.Reportf(gs.Pos(), "goroutine %s has no reachable termination path; thread a shutdown signal (done channel or closable work channel)", name)
 			}
 			return true
@@ -64,24 +45,24 @@ func runLeakCheck(pass *Pass) error {
 	return nil
 }
 
-// spawnedBody resolves the body of the function started by gs: a function
-// literal, or a same-package function/method declaration. Returns nil for
-// bodies we cannot see.
-func spawnedBody(info *types.Info, gs *ast.GoStmt, decls map[*types.Func]*ast.FuncDecl) (*ast.BlockStmt, string) {
+// spawnedNode resolves the function started by gs to its node: a function
+// literal, or a function/method declared in the package under analysis.
+// Returns nil for bodies we cannot see.
+func spawnedNode(pass *Pass, gs *ast.GoStmt) (*FuncNode, string) {
+	var callee *ast.Ident
 	switch fun := ast.Unparen(gs.Call.Fun).(type) {
 	case *ast.FuncLit:
-		return fun.Body, "func literal"
+		return pass.Prog.LitNodeOf(fun), "func literal"
 	case *ast.Ident:
-		if fn, ok := info.Uses[fun].(*types.Func); ok {
-			if fd := decls[fn]; fd != nil {
-				return fd.Body, fn.Name()
-			}
-		}
+		callee = fun
 	case *ast.SelectorExpr:
-		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			if fd := decls[fn]; fd != nil {
-				return fd.Body, fn.Name()
-			}
+		callee = fun.Sel
+	default:
+		return nil, ""
+	}
+	if fn, ok := pass.TypesInfo.Uses[callee].(*types.Func); ok {
+		if node := pass.Prog.NodeOf(fn); node != nil && node.Pkg == pass.pkg() {
+			return node, fn.Name()
 		}
 	}
 	return nil, ""

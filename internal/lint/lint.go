@@ -65,9 +65,8 @@ type Pass struct {
 	// Never nil inside Run.
 	Prog *Program
 
-	diags   *[]Diagnostic
-	ignores *ignoreSet
-	pkgRef  *Package
+	diags  *[]Diagnostic
+	pkgRef *Package
 }
 
 // pkg returns the loaded package under analysis (the *Package behind the
@@ -79,7 +78,7 @@ func (p *Pass) pkg() *Package { return p.pkgRef }
 // it.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	position := p.Fset.Position(pos)
-	if p.ignores.suppressed(p.Analyzer.Name, position) {
+	if p.Prog.waiversFor(p.pkgRef).covers(p.Analyzer.Name, position) {
 		return
 	}
 	*p.diags = append(*p.diags, Diagnostic{
@@ -89,33 +88,28 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ignoreDirective is the comment prefix that suppresses diagnostics.
-const ignoreDirective = "rexlint:ignore"
-
-// ignoreEntry is one parsed rexlint:ignore directive naming one analyzer.
+// lineDirective is one parsed line-level waiver: a rexlint:ignore naming
+// one analyzer, or a rexlint:transfer (sharecheck's ownership hand-off).
 // The same entry backs the directive's own line and the line below, so a
-// suppression on either marks it used.
-type ignoreEntry struct {
-	name string // analyzer name or "all"
+// finding on either marks it used.
+type lineDirective struct {
+	name string // analyzer name or "all" for an ignore; "" for a transfer
 	pos  token.Position
 	used bool
 }
 
-// ignoreSet indexes a package's ignore directives by file and line.
-type ignoreSet struct {
-	lines map[string]map[int][]*ignoreEntry // filename → line → entries
-	all   []*ignoreEntry                    // in directive order
+// lineDirectives indexes a package's line-level waivers by file and line.
+type lineDirectives struct {
+	lines map[string]map[int][]*lineDirective // filename → line → entries
+	all   []*lineDirective                    // in directive order
 }
 
-// suppressed reports whether an ignore entry covers a diagnostic from the
-// named analyzer at pos, marking the entry used.
-func (s *ignoreSet) suppressed(analyzer string, pos token.Position) bool {
-	if s == nil {
-		return false
-	}
+// covers reports whether a waiver covers pos — an ignore naming the
+// analyzer (or "all"), or with name "" a transfer — marking it used.
+func (s *lineDirectives) covers(name string, pos token.Position) bool {
 	hit := false
 	for _, e := range s.lines[pos.Filename][pos.Line] {
-		if e.name == analyzer || e.name == "all" {
+		if e.name == name || e.name == "all" {
 			e.used = true
 			hit = true
 		}
@@ -123,34 +117,40 @@ func (s *ignoreSet) suppressed(analyzer string, pos token.Position) bool {
 	return hit
 }
 
-// buildIgnores scans the package's comments for rexlint:ignore directives.
-// A directive suppresses the named analyzers on its own line and on the
-// line immediately below (for whole-line comments placed above the code).
-func buildIgnores(fset *token.FileSet, files []*ast.File) *ignoreSet {
-	out := &ignoreSet{lines: make(map[string]map[int][]*ignoreEntry)}
+// buildLineDirectives scans the package's comments for line-level waivers.
+// A directive covers its own line and the line immediately below (for
+// whole-line comments placed above the code). A rexlint:transfer inside a
+// function's doc comment declares the function a transfer sink instead
+// (FuncNode.TransferSink) and is excluded here.
+func buildLineDirectives(fset *token.FileSet, files []*ast.File) *lineDirectives {
+	out := &lineDirectives{lines: make(map[string]map[int][]*lineDirective)}
+	add := func(c *ast.Comment, name string) {
+		pos := fset.Position(c.Pos())
+		lines := out.lines[pos.Filename]
+		if lines == nil {
+			lines = make(map[int][]*lineDirective)
+			out.lines[pos.Filename] = lines
+		}
+		e := &lineDirective{name: name, pos: pos}
+		out.all = append(out.all, e)
+		lines[pos.Line] = append(lines[pos.Line], e)
+		lines[pos.Line+1] = append(lines[pos.Line+1], e)
+	}
 	for _, f := range files {
+		funcDocs := map[*ast.CommentGroup]bool{}
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Doc != nil {
+				funcDocs[fd.Doc] = true
+			}
+		}
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimPrefix(c.Text, "//")
-				text = strings.TrimSpace(text)
-				if !strings.HasPrefix(text, ignoreDirective) {
-					continue
-				}
-				fields := strings.Fields(strings.TrimPrefix(text, ignoreDirective))
-				if len(fields) == 0 {
-					continue
-				}
-				pos := fset.Position(c.Pos())
-				lines := out.lines[pos.Filename]
-				if lines == nil {
-					lines = make(map[int][]*ignoreEntry)
-					out.lines[pos.Filename] = lines
-				}
-				for _, name := range strings.Split(fields[0], ",") {
-					e := &ignoreEntry{name: name, pos: pos}
-					out.all = append(out.all, e)
-					lines[pos.Line] = append(lines[pos.Line], e)
-					lines[pos.Line+1] = append(lines[pos.Line+1], e)
+				if args, ok := directiveArgs(c, "ignore"); ok && len(args) > 0 {
+					for _, name := range strings.Split(args[0], ",") {
+						add(c, name)
+					}
+				} else if _, ok := directiveArgs(c, "transfer"); ok && !funcDocs[cg] {
+					add(c, "")
 				}
 			}
 		}
@@ -158,20 +158,37 @@ func buildIgnores(fset *token.FileSet, files []*ast.File) *ignoreSet {
 	return out
 }
 
-// unusedIgnores reports directives that suppressed nothing as diagnostics
+// unusedIgnores reports ignores that suppressed nothing as diagnostics
 // under the pseudo-analyzer name "rexlint". Only directives naming an
 // analyzer that actually ran on the package are checked: an ignore for an
 // out-of-scope analyzer cannot prove itself either way.
-func (s *ignoreSet) unusedIgnores(ran map[string]bool) []Diagnostic {
+func (s *lineDirectives) unusedIgnores(ran map[string]bool) []Diagnostic {
 	var out []Diagnostic
 	for _, e := range s.all {
-		if e.used || (e.name != "all" && !ran[e.name]) {
+		if e.used || e.name == "" || (e.name != "all" && !ran[e.name]) {
 			continue
 		}
 		out = append(out, Diagnostic{
 			Analyzer: "rexlint",
 			Pos:      e.pos,
 			Message:  fmt.Sprintf("unused rexlint:ignore for %s: no diagnostic here to suppress", e.name),
+		})
+	}
+	return out
+}
+
+// unusedTransfers reports transfers that sanctioned nothing, under
+// sharecheck's name.
+func (s *lineDirectives) unusedTransfers() []Diagnostic {
+	var out []Diagnostic
+	for _, e := range s.all {
+		if e.used || e.name != "" {
+			continue
+		}
+		out = append(out, Diagnostic{
+			Analyzer: "sharecheck",
+			Pos:      e.pos,
+			Message:  "unused rexlint:transfer: no ownership hand-off here to sanction",
 		})
 	}
 	return out
@@ -191,7 +208,7 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 // returns everything sorted by position.
 func RunAnalyzersIn(prog *Program, pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
-	ignores := prog.ignoresFor(pkg)
+	waivers := prog.waiversFor(pkg)
 	ran := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
 		if a.AppliesTo != nil && !a.AppliesTo(pkg.Path) {
@@ -206,14 +223,13 @@ func RunAnalyzersIn(prog *Program, pkg *Package, analyzers []*Analyzer) ([]Diagn
 			TypesInfo: pkg.Info,
 			Prog:      prog,
 			diags:     &diags,
-			ignores:   ignores,
 			pkgRef:    pkg,
 		}
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.Path, err)
 		}
 	}
-	diags = append(diags, ignores.unusedIgnores(ran)...)
+	diags = append(diags, waivers.unusedIgnores(ran)...)
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i].Pos, diags[j].Pos
 		if a.Filename != b.Filename {
@@ -225,7 +241,10 @@ func RunAnalyzersIn(prog *Program, pkg *Package, analyzers []*Analyzer) ([]Diagn
 		if a.Column != b.Column {
 			return a.Column < b.Column
 		}
-		return diags[i].Analyzer < diags[j].Analyzer
+		if diags[i].Analyzer != diags[j].Analyzer {
+			return diags[i].Analyzer < diags[j].Analyzer
+		}
+		return diags[i].Message < diags[j].Message
 	})
 	return diags, nil
 }

@@ -224,7 +224,8 @@ func (c *stdCache) loadStdLocked(path string) (*types.Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	files, err := parseGoDir(c.fset, &c.ctx, dir)
+	// No analyzer reads stdlib comments, so they are not kept.
+	files, err := parseGoDir(c.fset, &c.ctx, dir, parser.SkipObjectResolution)
 	if err != nil {
 		return nil, err
 	}
@@ -336,7 +337,7 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	if files, ok := l.parsed[dir]; ok {
 		return files, nil
 	}
-	files, err := parseGoDir(l.fset, &l.ctx, dir)
+	files, err := parseGoDir(l.fset, &l.ctx, dir, parser.ParseComments|parser.SkipObjectResolution)
 	if err != nil {
 		return nil, err
 	}
@@ -349,8 +350,10 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 // token.FileSet is documented as safe for concurrent use, and parsing is
 // the dominant cost of a cold stdlib pass once body typechecking is
 // skipped. Results keep directory order so positions and declaration order
-// stay deterministic run to run.
-func parseGoDir(fset *token.FileSet, ctx *build.Context, dir string) ([]*ast.File, error) {
+// stay deterministic run to run. Every caller passes SkipObjectResolution in
+// mode: go/types resolves identifiers itself and no analyzer reads the
+// parser's ast.Object links.
+func parseGoDir(fset *token.FileSet, ctx *build.Context, dir string, mode parser.Mode) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("lint: %w", err)
@@ -374,7 +377,7 @@ func parseGoDir(fset *token.FileSet, ctx *build.Context, dir string) ([]*ast.Fil
 		wg.Add(1)
 		go func(i int, name string) {
 			defer wg.Done()
-			files[i], errs[i] = parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
+			files[i], errs[i] = parser.ParseFile(fset, filepath.Join(dir, name), nil, mode)
 		}(i, name)
 	}
 	wg.Wait()

@@ -1,11 +1,12 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"regexp"
+	"slices"
+	"strings"
 )
 
 // LockCheck enforces the `// guarded by: mu` annotation convention with a
@@ -20,8 +21,8 @@ import (
 //   - blocking operations under a held lock are flagged: channel sends and
 //     receives (unless in a select with a default clause),
 //     sync.WaitGroup.Wait, and calls to same-package methods that acquire
-//     the mutex already held (self-deadlock, detected via per-method lock
-//     summaries).
+//     the mutex already held (self-deadlock, detected via the receiver
+//     mutexes the callee's local summary facts say it acquires).
 //
 // Helper functions that run with the lock already held declare their
 // entry contract with a doc-comment directive:
@@ -244,7 +245,11 @@ func mutexCall(info *types.Info, call *ast.CallExpr) (key, path string, kind int
 
 // isMutexType reports whether t is (a pointer to) sync.Mutex or
 // sync.RWMutex.
-func isMutexType(t types.Type) bool {
+func isMutexType(t types.Type) bool { return isSyncType(t, "Mutex", "RWMutex") }
+
+// isSyncType reports whether t is (a pointer to) one of the named types of
+// package sync.
+func isSyncType(t types.Type, names ...string) bool {
 	if t == nil {
 		return false
 	}
@@ -252,13 +257,10 @@ func isMutexType(t types.Type) bool {
 		t = p.Elem()
 	}
 	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
+	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
 		return false
 	}
-	if named.Obj().Pkg().Path() != "sync" {
-		return false
-	}
-	return named.Obj().Name() == "Mutex" || named.Obj().Name() == "RWMutex"
+	return slices.Contains(names, named.Obj().Name())
 }
 
 // lockCtx is the per-package context for the checks.
@@ -266,9 +268,6 @@ type lockCtx struct {
 	pass *Pass
 	// guarded maps annotated field objects to the sibling mutex field name.
 	guarded map[types.Object]string
-	// summaries maps same-package methods to the receiver mutex fields they
-	// acquire (for self-deadlock detection).
-	summaries map[*types.Func]map[string]bool
 	// nonBlocking holds channel-op nodes inside select clauses that have a
 	// default (they cannot block).
 	nonBlocking map[ast.Node]bool
@@ -280,14 +279,11 @@ func runLockCheck(pass *Pass) error {
 	ctx := &lockCtx{
 		pass:         pass,
 		guarded:      collectGuarded(pass),
-		summaries:    collectLockSummaries(pass),
 		nonBlocking:  collectNonBlocking(pass),
 		leakReported: map[token.Pos]bool{},
 	}
-	for _, file := range pass.Files {
-		funcBodies(file, func(fd *ast.FuncDecl, body *ast.BlockStmt) {
-			ctx.checkFunc(fd, body)
-		})
+	for _, node := range pass.Prog.NodesOf(pass.pkg()) {
+		ctx.checkFunc(node)
 	}
 	return nil
 }
@@ -344,57 +340,6 @@ func fieldGuard(f *ast.Field) string {
 		}
 	}
 	return ""
-}
-
-// collectLockSummaries records, per method, the receiver mutex fields it
-// acquires anywhere in its body (receiver-qualified, not via nested
-// closures).
-func collectLockSummaries(pass *Pass) map[*types.Func]map[string]bool {
-	out := map[*types.Func]map[string]bool{}
-	for _, file := range pass.Files {
-		for _, d := range file.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || fd.Recv == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
-				continue
-			}
-			fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if fn == nil {
-				continue
-			}
-			recvObj := pass.TypesInfo.Defs[fd.Recv.List[0].Names[0]]
-			if recvObj == nil {
-				continue
-			}
-			var locked map[string]bool
-			inspectShallow(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-				if !ok || (sel.Sel.Name != "Lock" && sel.Sel.Name != "RLock") {
-					return true
-				}
-				// receiver-qualified mutex: recv.<field>.Lock()
-				inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
-				if !ok || !isMutexType(pass.TypesInfo.TypeOf(inner)) {
-					return true
-				}
-				if rootObject(pass.TypesInfo, inner.X) != recvObj {
-					return true
-				}
-				if locked == nil {
-					locked = map[string]bool{}
-				}
-				locked[inner.Sel.Name] = true
-				return true
-			})
-			if locked != nil {
-				out[fn] = locked
-			}
-		}
-	}
-	return out
 }
 
 // collectNonBlocking marks channel operations inside select clauses whose
@@ -498,15 +443,8 @@ func (ctx *lockCtx) entryLocks(fd *ast.FuncDecl) lockFact {
 // resolveHolds maps a textual path like "c.mu" onto the receiver/parameter
 // objects of fd.
 func (ctx *lockCtx) resolveHolds(fd *ast.FuncDecl, path string) (string, bool) {
-	dot := -1
-	for i, r := range path {
-		if r == '.' {
-			dot = i
-			break
-		}
-	}
 	root, rest := path, ""
-	if dot >= 0 {
+	if dot := strings.IndexByte(path, '.'); dot >= 0 {
 		root, rest = path[:dot], path[dot:]
 	}
 	var fieldLists []*ast.FieldList
@@ -526,41 +464,32 @@ func (ctx *lockCtx) resolveHolds(fd *ast.FuncDecl, path string) (string, bool) {
 				if obj == nil {
 					return "", false
 				}
-				return exprKeyForObject(obj) + rest, true
+				return objKey(obj) + rest, true
 			}
 		}
 	}
 	return "", false
 }
 
-// exprKeyForObject renders the key root used by exprKey for obj.
-func exprKeyForObject(obj types.Object) string {
-	return fmt.Sprintf("v%p", obj)
-}
-
-// checkFunc runs the lock analysis over one function body.
-func (ctx *lockCtx) checkFunc(fd *ast.FuncDecl, body *ast.BlockStmt) {
+// checkFunc runs the lock analysis over one function node.
+func (ctx *lockCtx) checkFunc(node *FuncNode) {
 	info := ctx.pass.TypesInfo
-	g := BuildCFG(body, info)
-	entry := lockFact{}
-	if fd != nil {
-		entry = ctx.entryLocks(fd)
-	}
 	prog := ctx.pass.Prog
+	g := prog.CFG(node)
+	entry := lockFact{}
+	if node.Decl != nil {
+		entry = ctx.entryLocks(node.Decl)
+	}
 	must := Forward[lockFact](g, &lockFlow{info: info, prog: prog, entry: entry, must: true})
 	may := Forward[lockFact](g, &lockFlow{info: info, prog: prog, entry: entry, must: false})
-	fresh := freshLocals(info, body)
+	fresh := freshLocals(info, node.Body)
 
-	reach := g.Reachable()
 	for _, b := range g.Blocks {
-		if !reach[b] {
+		fMust, reachable := must.In[b]
+		if !reachable {
 			continue
 		}
-		fMust, okMust := must.In[b]
-		fMay, okMay := may.In[b]
-		if !okMust || !okMay {
-			continue
-		}
+		fMay := may.In[b]
 		for _, n := range b.Nodes {
 			ctx.checkNode(n, fMust, fMay, fresh)
 			fMust = lockTransfer(info, prog, n, fMust)
@@ -630,27 +559,34 @@ func (ctx *lockCtx) checkNode(n ast.Node, fMust, fMay lockFact, fresh map[types.
 	if len(fMust) == 0 {
 		return
 	}
-	anyLock := func() string {
-		for _, li := range fMust {
-			return li.path
-		}
-		return "a lock"
-	}
 	inspectShallow(n, func(x ast.Node) bool {
 		switch op := x.(type) {
 		case *ast.SendStmt:
 			if !ctx.nonBlocking[x] {
-				ctx.pass.Reportf(op.Arrow, "channel send while holding %s may block under the lock", anyLock())
+				ctx.pass.Reportf(op.Arrow, "channel send while holding %s may block under the lock", heldPath(fMust))
 			}
 		case *ast.UnaryExpr:
 			if op.Op == token.ARROW && !ctx.nonBlocking[x] {
-				ctx.pass.Reportf(op.OpPos, "channel receive while holding %s may block under the lock", anyLock())
+				ctx.pass.Reportf(op.OpPos, "channel receive while holding %s may block under the lock", heldPath(fMust))
 			}
 		case *ast.CallExpr:
 			ctx.checkBlockingCall(op, fMust)
 		}
 		return true
 	})
+}
+
+// heldPath names one held lock for a diagnostic: the lexicographically
+// smallest path, so the message does not depend on map iteration order
+// when several locks are held.
+func heldPath(held lockFact) string {
+	path := ""
+	for _, li := range held {
+		if path == "" || li.path < path {
+			path = li.path
+		}
+	}
+	return path
 }
 
 // checkBlockingCall flags WaitGroup.Wait and self-deadlocking method calls
@@ -661,32 +597,20 @@ func (ctx *lockCtx) checkBlockingCall(call *ast.CallExpr, fMust lockFact) {
 	if !ok {
 		return
 	}
-	if sel.Sel.Name == "Wait" {
-		if t := info.TypeOf(sel.X); t != nil {
-			if p, okp := t.(*types.Pointer); okp {
-				t = p.Elem()
-			}
-			if named, okn := t.(*types.Named); okn && named.Obj().Pkg() != nil &&
-				named.Obj().Pkg().Path() == "sync" && named.Obj().Name() == "WaitGroup" {
-				var anyPath string
-				for _, li := range fMust {
-					anyPath = li.path
-					break
-				}
-				ctx.pass.Reportf(call.Pos(), "sync.WaitGroup.Wait while holding %s blocks under the lock", anyPath)
-				return
-			}
-		}
+	if sel.Sel.Name == "Wait" && isSyncType(info.TypeOf(sel.X), "WaitGroup") {
+		ctx.pass.Reportf(call.Pos(), "sync.WaitGroup.Wait while holding %s blocks under the lock", heldPath(fMust))
+		return
 	}
 	fn, _ := info.Uses[sel.Sel].(*types.Func)
 	if fn == nil {
 		return
 	}
-	if lockedFields := ctx.summaries[fn]; lockedFields != nil {
+	// Self-deadlock: a same-package method whose local facts say it
+	// acquires a receiver mutex the caller already holds exclusively.
+	if callee := ctx.pass.Prog.NodeOf(fn); callee != nil && callee.Pkg == ctx.pass.pkg() {
 		if baseKey, okKey := exprKey(info, sel.X); okKey {
-			for mf := range lockedFields {
-				required := baseKey + "." + mf
-				if li, held := fMust[required]; held && !li.read {
+			for _, mf := range sortedKeys(ctx.pass.Prog.local[callee].locked) {
+				if li, held := fMust[baseKey+"."+mf]; held && !li.read {
 					ctx.pass.Reportf(call.Pos(), "call to %s while holding %s: the callee locks the same mutex (self-deadlock)",
 						sel.Sel.Name, li.path)
 				}
@@ -713,17 +637,12 @@ func (ctx *lockCtx) checkBlockingCallee(call *ast.CallExpr, fMust lockFact) {
 		if sum.Mask&EffBlock == 0 {
 			continue
 		}
-		var anyPath string
-		for _, li := range fMust {
-			anyPath = li.path
-			break
-		}
 		what := "a blocking operation"
 		if sum.Block != nil && sum.Block.What != "" {
 			what = sum.Block.What
 		}
 		ctx.pass.Reportf(call.Pos(), "call to %s while holding %s may block under the lock: %s%s",
-			callee.Name(), anyPath, what, sum.Block.Chain())
+			callee.Name(), heldPath(fMust), what, sum.Block.Chain())
 		return
 	}
 }

@@ -106,21 +106,7 @@ func sortedAfter(pass *Pass, obj types.Object, following []ast.Stmt) bool {
 			if !ok || found {
 				return !found
 			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			pkgIdent, ok := sel.X.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			pkgName, ok := pass.TypesInfo.Uses[pkgIdent].(*types.PkgName)
-			if !ok {
-				return true
-			}
-			switch pkgName.Imported().Path() {
-			case "sort", "slices":
-			default:
+			if !isSanitizerCall(pass.TypesInfo, call) {
 				return true
 			}
 			for _, arg := range call.Args {

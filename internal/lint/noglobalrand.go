@@ -36,16 +36,8 @@ func runNoGlobalRand(pass *Pass) error {
 			if !ok {
 				return true
 			}
-			ident, ok := sel.X.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			pkgName, ok := pass.TypesInfo.Uses[ident].(*types.PkgName)
-			if !ok {
-				return true
-			}
-			path := pkgName.Imported().Path()
-			if path != "math/rand" && path != "math/rand/v2" {
+			path, ok := qualifierPath(pass.TypesInfo, sel)
+			if !ok || (path != "math/rand" && path != "math/rand/v2") {
 				return true
 			}
 			name := sel.Sel.Name

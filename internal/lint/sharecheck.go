@@ -38,7 +38,7 @@ var ShareCheck = &Analyzer{
 func runShareCheck(pass *Pass) error {
 	prog := pass.Prog
 	pkg := pass.pkg()
-	transfers := prog.transfersFor(pkg)
+	transfers := prog.waiversFor(pkg)
 	for _, node := range prog.NodesOf(pkg) {
 		checkShareNode(pass, node, transfers)
 	}
@@ -49,7 +49,7 @@ func runShareCheck(pass *Pass) error {
 }
 
 // checkShareNode scans one function body for owned-value escapes.
-func checkShareNode(pass *Pass, node *FuncNode, transfers *transferSet) {
+func checkShareNode(pass *Pass, node *FuncNode, transfers *lineDirectives) {
 	prog := pass.Prog
 	info := pass.TypesInfo
 
@@ -61,7 +61,7 @@ func checkShareNode(pass *Pass, node *FuncNode, transfers *transferSet) {
 		return prog.OwnedTypeName(t)
 	}
 	sanctioned := func(pos ast.Node) bool {
-		return transfers.sanctioned(pass.Fset.Position(pos.Pos()))
+		return transfers.covers("", pass.Fset.Position(pos.Pos()))
 	}
 	report := func(at ast.Node, name, how string) {
 		if sanctioned(at) {
@@ -100,7 +100,7 @@ func checkShareNode(pass *Pass, node *FuncNode, transfers *transferSet) {
 				}
 			}
 			if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-				reportGoroutineCaptures(pass, node, lit, s, report)
+				reportGoroutineCaptures(pass, lit, s, report)
 			}
 		case *ast.AssignStmt:
 			for i, lhs := range s.Lhs {
@@ -136,7 +136,7 @@ func checkShareNode(pass *Pass, node *FuncNode, transfers *transferSet) {
 
 // reportGoroutineCaptures flags owned free variables captured by a
 // goroutine body.
-func reportGoroutineCaptures(pass *Pass, node *FuncNode, lit *ast.FuncLit, at ast.Node, report func(ast.Node, string, string)) {
+func reportGoroutineCaptures(pass *Pass, lit *ast.FuncLit, at ast.Node, report func(ast.Node, string, string)) {
 	info := pass.TypesInfo
 	prog := pass.Prog
 	seen := map[types.Object]bool{}
@@ -161,7 +161,6 @@ func reportGoroutineCaptures(pass *Pass, node *FuncNode, lit *ast.FuncLit, at as
 		}
 		return true
 	})
-	_ = node
 }
 
 // checkShareCall flags owned arguments passed to escaping parameters and

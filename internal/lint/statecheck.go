@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -56,14 +55,7 @@ func (s stateSet) clone() stateSet {
 	return out
 }
 
-func (s stateSet) names() string {
-	var all []string
-	for k := range s {
-		all = append(all, k)
-	}
-	sort.Strings(all)
-	return strings.Join(all, "|")
-}
+func (s stateSet) names() string { return strings.Join(sortedKeys(s), "|") }
 
 // resource lifecycle values.
 type resState int
@@ -413,10 +405,8 @@ func runStateCheck(pass *Pass) error {
 	if spec == nil {
 		return nil // package declares no state machine
 	}
-	for _, file := range pass.Files {
-		funcBodies(file, func(_ *ast.FuncDecl, body *ast.BlockStmt) {
-			checkStateFunc(pass, spec, body)
-		})
+	for _, node := range pass.Prog.NodesOf(pass.pkg()) {
+		checkStateFunc(pass, spec, node)
 	}
 	return nil
 }
@@ -528,29 +518,17 @@ func resolveStateSpec(pass *Pass) *stateSpec {
 	return spec
 }
 
-// checkStateFunc solves the state facts over one body and applies the
+// checkStateFunc solves the state facts over one function and applies the
 // T1/R2/R3/R4 checks.
-func checkStateFunc(pass *Pass, spec *stateSpec, body *ast.BlockStmt) {
-	info := pass.TypesInfo
-	flow := &stateFlow{info: info, spec: spec}
-	g := BuildCFG(body, info)
-	facts := Forward[stateFact](g, flow)
-
-	reach := g.Reachable()
+func checkStateFunc(pass *Pass, spec *stateSpec, node *FuncNode) {
+	flow := &stateFlow{info: pass.TypesInfo, spec: spec}
+	g := pass.Prog.CFG(node)
+	facts := replay[stateFact](g, flow, func(n ast.Node, f stateFact) {
+		checkStateNode(pass, flow, n, f)
+	})
 	for _, b := range g.Blocks {
-		if !reach[b] {
-			continue
-		}
-		f, ok := facts.In[b]
-		if !ok {
-			continue
-		}
-		for _, n := range b.Nodes {
-			checkStateNode(pass, flow, n, f)
-			f = flow.Transfer(n, f)
-		}
-		if blockFallsToExit(g, b, info) {
-			reportReleasedButHeld(pass, flow, f, lastPos(b, body))
+		if out, reachable := facts.Out[b]; reachable && blockFallsToExit(g, b, pass.TypesInfo) {
+			reportReleasedButHeld(pass, flow, out, lastPos(b, node.Body))
 		}
 	}
 }
@@ -630,10 +608,11 @@ func reportReleasedButHeld(pass *Pass, flow *stateFlow, f stateFact, pos token.P
 		if st != resReleased {
 			continue
 		}
-		owner, resName, okc := cutLast(rk, '#')
-		if !okc {
+		i := strings.LastIndexByte(rk, '#')
+		if i < 0 {
 			continue
 		}
+		owner, resName := rk[:i], rk[i+1:]
 		var held string
 		for _, r := range spec.resources {
 			if r.name == resName {
@@ -648,16 +627,6 @@ func reportReleasedButHeld(pass *Pass, flow *stateFlow, f stateFact, pos token.P
 			pass.Reportf(pos, "returning with %s released but %s possibly still %s: a later pass over this status will release again (double-release shape)", resName, spec.statusField, held)
 		}
 	}
-}
-
-// cutLast splits s at the last occurrence of sep.
-func cutLast(s string, sep byte) (string, string, bool) {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == sep {
-			return s[:i], s[i+1:], true
-		}
-	}
-	return "", "", false
 }
 
 // allowedStr renders the union of allowed successors of all states in cur.

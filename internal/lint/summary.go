@@ -7,15 +7,14 @@ package lint
 // traces, receiver-mutex unlock facts for lockcheck, and per-parameter
 // escape facts for sharecheck.
 //
-// Summaries are computed bottom-up in two stages. The local stage runs the
-// existing Flow[F] worklist solver (dataflow.go) over each function's CFG
-// with an effect-mask lattice — so effects in unreachable code (after
-// return/panic, or pruned by the CFG builder) never enter a summary — and
-// collects provenance sites from the reachable blocks in source order. The
-// interprocedural stage then iterates the sorted node list to a fixpoint,
-// folding callee summaries into callers at each reachable call site; the
-// mask lattice is finite and the transfer is monotone, so recursion and
-// mutual recursion converge deterministically.
+// Summaries are computed bottom-up in two stages. The local stage walks the
+// blocks of each function's CFG that are reachable from entry — so effects
+// in unreachable code (after return/panic, or pruned by the CFG builder)
+// never enter a summary — and collects provenance sites from them in
+// source order. The interprocedural stage then iterates the sorted node
+// list to a fixpoint, folding callee summaries into callers at each
+// reachable call site; the mask lattice is finite and the transfer is
+// monotone, so recursion and mutual recursion converge deterministically.
 //
 // Two deliberate scope decisions, shared by every consumer:
 //
@@ -29,11 +28,11 @@ package lint
 //     callers are not re-flagged for a site a reviewer already accepted.
 
 import (
-	"fmt"
 	"go/ast"
 	"go/constant"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -133,18 +132,20 @@ func (s *Summary) Purity() string {
 // fresh value.
 const impureBits = EffClock | EffBlock | EffGlobal | EffMutatesRecv | EffMutatesParam | EffUnknown
 
-// Program is the interprocedural context of one lint run: every loaded
-// package, the call graph over them, and the summary of every function,
-// memoized for the life of the run.
+// Program is the substrate every analyzer reads, built once per lint run
+// over every loaded package: the call graph's function nodes, one CFG per
+// node, each package's line-level waivers, and the facts computed on them —
+// effect summaries here, value-flow summaries in valuesolve.go — memoized
+// for the life of the run.
 type Program struct {
 	Pkgs []*Package
 
 	graph     *callGraph
+	cfgs      map[*FuncNode]*CFG
 	summaries map[*FuncNode]*Summary
 	local     map[*FuncNode]*localFacts
 	nodesExpr map[*Package][]*FuncNode
-	ignores   map[*Package]*ignoreSet
-	transfers map[*Package]*transferSet
+	waivers   map[*Package]*lineDirectives
 	owned     map[*types.TypeName]bool
 	// vflow is the lazily built value-flow context (valuesolve.go), shared
 	// by the streamflow/detflow/nonneg analyzers.
@@ -158,16 +159,14 @@ func NewProgram(pkgs []*Package) *Program {
 	p := &Program{
 		Pkgs:      pkgs,
 		graph:     buildCallGraph(pkgs),
+		cfgs:      make(map[*FuncNode]*CFG),
 		summaries: make(map[*FuncNode]*Summary),
 		local:     make(map[*FuncNode]*localFacts),
 		nodesExpr: make(map[*Package][]*FuncNode),
-		ignores:   make(map[*Package]*ignoreSet),
-		transfers: make(map[*Package]*transferSet),
+		waivers:   make(map[*Package]*lineDirectives),
 		owned:     make(map[*types.TypeName]bool),
 	}
 	for _, pkg := range pkgs {
-		p.ignores[pkg] = buildIgnores(pkg.Fset, pkg.Files)
-		p.transfers[pkg] = buildTransfers(pkg.Fset, pkg.Files)
 		collectOwnedTypes(pkg, p.owned)
 	}
 	for _, n := range p.graph.nodes {
@@ -179,25 +178,26 @@ func NewProgram(pkgs []*Package) *Program {
 	return p
 }
 
-// ignoresFor returns the package's suppression set (building it on demand
-// for packages outside the program, which should not happen in practice).
-func (p *Program) ignoresFor(pkg *Package) *ignoreSet {
-	if s, ok := p.ignores[pkg]; ok {
-		return s
+// waiversFor returns the package's line-level waiver index, built on first
+// use.
+func (p *Program) waiversFor(pkg *Package) *lineDirectives {
+	s, ok := p.waivers[pkg]
+	if !ok {
+		s = buildLineDirectives(pkg.Fset, pkg.Files)
+		p.waivers[pkg] = s
 	}
-	s := buildIgnores(pkg.Fset, pkg.Files)
-	p.ignores[pkg] = s
 	return s
 }
 
-// transfersFor returns the package's //rexlint:transfer directive set.
-func (p *Program) transfersFor(pkg *Package) *transferSet {
-	if s, ok := p.transfers[pkg]; ok {
-		return s
+// CFG returns n's control-flow graph, built on first use and shared by
+// every analysis of the run.
+func (p *Program) CFG(n *FuncNode) *CFG {
+	g, ok := p.cfgs[n]
+	if !ok {
+		g = BuildCFG(n.Body, n.Pkg.Info)
+		p.cfgs[n] = g
 	}
-	s := buildTransfers(pkg.Fset, pkg.Files)
-	p.transfers[pkg] = s
-	return s
+	return g
 }
 
 // NodesOf returns pkg's function nodes in source order.
@@ -259,18 +259,7 @@ func (p *Program) OwnedTypeName(t types.Type) string {
 // collectOwnedTypes records named types whose declaration doc carries
 // //rexlint:owned.
 func collectOwnedTypes(pkg *Package, out map[*types.TypeName]bool) {
-	hasOwned := func(doc *ast.CommentGroup) bool {
-		if doc == nil {
-			return false
-		}
-		for _, c := range doc.List {
-			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-			if text == "rexlint:owned" || strings.HasPrefix(text, "rexlint:owned ") {
-				return true
-			}
-		}
-		return false
-	}
+	hasOwned := func(doc *ast.CommentGroup) bool { return len(groupDirective(doc, "owned")) > 0 }
 	for _, f := range pkg.Files {
 		for _, d := range f.Decls {
 			gd, ok := d.(*ast.GenDecl)
@@ -294,13 +283,12 @@ func collectOwnedTypes(pkg *Package, out map[*types.TypeName]bool) {
 }
 
 // ---------------------------------------------------------------------------
-// Local stage: per-function effect facts via the Flow solver.
+// Local stage: per-function effect facts over the reachable CFG blocks.
 
 // localFacts is the intraprocedural part of a node's summary: its own
 // effect events plus the call sites that survive reachability and
 // debug-guard folding.
 type localFacts struct {
-	mask   uint16
 	events []effectEvent
 	calls  []CallSite
 	// unlocks are receiver mutex fields unlocked directly in this body.
@@ -308,6 +296,7 @@ type localFacts struct {
 	// locked are receiver mutex fields the body also acquires itself; an
 	// unlock balanced by a local acquisition is not a net unlock and must
 	// not surface in UnlockFields (callers' held facts survive the call).
+	// lockcheck's self-deadlock check reads the same set.
 	locked map[string]bool
 	// paramEscape/recvEscape are direct (non-call) escape facts.
 	paramEscape []string
@@ -339,74 +328,31 @@ type closureUse struct {
 	argIndex int
 }
 
-// effectFlow is the Flow[F] instance of the local stage: the fact is the
-// mask of effects that occurred on some path to this point. Join is union,
-// so the solver computes may-effects over exactly the CFG-reachable paths.
-type effectFlow struct {
-	lf    *nodeClassifier
-	cache map[ast.Node]uint16
-}
-
-func (ef *effectFlow) Entry() uint16           { return 0 }
-func (ef *effectFlow) Join(a, b uint16) uint16 { return a | b }
-func (ef *effectFlow) Equal(a, b uint16) bool  { return a == b }
-func (ef *effectFlow) Transfer(n ast.Node, in uint16) uint16 {
-	m, ok := ef.cache[n]
-	if !ok {
-		m = ef.lf.maskOf(n)
-		ef.cache[n] = m
-	}
-	return in | m
-}
-
-// computeLocalFacts builds one node's local facts: solve the effect mask
-// over the CFG, then harvest provenance events and surviving call sites
-// from the reachable blocks in source order.
+// computeLocalFacts builds one node's local facts: harvest provenance
+// events and surviving call sites from the CFG blocks reachable from entry,
+// in block order, so nothing from unreachable code enters the summary.
 func computeLocalFacts(p *Program, n *FuncNode) *localFacts {
 	lf := &localFacts{}
 	cls := newNodeClassifier(p, n)
-	g := BuildCFG(n.Body, n.Pkg.Info)
-	flow := &effectFlow{lf: cls, cache: make(map[ast.Node]uint16)}
-	facts := Forward[uint16](g, flow)
-
-	// The summary mask is the union of every computed block's output: any
-	// effect on any reachable path, and nothing from unreachable code.
+	g := p.CFG(n)
+	reach := g.Reachable()
 	var reachSpans []posRange
 	for _, b := range g.Blocks {
-		out, ok := facts.Out[b]
-		if !ok {
+		if !reach[b] {
 			continue
 		}
-		lf.mask |= out
 		for _, node := range b.Nodes {
 			reachSpans = append(reachSpans, posRange{node.Pos(), node.End()})
-		}
-	}
-	inSpan := func(pos token.Pos) bool {
-		for _, r := range reachSpans {
-			if pos >= r.lo && pos < r.hi {
-				return true
-			}
-		}
-		return false
-	}
-
-	// Harvest provenance events from reachable statements, in source order.
-	for _, b := range g.Blocks {
-		if _, ok := facts.In[b]; !ok {
-			continue
-		}
-		for _, node := range b.Nodes {
 			cls.collect(node, lf)
 		}
 	}
 	sort.Slice(lf.events, func(i, j int) bool { return lf.events[i].pos < lf.events[j].pos })
 	sort.Strings(lf.unlocks)
-	lf.unlocks = dedupStrings(lf.unlocks)
+	lf.unlocks = slices.Compact(lf.unlocks)
 
 	// Call sites survive if reachable and not inside a folded debug guard.
 	for _, site := range n.Calls {
-		if !inSpan(site.Pos) || cls.guarded(site.Pos) {
+		if !inRanges(reachSpans, site.Pos) || cls.guarded(site.Pos) {
 			continue
 		}
 		lf.calls = append(lf.calls, site)
@@ -420,14 +366,14 @@ func computeLocalFacts(p *Program, n *FuncNode) *localFacts {
 
 type posRange struct{ lo, hi token.Pos }
 
-func dedupStrings(in []string) []string {
-	out := in[:0]
-	for i, s := range in {
-		if i == 0 || in[i-1] != s {
-			out = append(out, s)
+// inRanges reports whether pos lies inside one of the half-open ranges.
+func inRanges(ranges []posRange, pos token.Pos) bool {
+	for _, r := range ranges {
+		if pos >= r.lo && pos < r.hi {
+			return true
 		}
 	}
-	return out
+	return false
 }
 
 // ---------------------------------------------------------------------------
@@ -475,14 +421,7 @@ func constBoolGuard(info *types.Info, cond ast.Expr) bool {
 }
 
 // guarded reports whether pos lies inside a folded debug-assertion block.
-func (c *nodeClassifier) guarded(pos token.Pos) bool {
-	for _, r := range c.guards {
-		if pos >= r.lo && pos < r.hi {
-			return true
-		}
-	}
-	return false
-}
+func (c *nodeClassifier) guarded(pos token.Pos) bool { return inRanges(c.guards, pos) }
 
 // waived reports whether an effect at pos was accepted by a reviewer via a
 // line-level ignore for the given analyzer; the waiver then blesses the
@@ -490,15 +429,7 @@ func (c *nodeClassifier) guarded(pos token.Pos) bool {
 // consumed by the summary layer is doing work even if the analyzer itself
 // never fires at that line.
 func (c *nodeClassifier) waived(analyzer string, pos token.Pos) bool {
-	return c.prog.ignoresFor(c.node.Pkg).suppressed(analyzer, c.node.Pkg.Fset.Position(pos))
-}
-
-// maskOf computes the effect bits of one straight-line node (no
-// provenance); used by the Flow transfer.
-func (c *nodeClassifier) maskOf(n ast.Node) uint16 {
-	var mask uint16
-	c.walkEffects(n, func(bit uint16, _ token.Pos, _ string) { mask |= bit })
-	return mask
+	return c.prog.waivedAt(c.node, analyzer, pos)
 }
 
 // collect appends provenance events (and unlock facts) for one node.
@@ -563,7 +494,7 @@ func (c *nodeClassifier) walkEffects(n ast.Node, emit func(bit uint16, pos token
 		if c.guarded(w.pos) {
 			continue
 		}
-		switch c.classifyObject(w.root) {
+		switch classifyForNode(c.node, w.root) {
 		case rootGlobal:
 			emit(EffGlobal, w.pos, "writes package-level "+w.root.Name())
 		case rootCaptured:
@@ -795,7 +726,7 @@ func (c *nodeClassifier) writeTargets(n ast.Node) []writeTarget {
 			case *ast.SelectorExpr:
 				// Selecting through a pointer or naming a field both count
 				// as deep writes; writing a plain local struct var's field
-				// is caller-invisible, filtered by classifyObject+deep
+				// is caller-invisible, filtered by classifyForNode+deep
 				// rules below (value receivers/params are copies, but a
 				// deep write through them is still conservatively deep —
 				// pointer receivers are the norm in this module).
@@ -843,36 +774,6 @@ const (
 	rootGlobal
 	rootCaptured
 )
-
-// classifyObject places a root object relative to the summarized function:
-// its receiver, one of its parameters, a package-level variable, a
-// variable captured from an enclosing function, or a plain local.
-func (c *nodeClassifier) classifyObject(obj types.Object) rootClass {
-	if obj == nil {
-		return rootLocal
-	}
-	if obj == c.node.Recv {
-		return rootRecv
-	}
-	for _, p := range c.node.Params {
-		if p != nil && obj == p {
-			return rootParam
-		}
-	}
-	v, ok := obj.(*types.Var)
-	if !ok {
-		return rootLocal
-	}
-	if v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-		return rootGlobal
-	}
-	// Declared outside this node's body (and not receiver/param): a
-	// captured variable of an enclosing function.
-	if c.node.Lit != nil && (v.Pos() < c.node.Lit.Pos() || v.Pos() >= c.node.Lit.End()) {
-		return rootCaptured
-	}
-	return rootLocal
-}
 
 // collectUnlocks records receiver mutex fields unlocked in this node, and
 // the ones the node acquires itself (to net the two out later).
@@ -1108,7 +1009,7 @@ func (c *nodeClassifier) collectEscapes(lf *localFacts) {
 				case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
 					deepStore = true
 				}
-				class := c.classifyObject(root)
+				class := classifyForNode(c.node, root)
 				if !deepStore && class != rootGlobal {
 					continue
 				}
@@ -1137,7 +1038,7 @@ func (c *nodeClassifier) collectEscapes(lf *localFacts) {
 		case *ast.CallExpr:
 			if id, ok := ast.Unparen(s.Fun).(*ast.Ident); ok {
 				if b, isB := info.Uses[id].(*types.Builtin); isB && b.Name() == "append" && len(s.Args) >= 2 {
-					if c.classifyObject(rootObject(info, s.Args[0])) != rootLocal {
+					if classifyForNode(c.node, rootObject(info, s.Args[0])) != rootLocal {
 						for _, arg := range s.Args[1:] {
 							markExpr(arg, "appended to "+renderPath(s.Args[0]))
 						}
@@ -1209,9 +1110,6 @@ func stdEffect(name string) (mask uint16, sortDriver bool) {
 	return EffAlloc | EffGlobal, false
 }
 
-// callerBits are the effect bits that flow from callee to caller verbatim.
-const callerBits = EffAlloc | EffClock | EffBlock | EffGlobal | EffUnknown
-
 // solve iterates the interprocedural transfer over the sorted node list
 // until no summary changes. Masks, unlock sets, and escape descriptions
 // only grow, so the fixpoint is reached in at most a few rounds even
@@ -1241,15 +1139,8 @@ func (p *Program) update(n *FuncNode) bool {
 		}
 		s.Mask |= bit
 		changed = true
-		switch bit {
-		case EffAlloc:
-			s.Alloc = tr
-		case EffClock:
-			s.Clock = tr
-		case EffBlock:
-			s.Block = tr
-		case EffUnknown:
-			s.Unknown = tr
+		if slot := s.traceSlot(bit); slot != nil {
+			*slot = tr
 		}
 	}
 
@@ -1274,7 +1165,7 @@ func (p *Program) update(n *FuncNode) bool {
 		if lf.locked[u] {
 			continue // balanced by a local acquisition: not a net unlock
 		}
-		if !containsString(s.UnlockFields, u) {
+		if !slices.Contains(s.UnlockFields, u) {
 			s.UnlockFields = append(s.UnlockFields, u)
 			sort.Strings(s.UnlockFields)
 			changed = true
@@ -1300,13 +1191,12 @@ func (p *Program) update(n *FuncNode) bool {
 		for _, name := range site.Std {
 			mask, sortDriver := stdEffect(name)
 			if sortDriver && site.Call != nil && len(site.Call.Args) > 0 {
-				p.mergeSortArg(n, s, site, setBit)
+				p.mergeSortArg(n, site, setBit)
 			}
 			if mask&EffClock != 0 && (n.ClockExempt || p.waivedAt(n, "clockpurity", site.Pos)) {
 				mask &^= EffClock
 			}
 			if mask&EffAlloc != 0 && p.waivedAt(n, "alloccheck", site.Pos) {
-				mask &^= EffAlloc &^ 0 // keep expression simple
 				mask &^= EffAlloc
 			}
 			if site.Async {
@@ -1325,42 +1215,61 @@ func (p *Program) update(n *FuncNode) bool {
 	return changed
 }
 
-// waivedAt checks a line-level ignore without going through a classifier.
+// waivedAt reports whether a line-level ignore for the analyzer covers pos
+// in n, marking it used.
 func (p *Program) waivedAt(n *FuncNode, analyzer string, pos token.Pos) bool {
-	return p.ignoresFor(n.Pkg).suppressed(analyzer, n.Pkg.Fset.Position(pos))
+	return p.waiversFor(n.Pkg).covers(analyzer, n.Pkg.Fset.Position(pos))
+}
+
+// traceSlot returns the provenance field of a caller-visible effect bit, or
+// nil for the bits that carry none.
+func (s *Summary) traceSlot(bit uint16) **Trace {
+	switch bit {
+	case EffAlloc:
+		return &s.Alloc
+	case EffClock:
+		return &s.Clock
+	case EffBlock:
+		return &s.Block
+	case EffUnknown:
+		return &s.Unknown
+	}
+	return nil
+}
+
+// liftTrace extends the callee's provenance of one effect bit by the callee
+// itself, entering the caller at pos.
+func liftTrace(cs *Summary, bit uint16, callee *FuncNode, pos token.Pos) *Trace {
+	var root Trace
+	if slot := cs.traceSlot(bit); slot != nil && *slot != nil {
+		root = **slot
+	}
+	return &Trace{Pos: root.Pos, What: root.What, Via: append([]string{callee.Name()}, root.Via...), EntryPos: pos}
 }
 
 // mergeCallee folds one callee summary into the caller at one site.
 func (p *Program) mergeCallee(n *FuncNode, s *Summary, lf *localFacts, site CallSite, callee *FuncNode, setBit func(uint16, *Trace), changed *bool) {
 	cs := p.summaries[callee]
-	lift := func(bit uint16, tr *Trace) {
-		if cs.Mask&bit == 0 {
-			return
-		}
-		var root Trace
-		if tr != nil {
-			root = *tr
-		}
-		via := append([]string{callee.Name()}, root.Via...)
-		setBit(bit, &Trace{Pos: root.Pos, What: root.What, Via: via, EntryPos: site.Pos})
-	}
+	lift := func(bit uint16) { setBit(bit, liftTrace(cs, bit, callee, site.Pos)) }
 	if cs.Mask&EffAlloc != 0 && !p.waivedAt(n, "alloccheck", site.Pos) {
-		lift(EffAlloc, cs.Alloc)
+		lift(EffAlloc)
 	}
 	if cs.Mask&EffClock != 0 && !n.ClockExempt && !p.waivedAt(n, "clockpurity", site.Pos) {
-		lift(EffClock, cs.Clock)
+		lift(EffClock)
 	}
 	if cs.Mask&EffBlock != 0 && !site.Async && !p.waivedAt(n, "lockcheck", site.Pos) {
-		lift(EffBlock, cs.Block)
+		lift(EffBlock)
 	}
-	lift(EffUnknown, cs.Unknown)
+	if cs.Mask&EffUnknown != 0 {
+		lift(EffUnknown)
+	}
 	if cs.Mask&EffGlobal != 0 {
 		setBit(EffGlobal, nil)
 	}
 
 	// Receiver effects map through the call's receiver operand.
 	if cs.Mask&(EffReadsRecv|EffMutatesRecv) != 0 || len(cs.UnlockFields) > 0 || cs.RecvEscape != "" {
-		root := rootObject(n.Pkg.Info, siteRecv(site))
+		root := rootObject(n.Pkg.Info, site.RecvExpr)
 		class := classifyForNode(n, root)
 		if cs.Mask&EffMutatesRecv != 0 {
 			switch class {
@@ -1380,7 +1289,7 @@ func (p *Program) mergeCallee(n *FuncNode, s *Summary, lf *localFacts, site Call
 				if lf.locked[u] {
 					continue // caller re-balances what the callee releases
 				}
-				if !containsString(s.UnlockFields, u) {
+				if !slices.Contains(s.UnlockFields, u) {
 					s.UnlockFields = append(s.UnlockFields, u)
 					sort.Strings(s.UnlockFields)
 					*changed = true
@@ -1420,9 +1329,9 @@ func (p *Program) mergeCallee(n *FuncNode, s *Summary, lf *localFacts, site Call
 			p.markEscape(n, s, rootObject(n.Pkg.Info, site.Call.Args[i]), how, changed)
 		}
 	}
-	if cs.RecvEscape != "" && siteRecv(site) != nil {
+	if cs.RecvEscape != "" && site.RecvExpr != nil {
 		how := "receiver passed to " + callee.Name() + ", which " + escVerb(cs.RecvEscape)
-		p.markEscape(n, s, rootObject(n.Pkg.Info, siteRecv(site)), how, changed)
+		p.markEscape(n, s, rootObject(n.Pkg.Info, site.RecvExpr), how, changed)
 	}
 }
 
@@ -1454,10 +1363,9 @@ func (p *Program) markEscape(n *FuncNode, s *Summary, obj types.Object, how stri
 	}
 }
 
-// siteRecv returns the receiver operand of a method call site, or nil.
-func siteRecv(site CallSite) ast.Expr { return site.RecvExpr }
-
-// classifyForNode is classifyObject without a classifier instance.
+// classifyForNode places a root object relative to the function n: its
+// receiver, one of its parameters, a package-level variable, a variable
+// captured from an enclosing function, or a plain local.
 func classifyForNode(n *FuncNode, obj types.Object) rootClass {
 	if obj == nil {
 		return rootLocal
@@ -1477,6 +1385,8 @@ func classifyForNode(n *FuncNode, obj types.Object) rootClass {
 	if v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
 		return rootGlobal
 	}
+	// Declared outside this node's body (and not receiver/param): a
+	// captured variable of an enclosing function.
 	if n.Lit != nil && (v.Pos() < n.Lit.Pos() || v.Pos() >= n.Lit.End()) {
 		return rootCaptured
 	}
@@ -1486,7 +1396,7 @@ func classifyForNode(n *FuncNode, obj types.Object) rootClass {
 // mergeSortArg charges the caller with the Len/Less/Swap methods of the
 // value passed to sort.Sort/sort.Stable — the in-place sorters invoke the
 // argument's own methods and allocate nothing themselves.
-func (p *Program) mergeSortArg(n *FuncNode, s *Summary, site CallSite, setBit func(uint16, *Trace)) {
+func (p *Program) mergeSortArg(n *FuncNode, site CallSite, setBit func(uint16, *Trace)) {
 	argType := n.Pkg.Info.TypeOf(site.Call.Args[0])
 	if argType == nil {
 		return
@@ -1509,26 +1419,7 @@ func (p *Program) mergeSortArg(n *FuncNode, s *Summary, site CallSite, setBit fu
 			if bit == EffAlloc && p.waivedAt(n, "alloccheck", site.Pos) {
 				continue
 			}
-			var root Trace
-			switch bit {
-			case EffAlloc:
-				if cs.Alloc != nil {
-					root = *cs.Alloc
-				}
-			case EffClock:
-				if cs.Clock != nil {
-					root = *cs.Clock
-				}
-			case EffBlock:
-				if cs.Block != nil {
-					root = *cs.Block
-				}
-			case EffUnknown:
-				if cs.Unknown != nil {
-					root = *cs.Unknown
-				}
-			}
-			setBit(bit, &Trace{Pos: root.Pos, What: root.What, Via: append([]string{callee.Name()}, root.Via...), EntryPos: site.Pos})
+			setBit(bit, liftTrace(cs, bit, callee, site.Pos))
 		}
 	}
 }
@@ -1549,109 +1440,10 @@ func (p *Program) closureEscapes(use closureUse) bool {
 		return true
 	}
 	for _, callee := range callees {
-		i := use.argIndex
-		if callee.Recv == nil {
-			// plain function: arg index aligns with params
-		}
 		cs := p.summaries[callee]
-		if cs.ParamEscape != nil && i < len(cs.ParamEscape) && cs.ParamEscape[i] != "" {
+		if i := use.argIndex; i < len(cs.ParamEscape) && cs.ParamEscape[i] != "" {
 			return true
 		}
 	}
 	return false
-}
-
-func containsString(xs []string, s string) bool {
-	for _, x := range xs {
-		if x == s {
-			return true
-		}
-	}
-	return false
-}
-
-// ---------------------------------------------------------------------------
-// //rexlint:transfer directive set (sharecheck's ownership hand-off).
-
-// transferEntry is one line-level transfer directive.
-type transferEntry struct {
-	pos  token.Position
-	used bool
-}
-
-// transferSet indexes a package's transfer directives by file and line,
-// with the same own-line-or-next coverage as ignores.
-type transferSet struct {
-	lines map[string]map[int][]*transferEntry
-	all   []*transferEntry
-}
-
-// buildTransfers scans for line-level `//rexlint:transfer <reason>`
-// directives. Directives inside function doc comments declare the function
-// a transfer sink instead (FuncNode.TransferSink) and are excluded here.
-func buildTransfers(fset *token.FileSet, files []*ast.File) *transferSet {
-	out := &transferSet{lines: make(map[string]map[int][]*transferEntry)}
-	docGroups := map[*ast.CommentGroup]bool{}
-	for _, f := range files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Doc != nil {
-				docGroups[fd.Doc] = true
-			}
-		}
-	}
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			if docGroups[cg] {
-				continue
-			}
-			for _, c := range cg.List {
-				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-				rest, ok := strings.CutPrefix(text, "rexlint:transfer")
-				if !ok || (rest != "" && rest[0] != ' ' && rest[0] != '\t') {
-					continue
-				}
-				pos := fset.Position(c.Pos())
-				lines := out.lines[pos.Filename]
-				if lines == nil {
-					lines = make(map[int][]*transferEntry)
-					out.lines[pos.Filename] = lines
-				}
-				e := &transferEntry{pos: pos}
-				out.all = append(out.all, e)
-				lines[pos.Line] = append(lines[pos.Line], e)
-				lines[pos.Line+1] = append(lines[pos.Line+1], e)
-			}
-		}
-	}
-	return out
-}
-
-// sanctioned reports whether a transfer directive covers pos, marking it
-// used.
-func (s *transferSet) sanctioned(pos token.Position) bool {
-	if s == nil {
-		return false
-	}
-	hit := false
-	for _, e := range s.lines[pos.Filename][pos.Line] {
-		e.used = true
-		hit = true
-	}
-	return hit
-}
-
-// unusedTransfers reports directives that sanctioned nothing.
-func (s *transferSet) unusedTransfers() []Diagnostic {
-	var out []Diagnostic
-	for _, e := range s.all {
-		if e.used {
-			continue
-		}
-		out = append(out, Diagnostic{
-			Analyzer: "sharecheck",
-			Pos:      e.pos,
-			Message:  fmt.Sprintf("unused rexlint:transfer: no ownership hand-off here to sanction"),
-		})
-	}
-	return out
 }

@@ -112,3 +112,13 @@ type badAnnot struct {
 	// guarded by: nomu
 	x int // want `guarded by: nomu names no sibling sync\.Mutex/RWMutex field`
 }
+
+// badTwoLocks blocks while holding two locks: the diagnostic names the
+// lexicographically smaller path, whatever order the held-lock map yields.
+func badTwoLocks(a, b *counter, ch chan int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	ch <- 1 // want `channel send while holding a\.mu may block under the lock`
+}

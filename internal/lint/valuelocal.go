@@ -74,12 +74,7 @@ func collectVFDirectives(p *Program) *vfDirectives {
 					set[f] = true
 				}
 			}
-			names := make([]string, 0, len(set))
-			for name := range set {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			d.declared[n] = names
+			d.declared[n] = sortedKeys(set)
 		}
 		if dirs := funcDirective(n.Decl, "detsink"); len(dirs) > 0 {
 			desc := strings.Join(dirs[0], " ")
@@ -130,18 +125,7 @@ func parseRequires(s string) (field string, k int, ok bool) {
 // collectNonnegFields scans struct declarations for //rexlint:nonneg field
 // annotations (doc comment above the field or line comment beside it).
 func collectNonnegFields(pkg *Package, d *vfDirectives) {
-	hasDirective := func(cg *ast.CommentGroup) bool {
-		if cg == nil {
-			return false
-		}
-		for _, c := range cg.List {
-			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-			if text == "rexlint:nonneg" || strings.HasPrefix(text, "rexlint:nonneg ") {
-				return true
-			}
-		}
-		return false
-	}
+	hasDirective := func(cg *ast.CommentGroup) bool { return len(groupDirective(cg, "nonneg")) > 0 }
 	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			st, ok := n.(*ast.StructType)
@@ -202,7 +186,7 @@ func buildVFCtx(vf *valueFlowInfo, n *FuncNode) *vfCtx {
 	info := n.Pkg.Info
 	ctx := &vfCtx{
 		n:             n,
-		cfg:           BuildCFG(n.Body, info),
+		cfg:           vf.prog.CFG(n),
 		siteOf:        make(map[*ast.CallExpr]*CallSite),
 		derived:       make(map[types.Object]bool),
 		selectOrdered: make(map[ast.Node]bool),
@@ -215,7 +199,7 @@ func buildVFCtx(vf *valueFlowInfo, n *FuncNode) *vfCtx {
 		}
 	}
 	if n.Recv != nil {
-		ctx.recvKey = fmt.Sprintf("v%p", n.Recv)
+		ctx.recvKey = objKey(n.Recv)
 		if st := derefStruct(n.Recv.Type()); st != nil {
 			for i := 0; i < st.NumFields(); i++ {
 				if vf.dirs.nonneg[st.Field(i)] {
@@ -283,14 +267,7 @@ func isReceiveExpr(e ast.Expr) bool {
 	return ok && u.Op == token.ARROW
 }
 
-func (ctx *vfCtx) inMapRange(pos token.Pos) bool {
-	for _, r := range ctx.mapRanges {
-		if pos >= r.lo && pos < r.hi {
-			return true
-		}
-	}
-	return false
-}
+func (ctx *vfCtx) inMapRange(pos token.Pos) bool { return inRanges(ctx.mapRanges, pos) }
 
 // counterKeyOf canonicalizes an expression that denotes a tracked counter:
 // a path ending in a //rexlint:nonneg field, or a derived local copy.
@@ -303,7 +280,7 @@ func (ctx *vfCtx) counterKeyOf(vf *valueFlowInfo, e ast.Expr) (string, bool) {
 			obj = info.Defs[x]
 		}
 		if obj != nil && ctx.derived[obj] {
-			return fmt.Sprintf("v%p", obj), true
+			return objKey(obj), true
 		}
 	case *ast.SelectorExpr:
 		if fv, _ := info.Uses[x.Sel].(*types.Var); fv != nil && vf.dirs.nonneg[fv] {
@@ -335,7 +312,7 @@ func (fl *vfFlow) Entry() *vfState {
 		if pobj == nil {
 			continue
 		}
-		key := fmt.Sprintf("v%p", pobj)
+		key := objKey(pobj)
 		if i < 64 {
 			st.setPmark(key, 1<<uint(i))
 		}
@@ -652,12 +629,7 @@ func (fl *vfFlow) callEffects(n ast.Node, st *vfState) {
 				}
 			}
 		}
-		fields := make([]string, 0, len(effects))
-		for f := range effects {
-			fields = append(fields, f)
-		}
-		sort.Strings(fields)
-		for _, f := range fields {
+		for _, f := range sortedKeys(effects) {
 			ce := effects[f]
 			key := recvKey + "." + f
 			if !ce.Known {
@@ -921,24 +893,6 @@ func isBuiltinCall(info *types.Info, call *ast.CallExpr, name string) bool {
 	}
 	_, isBuiltin := info.Uses[id].(*types.Builtin)
 	return isBuiltin
-}
-
-// stdlibCallee resolves pkg.Fn calls to (import path, function name) for
-// package-qualified callees outside the module. Method calls return false.
-func stdlibCallee(info *types.Info, call *ast.CallExpr) (string, string, bool) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", "", false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return "", "", false
-	}
-	pn, ok := info.Uses[id].(*types.PkgName)
-	if !ok {
-		return "", "", false
-	}
-	return pn.Imported().Path(), sel.Sel.Name, true
 }
 
 // isSanitizerCall reports calls into sort or slices: afterwards the

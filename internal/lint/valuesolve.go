@@ -10,7 +10,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -139,37 +139,19 @@ func (vf *valueFlowInfo) solve() {
 // and merges it in; reports whether anything grew.
 func (vf *valueFlowInfo) update(n *FuncNode) bool {
 	ctx := vf.ctxs[n]
-	fl := &vfFlow{vf: vf, ctx: ctx, mode: vfDelta}
-	facts := Forward(ctx.cfg, fl)
-	return mergeValueSummary(vf.summaries[n], vf.extractSummary(ctx, fl, facts))
+	return mergeValueSummary(vf.summaries[n], vf.extractSummary(ctx, &vfFlow{vf: vf, ctx: ctx, mode: vfDelta}))
 }
 
-// walkFacts replays the converged facts through each reachable block,
-// visiting every straight-line node with its exact pre-state.
-func (vf *valueFlowInfo) walkFacts(ctx *vfCtx, fl *vfFlow, facts Facts[*vfState], visit func(ast.Node, *vfState)) {
-	for _, b := range ctx.cfg.Blocks {
-		st, ok := facts.In[b]
-		if !ok {
-			continue
-		}
-		st = st.clone()
-		for _, node := range b.Nodes {
-			visit(node, st)
-			fl.apply(node, st)
-		}
-	}
-}
-
-// extractSummary reads one node's summary facts out of a converged
-// delta-mode pass: return taints, parameter-to-sink flows, and the net
+// extractSummary solves one delta-mode pass and reads the node's summary
+// facts out of it: return taints, parameter-to-sink flows, and the net
 // counter deltas at function exit.
-func (vf *valueFlowInfo) extractSummary(ctx *vfCtx, fl *vfFlow, facts Facts[*vfState]) *valueSummary {
+func (vf *valueFlowInfo) extractSummary(ctx *vfCtx, fl *vfFlow) *valueSummary {
 	n := ctx.n
 	sum := &valueSummary{
 		paramSink:   make([]string, len(n.Params)),
 		paramSinkTr: make([]*Trace, len(n.Params)),
 	}
-	vf.walkFacts(ctx, fl, facts, func(node ast.Node, st *vfState) {
+	facts := replay[*vfState](ctx.cfg, fl, func(node ast.Node, st *vfState) {
 		if ret, ok := node.(*ast.ReturnStmt); ok {
 			vf.recordReturn(ctx, fl, ret, st, sum)
 		}
@@ -244,7 +226,7 @@ func (vf *valueFlowInfo) recordReturn(ctx *vfCtx, fl *vfFlow, ret *ast.ReturnStm
 	}
 	for _, obj := range namedResultObjs(ctx.n) {
 		if obj != nil {
-			record(st.taintsAt(fmt.Sprintf("v%p", obj)))
+			record(st.taintsAt(objKey(obj)))
 		}
 	}
 }
@@ -304,12 +286,11 @@ func (vf *valueFlowInfo) sinkDescAt(ctx *vfCtx, call *ast.CallExpr, argIdx int) 
 func (vf *valueFlowInfo) check(n *FuncNode) {
 	ctx := vf.ctxs[n]
 	fl := &vfFlow{vf: vf, ctx: ctx, mode: vfAbs}
-	facts := Forward(ctx.cfg, fl)
 	var finds []vfFinding
 	report := func(kind vfKind, pos token.Pos, format string, args ...any) {
 		finds = append(finds, vfFinding{kind: kind, pos: pos, msg: fmt.Sprintf(format, args...)})
 	}
-	vf.walkFacts(ctx, fl, facts, func(node ast.Node, st *vfState) {
+	replay[*vfState](ctx.cfg, fl, func(node ast.Node, st *vfState) {
 		vf.checkNode(ctx, fl, node, st, report)
 	})
 	vf.findings[n] = finds
@@ -398,7 +379,7 @@ func (vf *valueFlowInfo) checkCall(ctx *vfCtx, fl *vfFlow, call *ast.CallExpr, s
 		case isBasicStringLit(call.Args[0]):
 			report(vfStream, call.Args[0].Pos(), "stream name %q is a string literal; use the exported stream-name constant", name)
 		}
-		if okName && !containsStr(ctx.declared, name) {
+		if okName && !slices.Contains(ctx.declared, name) {
 			report(vfStream, call.Pos(), "%s draws from RNG stream %q but declares %s; add //rexlint:stream %s to its doc comment",
 				n.Name(), name, declList(ctx.declared), name)
 		}
@@ -412,8 +393,8 @@ func (vf *valueFlowInfo) checkCall(ctx *vfCtx, fl *vfFlow, call *ast.CallExpr, s
 	if site.RecvExpr != nil && len(site.Callees) == 0 && len(site.Std) > 0 {
 		if key, ok := exprKey(info, site.RecvExpr); ok {
 			str, _, _ := st.taintsAt(key)
-			for _, name := range sortedStreamNames(str) {
-				if !containsStr(ctx.declared, name) {
+			for _, name := range sortedKeys(str) {
+				if !slices.Contains(ctx.declared, name) {
 					report(vfStream, call.Pos(), "%s draws from RNG stream %q but declares %s%s; add //rexlint:stream %s to its doc comment",
 						n.Name(), name, declList(ctx.declared), str[name].Chain(), name)
 				}
@@ -425,16 +406,16 @@ func (vf *valueFlowInfo) checkCall(ctx *vfCtx, fl *vfFlow, call *ast.CallExpr, s
 	for i, arg := range call.Args {
 		str, ord, _ := fl.taintOf(arg, st)
 		if len(str) > 0 {
-			for _, name := range sortedStreamNames(str) {
+			for _, name := range sortedKeys(str) {
 				tr := str[name]
 				if len(site.Callees) > 0 {
 					for _, callee := range site.Callees {
-						if !containsStr(vf.declaredOf(callee), name) {
+						if !slices.Contains(vf.declaredOf(callee), name) {
 							report(vfStream, arg.Pos(), "%s passes RNG stream %q to %s, which does not declare it (//rexlint:stream)%s",
 								n.Name(), name, callee.Name(), tr.Chain())
 						}
 					}
-				} else if !containsStr(ctx.declared, name) {
+				} else if !slices.Contains(ctx.declared, name) {
 					report(vfStream, arg.Pos(), "%s passes RNG stream %q to %s but declares %s%s; add //rexlint:stream %s to its doc comment",
 						n.Name(), name, calleeLabel(site), declList(ctx.declared), tr.Chain(), name)
 				}
@@ -464,7 +445,7 @@ func (vf *valueFlowInfo) checkCall(ctx *vfCtx, fl *vfFlow, call *ast.CallExpr, s
 		if recvKey, ok := exprKey(info, site.RecvExpr); ok {
 			for _, callee := range site.Callees {
 				sum := vf.summaries[callee]
-				for _, f := range sortedCounterFields(sum.counters) {
+				for _, f := range sortedKeys(sum.counters) {
 					ce := sum.counters[f]
 					if ce.Req <= 0 {
 						continue
@@ -484,15 +465,6 @@ func isBasicStringLit(e ast.Expr) bool {
 	return ok && lit.Kind == token.STRING
 }
 
-func containsStr(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
-}
-
 func declList(declared []string) string {
 	if len(declared) == 0 {
 		return "no streams"
@@ -502,24 +474,6 @@ func declList(declared []string) string {
 		quoted[i] = fmt.Sprintf("%q", d)
 	}
 	return strings.Join(quoted, ", ")
-}
-
-func sortedStreamNames(set streamSet) []string {
-	names := make([]string, 0, len(set))
-	for n := range set {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func sortedCounterFields(counters map[string]*counterEffect) []string {
-	fields := make([]string, 0, len(counters))
-	for f := range counters {
-		fields = append(fields, f)
-	}
-	sort.Strings(fields)
-	return fields
 }
 
 // calleeLabel renders the target of a non-local call for diagnostics.

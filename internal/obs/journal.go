@@ -199,8 +199,9 @@ func bufferJournal(wc io.WriteCloser) (*Journal, func() error) {
 	}
 }
 
-// ReadJournal parses a JSONL event stream. It fails on the first
-// malformed line, reporting its line number.
+// ReadJournal parses a JSONL event stream. It fails on the first line it
+// cannot read — malformed, or longer than the 1 MiB record cap — reporting
+// its line number.
 func ReadJournal(r io.Reader) ([]Event, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
@@ -230,7 +231,9 @@ func ReadJournal(r io.Reader) ([]Event, error) {
 		out = append(out, ev)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("obs: read journal: %w", err)
+		// The scanner stopped before delivering the line after the last
+		// good one (token too long, or the underlying reader failed there).
+		return nil, fmt.Errorf("obs: journal line %d: %w", line+1, err)
 	}
 	return out, nil
 }

@@ -18,6 +18,7 @@ func FuzzReadJournal(f *testing.F) {
 	f.Add("not json at all\n")
 	f.Add("\n\n\n")
 	f.Add("{\"t\":1}\n{\"t\":2}\n")
+	f.Add("{\"t\":1,\"span\":\"round\",\"phase\":\"begin\",\"round\":0}\n" + strings.Repeat("x", 1<<20+1) + "\n") // record over the 1 MiB cap
 	f.Fuzz(func(t *testing.T, data string) {
 		events, err := ReadJournal(strings.NewReader(data))
 		if err != nil {
@@ -25,7 +26,7 @@ func FuzzReadJournal(f *testing.F) {
 			if !strings.HasPrefix(msg, "obs: ") {
 				t.Fatalf("error without obs prefix: %q", msg)
 			}
-			if !strings.Contains(msg, "line ") && !strings.Contains(msg, "read journal") {
+			if !strings.Contains(msg, "line ") {
 				t.Fatalf("parse error without a line number: %q", msg)
 			}
 			return

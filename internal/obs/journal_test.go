@@ -110,6 +110,12 @@ func TestReadJournalRejectsMalformed(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("err = %v, want truncated line 2 failure", err)
 	}
+	// A record over the scanner's 1 MiB cap is named by its line too, not
+	// reported as a position-less read failure.
+	_, err = ReadJournal(strings.NewReader(ok + ok + strings.Repeat("x", 1<<20+1) + "\n" + ok))
+	if err == nil || !strings.HasPrefix(err.Error(), "obs: journal line 3: ") || !strings.Contains(err.Error(), "token too long") {
+		t.Fatalf("err = %v, want oversized line 3 failure", err)
+	}
 }
 
 // TestJournalStickyError checks that a failing writer disables the
