@@ -37,7 +37,9 @@ type Shard struct {
 	Load   float64 `json:"load"`   // dynamic query load (balanced quantity)
 	// Group is the shard's anti-affinity group: shards sharing a nonzero
 	// Group are replicas of the same logical shard and must live on
-	// distinct machines. 0 means unreplicated.
+	// distinct machines. 0 means unreplicated. It must not change once a
+	// Placement over the cluster exists: placements index group members
+	// at construction.
 	Group int `json:"group,omitempty"`
 }
 

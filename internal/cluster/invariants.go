@@ -12,7 +12,7 @@ import (
 // inconsistent one is not):
 //
 //   - the incrementally maintained aggregates (used, load, on, pos,
-//     unassigned, vacant, groups) agree with a from-scratch recomputation;
+//     unassigned, vacant) agree with a from-scratch recomputation;
 //   - every machine's resource usage is non-negative and within capacity
 //     (plus the shared floating-point drift tolerance);
 //   - no machine hosts two replicas of the same anti-affinity group.
@@ -29,24 +29,17 @@ func (p *Placement) CheckInvariants() error {
 		if !p.used[m].NonNegative() {
 			return fmt.Errorf("cluster: machine %d used %v has a negative dimension", m, p.used[m])
 		}
-		limit := p.c.Machines[m].Capacity.Add(vec.Uniform(fitTolerance))
+		limit := p.c.Machines[m].Capacity.Add(vec.Uniform(vec.FitEps))
 		if !p.used[m].LEQ(limit) {
 			return fmt.Errorf("cluster: machine %d used %v exceeds capacity %v",
 				m, p.used[m], p.c.Machines[m].Capacity)
 		}
-		for g, n := range p.groups[m] {
-			if n > 1 {
-				return fmt.Errorf("cluster: machine %d hosts %d replicas of group %d", m, n, g)
-			}
-		}
+	}
+	if m, g, n := p.replicaCollision(); n > 0 {
+		return fmt.Errorf("cluster: machine %d hosts %d replicas of group %d", m, n, g)
 	}
 	return nil
 }
-
-// fitTolerance mirrors vec's internal fitEps: incremental Add/Sub chains on
-// usage vectors accumulate drift on the order of 1e-12; anything past this
-// bound is a real overflow, not rounding.
-const fitTolerance = 1e-9
 
 // MustInvariants panics if CheckInvariants fails, prefixing the panic with
 // context (typically the operator that just ran). It is intended to be

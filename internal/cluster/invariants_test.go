@@ -132,3 +132,30 @@ func TestMustInvariantsPanics(t *testing.T) {
 	}()
 	p.MustInvariants("test hook")
 }
+
+// TestCheckInvariantsCollisionOrder pins which anti-affinity violation is
+// reported when a machine hosts two colliding groups: the group of the
+// lowest shard ID, on every call (the scan used to range over a map).
+func TestCheckInvariantsCollisionOrder(t *testing.T) {
+	c := &Cluster{
+		Machines: []Machine{{ID: 0, Capacity: vec.Uniform(100), Speed: 1}},
+		Shards: []Shard{
+			{ID: 0, Static: vec.Uniform(1), Group: 9},
+			{ID: 1, Static: vec.Uniform(1), Group: 4},
+			{ID: 2, Static: vec.Uniform(1), Group: 4},
+			{ID: 3, Static: vec.Uniform(1), Group: 9},
+		},
+	}
+	p := NewPlacement(c)
+	for s := range c.Shards {
+		if err := p.Place(ShardID(s), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const want = "cluster: machine 0 hosts 2 replicas of group 9"
+	for i := 0; i < 50; i++ {
+		if err := p.CheckInvariants(); err == nil || err.Error() != want {
+			t.Fatalf("call %d: CheckInvariants = %v, want %q", i, err, want)
+		}
+	}
+}

@@ -31,9 +31,11 @@ type Placement struct {
 
 	unassigned int //rexlint:nonneg — number of shards with home == Unassigned
 	vacant     int //rexlint:nonneg — number of machines hosting no shards
-	// groups[m] counts shards per anti-affinity group on machine m; nil
-	// until a grouped shard lands there.
-	groups []map[int]int
+	// members indexes the cluster's anti-affinity groups: group → its
+	// shards in ascending ID order; nil for an ungrouped fleet. Immutable
+	// and shared by clones. Which machines host a group is read off home,
+	// so no mutation maintains group state.
+	members map[int][]ShardID
 
 	// undo journal (see txn.go); records mutations while txnActive.
 	txnActive bool
@@ -51,10 +53,15 @@ func NewPlacement(c *Cluster) *Placement {
 		pos:        make([]int, len(c.Shards)),
 		unassigned: len(c.Shards),
 		vacant:     len(c.Machines),
-		groups:     make([]map[int]int, len(c.Machines)),
 	}
-	for i := range p.home {
-		p.home[i] = Unassigned
+	for s := range p.home {
+		p.home[s] = Unassigned
+		if g := c.Shards[s].Group; g != 0 {
+			if p.members == nil {
+				p.members = make(map[int][]ShardID)
+			}
+			p.members[g] = append(p.members[g], ShardID(s))
+		}
 	}
 	return p
 }
@@ -182,11 +189,17 @@ func (p *Placement) EachVacant(f func(MachineID)) {
 
 // CanPlace reports whether shard s fits on machine m: static capacities
 // must hold and no replica of the same anti-affinity group may already be
-// hosted there.
+// hosted there — s itself included, so a grouped shard never "fits" on its
+// own home. The member scan is written out rather than calling GroupCount
+// to keep CanPlace within the inlining budget of the repair scans.
 func (p *Placement) CanPlace(s ShardID, m MachineID) bool {
 	sh := &p.c.Shards[s]
-	if sh.Group != 0 && p.groups[m][sh.Group] > 0 {
-		return false
+	if sh.Group != 0 {
+		for _, t := range p.members[sh.Group] {
+			if p.home[t] == m {
+				return false
+			}
+		}
 	}
 	return sh.Static.FitsWithin(p.used[m], p.c.Machines[m].Capacity)
 }
@@ -194,7 +207,13 @@ func (p *Placement) CanPlace(s ShardID, m MachineID) bool {
 // GroupCount returns how many shards of anti-affinity group g machine m
 // hosts.
 func (p *Placement) GroupCount(m MachineID, g int) int {
-	return p.groups[m][g]
+	n := 0
+	for _, t := range p.members[g] {
+		if p.home[t] == m {
+			n++
+		}
+	}
+	return n
 }
 
 // place links shard s to machine m, updating aggregates. It assumes s is
@@ -216,12 +235,6 @@ func (p *Placement) place(s ShardID, m MachineID) {
 		p.vacant--
 	}
 	p.on[m] = append(p.on[m], s)
-	if sh.Group != 0 {
-		if p.groups[m] == nil {
-			p.groups[m] = make(map[int]int)
-		}
-		p.groups[m][sh.Group]++
-	}
 	//rexlint:ignore nonneg place's caller checked home[s] == Unassigned, so s is counted in unassigned
 	p.unassigned--
 }
@@ -248,12 +261,6 @@ func (p *Placement) unplace(s ShardID) {
 	p.on[m] = p.on[m][:last]
 	if last == 0 {
 		p.vacant++
-	}
-	if sh.Group != 0 {
-		p.groups[m][sh.Group]--
-		if p.groups[m][sh.Group] == 0 {
-			delete(p.groups[m], sh.Group)
-		}
 	}
 	p.home[s] = Unassigned
 	p.unassigned++
@@ -327,17 +334,10 @@ func (p *Placement) Clone() *Placement {
 		pos:        append([]int(nil), p.pos...),
 		unassigned: p.unassigned,
 		vacant:     p.vacant,
-		groups:     make([]map[int]int, len(p.groups)),
+		members:    p.members,
 	}
 	for m := range p.on {
 		q.on[m] = append([]ShardID(nil), p.on[m]...)
-		if len(p.groups[m]) > 0 {
-			g := make(map[int]int, len(p.groups[m]))
-			for k, v := range p.groups[m] {
-				g[k] = v
-			}
-			q.groups[m] = g
-		}
 	}
 	return q
 }
@@ -350,16 +350,28 @@ func (p *Placement) Feasible() bool {
 		return false
 	}
 	for m := range p.used {
-		if !p.used[m].LEQ(p.c.Machines[m].Capacity.Add(vec.Uniform(1e-9))) {
+		if !p.used[m].LEQ(p.c.Machines[m].Capacity.Add(vec.Uniform(vec.FitEps))) {
 			return false
 		}
-		for _, n := range p.groups[m] {
-			if n > 1 {
-				return false
+	}
+	_, _, n := p.replicaCollision()
+	return n == 0
+}
+
+// replicaCollision finds a machine hosting more than one replica of an
+// anti-affinity group, returning it with the group and the replica count;
+// n is 0 when there is none. Shards are scanned in ID order, so with
+// several collisions the one reported is the same on every call: that of
+// the lowest shard ID involved in any.
+func (p *Placement) replicaCollision() (m MachineID, g, n int) {
+	for s, m := range p.home {
+		if g := p.c.Shards[s].Group; g != 0 && m != Unassigned {
+			if n := p.GroupCount(m, g); n > 1 {
+				return m, g, n
 			}
 		}
 	}
-	return true
+	return Unassigned, 0, 0
 }
 
 // Validate recomputes all aggregates from scratch and compares them with
@@ -411,31 +423,6 @@ func (p *Placement) Validate() error {
 			}
 			if p.pos[s] != i {
 				return fmt.Errorf("cluster: shard %d pos %d, want %d", s, p.pos[s], i)
-			}
-		}
-	}
-	groups := make([]map[int]int, len(p.c.Machines))
-	for s := range p.home {
-		m := p.home[s]
-		g := p.c.Shards[s].Group
-		if m == Unassigned || g == 0 {
-			continue
-		}
-		if groups[m] == nil {
-			groups[m] = make(map[int]int)
-		}
-		groups[m][g]++
-	}
-	for m := range groups {
-		for g, n := range groups[m] {
-			if p.groups[m][g] != n {
-				return fmt.Errorf("cluster: machine %d group %d count %d, recomputed %d",
-					m, g, p.groups[m][g], n)
-			}
-		}
-		for g, n := range p.groups[m] {
-			if n != 0 && groups[m][g] != n {
-				return fmt.Errorf("cluster: machine %d group %d stale count %d", m, g, n)
 			}
 		}
 	}

@@ -15,6 +15,12 @@ import "rexchange/internal/vec"
 // shards in order; utilization bits feed the objective). The journal
 // therefore snapshots the touched machine's aggregates before every
 // primitive mutation and restores the saved values in reverse order.
+//
+// The journal is also the one record of what a scope touched: Commit and
+// Rollback close the scope but leave the log readable through TxnLen/TxnOp
+// until the next BeginTxn, so the solver re-derives its incremental
+// objective state (core/incremental.go) by walking the log itself — after a
+// rollback too — instead of keeping a copy.
 
 // txnRec journals one primitive placement mutation.
 type txnRec struct {
@@ -27,11 +33,11 @@ type txnRec struct {
 	prevLoad float64 // load[m] before the mutation
 }
 
-// BeginTxn opens an undo scope: every subsequent Place/Remove/Move is
-// journaled until Commit or Rollback. Transactions do not nest; calling
-// BeginTxn while one is active panics (the solver's iteration structure
-// guarantees strict begin→commit/rollback pairing, so nesting indicates a
-// bug).
+// BeginTxn opens an undo scope, discarding the previous scope's journal:
+// every subsequent Place/Remove/Move is journaled until Commit or Rollback.
+// Transactions do not nest; calling BeginTxn while one is active panics
+// (the solver's iteration structure guarantees strict begin→commit/rollback
+// pairing, so nesting indicates a bug).
 func (p *Placement) BeginTxn() {
 	if p.txnActive {
 		panic("cluster: BeginTxn inside an active transaction")
@@ -43,10 +49,11 @@ func (p *Placement) BeginTxn() {
 // InTxn reports whether an undo scope is active.
 func (p *Placement) InTxn() bool { return p.txnActive }
 
-// TxnLen returns the number of journaled mutations in the active (or just
-// committed) scope. Together with TxnOp it lets callers maintain derived
-// incremental state over exactly the shards and machines a neighborhood
-// touched, without allocating.
+// TxnLen returns the number of journaled mutations in the most recent
+// scope: the active one, or the one Commit or Rollback last closed, whose
+// journal stays readable until the next BeginTxn. Together with TxnOp it
+// lets callers maintain derived incremental state over exactly the shards
+// and machines a neighborhood touched, without allocating.
 //
 //rexlint:noalloc
 func (p *Placement) TxnLen() int { return len(p.txnLog) }
@@ -60,8 +67,7 @@ func (p *Placement) TxnOp(i int) (ShardID, MachineID) {
 	return r.s, r.m
 }
 
-// Commit closes the undo scope keeping every mutation. O(1): the journal is
-// simply discarded (its backing array is retained for reuse).
+// Commit closes the undo scope keeping every mutation. O(1).
 //
 //rexlint:noalloc
 func (p *Placement) Commit() {
@@ -69,7 +75,6 @@ func (p *Placement) Commit() {
 		panic("cluster: Commit without BeginTxn")
 	}
 	p.txnActive = false
-	p.txnLog = p.txnLog[:0]
 }
 
 // Rollback closes the undo scope undoing every journaled mutation in
@@ -92,7 +97,6 @@ func (p *Placement) Rollback() {
 		}
 	}
 	p.txnActive = false
-	p.txnLog = p.txnLog[:0]
 	if DebugAsserts {
 		p.MustInvariants("txn rollback")
 	}
@@ -110,12 +114,6 @@ func (p *Placement) undoPlace(r *txnRec) {
 	p.home[r.s] = Unassigned
 	p.used[r.m] = r.prevUsed
 	p.load[r.m] = r.prevLoad
-	if g := p.c.Shards[r.s].Group; g != 0 {
-		p.groups[r.m][g]--
-		if p.groups[r.m][g] == 0 {
-			delete(p.groups[r.m], g)
-		}
-	}
 	p.unassigned++
 }
 
@@ -144,13 +142,6 @@ func (p *Placement) undoUnplace(r *txnRec) {
 	p.home[r.s] = r.m
 	p.used[r.m] = r.prevUsed
 	p.load[r.m] = r.prevLoad
-	if g := p.c.Shards[r.s].Group; g != 0 {
-		if p.groups[r.m] == nil {
-			//rexlint:ignore alloccheck rare revival of a deleted group map; steady-state rollbacks do not reach this
-			p.groups[r.m] = make(map[int]int)
-		}
-		p.groups[r.m][g]++
-	}
 	//rexlint:ignore nonneg undoUnplace reverses an unplace that incremented unassigned
 	p.unassigned--
 }

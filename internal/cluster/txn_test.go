@@ -50,6 +50,30 @@ func mustEqualPlacements(t *testing.T, label string, a, b *Placement) {
 	}
 }
 
+// mustClosedJournal checks the journal contract after Commit or Rollback:
+// the scope is closed, TxnLen/TxnOp still return its mutations — want, as
+// (shard, machine) pairs in application order — and the next BeginTxn
+// starts from an empty journal.
+func mustClosedJournal(t *testing.T, label string, p *Placement, want [][2]int) {
+	t.Helper()
+	if p.InTxn() {
+		t.Fatalf("%s: scope still active", label)
+	}
+	if p.TxnLen() != len(want) {
+		t.Fatalf("%s: TxnLen = %d, want the closed scope's %d mutations", label, p.TxnLen(), len(want))
+	}
+	for i, w := range want {
+		if s, m := p.TxnOp(i); int(s) != w[0] || int(m) != w[1] {
+			t.Fatalf("%s: op %d = (%d,%d), want (%d,%d)", label, i, s, m, w[0], w[1])
+		}
+	}
+	p.BeginTxn()
+	if p.TxnLen() != 0 {
+		t.Fatalf("%s: next BeginTxn kept %d stale journal entries", label, p.TxnLen())
+	}
+	p.Commit()
+}
+
 func TestTxnRollbackRestoresExactly(t *testing.T) {
 	c := groupedCluster()
 	p, err := FromAssignment(c, []MachineID{0, 0, 1, 1})
@@ -82,9 +106,8 @@ func TestTxnRollbackRestoresExactly(t *testing.T) {
 	p.Rollback()
 
 	mustEqualPlacements(t, "after rollback", p, snap)
-	if p.InTxn() || p.TxnLen() != 0 {
-		t.Fatal("journal not cleared by Rollback")
-	}
+	mustClosedJournal(t, "after Rollback", p,
+		[][2]int{{2, 1}, {3, 1}, {3, 2}, {0, 0}, {2, 0}, {1, 0}, {1, 2}, {0, 1}})
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -100,9 +123,6 @@ func TestTxnCommitKeepsMutations(t *testing.T) {
 	p.Move(2, 0)
 	p.Move(3, 2)
 	p.Commit()
-	if p.InTxn() || p.TxnLen() != 0 {
-		t.Fatal("journal not cleared by Commit")
-	}
 	// Committed state must equal the same assignment built from scratch.
 	want, err := FromAssignment(c, p.Assignment())
 	if err != nil {
@@ -118,6 +138,7 @@ func TestTxnCommitKeepsMutations(t *testing.T) {
 		t.Fatalf("bookkeeping diverged from fresh build: %d/%d vs %d/%d",
 			p.UnassignedCount(), p.NumVacant(), want.UnassignedCount(), want.NumVacant())
 	}
+	mustClosedJournal(t, "after Commit", p, [][2]int{{2, 1}, {2, 0}, {3, 1}, {3, 2}})
 }
 
 func TestTxnOpReportsTouches(t *testing.T) {

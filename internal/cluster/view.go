@@ -3,8 +3,6 @@ package cluster
 import (
 	"fmt"
 	"math"
-
-	"rexchange/internal/vec"
 )
 
 // PlacementView is a partition-scoped projection of a parent placement: a
@@ -99,15 +97,11 @@ func NewPlacementView(parent *Placement, machines []MachineID) (*PlacementView, 
 	// Project the placement state. Aggregates are copied bit-for-bit and
 	// hosted-shard order per machine is preserved — no recomputation, so
 	// no floating-point divergence from the parent's incremental history.
-	sub := &Placement{
-		c:      sc,
-		home:   make([]MachineID, len(sc.Shards)),
-		used:   make([]vec.Vec, len(sc.Machines)),
-		load:   make([]float64, len(sc.Machines)),
-		on:     make([][]ShardID, len(sc.Machines)),
-		pos:    make([]int, len(sc.Shards)),
-		groups: make([]map[int]int, len(sc.Machines)),
-	}
+	// NewPlacement indexes the sub-cluster's anti-affinity groups: the
+	// members hosted in the partition, which are all a CanPlace on one of
+	// its machines can collide with. Every shard of sc gets its home below.
+	sub := NewPlacement(sc)
+	sub.unassigned, sub.vacant = 0, 0
 	for lm, gm := range machines {
 		sub.used[lm] = parent.used[gm]
 		sub.load[lm] = parent.load[gm]
@@ -121,13 +115,6 @@ func NewPlacementView(parent *Placement, machines []MachineID) (*PlacementView, 
 		}
 		if len(hosted) == 0 {
 			sub.vacant++
-		}
-		if len(parent.groups[gm]) > 0 {
-			g := make(map[int]int, len(parent.groups[gm]))
-			for k, n := range parent.groups[gm] {
-				g[k] = n
-			}
-			sub.groups[lm] = g
 		}
 	}
 	v.sub = sub

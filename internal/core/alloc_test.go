@@ -40,9 +40,8 @@ func TestDeltaKernelAllocFree(t *testing.T) {
 		_ = st.evalIncremental()
 		st.rollbackIncremental()
 	}
-	// Warm up: grow st.touched and the journal's backing array to their
-	// steady-state capacity (the growth is waived as amortized in the
-	// annotations, so it must not count here either).
+	// Warm up: grow the journal's backing array to its steady-state
+	// capacity (amortized growth, which must not count here).
 	for i := 0; i < 8; i++ {
 		cycle()
 	}

@@ -18,9 +18,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"rexchange/internal/cluster"
 	"rexchange/internal/plan"
@@ -92,11 +94,6 @@ type Config struct {
 	// results remain bit-identical with or without a Recorder — and a nil
 	// Recorder costs a single pointer check per iteration.
 	Recorder Recorder
-
-	// refKernel (tests only) runs the retained clone-and-rescan reference
-	// kernel instead of the delta kernel. Both must produce bit-identical
-	// results for a fixed seed; see TestKernelEquivalence.
-	refKernel bool
 }
 
 // DefaultConfig returns the configuration used throughout the experiments.
@@ -266,31 +263,21 @@ func Evaluate(cfg Config, p *cluster.Placement, initial []cluster.MachineID) flo
 func pickReturned(p *cluster.Placement, k int) []cluster.MachineID {
 	c := p.Cluster()
 	vacant := p.VacantMachines()
-	// stable selection: exchange first, then ascending speed, then ID
-	sortMachines(vacant, func(a, b cluster.MachineID) bool {
-		ea, eb := c.Machines[a].Exchange, c.Machines[b].Exchange
-		if ea != eb {
-			return ea
+	// exchange first, then ascending speed, then ID
+	slices.SortFunc(vacant, func(a, b cluster.MachineID) int {
+		ma, mb := &c.Machines[a], &c.Machines[b]
+		if ma.Exchange != mb.Exchange {
+			if ma.Exchange {
+				return -1
+			}
+			return 1
 		}
-		if c.Machines[a].Speed != c.Machines[b].Speed {
-			return c.Machines[a].Speed < c.Machines[b].Speed
-		}
-		return a < b
+		return cmp.Or(cmp.Compare(ma.Speed, mb.Speed), cmp.Compare(a, b))
 	})
 	if k > len(vacant) {
 		k = len(vacant) // guarded by the solver invariant; defensive only
 	}
 	return vacant[:k]
-}
-
-// sortMachines sorts ids by less (insertion sort: the slices are short and
-// this avoids a sort.Slice closure allocation on the hot path).
-func sortMachines(ids []cluster.MachineID, less func(a, b cluster.MachineID) bool) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && less(ids[j], ids[j-1]); j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }
 
 // tempAt returns the SA temperature for iteration i of n, geometrically

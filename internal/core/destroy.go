@@ -1,18 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"rexchange/internal/cluster"
 )
-
-// errIdentityPlan is a defensive sentinel; see compileBest.
-var errIdentityPlan = errorString("core: internal error: identity reassignment failed to plan")
-
-type errorString string
-
-func (e errorString) Error() string { return string(e) }
 
 // destroyRandom removes q uniformly random shards via a partial
 // Fisher-Yates shuffle over a persistent scratch permutation. The buffer is
@@ -105,8 +99,16 @@ func (st *state) destroyRelated(q int) {
 		all = append(all, relScored{s, d})
 	}
 	st.relScratch = all
-	st.relSorter.a = all
-	sort.Sort(&st.relSorter)
+	// ascending by (dist, shard ID)
+	slices.SortFunc(all, func(a, b relScored) int {
+		switch {
+		case a.dist < b.dist:
+			return -1
+		case a.dist > b.dist:
+			return 1
+		}
+		return cmp.Compare(a.s, b.s)
+	})
 	st.removeToPool(seed)
 	for i := 0; i < q-1 && i < len(all); i++ {
 		st.removeToPool(all[i].s)
@@ -117,23 +119,6 @@ func (st *state) destroyRelated(q int) {
 type relScored struct {
 	s    cluster.ShardID
 	dist float64
-}
-
-// relSorter orders relScored ascending by (dist, shard ID). The state holds
-// one instance and sorts through a pointer receiver, so the hot loop pays
-// no sort.Slice closure allocation.
-type relSorter struct{ a []relScored }
-
-func (r *relSorter) Len() int      { return len(r.a) }
-func (r *relSorter) Swap(i, j int) { r.a[i], r.a[j] = r.a[j], r.a[i] }
-func (r *relSorter) Less(i, j int) bool {
-	if r.a[i].dist < r.a[j].dist {
-		return true
-	}
-	if r.a[i].dist > r.a[j].dist {
-		return false
-	}
-	return r.a[i].s < r.a[j].s
 }
 
 // destroyDrain empties one machine entirely, making it returnable as
@@ -157,8 +142,16 @@ func (st *state) destroyDrain(q int) {
 		st.destroyRandom(q)
 		return
 	}
-	st.drainSorter.a = cands
-	sort.Sort(&st.drainSorter)
+	// ascending by (utilization, machine ID)
+	slices.SortFunc(cands, func(a, b drainCand) int {
+		switch {
+		case a.util < b.util:
+			return -1
+		case a.util > b.util:
+			return 1
+		}
+		return cmp.Compare(a.m, b.m)
+	})
 	// pick among the 4 easiest-to-drain machines for diversification
 	pick := cands[st.rng.Intn(min(4, len(cands)))]
 	ids := st.drainIDScratch[:0]
@@ -175,22 +168,6 @@ func (st *state) destroyDrain(q int) {
 type drainCand struct {
 	m    cluster.MachineID
 	util float64
-}
-
-// drainSorter orders drainCand ascending by (utilization, machine ID);
-// pointer receiver for the same zero-allocation reason as relSorter.
-type drainSorter struct{ a []drainCand }
-
-func (d *drainSorter) Len() int      { return len(d.a) }
-func (d *drainSorter) Swap(i, j int) { d.a[i], d.a[j] = d.a[j], d.a[i] }
-func (d *drainSorter) Less(i, j int) bool {
-	if d.a[i].util < d.a[j].util {
-		return true
-	}
-	if d.a[i].util > d.a[j].util {
-		return false
-	}
-	return d.a[i].m < d.a[j].m
 }
 
 // removeToPool unassigns s and records it for repair.

@@ -126,44 +126,38 @@ func (st *state) refreshShard(s cluster.ShardID) {
 	}
 }
 
-// syncTouched snapshots the active journal's (shard, machine) pairs into
-// st.touched and refreshes the derived state for each. Called after a
-// successful repair, before evaluating the neighborhood.
+// syncTouched refreshes the derived state for every (shard, machine) pair
+// in the placement's journal. Called after a successful repair, before
+// evaluating the neighborhood.
 //
 //rexlint:noalloc
 func (st *state) syncTouched() {
-	st.touched = st.touched[:0]
 	for i, n := 0, st.cur.TxnLen(); i < n; i++ {
 		s, m := st.cur.TxnOp(i)
-		//rexlint:ignore alloccheck amortized growth of a reused buffer; steady state stays within capacity
-		st.touched = append(st.touched, touchRec{s: s, m: m})
-	}
-	for _, t := range st.touched {
-		st.refreshShard(t.s)
-		st.refreshMachine(t.m)
+		st.refreshShard(s)
+		st.refreshMachine(m)
 	}
 }
 
 // saveObjState snapshots the lazy-maximum triple at transaction start; the
-// remaining objective state is restored by replaying st.touched against the
+// remaining objective state is restored by replaying the journal against the
 // rolled-back placement (the refresh helpers are pure functions of it).
 func (st *state) saveObjState() {
 	st.savedMaxU, st.savedMaxM, st.savedMaxDirty = st.obj.maxU, st.obj.maxM, st.obj.maxDirty
 }
 
-// rollbackIncremental undoes a synced-but-rejected neighborhood: the
-// placement journal is rolled back, the lazy maximum restored from its
-// transaction-start snapshot, and every touched entity re-derived from the
-// (bit-exactly restored) placement.
+// rollbackIncremental undoes a rejected neighborhood: the placement journal
+// is rolled back, the lazy maximum restored from its transaction-start
+// snapshot, and every touched entity re-derived from the (bit-exactly
+// restored) placement — the journal stays readable after Rollback, so the
+// same walk serves. A neighborhood whose repair failed was never synced; for
+// it the restore and the refreshes find nothing to change.
 //
 //rexlint:noalloc
 func (st *state) rollbackIncremental() {
 	st.cur.Rollback()
 	st.obj.maxU, st.obj.maxM, st.obj.maxDirty = st.savedMaxU, st.savedMaxM, st.savedMaxDirty
-	for _, t := range st.touched {
-		st.refreshShard(t.s)
-		st.refreshMachine(t.m)
-	}
+	st.syncTouched()
 }
 
 // evalIncremental returns the solver objective of the current placement,

@@ -7,8 +7,61 @@ import (
 	"testing"
 
 	"rexchange/internal/cluster"
+	"rexchange/internal/rng"
+	"rexchange/internal/vec"
 	"rexchange/internal/workload"
 )
+
+// refKernel is the reference the delta kernel is held to: clone the
+// placement before every neighborhood, rescan the full objective after it,
+// and restore the clone on rejection. It lives here, behind state.kern, so
+// that production code carries one kernel.
+type refKernel struct {
+	st   *state
+	snap *cluster.Placement
+}
+
+func (k *refKernel) begin() { k.snap = k.st.cur.Clone() }
+func (k *refKernel) evaluate() float64 {
+	return objective(k.st.cur, k.st.cfg.SpreadWeight, k.st.cfg.MovePenalty, k.st.initial)
+}
+func (k *refKernel) keep()   {}
+func (k *refKernel) reject() { k.st.cur = k.snap }
+
+// solveRef is Solver.Solve over the reference kernel.
+func solveRef(cfg Config, p *cluster.Placement) (*Result, error) {
+	k, err := cfg.validate(p)
+	if err != nil {
+		return nil, err
+	}
+	st := newState(cfg, p, k)
+	st.kern = &refKernel{st: st}
+	st.run()
+	return st.finish()
+}
+
+// replicatedInstance is smallInstance's fleet with every logical shard
+// replicated twice (the same 120 physical shards on 12 machines), so
+// anti-affinity groups constrain every repair.
+func replicatedInstance(t *testing.T, seed int64, k int) *cluster.Placement {
+	t.Helper()
+	cfg := workload.DefaultConfig()
+	cfg.Machines = 12
+	cfg.Shards = 60
+	cfg.Replicas = 2
+	cfg.TargetFill = 0.75
+	cfg.Seed = seed
+	inst, err := workload.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ec := inst.Cluster.WithExchange(k, vec.New(100, 100, 100), 1)
+	p, err := cluster.FromAssignment(ec, inst.Placement.Assignment())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
 
 // bigFleetInstance builds an instance large enough to exercise the
 // heap-based candidate selection (which only engages above 32 machines).
@@ -61,11 +114,14 @@ func resultsBitIdentical(t *testing.T, label string, a, b *Result) {
 // TestKernelEquivalence is the golden test for the delta kernel: for fixed
 // seeds, the journal-based in-place kernel and the retained clone-and-rescan
 // reference kernel must produce byte-identical results — every destroy ×
-// repair operator pair, plus the full adaptive portfolio.
+// repair operator pair, plus the full adaptive portfolio on an unreplicated
+// and on a replicated fleet (where rollback must also restore what
+// anti-affinity sees).
 func TestKernelEquivalence(t *testing.T) {
 	type opCase struct {
-		name string
-		ops  OperatorSet
+		name     string
+		ops      OperatorSet
+		instance func(*testing.T, int64, int) *cluster.Placement
 	}
 	var cases []opCase
 	destroys := []struct {
@@ -89,15 +145,16 @@ func TestKernelEquivalence(t *testing.T) {
 			var ops OperatorSet
 			d.set(&ops)
 			r.set(&ops)
-			cases = append(cases, opCase{d.name + "+" + r.name, ops})
+			cases = append(cases, opCase{d.name + "+" + r.name, ops, smallInstance})
 		}
 	}
-	cases = append(cases, opCase{"full-portfolio", DefaultConfig().Operators})
+	cases = append(cases, opCase{"full-portfolio", DefaultConfig().Operators, smallInstance})
+	cases = append(cases, opCase{"replicated", DefaultConfig().Operators, replicatedInstance})
 
 	for _, tc := range cases {
 		for _, seed := range []int64{1, 17} {
 			t.Run(fmt.Sprintf("%s/seed%d", tc.name, seed), func(t *testing.T) {
-				p := smallInstance(t, seed, 2)
+				p := tc.instance(t, seed, 2)
 				cfg := quickConfig()
 				cfg.Seed = seed
 				cfg.Operators = tc.ops
@@ -107,9 +164,7 @@ func TestKernelEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				refCfg := cfg
-				refCfg.refKernel = true
-				ref, err := New(refCfg).Solve(p)
+				ref, err := solveRef(cfg, p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -131,9 +186,16 @@ func TestKernelEquivalenceParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refCfg := cfg
-	refCfg.refKernel = true
-	ref, err := New(refCfg).SolvePartitioned(p, PartitionConfig{Restarts: 4})
+	// The reference portfolio is solveRestarts written out: the same
+	// worker seeds, reduced by the same rule.
+	outcomes := make([]outcome, 4)
+	for i := range outcomes {
+		refCfg := cfg
+		refCfg.Seed = rng.WorkerSeed(cfg.Seed, i)
+		res, err := solveRef(refCfg, p)
+		outcomes[i] = outcome{res, err}
+	}
+	ref, err := reduceOutcomes(outcomes)
 	if err != nil {
 		t.Fatal(err)
 	}

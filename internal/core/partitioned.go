@@ -54,7 +54,8 @@ type PartitionConfig struct {
 
 	// failPartition (tests only) injects a solve failure in the 1-based
 	// partition with that index on the first round, to exercise the
-	// degraded path; 0 disables. Mirrors Config.refKernel's pattern.
+	// degraded path; 0 disables. It stays because no real input makes
+	// exactly one partition sub-solve fail.
 	failPartition int
 }
 

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"rexchange/internal/cluster"
 )
@@ -56,8 +57,25 @@ func (st *state) bestMachineFor(s cluster.ShardID) (cluster.MachineID, float64) 
 // false when some shard fits nowhere (caller restores the snapshot).
 func (st *state) repairGreedy() bool {
 	c := st.cur.Cluster()
-	st.poolSorter.a, st.poolSorter.c = st.pool, c
-	sort.Sort(&st.poolSorter)
+	// hardest first: descending load, then descending maximum static
+	// dimension, then ascending shard ID
+	slices.SortFunc(st.pool, func(x, y cluster.ShardID) int {
+		a, b := &c.Shards[x], &c.Shards[y]
+		switch {
+		case a.Load > b.Load:
+			return -1
+		case a.Load < b.Load:
+			return 1
+		}
+		am, bm := a.Static.MaxDim(), b.Static.MaxDim()
+		switch {
+		case am > bm:
+			return -1
+		case am < bm:
+			return 1
+		}
+		return cmp.Compare(x, y)
+	})
 	for _, s := range st.pool {
 		m, _ := st.bestMachineFor(s)
 		if m == cluster.Unassigned {
@@ -68,34 +86,6 @@ func (st *state) repairGreedy() bool {
 		}
 	}
 	return true
-}
-
-// poolSorter orders the repair pool hardest-first: descending load, then
-// descending maximum static dimension, then ascending shard ID. Pointer
-// receiver so repairGreedy sorts without a per-call closure allocation.
-type poolSorter struct {
-	a []cluster.ShardID
-	c *cluster.Cluster
-}
-
-func (p *poolSorter) Len() int      { return len(p.a) }
-func (p *poolSorter) Swap(i, j int) { p.a[i], p.a[j] = p.a[j], p.a[i] }
-func (p *poolSorter) Less(i, j int) bool {
-	a, b := &p.c.Shards[p.a[i]], &p.c.Shards[p.a[j]]
-	if a.Load > b.Load {
-		return true
-	}
-	if a.Load < b.Load {
-		return false
-	}
-	am, bm := a.Static.MaxDim(), b.Static.MaxDim()
-	if am > bm {
-		return true
-	}
-	if am < bm {
-		return false
-	}
-	return p.a[i] < p.a[j]
 }
 
 // bestTwoMachinesFor is the full-fleet fallback scan for repairRegret: like

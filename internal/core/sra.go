@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -21,12 +22,13 @@ type state struct {
 
 	cur    *cluster.Placement
 	curObj float64
+	kern   kernel // how run() tries a neighborhood on cur and takes it back
 
-	best    *cluster.Placement
 	bestObj float64
 	// improving records every new-best placement in discovery order, so
 	// finish() can fall back to an earlier (more conservative) solution if
-	// the very best one has no transiently feasible schedule.
+	// the very best one has no transiently feasible schedule. Each is a
+	// clone frozen once recorded; only cur is ever mutated.
 	improving []*cluster.Placement
 
 	destroyOps []destroyOp
@@ -39,25 +41,21 @@ type state struct {
 	// Incremental objective state (incremental.go) and its per-iteration
 	// snapshot of the lazy maximum.
 	obj           objState
-	touched       []touchRec
 	savedMaxU     float64
 	savedMaxM     int
 	savedMaxDirty bool
 
 	// Reusable scratch so the hot loop is allocation-free: a persistent
-	// shard permutation for destroyRandom, sortable candidate pools for
-	// the related/drain destroyers, and the candidate-machine and
+	// shard permutation for destroyRandom, candidate pools for the
+	// related/drain destroyers, and the candidate-machine and
 	// remaining-pool buffers for regret repair.
 	shardPerm      []cluster.ShardID
 	relScratch     []relScored
-	relSorter      relSorter
 	drainScratch   []drainCand
-	drainSorter    drainSorter
 	drainIDScratch []cluster.ShardID
 	candScratch    []cluster.MachineID
 	candHeap       []machUtil
 	remainScratch  []cluster.ShardID
-	poolSorter     poolSorter
 
 	trajectory     []float64
 	accepted       int
@@ -68,13 +66,6 @@ type state struct {
 	// pays one slice increment and the flush happens once per run. nil
 	// when no Recorder is configured.
 	iterCounts []int
-}
-
-// touchRec is one journal entry mirrored into core: the shard and machine a
-// neighborhood mutation touched.
-type touchRec struct {
-	s cluster.ShardID
-	m cluster.MachineID
 }
 
 type destroyOp struct {
@@ -96,6 +87,7 @@ func newState(cfg Config, p *cluster.Placement, k int) *state {
 		initial:  p.Assignment(),
 		cur:      p.Clone(),
 	}
+	st.kern = deltaKernel{st}
 	if cfg.Operators.RandomRemove {
 		st.destroyOps = append(st.destroyOps, destroyOp{"random", (*state).destroyRandom})
 	}
@@ -130,18 +122,36 @@ func uniformWeights(n int) []float64 {
 	return w
 }
 
-// run executes the LNS loop.
-//
-// The production path is the delta kernel: each iteration opens an undo
-// journal on the placement, applies destroy+repair in place, evaluates the
+// kernel is the part of an LNS iteration that tries a neighborhood on
+// st.cur and keeps it or takes it back; run() owns everything else (operator
+// choice, acceptance, best tracking). Per iteration run() calls begin, lets
+// destroy and repair mutate st.cur, and then either rejects at once (the
+// repair failed) or evaluates and keeps or rejects. Solve always runs
+// deltaKernel; the seam exists so that kernel_test.go can drive the same
+// loop with the clone-and-rescan reference it compares against.
+type kernel interface {
+	begin()
+	evaluate() float64 // the objective of st.cur after a successful repair
+	keep()
+	reject() // restore st.cur to its state at begin, evaluated or not
+}
+
+// deltaKernel journals the neighborhood on the placement, evaluates the
 // objective incrementally (incremental.go), and commits or rolls back in
-// O(mutations touched). With cfg.refKernel set (tests only) the loop
-// instead clones the placement up front and rescans the full objective —
-// the retained reference behaviour. Both paths perform bit-identical
-// arithmetic and consume the RNG identically, so for a fixed seed they must
-// produce the same Result; TestKernelEquivalence enforces this, and under
-// -tags debugasserts every delta evaluation is cross-checked against the
-// reference objective.
+// O(mutations touched).
+type deltaKernel struct{ st *state }
+
+func (k deltaKernel) begin()            { k.st.cur.BeginTxn(); k.st.saveObjState() }
+func (k deltaKernel) evaluate() float64 { k.st.syncTouched(); return k.st.evalIncremental() }
+func (k deltaKernel) keep()             { k.st.cur.Commit() }
+func (k deltaKernel) reject()           { k.st.rollbackIncremental() }
+
+// run executes the LNS loop over st.kern. The delta kernel and the
+// reference kernel (clone the placement up front, rescan the full
+// objective) perform bit-identical arithmetic and the loop consumes the RNG
+// the same way over either, so for a fixed seed they must produce the same
+// Result; TestKernelEquivalence enforces this, and under -tags debugasserts
+// every evaluation is cross-checked against the reference objective.
 func (st *state) run() {
 	cfg := st.cfg
 	var runStart time.Time
@@ -149,13 +159,9 @@ func (st *state) run() {
 		runStart = time.Now() //rexlint:ignore clockpurity recorder wall time feeds telemetry only
 	}
 	st.curObj = objective(st.cur, cfg.SpreadWeight, cfg.MovePenalty, st.initial)
-	st.best = st.cur.Clone()
 	st.bestObj = st.curObj
-	//rexlint:transfer best snapshots are frozen once recorded; only st.cur is ever mutated
-	st.improving = append(st.improving, st.best)
-	if !cfg.refKernel {
-		st.initIncremental()
-	}
+	st.improving = append(st.improving, st.cur.Clone())
+	st.initIncremental()
 
 	t0 := tempFrac * st.curObj
 	tEnd := endTempFrac * st.curObj
@@ -174,13 +180,7 @@ func (st *state) run() {
 	}
 
 	for it := 0; it < cfg.Iterations; it++ {
-		var snap *cluster.Placement
-		if cfg.refKernel {
-			snap = st.cur.Clone()
-		} else {
-			st.cur.BeginTxn()
-			st.saveObjState()
-		}
+		st.kern.begin()
 
 		// destroy size: jitter around baseQ in [minDestroy, maxDestroy]
 		q := minDestroy
@@ -209,29 +209,16 @@ func (st *state) run() {
 		reward := 0.0
 		outcome := iterIdxRepairFailed
 		if !ok {
-			// Discard the neighborhood. The incremental objective state
-			// was not synced yet, so rolling the placement back is enough.
-			if cfg.refKernel {
-				//rexlint:transfer reference-kernel restore: snap becomes the sole owner, the mutated copy is discarded
-				st.cur = snap
-			} else {
-				st.cur.Rollback()
-			}
+			st.kern.reject()
 			st.repairFailures++
 		} else {
-			var newObj float64
-			if cfg.refKernel {
-				newObj = objective(st.cur, cfg.SpreadWeight, cfg.MovePenalty, st.initial)
-			} else {
-				st.syncTouched()
-				newObj = st.evalIncremental()
-				if cluster.DebugAsserts {
-					ref := objective(st.cur, cfg.SpreadWeight, cfg.MovePenalty, st.initial)
-					if math.Float64bits(newObj) != math.Float64bits(ref) {
-						panic(fmt.Sprintf(
-							"core: incremental objective %v diverged from reference %v at iteration %d",
-							newObj, ref, it))
-					}
+			newObj := st.kern.evaluate()
+			if cluster.DebugAsserts {
+				ref := objective(st.cur, cfg.SpreadWeight, cfg.MovePenalty, st.initial)
+				if math.Float64bits(newObj) != math.Float64bits(ref) {
+					panic(fmt.Sprintf(
+						"core: incremental objective %v diverged from reference %v at iteration %d",
+						newObj, ref, it))
 				}
 			}
 			accept := newObj <= st.curObj+1e-12
@@ -242,18 +229,14 @@ func (st *state) run() {
 				}
 			}
 			if accept {
-				if !cfg.refKernel {
-					st.cur.Commit()
-				}
+				st.kern.keep()
 				st.accepted++
 				improvedCur := newObj < st.curObj
 				st.curObj = newObj
 				switch {
 				case newObj < st.bestObj-1e-12:
-					st.best = st.cur.Clone()
 					st.bestObj = newObj
-					//rexlint:transfer best snapshots are frozen once recorded; only st.cur is ever mutated
-					st.improving = append(st.improving, st.best)
+					st.improving = append(st.improving, st.cur.Clone())
 					reward = 3
 					outcome = iterIdxNewBest
 				case improvedCur:
@@ -265,12 +248,7 @@ func (st *state) run() {
 				}
 			} else {
 				outcome = iterIdxRejected
-				if cfg.refKernel {
-					//rexlint:transfer reference-kernel restore: snap becomes the sole owner, the mutated copy is discarded
-					st.cur = snap
-				} else {
-					st.rollbackIncremental()
-				}
+				st.kern.reject()
 			}
 		}
 		if st.iterCounts != nil {
@@ -372,3 +350,6 @@ func compileBest(cfg Config, from *cluster.Placement, initial []cluster.MachineI
 	// itself errors on identical placements — treat as a bug.
 	return nil, errIdentityPlan
 }
+
+// errIdentityPlan is a defensive sentinel; see compileBest.
+var errIdentityPlan = errors.New("core: internal error: identity reassignment failed to plan")

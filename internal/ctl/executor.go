@@ -644,7 +644,7 @@ func (e *Executor) assertTransient(live *cluster.Placement) {
 			panic(fmt.Sprintf("ctl: machine %d reserved %v, recomputed %v", m, e.reserved[m], want[m]))
 		}
 		total := live.Used(cluster.MachineID(m)).Add(e.reserved[m])
-		if !total.LEQ(e.c.Machines[m].Capacity.Add(vec.Uniform(1e-9))) {
+		if !total.LEQ(e.c.Machines[m].Capacity.Add(vec.Uniform(vec.FitEps))) {
 			panic(fmt.Sprintf("ctl: machine %d transient usage %v exceeds capacity %v",
 				m, total, e.c.Machines[m].Capacity))
 		}

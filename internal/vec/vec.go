@@ -105,17 +105,20 @@ func (v Vec) LEQ(w Vec) bool {
 // capacity.
 func (v Vec) FitsWithin(used, capacity Vec) bool {
 	for i := range v {
-		if used[i]+v[i] > capacity[i]+fitEps {
+		if used[i]+v[i] > capacity[i]+FitEps {
 			return false
 		}
 	}
 	return true
 }
 
-// fitEps absorbs floating-point drift from long chains of incremental
+// FitEps absorbs floating-point drift from long chains of incremental
 // adds/subtracts during LNS search, so that a placement that is exactly at
-// capacity is not spuriously rejected.
-const fitEps = 1e-9
+// capacity is not spuriously rejected. Every capacity check in the module
+// (here, cluster's Feasible and CheckInvariants, ctl's transient-usage
+// assert) uses this one tolerance: such chains drift on the order of 1e-12,
+// so anything past it is a real overflow, not rounding.
+const FitEps = 1e-9
 
 // IsZero reports whether every dimension is exactly zero.
 func (v Vec) IsZero() bool {
@@ -131,7 +134,7 @@ func (v Vec) IsZero() bool {
 // incremental floating-point drift around zero).
 func (v Vec) NonNegative() bool {
 	for i := range v {
-		if v[i] < -fitEps {
+		if v[i] < -FitEps {
 			return false
 		}
 	}

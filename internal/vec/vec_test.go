@@ -59,7 +59,7 @@ func TestFitsWithin(t *testing.T) {
 	if New(1.0001, 0, 0).FitsWithin(used, capV) {
 		t.Error("overflow on mem should fail")
 	}
-	// fitEps tolerance: tiny drift past capacity is accepted.
+	// FitEps tolerance: tiny drift past capacity is accepted.
 	if !New(1+1e-12, 0, 0).FitsWithin(used, capV) {
 		t.Error("sub-eps drift should be tolerated")
 	}
