@@ -9,7 +9,9 @@
 # `regressed` fails only if a second pair, run in the opposite order, says
 # `regressed` too: a shared runner has slow spells half a minute long that
 # one pair cannot tell from a regression and a second can
-# (bench/rexbench/README.md, "A/A"). The compare tables go to the job summary.
+# (bench/rexbench/README.md, "A/A"). The compare tables go to the job summary,
+# and with offline_tight's the per-operator iteration rates of its traced
+# pass, parent beside change: where in the solver a wall-time change sits.
 set -euo pipefail
 
 parent=${1:?usage: bench-pair.sh <checkout of the parent commit>}
@@ -25,7 +27,16 @@ trap 'rm -rf "$out"' EXIT
 measure() {
 	local dir=$parent
 	[ "$1" = change ] && dir=$change
-	(cd "$dir" && "$out/rexbench-$1" -workload "$2" -seed 1 -reps 3 -out "$out/$2-$1-$3.json" >/dev/null)
+	(cd "$dir" && "$out/rexbench-$1" -workload "$2" -seed 1 -reps 3 -out "$out/$2-$1-$3.json" >"$out/$2-$1-$3.log")
+}
+
+# operator_rates <tag>: the core.op.*.iters_per_s rows rexbench printed for
+# the traced pass of offline_tight, one line per operator, parent then change.
+operator_rates() {
+	rates() { awk '$2 ~ /^core\.op\.[a-z]+\.iters_per_s$/ {print $2, $3}' "$out/offline_tight-$1.log" | sort; }
+	join <(rates "parent-$1") <(rates "change-$1") |
+		awk 'BEGIN {printf "%-34s %12s %12s %8s\n", "offline_tight traced pass, 1/s", "parent", "change", "ratio"}
+			{printf "%-34s %12s %12s %8.2f\n", $1, $2, $3, $3 / $2}'
 }
 
 # compare <workload> <tag>: writes the table to $out/<workload>-<tag>.txt,
@@ -33,6 +44,7 @@ measure() {
 compare() {
 	local table=$out/$1-$2.txt rc=0
 	"$out/rexbench-change" -compare "$out/$1-parent-$2.json" "$out/$1-change-$2.json" >"$table" || rc=$?
+	[ "$1" != offline_tight ] || operator_rates "$2" >>"$table"
 	cat "$table"
 	[ "$rc" -le 1 ] || exit "$rc" # 1 is a verdict, judged below; anything else is a broken run
 	if [ -n "${GITHUB_STEP_SUMMARY:-}" ]; then

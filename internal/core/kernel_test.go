@@ -268,8 +268,9 @@ func TestCandidateMachinesDistinct(t *testing.T) {
 	p := bigFleetInstance(t, 64)
 	cfg := quickConfig()
 	st := newState(cfg, p, 0)
+	low := st.lowestMachines(lowCount)
 	for round := 0; round < 50; round++ {
-		cands := st.candidateMachines()
+		cands := st.candidateMachines(low)
 		if len(cands) != 32 {
 			t.Fatalf("round %d: %d candidates, want 32", round, len(cands))
 		}
@@ -286,53 +287,72 @@ func TestCandidateMachinesDistinct(t *testing.T) {
 // TestBestTwoMachinesFor checks the full-scan fallback against a brute
 // force: c1/c2 must be the true lowest and second-lowest feasible insertion
 // costs (the bug this replaces left c2 at +Inf, inflating every fallback
-// regret to ~1e18).
+// regret to ~1e18). It also holds both cost-before-feasibility scans to
+// their feasibility-first forms bit for bit, on fleets where anti-affinity,
+// the vacancy contract, tight capacity and exact cost ties each decide.
 func TestBestTwoMachinesFor(t *testing.T) {
-	p := smallInstance(t, 31, 2)
-	cfg := quickConfig()
-	st := newState(cfg, p, 2)
-	c := st.cur.Cluster()
-
 	tested := 0
-	for s := 0; s < c.NumShards(); s += 7 {
-		sid := cluster.ShardID(s)
-		if err := st.cur.Remove(sid); err != nil {
-			t.Fatal(err)
-		}
-		_, c1, c2 := st.bestTwoMachinesFor(sid)
+	for name, p := range map[string]*cluster.Placement{
+		"small":      smallInstance(t, 31, 2),
+		"replicated": operatorFleet(t, 48, 240, 2, 0.75, 3),
+		"tight":      operatorFleet(t, 40, 600, 1, 0.98, 1),
+		"tied":       tiedFleet(t),
+	} {
+		st := newState(quickConfig(), p, 1)
+		c := st.cur.Cluster()
+		for s := 0; s < c.NumShards(); s += 7 {
+			sid := cluster.ShardID(s)
+			if err := st.cur.Remove(sid); err != nil {
+				t.Fatal(err)
+			}
+			m, c1, c2 := st.bestTwoMachinesFor(sid)
+			wm, wc1, wc2 := naiveBestTwo(st, sid)
+			if m != wm || math.Float64bits(c1) != math.Float64bits(wc1) || math.Float64bits(c2) != math.Float64bits(wc2) {
+				t.Fatalf("%s shard %d: bestTwoMachinesFor = (%d, %v, %v), feasibility-first (%d, %v, %v)",
+					name, s, m, c1, c2, wm, wc1, wc2)
+			}
+			if m, wm := st.bestMachineFor(sid), naiveBest(st, sid); m != wm {
+				t.Fatalf("%s shard %d: bestMachineFor = %d, feasibility-first %d", name, s, m, wm)
+			}
 
-		var costs []float64
-		for m := 0; m < c.NumMachines(); m++ {
-			id := cluster.MachineID(m)
-			if st.canInsert(sid, id) {
-				costs = append(costs, st.insertCost(sid, id))
+			var costs []float64
+			for m := 0; m < c.NumMachines(); m++ {
+				id := cluster.MachineID(m)
+				if st.canInsert(sid, id) {
+					costs = append(costs, st.insertCost(sid, id))
+				}
 			}
-		}
-		lo, lo2 := math.Inf(1), math.Inf(1)
-		for _, v := range costs {
-			if v < lo {
-				lo2 = lo
-				lo = v
-			} else if v < lo2 {
-				lo2 = v
+			lo, lo2 := math.Inf(1), math.Inf(1)
+			for _, v := range costs {
+				if v < lo {
+					lo2 = lo
+					lo = v
+				} else if v < lo2 {
+					lo2 = v
+				}
 			}
+			// The scan breaks sub-epsilon cost ties by slack, so allow the
+			// documented 1e-12 tie tolerance (the bug being pinned is 18 orders
+			// of magnitude larger).
+			if math.Abs(c1-lo) > 1e-9 && !(math.IsInf(c1, 1) && math.IsInf(lo, 1)) {
+				t.Fatalf("%s shard %d: c1 = %v, brute force %v", name, s, c1, lo)
+			}
+			if math.Abs(c2-lo2) > 1e-9 && !(math.IsInf(c2, 1) && math.IsInf(lo2, 1)) {
+				t.Fatalf("%s shard %d: c2 = %v, brute force second-best %v", name, s, c2, lo2)
+			}
+			if len(costs) >= 2 && math.IsInf(c2, 1) {
+				t.Fatalf("%s shard %d: c2 is +Inf with %d feasible machines", name, s, len(costs))
+			}
+			// Leave the shard where the scan put it, so later scans see a
+			// placement that has drifted from the generated one.
+			if m == cluster.Unassigned {
+				m = st.initial[sid]
+			}
+			if err := st.cur.Place(sid, m); err != nil {
+				t.Fatal(err)
+			}
+			tested++
 		}
-		// The scan breaks sub-epsilon cost ties by slack, so allow the
-		// documented 1e-12 tie tolerance (the bug being pinned is 18 orders
-		// of magnitude larger).
-		if math.Abs(c1-lo) > 1e-9 {
-			t.Fatalf("shard %d: c1 = %v, brute force %v", s, c1, lo)
-		}
-		if math.Abs(c2-lo2) > 1e-9 && !(math.IsInf(c2, 1) && math.IsInf(lo2, 1)) {
-			t.Fatalf("shard %d: c2 = %v, brute force second-best %v", s, c2, lo2)
-		}
-		if len(costs) >= 2 && math.IsInf(c2, 1) {
-			t.Fatalf("shard %d: c2 is +Inf with %d feasible machines", s, len(costs))
-		}
-		if err := st.cur.Place(sid, st.initial[sid]); err != nil {
-			t.Fatal(err)
-		}
-		tested++
 	}
 	if tested == 0 {
 		t.Fatal("no shards tested")

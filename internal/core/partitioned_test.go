@@ -101,6 +101,16 @@ func TestSolvePartitionedSinglePartitionBitIdentical(t *testing.T) {
 	}
 }
 
+// assignmentHash is FNV-1a over p's assignment, four little-endian bytes per
+// shard: what the pinned-trajectory tests compare.
+func assignmentHash(p *cluster.Placement) uint64 {
+	h := fnv.New64a()
+	for _, m := range p.Assignment() {
+		h.Write([]byte{byte(m), byte(m >> 8), byte(m >> 16), byte(m >> 24)})
+	}
+	return h.Sum64()
+}
+
 // TestSolvePartitionedRestartsPinned pins the restart portfolio to the bits
 // it produced as an entry point of its own, before it was folded into
 // SolvePartitioned: rng.WorkerSeed seeds, objective-then-index reduction,
@@ -127,12 +137,7 @@ func TestSolvePartitionedRestartsPinned(t *testing.T) {
 		if got := math.Float64bits(res.Objective); got != tc.objective {
 			t.Errorf("iterations=%d restarts=%d: objective bits %#x, want %#x", tc.iterations, tc.restarts, got, tc.objective)
 		}
-		// FNV-1a over the assignment, four little-endian bytes per shard.
-		h := fnv.New64a()
-		for _, m := range res.Final.Assignment() {
-			h.Write([]byte{byte(m), byte(m >> 8), byte(m >> 16), byte(m >> 24)})
-		}
-		if got := h.Sum64(); got != tc.assign {
+		if got := assignmentHash(res.Final); got != tc.assign {
 			t.Errorf("iterations=%d restarts=%d: assignment hash %#x, want %#x", tc.iterations, tc.restarts, got, tc.assign)
 		}
 		if res.FailedRestarts != 0 {

@@ -28,18 +28,20 @@ func (st *state) insertCost(s cluster.ShardID, m cluster.MachineID) float64 {
 
 // bestMachineFor scans all machines for the cheapest feasible insertion of
 // s, breaking cost ties toward the machine with more static slack (to keep
-// future insertions feasible). Returns Unassigned when nothing fits.
-func (st *state) bestMachineFor(s cluster.ShardID) (cluster.MachineID, float64) {
+// future insertions feasible). Returns Unassigned when nothing fits. The
+// cost comes first: a machine too expensive to change the answer is never
+// asked whether s fits on it.
+func (st *state) bestMachineFor(s cluster.ShardID) cluster.MachineID {
 	c := st.cur.Cluster()
 	best := cluster.Unassigned
 	bestCost := math.Inf(1)
 	bestSlack := -1.0
 	for m := 0; m < c.NumMachines(); m++ {
 		id := cluster.MachineID(m)
-		if !st.canInsert(s, id) {
+		cost := st.insertCost(s, id)
+		if cost > bestCost+1e-12 || !st.canInsert(s, id) {
 			continue
 		}
-		cost := st.insertCost(s, id)
 		if cost < bestCost-1e-12 {
 			best, bestCost = id, cost
 			bestSlack = st.cur.Free(id).MaxDim()
@@ -49,7 +51,7 @@ func (st *state) bestMachineFor(s cluster.ShardID) (cluster.MachineID, float64) 
 			}
 		}
 	}
-	return best, bestCost
+	return best
 }
 
 // repairGreedy inserts the pool hardest-first (largest load, then largest
@@ -77,7 +79,7 @@ func (st *state) repairGreedy() bool {
 		return cmp.Compare(x, y)
 	})
 	for _, s := range st.pool {
-		m, _ := st.bestMachineFor(s)
+		m := st.bestMachineFor(s)
 		if m == cluster.Unassigned {
 			return false
 		}
@@ -100,10 +102,10 @@ func (st *state) bestTwoMachinesFor(s cluster.ShardID) (best cluster.MachineID, 
 	bestSlack := -1.0
 	for m := 0; m < c.NumMachines(); m++ {
 		id := cluster.MachineID(m)
-		if !st.canInsert(s, id) {
-			continue
-		}
 		cost := st.insertCost(s, id)
+		if (cost > c1+1e-12 && cost >= c2) || !st.canInsert(s, id) {
+			continue // too expensive to be best or runner-up, or infeasible
+		}
 		switch {
 		case cost < c1-1e-12:
 			c2 = c1
@@ -136,8 +138,9 @@ func (st *state) bestTwoMachinesFor(s cluster.ShardID) (best cluster.MachineID, 
 func (st *state) repairRegret() bool {
 	remaining := append(st.remainScratch[:0], st.pool...)
 	st.remainScratch = remaining
+	low := st.lowestMachines(lowCount + len(remaining))
 	for len(remaining) > 0 {
-		cands := st.candidateMachines()
+		cands := st.candidateMachines(low)
 		bestIdx := -1
 		var bestM cluster.MachineID
 		bestRegret := -1.0
@@ -145,10 +148,10 @@ func (st *state) repairRegret() bool {
 			m1 := cluster.Unassigned
 			c1, c2 := math.Inf(1), math.Inf(1)
 			for _, id := range cands {
-				if !st.canInsert(s, id) {
-					continue
-				}
 				cost := st.insertCost(s, id)
+				if cost >= c2 || !st.canInsert(s, id) {
+					continue // neither best nor runner-up, or infeasible
+				}
 				switch {
 				case cost < c1:
 					m1, c2, c1 = id, c1, cost
@@ -178,113 +181,76 @@ func (st *state) repairRegret() bool {
 		if err := st.cur.Place(s, bestM); err != nil {
 			return false
 		}
+		st.rerank(low, bestM)
 		remaining[bestIdx] = remaining[len(remaining)-1]
 		remaining = remaining[:len(remaining)-1]
 	}
 	return true
 }
 
-// machUtil is a machine with its utilization, ordered by (util, ID).
-type machUtil struct {
-	u float64
-	m cluster.MachineID
+// Regret repair's candidate subset: the lowCount lowest-utilization
+// machines plus randCount random distinct extras.
+const lowCount, randCount = 24, 8
+
+// lowestMachines returns the k lowest-(utilization, ID) machines in
+// ascending order, or nil on a fleet small enough that every machine is a
+// candidate. A regret repair of p shards takes lowCount+p of them once and
+// calls rerank after each placement instead of selecting over the whole
+// fleet again. Placements only raise utilization, so every machine left out
+// keeps ranking after every entry no placement has touched; after j ≤ p
+// placements at least lowCount+p−j of those remain, so the first lowCount
+// entries all rank before every machine left out — they are the fleet's
+// true lowest lowCount, in order.
+func (st *state) lowestMachines(k int) []ranked {
+	n := st.cur.Cluster().NumMachines()
+	if n <= lowCount+randCount {
+		return nil
+	}
+	low := st.rankScratch[:0]
+	for m := 0; m < n; m++ {
+		low = keepLowest(low, k, ranked{st.cur.Utilization(cluster.MachineID(m)), m})
+	}
+	sortLowest(low)
+	st.rankScratch = low
+	return low
 }
 
-// ranksAfter reports whether a orders after b: higher utilization first,
-// machine ID as the deterministic tie-break.
-func (a machUtil) ranksAfter(b machUtil) bool {
-	if a.u > b.u {
-		return true
+// rerank moves machine m, which just gained load, to its new place in low;
+// a machine not in low ranked after all of it and still does.
+func (st *state) rerank(low []ranked, m cluster.MachineID) {
+	for i := range low {
+		if low[i].id == int(m) {
+			low[i].key = st.cur.Utilization(m)
+			sink(low, i)
+			return
+		}
 	}
-	if a.u < b.u {
-		return false
-	}
-	return a.m > b.m
 }
 
 // candidateMachines returns the insertion-candidate subset used by
-// repairRegret: the 24 lowest-utilization machines plus 8 random distinct
-// extras (all machines when the fleet is small). The lowest set comes from
-// a bounded max-heap partial selection — O(n log 24) instead of sorting the
-// whole fleet — and the random extras are deduplicated: drawing the same
-// machine twice (or one already in the lowest set) would silently shrink
-// candidate diversity. All buffers are reused across calls.
-func (st *state) candidateMachines() []cluster.MachineID {
-	c := st.cur.Cluster()
-	n := c.NumMachines()
-	const lowCount, randCount = 24, 8
+// repairRegret: the first lowCount machines of low plus randCount random
+// distinct extras (all machines when low is nil: the fleet is small). The
+// extras are deduplicated: drawing the same machine twice (or one already
+// in the lowest set) would silently shrink candidate diversity.
+func (st *state) candidateMachines(low []ranked) []cluster.MachineID {
+	n := st.cur.Cluster().NumMachines()
 	out := st.candScratch[:0]
-	if n <= lowCount+randCount {
+	if low == nil {
 		for i := 0; i < n; i++ {
 			out = append(out, cluster.MachineID(i))
 		}
 		st.candScratch = out
 		return out
 	}
-
-	// Bounded max-heap over (util, ID): the root is the worst of the best
-	// lowCount seen so far and is evicted whenever a better machine
-	// arrives.
-	h := st.candHeap[:0]
-	for i := 0; i < n; i++ {
-		e := machUtil{st.cur.Utilization(cluster.MachineID(i)), cluster.MachineID(i)}
-		if len(h) < lowCount {
-			h = append(h, e)
-			for j := len(h) - 1; j > 0; { // sift up
-				parent := (j - 1) / 2
-				if !h[j].ranksAfter(h[parent]) {
-					break
-				}
-				h[j], h[parent] = h[parent], h[j]
-				j = parent
-			}
-			continue
-		}
-		if !h[0].ranksAfter(e) {
-			continue
-		}
-		h[0] = e
-		for j := 0; ; { // sift down
-			l, r := 2*j+1, 2*j+2
-			big := j
-			if l < len(h) && h[l].ranksAfter(h[big]) {
-				big = l
-			}
-			if r < len(h) && h[r].ranksAfter(h[big]) {
-				big = r
-			}
-			if big == j {
-				break
-			}
-			h[j], h[big] = h[big], h[j]
-			j = big
-		}
-	}
-	st.candHeap = h
-
-	// Emit the selection ascending by (util, ID) — the order the previous
-	// full sort produced — via insertion sort (24 elements, no closure).
-	for i := 1; i < len(h); i++ {
-		for j := i; j > 0 && h[j-1].ranksAfter(h[j]); j-- {
-			h[j], h[j-1] = h[j-1], h[j]
-		}
-	}
-	for _, e := range h {
-		out = append(out, e.m)
+	for _, e := range low[:lowCount] {
+		out = append(out, cluster.MachineID(e.id))
 	}
 
 	// Distinct random extras from the rest of the fleet; rejection
 	// sampling terminates because n > lowCount+randCount.
 	for len(out) < lowCount+randCount {
 		m := cluster.MachineID(st.rng.Intn(n))
-		dup := false
-		for _, seen := range out {
-			if seen == m {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if !slices.Contains(out, m) {
 			out = append(out, m)
 		}
 	}

@@ -46,16 +46,18 @@ type state struct {
 	savedMaxDirty bool
 
 	// Reusable scratch so the hot loop is allocation-free: a persistent
-	// shard permutation for destroyRandom, candidate pools for the
-	// related/drain destroyers, and the candidate-machine and
-	// remaining-pool buffers for regret repair.
+	// shard permutation for destroyRandom, the bounded-selection buffer of
+	// whichever operator is running (worst, related, drain or regret),
+	// drain's shard list, and the candidate-machine and remaining-pool
+	// buffers for regret repair.
 	shardPerm      []cluster.ShardID
-	relScratch     []relScored
-	drainScratch   []drainCand
+	rankScratch    []ranked
 	drainIDScratch []cluster.ShardID
 	candScratch    []cluster.MachineID
-	candHeap       []machUtil
 	remainScratch  []cluster.ShardID
+
+	// Shaw removal's normalizers: the largest shard load and static norm.
+	loadScale, staticScale float64
 
 	trajectory     []float64
 	accepted       int
@@ -96,6 +98,7 @@ func newState(cfg Config, p *cluster.Placement, k int) *state {
 	}
 	if cfg.Operators.RelatedRemove {
 		st.destroyOps = append(st.destroyOps, destroyOp{"related", (*state).destroyRelated})
+		st.loadScale, st.staticScale = maxShardLoad(p.Cluster()), maxShardStatic(p.Cluster())
 	}
 	if cfg.Operators.DrainRemove {
 		st.destroyOps = append(st.destroyOps, destroyOp{"drain", (*state).destroyDrain})

@@ -71,3 +71,55 @@ func BenchmarkObjective(b *testing.B) {
 		_ = objective(p, 0.1, 0.02, initial)
 	}
 }
+
+// operatorBenchState is a solver state on a 1 000-machine, 8 000-shard fleet
+// with the delta kernel ready, for benchmarks that drive single operators.
+func operatorBenchState(b *testing.B) *state {
+	st := newState(DefaultConfig(), benchFleet(b, 1000, 8000, 42), 0)
+	st.curObj = objective(st.cur, st.cfg.SpreadWeight, st.cfg.MovePenalty, st.initial)
+	st.initIncremental()
+	return st
+}
+
+// benchNeighborhood times destroy, then repair when there is one, then the
+// rollback, at the largest destroy size. Untimed rounds first grow the scratch
+// buffers, the journal and the placement's per-machine shard lists to their
+// steady-state capacity, so -benchmem must read 0 allocs/op: the operators
+// allocate nothing.
+func benchNeighborhood(b *testing.B, st *state, destroy func(*state, int), repair func(*state) bool) {
+	round := func() {
+		st.kern.begin()
+		st.pool = st.pool[:0]
+		destroy(st, maxDestroy)
+		if repair != nil {
+			repair(st)
+		}
+		st.kern.reject()
+	}
+	for i := 0; i < 100; i++ {
+		round()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+}
+
+// BenchmarkOperator times each destroy operator alone (destroy + rollback):
+// a repair would cost more than most of them and hide what is measured.
+func BenchmarkOperator(b *testing.B) {
+	st := operatorBenchState(b)
+	for _, op := range st.destroyOps {
+		b.Run(op.name, func(b *testing.B) { benchNeighborhood(b, st, op.fn, nil) })
+	}
+}
+
+// BenchmarkRepair times each repair operator on the pool of a random
+// destroy, the cheapest one (random destroy + repair + rollback).
+func BenchmarkRepair(b *testing.B) {
+	st := operatorBenchState(b)
+	for _, op := range st.repairOps {
+		b.Run(op.name, func(b *testing.B) { benchNeighborhood(b, st, (*state).destroyRandom, op.fn) })
+	}
+}
