@@ -87,30 +87,6 @@ func TestCLISrabenchQuick(t *testing.T) {
 	}
 }
 
-func TestCLIIndextool(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries")
-	}
-	dir := t.TempDir()
-	indextool := buildTool(t, dir, "indextool")
-	idx := filepath.Join(dir, "idx.rxix")
-	out := runTool(t, indextool, "-build", "-docs", "500", "-vocab", "800", "-out", idx)
-	if !strings.Contains(out, "saved →") {
-		t.Errorf("indextool build output:\n%s", out)
-	}
-	out = runTool(t, indextool, "-in", idx, "-stats", "-query", "t1 t3", "-mode", "and")
-	for _, want := range []string{"loaded", "compressed", "results"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("indextool query output missing %q:\n%s", want, out)
-		}
-	}
-	// or-mode and taat-mode also work
-	out = runTool(t, indextool, "-in", idx, "-query", "t1", "-mode", "taat")
-	if !strings.Contains(out, "results") {
-		t.Errorf("taat output:\n%s", out)
-	}
-}
-
 func TestCLIErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")

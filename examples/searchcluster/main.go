@@ -43,7 +43,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	shards, err := si.ProfileShards(invindex.DefaultProfileConfig(queries))
+	shards, err := si.ProfileShards(queries)
 	if err != nil {
 		log.Fatal(err)
 	}

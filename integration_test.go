@@ -148,7 +148,7 @@ func TestSearchToBalancePipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards, err := si.ProfileShards(invindex.DefaultProfileConfig(queries))
+	shards, err := si.ProfileShards(queries)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"rexchange/internal/cluster"
@@ -370,6 +371,10 @@ func TestTraceDriftSourceDeterministicAndWrapping(t *testing.T) {
 	}
 	if _, err := mk().Next(5, 3); err == nil {
 		t.Fatal("inverted window accepted")
+	}
+	// A negative sigma must not silently run a frozen fleet.
+	if _, err := NewTraceDriftSource(inst.Cluster, tr, -1, 42); err == nil || !strings.Contains(err.Error(), "negative drift") {
+		t.Fatalf("sigma -1: err = %v, want a negative-drift error", err)
 	}
 }
 

@@ -49,11 +49,14 @@ type TraceDriftSource struct {
 
 // NewTraceDriftSource builds a source over the given cluster's shard
 // population. sigma is the per-window lognormal drift of shard popularity
-// (0 freezes relative shares; ~0.05–0.15 models gradual drift). The trace
-// must have positive duration.
+// (0 freezes relative shares; ~0.05–0.15 models gradual drift; negative is
+// rejected). The trace must have positive duration.
 func NewTraceDriftSource(c *cluster.Cluster, tr *workload.Trace, sigma float64, seed int64) (*TraceDriftSource, error) {
 	if tr == nil || tr.Duration <= 0 {
 		return nil, fmt.Errorf("ctl: trace with positive duration required")
+	}
+	if sigma < 0 {
+		return nil, fmt.Errorf("ctl: negative drift: sigma must be ≥ 0, got %g", sigma)
 	}
 	total := 0.0
 	for _, q := range tr.Queries {

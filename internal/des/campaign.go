@@ -101,6 +101,11 @@ type CampaignResult struct {
 // fixed cfg the result — including the rendered report — is
 // byte-identical across runs and GOMAXPROCS values.
 func RunCampaign(cfg CampaignConfig, variant string) (*CampaignResult, error) {
+	// Controller.Run(0) means "until Stop", and nothing stops an offline
+	// campaign: without this check it would never return.
+	if cfg.Rounds <= 0 {
+		return nil, fmt.Errorf("des: campaign needs Rounds > 0, got %d", cfg.Rounds)
+	}
 	wcfg := workload.DefaultConfig()
 	wcfg.Machines = cfg.Machines
 	wcfg.Shards = cfg.Shards
@@ -140,9 +145,6 @@ func RunCampaign(cfg CampaignConfig, variant string) (*CampaignResult, error) {
 		scfg.Seed = cfg.Seed
 	}
 	dur := float64(cfg.Rounds) * scfg.Window
-	if dur <= 0 {
-		dur = 600
-	}
 	tr, err := workload.GenerateTrace(workload.TraceConfig{
 		Duration: dur, BaseRate: cfg.Rate, DiurnalAmp: cfg.Diurnal, Period: dur,
 		CostMu: 0, CostSigma: 0.5, Seed: cfg.Seed + 7,

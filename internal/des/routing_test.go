@@ -82,6 +82,7 @@ func TestNewValidation(t *testing.T) {
 		"unknown routing":     {Config{Routing: Routing(9)}, p, tr},
 		"saturating util":     {Config{TargetUtil: 1}, p, tr},
 		"negative fanout":     {Config{Fanout: -1}, p, tr},
+		"negative drift":      {Config{DriftSigma: -1}, p, tr},
 		"nil placement":       {Config{}, nil, tr},
 		"trace without span":  {Config{}, p, &workload.Trace{}},
 		"trace without query": {Config{}, p, &workload.Trace{Duration: 5}},

@@ -56,7 +56,7 @@ type Config struct {
 	// to 10.
 	Window float64 `json:"window"`
 	// DriftSigma is the per-window lognormal popularity walk applied to
-	// shard weights (0 freezes relative popularity).
+	// shard weights (0 freezes relative popularity; negative is rejected).
 	DriftSigma float64 `json:"drift_sigma"`
 	// Drag is the fractional service-speed loss on a machine per
 	// migration copy streaming off it. 0 defaults to 0.3; negative
@@ -107,6 +107,9 @@ func (cfg *Config) normalize() error {
 	}
 	if cfg.Window < 0 {
 		return fmt.Errorf("des: Window must be positive, got %g", cfg.Window)
+	}
+	if cfg.DriftSigma < 0 {
+		return fmt.Errorf("des: negative drift: DriftSigma must be ≥ 0, got %g", cfg.DriftSigma)
 	}
 	if cfg.Drag == 0 {
 		cfg.Drag = 0.3
@@ -437,8 +440,12 @@ func (s *Sim) closeWindow(t float64) {
 }
 
 // driftStep walks every shard weight by a lognormal factor and
-// renormalizes so total popularity stays put while shares shift — the
-// same drift model ctl.TraceDriftSource applies to load snapshots.
+// renormalizes so total popularity stays put while shares shift. It is
+// not the drift ctl.TraceDriftSource applies (workload.PerturbLoads): no
+// per-shard load cap is re-applied after the step, so one shard can
+// outgrow a machine, and every shard walks on its own, so replicas of a
+// logical shard do not move together. Unifying the two models is ROADMAP
+// item 2, deferred on purpose because it changes every drifted journal.
 func (s *Sim) driftStep() {
 	r := s.drift
 	total := 0.0

@@ -3,7 +3,9 @@ package des
 import (
 	"math"
 	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"rexchange/internal/cluster"
 	"rexchange/internal/ctl"
@@ -311,6 +313,36 @@ func TestSimDeterministicReport(t *testing.T) {
 	b := run(8)
 	if a != b {
 		t.Fatalf("report differs across GOMAXPROCS:\n--- 1 ---\n%s--- 8 ---\n%s", a, b)
+	}
+}
+
+// TestRunCampaignRejectsBadConfig: a campaign without rounds would run the
+// controller "until Stop", which nothing calls offline, and a negative
+// drift would silently freeze the fleet — both fail up front instead.
+func TestRunCampaignRejectsBadConfig(t *testing.T) {
+	cfg := DefaultCampaignConfig()
+	cfg.Machines, cfg.Shards = 10, 60
+	noRounds := cfg
+	noRounds.Rounds = 0
+	done := make(chan error, 1)
+	go func() {
+		_, err := RunCampaign(noRounds, "solve")
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if want := "des: campaign needs Rounds > 0, got 0"; err == nil || err.Error() != want {
+			t.Errorf("Rounds 0: err = %v, want %q", err, want)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("RunCampaign with Rounds 0 did not return")
+	}
+
+	negDrift := cfg
+	negDrift.Rounds = 2
+	negDrift.Sim.DriftSigma = -1
+	if _, err := RunCampaign(negDrift, "solve"); err == nil || !strings.Contains(err.Error(), "negative drift") {
+		t.Errorf("DriftSigma -1: err = %v, want a negative-drift error", err)
 	}
 }
 

@@ -41,7 +41,7 @@ func F5LatencySim(sc Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	shards, err := si.ProfileShards(invindex.DefaultProfileConfig(queries))
+	shards, err := si.ProfileShards(queries)
 	if err != nil {
 		return nil, err
 	}

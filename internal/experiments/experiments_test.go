@@ -275,9 +275,20 @@ func TestFigureMakespansGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := strings.Join(tbl.Rows[len(tbl.Rows)-1], " ")
-	if want := "migration[sec/moves/bytes/peak] - - 0.2141 45.0000 39.5876 4.0000"; got != want {
-		t.Errorf("F5 migration row = %q, want %q", got, want)
+	// Every F5 row: the latency rows hold the profiled shards (invindex),
+	// the solve and the simulator to the same bits as the migration row.
+	wantF5 := []string{
+		"initial 0.9840 0.8775 0.8690 0.8386 2.5667 2.6548",
+		"rebalanced 0.9253 0.8908 0.4372 0.3806 1.3449 1.4852",
+		"migration[sec/moves/bytes/peak] - - 0.2141 45.0000 39.5876 4.0000",
+	}
+	if len(tbl.Rows) != len(wantF5) {
+		t.Fatalf("F5 has %d rows, want %d", len(tbl.Rows), len(wantF5))
+	}
+	for i, want := range wantF5 {
+		if got := strings.Join(tbl.Rows[i], " "); got != want {
+			t.Errorf("F5 row %d = %q, want %q", i, got, want)
+		}
 	}
 }
 

@@ -1,323 +1,45 @@
 package invindex
 
-import "fmt"
+// This file sizes postings lists as real engines store them: variable-byte
+// (vbyte) encoded document-ID deltas and term frequencies, organized in
+// blocks with one skip entry each. The compressed size is the honest disk
+// footprint of a shard (used by ProfileShards); only the size is needed, so
+// the encoding itself is never built.
 
-// This file implements compressed postings lists: variable-byte (vbyte)
-// encoded document-ID deltas and term frequencies, organized in blocks with
-// skip entries so iterators can seek forward without decoding everything.
-// Real engines store postings this way; the compressed size is the honest
-// disk footprint of a shard (used by ProfileShards), and skip-based seeking
-// powers the conjunctive (AND) query evaluator.
+const (
+	// blockSize is the number of postings per skip block.
+	blockSize = 128
+	// skipEntryBytes is the size of one block's skip entry (last DocID,
+	// byte offset, delta base, postings before the block).
+	skipEntryBytes = 16
+)
 
-// blockSize is the number of postings per skip block.
-const blockSize = 128
+// compressedBytes returns the total compressed postings size of ix: for
+// each term, Σ over its postings of vbyteLen(doc − prev) + vbyteLen(tf)
+// with prev starting at −1, plus one skip entry per block. Index.Add only
+// produces strictly increasing DocIDs with positive TFs, so every delta
+// and TF is a valid unsigned value.
+func compressedBytes(ix *Index) int {
+	total := 0
+	for i := range ix.terms {
+		ps := ix.terms[i].postings
+		prev := DocID(-1)
+		for _, p := range ps {
+			total += vbyteLen(uint32(p.Doc-prev)) + vbyteLen(uint32(p.TF))
+			prev = p.Doc
+		}
+		total += skipEntryBytes * ((len(ps) + blockSize - 1) / blockSize)
+	}
+	return total
+}
 
-// vbytePut appends x to buf in variable-byte encoding (7 bits per byte,
-// high bit = continuation).
-func vbytePut(buf []byte, x uint32) []byte {
+// vbyteLen returns the encoded length of x in variable-byte encoding (7
+// bits per byte, high bit = continuation).
+func vbyteLen(x uint32) int {
+	n := 1
 	for x >= 0x80 {
-		buf = append(buf, byte(x)|0x80)
 		x >>= 7
+		n++
 	}
-	return append(buf, byte(x))
-}
-
-// vbyteGet decodes one value from buf, returning it and the bytes consumed.
-// Malformed input (truncated continuation) returns n == 0.
-func vbyteGet(buf []byte) (x uint32, n int) {
-	var shift uint
-	for i := 0; i < len(buf); i++ {
-		b := buf[i]
-		x |= uint32(b&0x7f) << shift
-		if b < 0x80 {
-			return x, i + 1
-		}
-		shift += 7
-		if shift > 28 {
-			return 0, 0 // overflow: not a valid uint32 vbyte
-		}
-	}
-	return 0, 0
-}
-
-// skipEntry indexes one block: the last DocID it contains, the byte offset
-// where it starts, and the DocID preceding it (delta base).
-type skipEntry struct {
-	lastDoc DocID
-	offset  int
-	prevDoc DocID
-	count   int // postings before this block
-}
-
-// CompressedList is an immutable compressed postings list.
-type CompressedList struct {
-	data  []byte
-	skips []skipEntry
-	n     int
-}
-
-// Compress encodes postings (sorted by DocID, as produced by Index) into a
-// CompressedList.
-func Compress(postings []Posting) (*CompressedList, error) {
-	cl := &CompressedList{n: len(postings)}
-	prev := DocID(-1)
-	for i, p := range postings {
-		if p.Doc <= prev && i > 0 {
-			return nil, fmt.Errorf("invindex: postings out of order at %d (%d after %d)", i, p.Doc, prev)
-		}
-		if p.TF <= 0 {
-			return nil, fmt.Errorf("invindex: non-positive TF at %d", i)
-		}
-		if i%blockSize == 0 {
-			last := postings[min(i+blockSize, len(postings))-1].Doc
-			cl.skips = append(cl.skips, skipEntry{
-				lastDoc: last, offset: len(cl.data), prevDoc: prev, count: i,
-			})
-		}
-		delta := uint32(p.Doc - prev)
-		cl.data = vbytePut(cl.data, delta)
-		cl.data = vbytePut(cl.data, uint32(p.TF))
-		prev = p.Doc
-	}
-	return cl, nil
-}
-
-// Len returns the number of postings.
-func (cl *CompressedList) Len() int { return cl.n }
-
-// Bytes returns the compressed size in bytes (data plus skip index).
-func (cl *CompressedList) Bytes() int {
-	return len(cl.data) + len(cl.skips)*16
-}
-
-// Decompress expands the whole list (primarily for tests and round-trip
-// verification).
-func (cl *CompressedList) Decompress() ([]Posting, error) {
-	out := make([]Posting, 0, cl.n)
-	it := cl.Iterator()
-	for it.Valid() {
-		out = append(out, Posting{Doc: it.Doc(), TF: it.TF()})
-		if err := it.Next(); err != nil {
-			return nil, err
-		}
-	}
-	return out, it.Err()
-}
-
-// Iterator walks a CompressedList with forward seeking.
-type Iterator struct {
-	cl    *CompressedList
-	pos   int // postings consumed
-	off   int // byte offset of the next encoded posting
-	doc   DocID
-	tf    int32
-	valid bool
-	err   error
-}
-
-// Iterator returns a new iterator positioned at the first posting.
-func (cl *CompressedList) Iterator() *Iterator {
-	it := &Iterator{cl: cl}
-	if cl.n == 0 {
-		return it
-	}
-	it.doc = cl.skips[0].prevDoc
-	it.valid = true
-	it.advance()
-	return it
-}
-
-// advance decodes the next posting into doc/tf.
-func (it *Iterator) advance() {
-	if it.pos >= it.cl.n {
-		it.valid = false
-		return
-	}
-	d, n1 := vbyteGet(it.cl.data[it.off:])
-	if n1 == 0 {
-		it.fail("truncated delta")
-		return
-	}
-	tf, n2 := vbyteGet(it.cl.data[it.off+n1:])
-	if n2 == 0 {
-		it.fail("truncated tf")
-		return
-	}
-	it.doc += DocID(d)
-	it.tf = int32(tf)
-	it.off += n1 + n2
-	it.pos++
-}
-
-func (it *Iterator) fail(msg string) {
-	it.err = fmt.Errorf("invindex: corrupt compressed list: %s at posting %d", msg, it.pos)
-	it.valid = false
-}
-
-// Valid reports whether the iterator currently points at a posting.
-func (it *Iterator) Valid() bool { return it.valid }
-
-// Err returns the decoding error that stopped the iterator, if any.
-func (it *Iterator) Err() error { return it.err }
-
-// Doc returns the current posting's document.
-func (it *Iterator) Doc() DocID { return it.doc }
-
-// TF returns the current posting's term frequency.
-func (it *Iterator) TF() int32 { return it.tf }
-
-// Next moves to the following posting.
-func (it *Iterator) Next() error {
-	if !it.valid {
-		return it.err
-	}
-	it.advance()
-	return it.err
-}
-
-// SeekGE positions the iterator at the first posting with Doc ≥ target,
-// using the skip index to jump over whole blocks. It never moves backward.
-func (it *Iterator) SeekGE(target DocID) error {
-	if !it.valid || it.doc >= target {
-		return it.err
-	}
-	// find the first block whose lastDoc ≥ target, at or after the
-	// current block
-	curBlock := (it.pos - 1) / blockSize
-	skips := it.cl.skips
-	lo, hi := curBlock, len(skips)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if skips[mid].lastDoc >= target {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	if skips[lo].lastDoc < target {
-		// no posting ≥ target exists
-		it.valid = false
-		return nil
-	}
-	if lo > curBlock {
-		sk := skips[lo]
-		it.pos = sk.count
-		it.off = sk.offset
-		it.doc = sk.prevDoc
-		it.advance()
-		if !it.valid {
-			return it.err
-		}
-	}
-	for it.valid && it.doc < target {
-		it.advance()
-	}
-	return it.err
-}
-
-// CompressedIndex holds every term's postings in compressed form. It is
-// derived from an Index and answers conjunctive queries via skip-based
-// intersection.
-type CompressedIndex struct {
-	src   *Index
-	lists []*CompressedList // parallel to src.terms
-}
-
-// Compact compresses every postings list of ix.
-func (ix *Index) Compact() (*CompressedIndex, error) {
-	ci := &CompressedIndex{src: ix, lists: make([]*CompressedList, len(ix.terms))}
-	for tid := range ix.terms {
-		cl, err := Compress(ix.terms[tid].postings)
-		if err != nil {
-			return nil, fmt.Errorf("invindex: term %q: %w", ix.terms[tid].text, err)
-		}
-		ci.lists[tid] = cl
-	}
-	return ci, nil
-}
-
-// CompressedBytes returns the total compressed postings size.
-func (ci *CompressedIndex) CompressedBytes() int {
-	t := 0
-	for _, cl := range ci.lists {
-		t += cl.Bytes()
-	}
-	return t
-}
-
-// UncompressedBytes returns the raw postings size (8 bytes per posting),
-// for compression-ratio reporting.
-func (ci *CompressedIndex) UncompressedBytes() int {
-	t := 0
-	for _, cl := range ci.lists {
-		t += cl.Len() * 8
-	}
-	return t
-}
-
-// SearchConjunctive evaluates an AND query: documents containing every
-// query term, BM25-ranked, top k. Lists are intersected rarest-first with
-// skip-based seeking — the standard conjunctive evaluator of web engines.
-func (ci *CompressedIndex) SearchConjunctive(terms []string, k int) ([]ScoredDoc, Stats) {
-	var st Stats
-	tids := ci.src.resolveTerms(terms)
-	if len(tids) == 0 || k <= 0 {
-		return nil, st
-	}
-	// rarest list first drives the intersection
-	sortIntsBy(tids, func(a, b int) bool {
-		return ci.lists[a].Len() < ci.lists[b].Len()
-	})
-	its := make([]*Iterator, len(tids))
-	idfs := make([]float64, len(tids))
-	for i, tid := range tids {
-		its[i] = ci.lists[tid].Iterator()
-		idfs[i] = ci.src.idf(tid)
-		if !its[i].Valid() {
-			return nil, st // some term has no postings
-		}
-	}
-	var h resultHeap
-	for its[0].Valid() {
-		cand := its[0].Doc()
-		st.PostingsScanned++
-		match := true
-		for i := 1; i < len(its); i++ {
-			if err := its[i].SeekGE(cand); err != nil || !its[i].Valid() {
-				return h.sorted(), st
-			}
-			st.PostingsScanned++
-			if its[i].Doc() != cand {
-				// advance the driver to the blocker and restart
-				if err := its[0].SeekGE(its[i].Doc()); err != nil {
-					return h.sorted(), st
-				}
-				match = false
-				break
-			}
-		}
-		if !match {
-			continue
-		}
-		score := 0.0
-		for i := range its {
-			score += ci.src.bm25(idfs[i], its[i].TF(), ci.src.docLen[cand])
-		}
-		st.DocsScored++
-		h.push(ScoredDoc{Doc: cand, Score: score}, k)
-		if err := its[0].Next(); err != nil {
-			break
-		}
-	}
-	return h.sorted(), st
-}
-
-// sortIntsBy sorts xs by less (tiny helper; avoids a sort.Slice closure on
-// tids aliasing).
-func sortIntsBy(xs []int, less func(a, b int) bool) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && less(xs[j], xs[j-1]); j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
+	return n
 }

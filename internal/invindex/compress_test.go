@@ -1,170 +1,59 @@
 package invindex
 
 import (
+	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
-// randPostings produces a sorted random postings list.
-func randPostings(r *rand.Rand, n int) []Posting {
+// refCompressedBytes is the reference encoder compressedBytes must agree
+// with: it builds every postings list's vbyte encoding (doc-ID deltas from
+// prev = −1, then TFs, 7 bits per byte) and adds one 16-byte skip entry per
+// started block of 128 postings, as the deleted Compress did.
+func refCompressedBytes(ix *Index) int {
+	var data []byte
+	skips := 0
+	for _, ti := range ix.terms {
+		prev := DocID(-1)
+		for i, p := range ti.postings {
+			if i%128 == 0 {
+				skips++
+			}
+			for _, x := range []uint32{uint32(p.Doc - prev), uint32(p.TF)} {
+				for ; x >= 0x80; x >>= 7 {
+					data = append(data, byte(x)|0x80)
+				}
+				data = append(data, byte(x))
+			}
+			prev = p.Doc
+		}
+	}
+	return len(data) + 16*skips
+}
+
+// straddlePostings produces a sorted postings list of n entries whose
+// doc-ID deltas and TFs sit on either side of the vbyte length boundaries
+// 2⁷, 2¹⁴, 2²¹ and 2²⁸. Deltas fall back to small gaps once the remaining
+// DocID range would not fit the rest of the list.
+func straddlePostings(r *rand.Rand, n int) []Posting {
+	bounds := []int{1 << 7, 1 << 14, 1 << 21, 1 << 28}
+	straddle := func() int { return bounds[r.Intn(len(bounds))] - 1 + r.Intn(2) }
 	out := make([]Posting, n)
-	doc := DocID(0)
+	doc := -1
 	for i := range out {
-		doc += DocID(1 + r.Intn(50))
-		out[i] = Posting{Doc: doc, TF: int32(1 + r.Intn(9))}
+		gap := straddle()
+		if room := math.MaxInt32 - doc - (n - i); gap > room {
+			gap = 1 + r.Intn(min(room, 1<<7))
+		}
+		doc += gap
+		out[i] = Posting{Doc: DocID(doc), TF: int32(straddle())}
 	}
 	return out
 }
 
-func TestVByteRoundTrip(t *testing.T) {
-	cases := []uint32{0, 1, 127, 128, 129, 16383, 16384, 1 << 20, 1<<32 - 1}
-	for _, x := range cases {
-		buf := vbytePut(nil, x)
-		got, n := vbyteGet(buf)
-		if n != len(buf) || got != x {
-			t.Errorf("vbyte(%d) round trip = %d (consumed %d of %d)", x, got, n, len(buf))
-		}
-	}
-	if _, n := vbyteGet([]byte{0x80, 0x80}); n != 0 {
-		t.Error("truncated vbyte should fail")
-	}
-	if _, n := vbyteGet(nil); n != 0 {
-		t.Error("empty vbyte should fail")
-	}
-	// 5-byte overflow (> 32 bits of shifts)
-	if _, n := vbyteGet([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x01}); n != 0 {
-		t.Error("overlong vbyte should fail")
-	}
-}
-
-func TestCompressRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	for _, n := range []int{0, 1, blockSize - 1, blockSize, blockSize + 1, 3*blockSize + 7, 1000} {
-		ps := randPostings(r, n)
-		cl, err := Compress(ps)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if cl.Len() != n {
-			t.Fatalf("n=%d: Len=%d", n, cl.Len())
-		}
-		got, err := cl.Decompress()
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if len(got) != n {
-			t.Fatalf("n=%d: decompressed %d", n, len(got))
-		}
-		for i := range got {
-			if got[i] != ps[i] {
-				t.Fatalf("n=%d: posting %d = %v, want %v", n, i, got[i], ps[i])
-			}
-		}
-	}
-}
-
-func TestCompressRejectsBadInput(t *testing.T) {
-	if _, err := Compress([]Posting{{Doc: 5, TF: 1}, {Doc: 5, TF: 1}}); err == nil {
-		t.Error("duplicate docs should fail")
-	}
-	if _, err := Compress([]Posting{{Doc: 5, TF: 1}, {Doc: 3, TF: 1}}); err == nil {
-		t.Error("out-of-order docs should fail")
-	}
-	if _, err := Compress([]Posting{{Doc: 5, TF: 0}}); err == nil {
-		t.Error("zero TF should fail")
-	}
-}
-
-func TestCompressionShrinks(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	ps := randPostings(r, 10000)
-	cl, err := Compress(ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := len(ps) * 8
-	if cl.Bytes() >= raw {
-		t.Errorf("compressed %d ≥ raw %d", cl.Bytes(), raw)
-	}
-}
-
-func TestSeekGEMatchesLinearScan(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	ps := randPostings(r, 5*blockSize+17)
-	cl, err := Compress(ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// reference: linear search over raw postings
-	linear := func(target DocID) (DocID, bool) {
-		for _, p := range ps {
-			if p.Doc >= target {
-				return p.Doc, true
-			}
-		}
-		return 0, false
-	}
-	maxDoc := ps[len(ps)-1].Doc
-	for trial := 0; trial < 400; trial++ {
-		target := DocID(r.Intn(int(maxDoc) + 10))
-		it := cl.Iterator()
-		// random warm-up: advance or seek part way first
-		if r.Intn(2) == 0 {
-			mid := DocID(r.Intn(int(target) + 1))
-			if err := it.SeekGE(mid); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := it.SeekGE(target); err != nil {
-			t.Fatal(err)
-		}
-		want, ok := linear(target)
-		if ok != it.Valid() {
-			t.Fatalf("target %d: valid=%v want %v", target, it.Valid(), ok)
-		}
-		if ok && it.Doc() != want {
-			t.Fatalf("target %d: doc=%d want %d", target, it.Doc(), want)
-		}
-	}
-}
-
-func TestSeekGENeverMovesBackward(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	ps := randPostings(r, 3*blockSize)
-	cl, _ := Compress(ps)
-	it := cl.Iterator()
-	if err := it.SeekGE(ps[blockSize].Doc); err != nil {
-		t.Fatal(err)
-	}
-	at := it.Doc()
-	// seeking to an earlier target is a no-op
-	if err := it.SeekGE(ps[0].Doc); err != nil {
-		t.Fatal(err)
-	}
-	if it.Doc() != at {
-		t.Errorf("backward seek moved iterator: %d → %d", at, it.Doc())
-	}
-}
-
-func TestIteratorCorruptData(t *testing.T) {
-	cl, _ := Compress([]Posting{{Doc: 1, TF: 2}, {Doc: 9, TF: 3}})
-	cl.data = cl.data[:len(cl.data)-1] // truncate
-	it := cl.Iterator()
-	for it.Valid() {
-		if err := it.Next(); err != nil {
-			break
-		}
-	}
-	if it.Err() == nil {
-		t.Error("expected corruption error")
-	}
-	if _, err := cl.Decompress(); err == nil {
-		t.Error("Decompress should surface corruption")
-	}
-}
-
-func TestCompactAndConjunctive(t *testing.T) {
+// corpusIndex indexes a 1 200-document Zipf corpus into one index.
+func corpusIndex(t *testing.T) *Index {
+	t.Helper()
 	docs, err := GenerateCorpus(CorpusConfig{Docs: 1200, Vocab: 500, ZipfS: 1.2, MeanDocLen: 40, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -173,86 +62,33 @@ func TestCompactAndConjunctive(t *testing.T) {
 	for _, d := range docs {
 		ix.Add(d)
 	}
-	ci, err := ix.Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ci.CompressedBytes() >= ci.UncompressedBytes() {
-		t.Errorf("no compression: %d vs %d", ci.CompressedBytes(), ci.UncompressedBytes())
-	}
-	// brute-force AND reference via TAAT accumulation
-	bruteAND := func(terms []string, k int) []ScoredDoc {
-		tids := ix.resolveTerms(terms)
-		if len(tids) == 0 {
-			return nil
-		}
-		count := map[DocID]int{}
-		score := map[DocID]float64{}
-		for _, tid := range tids {
-			idf := ix.idf(tid)
-			for _, p := range ix.terms[tid].postings {
-				count[p.Doc]++
-				score[p.Doc] += ix.bm25(idf, p.TF, ix.docLen[p.Doc])
-			}
-		}
-		var h resultHeap
-		for doc, cnt := range count {
-			if cnt == len(tids) {
-				h.push(ScoredDoc{doc, score[doc]}, k)
-			}
-		}
-		return h.sorted()
-	}
-	queries, _ := GenerateQueries(QueryConfig{Queries: 50, Vocab: 500, ZipfS: 1.05, MaxTerms: 3, Seed: 6})
-	for qi, q := range queries {
-		got, _ := ci.SearchConjunctive(q, 10)
-		want := bruteAND(q, 10)
-		if len(got) != len(want) {
-			t.Fatalf("query %d (%v): %d results, want %d", qi, q, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].Doc != want[i].Doc || !almostEqF(got[i].Score, want[i].Score) {
-				t.Fatalf("query %d pos %d: %v vs %v", qi, i, got[i], want[i])
+	return ix
+}
+
+func TestCompressedBytesMatchesEncoder(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for _, n := range []int{1, 127, 128, 129, 1000} {
+		for trial := 0; trial < 8; trial++ {
+			ix := &Index{terms: []termInfo{{postings: straddlePostings(r, n)}}}
+			if got, want := compressedBytes(ix), refCompressedBytes(ix); got != want {
+				t.Fatalf("n=%d trial %d: compressedBytes = %d, encoder = %d", n, trial, got, want)
 			}
 		}
 	}
-	// empty / unknown / k=0
-	if res, _ := ci.SearchConjunctive([]string{"zzz-unknown"}, 10); res != nil {
-		t.Error("unknown term should return nothing")
+	// A whole corpus index: many terms, mostly short lists.
+	ix := corpusIndex(t)
+	if got, want := compressedBytes(ix), refCompressedBytes(ix); got != want {
+		t.Fatalf("corpus index: compressedBytes = %d, encoder = %d", got, want)
 	}
-	if res, _ := ci.SearchConjunctive([]string{termName(1)}, 0); res != nil {
-		t.Error("k=0 should return nothing")
+	if compressedBytes(NewIndex()) != 0 {
+		t.Error("empty index should have no compressed bytes")
 	}
 }
 
-func almostEqF(a, b float64) bool {
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	return d < 1e-9
-}
-
-func TestQuickCompressRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		ps := randPostings(r, r.Intn(600))
-		cl, err := Compress(ps)
-		if err != nil {
-			return false
-		}
-		got, err := cl.Decompress()
-		if err != nil || len(got) != len(ps) {
-			return false
-		}
-		for i := range got {
-			if got[i] != ps[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
+func TestCompressionShrinks(t *testing.T) {
+	ix := corpusIndex(t)
+	raw := ix.NumPostings() * 8
+	if got := compressedBytes(ix); got >= raw {
+		t.Errorf("compressed %d ≥ raw %d", got, raw)
 	}
 }

@@ -1,7 +1,7 @@
-// Package invindex is a from-scratch inverted-index search engine: document
-// ingestion, postings lists, BM25 ranking, and term-at-a-time (TAAT) and
-// document-at-a-time (DAAT/MaxScore) query evaluation over document-
-// partitioned shards.
+// Package invindex is the search substrate behind the shard profiles: a
+// from-scratch inverted index (document ingestion, postings lists, BM25
+// ranking) with document-at-a-time (DAAT/MaxScore) query evaluation over
+// document-partitioned shards.
 //
 // In the paper's setting each machine hosts index shards whose static
 // footprint is the index size and whose dynamic load is query-processing
@@ -33,21 +33,24 @@ type termInfo struct {
 	maxTF    int32
 }
 
+// Standard BM25 parameters.
+const (
+	bm25K1 = 1.2
+	bm25B  = 0.75
+)
+
 // Index is an in-memory inverted index with BM25 scoring.
 type Index struct {
 	dict     map[string]int
 	terms    []termInfo
 	docLen   []int32
 	totalLen int64
-
-	// BM25 parameters.
-	K1, B float64
 }
 
-// NewIndex creates an empty index with standard BM25 parameters
+// NewIndex creates an empty index scored with standard BM25 parameters
 // (k1 = 1.2, b = 0.75).
 func NewIndex() *Index {
-	return &Index{dict: make(map[string]int), K1: 1.2, B: 0.75}
+	return &Index{dict: make(map[string]int)}
 }
 
 // NumDocs returns the number of indexed documents.
@@ -57,7 +60,7 @@ func (ix *Index) NumDocs() int { return len(ix.docLen) }
 func (ix *Index) NumTerms() int { return len(ix.terms) }
 
 // NumPostings returns the total posting count — the index's dominant size
-// component, used as its disk footprint.
+// component, whose compressed form is its disk footprint.
 func (ix *Index) NumPostings() int {
 	n := 0
 	for i := range ix.terms {
@@ -101,16 +104,6 @@ func (ix *Index) Add(tokens []string) DocID {
 	return id
 }
 
-// Postings returns the postings list for a term (nil if absent). The
-// returned slice must not be modified.
-func (ix *Index) Postings(term string) []Posting {
-	tid, ok := ix.dict[term]
-	if !ok {
-		return nil
-	}
-	return ix.terms[tid].postings
-}
-
 // idf returns the BM25 inverse document frequency of term id tid.
 func (ix *Index) idf(tid int) float64 {
 	df := float64(len(ix.terms[tid].postings))
@@ -121,8 +114,8 @@ func (ix *Index) idf(tid int) float64 {
 // bm25 scores one posting.
 func (ix *Index) bm25(idf float64, tf int32, docLen int32) float64 {
 	f := float64(tf)
-	norm := ix.K1 * (1 - ix.B + ix.B*float64(docLen)/ix.AvgDocLen())
-	return idf * f * (ix.K1 + 1) / (f + norm)
+	norm := bm25K1 * (1 - bm25B + bm25B*float64(docLen)/ix.AvgDocLen())
+	return idf * f * (bm25K1 + 1) / (f + norm)
 }
 
 // maxScore returns an upper bound on any document's BM25 contribution from
@@ -132,8 +125,8 @@ func (ix *Index) maxScore(tid int) float64 {
 	f := float64(ti.maxTF)
 	idf := ix.idf(tid)
 	// minimal norm (shortest possible doc) maximizes the score
-	minNorm := ix.K1 * (1 - ix.B)
-	return idf * f * (ix.K1 + 1) / (f + minNorm)
+	minNorm := bm25K1 * (1 - bm25B)
+	return idf * f * (bm25K1 + 1) / (f + minNorm)
 }
 
 // ScoredDoc is one ranked result.
@@ -217,7 +210,7 @@ func (h resultHeap) sorted() []ScoredDoc {
 	return out
 }
 
-// validateQuery resolves query terms to ids, dropping unknown terms.
+// resolveTerms resolves query terms to ids, dropping unknown terms.
 func (ix *Index) resolveTerms(terms []string) []int {
 	ids := make([]int, 0, len(terms))
 	seen := make(map[int]bool, len(terms))

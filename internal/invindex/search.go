@@ -5,32 +5,6 @@ import (
 	"sort"
 )
 
-// SearchTAAT evaluates a disjunctive BM25 query term-at-a-time: every
-// posting of every query term is accumulated into a score table, then the
-// top k documents are selected. Simple and exhaustive — the cost baseline
-// that DAAT/MaxScore improves on.
-func (ix *Index) SearchTAAT(terms []string, k int) ([]ScoredDoc, Stats) {
-	var st Stats
-	tids := ix.resolveTerms(terms)
-	if len(tids) == 0 || k <= 0 {
-		return nil, st
-	}
-	acc := make(map[DocID]float64)
-	for _, tid := range tids {
-		idf := ix.idf(tid)
-		for _, p := range ix.terms[tid].postings {
-			acc[p.Doc] += ix.bm25(idf, p.TF, ix.docLen[p.Doc])
-			st.PostingsScanned++
-		}
-	}
-	st.DocsScored = len(acc)
-	var h resultHeap
-	for doc, score := range acc {
-		h.push(ScoredDoc{doc, score}, k)
-	}
-	return h.sorted(), st
-}
-
 // SearchDAAT evaluates a disjunctive BM25 query document-at-a-time with
 // MaxScore pruning: terms are ordered by their score upper bounds, and once
 // the top-k threshold exceeds the combined bound of the low-impact

@@ -28,7 +28,7 @@ func BenchmarkSearchTAAT(b *testing.B) {
 	ix, queries := benchIndex(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = ix.SearchTAAT(queries[i%len(queries)], 10)
+		_, _ = searchTAAT(ix, queries[i%len(queries)], 10)
 	}
 }
 

@@ -36,90 +36,46 @@ func BuildSharded(docs [][]string, n int) (*ShardedIndex, error) {
 	return si, nil
 }
 
-// Search evaluates a query on every shard (DAAT) and merges the per-shard
-// top-k into a global top-k. The per-shard stats are returned for load
-// accounting; entry i corresponds to shard i.
-func (si *ShardedIndex) Search(terms []string, k int) ([]ScoredDoc, []Stats) {
-	stats := make([]Stats, len(si.Shards))
-	var h resultHeap
-	for i, ix := range si.Shards {
-		res, st := ix.SearchDAAT(terms, k)
-		stats[i] = st
-		for _, d := range res {
-			// Re-key doc ids into a global space (shard-major) so merged
-			// results stay unambiguous.
-			h.push(ScoredDoc{Doc: DocID(i)*1_000_000 + d.Doc, Score: d.Score}, k)
-		}
-	}
-	return h.sorted(), stats
-}
+// Shard profile measurement parameters.
+const (
+	// profileTopK is the result depth per sample query.
+	profileTopK = 10
+	// bytesPerPosting scales postings into disk units (~1KiB per 1024
+	// postings); memPerTerm scales vocabulary into memory units.
+	bytesPerPosting = 1.0 / 1024
+	memPerTerm      = 1.0 / 512
+	// loadScale converts scanned postings per query into load units.
+	loadScale = 1.0 / 1000
+)
 
-// ProfileConfig controls how shard resource profiles are measured.
-type ProfileConfig struct {
-	// Queries is the sample workload used to measure per-shard query cost.
-	Queries [][]string
-	// TopK is the result depth per query.
-	TopK int
-	// BytesPerPosting scales postings into disk units; MemPerTerm scales
-	// vocabulary into memory units.
-	BytesPerPosting, MemPerTerm float64
-	// LoadScale converts scanned postings per query into load units.
-	LoadScale float64
-	// UseCompressedSize derives the disk footprint from the vbyte-
-	// compressed postings (how engines actually store them) instead of
-	// the raw posting count.
-	UseCompressedSize bool
-}
-
-// DefaultProfileConfig returns sensible measurement parameters.
-func DefaultProfileConfig(queries [][]string) ProfileConfig {
-	return ProfileConfig{
-		Queries:           queries,
-		TopK:              10,
-		BytesPerPosting:   1.0 / 1024, // ~1KiB per 1024 postings
-		MemPerTerm:        1.0 / 512,
-		LoadScale:         1.0 / 1000,
-		UseCompressedSize: true,
-	}
-}
-
-// ProfileShards measures each shard's static footprint (disk from postings
-// volume, memory from dictionary size) and dynamic load (postings scanned
-// answering the sample workload) and returns cluster.Shard descriptors.
+// ProfileShards measures each shard's static footprint (disk from the
+// vbyte-compressed postings volume — how engines actually store them —
+// memory from dictionary size) and dynamic load (postings scanned
+// answering the sample queries) and returns cluster.Shard descriptors.
 // This is the bridge between the search substrate and the rebalancing
 // problem: shard profiles come from real index mechanics rather than
 // synthetic draws.
-func (si *ShardedIndex) ProfileShards(cfg ProfileConfig) ([]cluster.Shard, error) {
-	if len(cfg.Queries) == 0 {
+func (si *ShardedIndex) ProfileShards(queries [][]string) ([]cluster.Shard, error) {
+	if len(queries) == 0 {
 		return nil, fmt.Errorf("invindex: profile needs a sample workload")
 	}
-	if cfg.TopK <= 0 {
-		return nil, fmt.Errorf("invindex: TopK must be positive")
-	}
 	scanned := make([]int, len(si.Shards))
-	for _, q := range cfg.Queries {
+	for _, q := range queries {
 		for i, ix := range si.Shards {
-			_, st := ix.SearchDAAT(q, cfg.TopK)
+			_, st := ix.SearchDAAT(q, profileTopK)
 			scanned[i] += st.PostingsScanned
 		}
 	}
 	shards := make([]cluster.Shard, len(si.Shards))
 	for i, ix := range si.Shards {
-		disk := float64(ix.NumPostings()) * cfg.BytesPerPosting
-		if cfg.UseCompressedSize {
-			ci, err := ix.Compact()
-			if err != nil {
-				return nil, fmt.Errorf("invindex: shard %d: %w", i, err)
-			}
-			// same unit scale: compressed bytes vs 8 raw bytes/posting
-			disk = float64(ci.CompressedBytes()) / 8 * cfg.BytesPerPosting
-		}
-		mem := float64(ix.NumTerms())*cfg.MemPerTerm + disk*0.25 // hot postings cached
+		// same unit scale: compressed bytes vs 8 raw bytes/posting
+		disk := float64(compressedBytes(ix)) / 8 * bytesPerPosting
+		mem := float64(ix.NumTerms())*memPerTerm + disk*0.25 // hot postings cached
 		shards[i] = cluster.Shard{
 			ID:     cluster.ShardID(i),
 			Name:   fmt.Sprintf("idx-shard-%03d", i),
 			Static: vec.New(mem, disk, disk*0.1),
-			Load:   float64(scanned[i]) * cfg.LoadScale,
+			Load:   float64(scanned[i]) * loadScale,
 		}
 	}
 	return shards, nil

@@ -9,8 +9,8 @@ import (
 // FloatEq flags == and != between floating-point operands in objective and
 // metrics code. After long chains of incremental adds and subtracts (the
 // placement aggregates) two mathematically equal quantities rarely compare
-// equal bit-for-bit, so exact comparison encodes a latent heisenbug; use an
-// epsilon helper (stats.AlmostEqual, vec.AlmostEqual) instead.
+// equal bit-for-bit, so exact comparison encodes a latent heisenbug; compare
+// within a tolerance (vec.AlmostEqual for vectors) instead.
 //
 // Two idioms are deliberately exempt:
 //
@@ -51,7 +51,7 @@ func runFloatEq(pass *Pass) error {
 				}
 			}
 			pass.Reportf(bin.OpPos,
-				"exact floating-point %s on computed values; use an epsilon helper (stats.AlmostEqual / vec.AlmostEqual)",
+				"exact floating-point %s on computed values; compare within a tolerance (vec.AlmostEqual for vectors)",
 				bin.Op)
 			return true
 		})

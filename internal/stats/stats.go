@@ -51,27 +51,6 @@ func CV(xs []float64) float64 {
 	return StdDev(xs) / m
 }
 
-// AlmostEqual reports whether a and b differ by at most eps, scaled by the
-// larger magnitude for values above 1 (mixed absolute/relative tolerance).
-// It is the sanctioned way to compare computed floats for equality; exact
-// ==/!= on computed values is rejected by rexlint's floateq analyzer.
-func AlmostEqual(a, b, eps float64) bool {
-	if a == b { //rexlint:ignore floateq fast path, including infinities
-		return true
-	}
-	if math.IsInf(a, 0) || math.IsInf(b, 0) {
-		return false // distinct infinities, or infinite vs finite
-	}
-	scale := 1.0
-	if aa := math.Abs(a); aa > scale {
-		scale = aa
-	}
-	if ab := math.Abs(b); ab > scale {
-		scale = ab
-	}
-	return math.Abs(a-b) <= eps*scale
-}
-
 // Min returns the smallest element of xs, or +Inf for an empty slice.
 func Min(xs []float64) float64 {
 	m := math.Inf(1)

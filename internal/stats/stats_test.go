@@ -134,28 +134,3 @@ func TestQuickPercentileMonotone(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestAlmostEqual(t *testing.T) {
-	cases := []struct {
-		a, b, eps float64
-		want      bool
-	}{
-		{1, 1, 0, true},                          // exact fast path
-		{0, 1e-12, 1e-9, true},                   // absolute tolerance near zero
-		{0, 1e-6, 1e-9, false},                   // beyond absolute tolerance
-		{1e9, 1e9 + 1, 1e-9, true},               // relative tolerance at scale
-		{1e9, 1e9 + 10, 1e-9, false},             // beyond relative tolerance
-		{-1, 1, 1e-9, false},                     // sign matters
-		{math.Inf(1), math.Inf(1), 1e-9, true},   // infinities compare equal
-		{math.Inf(1), math.Inf(-1), 1e-9, false}, // opposite infinities do not
-		{math.NaN(), math.NaN(), 1e-9, false},    // NaN equals nothing
-	}
-	for _, c := range cases {
-		if got := AlmostEqual(c.a, c.b, c.eps); got != c.want {
-			t.Errorf("AlmostEqual(%v, %v, %v) = %v, want %v", c.a, c.b, c.eps, got, c.want)
-		}
-		if got := AlmostEqual(c.b, c.a, c.eps); got != c.want {
-			t.Errorf("AlmostEqual(%v, %v, %v) = %v, want %v (asymmetric)", c.b, c.a, c.eps, got, c.want)
-		}
-	}
-}
