@@ -34,7 +34,6 @@ func run() error {
 		replicas  = flag.Int("replicas", 1, "replicas per logical shard (anti-affinity groups)")
 		realistic = flag.Bool("realistic", false, "use the realistic datacenter profile")
 		placement = flag.String("placement", "", "write cluster+placement JSON here")
-		clusterF  = flag.String("cluster", "", "write cluster-only JSON here")
 		snapshot  = flag.String("snapshot", "", "write a CSV snapshot to <prefix>-machines.csv / <prefix>-shards.csv")
 
 		trace    = flag.String("trace", "", "write a query trace CSV here")
@@ -61,9 +60,9 @@ func run() error {
 			len(tr.Queries), tr.Duration, tr.Rate(), *trace)
 	}
 
-	if *placement == "" && *clusterF == "" && *snapshot == "" {
+	if *placement == "" && *snapshot == "" {
 		if *trace == "" {
-			return fmt.Errorf("nothing to do: pass -placement, -cluster, -snapshot, and/or -trace")
+			return fmt.Errorf("nothing to do: pass -placement, -snapshot, and/or -trace")
 		}
 		return nil
 	}
@@ -86,12 +85,6 @@ func run() error {
 	fmt.Printf("instance: %d machines, %d shards, fill %.2f → %s\n",
 		cfg.Machines, cfg.Shards, cfg.TargetFill, rep)
 
-	if *clusterF != "" {
-		if err := inst.Cluster.SaveFile(*clusterF); err != nil {
-			return err
-		}
-		fmt.Println("cluster →", *clusterF)
-	}
 	if *placement != "" {
 		if err := inst.Placement.SaveFile(*placement); err != nil {
 			return err

@@ -10,10 +10,7 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 
 	"rexchange/internal/vec"
 )
@@ -164,46 +161,4 @@ func (c *Cluster) WithExchange(k int, capacity vec.Vec, speed float64) *Cluster 
 		})
 	}
 	return nc
-}
-
-// Save writes the cluster as JSON to w.
-func (c *Cluster) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(c)
-}
-
-// SaveFile writes the cluster as JSON to path.
-func (c *Cluster) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("cluster: save: %w", err)
-	}
-	defer f.Close()
-	if err := c.Save(f); err != nil {
-		return fmt.Errorf("cluster: save %s: %w", path, err)
-	}
-	return f.Close()
-}
-
-// Load reads a JSON cluster from r and validates it.
-func Load(r io.Reader) (*Cluster, error) {
-	var c Cluster
-	if err := json.NewDecoder(r).Decode(&c); err != nil {
-		return nil, fmt.Errorf("cluster: load: %w", err)
-	}
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	return &c, nil
-}
-
-// LoadFile reads a JSON cluster from path and validates it.
-func LoadFile(path string) (*Cluster, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: load: %w", err)
-	}
-	defer f.Close()
-	return Load(f)
 }

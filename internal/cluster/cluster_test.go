@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"rexchange/internal/vec"
@@ -95,58 +93,5 @@ func TestWithExchange(t *testing.T) {
 	}
 	if len(c.ExchangeMachines()) != 0 {
 		t.Error("base cluster should have no exchange machines")
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	c := testCluster()
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumMachines() != c.NumMachines() || got.NumShards() != c.NumShards() {
-		t.Fatalf("round trip size mismatch")
-	}
-	for i := range c.Machines {
-		if got.Machines[i] != c.Machines[i] {
-			t.Errorf("machine %d: %+v != %+v", i, got.Machines[i], c.Machines[i])
-		}
-	}
-	for i := range c.Shards {
-		if got.Shards[i] != c.Shards[i] {
-			t.Errorf("shard %d: %+v != %+v", i, got.Shards[i], c.Shards[i])
-		}
-	}
-}
-
-func TestLoadRejectsInvalid(t *testing.T) {
-	bad := `{"machines":[{"id":3,"capacity":[1,1,1],"speed":1}],"shards":[]}`
-	if _, err := Load(strings.NewReader(bad)); err == nil {
-		t.Error("expected error for mismatched machine ID")
-	}
-	if _, err := Load(strings.NewReader("not json")); err == nil {
-		t.Error("expected error for malformed JSON")
-	}
-}
-
-func TestSaveLoadFile(t *testing.T) {
-	c := testCluster()
-	path := t.TempDir() + "/cluster.json"
-	if err := c.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumShards() != c.NumShards() {
-		t.Error("file round trip mismatch")
-	}
-	if _, err := LoadFile(path + ".missing"); err == nil {
-		t.Error("expected error for missing file")
 	}
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -208,6 +209,46 @@ func TestPlacementSaveLoad(t *testing.T) {
 	}
 	if _, err := LoadPlacementFile(path + ".missing"); err == nil {
 		t.Error("expected missing-file error")
+	}
+}
+
+// TestSaveLoadRoundTrip checks that the placement format carries every
+// machine and shard field of the cluster through a save and load.
+func TestSaveLoadRoundTrip(t *testing.T) {
+	c := testCluster()
+	var buf bytes.Buffer
+	if err := NewPlacement(c).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	q, err := LoadPlacement(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := q.Cluster()
+	if got.NumMachines() != c.NumMachines() || got.NumShards() != c.NumShards() {
+		t.Fatalf("round trip size mismatch")
+	}
+	for i := range c.Machines {
+		if got.Machines[i] != c.Machines[i] {
+			t.Errorf("machine %d: %+v != %+v", i, got.Machines[i], c.Machines[i])
+		}
+	}
+	for i := range c.Shards {
+		if got.Shards[i] != c.Shards[i] {
+			t.Errorf("shard %d: %+v != %+v", i, got.Shards[i], c.Shards[i])
+		}
+	}
+}
+
+func TestLoadPlacementRejectsInvalid(t *testing.T) {
+	for name, in := range map[string]string{
+		"mismatched machine ID": `{"cluster":{"machines":[{"id":3,"capacity":[1,1,1],"speed":1}],"shards":[]},"assignment":[]}`,
+		"missing cluster":       `{"assignment":[]}`,
+		"malformed JSON":        "not json",
+	} {
+		if _, err := LoadPlacement(strings.NewReader(in)); err == nil {
+			t.Errorf("%s: expected an error", name)
+		}
 	}
 }
 

@@ -6,14 +6,14 @@ import (
 	"testing"
 )
 
-// TestSolveParallelDeterministicAcrossGOMAXPROCS pins the determinism
-// contract the rexlint suite exists to protect: for a fixed seed, the
-// restart portfolio must produce a byte-identical assignment and
+// TestSolvePartitionedRestartsDeterministicAcrossGOMAXPROCS pins the
+// determinism contract the rexlint suite exists to protect: for a fixed
+// seed, the restart portfolio must produce a byte-identical assignment and
 // bit-identical objective regardless of how much real parallelism the
 // runtime provides.
 // The solver's worker results are reduced by worker index, not completion
 // order, so scheduling must not be observable.
-func TestSolveParallelDeterministicAcrossGOMAXPROCS(t *testing.T) {
+func TestSolvePartitionedRestartsDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	inst := smallInstance(t, 99, 2)
 	cfg := quickConfig()
 	cfg.Seed = 424242

@@ -8,7 +8,7 @@ import (
 // when the fleet solves as one partition. They keep the names they had when
 // the portfolio was its own entry point.
 
-func TestSolveParallelAtLeastAsGoodAsSingle(t *testing.T) {
+func TestSolvePartitionedRestartsAtLeastAsGoodAsSingle(t *testing.T) {
 	p := smallInstance(t, 55, 2)
 	cfg := quickConfig()
 	cfg.Iterations = 200
@@ -33,7 +33,7 @@ func TestSolveParallelAtLeastAsGoodAsSingle(t *testing.T) {
 	}
 }
 
-func TestSolveParallelDeterministic(t *testing.T) {
+func TestSolvePartitionedRestartsDeterministic(t *testing.T) {
 	cfg := quickConfig()
 	cfg.Iterations = 150
 	a, err := New(cfg).SolvePartitioned(smallInstance(t, 56, 1), PartitionConfig{Restarts: 3})
@@ -50,7 +50,7 @@ func TestSolveParallelDeterministic(t *testing.T) {
 	}
 }
 
-func TestSolveParallelInputUntouched(t *testing.T) {
+func TestSolvePartitionedRestartsInputUntouched(t *testing.T) {
 	p := smallInstance(t, 57, 1)
 	before := p.Assignment()
 	cfg := quickConfig()
@@ -65,7 +65,7 @@ func TestSolveParallelInputUntouched(t *testing.T) {
 	}
 }
 
-func TestSolveParallelSingleRestartDelegates(t *testing.T) {
+func TestSolvePartitionedRestartsSingleRestartDelegates(t *testing.T) {
 	p := smallInstance(t, 58, 1)
 	cfg := quickConfig()
 	cfg.Iterations = 100
@@ -84,14 +84,15 @@ func TestSolveParallelSingleRestartDelegates(t *testing.T) {
 
 // The worker-seed pairwise-distinctness regression (including the
 // historical additive-stride collision shape) moved to internal/rng with
-// the seed-derivation helpers; TestSolveParallelAtLeastAsGoodAsSingle
-// above still pins that restart 0 runs the base-seed search.
+// the seed-derivation helpers;
+// TestSolvePartitionedRestartsAtLeastAsGoodAsSingle above still pins that
+// restart 0 runs the base-seed search.
 
-// TestSolveParallelPropagatesErrors pins where a bad placement is reported:
-// through the portfolio ("all N restarts failed") when the call asks for
-// one partition, bare when it asks for several or for a single restart —
-// the texts journals already carry.
-func TestSolveParallelPropagatesErrors(t *testing.T) {
+// TestSolvePartitionedRestartsPropagatesErrors pins where a bad placement is
+// reported: through the portfolio ("all N restarts failed") when the call
+// asks for one partition, bare when it asks for several or for a single
+// restart — the texts journals already carry.
+func TestSolvePartitionedRestartsPropagatesErrors(t *testing.T) {
 	p := smallInstance(t, 59, 1)
 	q := p.Clone()
 	if err := q.Remove(0); err != nil {

@@ -18,11 +18,13 @@ import (
 //   - a Lock() that MAY still be held at a return or explicit panic, with
 //     no deferred Unlock scheduled on that path, is flagged at the Lock
 //     site (may-held, union join);
-//   - blocking operations under a held lock are flagged: channel sends and
-//     receives (unless in a select with a default clause),
-//     sync.WaitGroup.Wait, and calls to same-package methods that acquire
-//     the mutex already held (self-deadlock, detected via the receiver
-//     mutexes the callee's local summary facts say it acquires).
+//   - blocking operations under a held lock are flagged: the blocking
+//     channel sites of the summary's site table (summary.go; a send or
+//     receive in a select with a default clause does not block),
+//     sync.WaitGroup.Wait, calls to callees whose summary may block, and
+//     calls to same-package methods that acquire the mutex already held
+//     (self-deadlock, detected via the receiver mutexes the callee's local
+//     summary facts say it acquires).
 //
 // Helper functions that run with the lock already held declare their
 // entry contract with a doc-comment directive:
@@ -268,9 +270,6 @@ type lockCtx struct {
 	pass *Pass
 	// guarded maps annotated field objects to the sibling mutex field name.
 	guarded map[types.Object]string
-	// nonBlocking holds channel-op nodes inside select clauses that have a
-	// default (they cannot block).
-	nonBlocking map[ast.Node]bool
 	// leakReported dedups lock-leak reports by Lock position.
 	leakReported map[token.Pos]bool
 }
@@ -279,7 +278,6 @@ func runLockCheck(pass *Pass) error {
 	ctx := &lockCtx{
 		pass:         pass,
 		guarded:      collectGuarded(pass),
-		nonBlocking:  collectNonBlocking(pass),
 		leakReported: map[token.Pos]bool{},
 	}
 	for _, node := range pass.Prog.NodesOf(pass.pkg()) {
@@ -340,44 +338,6 @@ func fieldGuard(f *ast.Field) string {
 		}
 	}
 	return ""
-}
-
-// collectNonBlocking marks channel operations inside select clauses whose
-// select carries a default clause (they never block).
-func collectNonBlocking(pass *Pass) map[ast.Node]bool {
-	out := map[ast.Node]bool{}
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectStmt)
-			if !ok {
-				return true
-			}
-			hasDefault := false
-			for _, c := range sel.Body.List {
-				if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-					hasDefault = true
-				}
-			}
-			if !hasDefault {
-				return true
-			}
-			for _, c := range sel.Body.List {
-				cc, ok := c.(*ast.CommClause)
-				if !ok || cc.Comm == nil {
-					continue
-				}
-				ast.Inspect(cc.Comm, func(x ast.Node) bool {
-					switch x.(type) {
-					case *ast.SendStmt, *ast.UnaryExpr:
-						out[x] = true
-					}
-					return true
-				})
-			}
-			return true
-		})
-	}
-	return out
 }
 
 // freshLocals returns the objects of locals bound to freshly constructed
@@ -483,6 +443,7 @@ func (ctx *lockCtx) checkFunc(node *FuncNode) {
 	must := Forward[lockFact](g, &lockFlow{info: info, prog: prog, entry: entry, must: true})
 	may := Forward[lockFact](g, &lockFlow{info: info, prog: prog, entry: entry, must: false})
 	fresh := freshLocals(info, node.Body)
+	sites := prog.local[node].sites
 
 	for _, b := range g.Blocks {
 		fMust, reachable := must.In[b]
@@ -491,7 +452,7 @@ func (ctx *lockCtx) checkFunc(node *FuncNode) {
 		}
 		fMay := may.In[b]
 		for _, n := range b.Nodes {
-			ctx.checkNode(n, fMust, fMay, fresh)
+			ctx.checkNode(n, fMust, fMay, fresh, sites)
 			fMust = lockTransfer(info, prog, n, fMust)
 			fMay = lockTransfer(info, prog, n, fMay)
 		}
@@ -515,7 +476,7 @@ func (ctx *lockCtx) reportLeaks(fMay lockFact) {
 }
 
 // checkNode applies the three lock checks at one straight-line node.
-func (ctx *lockCtx) checkNode(n ast.Node, fMust, fMay lockFact, fresh map[types.Object]bool) {
+func (ctx *lockCtx) checkNode(n ast.Node, fMust, fMay lockFact, fresh map[types.Object]bool, sites []site) {
 	info := ctx.pass.TypesInfo
 
 	// 1. Guarded-field accesses need the mutex must-held.
@@ -559,18 +520,14 @@ func (ctx *lockCtx) checkNode(n ast.Node, fMust, fMay lockFact, fresh map[types.
 	if len(fMust) == 0 {
 		return
 	}
+	for _, st := range sites {
+		if st.node == n && st.blocks {
+			ctx.pass.Reportf(st.op, "%s while holding %s may block under the lock", st.opName(), heldPath(fMust))
+		}
+	}
 	inspectShallow(n, func(x ast.Node) bool {
-		switch op := x.(type) {
-		case *ast.SendStmt:
-			if !ctx.nonBlocking[x] {
-				ctx.pass.Reportf(op.Arrow, "channel send while holding %s may block under the lock", heldPath(fMust))
-			}
-		case *ast.UnaryExpr:
-			if op.Op == token.ARROW && !ctx.nonBlocking[x] {
-				ctx.pass.Reportf(op.OpPos, "channel receive while holding %s may block under the lock", heldPath(fMust))
-			}
-		case *ast.CallExpr:
-			ctx.checkBlockingCall(op, fMust)
+		if call, ok := x.(*ast.CallExpr); ok {
+			ctx.checkBlockingCall(call, fMust)
 		}
 		return true
 	})
@@ -621,10 +578,10 @@ func (ctx *lockCtx) checkBlockingCall(call *ast.CallExpr, fMust lockFact) {
 }
 
 // checkBlockingCallee is the interprocedural half of the blocking check: a
-// module-local callee whose summary says it may block (channel op, select
-// without default, WaitGroup.Wait, time.Sleep — directly or deeper in the
-// call graph) is flagged when a lock is must-held at the call, with the
-// chain to the root blocking site. A callee that first unlocks the held
+// module-local callee whose summary says it may block (a blocking channel
+// site, range over a channel, WaitGroup.Wait, time.Sleep — directly or
+// deeper in the call graph) is flagged when a lock is must-held at the
+// call, with the chain to the root blocking site. A callee that first unlocks the held
 // mutex drops the fact in the transfer before this check fires, so
 // unlock-then-block helpers stay silent.
 func (ctx *lockCtx) checkBlockingCallee(call *ast.CallExpr, fMust lockFact) {

@@ -23,6 +23,10 @@ package lint
 // store is the first owner. Returning an owned value likewise hands it
 // back to the caller and is always allowed. Unused line-level transfer
 // directives are themselves errors, mirroring unused ignores.
+//
+// The escape sites are the summary's site table (summary.go) and the
+// function's effective call sites, so code that is unreachable or sits
+// under a constant debug guard is not checked.
 import (
 	"go/ast"
 	"go/token"
@@ -48,7 +52,9 @@ func runShareCheck(pass *Pass) error {
 	return nil
 }
 
-// checkShareNode scans one function body for owned-value escapes.
+// checkShareNode reports one function's owned-value escapes: its site-table
+// entries (summary.go) and its call sites whose callee lets an argument
+// escape.
 func checkShareNode(pass *Pass, node *FuncNode, transfers *lineDirectives) {
 	prog := pass.Prog
 	info := pass.TypesInfo
@@ -60,139 +66,60 @@ func checkShareNode(pass *Pass, node *FuncNode, transfers *lineDirectives) {
 		}
 		return prog.OwnedTypeName(t)
 	}
-	sanctioned := func(pos ast.Node) bool {
-		return transfers.covers("", pass.Fset.Position(pos.Pos()))
-	}
-	report := func(at ast.Node, name, how string) {
-		if sanctioned(at) {
+	report := func(pos token.Pos, name, how string) {
+		if transfers.covers("", pass.Fset.Position(pos)) {
 			return
 		}
-		pass.Reportf(at.Pos(), "owned %s value %s; annotate the hand-off with //rexlint:transfer <reason> or clone first", name, how)
+		pass.Reportf(pos, "owned %s value %s; annotate the hand-off with //rexlint:transfer <reason> or clone first", name, how)
 	}
 
-	// fresh reports whether e creates a new value in place (call result or
-	// composite literal): storing it is first ownership, not a second owner.
-	fresh := func(e ast.Expr) bool {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.CallExpr:
-			return true
-		case *ast.CompositeLit:
-			return true
-		case *ast.UnaryExpr:
-			if x.Op == token.AND {
-				_, isLit := ast.Unparen(x.X).(*ast.CompositeLit)
-				return isLit
-			}
+	for _, st := range prog.local[node].sites {
+		if st.value == nil || st.kind >= siteGlobal && freshValue(st.value) {
+			continue // a receive, or a store of a value made in place
 		}
-		return false
+		name := ownedName(st.value)
+		if name == "" {
+			continue
+		}
+		how := st.how
+		if st.kind == siteOwner {
+			how += ", creating a second owner"
+		}
+		report(st.pos, name, how)
 	}
-
-	inspectShallow(node.Body, func(x ast.Node) bool {
-		switch s := x.(type) {
-		case *ast.SendStmt:
-			if name := ownedName(s.Value); name != "" {
-				report(s, name, "sent on a channel")
-			}
-		case *ast.GoStmt:
-			for _, arg := range s.Call.Args {
-				if name := ownedName(arg); name != "" {
-					report(s, name, "passed to a goroutine")
-				}
-			}
-			if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-				reportGoroutineCaptures(pass, lit, s, report)
-			}
-		case *ast.AssignStmt:
-			for i, lhs := range s.Lhs {
-				if i >= len(s.Rhs) {
-					break
-				}
-				name := ownedName(s.Rhs[i])
-				if name == "" || fresh(s.Rhs[i]) {
-					continue
-				}
-				deepStore := false
-				switch ast.Unparen(lhs).(type) {
-				case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-					deepStore = true
-				}
-				class := classifyForNode(node, rootObject(info, lhs))
-				if !deepStore && class != rootGlobal {
-					continue // local aliasing, not a second owner
-				}
-				switch class {
-				case rootGlobal:
-					report(s, name, "stored in package-level state")
-				case rootRecv, rootParam, rootCaptured:
-					report(s, name, "stored into "+renderPath(lhs)+", creating a second owner")
-				}
-			}
-		case *ast.CallExpr:
-			checkShareCall(pass, node, s, ownedName, fresh, report)
+	for _, cs := range prog.EffectiveCalls(node) {
+		if cs.Call != nil {
+			checkShareCall(pass, cs.Call, ownedName, report)
 		}
-		return true
-	})
+	}
 }
 
-// reportGoroutineCaptures flags owned free variables captured by a
-// goroutine body.
-func reportGoroutineCaptures(pass *Pass, lit *ast.FuncLit, at ast.Node, report func(ast.Node, string, string)) {
-	info := pass.TypesInfo
-	prog := pass.Prog
-	seen := map[types.Object]bool{}
-	ast.Inspect(lit.Body, func(x ast.Node) bool {
-		id, ok := x.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		v, ok := info.Uses[id].(*types.Var)
-		if !ok || v.IsField() || seen[v] {
-			return true
-		}
-		if v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-			return true // package-level: flagged as a global store elsewhere
-		}
-		if v.Pos() >= lit.Pos() && v.Pos() < lit.End() {
-			return true // the literal's own local/param
-		}
-		if name := prog.OwnedTypeName(v.Type()); name != "" {
-			seen[v] = true
-			report(at, name, "captured by a goroutine")
-		}
+// freshValue reports whether e creates a new value in place (call result or
+// composite literal): storing it is first ownership, not a second owner.
+func freshValue(e ast.Expr) bool {
+	switch x := ast.Unparen(e).(type) {
+	case *ast.CallExpr, *ast.CompositeLit:
 		return true
-	})
-}
-
-// checkShareCall flags owned arguments passed to escaping parameters and
-// owned values appended into non-local containers.
-func checkShareCall(pass *Pass, node *FuncNode, call *ast.CallExpr, ownedName func(ast.Expr) string, fresh func(ast.Expr) bool, report func(ast.Node, string, string)) {
-	info := pass.TypesInfo
-	prog := pass.Prog
-
-	// append(container, owned...) into a non-local container.
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, isB := info.Uses[id].(*types.Builtin); isB {
-			if b.Name() == "append" && len(call.Args) >= 2 {
-				if classifyForNode(node, rootObject(info, call.Args[0])) != rootLocal {
-					for _, arg := range call.Args[1:] {
-						if name := ownedName(arg); name != "" && !fresh(arg) {
-							report(arg, name, "appended to "+renderPath(call.Args[0])+", creating a second owner")
-						}
-					}
-				}
-			}
-			return
+	case *ast.UnaryExpr:
+		if x.Op == token.AND {
+			_, isLit := ast.Unparen(x.X).(*ast.CompositeLit)
+			return isLit
 		}
 	}
+	return false
+}
 
+// checkShareCall flags owned arguments passed to escaping parameters.
+func checkShareCall(pass *Pass, call *ast.CallExpr, ownedName func(ast.Expr) string, report func(token.Pos, string, string)) {
+	prog := pass.Prog
 	callees := prog.CalleesAt(call)
 	if callees == nil {
 		// Stdlib or unresolved: passing an owned value out of the module
 		// is conservatively an escape (the callee may retain it).
 		if unknownRetains(pass, call) {
 			for _, arg := range call.Args {
-				if name := ownedName(arg); name != "" && !fresh(arg) {
-					report(arg, name, "passed to an unresolvable callee that may retain it")
+				if name := ownedName(arg); name != "" && !freshValue(arg) {
+					report(arg.Pos(), name, "passed to an unresolvable callee that may retain it")
 				}
 			}
 		}
@@ -200,7 +127,7 @@ func checkShareCall(pass *Pass, node *FuncNode, call *ast.CallExpr, ownedName fu
 	}
 	for _, arg := range call.Args {
 		name := ownedName(arg)
-		if name == "" || fresh(arg) {
+		if name == "" || freshValue(arg) {
 			continue
 		}
 		for _, callee := range callees {
@@ -210,7 +137,7 @@ func checkShareCall(pass *Pass, node *FuncNode, call *ast.CallExpr, ownedName fu
 			cs := prog.SummaryOf(callee)
 			idx := argParamIndex(callee, call, arg)
 			if idx >= 0 && idx < len(cs.ParamEscape) && cs.ParamEscape[idx] != "" {
-				report(arg, name, cs.ParamEscape[idx]+" by "+callee.Name())
+				report(arg.Pos(), name, cs.ParamEscape[idx]+" by "+callee.Name())
 				break
 			}
 		}
@@ -230,32 +157,19 @@ func argParamIndex(callee *FuncNode, call *ast.CallExpr, arg ast.Expr) int {
 	return -1
 }
 
-// unknownRetains reports whether an unresolved call might retain its
-// arguments. Builtins and conversions never do; true stdlib calls are
-// conservatively assumed to.
+// unknownRetains reports whether a call with no module-local callee (a
+// stdlib or unresolvable call site; builtins and conversions are not call
+// sites) might retain its arguments: every such callee is assumed to, bar
+// effect-free stdlib such as math.
 func unknownRetains(pass *Pass, call *ast.CallExpr) bool {
-	fun := ast.Unparen(call.Fun)
-	switch f := fun.(type) {
-	case *ast.Ident:
-		switch pass.TypesInfo.Uses[f].(type) {
-		case *types.Builtin, *types.TypeName:
-			return false
-		case *types.Func:
-			return true
-		}
-		return true
-	case *ast.SelectorExpr:
-		if _, isT := pass.TypesInfo.Uses[f.Sel].(*types.TypeName); isT {
-			return false
-		}
-		if fn, ok := pass.TypesInfo.Uses[f.Sel].(*types.Func); ok && fn.Pkg() != nil {
-			// Allowlist effect-free stdlib: math etc. never retain.
-			mask, sortDriver := stdEffect(qualifiedFuncName(fn))
-			if mask == 0 && !sortDriver {
-				return false
-			}
-		}
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
 		return true
 	}
-	return true
+	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil {
+		return true
+	}
+	mask, sortDriver := stdEffect(qualifiedFuncName(fn))
+	return mask != 0 || sortDriver
 }

@@ -11,10 +11,12 @@ package lint
 // blocks of each function's CFG that are reachable from entry — so effects
 // in unreachable code (after return/panic, or pruned by the CFG builder)
 // never enter a summary — and collects provenance sites from them in
-// source order. The interprocedural stage then iterates the sorted node
-// list to a fixpoint, folding callee summaries into callers at each
-// reachable call site; the mask lattice is finite and the transfer is
-// monotone, so recursion and mutual recursion converge deterministically.
+// source order, plus the site table (channel operations, goroutine
+// hand-offs, non-local stores) that lockcheck and sharecheck read too. The
+// interprocedural stage then iterates the sorted node list to a fixpoint,
+// folding callee summaries into callers at each reachable call site; the
+// mask lattice is finite and the transfer is monotone, so recursion and
+// mutual recursion converge deterministically.
 //
 // Two deliberate scope decisions, shared by every consumer:
 //
@@ -44,9 +46,10 @@ const (
 	EffAlloc uint16 = 1 << iota
 	// EffClock: reads or waits on the ambient wall clock.
 	EffClock
-	// EffBlock: may block the calling goroutine (channel op, select
-	// without default, WaitGroup.Wait, time.Sleep). Mutex Lock is policed
-	// by lockcheck's ordering rules instead and deliberately excluded.
+	// EffBlock: may block the calling goroutine (a blocking channel site
+	// of the site table, range over a channel, WaitGroup.Wait, time.Sleep).
+	// Mutex Lock is policed by lockcheck's ordering rules instead and
+	// deliberately excluded.
 	EffBlock
 	// EffGlobal: observable effect beyond receiver/parameters — writes
 	// package-level state, spawns goroutines, captured-variable writes,
@@ -105,6 +108,7 @@ type Summary struct {
 	// how the parameter value may escape its caller's ownership ("" = does
 	// not escape): stored into non-local state, sent on a channel,
 	// captured by a goroutine, or passed onward to an escaping parameter.
+	// Nil while no parameter escapes.
 	ParamEscape []string
 	// RecvEscape is the same fact for the receiver.
 	RecvEscape string
@@ -298,9 +302,8 @@ type localFacts struct {
 	// not surface in UnlockFields (callers' held facts survive the call).
 	// lockcheck's self-deadlock check reads the same set.
 	locked map[string]bool
-	// paramEscape/recvEscape are direct (non-call) escape facts.
-	paramEscape []string
-	recvEscape  string
+	// sites is the site table, sorted by position.
+	sites []site
 	// closures are literal creations whose allocation verdict depends on
 	// callee escape summaries, decided during the fixpoint.
 	closures []closureUse
@@ -344,6 +347,13 @@ func computeLocalFacts(p *Program, n *FuncNode) *localFacts {
 		for _, node := range b.Nodes {
 			reachSpans = append(reachSpans, posRange{node.Pos(), node.End()})
 			cls.collect(node, lf)
+			cls.collectSites(node, lf)
+		}
+	}
+	sort.SliceStable(lf.sites, func(i, j int) bool { return lf.sites[i].pos < lf.sites[j].pos })
+	for _, st := range lf.sites {
+		if st.blocks && !cls.waived("lockcheck", st.op) {
+			lf.events = append(lf.events, effectEvent{bit: EffBlock, pos: st.op, what: st.opName()})
 		}
 	}
 	sort.Slice(lf.events, func(i, j int) bool { return lf.events[i].pos < lf.events[j].pos })
@@ -357,10 +367,6 @@ func computeLocalFacts(p *Program, n *FuncNode) *localFacts {
 		}
 		lf.calls = append(lf.calls, site)
 	}
-
-	// Direct escape facts for receiver and parameters.
-	lf.paramEscape = make([]string, len(n.Params))
-	cls.collectEscapes(lf)
 	return lf
 }
 
@@ -388,19 +394,29 @@ type nodeClassifier struct {
 	info *types.Info
 	// guards are if-bodies controlled by a named boolean constant.
 	guards []posRange
+	// nonBlocking are the comm statements of selects that have a default
+	// clause: the channel operation in one of them cannot block.
+	nonBlocking map[ast.Node]bool
 	// litParents maps each directly nested literal to its syntactic use.
 	litUse map[*ast.FuncLit]closureUse
 }
 
 func newNodeClassifier(p *Program, n *FuncNode) *nodeClassifier {
-	c := &nodeClassifier{prog: p, node: n, info: n.Pkg.Info, litUse: map[*ast.FuncLit]closureUse{}}
+	c := &nodeClassifier{prog: p, node: n, info: n.Pkg.Info, nonBlocking: map[ast.Node]bool{}, litUse: map[*ast.FuncLit]closureUse{}}
 	inspectShallow(n.Body, func(x ast.Node) bool {
-		ifs, ok := x.(*ast.IfStmt)
-		if !ok {
-			return true
-		}
-		if constBoolGuard(c.info, ifs.Cond) {
-			c.guards = append(c.guards, posRange{ifs.Body.Pos(), ifs.Body.End()})
+		switch s := x.(type) {
+		case *ast.IfStmt:
+			if constBoolGuard(c.info, s.Cond) {
+				c.guards = append(c.guards, posRange{s.Body.Pos(), s.Body.End()})
+			}
+		case *ast.SelectStmt:
+			if selectHasDefault(s) {
+				for _, clause := range s.Body.List {
+					if comm := clause.(*ast.CommClause).Comm; comm != nil {
+						c.nonBlocking[comm] = true
+					}
+				}
+			}
 		}
 		return true
 	})
@@ -460,28 +476,18 @@ func (c *nodeClassifier) walkEffects(n ast.Node, emit func(bit uint16, pos token
 				c.alloc(emit, s.Pos(), "map literal")
 			}
 		case *ast.UnaryExpr:
-			switch s.Op {
-			case token.AND:
+			if s.Op == token.AND {
 				if _, ok := ast.Unparen(s.X).(*ast.CompositeLit); ok {
 					c.alloc(emit, s.Pos(), "&composite literal")
 				}
-			case token.ARROW:
-				c.block(emit, s.Pos(), "channel receive")
 			}
 		case *ast.BinaryExpr:
 			if s.Op == token.ADD && isNonConstString(info, s) {
 				c.alloc(emit, s.Pos(), "string concatenation")
 			}
-		case *ast.SendStmt:
-			c.block(emit, s.Pos(), "channel send")
-		case *ast.SelectStmt:
-			if !selectHasDefault(s) {
-				c.block(emit, s.Select, "select without default")
-			}
-			return true
 		case *ast.RangeStmt:
-			if _, ok := info.TypeOf(s.X).Underlying().(*types.Chan); ok {
-				c.block(emit, s.For, "range over channel")
+			if _, ok := info.TypeOf(s.X).Underlying().(*types.Chan); ok && !c.waived("lockcheck", s.For) {
+				emit(EffBlock, s.For, "range over channel")
 			}
 		case *ast.GoStmt:
 			c.alloc(emit, s.Pos(), "go statement (goroutine spawn)")
@@ -529,13 +535,6 @@ func (c *nodeClassifier) alloc(emit func(uint16, token.Pos, string), pos token.P
 		return
 	}
 	emit(EffAlloc, pos, what)
-}
-
-func (c *nodeClassifier) block(emit func(uint16, token.Pos, string), pos token.Pos, what string) {
-	if c.waived("lockcheck", pos) {
-		return
-	}
-	emit(EffBlock, pos, what)
 }
 
 // callEffects classifies one call expression: builtins, conversions,
@@ -817,6 +816,119 @@ func (c *nodeClassifier) collectUnlocks(n ast.Node, lf *localFacts) {
 }
 
 // ---------------------------------------------------------------------------
+// Site table.
+
+// siteKind classifies one entry of the site table.
+type siteKind uint8
+
+const (
+	// siteRecv is a channel receive.
+	siteRecv siteKind = iota
+	// siteSend is a channel send of value.
+	siteSend
+	// siteGo hands value to a goroutine: a go-statement argument, or the
+	// first use of a variable the goroutine's literal captures.
+	siteGo
+	// siteGlobal stores value into package-level state.
+	siteGlobal
+	// siteOwner stores or appends value into a structure rooted at the
+	// receiver, a parameter, a captured variable or a package-level
+	// container: a second owner.
+	siteOwner
+)
+
+// site is one entry of a function's site table: a channel operation, a
+// goroutine hand-off, or a store into non-local state. The table is the one
+// classification of this syntax; three readers share it: the summary
+// (EffBlock events, ParamEscape/RecvEscape facts), lockcheck (blocking under
+// a must-held lock) and sharecheck (owned-value escapes). Its rules:
+//
+//   - only CFG nodes reachable from entry are read, and folded debug
+//     guards are skipped, like every other local fact;
+//   - a site belongs to the one CFG node it is found in (a range loop's
+//     head node does not re-read the loop body);
+//   - a send or receive in a comm clause of a select that has a default
+//     clause does not block; every other send and receive may;
+//   - waivers are not applied here: each reader checks its own.
+type site struct {
+	kind siteKind
+	node ast.Node // the CFG node holding the site
+	// pos is where an escape is reported: the statement, or the argument
+	// of an append. op is where blocking is reported: the channel operator.
+	pos, op token.Pos
+	value   ast.Expr // the value handed off; nil for a receive
+	how     string   // how value escapes ("sent on a channel", ...)
+	blocks  bool
+}
+
+// opName names a channel site's operation in Block traces and diagnostics.
+func (s *site) opName() string {
+	if s.kind == siteSend {
+		return "channel send"
+	}
+	return "channel receive"
+}
+
+// collectSites appends the site-table entries of one reachable CFG node.
+func (c *nodeClassifier) collectSites(n ast.Node, lf *localFacts) {
+	add := func(kind siteKind, pos token.Pos, value ast.Expr, how string) {
+		lf.sites = append(lf.sites, site{kind: kind, node: n, pos: pos, op: pos, value: value, how: how})
+	}
+	inspectHeader(n, func(x ast.Node) bool {
+		if x == nil || c.guarded(x.Pos()) {
+			return x == nil
+		}
+		switch s := x.(type) {
+		case *ast.SendStmt:
+			lf.sites = append(lf.sites, site{kind: siteSend, node: n, pos: s.Pos(), op: s.Arrow,
+				value: s.Value, how: "sent on a channel", blocks: !c.nonBlocking[n]})
+		case *ast.UnaryExpr:
+			if s.Op == token.ARROW {
+				lf.sites = append(lf.sites, site{kind: siteRecv, node: n, pos: s.OpPos, op: s.OpPos, blocks: !c.nonBlocking[n]})
+			}
+		case *ast.GoStmt:
+			for _, arg := range s.Call.Args {
+				add(siteGo, s.Pos(), arg, "passed to a goroutine")
+			}
+			if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
+				for _, id := range c.capturedIdents(lit) {
+					add(siteGo, s.Pos(), id, "captured by a goroutine")
+				}
+			}
+		case *ast.AssignStmt:
+			for i, lhs := range s.Lhs {
+				if i >= len(s.Rhs) {
+					break
+				}
+				deepStore := false
+				switch ast.Unparen(lhs).(type) {
+				case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
+					deepStore = true
+				}
+				switch classifyForNode(c.node, rootObject(c.info, lhs)) {
+				case rootGlobal:
+					add(siteGlobal, s.Pos(), s.Rhs[i], "stored in package-level state")
+				case rootRecv, rootParam, rootCaptured:
+					if deepStore {
+						add(siteOwner, s.Pos(), s.Rhs[i], "stored into "+renderPath(lhs))
+					}
+				}
+			}
+		case *ast.CallExpr:
+			id, _ := ast.Unparen(s.Fun).(*ast.Ident)
+			if b, ok := c.info.Uses[id].(*types.Builtin); !ok || b.Name() != "append" || len(s.Args) < 2 ||
+				classifyForNode(c.node, rootObject(c.info, s.Args[0])) == rootLocal {
+				break
+			}
+			for _, arg := range s.Args[1:] {
+				add(siteOwner, arg.Pos(), arg, "appended to "+renderPath(s.Args[0]))
+			}
+		}
+		return true
+	})
+}
+
+// ---------------------------------------------------------------------------
 // Closure allocation classification.
 
 // classifyLits decides, for each literal directly nested in the node, how
@@ -844,7 +956,7 @@ func (c *nodeClassifier) classifyLits() {
 			return true
 		}
 		ln := c.prog.graph.byLit[lit]
-		use := closureUse{lit: lit, node: ln, captures: c.litCaptures(lit), argIndex: -1}
+		use := closureUse{lit: lit, node: ln, captures: len(c.capturedIdents(lit)) > 0, argIndex: -1}
 		switch p := parents[lit].(type) {
 		case *ast.CallExpr:
 			if ast.Unparen(p.Fun) == ast.Expr(lit) {
@@ -882,28 +994,31 @@ func (c *nodeClassifier) classifyLits() {
 	})
 }
 
-// litCaptures reports whether lit references variables declared outside
-// itself (its free variables force a heap closure when it escapes).
-func (c *nodeClassifier) litCaptures(lit *ast.FuncLit) bool {
-	captures := false
+// capturedIdents returns, for each variable lit captures from an enclosing
+// function, its first use in lit's body (its free variables force a heap
+// closure when it escapes).
+func (c *nodeClassifier) capturedIdents(lit *ast.FuncLit) []*ast.Ident {
+	var out []*ast.Ident
+	seen := map[*types.Var]bool{}
 	ast.Inspect(lit.Body, func(x ast.Node) bool {
 		id, ok := x.(*ast.Ident)
-		if !ok || captures {
-			return !captures
+		if !ok {
+			return true
 		}
 		v, ok := c.info.Uses[id].(*types.Var)
-		if !ok || v.IsField() {
+		if !ok || v.IsField() || seen[v] {
 			return true
 		}
 		if v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
 			return true // package-level, not a capture
 		}
 		if v.Pos() < lit.Pos() || v.Pos() >= lit.End() {
-			captures = true
+			seen[v] = true
+			out = append(out, id)
 		}
 		return true
 	})
-	return captures
+	return out
 }
 
 // litOnlyCalled reports whether the literal assigned in as is bound to a
@@ -959,94 +1074,6 @@ func (c *nodeClassifier) collectClosures(n ast.Node, lf *localFacts) {
 			lf.closures = append(lf.closures, use)
 		}
 		return false
-	})
-}
-
-// collectEscapes records direct (non-call) parameter and receiver escapes:
-// channel sends, stores into package-level or non-local structures, and
-// goroutine captures.
-func (c *nodeClassifier) collectEscapes(lf *localFacts) {
-	node := c.node
-	info := c.info
-	mark := func(obj types.Object, how string) {
-		if obj == nil {
-			return
-		}
-		if obj == node.Recv && lf.recvEscape == "" {
-			lf.recvEscape = how
-			return
-		}
-		for i, p := range node.Params {
-			if p != nil && obj == p && lf.paramEscape[i] == "" {
-				lf.paramEscape[i] = how
-			}
-		}
-	}
-	markExpr := func(e ast.Expr, how string) {
-		if id, ok := ast.Unparen(e).(*ast.Ident); ok {
-			obj := info.Uses[id]
-			if obj == nil {
-				obj = info.Defs[id]
-			}
-			mark(obj, how)
-		}
-	}
-	inspectShallow(node.Body, func(x ast.Node) bool {
-		if x == nil || c.guarded(x.Pos()) {
-			return x == nil
-		}
-		switch s := x.(type) {
-		case *ast.SendStmt:
-			markExpr(s.Value, "sent on a channel")
-		case *ast.AssignStmt:
-			for i, lhs := range s.Lhs {
-				if i >= len(s.Rhs) {
-					break
-				}
-				root := rootObject(info, lhs)
-				deepStore := false
-				switch ast.Unparen(lhs).(type) {
-				case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-					deepStore = true
-				}
-				class := classifyForNode(c.node, root)
-				if !deepStore && class != rootGlobal {
-					continue
-				}
-				switch class {
-				case rootGlobal:
-					markExpr(s.Rhs[i], "stored in package-level state")
-				case rootRecv, rootParam, rootCaptured:
-					markExpr(s.Rhs[i], "stored into "+renderPath(lhs))
-				}
-			}
-		case *ast.GoStmt:
-			for _, arg := range s.Call.Args {
-				markExpr(arg, "passed to a goroutine")
-			}
-			if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-				// Captured free variables escape to the goroutine.
-				ast.Inspect(lit.Body, func(y ast.Node) bool {
-					if id, okI := y.(*ast.Ident); okI {
-						if v, okV := info.Uses[id].(*types.Var); okV && !v.IsField() {
-							mark(v, "captured by a goroutine")
-						}
-					}
-					return true
-				})
-			}
-		case *ast.CallExpr:
-			if id, ok := ast.Unparen(s.Fun).(*ast.Ident); ok {
-				if b, isB := info.Uses[id].(*types.Builtin); isB && b.Name() == "append" && len(s.Args) >= 2 {
-					if classifyForNode(c.node, rootObject(info, s.Args[0])) != rootLocal {
-						for _, arg := range s.Args[1:] {
-							markExpr(arg, "appended to "+renderPath(s.Args[0]))
-						}
-					}
-				}
-			}
-		}
-		return true
 	})
 }
 
@@ -1148,18 +1175,10 @@ func (p *Program) update(n *FuncNode) bool {
 	for _, ev := range lf.events {
 		setBit(ev.bit, &Trace{Pos: ev.pos, What: ev.what, EntryPos: ev.pos})
 	}
-	if s.ParamEscape == nil {
-		s.ParamEscape = make([]string, len(lf.paramEscape))
-	}
-	for i, e := range lf.paramEscape {
-		if e != "" && s.ParamEscape[i] == "" {
-			s.ParamEscape[i] = e
-			changed = true
+	for _, st := range lf.sites {
+		if id, ok := ast.Unparen(st.value).(*ast.Ident); ok {
+			p.markEscape(n, s, rootObject(n.Pkg.Info, id), st.how, &changed)
 		}
-	}
-	if lf.recvEscape != "" && s.RecvEscape == "" {
-		s.RecvEscape = lf.recvEscape
-		changed = true
 	}
 	for _, u := range lf.unlocks {
 		if lf.locked[u] {

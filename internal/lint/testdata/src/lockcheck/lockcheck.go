@@ -122,3 +122,41 @@ func badTwoLocks(a, b *counter, ch chan int) {
 	defer a.mu.Unlock()
 	ch <- 1 // want `channel send while holding a\.mu may block under the lock`
 }
+
+type probe struct {
+	mu   sync.Mutex
+	n    int // guarded by: mu
+	ch   chan int
+	done chan struct{}
+}
+
+// tryNotify's send is in a select with a default clause: it cannot block,
+// so calling tryNotify under the lock is fine.
+func (p *probe) tryNotify() {
+	select {
+	case p.ch <- 1:
+	default:
+	}
+}
+
+func (p *probe) bump() {
+	p.mu.Lock()
+	p.n++
+	p.tryNotify()
+	p.mu.Unlock()
+}
+
+// notify's select has no default clause: it may block.
+func (p *probe) notify() {
+	select {
+	case p.ch <- 1:
+	case <-p.done:
+	}
+}
+
+func (p *probe) bumpAndNotify() {
+	p.mu.Lock()
+	p.n++
+	p.notify() // want `call to \(lockcheck\.probe\)\.notify while holding p\.mu may block under the lock: channel send`
+	p.mu.Unlock()
+}

@@ -68,6 +68,15 @@ func passToRetainer(b *Box) {
 	retain(b) // want `owned sharecheck\.Box value .+ by sharecheck\.retain`
 }
 
+// A guard that is a variable, not a constant, is ordinary control flow.
+var verbose bool
+
+func (k *keeper) keepWhenVerbose(b *Box) {
+	if verbose {
+		k.held = b // want `owned sharecheck\.Box value stored into k\.held, creating a second owner`
+	}
+}
+
 // --- near-misses: all of the below must stay silent ---
 
 // keepFresh stores a value created in the same statement: first ownership,
@@ -108,4 +117,19 @@ func register(b *Box) {
 // handOff passes to a declared transfer sink: silent.
 func handOff(b *Box) {
 	register(b)
+}
+
+// A store under a constant debug guard, or a send after a panic, is
+// outside the reachable, guard-folded code the site table reads.
+const debugChecks = false
+
+func (k *keeper) keepWhenDebugging(b *Box) {
+	if debugChecks {
+		k.held = b
+	}
+}
+
+func sendAfterPanic(ch chan *Box, b *Box) {
+	panic("unreachable")
+	ch <- b
 }
