@@ -10,8 +10,9 @@
 # `regressed` too: a shared runner has slow spells half a minute long that
 # one pair cannot tell from a regression and a second can
 # (bench/rexbench/README.md, "A/A"). The compare tables go to the job summary,
-# and with offline_tight's the per-operator iteration rates of its traced
-# pass, parent beside change: where in the solver a wall-time change sits.
+# with offline_tight's the per-operator iteration rates of its traced pass and
+# with sim_steady's the simulator's ns per event and Sleep time, parent beside
+# change: where in the solver or the event loop a wall-time change sits.
 set -euo pipefail
 
 parent=${1:?usage: bench-pair.sh <checkout of the parent commit>}
@@ -30,12 +31,13 @@ measure() {
 	(cd "$dir" && "$out/rexbench-$1" -workload "$2" -seed 1 -reps 3 -out "$out/$2-$1-$3.json" >"$out/$2-$1-$3.log")
 }
 
-# operator_rates <tag>: the core.op.*.iters_per_s rows rexbench printed for
-# the traced pass of offline_tight, one line per operator, parent then change.
-operator_rates() {
-	rates() { awk '$2 ~ /^core\.op\.[a-z]+\.iters_per_s$/ {print $2, $3}' "$out/offline_tight-$1.log" | sort; }
-	join <(rates "parent-$1") <(rates "change-$1") |
-		awk 'BEGIN {printf "%-34s %12s %12s %8s\n", "offline_tight traced pass, 1/s", "parent", "change", "ratio"}
+# traced_rows <workload> <tag> <pattern> <title>: the rows rexbench printed
+# for the workload's traced pass whose metric name matches the awk pattern,
+# one line per metric, parent then change and their ratio.
+traced_rows() {
+	rows() { awk -v re="$3" '$2 ~ re {print $2, $3}' "$out/$1-$2.log" | sort; }
+	join <(rows "$1" "parent-$2" "$3") <(rows "$1" "change-$2" "$3") |
+		awk -v title="$4" 'BEGIN {printf "%-34s %12s %12s %8s\n", title, "parent", "change", "ratio"}
 			{printf "%-34s %12s %12s %8.2f\n", $1, $2, $3, $3 / $2}'
 }
 
@@ -44,7 +46,10 @@ operator_rates() {
 compare() {
 	local table=$out/$1-$2.txt rc=0
 	"$out/rexbench-change" -compare "$out/$1-parent-$2.json" "$out/$1-change-$2.json" >"$table" || rc=$?
-	[ "$1" != offline_tight ] || operator_rates "$2" >>"$table"
+	case $1 in
+	offline_tight) traced_rows "$1" "$2" '^core[.]op[.][a-z]+[.]iters_per_s$' "offline_tight traced pass, 1/s" >>"$table" ;;
+	sim_steady) traced_rows "$1" "$2" '^des[.](ns_per_event|sleep_s)$' "sim_steady traced pass" >>"$table" ;;
+	esac
 	cat "$table"
 	[ "$rc" -le 1 ] || exit "$rc" # 1 is a verdict, judged below; anything else is a broken run
 	if [ -n "${GITHUB_STEP_SUMMARY:-}" ]; then

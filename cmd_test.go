@@ -1,6 +1,7 @@
 package rexchange
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -101,5 +102,13 @@ func TestCLIErrors(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "rebalance:") {
 		t.Errorf("error output should be prefixed:\n%s", out)
+	}
+
+	// A NaN simulator parameter is a named error and exit status 1.
+	rexsim := buildTool(t, dir, "rexsim")
+	out, err = exec.Command(rexsim, "-machines", "10", "-shards", "60", "-rounds", "1", "-util", "NaN").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "TargetUtil") {
+		t.Errorf("rexsim -util NaN: %v, want exit status 1 naming TargetUtil:\n%s", err, out)
 	}
 }

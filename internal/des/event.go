@@ -18,11 +18,18 @@
 // ctl.LoadSource (per-shard load observations are the work the simulator
 // actually routed during the window), and ctl.MoveObserver (executor
 // dispatches degrade the source machine mid-flight and commit reroutes).
-// Everything is deterministic for a fixed seed: the event heap breaks
-// timestamp ties by (kind, sequence number), all randomness flows through
-// named rng.Partitioned sub-streams (workload, drift, chaos), and the
-// single event loop runs on the control goroutine — so reports are
+// Everything is deterministic for a fixed seed: events fire in one total
+// (time, kind, sequence number) order, all randomness flows through named
+// rng.Partitioned sub-streams (workload, drift, chaos), and the single
+// event loop runs on the control goroutine — so reports are
 // byte-identical across runs and GOMAXPROCS values.
+//
+// The event heap holds window boundaries and leg completions only. A
+// window's arrivals stay in the sorted slice workload.Trace.Arrivals
+// returns and are merged into the heap's stream under the same order.
+// The clock is published once per Sleep, at its end: a concurrent Now (an
+// HTTP handler) reads the time the running Sleep started from, never a
+// time inside it.
 package des
 
 // Kind discriminates event types. The numeric order is the documented
@@ -37,7 +44,8 @@ const (
 	// KindWindow closes a measurement window, applies popularity drift,
 	// and generates the next window's arrivals.
 	KindWindow Kind = iota
-	// KindArrival fans one query out to its shard legs.
+	// KindArrival fans one query out to its shard legs. Arrivals are
+	// read from the window's sorted slice, never pushed on the heap.
 	KindArrival
 	// KindLegDone completes the leg at the head of machine M's queue.
 	KindLegDone
@@ -57,16 +65,14 @@ func (k Kind) String() string {
 	}
 }
 
-// Event is one scheduled simulator event. Q indexes the simulator's query
-// table for arrivals; M is the serving machine for leg completions. Seq is
-// a global push counter that makes the heap order total: two events with
-// equal (At, Kind) pop in push order.
+// Event is one scheduled simulator event. M is the serving machine for
+// leg completions. Seq is a global push counter that makes the heap order
+// total: two events with equal (At, Kind) pop in push order.
 type Event struct {
 	At   float64
 	Kind Kind
-	Seq  uint64
-	Q    int32
 	M    int32
+	Seq  uint64
 }
 
 // before is the total heap order: time, then kind, then sequence.
@@ -99,7 +105,7 @@ func (h *eventHeap) Push(e Event) {
 	e.Seq = h.seq
 	h.seq++
 	h.ev = append(h.ev, e)
-	h.siftUp(len(h.ev) - 1)
+	h.siftUp(len(h.ev)-1, e)
 }
 
 // Min returns the earliest event without removing it. The heap must be
@@ -109,52 +115,44 @@ func (h *eventHeap) Push(e Event) {
 func (h *eventHeap) Min() Event { return h.ev[0] }
 
 // Pop removes and returns the earliest event. The heap must be non-empty.
+// It walks the hole at the root down to a leaf along the smaller child,
+// one comparison per level, then sifts the former last element up from
+// there: it usually belongs near the bottom, so this costs fewer
+// comparisons than sifting it down from the root.
 //
 //rexlint:noalloc
 func (h *eventHeap) Pop() Event {
 	top := h.ev[0]
 	last := len(h.ev) - 1
-	h.ev[0] = h.ev[last]
+	x := h.ev[last]
 	h.ev = h.ev[:last]
-	if last > 0 {
-		h.siftDown(0)
+	if last == 0 {
+		return top
 	}
+	i := 0
+	for c := 1; c < last; c = 2*i + 1 {
+		if c+1 < last && h.ev[c+1].before(h.ev[c]) {
+			c++
+		}
+		h.ev[i] = h.ev[c]
+		i = c
+	}
+	h.siftUp(i, x)
 	return top
 }
 
-// siftUp restores the heap property from leaf i toward the root.
+// siftUp places x at the hole i, moving the hole toward the root past
+// every parent that x orders before.
 //
 //rexlint:noalloc
-func (h *eventHeap) siftUp(i int) {
+func (h *eventHeap) siftUp(i int, x Event) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.ev[i].before(h.ev[parent]) {
-			return
+		if !x.before(h.ev[parent]) {
+			break
 		}
-		h.ev[i], h.ev[parent] = h.ev[parent], h.ev[i]
+		h.ev[i] = h.ev[parent]
 		i = parent
 	}
-}
-
-// siftDown restores the heap property from the root at i toward the
-// leaves.
-//
-//rexlint:noalloc
-func (h *eventHeap) siftDown(i int) {
-	n := len(h.ev)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return
-		}
-		least := left
-		if right := left + 1; right < n && h.ev[right].before(h.ev[left]) {
-			least = right
-		}
-		if !h.ev[least].before(h.ev[i]) {
-			return
-		}
-		h.ev[i], h.ev[least] = h.ev[least], h.ev[i]
-		i = least
-	}
+	h.ev[i] = x
 }

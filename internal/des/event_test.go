@@ -48,10 +48,10 @@ func TestEventHeapOrdersByTime(t *testing.T) {
 func TestEventHeapTieBreak(t *testing.T) {
 	h := &eventHeap{}
 	h.Push(Event{At: 5, Kind: KindLegDone, M: 1})
-	h.Push(Event{At: 5, Kind: KindArrival, Q: 1})
+	h.Push(Event{At: 5, Kind: KindArrival, M: 1})
 	h.Push(Event{At: 5, Kind: KindWindow})
 	h.Push(Event{At: 5, Kind: KindLegDone, M: 2})
-	h.Push(Event{At: 5, Kind: KindArrival, Q: 2})
+	h.Push(Event{At: 5, Kind: KindArrival, M: 2})
 	h.Push(Event{At: 4, Kind: KindLegDone, M: 9})
 
 	want := []struct {
@@ -68,11 +68,7 @@ func TestEventHeapTieBreak(t *testing.T) {
 	}
 	for i, w := range want {
 		e := h.Pop()
-		id := e.M
-		if e.Kind == KindArrival {
-			id = e.Q
-		}
-		if e.At != w.at || e.Kind != w.kind || id != w.id {
+		if e.At != w.at || e.Kind != w.kind || e.M != w.id {
 			t.Fatalf("pop %d = %+v, want at=%g kind=%v id=%d", i, e, w.at, w.kind, w.id)
 		}
 	}

@@ -2,6 +2,7 @@ package des
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"rexchange/internal/cluster"
@@ -91,6 +92,22 @@ func TestNewValidation(t *testing.T) {
 	} {
 		if _, err := New(tc.cfg, tc.p, tc.tr); err == nil {
 			t.Errorf("%s: New accepted it", name)
+		}
+	}
+	// A NaN or infinite parameter is named: NaN passes every range check,
+	// and a NaN prefix sum would send shard picks outside the guide table.
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		for field, cfg := range map[string]Config{
+			"TargetUtil":  {TargetUtil: bad},
+			"Window":      {Window: bad},
+			"DriftSigma":  {DriftSigma: bad},
+			"Drag":        {Drag: bad},
+			"CostSigma":   {CostSigma: bad},
+			"TraceSample": {TraceSample: bad},
+		} {
+			if _, err := New(cfg, p, tr); err == nil || !strings.Contains(err.Error(), field) {
+				t.Errorf("%s = %g: err = %v, want one naming %s", field, bad, err, field)
+			}
 		}
 	}
 }

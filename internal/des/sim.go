@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 
 	"rexchange/internal/cluster"
@@ -90,6 +89,15 @@ func DefaultConfig() Config {
 
 // normalize fills defaults and validates.
 func (cfg *Config) normalize() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{"TargetUtil", cfg.TargetUtil}, {"Window", cfg.Window}, {"DriftSigma", cfg.DriftSigma},
+		{"Drag", cfg.Drag}, {"CostSigma", cfg.CostSigma}, {"TraceSample", cfg.TraceSample}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("des: %s must be finite, got %g", f.name, f.v)
+		}
+	}
 	if cfg.Fanout == 0 {
 		cfg.Fanout = 8
 	}
@@ -162,12 +170,18 @@ type Sim struct {
 	groupOf  []*replicaGroup // shard → replica group; nil unless legs are routed
 	weights  []float64
 	cum      []float64 // prefix sums over weights, rebuilt per window
+	guide    []int32   // guide[k]: first index whose prefix sum reaches k·total/n
+	guideK   float64   // n/total: r·guideK is r's guide bucket
 	wtotal   float64   // invariant Σweights, restored after each drift step
 	machines []machine
 
-	heap eventHeap
-	qs   []query
-	free []int32
+	// heap holds window boundaries and leg completions; arrivals[next:]
+	// are the generated arrivals not yet fired, sorted.
+	heap     eventHeap
+	arrivals []float64
+	next     int
+	qs       []query
+	free     []int32
 
 	// workload draws arrivals, costs, and shard picks; drift walks the
 	// popularity weights; the partitioned chaos stream is exported for
@@ -237,6 +251,7 @@ func New(cfg Config, p *cluster.Placement, tr *workload.Trace) (*Sim, error) {
 		home:     p.Assignment(),
 		weights:  make([]float64, c.NumShards()),
 		cum:      make([]float64, c.NumShards()),
+		guide:    make([]int32, c.NumShards()),
 		machines: make([]machine, c.NumMachines()),
 		streams:  rng.NewPartitioned(cfg.Seed),
 		srcLoad:  make([]float64, c.NumShards()),
@@ -319,7 +334,9 @@ func (s *Sim) Tracer() *obs.Tracer { return s.tracer }
 //rexlint:stream chaos
 func (s *Sim) Chaos() *rand.Rand { return s.streams.Stream(rng.StreamChaos) }
 
-// Now returns the current simulated time. Safe for concurrent use.
+// Now returns the current simulated time. Safe for concurrent use: the
+// clock is published when a Sleep returns, so another goroutine reading it
+// during a Sleep sees the time that Sleep started from.
 func (s *Sim) Now() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -336,22 +353,35 @@ func (s *Sim) setNow(t float64) {
 // Sleep advances simulated time by d seconds, running every event that
 // falls strictly before the target; events scheduled exactly at the
 // target run at the start of the next advance, so a load snapshot taken
-// at a window boundary never sees the next window's arrivals.
+// at a window boundary never sees the next window's arrivals. The next
+// pending arrival fires when it orders before the heap's minimum; the
+// heap is never empty while arrivals are pending, because the window
+// that generated them scheduled the next boundary.
 func (s *Sim) Sleep(d float64) {
 	if d <= 0 {
 		return
 	}
 	target := s.Now() + d
-	for s.heap.Len() > 0 && s.heap.Min().At < target {
-		e := s.heap.Pop()
-		s.setNow(e.At)
+	for s.heap.Len() > 0 {
+		e := s.heap.Min()
+		if s.next < len(s.arrivals) {
+			if a := (Event{At: s.arrivals[s.next], Kind: KindArrival}); a.before(e) {
+				e = a
+			}
+		}
+		if e.At >= target {
+			break
+		}
 		s.events++
 		switch e.Kind {
 		case KindWindow:
+			s.heap.Pop()
 			s.windowEvent(e.At)
 		case KindArrival:
+			s.next++
 			s.arrivalEvent(e.At)
 		case KindLegDone:
+			s.heap.Pop()
 			s.legDoneEvent(e.At, e.M)
 		}
 	}
@@ -415,9 +445,12 @@ func (s *Sim) windowEvent(t float64) {
 	if s.cfg.DriftSigma > 0 && s.windowIdx > 0 {
 		s.driftStep()
 	}
-	for _, at := range s.tr.Arrivals(t, t+s.cfg.Window, s.workload) {
-		s.heap.Push(Event{At: at, Kind: KindArrival})
-	}
+	// An arrival still pending lies exactly on this boundary (it orders
+	// after the window), and every new one at or after it: appending keeps
+	// the slice sorted and equal times in generation order.
+	pending := copy(s.arrivals, s.arrivals[s.next:])
+	s.arrivals = append(s.arrivals[:pending], s.tr.Arrivals(t, t+s.cfg.Window, s.workload)...)
+	s.next = 0
 	s.windowIdx++
 	s.heap.Push(Event{At: t + s.cfg.Window, Kind: KindWindow})
 }
@@ -462,20 +495,44 @@ func (s *Sim) driftStep() {
 	s.rebuildCum()
 }
 
-// rebuildCum refreshes the prefix sums used for weighted shard sampling.
+// rebuildCum refreshes the prefix sums used for weighted shard sampling
+// and the guide table over them.
 func (s *Sim) rebuildCum() {
 	acc := 0.0
 	for i, w := range s.weights {
 		acc += w
 		s.cum[i] = acc
 	}
+	n := len(s.cum)
+	s.guideK = float64(n) / acc
+	j := 0
+	for k := range s.guide {
+		for j < n-1 && s.cum[j] < float64(k)*acc/float64(n) {
+			j++
+		}
+		s.guide[k] = int32(j)
+	}
 }
 
-// pickShard samples one shard proportional to current popularity.
+// pickShard samples one shard proportional to current popularity: the
+// first index whose prefix sum reaches r, as sort.SearchFloat64s would
+// find it. The walk starts at r's guide entry and steps back or forward
+// to that index, an expected O(1) steps.
 func (s *Sim) pickShard() cluster.ShardID {
 	total := s.cum[len(s.cum)-1]
 	r := s.workload.Float64() * total
-	return cluster.ShardID(sort.SearchFloat64s(s.cum, r))
+	k := int(r * s.guideK)
+	if uint(k) >= uint(len(s.guide)) { // r·guideK can round up to n
+		k = len(s.guide) - 1
+	}
+	i := int(s.guide[k])
+	for i > 0 && s.cum[i-1] >= r {
+		i--
+	}
+	for s.cum[i] < r {
+		i++
+	}
+	return cluster.ShardID(i)
 }
 
 // arrivalEvent fans one query out to Fanout sampled shard legs. The cost
@@ -576,7 +633,7 @@ func (s *Sim) startService(t float64, mi int32) {
 	service := l.work * s.serveScale / eff
 	m.busy += service
 	m.busyUntil = t + service
-	s.heap.Push(Event{At: t + service, Kind: KindLegDone, Q: l.q, M: mi})
+	s.heap.Push(Event{At: t + service, Kind: KindLegDone, M: mi})
 }
 
 // legDoneEvent completes the head leg of machine m, merges it into its

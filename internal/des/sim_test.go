@@ -32,9 +32,11 @@ func bareSim(speeds []float64, shards int) *Sim {
 		home:     make([]cluster.MachineID, shards),
 		weights:  make([]float64, shards),
 		cum:      make([]float64, shards),
+		guide:    make([]int32, shards),
 		machines: make([]machine, len(speeds)),
 		streams:  rng.NewPartitioned(1),
 		srcLoad:  make([]float64, shards),
+		picks:    make([]cluster.ShardID, 1),
 		m:        newSimMetrics(nil),
 
 		legUnit:    1,

@@ -257,7 +257,7 @@ func forEachAccess(n ast.Node, fn func(sel *ast.SelectorExpr, write bool)) {
 			markWrite(x.X)
 		}
 	}
-	inspectShallow(n, func(x ast.Node) bool {
+	inspectHeader(n, func(x ast.Node) bool {
 		switch s := x.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range s.Lhs {
@@ -272,7 +272,7 @@ func forEachAccess(n ast.Node, fn func(sel *ast.SelectorExpr, write bool)) {
 		}
 		return true
 	})
-	inspectShallow(n, func(x ast.Node) bool {
+	inspectHeader(n, func(x ast.Node) bool {
 		if sel, ok := x.(*ast.SelectorExpr); ok {
 			fn(sel, writes[sel])
 		}

@@ -160,3 +160,24 @@ func (p *probe) bumpAndNotify() {
 	p.notify() // want `call to \(lockcheck\.probe\)\.notify while holding p\.mu may block under the lock: channel send`
 	p.mu.Unlock()
 }
+
+// badWaitInRange: the loop head of a range statement carries the whole
+// statement, but its body is read once, so the Wait is reported once.
+func badWaitInRange(c *counter, wg *sync.WaitGroup, xs []int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for range xs {
+		wg.Wait() // want `sync\.WaitGroup\.Wait while holding c\.mu blocks under the lock`
+	}
+}
+
+// lockedInRange locks around each increment in a range body: that access
+// holds the mutex on every path, the decrement after the loop does not.
+func lockedInRange(c *counter, xs []int) {
+	for range xs {
+		c.mu.Lock()
+		c.n++
+		c.mu.Unlock()
+	}
+	c.n-- // want `access to c\.n \(guarded by mu\) without holding c\.mu on every path`
+}

@@ -54,6 +54,14 @@ func DefaultTraceConfig() TraceConfig {
 
 // GenerateTrace builds a trace from cfg.
 func GenerateTrace(cfg TraceConfig) (*Trace, error) {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{"Duration", cfg.Duration}, {"BaseRate", cfg.BaseRate}, {"DiurnalAmp", cfg.DiurnalAmp}, {"Period", cfg.Period}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return nil, fmt.Errorf("workload: trace %s must be finite, got %g", f.name, f.v)
+		}
+	}
 	if cfg.Duration <= 0 || cfg.BaseRate <= 0 {
 		return nil, fmt.Errorf("workload: trace needs positive Duration and BaseRate")
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"rexchange/internal/cluster"
@@ -221,6 +222,26 @@ func TestGenerateTraceErrors(t *testing.T) {
 	}
 	if _, err := GenerateTrace(TraceConfig{Duration: 1, BaseRate: 1, DiurnalAmp: 1}); err == nil {
 		t.Error("expected amp error")
+	}
+}
+
+// TestGenerateTraceRejectsNonFinite: a NaN or infinite parameter is named
+// in the error. A NaN or +Inf Duration, or a NaN DiurnalAmp, would
+// otherwise keep the thinning loop from ever reaching the trace end.
+func TestGenerateTraceRejectsNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for field, set := range map[string]func(*TraceConfig){
+			"Duration":   func(c *TraceConfig) { c.Duration = bad },
+			"BaseRate":   func(c *TraceConfig) { c.BaseRate = bad },
+			"DiurnalAmp": func(c *TraceConfig) { c.DiurnalAmp = bad },
+			"Period":     func(c *TraceConfig) { c.Period = bad },
+		} {
+			cfg := DefaultTraceConfig()
+			set(&cfg)
+			if _, err := GenerateTrace(cfg); err == nil || !strings.Contains(err.Error(), field) {
+				t.Errorf("%s = %g: err = %v, want one naming %s", field, bad, err, field)
+			}
+		}
 	}
 }
 
