@@ -22,8 +22,10 @@ package lint
 //     as unknown, which the summary layer treats pessimistically.
 //
 // Standard-library callees are not graph nodes; call sites record their
-// qualified names and the summary layer classifies them from a fixed
-// effect table (summary.go).
+// qualified names, and every reader classifies them from the one stdlib
+// table (stdCalls, summary.go). Program.SiteAt maps a call expression to
+// its site, so analyzers read the resolution made here rather than redo it
+// from selector syntax.
 
 import (
 	"go/ast"
@@ -129,21 +131,21 @@ type CallSite struct {
 
 // callGraph is the built graph plus its lookup indexes.
 type callGraph struct {
-	nodes     []*FuncNode // deterministic: package path, then file, then offset
-	byFunc    map[*types.Func]*FuncNode
-	byLit     map[*ast.FuncLit]*FuncNode
-	calleesAt map[*ast.CallExpr][]*FuncNode
-	named     []*types.TypeName // module-local non-interface named types
-	modPkgs   map[*types.Package]bool
+	nodes   []*FuncNode // deterministic: package path, then file, then offset
+	byFunc  map[*types.Func]*FuncNode
+	byLit   map[*ast.FuncLit]*FuncNode
+	siteAt  map[*ast.CallExpr]*CallSite // every recorded call, into its node's Calls
+	named   []*types.TypeName           // module-local non-interface named types
+	modPkgs map[*types.Package]bool
 }
 
 // buildCallGraph creates the nodes and edges for every function in pkgs.
 func buildCallGraph(pkgs []*Package) *callGraph {
 	g := &callGraph{
-		byFunc:    make(map[*types.Func]*FuncNode),
-		byLit:     make(map[*ast.FuncLit]*FuncNode),
-		calleesAt: make(map[*ast.CallExpr][]*FuncNode),
-		modPkgs:   make(map[*types.Package]bool),
+		byFunc:  make(map[*types.Func]*FuncNode),
+		byLit:   make(map[*ast.FuncLit]*FuncNode),
+		siteAt:  make(map[*ast.CallExpr]*CallSite),
+		modPkgs: make(map[*types.Package]bool),
 	}
 	// Pass 1: nodes for every declared function, then every literal.
 	for _, pkg := range pkgs {
@@ -185,9 +187,16 @@ func buildCallGraph(pkgs []*Package) *callGraph {
 			g.named = append(g.named, tn)
 		}
 	}
-	// Pass 2: resolve edges, every node (declared or literal) uniformly.
+	// Pass 2: resolve edges, every node (declared or literal) uniformly,
+	// and index each call expression to its site once the node's list is
+	// final.
 	for _, n := range g.nodes {
 		g.resolveCalls(n)
+		for i := range n.Calls {
+			if call := n.Calls[i].Call; call != nil {
+				g.siteAt[call] = &n.Calls[i]
+			}
+		}
 	}
 	sort.Slice(g.nodes, func(i, j int) bool { return nodeLess(g.nodes[i], g.nodes[j]) })
 	return g
@@ -399,9 +408,6 @@ func (g *callGraph) callSite(n *FuncNode, call *ast.CallExpr, binds map[types.Ob
 
 	if len(site.Callees) == 0 && len(site.Std) == 0 && !site.Unknown {
 		return
-	}
-	if len(site.Callees) > 0 {
-		g.calleesAt[call] = site.Callees
 	}
 	n.Calls = append(n.Calls, site)
 }

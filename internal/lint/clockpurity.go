@@ -6,10 +6,10 @@ import (
 )
 
 // ClockPurity keeps deterministic packages off the wall clock. Direct
-// calls to the ambient time sources (time.Now, time.Since, time.Sleep,
-// time.After, ...) are flagged unless they occur inside a Clock
-// implementation — the single seam through which wall time is allowed to
-// enter. The analysis is flow-sensitive: storing a banned function value
+// calls to the ambient time sources, the stdlib table's EffClock entries
+// (time.Now, time.Since, time.Sleep, time.After, ...), are flagged unless
+// they occur inside a Clock implementation — the single seam through which
+// wall time is allowed to enter. The analysis is flow-sensitive: storing a banned function value
 // and calling it later is caught at the call site, so
 //
 //	now := time.Now
@@ -27,20 +27,6 @@ var ClockPurity = &Analyzer{
 	Name: "clockpurity",
 	Doc:  "flag wall-clock access (time.Now/Since/Sleep/...) outside Clock implementations, including via stored function values",
 	Run:  runClockPurity,
-}
-
-// bannedTimeFuncs are the package-level time functions that read or wait
-// on the ambient clock.
-var bannedTimeFuncs = map[string]bool{
-	"Now":       true,
-	"Since":     true,
-	"Until":     true,
-	"Sleep":     true,
-	"After":     true,
-	"Tick":      true,
-	"NewTimer":  true,
-	"NewTicker": true,
-	"AfterFunc": true,
 }
 
 // taintFact maps object keys of locals to the banned time function they
@@ -103,7 +89,7 @@ func (tf *taintFlow) Transfer(n ast.Node, in taintFact) taintFact {
 			if !okKey {
 				continue
 			}
-			if src := bannedTimeValue(tf.info, as.Rhs[i]); src != "" {
+			if src := clockFuncValue(tf.info, as.Rhs[i]); src != "" {
 				set(key, src)
 			} else if rk, okR := exprKey(tf.info, as.Rhs[i]); okR && out[rk] != "" {
 				set(key, out[rk])
@@ -118,31 +104,20 @@ func (tf *taintFlow) Transfer(n ast.Node, in taintFact) taintFact {
 	return out
 }
 
-// bannedTimeValue reports the banned time function that e references as a
-// value ("time.Now"), or "" if e is not one. Calls are handled separately:
-// this matches the bare function value only.
-func bannedTimeValue(info *types.Info, e ast.Expr) string {
+// clockFuncValue reports the qualified name of the function e references
+// as a value ("time.Now") when the stdlib table marks it EffClock, or "".
+// Calls are handled separately, through their resolved site: this matches
+// the bare function value only, which has no site.
+func clockFuncValue(info *types.Info, e ast.Expr) string {
 	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
 	if !ok {
 		return ""
 	}
-	return bannedTimeFunc(info, sel)
-}
-
-// bannedTimeFunc reports "time.<Name>" when sel resolves to a banned
-// package-level function of the time package.
-func bannedTimeFunc(info *types.Info, sel *ast.SelectorExpr) string {
 	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "time" {
+	if !ok || fn.Pkg() == nil || stdCallOf(qualifiedFuncName(fn)).mask&EffClock == 0 {
 		return ""
 	}
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		return "" // method on time.Time/Timer etc., not an ambient source
-	}
-	if !bannedTimeFuncs[fn.Name()] {
-		return ""
-	}
-	return "time." + fn.Name()
+	return qualifiedFuncName(fn)
 }
 
 func runClockPurity(pass *Pass) error {
@@ -281,8 +256,9 @@ func checkClockPurity(pass *Pass, node *FuncNode) {
 	})
 }
 
-// reportClockCalls flags direct and stored-value calls of banned time
-// functions within one straight-line node.
+// reportClockCalls flags direct calls of the table's EffClock functions,
+// read off the resolved call site, and stored-value calls of them within
+// one straight-line node.
 func reportClockCalls(pass *Pass, n ast.Node, f taintFact) {
 	info := pass.TypesInfo
 	inspectShallow(n, func(x ast.Node) bool {
@@ -290,13 +266,11 @@ func reportClockCalls(pass *Pass, n ast.Node, f taintFact) {
 		if !ok {
 			return true
 		}
-		fun := ast.Unparen(call.Fun)
-		if sel, ok := fun.(*ast.SelectorExpr); ok {
-			if name := bannedTimeFunc(info, sel); name != "" {
-				pass.Reportf(call.Pos(), "%s bypasses the Clock seam; inject a ctl.Clock instead", name)
-				return true
-			}
+		if name := pass.Prog.SiteAt(call).stdWith(EffClock); name != "" {
+			pass.Reportf(call.Pos(), "%s bypasses the Clock seam; inject a ctl.Clock instead", name)
+			return true
 		}
+		fun := ast.Unparen(call.Fun)
 		if key, ok := exprKey(info, fun); ok {
 			if src := f[key]; src != "" {
 				pass.Reportf(call.Pos(), "call of %s (holds %s) bypasses the Clock seam; inject a ctl.Clock instead",

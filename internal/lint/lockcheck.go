@@ -5,7 +5,6 @@ import (
 	"go/token"
 	"go/types"
 	"regexp"
-	"slices"
 	"strings"
 )
 
@@ -20,11 +19,16 @@ import (
 //     site (may-held, union join);
 //   - blocking operations under a held lock are flagged: the blocking
 //     channel sites of the summary's site table (summary.go; a send or
-//     receive in a select with a default clause does not block),
-//     sync.WaitGroup.Wait, calls to callees whose summary may block, and
-//     calls to same-package methods that acquire the mutex already held
+//     receive in a select with a default clause does not block), calls
+//     whose stdlib callee the stdlib table marks EffBlock (WaitGroup.Wait,
+//     time.Sleep), calls to callees whose summary may block, and calls to
+//     same-package methods that acquire the mutex already held
 //     (self-deadlock, detected via the receiver mutexes the callee's local
 //     summary facts say it acquires).
+//
+// Which calls lock and unlock is read off each call's resolved site and the
+// lock role of its stdlib callee in the table, so a method promoted from
+// an embedded sync.Mutex counts like one called on a mutex field.
 //
 // Helper functions that run with the lock already held declare their
 // entry contract with a doc-comment directive:
@@ -55,11 +59,11 @@ type lockInfo struct {
 type lockFact map[string]lockInfo
 
 // lockFlow solves held-mutex facts forward; must selects intersection
-// (held on every path) versus union (held on some path) joins. prog, when
-// set, supplies interprocedural unlock summaries: a call to a method that
-// may unlock a receiver mutex drops the held fact, closing the
-// hidden-unlock blind spot (the caller can no longer be assumed to still
-// hold the lock after the call).
+// (held on every path) versus union (held on some path) joins. prog
+// supplies the resolved call sites and the interprocedural unlock
+// summaries: a call to a method that may unlock a receiver mutex drops the
+// held fact, closing the hidden-unlock blind spot (the caller can no
+// longer be assumed to still hold the lock after the call).
 type lockFlow struct {
 	info  *types.Info
 	prog  *Program
@@ -133,7 +137,7 @@ func lockTransfer(info *types.Info, prog *Program, n ast.Node, in lockFact) lock
 	}
 
 	if d, ok := n.(*ast.DeferStmt); ok {
-		if key, _, kind := mutexCall(info, d.Call); kind == lockRelease {
+		if key, _, role := lockOp(info, prog.SiteAt(d.Call)); role == lockRelease {
 			if li, held := out[key]; held {
 				ensure()
 				li.deferred = true
@@ -148,8 +152,9 @@ func lockTransfer(info *types.Info, prog *Program, n ast.Node, in lockFact) lock
 		if !ok {
 			return true
 		}
-		key, path, kind := mutexCall(info, call)
-		switch kind {
+		site := prog.SiteAt(call)
+		key, path, role := lockOp(info, site)
+		switch role {
 		case lockAcquire:
 			ensure()
 			out[key] = lockInfo{pos: call.Pos(), path: path}
@@ -164,7 +169,7 @@ func lockTransfer(info *types.Info, prog *Program, n ast.Node, in lockFact) lock
 		case lockNone:
 			// Interprocedural: a callee that may unlock a receiver mutex
 			// means the lock cannot be assumed held after the call.
-			for _, k := range hiddenUnlockKeys(info, prog, call) {
+			for _, k := range hiddenUnlockKeys(info, prog, site) {
 				if _, held := out[k]; held {
 					ensure()
 					delete(out, k)
@@ -179,82 +184,50 @@ func lockTransfer(info *types.Info, prog *Program, n ast.Node, in lockFact) lock
 // hiddenUnlockKeys returns the lock-fact keys a call may release through
 // its callees' unlock summaries (e.g. x.finish() where finish does
 // x.mu.Unlock()).
-func hiddenUnlockKeys(info *types.Info, prog *Program, call *ast.CallExpr) []string {
-	if prog == nil {
+func hiddenUnlockKeys(info *types.Info, prog *Program, site *CallSite) []string {
+	if site == nil || len(site.Callees) == 0 {
 		return nil
 	}
-	callees := prog.CalleesAt(call)
-	if len(callees) == 0 {
-		return nil
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	baseKey, ok := exprKey(info, sel.X)
+	baseKey, ok := exprKey(info, site.RecvExpr)
 	if !ok {
 		return nil
 	}
 	var keys []string
-	for _, callee := range callees {
+	for _, callee := range site.Callees {
 		for _, f := range prog.SummaryOf(callee).UnlockFields {
-			if f == "" {
-				keys = append(keys, baseKey)
-			} else {
-				keys = append(keys, baseKey+"."+f)
-			}
+			keys = append(keys, fieldKey(baseKey, f))
 		}
 	}
 	return keys
 }
 
-// mutex call kinds.
-const (
-	lockNone = iota
-	lockAcquire
-	lockAcquireRead
-	lockRelease
-)
+// fieldKey extends a receiver key by a summary's mutex field; "" names the
+// receiver itself.
+func fieldKey(base, field string) string {
+	if field == "" {
+		return base
+	}
+	return base + "." + field
+}
 
-// mutexCall classifies a call as Lock/RLock/Unlock/RUnlock on a keyable
-// sync.Mutex or sync.RWMutex path, returning the mutex key and rendered
-// path.
-func mutexCall(info *types.Info, call *ast.CallExpr) (key, path string, kind int) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+// lockOp reads a call's mutex operation off its resolved site: the lock
+// role its stdlib callee has in the table, and the keyable path of the
+// receiver operand it acts on — for a method promoted from an embedded
+// mutex, the embedding value.
+func lockOp(info *types.Info, site *CallSite) (key, path string, role lockRole) {
+	if role = site.stdLock(); role == lockNone {
+		return "", "", lockNone
+	}
+	key, ok := exprKey(info, site.RecvExpr)
 	if !ok {
 		return "", "", lockNone
 	}
-	var k int
-	switch sel.Sel.Name {
-	case "Lock":
-		k = lockAcquire
-	case "RLock":
-		k = lockAcquireRead
-	case "Unlock", "RUnlock":
-		k = lockRelease
-	default:
-		return "", "", lockNone
-	}
-	if !isMutexType(info.TypeOf(sel.X)) {
-		return "", "", lockNone
-	}
-	key, ok = exprKey(info, sel.X)
-	if !ok {
-		return "", "", lockNone
-	}
-	return key, renderPath(sel.X), k
+	return key, renderPath(site.RecvExpr), role
 }
 
 // isMutexType reports whether t is (a pointer to) sync.Mutex or
 // sync.RWMutex.
-func isMutexType(t types.Type) bool { return isSyncType(t, "Mutex", "RWMutex") }
-
-// isSyncType reports whether t is (a pointer to) one of the named types of
-// package sync.
-func isSyncType(t types.Type, names ...string) bool {
-	if t == nil {
-		return false
-	}
+func isMutexType(t types.Type) bool {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
@@ -262,7 +235,7 @@ func isSyncType(t types.Type, names ...string) bool {
 	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
 		return false
 	}
-	return slices.Contains(names, named.Obj().Name())
+	return named.Obj().Name() == "Mutex" || named.Obj().Name() == "RWMutex"
 }
 
 // lockCtx is the per-package context for the checks.
@@ -546,35 +519,43 @@ func heldPath(held lockFact) string {
 	return path
 }
 
-// checkBlockingCall flags WaitGroup.Wait and self-deadlocking method calls
-// under a held lock.
+// checkBlockingCall flags, under a held lock, a call whose stdlib callee
+// blocks per the table (WaitGroup.Wait, time.Sleep), a self-deadlocking
+// method call, and a call whose module-local callee may block. A call
+// launched by a go statement blocks its own goroutine, not the caller.
 func (ctx *lockCtx) checkBlockingCall(call *ast.CallExpr, fMust lockFact) {
+	site := ctx.pass.Prog.SiteAt(call)
+	if site == nil || site.Async {
+		return
+	}
+	if name := site.stdWith(EffBlock); name != "" {
+		ctx.pass.Reportf(call.Pos(), "%s while holding %s blocks under the lock",
+			strings.NewReplacer("(", "", ")", "").Replace(name), heldPath(fMust))
+		return
+	}
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+		ctx.checkSelfDeadlock(call, sel, fMust)
+	}
+	ctx.checkBlockingCallee(site, fMust)
+}
+
+// checkSelfDeadlock flags a call of a same-package method whose local facts
+// say it acquires a receiver mutex the caller already holds exclusively.
+func (ctx *lockCtx) checkSelfDeadlock(call *ast.CallExpr, sel *ast.SelectorExpr, fMust lockFact) {
 	info := ctx.pass.TypesInfo
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	if sel.Sel.Name == "Wait" && isSyncType(info.TypeOf(sel.X), "WaitGroup") {
-		ctx.pass.Reportf(call.Pos(), "sync.WaitGroup.Wait while holding %s blocks under the lock", heldPath(fMust))
-		return
-	}
 	fn, _ := info.Uses[sel.Sel].(*types.Func)
-	if fn == nil {
+	callee := ctx.pass.Prog.NodeOf(fn)
+	if callee == nil || callee.Pkg != ctx.pass.pkg() {
 		return
 	}
-	// Self-deadlock: a same-package method whose local facts say it
-	// acquires a receiver mutex the caller already holds exclusively.
-	if callee := ctx.pass.Prog.NodeOf(fn); callee != nil && callee.Pkg == ctx.pass.pkg() {
-		if baseKey, okKey := exprKey(info, sel.X); okKey {
-			for _, mf := range sortedKeys(ctx.pass.Prog.local[callee].locked) {
-				if li, held := fMust[baseKey+"."+mf]; held && !li.read {
-					ctx.pass.Reportf(call.Pos(), "call to %s while holding %s: the callee locks the same mutex (self-deadlock)",
-						sel.Sel.Name, li.path)
-				}
+	if baseKey, okKey := exprKey(info, sel.X); okKey {
+		for _, mf := range sortedKeys(ctx.pass.Prog.local[callee].locked) {
+			if li, held := fMust[fieldKey(baseKey, mf)]; held && !li.read {
+				ctx.pass.Reportf(call.Pos(), "call to %s while holding %s: the callee locks the same mutex (self-deadlock)",
+					sel.Sel.Name, li.path)
 			}
 		}
 	}
-	ctx.checkBlockingCallee(call, fMust)
 }
 
 // checkBlockingCallee is the interprocedural half of the blocking check: a
@@ -584,13 +565,9 @@ func (ctx *lockCtx) checkBlockingCall(call *ast.CallExpr, fMust lockFact) {
 // call, with the chain to the root blocking site. A callee that first unlocks the held
 // mutex drops the fact in the transfer before this check fires, so
 // unlock-then-block helpers stay silent.
-func (ctx *lockCtx) checkBlockingCallee(call *ast.CallExpr, fMust lockFact) {
-	prog := ctx.pass.Prog
-	if prog == nil || len(fMust) == 0 {
-		return
-	}
-	for _, callee := range prog.CalleesAt(call) {
-		sum := prog.SummaryOf(callee)
+func (ctx *lockCtx) checkBlockingCallee(site *CallSite, fMust lockFact) {
+	for _, callee := range site.Callees {
+		sum := ctx.pass.Prog.SummaryOf(callee)
 		if sum.Mask&EffBlock == 0 {
 			continue
 		}
@@ -598,7 +575,7 @@ func (ctx *lockCtx) checkBlockingCallee(call *ast.CallExpr, fMust lockFact) {
 		if sum.Block != nil && sum.Block.What != "" {
 			what = sum.Block.What
 		}
-		ctx.pass.Reportf(call.Pos(), "call to %s while holding %s may block under the lock: %s%s",
+		ctx.pass.Reportf(site.Pos, "call to %s while holding %s may block under the lock: %s%s",
 			callee.Name(), heldPath(fMust), what, sum.Block.Chain())
 		return
 	}

@@ -30,7 +30,6 @@ package lint
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 )
 
 var ShareCheck = &Analyzer{
@@ -89,7 +88,7 @@ func checkShareNode(pass *Pass, node *FuncNode, transfers *lineDirectives) {
 	}
 	for _, cs := range prog.EffectiveCalls(node) {
 		if cs.Call != nil {
-			checkShareCall(pass, cs.Call, ownedName, report)
+			checkShareCall(pass, &cs, ownedName, report)
 		}
 	}
 }
@@ -110,13 +109,12 @@ func freshValue(e ast.Expr) bool {
 }
 
 // checkShareCall flags owned arguments passed to escaping parameters.
-func checkShareCall(pass *Pass, call *ast.CallExpr, ownedName func(ast.Expr) string, report func(token.Pos, string, string)) {
-	prog := pass.Prog
-	callees := prog.CalleesAt(call)
-	if callees == nil {
+func checkShareCall(pass *Pass, site *CallSite, ownedName func(ast.Expr) string, report func(token.Pos, string, string)) {
+	call := site.Call
+	if len(site.Callees) == 0 {
 		// Stdlib or unresolved: passing an owned value out of the module
 		// is conservatively an escape (the callee may retain it).
-		if unknownRetains(pass, call) {
+		if mayRetain(site) {
 			for _, arg := range call.Args {
 				if name := ownedName(arg); name != "" && !freshValue(arg) {
 					report(arg.Pos(), name, "passed to an unresolvable callee that may retain it")
@@ -130,11 +128,11 @@ func checkShareCall(pass *Pass, call *ast.CallExpr, ownedName func(ast.Expr) str
 		if name == "" || freshValue(arg) {
 			continue
 		}
-		for _, callee := range callees {
+		for _, callee := range site.Callees {
 			if callee.TransferSink {
 				continue // declared hand-off: callee takes ownership
 			}
-			cs := prog.SummaryOf(callee)
+			cs := pass.Prog.SummaryOf(callee)
 			idx := argParamIndex(callee, call, arg)
 			if idx >= 0 && idx < len(cs.ParamEscape) && cs.ParamEscape[idx] != "" {
 				report(arg.Pos(), name, cs.ParamEscape[idx]+" by "+callee.Name())
@@ -157,19 +155,14 @@ func argParamIndex(callee *FuncNode, call *ast.CallExpr, arg ast.Expr) int {
 	return -1
 }
 
-// unknownRetains reports whether a call with no module-local callee (a
-// stdlib or unresolvable call site; builtins and conversions are not call
-// sites) might retain its arguments: every such callee is assumed to, bar
-// effect-free stdlib such as math.
-func unknownRetains(pass *Pass, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return true
+// mayRetain reports whether a call with no module-local callee might
+// retain its arguments: an unresolvable call does, and so does every
+// stdlib callee bar the effect-free entries of the table, such as math.
+func mayRetain(site *CallSite) bool {
+	retains := site.Unknown
+	for _, name := range site.Std {
+		sc := stdCallOf(name)
+		retains = retains || sc.mask != 0 || sc.sorts
 	}
-	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return true
-	}
-	mask, sortDriver := stdEffect(qualifiedFuncName(fn))
-	return mask != 0 || sortDriver
+	return retains
 }

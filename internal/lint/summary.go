@@ -215,9 +215,9 @@ func (p *Program) NodeOf(fn *types.Func) *FuncNode { return p.graph.byFunc[fn] }
 // LitNodeOf returns the node of a function literal, or nil.
 func (p *Program) LitNodeOf(lit *ast.FuncLit) *FuncNode { return p.graph.byLit[lit] }
 
-// CalleesAt returns the module-local callee candidates of a call
-// expression, or nil for stdlib/unknown calls.
-func (p *Program) CalleesAt(call *ast.CallExpr) []*FuncNode { return p.graph.calleesAt[call] }
+// SiteAt returns the resolved call site of a call expression, or nil for
+// builtins, conversions and calls with nothing to resolve.
+func (p *Program) SiteAt(call *ast.CallExpr) *CallSite { return p.graph.siteAt[call] }
 
 // EffectiveCalls returns n's call sites that survive CFG reachability and
 // debug-guard folding — the sites its summary was computed from.
@@ -357,8 +357,6 @@ func computeLocalFacts(p *Program, n *FuncNode) *localFacts {
 		}
 	}
 	sort.Slice(lf.events, func(i, j int) bool { return lf.events[i].pos < lf.events[j].pos })
-	sort.Strings(lf.unlocks)
-	lf.unlocks = slices.Compact(lf.unlocks)
 
 	// Call sites survive if reachable and not inside a folded debug guard.
 	for _, site := range n.Calls {
@@ -367,6 +365,29 @@ func computeLocalFacts(p *Program, n *FuncNode) *localFacts {
 		}
 		lf.calls = append(lf.calls, site)
 	}
+
+	// Receiver mutexes the surviving calls release and acquire, by their
+	// lock role in the stdlib table.
+	for _, site := range lf.calls {
+		role := site.stdLock()
+		if role == lockNone || n.Recv == nil || rootObject(n.Pkg.Info, site.RecvExpr) != n.Recv {
+			continue
+		}
+		field := "" // receiver itself is the mutex
+		if _, f, ok := strings.Cut(renderPath(site.RecvExpr), "."); ok {
+			field = f
+		}
+		if role == lockRelease {
+			lf.unlocks = append(lf.unlocks, field)
+		} else {
+			if lf.locked == nil {
+				lf.locked = make(map[string]bool)
+			}
+			lf.locked[field] = true
+		}
+	}
+	sort.Strings(lf.unlocks)
+	lf.unlocks = slices.Compact(lf.unlocks)
 	return lf
 }
 
@@ -448,12 +469,11 @@ func (c *nodeClassifier) waived(analyzer string, pos token.Pos) bool {
 	return c.prog.waivedAt(c.node, analyzer, pos)
 }
 
-// collect appends provenance events (and unlock facts) for one node.
+// collect appends provenance events and closure uses for one node.
 func (c *nodeClassifier) collect(n ast.Node, lf *localFacts) {
 	c.walkEffects(n, func(bit uint16, pos token.Pos, what string) {
 		lf.events = append(lf.events, effectEvent{bit: bit, pos: pos, what: what})
 	})
-	c.collectUnlocks(n, lf)
 	c.collectClosures(n, lf)
 }
 
@@ -537,11 +557,11 @@ func (c *nodeClassifier) alloc(emit func(uint16, token.Pos, string), pos token.P
 	emit(EffAlloc, pos, what)
 }
 
-// callEffects classifies one call expression: builtins, conversions,
-// clock reads, and interface-boxing argument passing. Module-local callee
-// effects arrive later through the summary fixpoint; stdlib callees are
-// classified there too (stdEffect), so this handles only syntax-local
-// effects.
+// callEffects classifies one call expression: builtins, conversions, and
+// interface-boxing argument passing. Module-local callee effects arrive
+// later through the summary fixpoint; stdlib callees, clock reads among
+// them, are classified there too (stdCallOf), so this handles only
+// syntax-local effects.
 func (c *nodeClassifier) callEffects(call *ast.CallExpr, emit func(uint16, token.Pos, string)) {
 	info := c.info
 	fun := ast.Unparen(call.Fun)
@@ -566,9 +586,6 @@ func (c *nodeClassifier) callEffects(call *ast.CallExpr, emit func(uint16, token
 		if _, isT := info.Uses[sel.Sel].(*types.TypeName); isT {
 			c.conversionEffects(call, emit)
 			return
-		}
-		if name := bannedTimeFunc(info, sel); name != "" && !c.node.ClockExempt && !c.waived("clockpurity", call.Pos()) {
-			emit(EffClock, call.Pos(), name)
 		}
 	}
 	c.boxingEffects(call, emit)
@@ -773,47 +790,6 @@ const (
 	rootGlobal
 	rootCaptured
 )
-
-// collectUnlocks records receiver mutex fields unlocked in this node, and
-// the ones the node acquires itself (to net the two out later).
-func (c *nodeClassifier) collectUnlocks(n ast.Node, lf *localFacts) {
-	if c.node.Recv == nil {
-		return
-	}
-	inspectShallow(n, func(x ast.Node) bool {
-		call, ok := x.(*ast.CallExpr)
-		if !ok || c.guarded(call.Pos()) {
-			return true
-		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		name := sel.Sel.Name
-		unlock := name == "Unlock" || name == "RUnlock"
-		lock := name == "Lock" || name == "RLock"
-		if !unlock && !lock {
-			return true
-		}
-		if rootObject(c.info, sel.X) != c.node.Recv {
-			return true
-		}
-		path := renderPath(sel.X)
-		field := "" // receiver itself is the mutex
-		if i := strings.IndexByte(path, '.'); i >= 0 {
-			field = path[i+1:]
-		}
-		if unlock {
-			lf.unlocks = append(lf.unlocks, field)
-		} else {
-			if lf.locked == nil {
-				lf.locked = make(map[string]bool)
-			}
-			lf.locked[field] = true
-		}
-		return true
-	})
-}
 
 // ---------------------------------------------------------------------------
 // Site table.
@@ -1080,61 +1056,109 @@ func (c *nodeClassifier) collectClosures(n ast.Node, lf *localFacts) {
 // ---------------------------------------------------------------------------
 // Interprocedural stage: fixpoint over sorted nodes.
 
-// stdEffects maps qualified stdlib callees to effect masks. Entries absent
-// from the table and not matched by a prefix rule default to
+// lockRole is what a stdlib call does to the mutex it is called on.
+type lockRole uint8
+
+const (
+	lockNone lockRole = iota
+	lockAcquire
+	lockAcquireRead
+	lockRelease
+)
+
+// stdCall is one entry of the stdlib table: the callee's effect mask, its
+// mutex role, and whether it is an in-place sorter (sort.Sort/Stable) whose
+// effects are its argument's method set (merged by the caller).
+type stdCall struct {
+	mask  uint16
+	lock  lockRole
+	sorts bool
+}
+
+// stdCalls is the one classification of stdlib callees, keyed by the
+// qualified name a CallSite records in Std. Its readers: the summary's
+// effect bits, lockcheck's lock transfer and blocking check, clockpurity's
+// direct and stored-value checks, and sharecheck's retention rule. Entries
+// absent from the table and not matched by a prefix rule default to
 // EffAlloc|EffGlobal: safe for noalloc/purity, and deliberately free of
 // Clock/Block so stdlib use does not trip the clock or lock analyzers
 // without evidence.
-var stdEffects = map[string]uint16{
-	"time.Now":   EffClock,
-	"time.Since": EffClock,
-	"time.Until": EffClock,
-	"time.Sleep": EffClock | EffBlock,
+var stdCalls = map[string]stdCall{
+	"time.Now":   {mask: EffClock},
+	"time.Since": {mask: EffClock},
+	"time.Until": {mask: EffClock},
+	"time.Sleep": {mask: EffClock | EffBlock},
 
-	"time.After":     EffClock | EffAlloc | EffGlobal,
-	"time.Tick":      EffClock | EffAlloc | EffGlobal,
-	"time.NewTimer":  EffClock | EffAlloc | EffGlobal,
-	"time.NewTicker": EffClock | EffAlloc | EffGlobal,
-	"time.AfterFunc": EffClock | EffAlloc | EffGlobal,
+	"time.After":     {mask: EffClock | EffAlloc | EffGlobal},
+	"time.Tick":      {mask: EffClock | EffAlloc | EffGlobal},
+	"time.NewTimer":  {mask: EffClock | EffAlloc | EffGlobal},
+	"time.NewTicker": {mask: EffClock | EffAlloc | EffGlobal},
+	"time.AfterFunc": {mask: EffClock | EffAlloc | EffGlobal},
 
-	"(sync.Mutex).Lock":      0,
-	"(sync.Mutex).Unlock":    0,
-	"(sync.Mutex).TryLock":   0,
-	"(sync.RWMutex).Lock":    0,
-	"(sync.RWMutex).Unlock":  0,
-	"(sync.RWMutex).RLock":   0,
-	"(sync.RWMutex).RUnlock": 0,
-	"(sync.WaitGroup).Add":   0,
-	"(sync.WaitGroup).Done":  0,
-	"(sync.WaitGroup).Wait":  EffBlock,
+	"(sync.Mutex).Lock":      {lock: lockAcquire},
+	"(sync.Mutex).Unlock":    {lock: lockRelease},
+	"(sync.Mutex).TryLock":   {},
+	"(sync.RWMutex).Lock":    {lock: lockAcquire},
+	"(sync.RWMutex).Unlock":  {lock: lockRelease},
+	"(sync.RWMutex).RLock":   {lock: lockAcquireRead},
+	"(sync.RWMutex).RUnlock": {lock: lockRelease},
+	"(sync.WaitGroup).Add":   {},
+	"(sync.WaitGroup).Done":  {},
+	"(sync.WaitGroup).Wait":  {mask: EffBlock},
 
-	"sort.Search": 0,
+	"sort.Search": {},
+	"sort.Sort":   {sorts: true},
+	"sort.Stable": {sorts: true},
 
-	"errors.New":  EffAlloc,
-	"fmt.Errorf":  EffAlloc,
-	"fmt.Sprintf": EffAlloc,
+	"errors.New":  {mask: EffAlloc},
+	"fmt.Errorf":  {mask: EffAlloc},
+	"fmt.Sprintf": {mask: EffAlloc},
 }
 
-// stdEffect classifies one stdlib callee. sortDriver reports the in-place
-// sort.Sort/Stable special case, whose effects are its argument's method
-// set (handled by the caller).
-func stdEffect(name string) (mask uint16, sortDriver bool) {
-	if name == "sort.Sort" || name == "sort.Stable" {
-		return 0, true
-	}
-	if m, ok := stdEffects[name]; ok {
-		return m, false
+// stdCallOf classifies one stdlib callee: its table entry, else a prefix
+// rule, else the default.
+func stdCallOf(name string) stdCall {
+	if c, ok := stdCalls[name]; ok {
+		return c
 	}
 	switch {
 	case strings.HasPrefix(name, "math."): // math only; math/rand has its own prefix
-		return 0, false
+		return stdCall{}
 	case strings.HasPrefix(name, "sync/atomic."):
-		return EffMutatesParam, false
+		return stdCall{mask: EffMutatesParam}
 	case strings.HasPrefix(name, "(time.Time)."),
 		strings.HasPrefix(name, "(time.Duration)."):
-		return 0, false
+		return stdCall{}
 	}
-	return EffAlloc | EffGlobal, false
+	return stdCall{mask: EffAlloc | EffGlobal}
+}
+
+// stdLock returns the lock role of the site's stdlib callee; lockNone for a
+// nil site or any other callee.
+func (s *CallSite) stdLock() lockRole {
+	if s == nil {
+		return lockNone
+	}
+	for _, name := range s.Std {
+		if r := stdCallOf(name).lock; r != lockNone {
+			return r
+		}
+	}
+	return lockNone
+}
+
+// stdWith returns the site's first stdlib callee whose table mask has one
+// of bits, or "" (also for a nil site).
+func (s *CallSite) stdWith(bits uint16) string {
+	if s == nil {
+		return ""
+	}
+	for _, name := range s.Std {
+		if stdCallOf(name).mask&bits != 0 {
+			return name
+		}
+	}
+	return ""
 }
 
 // solve iterates the interprocedural transfer over the sorted node list
@@ -1208,10 +1232,11 @@ func (p *Program) update(n *FuncNode) bool {
 			setBit(EffGlobal, nil)
 		}
 		for _, name := range site.Std {
-			mask, sortDriver := stdEffect(name)
-			if sortDriver && site.Call != nil && len(site.Call.Args) > 0 {
+			sc := stdCallOf(name)
+			if sc.sorts && site.Call != nil && len(site.Call.Args) > 0 {
 				p.mergeSortArg(n, site, setBit)
 			}
+			mask := sc.mask
 			if mask&EffClock != 0 && (n.ClockExempt || p.waivedAt(n, "clockpurity", site.Pos)) {
 				mask &^= EffClock
 			}
@@ -1453,12 +1478,12 @@ func (p *Program) closureEscapes(use closureUse) bool {
 	if use.call == nil {
 		return false
 	}
-	callees := p.graph.calleesAt[use.call]
-	if callees == nil {
+	site := p.SiteAt(use.call)
+	if site == nil || len(site.Callees) == 0 {
 		// Stdlib or unknown callee: assume the callback is retained.
 		return true
 	}
-	for _, callee := range callees {
+	for _, callee := range site.Callees {
 		cs := p.summaries[callee]
 		if i := use.argIndex; i < len(cs.ParamEscape) && cs.ParamEscape[i] != "" {
 			return true

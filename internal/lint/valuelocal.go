@@ -159,9 +159,8 @@ func collectNonnegFields(pkg *Package, d *vfDirectives) {
 // vfCtx is the prescanned per-function context shared by every local pass
 // over the same node.
 type vfCtx struct {
-	n      *FuncNode
-	cfg    *CFG
-	siteOf map[*ast.CallExpr]*CallSite
+	n   *FuncNode
+	cfg *CFG
 	// derived marks local variables initialized as direct copies of an
 	// annotated counter field (`remaining := p.vacant`): they are tracked
 	// counters in their own right.
@@ -187,16 +186,9 @@ func buildVFCtx(vf *valueFlowInfo, n *FuncNode) *vfCtx {
 	ctx := &vfCtx{
 		n:             n,
 		cfg:           vf.prog.CFG(n),
-		siteOf:        make(map[*ast.CallExpr]*CallSite),
 		derived:       make(map[types.Object]bool),
 		selectOrdered: make(map[ast.Node]bool),
 		declared:      vf.declaredOf(n),
-	}
-	for i := range n.Calls {
-		site := &n.Calls[i]
-		if site.Call != nil {
-			ctx.siteOf[site.Call] = site
-		}
 	}
 	if n.Recv != nil {
 		ctx.recvKey = objKey(n.Recv)
@@ -590,7 +582,7 @@ func (fl *vfFlow) callEffects(n ast.Node, st *vfState) {
 			}
 			return true
 		}
-		site := fl.ctx.siteOf[call]
+		site := fl.vf.prog.SiteAt(call)
 		if site == nil {
 			return true
 		}
@@ -796,7 +788,7 @@ func (fl *vfFlow) callTaint(call *ast.CallExpr, st *vfState) (streamSet, *Trace,
 	if isBuiltinCall(info, call, "len") || isBuiltinCall(info, call, "cap") {
 		return nil, nil, 0
 	}
-	site := fl.ctx.siteOf[call]
+	site := fl.vf.prog.SiteAt(call)
 	if site == nil || len(site.Callees) == 0 {
 		if pkgPath, fn, ok := stdlibCallee(info, call); ok {
 			switch pkgPath {

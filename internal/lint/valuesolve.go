@@ -257,7 +257,7 @@ func namedResultObjs(n *FuncNode) []types.Object {
 // through a callee whose parameter reaches one; the trace carries the
 // blame chain.
 func (vf *valueFlowInfo) sinkDescAt(ctx *vfCtx, call *ast.CallExpr, argIdx int) (string, *Trace) {
-	site := ctx.siteOf[call]
+	site := vf.prog.SiteAt(call)
 	if site == nil {
 		return "", nil
 	}
@@ -359,7 +359,7 @@ func (vf *valueFlowInfo) checkCounterAssign(ctx *vfCtx, s *ast.AssignStmt, st *v
 // call expression.
 func (vf *valueFlowInfo) checkCall(ctx *vfCtx, fl *vfFlow, call *ast.CallExpr, st *vfState, report func(vfKind, token.Pos, string, ...any)) {
 	info := ctx.n.Pkg.Info
-	site := ctx.siteOf[call]
+	site := vf.prog.SiteAt(call)
 	if site == nil {
 		return
 	}
