@@ -448,6 +448,21 @@ func qualifiedFuncName(fn *types.Func) string {
 	return fn.Pkg().Path() + "." + fn.Name()
 }
 
+// funcNameOf returns the qualified name of the declared function a selector
+// expression names ("os.Exit", "(sync.Mutex).Lock"), or "": the table key
+// for calls and function values read without a resolved site.
+func funcNameOf(info *types.Info, e ast.Expr) string {
+	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+	if !ok || info == nil {
+		return ""
+	}
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil {
+		return ""
+	}
+	return qualifiedFuncName(fn)
+}
+
 // resolveInterface finds every module-local named type implementing the
 // interface and edges to its method. Interfaces declared outside the
 // module may be satisfied by types we cannot see, so those calls stay

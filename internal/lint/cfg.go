@@ -83,7 +83,7 @@ type pendingGoto struct {
 }
 
 // BuildCFG constructs the CFG of a function body. info may be nil; when
-// present it is used to resolve whether `panic` is the builtin.
+// present it resolves which calls never return.
 func BuildCFG(body *ast.BlockStmt, info *types.Info) *CFG {
 	b := &builder{
 		cfg:    &CFG{},
@@ -474,39 +474,20 @@ func (b *builder) branchStmt(s *ast.BranchStmt, cur *Block) *Block {
 }
 
 // neverReturns reports whether a call provably terminates the flow of the
-// enclosing function: the panic builtin, os.Exit, runtime.Goexit, and the
-// log.Fatal family.
+// enclosing function: the panic builtin, or a stdlib callee the table marks
+// as exiting (os.Exit, runtime.Goexit, the log.Fatal family), however its
+// package was imported. Without type information only a call named panic
+// qualifies.
 func (b *builder) neverReturns(call *ast.CallExpr) bool {
-	switch fn := call.Fun.(type) {
-	case *ast.Ident:
-		if fn.Name != "panic" {
-			return false
-		}
-		if b.info != nil {
-			if _, isBuiltin := b.info.Uses[fn].(*types.Builtin); isBuiltin {
-				return true
-			}
-			return false
-		}
-		return true
-	case *ast.SelectorExpr:
-		pkg, ok := fn.X.(*ast.Ident)
-		if !ok {
-			return false
-		}
-		// Only treat the ident as a package name when types confirm it
-		// (or no type info is available).
-		if b.info != nil {
-			if _, isPkg := b.info.Uses[pkg].(*types.PkgName); !isPkg {
-				return false
-			}
-		}
-		switch pkg.Name + "." + fn.Sel.Name {
-		case "os.Exit", "runtime.Goexit", "log.Fatal", "log.Fatalf", "log.Fatalln":
+	if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
+		if b.info == nil {
 			return true
 		}
+		_, isBuiltin := b.info.Uses[id].(*types.Builtin)
+		return isBuiltin
 	}
-	return false
+	name := funcNameOf(b.info, call.Fun)
+	return name != "" && stdCallOf(name).exits
 }
 
 // Reachable returns the set of blocks reachable from Entry.

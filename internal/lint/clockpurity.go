@@ -109,15 +109,10 @@ func (tf *taintFlow) Transfer(n ast.Node, in taintFact) taintFact {
 // Calls are handled separately, through their resolved site: this matches
 // the bare function value only, which has no site.
 func clockFuncValue(info *types.Info, e ast.Expr) string {
-	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
-	if !ok {
-		return ""
+	if name := funcNameOf(info, e); name != "" && stdCallOf(name).mask&EffClock != 0 {
+		return name
 	}
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || stdCallOf(qualifiedFuncName(fn)).mask&EffClock == 0 {
-		return ""
-	}
-	return qualifiedFuncName(fn)
+	return ""
 }
 
 func runClockPurity(pass *Pass) error {

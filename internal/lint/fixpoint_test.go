@@ -1,0 +1,94 @@
+package lint
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// sweep is the reference driver: update every node in node order until a
+// whole pass changes nothing. It needs no callers index, so a summary the
+// worklist's index forgets to carry shows up as a difference.
+func sweep(p *Program) {
+	for changed := true; changed; {
+		changed = false
+		for _, n := range p.graph.nodes {
+			if p.update(n, famEffects|famFlow) != 0 {
+				changed = true
+			}
+		}
+	}
+}
+
+// summaryFacts renders every lattice fact of a summary in a canonical
+// form. Traces are left out: provenance is first-wins, so which trace a
+// fact carries depends on the order the driver visits nodes in.
+func summaryFacts(s *Summary) string {
+	f := s.flow
+	var counters []string
+	for _, name := range sortedKeys(f.counters) {
+		counters = append(counters, fmt.Sprintf("%s:%+v", name, *f.counters[name]))
+	}
+	return fmt.Sprintf("mask=%08b unlocks=%q escapes=%q recv=%q streams=%q ordered=%v params=%b sinks=%q counters=%v",
+		s.Mask, s.UnlockFields, s.ParamEscape, s.RecvEscape, sortedKeys(f.returnStreams),
+		f.returnsOrdered != nil, f.returnsParam, f.paramSink, counters)
+}
+
+// TestFixpointMatchesSweep holds the caller-driven worklist of NewProgram
+// to the whole-list sweep, on every fixture package and on the module:
+// every node's effect facts (mask, unlock fields, escape strings) and
+// value-flow facts (return streams, ordered-ness, parameter marks,
+// parameter sinks, counter effects) must be the same under both drivers.
+func TestFixpointMatchesSweep(t *testing.T) {
+	loader, err := NewLoader(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(filepath.Join("testdata", "src"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	programs := map[string][]*Package{}
+	for _, e := range entries {
+		if !e.IsDir() {
+			continue
+		}
+		pkg, err := loader.LoadDir(filepath.Join("testdata", "src", e.Name()), "fixture/"+e.Name())
+		if err != nil {
+			t.Fatalf("load fixture %s: %v", e.Name(), err)
+		}
+		programs[e.Name()] = []*Package{pkg}
+	}
+	module, err := NewLoader(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := module.Load([]string{"./..."}); err != nil {
+		t.Fatal(err)
+	}
+	programs["module"] = module.Packages()
+
+	for _, name := range sortedKeys(programs) {
+		p := NewProgram(programs[name])
+		worklist := p.summaries
+		p.summaries = make(map[*FuncNode]*Summary, len(worklist))
+		for _, n := range p.graph.nodes {
+			p.summaries[n] = &Summary{flow: newValueSummary(n)}
+		}
+		sweep(p)
+		diffs := 0
+		for _, n := range p.graph.nodes {
+			got, want := summaryFacts(worklist[n]), summaryFacts(p.summaries[n])
+			if got != want && diffs < 5 {
+				t.Errorf("%s: %s:\n worklist: %s\n    sweep: %s", name, n.Name(), got, want)
+			}
+			if got != want {
+				diffs++
+			}
+		}
+		if diffs > 0 {
+			t.Errorf("%s: %d of %d summaries differ between worklist and sweep", name, diffs, len(p.graph.nodes))
+		}
+	}
+}

@@ -170,17 +170,6 @@ func qualifierPath(info *types.Info, sel *ast.SelectorExpr) (string, bool) {
 	return pn.Imported().Path(), true
 }
 
-// stdlibCallee resolves pkg.Fn calls to (import path, function name) for
-// package-qualified callees outside the module. Method calls return false.
-func stdlibCallee(info *types.Info, call *ast.CallExpr) (string, string, bool) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", "", false
-	}
-	path, ok := qualifierPath(info, sel)
-	return path, sel.Sel.Name, ok
-}
-
 // sortedKeys returns m's keys in lexicographic order, the iteration order
 // of every map whose contents reach a diagnostic or a summary.
 func sortedKeys[V any](m map[string]V) []string {

@@ -215,7 +215,7 @@ func fieldKey(base, field string) string {
 // receiver operand it acts on — for a method promoted from an embedded
 // mutex, the embedding value.
 func lockOp(info *types.Info, site *CallSite) (key, path string, role lockRole) {
-	if role = site.stdLock(); role == lockNone {
+	if role = site.std().lock; role == lockNone {
 		return "", "", lockNone
 	}
 	key, ok := exprKey(info, site.RecvExpr)

@@ -106,7 +106,7 @@ func sortedAfter(pass *Pass, obj types.Object, following []ast.Stmt) bool {
 			if !ok || found {
 				return !found
 			}
-			if !isSanitizerCall(pass.TypesInfo, call) {
+			if stdCallOf(funcNameOf(pass.TypesInfo, call.Fun)).order != orderSanitize {
 				return true
 			}
 			for _, arg := range call.Args {

@@ -15,7 +15,11 @@ import (
 // and clockpurity bans exactly those, called directly or through a stored
 // value; the seven sync.Mutex/RWMutex methods carry their lock role; the
 // EffBlock entries lockcheck reports under a lock are WaitGroup.Wait and
-// time.Sleep; (time.Time).Add and (sync.WaitGroup).Add carry nothing.
+// time.Sleep; (time.Time).Add and (sync.WaitGroup).Add carry nothing. The
+// five never-returning calls end a CFG path, and the value-flow order roles
+// cover maps.Keys/Values/All (sources), every sort. and slices. function
+// (sanitizers) and fmt., strings., strconv. and bytes. (order kept);
+// entries that exist only for a flag keep the default mask.
 func TestStdCallTable(t *testing.T) {
 	clocks := []struct{ name, args string }{
 		{"time.Now", ""},
@@ -74,6 +78,51 @@ func TestStdCallTable(t *testing.T) {
 	for _, name := range []string{"(time.Time).Add", "(sync.WaitGroup).Add"} {
 		if sc := stdCallOf(name); sc != (stdCall{}) {
 			t.Errorf("%s classifies as %+v, want no effect and no lock role", name, sc)
+		}
+	}
+
+	var exits []string
+	for name, sc := range stdCalls {
+		if sc.exits {
+			exits = append(exits, name)
+		}
+	}
+	sort.Strings(exits)
+	if want := []string{"log.Fatal", "log.Fatalf", "log.Fatalln", "os.Exit", "runtime.Goexit"}; !slices.Equal(exits, want) {
+		t.Errorf("exiting entries = %v, want %v", exits, want)
+	}
+	for _, name := range []string{"log.Fatal", "log.Fatalf", "log.Fatalln", "os.Exit", "runtime.Goexit", "maps.Keys", "maps.Values", "maps.All"} {
+		if sc := stdCallOf(name); sc.mask != stdDefault {
+			t.Errorf("%s: mask %b, want the default %b", name, sc.mask, stdDefault)
+		}
+	}
+	if stdCallOf("(log.Logger).Fatal").exits {
+		t.Error("(log.Logger).Fatal classifies as exiting; only the package-level log.Fatal family does")
+	}
+	orders := map[string]orderRole{
+		"maps.Keys":                orderSource,
+		"maps.Values":              orderSource,
+		"maps.All":                 orderSource,
+		"sort.Sort":                orderSanitize,
+		"sort.Stable":              orderSanitize,
+		"sort.Search":              orderSanitize,
+		"sort.Strings":             orderSanitize,
+		"slices.Sort":              orderSanitize,
+		"slices.SortFunc":          orderSanitize,
+		"fmt.Sprintf":              orderKeep,
+		"fmt.Errorf":               orderKeep,
+		"fmt.Sprint":               orderKeep,
+		"strings.Join":             orderKeep,
+		"strconv.Itoa":             orderKeep,
+		"bytes.Clone":              orderKeep,
+		"errors.New":               orderNone,
+		"maps.Clone":               orderNone,
+		"(strings.Builder).String": orderNone,
+		"(sort.IntSlice).Sort":     orderNone,
+	}
+	for _, name := range sortedKeys(orders) {
+		if got := stdCallOf(name).order; got != orders[name] {
+			t.Errorf("%s: order role %d, want %d", name, got, orders[name])
 		}
 	}
 

@@ -4,19 +4,19 @@ package lint
 // callgraph.go plus one Summary per function node: a monotone effect mask
 // (allocates / reads the wall clock / blocks / mutates receiver or
 // parameter state / global effect / unresolvable call) with provenance
-// traces, receiver-mutex unlock facts for lockcheck, and per-parameter
-// escape facts for sharecheck.
+// traces, receiver-mutex unlock facts for lockcheck, per-parameter escape
+// facts for sharecheck, and the value-flow facts of valueflow.go.
 //
 // Summaries are computed bottom-up in two stages. The local stage walks the
 // blocks of each function's CFG that are reachable from entry — so effects
 // in unreachable code (after return/panic, or pruned by the CFG builder)
 // never enter a summary — and collects provenance sites from them in
 // source order, plus the site table (channel operations, goroutine
-// hand-offs, non-local stores) that lockcheck and sharecheck read too. The
-// interprocedural stage then iterates the sorted node list to a fixpoint,
-// folding callee summaries into callers at each reachable call site; the
-// mask lattice is finite and the transfer is monotone, so recursion and
-// mutual recursion converge deterministically.
+// hand-offs, non-local stores) that lockcheck and sharecheck read too, and
+// the value-flow prescan. The interprocedural stage then runs one
+// caller-driven worklist to a fixpoint, folding callee summaries of both
+// families into callers; every lattice is finite and every transfer
+// monotone, so recursion and mutual recursion converge deterministically.
 //
 // Two deliberate scope decisions, shared by every consumer:
 //
@@ -112,6 +112,10 @@ type Summary struct {
 	ParamEscape []string
 	// RecvEscape is the same fact for the receiver.
 	RecvEscape string
+
+	// flow is the value-flow half: return taints, parameter sinks and
+	// counter effects.
+	flow *valueSummary
 }
 
 // Purity maps the mask onto the four-level classification used by the
@@ -138,9 +142,10 @@ const impureBits = EffClock | EffBlock | EffGlobal | EffMutatesRecv | EffMutates
 
 // Program is the substrate every analyzer reads, built once per lint run
 // over every loaded package: the call graph's function nodes, one CFG per
-// node, each package's line-level waivers, and the facts computed on them —
-// effect summaries here, value-flow summaries in valuesolve.go — memoized
-// for the life of the run.
+// node, each package's line-level waivers and value-flow directives, and
+// the facts computed on them — one Summary per node holding the effect and
+// the value-flow families, solved together by one fixpoint, plus the
+// value-flow findings reported from the solved summaries.
 type Program struct {
 	Pkgs []*Package
 
@@ -151,14 +156,14 @@ type Program struct {
 	nodesExpr map[*Package][]*FuncNode
 	waivers   map[*Package]*lineDirectives
 	owned     map[*types.TypeName]bool
-	// vflow is the lazily built value-flow context (valuesolve.go), shared
-	// by the streamflow/detflow/nonneg analyzers.
-	vflow *valueFlowInfo
+	dirs      *vfDirectives
+	findings  map[*FuncNode][]vfFinding
 }
 
-// NewProgram builds the call graph and computes every function summary to
-// fixpoint. Analyzer scope does not matter here: summaries cover the whole
-// package set so facts can cross package boundaries.
+// NewProgram builds the call graph, computes every function summary to
+// fixpoint and runs the value-flow reporting pass. Analyzer scope does not
+// matter here: summaries cover the whole package set so facts can cross
+// package boundaries.
 func NewProgram(pkgs []*Package) *Program {
 	p := &Program{
 		Pkgs:      pkgs,
@@ -169,16 +174,21 @@ func NewProgram(pkgs []*Package) *Program {
 		nodesExpr: make(map[*Package][]*FuncNode),
 		waivers:   make(map[*Package]*lineDirectives),
 		owned:     make(map[*types.TypeName]bool),
+		findings:  make(map[*FuncNode][]vfFinding),
 	}
 	for _, pkg := range pkgs {
 		collectOwnedTypes(pkg, p.owned)
 	}
+	p.dirs = collectVFDirectives(p)
 	for _, n := range p.graph.nodes {
 		p.nodesExpr[n.Pkg] = append(p.nodesExpr[n.Pkg], n)
 		p.local[n] = computeLocalFacts(p, n)
-		p.summaries[n] = &Summary{}
+		p.summaries[n] = &Summary{flow: newValueSummary(n)}
 	}
 	p.solve()
+	for _, n := range p.graph.nodes {
+		p.findings[n] = p.checkFlow(n)
+	}
 	return p
 }
 
@@ -307,6 +317,24 @@ type localFacts struct {
 	// closures are literal creations whose allocation verdict depends on
 	// callee escape summaries, decided during the fixpoint.
 	closures []closureUse
+
+	// The value-flow prescan (scanFlow, valuelocal.go). derived marks
+	// locals initialized as direct copies of an annotated counter field
+	// (`remaining := p.vacant`): tracked counters in their own right.
+	derived map[types.Object]bool
+	// selectOrdered marks receive-assignments inside selects with two or
+	// more receive arms: arrival order is scheduler-dependent.
+	selectOrdered map[ast.Node]bool
+	// mapRanges are the body spans of map-range statements, for the
+	// sink-called-inside-map-iteration check.
+	mapRanges []posRange
+	// recvKey is the receiver's path key; recvFields are the annotated
+	// field names of the receiver's struct type, sorted.
+	recvKey    string
+	recvFields []string
+	// declared is the effective //rexlint:stream set (literals inherit
+	// the lexically enclosing declaration).
+	declared []string
 }
 
 // effectEvent is one local effect site.
@@ -369,7 +397,7 @@ func computeLocalFacts(p *Program, n *FuncNode) *localFacts {
 	// Receiver mutexes the surviving calls release and acquire, by their
 	// lock role in the stdlib table.
 	for _, site := range lf.calls {
-		role := site.stdLock()
+		role := site.std().lock
 		if role == lockNone || n.Recv == nil || rootObject(n.Pkg.Info, site.RecvExpr) != n.Recv {
 			continue
 		}
@@ -388,6 +416,7 @@ func computeLocalFacts(p *Program, n *FuncNode) *localFacts {
 	}
 	sort.Strings(lf.unlocks)
 	lf.unlocks = slices.Compact(lf.unlocks)
+	scanFlow(p, n, lf)
 	return lf
 }
 
@@ -1066,21 +1095,43 @@ const (
 	lockRelease
 )
 
+// orderRole is what a stdlib call does to value-flow order taint.
+type orderRole uint8
+
+const (
+	// orderNone: the result carries no order taint.
+	orderNone orderRole = iota
+	// orderSource: the result is ordered by map iteration.
+	orderSource
+	// orderSanitize: the call sorts its arguments; its result is clean.
+	orderSanitize
+	// orderKeep: the result keeps its arguments' order taint and parameter
+	// marks, not their stream identity (formatting and conversion).
+	orderKeep
+)
+
 // stdCall is one entry of the stdlib table: the callee's effect mask, its
-// mutex role, and whether it is an in-place sorter (sort.Sort/Stable) whose
-// effects are its argument's method set (merged by the caller).
+// mutex role, whether it is an in-place sorter (sort.Sort/Stable) whose
+// effects are its argument's method set (merged by the caller), whether it
+// never returns, and its role for value-flow order taint.
 type stdCall struct {
 	mask  uint16
 	lock  lockRole
 	sorts bool
+	exits bool
+	order orderRole
 }
+
+// stdDefault is the mask of a stdlib callee the table does not classify.
+const stdDefault = EffAlloc | EffGlobal
 
 // stdCalls is the one classification of stdlib callees, keyed by the
 // qualified name a CallSite records in Std. Its readers: the summary's
 // effect bits, lockcheck's lock transfer and blocking check, clockpurity's
-// direct and stored-value checks, and sharecheck's retention rule. Entries
-// absent from the table and not matched by a prefix rule default to
-// EffAlloc|EffGlobal: safe for noalloc/purity, and deliberately free of
+// direct and stored-value checks, sharecheck's retention rule, the CFG's
+// never-returning calls, and value flow's and maporder's order taint.
+// Entries absent from the table and not matched by a prefix rule default
+// to stdDefault: safe for noalloc/purity, and deliberately free of
 // Clock/Block so stdlib use does not trip the clock or lock analyzers
 // without evidence.
 var stdCalls = map[string]stdCall{
@@ -1106,13 +1157,23 @@ var stdCalls = map[string]stdCall{
 	"(sync.WaitGroup).Done":  {},
 	"(sync.WaitGroup).Wait":  {mask: EffBlock},
 
-	"sort.Search": {},
-	"sort.Sort":   {sorts: true},
-	"sort.Stable": {sorts: true},
+	"sort.Search": {order: orderSanitize},
+	"sort.Sort":   {sorts: true, order: orderSanitize},
+	"sort.Stable": {sorts: true, order: orderSanitize},
+
+	"maps.Keys":   {mask: stdDefault, order: orderSource},
+	"maps.Values": {mask: stdDefault, order: orderSource},
+	"maps.All":    {mask: stdDefault, order: orderSource},
+
+	"os.Exit":        {mask: stdDefault, exits: true},
+	"runtime.Goexit": {mask: stdDefault, exits: true},
+	"log.Fatal":      {mask: stdDefault, exits: true},
+	"log.Fatalf":     {mask: stdDefault, exits: true},
+	"log.Fatalln":    {mask: stdDefault, exits: true},
 
 	"errors.New":  {mask: EffAlloc},
-	"fmt.Errorf":  {mask: EffAlloc},
-	"fmt.Sprintf": {mask: EffAlloc},
+	"fmt.Errorf":  {mask: EffAlloc, order: orderKeep},
+	"fmt.Sprintf": {mask: EffAlloc, order: orderKeep},
 }
 
 // stdCallOf classifies one stdlib callee: its table entry, else a prefix
@@ -1129,22 +1190,22 @@ func stdCallOf(name string) stdCall {
 	case strings.HasPrefix(name, "(time.Time)."),
 		strings.HasPrefix(name, "(time.Duration)."):
 		return stdCall{}
+	case strings.HasPrefix(name, "sort."), strings.HasPrefix(name, "slices."):
+		return stdCall{mask: stdDefault, order: orderSanitize}
+	case strings.HasPrefix(name, "fmt."), strings.HasPrefix(name, "strings."),
+		strings.HasPrefix(name, "strconv."), strings.HasPrefix(name, "bytes."):
+		return stdCall{mask: stdDefault, order: orderKeep}
 	}
-	return stdCall{mask: EffAlloc | EffGlobal}
+	return stdCall{mask: stdDefault}
 }
 
-// stdLock returns the lock role of the site's stdlib callee; lockNone for a
-// nil site or any other callee.
-func (s *CallSite) stdLock() lockRole {
-	if s == nil {
-		return lockNone
+// std classifies the site's stdlib callee; the zero stdCall for a nil site
+// or a site without one.
+func (s *CallSite) std() stdCall {
+	if s == nil || len(s.Std) == 0 {
+		return stdCall{}
 	}
-	for _, name := range s.Std {
-		if r := stdCallOf(name).lock; r != lockNone {
-			return r
-		}
-	}
-	return lockNone
+	return stdCallOf(s.Std[0])
 }
 
 // stdWith returns the site's first stdlib callee whose table mask has one
@@ -1161,25 +1222,83 @@ func (s *CallSite) stdWith(bits uint16) string {
 	return ""
 }
 
-// solve iterates the interprocedural transfer over the sorted node list
-// until no summary changes. Masks, unlock sets, and escape descriptions
-// only grow, so the fixpoint is reached in at most a few rounds even
-// through recursion; iteration order is deterministic, so provenance
-// (first trace wins) is too.
+// maxVFSweeps is a termination backstop: every lattice is finite and every
+// merge monotone, so real programs converge in a handful of updates per
+// node; the cap bounds the engine even against adversarial (fuzzed) inputs.
+const maxVFSweeps = 32
+
+// The summary families an update recomputes.
+const (
+	famEffects uint8 = 1 << iota
+	famFlow
+)
+
+// solve drives both summary families to one fixpoint with a caller-driven
+// worklist: every node is updated once in node order, and again only when
+// a summary it reads grew — a callee's at one of its call sites, or a
+// Len/Less/Swap method's of a value it hands to sort.Sort — and then only
+// in the families that grew there, since a value-flow pass costs far more
+// than an effect update. maxVFSweeps bounds the per-node updates as a
+// backstop, not a budget. The order is deterministic, so provenance (first
+// trace wins) is too.
 func (p *Program) solve() {
-	for changed := true; changed; {
-		changed = false
-		for _, n := range p.graph.nodes {
-			if p.update(n) {
-				changed = true
+	nodes := p.graph.nodes
+	callers := make(map[*FuncNode][]*FuncNode)
+	for _, n := range nodes {
+		for i := range n.Calls {
+			site := &n.Calls[i]
+			for _, callee := range site.Callees {
+				callers[callee] = append(callers[callee], n)
 			}
+			for _, m := range p.sortMethods(n, site) {
+				callers[m] = append(callers[m], n)
+			}
+		}
+	}
+	work := slices.Clone(nodes)
+	pending := make(map[*FuncNode]uint8, len(nodes))
+	rounds := make(map[*FuncNode]int, len(nodes))
+	for _, n := range nodes {
+		pending[n] = famEffects | famFlow
+	}
+	for len(work) > 0 {
+		n := work[0]
+		work = work[1:]
+		fams := pending[n]
+		delete(pending, n)
+		if rounds[n] >= maxVFSweeps {
+			continue
+		}
+		rounds[n]++
+		grew := p.update(n, fams)
+		if grew == 0 {
+			continue
+		}
+		for _, caller := range callers[n] {
+			if pending[caller] == 0 {
+				work = append(work, caller)
+			}
+			pending[caller] |= grew
 		}
 	}
 }
 
-// update recomputes one node's summary from its local facts and current
-// callee summaries; reports whether anything grew.
-func (p *Program) update(n *FuncNode) bool {
+// update recomputes the given summary families of one node from its local
+// facts and the current callee summaries; returns the families that grew.
+func (p *Program) update(n *FuncNode, fams uint8) uint8 {
+	var grew uint8
+	if fams&famEffects != 0 && p.updateEffects(n) {
+		grew |= famEffects
+	}
+	if fams&famFlow != 0 && p.updateFlow(n) {
+		grew |= famFlow
+	}
+	return grew
+}
+
+// updateEffects recomputes one node's effect facts; reports whether
+// anything grew.
+func (p *Program) updateEffects(n *FuncNode) bool {
 	s := p.summaries[n]
 	lf := p.local[n]
 	changed := false
@@ -1231,12 +1350,18 @@ func (p *Program) update(n *FuncNode) bool {
 			setBit(EffUnknown, &Trace{Pos: site.Pos, What: "dynamic call with no resolvable target", EntryPos: site.Pos})
 			setBit(EffGlobal, nil)
 		}
-		for _, name := range site.Std {
-			sc := stdCallOf(name)
-			if sc.sorts && site.Call != nil && len(site.Call.Args) > 0 {
-				p.mergeSortArg(n, site, setBit)
+		// The in-place sorters charge the caller with the sorted value's
+		// Len/Less/Swap and allocate nothing themselves.
+		for _, m := range p.sortMethods(n, &site) {
+			ms := p.summaries[m]
+			for _, bit := range []uint16{EffAlloc, EffClock, EffBlock, EffGlobal, EffUnknown} {
+				if ms.Mask&bit != 0 && (bit != EffAlloc || !p.waivedAt(n, "alloccheck", site.Pos)) {
+					setBit(bit, liftTrace(ms, bit, m, site.Pos))
+				}
 			}
-			mask := sc.mask
+		}
+		for _, name := range site.Std {
+			mask := stdCallOf(name).mask
 			if mask&EffClock != 0 && (n.ClockExempt || p.waivedAt(n, "clockpurity", site.Pos)) {
 				mask &^= EffClock
 			}
@@ -1437,35 +1562,25 @@ func classifyForNode(n *FuncNode, obj types.Object) rootClass {
 	return rootLocal
 }
 
-// mergeSortArg charges the caller with the Len/Less/Swap methods of the
-// value passed to sort.Sort/sort.Stable — the in-place sorters invoke the
-// argument's own methods and allocate nothing themselves.
-func (p *Program) mergeSortArg(n *FuncNode, site CallSite, setBit func(uint16, *Trace)) {
+// sortMethods returns the module-local Len/Less/Swap methods of the value a
+// sort.Sort/sort.Stable site sorts — the in-place sorters invoke them, so
+// the caller reads their summaries — or nil for any other site.
+func (p *Program) sortMethods(n *FuncNode, site *CallSite) []*FuncNode {
+	if !site.std().sorts || site.Call == nil || len(site.Call.Args) == 0 {
+		return nil
+	}
 	argType := n.Pkg.Info.TypeOf(site.Call.Args[0])
 	if argType == nil {
-		return
+		return nil
 	}
+	var out []*FuncNode
 	for _, m := range []string{"Len", "Less", "Swap"} {
 		obj, _, _ := types.LookupFieldOrMethod(argType, true, n.Pkg.Types, m)
-		fn, ok := obj.(*types.Func)
-		if !ok {
-			continue
-		}
-		callee := p.graph.byFunc[fn]
-		if callee == nil {
-			continue
-		}
-		cs := p.summaries[callee]
-		for _, bit := range []uint16{EffAlloc, EffClock, EffBlock, EffGlobal, EffUnknown} {
-			if cs.Mask&bit == 0 {
-				continue
-			}
-			if bit == EffAlloc && p.waivedAt(n, "alloccheck", site.Pos) {
-				continue
-			}
-			setBit(bit, liftTrace(cs, bit, callee, site.Pos))
+		if fn, ok := obj.(*types.Func); ok && p.graph.byFunc[fn] != nil {
+			out = append(out, p.graph.byFunc[fn])
 		}
 	}
+	return out
 }
 
 // closureEscapes decides whether a capturing literal escapes, consulting

@@ -2,8 +2,9 @@ package lint
 
 // Interprocedural value-flow/taint engine: per-function def-use chains over
 // the v2 CFG (cfg.go, dataflow.go), with taint lattices propagated bottom-up
-// through call-site summaries exactly like v3's effect masks (summary.go),
-// including "via a → b" blame traces. Three analyzers draw on it:
+// through call-site summaries by the same fixpoint, in the same Summary, as
+// v3's effect masks (summary.go), including "via a → b" blame traces. Three
+// analyzers draw on it:
 //
 //   - streamflow: a value returned by a //rexlint:streamsource function
 //     (rng.Partitioned.Stream) carries its stream name as taint. A function
@@ -98,38 +99,13 @@ type valueSummary struct {
 	counters map[string]*counterEffect
 }
 
-// equalValueSummary compares the lattice content of two summaries (traces
-// are decoration and do not participate).
-func equalValueSummary(a, b *valueSummary) bool {
-	if len(a.returnStreams) != len(b.returnStreams) {
-		return false
+// newValueSummary returns n's empty value-flow summary, one sink slot per
+// parameter.
+func newValueSummary(n *FuncNode) *valueSummary {
+	return &valueSummary{
+		paramSink:   make([]string, len(n.Params)),
+		paramSinkTr: make([]*Trace, len(n.Params)),
 	}
-	for k := range a.returnStreams {
-		if _, ok := b.returnStreams[k]; !ok {
-			return false
-		}
-	}
-	if (a.returnsOrdered == nil) != (b.returnsOrdered == nil) || a.returnsParam != b.returnsParam {
-		return false
-	}
-	if len(a.paramSink) != len(b.paramSink) {
-		return false
-	}
-	for i := range a.paramSink {
-		if a.paramSink[i] != b.paramSink[i] {
-			return false
-		}
-	}
-	if len(a.counters) != len(b.counters) {
-		return false
-	}
-	for f, ca := range a.counters {
-		cb, ok := b.counters[f]
-		if !ok || *ca != *cb {
-			return false
-		}
-	}
-	return true
 }
 
 // mergeValueSummary folds src into dst (union / min joins, all monotone:

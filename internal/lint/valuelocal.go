@@ -1,9 +1,9 @@
 package lint
 
 // Local (per-function) half of the value-flow engine: directive collection,
-// the per-node analysis context, the dataflow transfer function over the
-// v2 CFG, and taint evaluation for expressions. valuesolve.go drives these
-// to a bottom-up interprocedural fixpoint.
+// the per-node prescan of the summary's local stage, the dataflow transfer
+// function over the v2 CFG, and taint evaluation for expressions. The
+// Program's one fixpoint (summary.go) drives these bottom-up.
 
 import (
 	"fmt"
@@ -156,49 +156,25 @@ func collectNonnegFields(pkg *Package, d *vfDirectives) {
 	}
 }
 
-// vfCtx is the prescanned per-function context shared by every local pass
-// over the same node.
-type vfCtx struct {
-	n   *FuncNode
-	cfg *CFG
-	// derived marks local variables initialized as direct copies of an
-	// annotated counter field (`remaining := p.vacant`): they are tracked
-	// counters in their own right.
-	derived map[types.Object]bool
-	// selectOrdered marks receive-assignments inside selects with two or
-	// more receive arms: arrival order is scheduler-dependent.
-	selectOrdered map[ast.Node]bool
-	// mapRanges are the body spans of map-range statements, for the
-	// sink-called-inside-map-iteration check.
-	mapRanges []posRange
-	recvKey   string
-	// recvFields are the annotated field names of the receiver's struct
-	// type, sorted.
-	recvFields []string
-	// declared is the function's effective //rexlint:stream set (literals
-	// inherit lexically).
-	declared []string
-}
-
-// buildVFCtx prescans one function node.
-func buildVFCtx(vf *valueFlowInfo, n *FuncNode) *vfCtx {
+// scanFlow is the value-flow part of one node's local stage: the effective
+// stream declaration, the receiver's annotated counter fields, derived
+// counter copies, multi-arm select receives and map-range spans.
+func scanFlow(p *Program, n *FuncNode, lf *localFacts) {
 	info := n.Pkg.Info
-	ctx := &vfCtx{
-		n:             n,
-		cfg:           vf.prog.CFG(n),
-		derived:       make(map[types.Object]bool),
-		selectOrdered: make(map[ast.Node]bool),
-		declared:      vf.declaredOf(n),
+	for m := n; m != nil && lf.declared == nil; m = m.Enclosing {
+		lf.declared = p.dirs.declared[m]
 	}
+	lf.derived = make(map[types.Object]bool)
+	lf.selectOrdered = make(map[ast.Node]bool)
 	if n.Recv != nil {
-		ctx.recvKey = objKey(n.Recv)
+		lf.recvKey = objKey(n.Recv)
 		if st := derefStruct(n.Recv.Type()); st != nil {
 			for i := 0; i < st.NumFields(); i++ {
-				if vf.dirs.nonneg[st.Field(i)] {
-					ctx.recvFields = append(ctx.recvFields, st.Field(i).Name())
+				if p.dirs.nonneg[st.Field(i)] {
+					lf.recvFields = append(lf.recvFields, st.Field(i).Name())
 				}
 			}
-			sort.Strings(ctx.recvFields)
+			sort.Strings(lf.recvFields)
 		}
 	}
 	inspectShallow(n.Body, func(x ast.Node) bool {
@@ -213,9 +189,9 @@ func buildVFCtx(vf *valueFlowInfo, n *FuncNode) *vfCtx {
 					continue
 				}
 				if sel, ok := ast.Unparen(s.Rhs[i]).(*ast.SelectorExpr); ok {
-					if fv, _ := info.Uses[sel.Sel].(*types.Var); fv != nil && vf.dirs.nonneg[fv] {
+					if fv, _ := info.Uses[sel.Sel].(*types.Var); fv != nil && p.dirs.nonneg[fv] {
 						if obj := info.Defs[id]; obj != nil {
-							ctx.derived[obj] = true
+							lf.derived[obj] = true
 						}
 					}
 				}
@@ -239,19 +215,18 @@ func buildVFCtx(vf *valueFlowInfo, n *FuncNode) *vfCtx {
 			}
 			if recvs >= 2 {
 				for _, c := range comms {
-					ctx.selectOrdered[c] = true
+					lf.selectOrdered[c] = true
 				}
 			}
 		case *ast.RangeStmt:
 			if t := info.TypeOf(s.X); t != nil {
 				if _, isMap := t.Underlying().(*types.Map); isMap {
-					ctx.mapRanges = append(ctx.mapRanges, posRange{s.Body.Pos(), s.Body.End()})
+					lf.mapRanges = append(lf.mapRanges, posRange{s.Body.Pos(), s.Body.End()})
 				}
 			}
 		}
 		return true
 	})
-	return ctx
 }
 
 func isReceiveExpr(e ast.Expr) bool {
@@ -259,44 +234,43 @@ func isReceiveExpr(e ast.Expr) bool {
 	return ok && u.Op == token.ARROW
 }
 
-func (ctx *vfCtx) inMapRange(pos token.Pos) bool { return inRanges(ctx.mapRanges, pos) }
+// vfFlow is the Flow instance of one local pass over one node.
+type vfFlow struct {
+	p    *Program
+	n    *FuncNode
+	lf   *localFacts
+	mode vfMode
+}
 
 // counterKeyOf canonicalizes an expression that denotes a tracked counter:
 // a path ending in a //rexlint:nonneg field, or a derived local copy.
-func (ctx *vfCtx) counterKeyOf(vf *valueFlowInfo, e ast.Expr) (string, bool) {
-	info := ctx.n.Pkg.Info
+func (fl *vfFlow) counterKeyOf(e ast.Expr) (string, bool) {
+	info := fl.n.Pkg.Info
 	switch x := ast.Unparen(e).(type) {
 	case *ast.Ident:
 		obj := info.Uses[x]
 		if obj == nil {
 			obj = info.Defs[x]
 		}
-		if obj != nil && ctx.derived[obj] {
+		if obj != nil && fl.lf.derived[obj] {
 			return objKey(obj), true
 		}
 	case *ast.SelectorExpr:
-		if fv, _ := info.Uses[x.Sel].(*types.Var); fv != nil && vf.dirs.nonneg[fv] {
+		if fv, _ := info.Uses[x.Sel].(*types.Var); fv != nil && fl.p.dirs.nonneg[fv] {
 			return exprKey(info, e)
 		}
 	}
 	return "", false
 }
 
-// vfFlow is the Flow instance of one local pass.
-type vfFlow struct {
-	vf   *valueFlowInfo
-	ctx  *vfCtx
-	mode vfMode
-}
-
 func (fl *vfFlow) Entry() *vfState {
 	st := newVFState()
-	n := fl.ctx.n
+	n := fl.n
 	if fl.mode == vfAbs {
-		req := fl.vf.dirs.requires[n]
-		for _, f := range fl.ctx.recvFields {
+		req := fl.p.dirs.requires[n]
+		for _, f := range fl.lf.recvFields {
 			if k := req[f]; k > 0 {
-				st.setLB(fl.ctx.recvKey+"."+f, min(k, lbSat))
+				st.setLB(fl.lf.recvKey+"."+f, min(k, lbSat))
 			}
 		}
 	}
@@ -308,9 +282,9 @@ func (fl *vfFlow) Entry() *vfState {
 		if i < 64 {
 			st.setPmark(key, 1<<uint(i))
 		}
-		if len(fl.ctx.declared) > 0 && isRandPointer(pobj.Type()) {
-			set := make(streamSet, len(fl.ctx.declared))
-			for _, name := range fl.ctx.declared {
+		if len(fl.lf.declared) > 0 && isRandPointer(pobj.Type()) {
+			set := make(streamSet, len(fl.lf.declared))
+			for _, name := range fl.lf.declared {
 				set[name] = &Trace{Pos: n.Pos(), What: fmt.Sprintf("*rand.Rand parameter of //rexlint:stream %s function", name), EntryPos: n.Pos()}
 			}
 			st.setStreams(key, set)
@@ -337,7 +311,7 @@ func (fl *vfFlow) apply(n ast.Node, st *vfState) {
 	case *ast.AssignStmt:
 		fl.assign(s, st)
 	case *ast.IncDecStmt:
-		if key, ok := fl.ctx.counterKeyOf(fl.vf, s.X); ok {
+		if key, ok := fl.counterKeyOf(s.X); ok {
 			if s.Tok == token.INC {
 				st.setLB(key, satAdd(st.getLB(key), 1))
 			} else {
@@ -377,7 +351,7 @@ func (fl *vfFlow) lowerLB(st *vfState, key string, c int) {
 }
 
 func (fl *vfFlow) assign(s *ast.AssignStmt, st *vfState) {
-	info := fl.ctx.n.Pkg.Info
+	info := fl.n.Pkg.Info
 	tuple := len(s.Lhs) != len(s.Rhs)
 	for i, lhs := range s.Lhs {
 		var rhs ast.Expr
@@ -387,7 +361,7 @@ func (fl *vfFlow) assign(s *ast.AssignStmt, st *vfState) {
 			rhs = s.Rhs[i]
 		}
 		// Counter semantics.
-		if key, ok := fl.ctx.counterKeyOf(fl.vf, lhs); ok {
+		if key, ok := fl.counterKeyOf(lhs); ok {
 			switch s.Tok {
 			case token.ADD_ASSIGN:
 				if c, isConst := constIntOf(info, rhs); isConst {
@@ -423,7 +397,7 @@ func (fl *vfFlow) assign(s *ast.AssignStmt, st *vfState) {
 					}
 					st.setLB(key, 0)
 				default:
-					if rk, rok := fl.ctx.counterKeyOf(fl.vf, rhs); rok {
+					if rk, rok := fl.counterKeyOf(rhs); rok {
 						st.setLB(key, st.getLB(rk))
 					} else {
 						fl.killCounter(st, key)
@@ -434,7 +408,7 @@ func (fl *vfFlow) assign(s *ast.AssignStmt, st *vfState) {
 		// Taint semantics.
 		if s.Tok == token.DEFINE || s.Tok == token.ASSIGN {
 			str, ord, marks := fl.taintOf(rhs, st)
-			if fl.ctx.selectOrdered[s] && ord == nil {
+			if fl.lf.selectOrdered[s] && ord == nil {
 				ord = &Trace{Pos: s.Pos(), What: "select arm completion order", EntryPos: s.Pos()}
 			}
 			fl.writeTaint(st, lhs, str, ord, marks, true)
@@ -460,7 +434,7 @@ func (fl *vfFlow) killCounter(st *vfState, key string) {
 // element absorbs order taint: the destination has no order to perturb, so
 // copying a range's pairs into another map is order-insensitive.
 func (fl *vfFlow) writeTaint(st *vfState, lhs ast.Expr, str streamSet, ord *Trace, marks uint64, strong bool) {
-	info := fl.ctx.n.Pkg.Info
+	info := fl.n.Pkg.Info
 	target := ast.Unparen(lhs)
 	for {
 		if ix, ok := target.(*ast.IndexExpr); ok {
@@ -521,7 +495,7 @@ func (fl *vfFlow) writeTaint(st *vfState, lhs ast.Expr, str streamSet, ord *Trac
 }
 
 func (fl *vfFlow) rangeTaint(s *ast.RangeStmt, st *vfState) {
-	info := fl.ctx.n.Pkg.Info
+	info := fl.n.Pkg.Info
 	t := info.TypeOf(s.X)
 	if t == nil {
 		return
@@ -557,7 +531,7 @@ func (fl *vfFlow) rangeTaint(s *ast.RangeStmt, st *vfState) {
 // Nested statement bodies are excluded — their calls are applied when the
 // dataflow reaches their own blocks.
 func (fl *vfFlow) callEffects(n ast.Node, st *vfState) {
-	info := fl.ctx.n.Pkg.Info
+	info := fl.n.Pkg.Info
 	inspectHeader(n, func(x ast.Node) bool {
 		call, ok := x.(*ast.CallExpr)
 		if !ok {
@@ -568,7 +542,8 @@ func (fl *vfFlow) callEffects(n ast.Node, st *vfState) {
 			fl.writeTaint(st, call.Args[0], str, ord, marks, false)
 			return true
 		}
-		if isSanitizerCall(info, call) {
+		site := fl.p.SiteAt(call)
+		if site.std().order == orderSanitize {
 			for _, arg := range call.Args {
 				key, ok := exprKey(info, unwrapConversion(info, arg))
 				if !ok {
@@ -582,7 +557,6 @@ func (fl *vfFlow) callEffects(n ast.Node, st *vfState) {
 			}
 			return true
 		}
-		site := fl.vf.prog.SiteAt(call)
 		if site == nil {
 			return true
 		}
@@ -607,7 +581,7 @@ func (fl *vfFlow) callEffects(n ast.Node, st *vfState) {
 		// several candidates (interface dispatch) take the worst case.
 		effects := map[string]*counterEffect{}
 		for _, callee := range site.Callees {
-			for f, ce := range fl.vf.summaries[callee].counters {
+			for f, ce := range fl.p.summaries[callee].flow.counters {
 				cur, dup := effects[f]
 				if !dup {
 					cp := *ce
@@ -650,13 +624,13 @@ func (fl *vfFlow) Refine(e Edge, f *vfState) *vfState {
 	if !ok {
 		return f
 	}
-	info := fl.ctx.n.Pkg.Info
-	key, okKey := fl.ctx.counterKeyOf(fl.vf, cmp.X)
+	info := fl.n.Pkg.Info
+	key, okKey := fl.counterKeyOf(cmp.X)
 	c, okC := constIntOf(info, cmp.Y)
 	op := cmp.Op
 	if !okKey || !okC {
 		// Mirror c OP key.
-		key, okKey = fl.ctx.counterKeyOf(fl.vf, cmp.Y)
+		key, okKey = fl.counterKeyOf(cmp.Y)
 		c, okC = constIntOf(info, cmp.X)
 		if !okKey || !okC {
 			return f
@@ -713,7 +687,7 @@ func (fl *vfFlow) Refine(e Edge, f *vfState) *vfState {
 // taintOf evaluates the taint of an expression under the current state:
 // stream taints, order taint, and parameter marks.
 func (fl *vfFlow) taintOf(e ast.Expr, st *vfState) (streamSet, *Trace, uint64) {
-	info := fl.ctx.n.Pkg.Info
+	info := fl.n.Pkg.Info
 	e = ast.Unparen(e)
 	switch x := e.(type) {
 	case *ast.Ident, *ast.SelectorExpr:
@@ -772,7 +746,7 @@ func unionTaint3(str streamSet, ord *Trace, marks uint64) func(streamSet, *Trace
 
 // callTaint evaluates the taint of a call result.
 func (fl *vfFlow) callTaint(call *ast.CallExpr, st *vfState) (streamSet, *Trace, uint64) {
-	info := fl.ctx.n.Pkg.Info
+	info := fl.n.Pkg.Info
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
 		return fl.taintOf(call.Args[0], st) // conversion T(x)
 	}
@@ -788,30 +762,24 @@ func (fl *vfFlow) callTaint(call *ast.CallExpr, st *vfState) (streamSet, *Trace,
 	if isBuiltinCall(info, call, "len") || isBuiltinCall(info, call, "cap") {
 		return nil, nil, 0
 	}
-	site := fl.vf.prog.SiteAt(call)
+	site := fl.p.SiteAt(call)
 	if site == nil || len(site.Callees) == 0 {
-		if pkgPath, fn, ok := stdlibCallee(info, call); ok {
-			switch pkgPath {
-			case "maps":
-				if fn == "Keys" || fn == "Values" || fn == "All" {
-					return nil, &Trace{Pos: call.Pos(), What: "maps." + fn + " iteration order", EntryPos: call.Pos()}, 0
+		switch site.std().order {
+		case orderSource:
+			return nil, &Trace{Pos: call.Pos(), What: site.Std[0] + " iteration order", EntryPos: call.Pos()}, 0
+		case orderKeep:
+			// Formatting propagates ordering (and param marks), not
+			// stream identity.
+			var ord *Trace
+			var marks uint64
+			for _, arg := range call.Args {
+				_, o, m := fl.taintOf(arg, st)
+				if ord == nil {
+					ord = o
 				}
-			case "sort", "slices":
-				return nil, nil, 0 // sanitized result
-			case "fmt", "strings", "strconv", "bytes":
-				// Formatting propagates ordering (and param marks), not
-				// stream identity.
-				var ord *Trace
-				var marks uint64
-				for _, arg := range call.Args {
-					_, o, m := fl.taintOf(arg, st)
-					if ord == nil {
-						ord = o
-					}
-					marks |= m
-				}
-				return nil, ord, marks
+				marks |= m
 			}
+			return nil, ord, marks
 		}
 		return nil, nil, 0
 	}
@@ -819,7 +787,7 @@ func (fl *vfFlow) callTaint(call *ast.CallExpr, st *vfState) (streamSet, *Trace,
 	var ord *Trace
 	var marks uint64
 	for _, callee := range site.Callees {
-		if fl.vf.dirs.sources[callee] {
+		if fl.p.dirs.sources[callee] {
 			if name, ok := streamNameArg(info, call); ok {
 				if str == nil {
 					str = make(streamSet)
@@ -830,10 +798,10 @@ func (fl *vfFlow) callTaint(call *ast.CallExpr, st *vfState) (streamSet, *Trace,
 			}
 			continue
 		}
-		if fl.vf.dirs.canonical[callee] {
+		if fl.p.dirs.canonical[callee] {
 			continue // canonicalized result
 		}
-		sum := fl.vf.summaries[callee]
+		sum := fl.p.summaries[callee].flow
 		for name, tr := range sum.returnStreams {
 			if str == nil {
 				str = make(streamSet)
@@ -885,13 +853,6 @@ func isBuiltinCall(info *types.Info, call *ast.CallExpr, name string) bool {
 	}
 	_, isBuiltin := info.Uses[id].(*types.Builtin)
 	return isBuiltin
-}
-
-// isSanitizerCall reports calls into sort or slices: afterwards the
-// arguments are canonically ordered.
-func isSanitizerCall(info *types.Info, call *ast.CallExpr) bool {
-	pkgPath, _, ok := stdlibCallee(info, call)
-	return ok && (pkgPath == "sort" || pkgPath == "slices")
 }
 
 // unwrapConversion strips a single conversion wrapper (sort.Sort(byName(v))).

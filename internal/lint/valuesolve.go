@@ -1,9 +1,9 @@
 package lint
 
-// Interprocedural half of the value-flow engine: the bottom-up summary
-// fixpoint over the call graph, the reporting pass, and the finding store
-// the streamflow/detflow/nonneg analyzers read. Built lazily per Program
-// so fixture runs of unrelated analyzers pay nothing.
+// Interprocedural half of the value-flow engine: the summary update the
+// Program's one fixpoint runs (summary.go), the reporting pass NewProgram
+// runs on the solved summaries, and the finding store the
+// streamflow/detflow/nonneg analyzers read.
 
 import (
 	"fmt"
@@ -14,63 +14,17 @@ import (
 	"strings"
 )
 
-// maxVFSweeps is a termination backstop: every lattice is finite and every
-// merge monotone, so real programs converge in a handful of sweeps; the cap
-// bounds the engine even against adversarial (fuzzed) inputs.
-const maxVFSweeps = 32
-
-// valueFlowInfo is the solved value-flow context of one Program.
-type valueFlowInfo struct {
-	prog      *Program
-	dirs      *vfDirectives
-	ctxs      map[*FuncNode]*vfCtx
-	summaries map[*FuncNode]*valueSummary
-	findings  map[*FuncNode][]vfFinding
-	declMemo  map[*FuncNode][]string
-}
-
-// valueFlow builds (once) and returns the program's value-flow context.
-func (p *Program) valueFlow() *valueFlowInfo {
-	if p.vflow != nil {
-		return p.vflow
-	}
-	vf := &valueFlowInfo{
-		prog:      p,
-		summaries: make(map[*FuncNode]*valueSummary),
-		findings:  make(map[*FuncNode][]vfFinding),
-		ctxs:      make(map[*FuncNode]*vfCtx),
-		declMemo:  make(map[*FuncNode][]string),
-	}
-	vf.dirs = collectVFDirectives(p)
-	for _, n := range p.graph.nodes {
-		vf.summaries[n] = &valueSummary{
-			paramSink:   make([]string, len(n.Params)),
-			paramSinkTr: make([]*Trace, len(n.Params)),
-		}
-	}
-	for _, n := range p.graph.nodes {
-		vf.ctxs[n] = buildVFCtx(vf, n)
-	}
-	vf.solve()
-	for _, n := range p.graph.nodes {
-		vf.check(n)
-	}
-	p.vflow = vf
-	return vf
-}
-
 // valueFindings returns the engine findings of one kind for one package,
 // in deterministic (node, source) order.
 func (p *Program) valueFindings(pkg *Package, kind vfKind) []vfFinding {
-	vf := p.valueFlow()
 	var out []vfFinding
-	for _, f := range vf.dirs.pkgFind[pkg] {
+	for _, f := range p.dirs.pkgFind[pkg] {
 		if f.kind == kind {
 			out = append(out, f)
 		}
 	}
 	for _, n := range p.NodesOf(pkg) {
-		for _, f := range vf.findings[n] {
+		for _, f := range p.findings[n] {
 			if f.kind == kind {
 				out = append(out, f)
 			}
@@ -79,81 +33,23 @@ func (p *Program) valueFindings(pkg *Package, kind vfKind) []vfFinding {
 	return out
 }
 
-// declaredOf resolves a node's effective //rexlint:stream declaration;
-// literals inherit the lexically enclosing declared function's set.
-func (vf *valueFlowInfo) declaredOf(n *FuncNode) []string {
-	if d, ok := vf.declMemo[n]; ok {
-		return d
-	}
-	d := vf.dirs.declared[n]
-	if d == nil && n.Enclosing != nil {
-		d = vf.declaredOf(n.Enclosing)
-	}
-	vf.declMemo[n] = d
-	return d
-}
-
-// solve runs delta-mode local passes to a fixpoint with a caller-driven
-// worklist: every node is analyzed once, and a node is re-analyzed only
-// when one of its callees' summaries grew. Merges are monotone over finite
-// lattices, so each node re-enters the list a bounded number of times;
-// maxVFSweeps bounds the per-node revisits as a backstop, not a budget.
-func (vf *valueFlowInfo) solve() {
-	nodes := vf.prog.graph.nodes
-	callers := make(map[*FuncNode][]*FuncNode)
-	for _, n := range nodes {
-		for i := range n.Calls {
-			for _, callee := range n.Calls[i].Callees {
-				callers[callee] = append(callers[callee], n)
-			}
-		}
-	}
-	work := make([]*FuncNode, len(nodes))
-	copy(work, nodes)
-	queued := make(map[*FuncNode]bool, len(nodes))
-	rounds := make(map[*FuncNode]int, len(nodes))
-	for _, n := range nodes {
-		queued[n] = true
-	}
-	for len(work) > 0 {
-		n := work[0]
-		work = work[1:]
-		queued[n] = false
-		if rounds[n] >= maxVFSweeps {
-			continue
-		}
-		rounds[n]++
-		if !vf.update(n) {
-			continue
-		}
-		for _, caller := range callers[n] {
-			if !queued[caller] {
-				queued[caller] = true
-				work = append(work, caller)
-			}
-		}
-	}
-}
-
-// update recomputes one node's summary from the current callee summaries
-// and merges it in; reports whether anything grew.
-func (vf *valueFlowInfo) update(n *FuncNode) bool {
-	ctx := vf.ctxs[n]
-	return mergeValueSummary(vf.summaries[n], vf.extractSummary(ctx, &vfFlow{vf: vf, ctx: ctx, mode: vfDelta}))
+// updateFlow recomputes one node's value-flow facts from the current callee
+// summaries and merges them in; reports whether anything grew.
+func (p *Program) updateFlow(n *FuncNode) bool {
+	fl := &vfFlow{p: p, n: n, lf: p.local[n], mode: vfDelta}
+	return mergeValueSummary(p.summaries[n].flow, fl.extractSummary())
 }
 
 // extractSummary solves one delta-mode pass and reads the node's summary
 // facts out of it: return taints, parameter-to-sink flows, and the net
 // counter deltas at function exit.
-func (vf *valueFlowInfo) extractSummary(ctx *vfCtx, fl *vfFlow) *valueSummary {
-	n := ctx.n
-	sum := &valueSummary{
-		paramSink:   make([]string, len(n.Params)),
-		paramSinkTr: make([]*Trace, len(n.Params)),
-	}
-	facts := replay[*vfState](ctx.cfg, fl, func(node ast.Node, st *vfState) {
+func (fl *vfFlow) extractSummary() *valueSummary {
+	n, lf := fl.n, fl.lf
+	sum := newValueSummary(n)
+	g := fl.p.CFG(n)
+	facts := replay[*vfState](g, fl, func(node ast.Node, st *vfState) {
 		if ret, ok := node.(*ast.ReturnStmt); ok {
-			vf.recordReturn(ctx, fl, ret, st, sum)
+			fl.recordReturn(ret, st, sum)
 		}
 		inspectShallow(node, func(x ast.Node) bool {
 			call, ok := x.(*ast.CallExpr)
@@ -165,7 +61,7 @@ func (vf *valueFlowInfo) extractSummary(ctx *vfCtx, fl *vfFlow) *valueSummary {
 				if marks == 0 {
 					continue
 				}
-				desc, _ := vf.sinkDescAt(ctx, call, i)
+				desc, _ := fl.sinkDescAt(call, i)
 				if desc == "" {
 					continue
 				}
@@ -179,11 +75,11 @@ func (vf *valueFlowInfo) extractSummary(ctx *vfCtx, fl *vfFlow) *valueSummary {
 			return true
 		})
 	})
-	if len(ctx.recvFields) > 0 {
-		if exitIn, ok := facts.In[ctx.cfg.Exit]; ok {
-			req := vf.dirs.requires[n]
-			for _, f := range ctx.recvFields {
-				key := ctx.recvKey + "." + f
+	if len(lf.recvFields) > 0 {
+		if exitIn, ok := facts.In[g.Exit]; ok {
+			req := fl.p.dirs.requires[n]
+			for _, f := range lf.recvFields {
+				key := lf.recvKey + "." + f
 				ce := &counterEffect{
 					Req:   req[f],
 					Known: !exitIn.cKill[key],
@@ -203,7 +99,7 @@ func (vf *valueFlowInfo) extractSummary(ctx *vfCtx, fl *vfFlow) *valueSummary {
 }
 
 // recordReturn folds the taint of each returned value into the summary.
-func (vf *valueFlowInfo) recordReturn(ctx *vfCtx, fl *vfFlow, ret *ast.ReturnStmt, st *vfState, sum *valueSummary) {
+func (fl *vfFlow) recordReturn(ret *ast.ReturnStmt, st *vfState, sum *valueSummary) {
 	record := func(str streamSet, ord *Trace, marks uint64) {
 		for name, tr := range str {
 			if _, ok := sum.returnStreams[name]; !ok {
@@ -224,7 +120,7 @@ func (vf *valueFlowInfo) recordReturn(ctx *vfCtx, fl *vfFlow, ret *ast.ReturnStm
 		}
 		return
 	}
-	for _, obj := range namedResultObjs(ctx.n) {
+	for _, obj := range namedResultObjs(fl.n) {
 		if obj != nil {
 			record(st.taintsAt(objKey(obj)))
 		}
@@ -256,20 +152,21 @@ func namedResultObjs(n *FuncNode) []types.Object {
 // value to a deterministic-output sink, directly (//rexlint:detsink) or
 // through a callee whose parameter reaches one; the trace carries the
 // blame chain.
-func (vf *valueFlowInfo) sinkDescAt(ctx *vfCtx, call *ast.CallExpr, argIdx int) (string, *Trace) {
-	site := vf.prog.SiteAt(call)
+func (fl *vfFlow) sinkDescAt(call *ast.CallExpr, argIdx int) (string, *Trace) {
+	dirs := fl.p.dirs
+	site := fl.p.SiteAt(call)
 	if site == nil {
 		return "", nil
 	}
 	for _, callee := range site.Callees {
-		if vf.dirs.canonical[callee] || vf.dirs.sources[callee] {
+		if dirs.canonical[callee] || dirs.sources[callee] {
 			continue
 		}
-		if desc, ok := vf.dirs.sinks[callee]; ok {
+		if desc, ok := dirs.sinks[callee]; ok {
 			d := fmt.Sprintf("%s sink %s", desc, callee.Name())
 			return d, &Trace{Pos: call.Pos(), What: d, EntryPos: call.Pos()}
 		}
-		sum := vf.summaries[callee]
+		sum := fl.p.summaries[callee].flow
 		if len(sum.paramSink) == 0 {
 			continue
 		}
@@ -281,36 +178,35 @@ func (vf *valueFlowInfo) sinkDescAt(ctx *vfCtx, call *ast.CallExpr, argIdx int) 
 	return "", nil
 }
 
-// check runs the absolute-mode reporting pass over one node and stores its
-// findings.
-func (vf *valueFlowInfo) check(n *FuncNode) {
-	ctx := vf.ctxs[n]
-	fl := &vfFlow{vf: vf, ctx: ctx, mode: vfAbs}
+// checkFlow runs the absolute-mode reporting pass over one node and
+// returns its findings.
+func (p *Program) checkFlow(n *FuncNode) []vfFinding {
+	fl := &vfFlow{p: p, n: n, lf: p.local[n], mode: vfAbs}
 	var finds []vfFinding
 	report := func(kind vfKind, pos token.Pos, format string, args ...any) {
 		finds = append(finds, vfFinding{kind: kind, pos: pos, msg: fmt.Sprintf(format, args...)})
 	}
-	replay[*vfState](ctx.cfg, fl, func(node ast.Node, st *vfState) {
-		vf.checkNode(ctx, fl, node, st, report)
+	replay[*vfState](p.CFG(n), fl, func(node ast.Node, st *vfState) {
+		fl.checkNode(node, st, report)
 	})
-	vf.findings[n] = finds
+	return finds
 }
 
 // checkNode applies every diagnostic rule to one straight-line node with
 // its pre-state.
-func (vf *valueFlowInfo) checkNode(ctx *vfCtx, fl *vfFlow, node ast.Node, st *vfState, report func(vfKind, token.Pos, string, ...any)) {
+func (fl *vfFlow) checkNode(node ast.Node, st *vfState, report func(vfKind, token.Pos, string, ...any)) {
 	switch s := node.(type) {
 	case *ast.IncDecStmt:
-		if key, ok := ctx.counterKeyOf(vf, s.X); ok && s.Tok == token.DEC && st.getLB(key) <= 0 {
+		if key, ok := fl.counterKeyOf(s.X); ok && s.Tok == token.DEC && st.getLB(key) <= 0 {
 			report(vfNonneg, s.Pos(), "%s may go negative: decrement of //rexlint:nonneg counter at proven lower bound %d",
 				renderPath(s.X), st.getLB(key))
 		}
 	case *ast.AssignStmt:
-		vf.checkCounterAssign(ctx, s, st, report)
+		fl.checkCounterAssign(s, st, report)
 	}
 	inspectHeader(node, func(x ast.Node) bool {
 		if call, ok := x.(*ast.CallExpr); ok {
-			vf.checkCall(ctx, fl, call, st, report)
+			fl.checkCall(call, st, report)
 		}
 		return true
 	})
@@ -318,10 +214,10 @@ func (vf *valueFlowInfo) checkNode(ctx *vfCtx, fl *vfFlow, node ast.Node, st *vf
 
 // checkCounterAssign reports counter assignments that cannot keep the
 // non-negativity invariant.
-func (vf *valueFlowInfo) checkCounterAssign(ctx *vfCtx, s *ast.AssignStmt, st *vfState, report func(vfKind, token.Pos, string, ...any)) {
-	info := ctx.n.Pkg.Info
+func (fl *vfFlow) checkCounterAssign(s *ast.AssignStmt, st *vfState, report func(vfKind, token.Pos, string, ...any)) {
+	info := fl.n.Pkg.Info
 	for i, lhs := range s.Lhs {
-		key, ok := ctx.counterKeyOf(vf, lhs)
+		key, ok := fl.counterKeyOf(lhs)
 		if !ok {
 			continue
 		}
@@ -357,18 +253,18 @@ func (vf *valueFlowInfo) checkCounterAssign(ctx *vfCtx, s *ast.AssignStmt, st *v
 
 // checkCall applies the stream, determinism, and precondition rules to one
 // call expression.
-func (vf *valueFlowInfo) checkCall(ctx *vfCtx, fl *vfFlow, call *ast.CallExpr, st *vfState, report func(vfKind, token.Pos, string, ...any)) {
-	info := ctx.n.Pkg.Info
-	site := vf.prog.SiteAt(call)
+func (fl *vfFlow) checkCall(call *ast.CallExpr, st *vfState, report func(vfKind, token.Pos, string, ...any)) {
+	n, lf, dirs := fl.n, fl.lf, fl.p.dirs
+	info := n.Pkg.Info
+	site := fl.p.SiteAt(call)
 	if site == nil {
 		return
 	}
-	n := ctx.n
 
 	// Rule 1: streamsource calls — constant name, declared ownership.
 	isSource := false
 	for _, callee := range site.Callees {
-		if !vf.dirs.sources[callee] {
+		if !dirs.sources[callee] {
 			continue
 		}
 		isSource = true
@@ -379,9 +275,9 @@ func (vf *valueFlowInfo) checkCall(ctx *vfCtx, fl *vfFlow, call *ast.CallExpr, s
 		case isBasicStringLit(call.Args[0]):
 			report(vfStream, call.Args[0].Pos(), "stream name %q is a string literal; use the exported stream-name constant", name)
 		}
-		if okName && !slices.Contains(ctx.declared, name) {
+		if okName && !slices.Contains(lf.declared, name) {
 			report(vfStream, call.Pos(), "%s draws from RNG stream %q but declares %s; add //rexlint:stream %s to its doc comment",
-				n.Name(), name, declList(ctx.declared), name)
+				n.Name(), name, declList(lf.declared), name)
 		}
 	}
 	if isSource {
@@ -394,9 +290,9 @@ func (vf *valueFlowInfo) checkCall(ctx *vfCtx, fl *vfFlow, call *ast.CallExpr, s
 		if key, ok := exprKey(info, site.RecvExpr); ok {
 			str, _, _ := st.taintsAt(key)
 			for _, name := range sortedKeys(str) {
-				if !slices.Contains(ctx.declared, name) {
+				if !slices.Contains(lf.declared, name) {
 					report(vfStream, call.Pos(), "%s draws from RNG stream %q but declares %s%s; add //rexlint:stream %s to its doc comment",
-						n.Name(), name, declList(ctx.declared), str[name].Chain(), name)
+						n.Name(), name, declList(lf.declared), str[name].Chain(), name)
 				}
 			}
 		}
@@ -410,19 +306,19 @@ func (vf *valueFlowInfo) checkCall(ctx *vfCtx, fl *vfFlow, call *ast.CallExpr, s
 				tr := str[name]
 				if len(site.Callees) > 0 {
 					for _, callee := range site.Callees {
-						if !slices.Contains(vf.declaredOf(callee), name) {
+						if !slices.Contains(fl.p.local[callee].declared, name) {
 							report(vfStream, arg.Pos(), "%s passes RNG stream %q to %s, which does not declare it (//rexlint:stream)%s",
 								n.Name(), name, callee.Name(), tr.Chain())
 						}
 					}
-				} else if !slices.Contains(ctx.declared, name) {
+				} else if !slices.Contains(lf.declared, name) {
 					report(vfStream, arg.Pos(), "%s passes RNG stream %q to %s but declares %s%s; add //rexlint:stream %s to its doc comment",
-						n.Name(), name, calleeLabel(site), declList(ctx.declared), tr.Chain(), name)
+						n.Name(), name, calleeLabel(site), declList(lf.declared), tr.Chain(), name)
 				}
 			}
 		}
 		if ord != nil {
-			if desc, _ := vf.sinkDescAt(ctx, call, i); desc != "" {
+			if desc, _ := fl.sinkDescAt(call, i); desc != "" {
 				report(vfDet, arg.Pos(), "value ordered by %s flows into %s without sort or canonicalization%s",
 					ord.What, desc, ord.Chain())
 			}
@@ -431,9 +327,9 @@ func (vf *valueFlowInfo) checkCall(ctx *vfCtx, fl *vfFlow, call *ast.CallExpr, s
 
 	// Rule 6: sinks invoked inside map iteration emit in nondeterministic
 	// order even with clean arguments.
-	if ctx.inMapRange(call.Pos()) {
+	if inRanges(lf.mapRanges, call.Pos()) {
 		for _, callee := range site.Callees {
-			if desc, ok := vf.dirs.sinks[callee]; ok {
+			if desc, ok := dirs.sinks[callee]; ok {
 				report(vfDet, call.Pos(), "%s sink %s called inside map iteration: emission order is nondeterministic",
 					desc, callee.Name())
 			}
@@ -444,7 +340,7 @@ func (vf *valueFlowInfo) checkCall(ctx *vfCtx, fl *vfFlow, call *ast.CallExpr, s
 	if site.RecvExpr != nil {
 		if recvKey, ok := exprKey(info, site.RecvExpr); ok {
 			for _, callee := range site.Callees {
-				sum := vf.summaries[callee]
+				sum := fl.p.summaries[callee].flow
 				for _, f := range sortedKeys(sum.counters) {
 					ce := sum.counters[f]
 					if ce.Req <= 0 {
