@@ -8,9 +8,10 @@ package lint
 // path, through every module-local callee. The summary engine (summary.go)
 // supplies the proof obligations: allocation sites are make/new, slice and
 // map literals, &composite literals, append (potential growth), string
-// concatenation and copying conversions, capturing closures that escape,
-// interface boxing, and goroutine spawns; stdlib callees allocate unless
-// allowlisted; dynamic calls with no resolvable target are unprovable and
+// concatenation and copying conversions, capturing closures (a literal that
+// captures variables allocates unless the call containing it invokes it in
+// place), interface boxing, and goroutine spawns; stdlib callees allocate
+// unless allowlisted; dynamic calls with no resolvable target are unprovable and
 // reported as such. Violations name the allocating call chain
 // ("via a → b") and the root site.
 //

@@ -5,7 +5,11 @@ package lint
 // "straight-line" nodes (assignments, calls, declarations, channel ops,
 // return/defer/go statements, and the leaf condition expressions of the
 // branches that end it), so dataflow transfer functions can walk each node
-// with ast.Inspect without re-entering nested control flow.
+// without re-entering nested control flow.
+//
+// Invariant: a node holds only its own syntax. No node's [Pos, End)
+// contains another node of the same graph, so inspectShallow (flowutil.go)
+// is the one walker every reader uses on a node.
 //
 // Conventions:
 //   - One synthetic Exit block. return statements, explicit panic(...)
@@ -23,16 +27,16 @@ package lint
 //     has no successors (blocks forever).
 //   - defer statements appear both in their block (so analyzers see where
 //     they are scheduled) and in CFG.Defers.
+//   - a range loop's head block holds a header-only copy of the
+//     RangeStmt (ranged expression, key and value; empty body).
 //
 // Unreachable code is still built into blocks; it simply has no path from
 // Entry, and the dataflow solvers only visit reachable blocks.
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // Edge is a directed control-flow edge.
@@ -286,9 +290,13 @@ func (b *builder) rangeStmt(s *ast.RangeStmt, cur *Block, label string) *Block {
 	body := b.newBlock()
 	after := b.newBlock()
 	b.edge(cur, head, nil, false)
-	// The RangeStmt node itself carries the per-iteration key/value
-	// assignment and the ranged expression.
-	head.Nodes = append(head.Nodes, s)
+	// The head holds a header-only copy of the RangeStmt: the ranged
+	// expression and the per-iteration key/value assignment, with the body
+	// emptied so the node ends at the body's `{`. The body statements live
+	// only in their own blocks.
+	hdr := *s
+	hdr.Body = &ast.BlockStmt{Lbrace: s.Body.Lbrace}
+	head.Nodes = append(head.Nodes, &hdr)
 	b.edge(head, body, nil, false)
 	b.edge(head, after, nil, false)
 
@@ -334,6 +342,9 @@ func (b *builder) switchStmt(s *ast.SwitchStmt, cur *Block, label string) *Block
 			continue
 		}
 		for _, ce := range cc.List {
+			// Like an if condition, a case expression is a node of the
+			// block that evaluates it as well as the condition of its edge.
+			cur.Nodes = append(cur.Nodes, ce)
 			switch {
 			case s.Tag != nil:
 				b.edge(cur, blk, synthEq(s.Tag, ce), false)
@@ -511,33 +522,4 @@ func (g *CFG) Reachable() map[*Block]bool {
 // Entry — i.e. whether the function has any terminating path.
 func (g *CFG) ExitReachable() bool {
 	return g.Reachable()[g.Exit]
-}
-
-// String renders the CFG in a compact debug format, one block per line:
-//
-//	b0[entry]: 2 nodes -> b1(cond) b3(!cond)
-func (g *CFG) String() string {
-	var sb strings.Builder
-	for _, blk := range g.Blocks {
-		tag := ""
-		if blk == g.Entry {
-			tag = "[entry]"
-		} else if blk == g.Exit {
-			tag = "[exit]"
-		}
-		fmt.Fprintf(&sb, "b%d%s: %d nodes ->", blk.Index, tag, len(blk.Nodes))
-		for _, e := range blk.Succs {
-			neg := ""
-			if e.Neg {
-				neg = "!"
-			}
-			if e.Cond != nil {
-				fmt.Fprintf(&sb, " b%d(%scond)", e.To.Index, neg)
-			} else {
-				fmt.Fprintf(&sb, " b%d", e.To.Index)
-			}
-		}
-		sb.WriteString("\n")
-	}
-	return sb.String()
 }

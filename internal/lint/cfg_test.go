@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -42,6 +43,35 @@ func condEdgeCount(g *CFG) (pos, neg int) {
 		}
 	}
 	return pos, neg
+}
+
+// dumpCFG renders g for a failure message, one block per line:
+//
+//	b0[entry]: 2 nodes -> b1(cond) b3(!cond)
+func dumpCFG(g *CFG) string {
+	var sb strings.Builder
+	for _, blk := range g.Blocks {
+		tag := ""
+		switch blk {
+		case g.Entry:
+			tag = "[entry]"
+		case g.Exit:
+			tag = "[exit]"
+		}
+		fmt.Fprintf(&sb, "b%d%s: %d nodes ->", blk.Index, tag, len(blk.Nodes))
+		for _, e := range blk.Succs {
+			switch {
+			case e.Cond == nil:
+				fmt.Fprintf(&sb, " b%d", e.To.Index)
+			case e.Neg:
+				fmt.Fprintf(&sb, " b%d(!cond)", e.To.Index)
+			default:
+				fmt.Fprintf(&sb, " b%d(cond)", e.To.Index)
+			}
+		}
+		sb.WriteString("\n")
+	}
+	return sb.String()
 }
 
 // hasCycle reports whether the reachable part of g contains a cycle.
@@ -432,16 +462,16 @@ func TestCFGConstruction(t *testing.T) {
 			t.Parallel()
 			g := buildTestCFG(t, tt.src)
 			if got := g.ExitReachable(); got != tt.exitReachable {
-				t.Errorf("exit reachable = %v, want %v\n%s", got, tt.exitReachable, g)
+				t.Errorf("exit reachable = %v, want %v\n%s", got, tt.exitReachable, dumpCFG(g))
 			}
 			if got := hasCycle(g); got != tt.cycle {
-				t.Errorf("cycle = %v, want %v\n%s", got, tt.cycle, g)
+				t.Errorf("cycle = %v, want %v\n%s", got, tt.cycle, dumpCFG(g))
 			}
 			if tt.posCond >= 0 {
 				pos, neg := condEdgeCount(g)
 				if pos != tt.posCond || neg != tt.negCond {
 					t.Errorf("cond edges = (%d pos, %d neg), want (%d, %d)\n%s",
-						pos, neg, tt.posCond, tt.negCond, g)
+						pos, neg, tt.posCond, tt.negCond, dumpCFG(g))
 				}
 			}
 			if len(g.Defers) != tt.defers {
@@ -519,7 +549,7 @@ func TestForwardMustAssigned(t *testing.T) {
 	facts := Forward[map[string]bool](g, assignedFlow{})
 	atExit, ok := facts.In[g.Exit]
 	if !ok {
-		t.Fatalf("no fact at exit\n%s", g)
+		t.Fatalf("no fact at exit\n%s", dumpCFG(g))
 	}
 	var got []string
 	for k := range atExit {
@@ -528,7 +558,7 @@ func TestForwardMustAssigned(t *testing.T) {
 	sort.Strings(got)
 	want := "both x"
 	if s := strings.Join(got, " "); s != want {
-		t.Errorf("must-assigned at exit = %q, want %q\n%s", s, want, g)
+		t.Errorf("must-assigned at exit = %q, want %q\n%s", s, want, dumpCFG(g))
 	}
 }
 
@@ -546,6 +576,67 @@ func TestForwardLoopConverges(t *testing.T) {
 	// i := 0 runs before the loop, x only inside the body (the body may
 	// execute zero times), y always after.
 	if !atExit["i"] || !atExit["y"] || atExit["x"] {
-		t.Errorf("must-assigned at exit = %v, want i,y but not x\n%s", atExit, g)
+		t.Errorf("must-assigned at exit = %v, want i,y but not x\n%s", atExit, dumpCFG(g))
+	}
+}
+
+// TestCFGNodesDisjoint holds the CFG's one invariant: a node holds only its
+// own syntax, and every call of the body is in some node. For every
+// function node of every fixture package and of the module, under the
+// default tags and under debugasserts, no node's [Pos, End) contains the
+// Pos of another node of the same graph — so a reader walking one node
+// never reads another block's statements — and every CallExpr of the body
+// outside nested function literals lies inside some node, so no reader
+// misses it.
+func TestCFGNodesDisjoint(t *testing.T) {
+	for _, tags := range [][]string{nil, {"debugasserts"}} {
+		var pkgs []*Package
+		for _, set := range LoadFixtures(t, tags, true) {
+			pkgs = append(pkgs, set.Pkgs...)
+		}
+		nested, uncovered := 0, 0
+		for _, n := range buildCallGraph(pkgs).nodes {
+			var nodes []ast.Node
+			for _, b := range BuildCFG(n.Body, n.Pkg.Info).Blocks {
+				nodes = append(nodes, b.Nodes...)
+			}
+			sort.SliceStable(nodes, func(i, j int) bool { return nodes[i].Pos() < nodes[j].Pos() })
+			// Sorted by Pos, a node's Pos lies inside another's extent
+			// exactly when it lies before the furthest End seen so far.
+			var outer ast.Node
+			for _, x := range nodes {
+				if outer != nil && x.Pos() < outer.End() {
+					if nested++; nested <= 5 {
+						t.Errorf("tags %v: %s: node at %s lies inside the node at %s",
+							tags, n.Name(), n.Pkg.Fset.Position(x.Pos()), n.Pkg.Fset.Position(outer.Pos()))
+					}
+				}
+				if outer == nil || x.End() > outer.End() {
+					outer = x
+				}
+			}
+			ast.Inspect(n.Body, func(x ast.Node) bool {
+				if _, ok := x.(*ast.FuncLit); ok {
+					return false
+				}
+				call, ok := x.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				// The last node starting at or before the call is the
+				// only one that can hold it: nodes are disjoint.
+				i := sort.Search(len(nodes), func(i int) bool { return nodes[i].Pos() > call.Pos() })
+				if i == 0 || call.End() > nodes[i-1].End() {
+					if uncovered++; uncovered <= 5 {
+						t.Errorf("tags %v: %s: call at %s lies in no CFG node",
+							tags, n.Name(), n.Pkg.Fset.Position(call.Pos()))
+					}
+				}
+				return true
+			})
+		}
+		if nested > 0 || uncovered > 0 {
+			t.Errorf("tags %v: %d CFG nodes lie inside another node, %d calls lie in no node", tags, nested, uncovered)
+		}
 	}
 }

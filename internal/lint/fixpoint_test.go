@@ -2,8 +2,6 @@ package lint
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -41,36 +39,8 @@ func summaryFacts(s *Summary) string {
 // value-flow facts (return streams, ordered-ness, parameter marks,
 // parameter sinks, counter effects) must be the same under both drivers.
 func TestFixpointMatchesSweep(t *testing.T) {
-	loader, err := NewLoader(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(filepath.Join("testdata", "src"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	programs := map[string][]*Package{}
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		pkg, err := loader.LoadDir(filepath.Join("testdata", "src", e.Name()), "fixture/"+e.Name())
-		if err != nil {
-			t.Fatalf("load fixture %s: %v", e.Name(), err)
-		}
-		programs[e.Name()] = []*Package{pkg}
-	}
-	module, err := NewLoader(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := module.Load([]string{"./..."}); err != nil {
-		t.Fatal(err)
-	}
-	programs["module"] = module.Packages()
-
-	for _, name := range sortedKeys(programs) {
-		p := NewProgram(programs[name])
+	for _, set := range LoadFixtures(t, nil, true) {
+		p := NewProgram(set.Pkgs)
 		worklist := p.summaries
 		p.summaries = make(map[*FuncNode]*Summary, len(worklist))
 		for _, n := range p.graph.nodes {
@@ -81,14 +51,14 @@ func TestFixpointMatchesSweep(t *testing.T) {
 		for _, n := range p.graph.nodes {
 			got, want := summaryFacts(worklist[n]), summaryFacts(p.summaries[n])
 			if got != want && diffs < 5 {
-				t.Errorf("%s: %s:\n worklist: %s\n    sweep: %s", name, n.Name(), got, want)
+				t.Errorf("%s: %s:\n worklist: %s\n    sweep: %s", set.Name, n.Name(), got, want)
 			}
 			if got != want {
 				diffs++
 			}
 		}
 		if diffs > 0 {
-			t.Errorf("%s: %d of %d summaries differ between worklist and sweep", name, diffs, len(p.graph.nodes))
+			t.Errorf("%s: %d of %d summaries differ between worklist and sweep", set.Name, diffs, len(p.graph.nodes))
 		}
 	}
 }

@@ -78,29 +78,14 @@ func renderPath(e ast.Expr) string {
 }
 
 // inspectShallow walks n like ast.Inspect but does not descend into
-// function literals: nested closures have their own control flow and are
-// analyzed separately.
+// function literals: fn sees a nested literal itself, not its body, which
+// has its own control flow and is analyzed as its own node. It is the one
+// walker of CFG nodes; since a node holds only its own syntax (cfg.go), a
+// walk never re-reads statements of another block.
 func inspectShallow(n ast.Node, fn func(ast.Node) bool) {
 	ast.Inspect(n, func(x ast.Node) bool {
 		if _, ok := x.(*ast.FuncLit); ok && x != n {
-			return false
-		}
-		return fn(x)
-	})
-}
-
-// inspectHeader visits n like inspectShallow but does not descend into
-// nested statement bodies (blocks, case and comm clauses): when n is a
-// compound statement stored whole in a CFG block — a RangeStmt in its loop
-// head — the body statements live in their own blocks and visiting them
-// here would process them twice.
-func inspectHeader(n ast.Node, fn func(ast.Node) bool) {
-	ast.Inspect(n, func(x ast.Node) bool {
-		if x == n {
-			return fn(x)
-		}
-		switch x.(type) {
-		case *ast.BlockStmt, *ast.CaseClause, *ast.CommClause, *ast.FuncLit:
+			fn(x)
 			return false
 		}
 		return fn(x)
@@ -246,7 +231,7 @@ func forEachAccess(n ast.Node, fn func(sel *ast.SelectorExpr, write bool)) {
 			markWrite(x.X)
 		}
 	}
-	inspectHeader(n, func(x ast.Node) bool {
+	inspectShallow(n, func(x ast.Node) bool {
 		switch s := x.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range s.Lhs {
@@ -261,7 +246,7 @@ func forEachAccess(n ast.Node, fn func(sel *ast.SelectorExpr, write bool)) {
 		}
 		return true
 	})
-	inspectHeader(n, func(x ast.Node) bool {
+	inspectShallow(n, func(x ast.Node) bool {
 		if sel, ok := x.(*ast.SelectorExpr); ok {
 			fn(sel, writes[sel])
 		}

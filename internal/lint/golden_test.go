@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"rexchange/internal/lint"
-	"rexchange/internal/lint/linttest"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/diagnostics.golden from the current analyzers")
@@ -22,28 +21,16 @@ var update = flag.Bool("update", false, "rewrite testdata/diagnostics.golden fro
 //	go test ./internal/lint/ -run TestFixtureDiagnosticsGolden -update
 func TestFixtureDiagnosticsGolden(t *testing.T) {
 	const golden = "testdata/diagnostics.golden"
-	root := filepath.Join("testdata", "src")
-	entries, err := os.ReadDir(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader := linttest.NewLoader(t)
 	var got strings.Builder
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		pkg, err := loader.LoadDir(filepath.Join(root, e.Name()), "fixture/"+e.Name())
-		if err != nil {
-			t.Fatalf("load fixture %s: %v", e.Name(), err)
-		}
+	for _, set := range lint.LoadFixtures(t, nil, false) {
+		pkg := set.Pkgs[0]
 		for _, a := range lint.Analyzers("rexchange") {
 			unscoped := *a
 			unscoped.AppliesTo = nil
 			// A fresh Program per run: waiver use-marks are Program state.
 			diags, err := lint.RunAnalyzers(pkg, []*lint.Analyzer{&unscoped})
 			if err != nil {
-				t.Fatalf("run %s on %s: %v", a.Name, e.Name(), err)
+				t.Fatalf("run %s on %s: %v", a.Name, set.Name, err)
 			}
 			for _, d := range diags {
 				got.WriteString(filepath.ToSlash(d.String()))

@@ -144,9 +144,6 @@ func readModulePath(path string) (string, error) {
 	return "", fmt.Errorf("lint: no module directive in %s", path)
 }
 
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // moduleLocal reports whether path names this module or a package inside
 // it.
 func (l *Loader) moduleLocal(path string) bool {

@@ -147,7 +147,7 @@ func lockTransfer(info *types.Info, prog *Program, n ast.Node, in lockFact) lock
 		return out
 	}
 
-	inspectHeader(n, func(x ast.Node) bool {
+	inspectShallow(n, func(x ast.Node) bool {
 		call, ok := x.(*ast.CallExpr)
 		if !ok {
 			return true
@@ -498,7 +498,7 @@ func (ctx *lockCtx) checkNode(n ast.Node, fMust, fMay lockFact, fresh map[types.
 			ctx.pass.Reportf(st.op, "%s while holding %s may block under the lock", st.opName(), heldPath(fMust))
 		}
 	}
-	inspectHeader(n, func(x ast.Node) bool {
+	inspectShallow(n, func(x ast.Node) bool {
 		if call, ok := x.(*ast.CallExpr); ok {
 			ctx.checkBlockingCall(call, fMust)
 		}

@@ -19,7 +19,10 @@ import (
 // state constant; the resource directive declares that `reserve(x)` takes
 // a unit of the reservation resource for x's owner and `release(x)` gives
 // it back, and that the resource is held exactly while the owner's status
-// field is MoveInFlight.
+// field is MoveInFlight. The two names resolve to the functions of the one
+// declarer of both — a named type of the package or the package level — and
+// only calls resolved to those functions count; another type's `release`
+// is not the resource's.
 //
 // The analysis is a forward may-analysis over sets of possible states
 // (absent = unknown), with branch refinement: `if st.status ==
@@ -111,10 +114,13 @@ type resourceSpec struct {
 	held    string
 	acquire string
 	release string
+	// acquireFn and releaseFn are the resolved functions.
+	acquireFn, releaseFn *types.Func
 }
 
 type stateFlow struct {
 	info *types.Info
+	prog *Program
 	spec *stateSpec
 }
 
@@ -351,25 +357,19 @@ type resourceCallInfo struct {
 	isAcquire bool
 }
 
-// resourceCall matches a call against the declared acquire/release
-// functions and resolves the owner key of its first argument.
+// resourceCall matches a call whose resolved site reaches exactly one of
+// the declared acquire/release functions and resolves the owner key of its
+// first argument.
 func (sf *stateFlow) resourceCall(call *ast.CallExpr, f stateFact) (resourceCallInfo, string, bool) {
-	var name string
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		name = fun.Name
-	case *ast.SelectorExpr:
-		name = fun.Sel.Name
-	default:
+	site := sf.prog.SiteAt(call)
+	if site == nil || len(site.Callees) != 1 || len(call.Args) == 0 {
 		return resourceCallInfo{}, "", false
 	}
+	fn := site.Callees[0].Fn
 	for _, r := range sf.spec.resources {
-		isAcq := name == r.acquire
-		if !isAcq && name != r.release {
+		isAcq := fn == r.acquireFn
+		if !isAcq && fn != r.releaseFn {
 			continue
-		}
-		if len(call.Args) == 0 {
-			return resourceCallInfo{}, "", false
 		}
 		owner, ok := sf.ownerOf(call.Args[0], f)
 		if !ok {
@@ -470,6 +470,11 @@ func resolveStateSpec(pass *Pass) *stateSpec {
 			pass.Reportf(pass.Files[0].Pos(), "malformed rexlint:resource directive: want `name held=S acquire=fn release=fn`")
 			continue
 		}
+		var ok bool
+		if r.acquireFn, r.releaseFn, ok = resourceFuncs(pass.Pkg, r.acquire, r.release); !ok {
+			pass.Reportf(pass.Files[0].Pos(), "rexlint:resource %s: want exactly one type or the package level to declare both %s and %s", r.name, r.acquire, r.release)
+			continue
+		}
 		names[r.held] = true
 		spec.resources = append(spec.resources, r)
 	}
@@ -518,10 +523,48 @@ func resolveStateSpec(pass *Pass) *stateSpec {
 	return spec
 }
 
+// resourceFuncs resolves a resource's acquire and release names to the
+// functions of their one declarer: the package level or a named type of the
+// package declaring both. ok is false when none or several do.
+func resourceFuncs(pkg *types.Package, acquire, release string) (acq, rel *types.Func, ok bool) {
+	found := 0
+	try := func(a, r types.Object) {
+		fa, okA := a.(*types.Func)
+		fr, okR := r.(*types.Func)
+		if okA && okR {
+			acq, rel = fa, fr
+			found++
+		}
+	}
+	scope := pkg.Scope()
+	try(scope.Lookup(acquire), scope.Lookup(release))
+	for _, name := range scope.Names() {
+		tn, _ := scope.Lookup(name).(*types.TypeName)
+		if tn == nil || tn.IsAlias() {
+			continue
+		}
+		named, _ := tn.Type().(*types.Named)
+		if named == nil {
+			continue
+		}
+		var a, r types.Object
+		for i := 0; i < named.NumMethods(); i++ {
+			switch m := named.Method(i); m.Name() {
+			case acquire:
+				a = m
+			case release:
+				r = m
+			}
+		}
+		try(a, r)
+	}
+	return acq, rel, found == 1
+}
+
 // checkStateFunc solves the state facts over one function and applies the
 // T1/R2/R3/R4 checks.
 func checkStateFunc(pass *Pass, spec *stateSpec, node *FuncNode) {
-	flow := &stateFlow{info: pass.TypesInfo, spec: spec}
+	flow := &stateFlow{info: pass.TypesInfo, prog: pass.Prog, spec: spec}
 	g := pass.Prog.CFG(node)
 	facts := replay[stateFact](g, flow, func(n ast.Node, f stateFact) {
 		checkStateNode(pass, flow, n, f)

@@ -314,9 +314,6 @@ type localFacts struct {
 	locked map[string]bool
 	// sites is the site table, sorted by position.
 	sites []site
-	// closures are literal creations whose allocation verdict depends on
-	// callee escape summaries, decided during the fixpoint.
-	closures []closureUse
 
 	// The value-flow prescan (scanFlow, valuelocal.go). derived marks
 	// locals initialized as direct copies of an annotated counter field
@@ -344,21 +341,6 @@ type effectEvent struct {
 	what string
 }
 
-// closureUse is a capturing function literal whose escape — and therefore
-// heap allocation — depends on where it flows.
-type closureUse struct {
-	lit      *ast.FuncLit
-	node     *FuncNode
-	captures bool
-	// escaped, when already decided locally (go statement, stored, sent,
-	// passed to stdlib), short-circuits the summary consultation.
-	escaped bool
-	// call/argIndex identify a module-local call the literal is passed to;
-	// the callee's parameter escape summary decides.
-	call     *ast.CallExpr
-	argIndex int
-}
-
 // computeLocalFacts builds one node's local facts: harvest provenance
 // events and surviving call sites from the CFG blocks reachable from entry,
 // in block order, so nothing from unreachable code enters the summary.
@@ -374,7 +356,9 @@ func computeLocalFacts(p *Program, n *FuncNode) *localFacts {
 		}
 		for _, node := range b.Nodes {
 			reachSpans = append(reachSpans, posRange{node.Pos(), node.End()})
-			cls.collect(node, lf)
+			cls.walkEffects(node, func(bit uint16, pos token.Pos, what string) {
+				lf.events = append(lf.events, effectEvent{bit: bit, pos: pos, what: what})
+			})
 			cls.collectSites(node, lf)
 		}
 	}
@@ -447,12 +431,10 @@ type nodeClassifier struct {
 	// nonBlocking are the comm statements of selects that have a default
 	// clause: the channel operation in one of them cannot block.
 	nonBlocking map[ast.Node]bool
-	// litParents maps each directly nested literal to its syntactic use.
-	litUse map[*ast.FuncLit]closureUse
 }
 
 func newNodeClassifier(p *Program, n *FuncNode) *nodeClassifier {
-	c := &nodeClassifier{prog: p, node: n, info: n.Pkg.Info, nonBlocking: map[ast.Node]bool{}, litUse: map[*ast.FuncLit]closureUse{}}
+	c := &nodeClassifier{prog: p, node: n, info: n.Pkg.Info, nonBlocking: map[ast.Node]bool{}}
 	inspectShallow(n.Body, func(x ast.Node) bool {
 		switch s := x.(type) {
 		case *ast.IfStmt:
@@ -470,7 +452,6 @@ func newNodeClassifier(p *Program, n *FuncNode) *nodeClassifier {
 		}
 		return true
 	})
-	c.classifyLits()
 	return c
 }
 
@@ -498,25 +479,29 @@ func (c *nodeClassifier) waived(analyzer string, pos token.Pos) bool {
 	return c.prog.waivedAt(c.node, analyzer, pos)
 }
 
-// collect appends provenance events and closure uses for one node.
-func (c *nodeClassifier) collect(n ast.Node, lf *localFacts) {
-	c.walkEffects(n, func(bit uint16, pos token.Pos, what string) {
-		lf.events = append(lf.events, effectEvent{bit: bit, pos: pos, what: what})
-	})
-	c.collectClosures(n, lf)
-}
-
 // walkEffects visits one straight-line node and emits its local effects.
 func (c *nodeClassifier) walkEffects(n ast.Node, emit func(bit uint16, pos token.Pos, what string)) {
 	info := c.info
 	writes := c.writeTargets(n)
+	// invoked is the literal a call invokes in place: a call's Fun is its
+	// first child, so the walk reaches that literal right after the call.
+	var invoked *ast.FuncLit
 	inspectShallow(n, func(x ast.Node) bool {
 		if x == nil || c.guarded(x.Pos()) {
 			return x == nil
 		}
 		switch s := x.(type) {
 		case *ast.CallExpr:
+			if lit, ok := ast.Unparen(s.Fun).(*ast.FuncLit); ok {
+				invoked = lit
+			}
 			c.callEffects(s, emit)
+		case *ast.FuncLit:
+			// A literal that captures variables allocates its closure
+			// unless the call containing it invokes it in place.
+			if s != invoked && len(c.capturedIdents(s)) > 0 {
+				c.alloc(emit, s.Pos(), "func literal captures variables")
+			}
 		case *ast.CompositeLit:
 			switch info.TypeOf(s).Underlying().(type) {
 			case *types.Slice:
@@ -850,8 +835,8 @@ const (
 //
 //   - only CFG nodes reachable from entry are read, and folded debug
 //     guards are skipped, like every other local fact;
-//   - a site belongs to the one CFG node it is found in (a range loop's
-//     head node does not re-read the loop body);
+//   - a site belongs to the one CFG node it is found in (no node holds
+//     another's syntax, cfg.go);
 //   - a send or receive in a comm clause of a select that has a default
 //     clause does not block; every other send and receive may;
 //   - waivers are not applied here: each reader checks its own.
@@ -879,7 +864,7 @@ func (c *nodeClassifier) collectSites(n ast.Node, lf *localFacts) {
 	add := func(kind siteKind, pos token.Pos, value ast.Expr, how string) {
 		lf.sites = append(lf.sites, site{kind: kind, node: n, pos: pos, op: pos, value: value, how: how})
 	}
-	inspectHeader(n, func(x ast.Node) bool {
+	inspectShallow(n, func(x ast.Node) bool {
 		if x == nil || c.guarded(x.Pos()) {
 			return x == nil
 		}
@@ -933,75 +918,10 @@ func (c *nodeClassifier) collectSites(n ast.Node, lf *localFacts) {
 	})
 }
 
-// ---------------------------------------------------------------------------
-// Closure allocation classification.
-
-// classifyLits decides, for each literal directly nested in the node, how
-// it is used — the part of the closure-allocation verdict that is pure
-// syntax. A literal heap-allocates only when it captures variables AND
-// escapes; non-capturing literals compile to static functions.
-func (c *nodeClassifier) classifyLits() {
-	parents := map[ast.Node]ast.Node{}
-	var stack []ast.Node
-	inspectShallow(c.node.Body, func(x ast.Node) bool {
-		if x == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if len(stack) > 0 {
-			parents[x] = stack[len(stack)-1]
-		}
-		stack = append(stack, x)
-		return true
-	})
-
-	inspectShallow(c.node.Body, func(x ast.Node) bool {
-		lit, ok := x.(*ast.FuncLit)
-		if !ok {
-			return true
-		}
-		ln := c.prog.graph.byLit[lit]
-		use := closureUse{lit: lit, node: ln, captures: len(c.capturedIdents(lit)) > 0, argIndex: -1}
-		switch p := parents[lit].(type) {
-		case *ast.CallExpr:
-			if ast.Unparen(p.Fun) == ast.Expr(lit) {
-				// Directly invoked: never escapes.
-			} else if gp, isGo := parents[p].(*ast.GoStmt); isGo && gp.Call == p {
-				use.escaped = true // goroutine body
-			} else {
-				// Passed as an argument: the callee's parameter escape
-				// summary decides (stdlib/unknown default to escaping).
-				for i, arg := range p.Args {
-					if ast.Unparen(arg) == ast.Expr(lit) {
-						use.call, use.argIndex = p, i
-						break
-					}
-				}
-				if use.argIndex < 0 {
-					use.escaped = true
-				}
-			}
-		case *ast.GoStmt:
-			use.escaped = true
-		case *ast.DeferStmt:
-			// Deferred closures in non-loop position stay on the stack.
-		case *ast.AssignStmt:
-			// Bound to a single-assignment local used only in call
-			// position: non-escaping. Anything else escapes.
-			if !c.litOnlyCalled(p, lit) {
-				use.escaped = true
-			}
-		default:
-			use.escaped = true // returned, stored in a struct, sent, ...
-		}
-		c.litUse[lit] = use
-		return false
-	})
-}
-
 // capturedIdents returns, for each variable lit captures from an enclosing
-// function, its first use in lit's body (its free variables force a heap
-// closure when it escapes).
+// function, its first use in lit's body: the goroutine hand-offs of the
+// site table, and the free variables that make lit a heap closure unless
+// it is invoked in place.
 func (c *nodeClassifier) capturedIdents(lit *ast.FuncLit) []*ast.Ident {
 	var out []*ast.Ident
 	seen := map[*types.Var]bool{}
@@ -1024,62 +944,6 @@ func (c *nodeClassifier) capturedIdents(lit *ast.FuncLit) []*ast.Ident {
 		return true
 	})
 	return out
-}
-
-// litOnlyCalled reports whether the literal assigned in as is bound to a
-// local whose every other use is as a call's Fun.
-func (c *nodeClassifier) litOnlyCalled(as *ast.AssignStmt, lit *ast.FuncLit) bool {
-	var obj types.Object
-	for i, rhs := range as.Rhs {
-		if ast.Unparen(rhs) == ast.Expr(lit) && i < len(as.Lhs) {
-			if id, ok := as.Lhs[i].(*ast.Ident); ok {
-				obj = c.info.Defs[id]
-				if obj == nil {
-					obj = c.info.Uses[id]
-				}
-			}
-		}
-	}
-	if obj == nil {
-		return false
-	}
-	onlyCalls := true
-	callFun := map[ast.Expr]bool{}
-	inspectShallow(c.node.Body, func(x ast.Node) bool {
-		if call, ok := x.(*ast.CallExpr); ok {
-			callFun[ast.Unparen(call.Fun)] = true
-		}
-		return true
-	})
-	inspectShallow(c.node.Body, func(x ast.Node) bool {
-		id, ok := x.(*ast.Ident)
-		if !ok || !onlyCalls {
-			return onlyCalls
-		}
-		if c.info.Uses[id] == obj && !callFun[ast.Expr(id)] {
-			onlyCalls = false
-		}
-		return true
-	})
-	return onlyCalls
-}
-
-// collectClosures registers the node's closure uses for fixpoint-time
-// allocation verdicts.
-func (c *nodeClassifier) collectClosures(n ast.Node, lf *localFacts) {
-	inspectShallow(n, func(x ast.Node) bool {
-		lit, ok := x.(*ast.FuncLit)
-		if !ok {
-			return true
-		}
-		if c.guarded(lit.Pos()) || c.waived("alloccheck", lit.Pos()) {
-			return false
-		}
-		if use, okU := c.litUse[lit]; okU && use.captures {
-			lf.closures = append(lf.closures, use)
-		}
-		return false
-	})
 }
 
 // ---------------------------------------------------------------------------
@@ -1334,16 +1198,6 @@ func (p *Program) updateEffects(n *FuncNode) bool {
 		}
 	}
 
-	// Closure allocations whose verdict depends on escape summaries.
-	for _, use := range lf.closures {
-		if s.Mask&EffAlloc != 0 {
-			break
-		}
-		if p.closureEscapes(use) {
-			setBit(EffAlloc, &Trace{Pos: use.lit.Pos(), What: "func literal captures variables and escapes", EntryPos: use.lit.Pos()})
-		}
-	}
-
 	// Call sites.
 	for _, site := range lf.calls {
 		if site.Unknown {
@@ -1581,28 +1435,4 @@ func (p *Program) sortMethods(n *FuncNode, site *CallSite) []*FuncNode {
 		}
 	}
 	return out
-}
-
-// closureEscapes decides whether a capturing literal escapes, consulting
-// the current escape summaries for callback arguments. Monotone: escape
-// facts only grow during the fixpoint.
-func (p *Program) closureEscapes(use closureUse) bool {
-	if use.escaped {
-		return true
-	}
-	if use.call == nil {
-		return false
-	}
-	site := p.SiteAt(use.call)
-	if site == nil || len(site.Callees) == 0 {
-		// Stdlib or unknown callee: assume the callback is retained.
-		return true
-	}
-	for _, callee := range site.Callees {
-		cs := p.summaries[callee]
-		if i := use.argIndex; i < len(cs.ParamEscape) && cs.ParamEscape[i] != "" {
-			return true
-		}
-	}
-	return false
 }

@@ -40,7 +40,49 @@ func dynamic() {
 	hook() // want `alloccheck\.dynamic is declared //rexlint:noalloc but cannot be proven: dynamic call with no resolvable target`
 }
 
+var saved func() int
+
+// escapingClosure stores a capturing literal in a package variable: the
+// closure is heap-allocated.
+//
+//rexlint:noalloc
+func escapingClosure(n int) {
+	saved = func() int { return n } // want `alloccheck\.escapingClosure is declared //rexlint:noalloc but allocates: func literal captures variables`
+}
+
 // --- near-misses: all of the below must stay silent ---
+
+// inPlaceClosure invokes its capturing literal where it is created: no
+// closure is allocated.
+//
+//rexlint:noalloc
+func inPlaceClosure(n int) int {
+	return func() int { return n * 2 }()
+}
+
+// deadInRange allocates only after a return inside a range body; the loop
+// head does not hold the body, so the dead make never enters the summary.
+//
+//rexlint:noalloc
+func deadInRange(xs []int) int {
+	for _, x := range xs {
+		return x
+		buf := make([]int, x)
+		return len(buf)
+	}
+	return 0
+}
+
+// deadCallInRange is the same with an allocating callee.
+//
+//rexlint:noalloc
+func deadCallInRange(xs []int) int {
+	for _, x := range xs {
+		return x
+		scratch = grow(scratch, x)
+	}
+	return 0
+}
 
 // deadAlloc allocates only in unreachable code; the CFG excludes it.
 //

@@ -87,3 +87,26 @@ func (s *sampler) badSpanStart() int64 {
 func badSamplerHelper() int64 {
 	return bad() // want `call of clockpurity\.bad hides time\.Now`
 }
+
+// badInRange reads the wall clock in a range body: one finding at the call,
+// none at the loop head.
+func badInRange(xs []int) int64 {
+	var sum int64
+	for range xs {
+		sum += time.Now().UnixNano() // want `time\.Now bypasses the Clock seam`
+	}
+	return sum
+}
+
+// badCaseInRange reads the wall clock in a switch case expression inside a
+// range body: the case expression is a node of the switch's dispatch block.
+func badCaseInRange(xs []int, t0 time.Time, d time.Duration) int {
+	n := 0
+	for range xs {
+		switch {
+		case time.Since(t0) > d: // want `time\.Since bypasses the Clock seam`
+			n++
+		}
+	}
+	return n
+}

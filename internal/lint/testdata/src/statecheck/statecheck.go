@@ -120,3 +120,25 @@ func (e *exec) okSwitch(st *state) {
 		st.status = Cancelled
 	}
 }
+
+// buffers declares a release of its own; it is not the reservation's
+// release, so calling it twice is no double release.
+type buffers struct{ free int }
+
+func (b *buffers) release(mv move) { b.free++ }
+
+func okOtherRelease(b *buffers, st *state) {
+	b.release(st.mv)
+	b.release(st.mv)
+}
+
+// okLoopRelease releases each in-flight move's reservation once; the loop
+// head does not re-read the body with the previous iteration's facts.
+func (e *exec) okLoopRelease(sts []*state) {
+	for _, st := range sts {
+		if st.status == InFlight {
+			e.release(st.mv)
+			st.status = Cancelled
+		}
+	}
+}

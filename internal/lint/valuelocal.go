@@ -528,11 +528,9 @@ func (fl *vfFlow) rangeTaint(s *ast.RangeStmt, st *vfState) {
 
 // callEffects applies the state changes of every call inside the node:
 // sort sanitization, builtin copy propagation, and callee counter folds.
-// Nested statement bodies are excluded — their calls are applied when the
-// dataflow reaches their own blocks.
 func (fl *vfFlow) callEffects(n ast.Node, st *vfState) {
 	info := fl.n.Pkg.Info
-	inspectHeader(n, func(x ast.Node) bool {
+	inspectShallow(n, func(x ast.Node) bool {
 		call, ok := x.(*ast.CallExpr)
 		if !ok {
 			return true

@@ -204,7 +204,7 @@ func (fl *vfFlow) checkNode(node ast.Node, st *vfState, report func(vfKind, toke
 	case *ast.AssignStmt:
 		fl.checkCounterAssign(s, st, report)
 	}
-	inspectHeader(node, func(x ast.Node) bool {
+	inspectShallow(node, func(x ast.Node) bool {
 		if call, ok := x.(*ast.CallExpr); ok {
 			fl.checkCall(call, st, report)
 		}
