@@ -10,9 +10,13 @@ import (
 // This file is the journal's write-side encoder. Its contract is byte
 // identity with encoding/json over Event: the same field order, the same
 // omitempty rules, the same float and string forms. The struct tags stay
-// the schema of record — ReadJournal decodes through them — and
+// the schema of record, and json.Unmarshal stays the read side's oracle
+// and its fallback for any line decode.go's fast path does not take.
 // TestAppendEventMatchesJSON, which fills Event by reflection, is what
-// ties the two: a field added to a struct without a line here fails it.
+// ties this file to the tags: a field added to a struct without a line
+// here fails it, and a line added here without one in decode.go sends
+// every journal line to the fallback, which TestDecodeEventMatchesJSON
+// fails.
 //
 // Nothing in this file may hand a string or pointer taken from the event
 // to an interface (fmt, an error holding a field of the event,

@@ -201,21 +201,29 @@ func bufferJournal(wc io.WriteCloser) (*Journal, func() error) {
 
 // ReadJournal parses a JSONL event stream. It fails on the first line it
 // cannot read — malformed, or longer than the 1 MiB record cap — reporting
-// its line number.
+// its line number. A line in the form Emit writes is read by decode.go's
+// decoder; any other line goes through json.Unmarshal, which words every
+// parse error.
 func ReadJournal(r io.Reader) ([]Event, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	var out []Event
-	line := 0
+	var (
+		out  eventChunks
+		dec  decoder
+		line int
+	)
 	for sc.Scan() {
 		line++
 		text := sc.Bytes()
 		if len(text) == 0 {
 			continue
 		}
-		var ev Event
-		if err := json.Unmarshal(text, &ev); err != nil {
-			return nil, fmt.Errorf("obs: journal line %d: %w", line, err)
+		ev := out.next()
+		if !dec.event(text, ev) {
+			*ev = Event{}
+			if err := json.Unmarshal(text, ev); err != nil {
+				return nil, fmt.Errorf("obs: journal line %d: %w", line, err)
+			}
 		}
 		if ev.Span == "" || ev.Phase == "" {
 			return nil, fmt.Errorf("obs: journal line %d: missing span/phase", line)
@@ -228,12 +236,11 @@ func ReadJournal(r io.Reader) ([]Event, error) {
 		if ev.Span == SpanTrace && ev.Trace == nil {
 			return nil, fmt.Errorf("obs: journal line %d: trace span without trace payload", line)
 		}
-		out = append(out, ev)
 	}
 	if err := sc.Err(); err != nil {
 		// The scanner stopped before delivering the line after the last
 		// good one (token too long, or the underlying reader failed there).
 		return nil, fmt.Errorf("obs: journal line %d: %w", line+1, err)
 	}
-	return out, nil
+	return out.events(), nil
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -47,62 +48,92 @@ type Trace struct {
 // parent never appears (a query still in flight at shutdown) are kept in
 // Spans but dangle without a root path.
 func BuildTraces(events []Event) []*Trace {
-	byID := make(map[string]*Trace)
-	var order []string
 	type slot struct {
 		trace *Trace
 		idx   map[string]int // span ID → index into trace.Spans
 	}
 	slots := make(map[string]*slot)
-	for _, ev := range events {
+	var (
+		out   []*slot
+		spans slab[Span]
+	)
+	for i := range events {
+		ev := &events[i]
 		if ev.Span != SpanTrace || ev.Trace == nil {
 			continue
 		}
-		te := *ev.Trace
-		sl, ok := slots[te.ID]
-		if !ok {
-			tr := &Trace{ID: te.ID}
-			byID[te.ID] = tr
-			order = append(order, te.ID)
-			sl = &slot{trace: tr, idx: make(map[string]int)}
+		te := ev.Trace
+		sl := slots[te.ID]
+		if sl == nil {
+			sl = &slot{trace: &Trace{ID: te.ID}, idx: make(map[string]int)}
 			slots[te.ID] = sl
+			out = append(out, sl)
 		}
-		sp := &Span{TraceEvent: te, End: ev.T, Round: ev.Round}
-		if i, dup := sl.idx[te.Span]; dup {
-			sl.trace.Spans[i] = sp
+		sp := spans.next()
+		*sp = Span{TraceEvent: *te, End: ev.T, Round: ev.Round}
+		tr := sl.trace
+		if j, dup := sl.idx[te.Span]; dup {
+			tr.Spans[j] = sp
 		} else {
-			sl.idx[te.Span] = len(sl.trace.Spans)
-			sl.trace.Spans = append(sl.trace.Spans, sp)
+			sl.idx[te.Span] = len(tr.Spans)
+			tr.Spans = append(tr.Spans, sp)
 		}
 	}
-	out := make([]*Trace, 0, len(order))
-	for _, id := range order {
-		tr := byID[id]
-		sl := slots[id]
-		for _, sp := range tr.Spans {
+	traces := make([]*Trace, len(out))
+	var parent, kids []int // per span of the trace at hand: parent index, child count
+	for k, sl := range out {
+		tr := sl.trace
+		n := len(tr.Spans)
+		parent = slices.Grow(parent[:0], n)[:n]
+		kids = slices.Grow(kids[:0], n)[:n]
+		clear(kids)
+		linked := 0
+		for i, sp := range tr.Spans {
+			parent[i] = -1
 			if sp.Parent == "" {
-				if tr.Root == nil {
-					tr.Root = sp
-				}
 				continue
 			}
-			if pi, ok := sl.idx[sp.Parent]; ok {
-				p := tr.Spans[pi]
+			if j, ok := sl.idx[sp.Parent]; ok {
+				parent[i] = j
+				kids[j]++
+				linked++
+			}
+		}
+		// Every child list is a window of one array sized for the trace.
+		all := make([]*Span, linked)
+		for i, sp := range tr.Spans {
+			if n := kids[i]; n > 0 {
+				sp.Children, all = all[:0:n], all[n:]
+			}
+		}
+		for i, sp := range tr.Spans {
+			switch j := parent[i]; {
+			case j >= 0:
+				p := tr.Spans[j]
 				p.Children = append(p.Children, sp)
+			case sp.Parent == "" && tr.Root == nil:
+				tr.Root = sp
 			}
 		}
 		for _, sp := range tr.Spans {
-			sort.Slice(sp.Children, func(i, j int) bool {
-				a, b := sp.Children[i], sp.Children[j]
-				if a.Start != b.Start {
-					return a.Start < b.Start
-				}
-				return a.Span < b.Span
-			})
+			if len(sp.Children) > 1 {
+				slices.SortFunc(sp.Children, byStartThenID)
+			}
 		}
-		out = append(out, tr)
+		traces[k] = tr
 	}
-	return out
+	return traces
+}
+
+// byStartThenID orders sibling spans by (Start, span ID).
+func byStartThenID(a, b *Span) int {
+	if a.Start != b.Start {
+		if a.Start < b.Start {
+			return -1
+		}
+		return 1
+	}
+	return strings.Compare(a.Span, b.Span)
 }
 
 // queryTraces filters for traces rooted at a query span.
