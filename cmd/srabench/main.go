@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"rexchange/internal/experiments"
@@ -28,7 +29,7 @@ func main() {
 func run() error {
 	var (
 		quick = flag.Bool("quick", false, "small sizing (seconds instead of minutes)")
-		runID = flag.String("run", "", "run one experiment (T1,T2,T3,F1..F6); empty = all")
+		runID = flag.String("run", "", "run one experiment ("+strings.Join(experiments.IDs(), ",")+"); empty = all")
 	)
 	flag.Parse()
 	sc := experiments.Scale{Quick: *quick}

@@ -3,6 +3,7 @@ package ctl
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"rexchange/internal/cluster"
 	"rexchange/internal/obs"
@@ -11,25 +12,22 @@ import (
 )
 
 // MoveStatus is the lifecycle state of one scheduled move inside the
-// executor. The transition table and the reservation resource below are
-// machine-checked by rexlint's statecheck analyzer on every path through
-// this file: a status assignment outside the table, a double release, or
-// a return that leaves a released move looking in-flight is a build
-// failure.
+// executor. The transition table below is machine-checked by rexlint's
+// statecheck analyzer on every path through this file: a status
+// assignment outside the table is a build failure.
 //
 //rexlint:transition MovePending -> MoveInFlight MoveCancelled
 //rexlint:transition MoveInFlight -> MoveDone MoveRetrying MoveCancelled
 //rexlint:transition MoveRetrying -> MoveInFlight MoveCancelled
 //rexlint:transition MoveDone ->
 //rexlint:transition MoveCancelled ->
-//rexlint:resource reservation held=MoveInFlight acquire=reserve release=release
 type MoveStatus int
 
 // Move lifecycle states.
 const (
 	// MovePending: not yet dispatched.
 	MovePending MoveStatus = iota
-	// MoveInFlight: copy running; static resources reserved on the
+	// MoveInFlight: copy running; its static demand counts on the
 	// destination while the shard still occupies the source.
 	MoveInFlight
 	// MoveRetrying: the copy failed and the move waits out its backoff
@@ -201,19 +199,21 @@ type ExecCounters struct {
 // plan order — a later move never overtakes a blocked earlier one — which
 // preserves the plan's serial feasibility proof, and every dispatch
 // re-checks the transient both-endpoints constraint against the live
-// placement plus the in-flight reservations, so a drifting or superseded
-// environment can never oversubscribe a machine.
+// placement plus the demand of the copies in flight, so a drifting or
+// superseded environment can never oversubscribe a machine.
 //
 // Executor is not safe for concurrent use; the controller serializes access
 // under its own lock.
 type Executor struct {
-	cfg      ExecConfig
-	c        *cluster.Cluster
-	moves    []moveState
-	reserved []vec.Vec // per machine: static demand of in-flight moves
-	airborne map[cluster.ShardID]bool
-	inflight int //rexlint:nonneg
-	pending  int //rexlint:nonneg — moves not yet terminal
+	cfg   ExecConfig
+	c     *cluster.Cluster
+	moves []moveState
+	// flying holds the plan indices of the MoveInFlight moves in dispatch
+	// order, head the first pending or retrying move (len(moves) if none).
+	// Reservations and counts derive from them, so an event costs
+	// O(Concurrency), not O(plan).
+	flying   []int
+	head     int
 	counters ExecCounters
 
 	// Telemetry, attached by the controller (journal and tracer may be
@@ -280,18 +280,16 @@ func NewExecutor(c *cluster.Cluster, cfg ExecConfig) (*Executor, error) {
 		return nil, err
 	}
 	return &Executor{
-		cfg:      cfg,
-		c:        c,
-		reserved: make([]vec.Vec, c.NumMachines()),
-		airborne: make(map[cluster.ShardID]bool),
-		m:        newCtlMetrics(nil),
+		cfg:    cfg,
+		c:      c,
+		flying: make([]int, 0, cfg.Migration.Concurrency),
+		m:      newCtlMetrics(nil),
 	}, nil
 }
 
 // SetPlan installs a new schedule, superseding whatever is currently
-// running: pending moves are cancelled and in-flight copies aborted (their
-// destination reservations released; the shards stay on their sources).
-// Passing nil just cancels the current plan.
+// running: pending moves are cancelled and in-flight copies aborted (the
+// shards stay on their sources). Passing nil just cancels the current plan.
 func (e *Executor) SetPlan(p *plan.Plan) {
 	e.abort()
 	if p == nil {
@@ -301,11 +299,11 @@ func (e *Executor) SetPlan(p *plan.Plan) {
 	for i, mv := range p.Moves {
 		e.moves[i] = moveState{mv: mv}
 	}
-	e.pending = len(p.Moves)
+	e.head = 0
 	e.planRound = e.round
 }
 
-// abort cancels every non-terminal move and releases reservations. The
+// abort cancels every non-terminal move, in plan order. The
 // retry/schedule state of cancelled moves (attempts, readyAt, finishAt)
 // is cleared: a cancelled move never runs again, and leaving stale
 // timestamps behind would leak bogus scheduling state through MoveStates.
@@ -314,7 +312,6 @@ func (e *Executor) abort() {
 		st := &e.moves[i]
 		switch st.status {
 		case MoveInFlight:
-			e.release(st.mv)
 			e.counters.Aborted++
 			e.m.aborted.Inc()
 			e.copyEnded(i, st, e.lastNow, obs.OutcomeAborted)
@@ -327,9 +324,8 @@ func (e *Executor) abort() {
 		st.status = MoveCancelled
 		st.attempts, st.readyAt, st.finishAt, st.startedAt = 0, 0, 0, 0
 	}
-	e.inflight = 0
-	e.pending = 0
-	clear(e.airborne)
+	e.flying = e.flying[:0]
+	e.head = len(e.moves)
 	e.m.inFlight.Set(0)
 }
 
@@ -343,20 +339,21 @@ func (e *Executor) copyEnded(seq int, st *moveState, at float64, outcome string)
 	}
 }
 
-// reserve holds the move's static demand on its destination while the
-// copy is in flight; admission checks see it immediately.
-func (e *Executor) reserve(mv plan.Move) {
-	e.reserved[mv.To] = e.reserved[mv.To].Add(e.c.Shards[mv.S].Static)
-}
-
-// release frees the destination reservation of an in-flight move.
-func (e *Executor) release(mv plan.Move) {
-	e.reserved[mv.To] = e.reserved[mv.To].Sub(e.c.Shards[mv.S].Static)
+// reservation is the static demand the in-flight copies hold on machine
+// m: the shards they carry still occupy their sources.
+func (e *Executor) reservation(m cluster.MachineID) vec.Vec {
+	var r vec.Vec
+	for _, i := range e.flying {
+		if mv := e.moves[i].mv; mv.To == m {
+			r = r.Add(e.c.Shards[mv.S].Static)
+		}
+	}
+	return r
 }
 
 // Done reports whether every scheduled move is terminal (done or
 // cancelled). A fresh executor with no plan is Done.
-func (e *Executor) Done() bool { return e.pending == 0 }
+func (e *Executor) Done() bool { return len(e.flying) == 0 && e.head == len(e.moves) }
 
 // NextEvent returns the earliest time after now at which Tick will make
 // progress (a copy completion, or the head move's backoff expiring), or
@@ -366,14 +363,11 @@ func (e *Executor) Done() bool { return e.pending == 0 }
 // can unblock it.
 func (e *Executor) NextEvent(now float64) (at float64, ok bool) {
 	next := math.Inf(1)
-	for i := range e.moves {
-		st := &e.moves[i]
-		if st.status == MoveInFlight && st.finishAt < next {
-			next = st.finishAt
-		}
+	for _, i := range e.flying {
+		next = min(next, e.moves[i].finishAt)
 	}
-	if i := e.firstActionable(); i >= 0 {
-		if st := &e.moves[i]; st.status == MoveRetrying && st.readyAt > now && st.readyAt < next {
+	if e.head < len(e.moves) {
+		if st := &e.moves[e.head]; st.status == MoveRetrying && st.readyAt > now && st.readyAt < next {
 			next = st.readyAt
 		}
 	}
@@ -402,7 +396,7 @@ func (e *Executor) Tick(live *cluster.Placement, now float64) error {
 	if cluster.DebugAsserts {
 		e.assertTransient(live)
 	}
-	e.m.inFlight.Set(float64(e.inflight))
+	e.m.inFlight.Set(float64(len(e.flying)))
 	return nil
 }
 
@@ -451,47 +445,38 @@ func ExecutePlan(from *cluster.Placement, p *plan.Plan, cfg MigrationConfig) (Ex
 // in deterministic (finish time, plan order) order.
 func (e *Executor) complete(live *cluster.Placement, now float64) error {
 	for {
-		// earliest due completion; plan order breaks timestamp ties
-		best := -1
-		for i := range e.moves {
-			st := &e.moves[i]
-			if st.status != MoveInFlight || st.finishAt > now {
+		// earliest due completion; plan order, not position in flying,
+		// breaks timestamp ties (a redispatched move sits behind later ones)
+		best, at := -1, 0
+		for k, i := range e.flying {
+			fin := e.moves[i].finishAt
+			if fin > now {
 				continue
 			}
-			if best < 0 || st.finishAt < e.moves[best].finishAt {
-				best = i
+			if best < 0 || fin < e.moves[best].finishAt || fin <= e.moves[best].finishAt && i < best {
+				best, at = i, k
 			}
 		}
 		if best < 0 {
 			return nil
 		}
+		e.flying = slices.Delete(e.flying, at, at+1)
 		st := &e.moves[best]
 		mv := st.mv
-		e.release(mv)
-		//rexlint:ignore nonneg best indexes a MoveCopying entry, and statecheck proves each reaches MoveCopying via start (inflight++) exactly once
-		e.inflight--
-		delete(e.airborne, mv.S)
 		e.m.copySeconds.Observe(st.finishAt - st.startedAt)
 		if e.cfg.Failure != nil && e.cfg.Failure(mv, st.attempts) {
 			e.counters.Failures++
 			e.m.failures.Inc()
 			e.copyEnded(best, st, st.finishAt, obs.OutcomeFailed)
-			if st.attempts >= e.cfg.MaxAttempts {
-				// Terminal failure. Mark the move cancelled here — its
-				// reservation is already released above, so the abort()
-				// the caller runs next must not see it as in-flight and
-				// release it a second time (which would leave a negative
-				// reservation that silently loosens later admission).
-				attempts := st.attempts
-				st.status = MoveCancelled
-				st.attempts, st.readyAt, st.finishAt, st.startedAt = 0, 0, 0, 0
-				e.counters.Cancelled++
-				e.m.cancelled.Inc()
-				return fmt.Errorf("ctl: move %d (shard %d → machine %d) failed %d times; abandoning plan",
-					best, mv.S, mv.To, attempts)
-			}
 			st.status = MoveRetrying
+			if st.attempts >= e.cfg.MaxAttempts {
+				// Tick aborts the plan on this error, cancelling the move
+				// with every other one still waiting.
+				return fmt.Errorf("ctl: move %d (shard %d → machine %d) failed %d times; abandoning plan",
+					best, mv.S, mv.To, st.attempts)
+			}
 			st.readyAt = st.finishAt + e.backoff(st.attempts)
+			e.head = min(e.head, best)
 			continue
 		}
 		live.Move(mv.S, mv.To)
@@ -499,8 +484,6 @@ func (e *Executor) complete(live *cluster.Placement, now float64) error {
 			live.MustInvariants("ctl executor commit")
 		}
 		st.status = MoveDone
-		//rexlint:ignore nonneg pending counts non-terminal moves and this transition to MoveDone is the move's only terminal edge (statecheck)
-		e.pending--
 		e.counters.Completed++
 		e.m.completed.Inc()
 		e.copyEnded(best, st, st.finishAt, obs.OutcomeOK)
@@ -520,17 +503,14 @@ func (e *Executor) backoff(failures int) float64 {
 // dispatch starts moves strictly in plan order while concurrency and
 // transient admission allow.
 func (e *Executor) dispatch(live *cluster.Placement, now float64) error {
-	for e.inflight < e.cfg.Migration.Concurrency {
-		i := e.firstActionable()
-		if i < 0 {
-			return nil
-		}
+	for len(e.flying) < e.cfg.Migration.Concurrency && e.head < len(e.moves) {
+		i := e.head
 		st := &e.moves[i]
 		mv := st.mv
 		if st.status == MoveRetrying && st.readyAt > now {
 			return nil // head-of-line waits out its backoff
 		}
-		if e.airborne[mv.S] {
+		if slices.ContainsFunc(e.flying, func(j int) bool { return e.moves[j].mv.S == mv.S }) {
 			return nil // the shard's previous hop has not landed yet
 		}
 		if live.Home(mv.S) != mv.From {
@@ -539,7 +519,7 @@ func (e *Executor) dispatch(live *cluster.Placement, now float64) error {
 		}
 		if !e.canAdmit(live, mv.S, mv.To) {
 			e.m.admissionBlocked.Inc()
-			if e.inflight == 0 {
+			if len(e.flying) == 0 {
 				// Nothing in flight will ever free space: the plan is not
 				// serially feasible against the live placement.
 				return fmt.Errorf("ctl: move %d (shard %d → machine %d) never fits the live placement",
@@ -549,18 +529,17 @@ func (e *Executor) dispatch(live *cluster.Placement, now float64) error {
 		}
 		retry := st.status == MoveRetrying
 		size := e.c.Shards[mv.S].Static[vec.Disk]
-		e.reserve(mv)
-		e.airborne[mv.S] = true
 		st.status = MoveInFlight
 		st.attempts++
 		st.startedAt = now
 		st.finishAt = now + size/e.cfg.Migration.Bandwidth
-		e.inflight++
+		e.flying = append(e.flying, i)
+		for e.head < len(e.moves) && !actionable(e.moves[e.head].status) {
+			e.head++ // past i, and past later moves a retry had let go ahead
+		}
 		e.counters.Dispatched++
 		e.counters.BytesMoved += size
-		if e.inflight > e.counters.PeakParallel {
-			e.counters.PeakParallel = e.inflight
-		}
+		e.counters.PeakParallel = max(e.counters.PeakParallel, len(e.flying))
 		e.m.dispatched.Inc()
 		e.m.bytesMoved.Add(size)
 		if retry {
@@ -574,35 +553,31 @@ func (e *Executor) dispatch(live *cluster.Placement, now float64) error {
 	return nil
 }
 
-// firstActionable returns the index of the first move in plan order that is
-// pending or retrying, or -1.
-func (e *Executor) firstActionable() int {
-	for i := range e.moves {
-		if s := e.moves[i].status; s == MovePending || s == MoveRetrying {
-			return i
-		}
-	}
-	return -1
-}
+// actionable reports whether a move in status s waits for dispatch.
+func actionable(s MoveStatus) bool { return s == MovePending || s == MoveRetrying }
 
 // canAdmit checks the transient both-endpoints constraint against the live
 // placement: the shard still occupies its source (it has not moved yet), so
 // admission only needs the destination to fit the shard on top of its
-// resident usage plus every in-flight reservation, and no anti-affinity
-// replica may already live there.
+// resident usage plus the demand of every copy in flight to it, and no
+// anti-affinity replica may already live there.
 func (e *Executor) canAdmit(live *cluster.Placement, s cluster.ShardID, m cluster.MachineID) bool {
 	sh := &e.c.Shards[s]
 	if sh.Group != 0 && live.GroupCount(m, sh.Group) > 0 {
 		return false
 	}
-	return sh.Static.FitsWithin(live.Used(m).Add(e.reserved[m]), e.c.Machines[m].Capacity)
+	return sh.Static.FitsWithin(live.Used(m).Add(e.reservation(m)), e.c.Machines[m].Capacity)
 }
 
 // Counters returns a snapshot of the cumulative executor statistics.
 func (e *Executor) Counters() ExecCounters {
 	ctr := e.counters
-	ctr.InFlight = e.inflight
-	ctr.Pending = e.pending - e.inflight
+	ctr.InFlight = len(e.flying)
+	for _, st := range e.moves[e.head:] {
+		if actionable(st.status) {
+			ctr.Pending++
+		}
+	}
 	return ctr
 }
 
@@ -622,28 +597,26 @@ func (e *Executor) MoveStates() []MoveView {
 	return out
 }
 
-// assertTransient recomputes in-flight reservations and verifies that every
-// machine's resident usage plus reservations stays within capacity. Only
-// called under -tags debugasserts.
+// assertTransient checks flying and head against the statuses, then that
+// every machine's resident usage plus its in-flight reservation stays
+// within capacity. Only called under -tags debugasserts.
 func (e *Executor) assertTransient(live *cluster.Placement) {
-	want := make([]vec.Vec, e.c.NumMachines())
 	air := 0
-	for i := range e.moves {
-		st := &e.moves[i]
-		if st.status != MoveInFlight {
-			continue
+	for i, st := range e.moves {
+		in := st.status == MoveInFlight
+		if in != slices.Contains(e.flying, i) || actionable(st.status) && i < e.head {
+			panic(fmt.Sprintf("ctl: move %d is %v, flying %v, head %d", i, st.status, e.flying, e.head))
 		}
-		air++
-		want[st.mv.To] = want[st.mv.To].Add(e.c.Shards[st.mv.S].Static)
-	}
-	if air != e.inflight {
-		panic(fmt.Sprintf("ctl: inflight count %d, recomputed %d", e.inflight, air))
-	}
-	for m := range want {
-		if !want[m].AlmostEqual(e.reserved[m], 1e-6) {
-			panic(fmt.Sprintf("ctl: machine %d reserved %v, recomputed %v", m, e.reserved[m], want[m]))
+		if in {
+			air++
 		}
-		total := live.Used(cluster.MachineID(m)).Add(e.reserved[m])
+	}
+	headOK := e.head == len(e.moves) || actionable(e.moves[e.head].status)
+	if air != len(e.flying) || air > e.cfg.Migration.Concurrency || !headOK {
+		panic(fmt.Sprintf("ctl: flying %v holds %d in-flight moves, head %d", e.flying, air, e.head))
+	}
+	for m := range e.c.Machines {
+		total := live.Used(cluster.MachineID(m)).Add(e.reservation(cluster.MachineID(m)))
 		if !total.LEQ(e.c.Machines[m].Capacity.Add(vec.Uniform(vec.FitEps))) {
 			panic(fmt.Sprintf("ctl: machine %d transient usage %v exceeds capacity %v",
 				m, total, e.c.Machines[m].Capacity))

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"rexchange/internal/cluster"
+	"rexchange/internal/obs"
 	"rexchange/internal/plan"
 	"rexchange/internal/vec"
 )
@@ -378,5 +379,70 @@ func TestExecutorObserverLifecycle(t *testing.T) {
 		if n != 0 {
 			t.Fatalf("shard %d left with %d unmatched starts", s, n)
 		}
+	}
+}
+
+// TestExecutorRetriedMoveTiesInPlanOrder: move 0's first copy fails, and
+// its redispatch lands at the same instant as move 1, which has been in
+// flight since before it. Completion ties resolve in plan order, not in
+// dispatch order, in the observer callbacks and in the journal alike; and
+// after every Tick the in-flight and pending counts match a recount of
+// MoveStates.
+func TestExecutorRetriedMoveTiesInPlanOrder(t *testing.T) {
+	c := mkCluster([]float64{10, 10, 10}, []float64{1, 3})
+	live := mustPlacement(t, c, []cluster.MachineID{0, 0})
+	pl := &plan.Plan{Moves: []plan.Move{
+		{S: 0, From: 0, To: 1},
+		{S: 1, From: 0, To: 2},
+	}}
+	log := newObsLog()
+	cfg := ExecConfig{Migration: MigrationConfig{Bandwidth: 1, Concurrency: 2}, BackoffBase: 1, Observer: log}
+	cfg.Failure = func(mv plan.Move, attempt int) bool { return mv.S == 0 && attempt == 1 }
+	ex, _, buf := obsExec(t, c, cfg)
+	ex.SetPlan(pl)
+
+	// s0's 1s copy fails at t=1 and waits out a 1s backoff; its retry
+	// starts at t=2 and lands at t=3, with s1's 3s copy.
+	var ticks []float64
+	for now, ok := 0.0, true; ok; now, ok = ex.NextEvent(now) {
+		if err := ex.Tick(live, now); err != nil {
+			t.Fatal(err)
+		}
+		ticks = append(ticks, now)
+		inFlight, pending := 0, 0
+		for _, mv := range ex.MoveStates() {
+			switch mv.Status {
+			case MoveInFlight.String():
+				inFlight++
+			case MovePending.String(), MoveRetrying.String():
+				pending++
+			}
+		}
+		if ctr := ex.Counters(); ctr.InFlight != inFlight || ctr.Pending != pending {
+			t.Fatalf("t=%g: Counters in flight %d, pending %d; MoveStates recount %d, %d",
+				now, ctr.InFlight, ctr.Pending, inFlight, pending)
+		}
+	}
+	if fmt.Sprint(ticks) != "[0 1 2 3]" || !ex.Done() {
+		t.Fatalf("ticked at %v, done %v; want [0 1 2 3] and done", ticks, ex.Done())
+	}
+
+	want := []string{"start s0 0", "start s1 0", "finish s0 1 false", "start s0 2", "finish s0 3 true", "finish s1 3 true"}
+	if fmt.Sprint(log.events) != fmt.Sprint(want) {
+		t.Fatalf("observer events = %q, want %q", log.events, want)
+	}
+	evs, err := obs.ReadJournal(strings.NewReader(buf.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ends []string
+	for _, ev := range evs {
+		if ev.Span == obs.SpanMove && ev.Phase == obs.PhaseEnd {
+			ends = append(ends, fmt.Sprintf("seq%d %g %s", ev.Move.Seq, ev.T, ev.Outcome))
+		}
+	}
+	wantEnds := []string{"seq0 1 " + obs.OutcomeFailed, "seq0 3 " + obs.OutcomeOK, "seq1 3 " + obs.OutcomeOK}
+	if fmt.Sprint(ends) != fmt.Sprint(wantEnds) {
+		t.Fatalf("journal move ends = %q, want %q", ends, wantEnds)
 	}
 }

@@ -130,8 +130,8 @@ func TestAbandonedPlanReleasesReservationsOnce(t *testing.T) {
 	if tickErr == nil || !strings.Contains(tickErr.Error(), "abandoning plan") {
 		t.Fatalf("expected abandonment, got %v", tickErr)
 	}
-	for mID := range ex.reserved {
-		for r, v := range ex.reserved[mID] {
+	for mID := 0; mID < c.NumMachines(); mID++ {
+		for r, v := range ex.reservation(cluster.MachineID(mID)) {
 			if v != 0 {
 				t.Fatalf("machine %d resource %d keeps reservation %g after abandonment", mID, r, v)
 			}

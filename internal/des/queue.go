@@ -52,17 +52,17 @@ type leg struct {
 // and is reused across the whole run, so steady-state enqueue/dequeue
 // never allocates.
 type machine struct {
-	speed  float64 // cluster serving speed (Load units per second)
-	copies int     // outbound migration copies currently streaming
+	speed float64 // cluster serving speed (Load units per second)
 
 	// busy is the service time of every leg started so far; busyUntil is
 	// when the most recently started one ends.
 	busy      float64
 	busyUntil float64
 
-	// refs identifies the copies behind the count, oldest first. Blame
-	// attribution charges a delayed leg to the oldest active copy: it
-	// has degraded the machine longest over the leg's lifetime. Kept in
+	// refs identifies the outbound migration copies currently streaming,
+	// oldest first; effectiveSpeed degrades once per entry. Blame
+	// attribution charges a delayed leg to the oldest active copy: it has
+	// degraded the machine longest over the leg's lifetime. Kept in
 	// arrival order by append/remove, both on the single-goroutine
 	// observer path.
 	refs []ctl.MoveRef
@@ -72,7 +72,7 @@ type machine struct {
 	n    int //rexlint:nonneg
 }
 
-// addRef records an outbound copy's identity alongside copies++.
+// addRef records an outbound copy's identity.
 func (m *machine) addRef(ref ctl.MoveRef) { m.refs = append(m.refs, ref) }
 
 // dropRef removes the finished copy's identity, preserving order.
@@ -149,7 +149,7 @@ func (m *machine) pop() leg {
 //rexlint:noalloc
 func (m *machine) effectiveSpeed(drag float64) float64 {
 	s := m.speed
-	for i := 0; i < m.copies; i++ {
+	for range m.refs {
 		s *= 1 - drag
 	}
 	return s

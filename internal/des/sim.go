@@ -413,7 +413,6 @@ func (s *Sim) Next(t0, t1 float64) ([]float64, error) {
 // degrading its source machine, and its identity joins the machine's
 // blame candidates.
 func (s *Sim) MoveStarted(mv plan.Move, ref ctl.MoveRef, at, eta float64) {
-	s.machines[mv.From].copies++
 	s.machines[mv.From].addRef(ref)
 	s.copiesStarted++
 	s.activeCopies++
@@ -423,7 +422,6 @@ func (s *Sim) MoveStarted(mv plan.Move, ref ctl.MoveRef, at, eta float64) {
 // MoveFinished implements ctl.MoveObserver: the copy's degradation ends,
 // and a committed move re-routes the shard's future queries.
 func (s *Sim) MoveFinished(mv plan.Move, ref ctl.MoveRef, at float64, committed bool) {
-	s.machines[mv.From].copies--
 	s.machines[mv.From].dropRef(ref)
 	//rexlint:ignore nonneg every MoveFinished pairs with a prior MoveStarted on the single observer goroutine
 	s.activeCopies--
@@ -477,8 +475,9 @@ func (s *Sim) closeWindow(t float64) {
 // not the drift ctl.TraceDriftSource applies (workload.PerturbLoads): no
 // per-shard load cap is re-applied after the step, so one shard can
 // outgrow a machine, and every shard walks on its own, so replicas of a
-// logical shard do not move together. Unifying the two models is ROADMAP
-// item 2, deferred on purpose because it changes every drifted journal.
+// logical shard do not move together. Unifying the two models is the "One
+// drift physics" step of ROADMAP's "Make the loop the default" item,
+// deferred on purpose because it changes every drifted journal.
 func (s *Sim) driftStep() {
 	r := s.drift
 	total := 0.0

@@ -56,30 +56,35 @@ func F6OperatorAblation(sc Scale) (*Table, error) {
 	return tbl, nil
 }
 
+// experiment is one entry of the evaluation: its ID and its driver.
+type experiment struct {
+	id  string
+	run func(Scale) (*Table, error)
+}
+
+// registry lists every experiment in the order All runs them; ByID and
+// IDs read the same table.
+var registry = []experiment{
+	{"T1", T1OptimalityGap},
+	{"T2", T2EndToEnd},
+	{"T3", T3PlanFeasibility},
+	{"T4", T4Replicated},
+	{"F1", F1ExchangeSweep},
+	{"F2", F2TightnessSweep},
+	{"F3", F3Scalability},
+	{"F4", F4Convergence},
+	{"F5", F5LatencySim},
+	{"F6", F6OperatorAblation},
+	{"F7", F7ContinuousRebalance},
+	{"F8", F8ReplicaRouting},
+}
+
 // All runs every experiment in order, returning the tables. It is the
 // driver behind cmd/srabench.
 func All(sc Scale) ([]*Table, error) {
-	type driver struct {
-		name string
-		fn   func(Scale) (*Table, error)
-	}
-	drivers := []driver{
-		{"T1", T1OptimalityGap},
-		{"T2", T2EndToEnd},
-		{"T3", T3PlanFeasibility},
-		{"T4", T4Replicated},
-		{"F1", F1ExchangeSweep},
-		{"F2", F2TightnessSweep},
-		{"F3", F3Scalability},
-		{"F4", F4Convergence},
-		{"F5", F5LatencySim},
-		{"F6", F6OperatorAblation},
-		{"F7", F7ContinuousRebalance},
-		{"F8", F8ReplicaRouting},
-	}
 	var out []*Table
-	for _, d := range drivers {
-		t, err := d.fn(sc)
+	for _, e := range registry {
+		t, err := e.run(sc)
 		if err != nil {
 			return out, err
 		}
@@ -90,32 +95,19 @@ func All(sc Scale) ([]*Table, error) {
 
 // ByID returns the driver for one experiment ID, or nil.
 func ByID(id string) func(Scale) (*Table, error) {
-	switch id {
-	case "T1":
-		return T1OptimalityGap
-	case "T2":
-		return T2EndToEnd
-	case "T3":
-		return T3PlanFeasibility
-	case "T4":
-		return T4Replicated
-	case "F1":
-		return F1ExchangeSweep
-	case "F2":
-		return F2TightnessSweep
-	case "F3":
-		return F3Scalability
-	case "F4":
-		return F4Convergence
-	case "F5":
-		return F5LatencySim
-	case "F6":
-		return F6OperatorAblation
-	case "F7":
-		return F7ContinuousRebalance
-	case "F8":
-		return F8ReplicaRouting
-	default:
-		return nil
+	for _, e := range registry {
+		if e.id == id {
+			return e.run
+		}
 	}
+	return nil
+}
+
+// IDs lists the experiment IDs in the order All runs them.
+func IDs() []string {
+	ids := make([]string, len(registry))
+	for i, e := range registry {
+		ids[i] = e.id
+	}
+	return ids
 }

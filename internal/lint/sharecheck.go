@@ -1,8 +1,7 @@
 package lint
 
 // ShareCheck is the machine-checked isolation contract the partitioned
-// parallel solver is built against (ROADMAP item 1): values of a type
-// declared
+// parallel solver is built against: values of a type declared
 //
 //	//rexlint:owned
 //

@@ -27,7 +27,7 @@ package lint
 // through struct-field stores across functions (field-mediated flows stay
 // covered by the dynamic byte-diff tests), closures do not inherit taint of
 // captured variables, and counter writes through index expressions
-// (s.machines[i].copies--) are not tracked because exprKey cannot
+// (s.machines[i].n--) are not tracked because exprKey cannot
 // canonicalize them. Within those boundaries every lattice is finite and
 // every merge monotone, so the fixpoint terminates (FuzzValueSummaryMerge
 // pins this on cyclic call graphs).
