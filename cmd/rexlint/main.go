@@ -13,8 +13,7 @@
 //	lockcheck     guarded-by annotations: unlocked access, lock leaks,
 //	              blocking calls under a lock — including callees that block
 //	              or unlock deeper in the call graph (CFG + dataflow)
-//	statecheck    declared state-machine transitions and acquire/release
-//	              pairing of declared resources along all paths
+//	statecheck    declared state-machine transitions along all paths
 //	clockpurity   wall-clock access outside the ctl.Clock seam, including
 //	              stored-then-called time functions and module-local callees
 //	              that hide a clock read (flow-sensitive + summaries)
@@ -30,16 +29,18 @@
 //	              carry their stream name as taint; functions declare the
 //	              streams they draw or pass along (//rexlint:stream) and
 //	              stream names must be named constants
-//	detflow       map/select-ordered values must be sorted or canonicalized
-//	              before reaching a //rexlint:detsink (journal writes,
-//	              Prometheus exposition, fixed-format reports)
+//	detflow       map/select-ordered values must be sorted before reaching
+//	              a //rexlint:detsink (journal writes, Prometheus
+//	              exposition, fixed-format reports)
 //	nonneg        //rexlint:nonneg counters proven non-negative on every
 //	              path, with //rexlint:requires preconditions checked at
 //	              call sites and callee deltas folded through summaries
 //
 // Unused //rexlint:ignore and //rexlint:transfer directives are themselves
 // errors (pseudo-analyzers "rexlint" and "sharecheck"), so stale waivers
-// cannot outlive the finding they excused.
+// cannot outlive the finding they excused, and so is a //rexlint:<kind>
+// comment of a kind no analyzer reads (pseudo-analyzer "rexlint"), so a
+// misspelt or retired directive cannot pass for a contract.
 //
 // Usage:
 //

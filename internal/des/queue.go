@@ -1,6 +1,11 @@
 package des
 
-import "rexchange/internal/ctl"
+import (
+	"fmt"
+
+	"rexchange/internal/cluster"
+	"rexchange/internal/ctl"
+)
 
 // LegState is the lifecycle of one query leg inside a machine queue. The
 // transition table is machine-checked by rexlint's statecheck analyzer:
@@ -138,7 +143,19 @@ func (m *machine) pop() leg {
 	l := m.ring[m.head]
 	m.head = (m.head + 1) & (len(m.ring) - 1)
 	m.n--
+	if cluster.DebugAsserts {
+		assertNonneg("machine.n", m.n)
+	}
 	return l
+}
+
+// assertNonneg is the runtime twin of a //rexlint:nonneg field, called
+// after a decrement under cluster.DebugAsserts: it panics with the field's
+// name when the count went below zero.
+func assertNonneg(field string, v int) {
+	if v < 0 {
+		panic(fmt.Sprintf("des: %s went negative (%d)", field, v))
+	}
 }
 
 // effectiveSpeed is the service rate with migration degradation applied:

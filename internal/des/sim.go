@@ -425,6 +425,9 @@ func (s *Sim) MoveFinished(mv plan.Move, ref ctl.MoveRef, at float64, committed 
 	s.machines[mv.From].dropRef(ref)
 	//rexlint:ignore nonneg every MoveFinished pairs with a prior MoveStarted on the single observer goroutine
 	s.activeCopies--
+	if cluster.DebugAsserts {
+		assertNonneg("Sim.activeCopies", s.activeCopies)
+	}
 	if at > s.lastCopyEnd {
 		s.lastCopyEnd = at
 	}
@@ -648,6 +651,9 @@ func (s *Sim) legDoneEvent(t float64, mi int32) {
 	q := &s.qs[l.q]
 	//rexlint:ignore nonneg remain was set to the leg count at arrival and each leg completes exactly once (statecheck pins LegRunning -> LegDone)
 	q.remain--
+	if cluster.DebugAsserts {
+		assertNonneg("query.remain", int(q.remain))
+	}
 	if q.remain == 0 {
 		s.complete(t, l.q)
 	}

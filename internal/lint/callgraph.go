@@ -62,10 +62,6 @@ type FuncNode struct {
 	// DeclaredPure marks functions declared `//rexlint:pure`: the purity
 	// analyzer requires their summary free of observable side effects.
 	DeclaredPure bool
-	// TransferSink marks functions declared `//rexlint:transfer <reason>`
-	// in their doc comment: passing an owned value to them is a sanctioned
-	// ownership hand-off, not an escape.
-	TransferSink bool
 
 	// Calls are the node's resolved outgoing call sites in source order.
 	Calls []CallSite
@@ -165,7 +161,6 @@ func buildCallGraph(pkgs []*Package) *callGraph {
 				node.ClockExempt = clockExempt(pkg.Info, fd, clockIface)
 				node.NoAlloc = len(funcDirective(fd, "noalloc")) > 0
 				node.DeclaredPure = len(funcDirective(fd, "pure")) > 0
-				node.TransferSink = len(funcDirective(fd, "transfer")) > 0
 				if fd.Recv != nil && len(fd.Recv.List) > 0 && len(fd.Recv.List[0].Names) > 0 {
 					node.Recv = pkg.Info.Defs[fd.Recv.List[0].Names[0]]
 				}

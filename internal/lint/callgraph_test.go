@@ -302,7 +302,8 @@ func outer(n int) func() int {
 // kinds live in: each covers its own line and the next, marks itself used,
 // a stale one is reported under its historical pseudo-analyzer with its
 // historical message, a transfer suppresses no finding, and directive names
-// end at a word boundary.
+// end at a word boundary: `rexlint:ignoreall` is no ignore but a directive
+// of an unknown kind.
 func TestIgnoreAndTransferShareOneIndex(t *testing.T) {
 	src := `package p
 
@@ -345,6 +346,7 @@ func stale() int {
 	want := []string{
 		"16:2: unused rexlint:transfer: no ownership hand-off here to sanction (sharecheck)",
 		"17:9: global math/rand.Intn draws from shared scheduler-dependent state; thread a seeded *rand.Rand (from Config.Seed) instead (noglobalrand)",
+		"24:1: unknown directive rexlint:ignoreall: no analyzer reads it (rexlint)",
 		"26:2: unused rexlint:ignore for noglobalrand: no diagnostic here to suppress (rexlint)",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {

@@ -4,10 +4,9 @@ package lint
 // output-determinism proof for the observability, simulator, and control
 // packages: values whose order derives from map iteration (range, maps.Keys/
 // Values/All) or multi-arm select receives carry order taint until they are
-// sorted (any sort./slices. call) or pass through a //rexlint:canonical
-// function. Order-tainted values must not reach a //rexlint:detsink
-// function — journal writes, Prometheus exposition, fixed-format reports —
-// directly or through a callee whose parameter reaches a sink (the summary
+// sorted (any sort./slices. call). Order-tainted values must not reach a
+// //rexlint:detsink function — journal writes, Prometheus exposition,
+// fixed-format reports — directly or through a callee whose parameter reaches a sink (the summary
 // layer propagates that obligation with a blame chain). Calling a sink
 // inside a map-range body is flagged even with clean arguments: the call
 // order itself is nondeterministic.

@@ -92,16 +92,30 @@ func inspectShallow(n ast.Node, fn func(ast.Node) bool) {
 	})
 }
 
+// parseDirective splits one comment of the form `//rexlint:<kind>
+// args...` into its kind, which ends at the first space or tab, and its
+// argument fields. ok is false for any other comment.
+func parseDirective(c *ast.Comment) (kind string, args []string, ok bool) {
+	text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+	rest, ok := strings.CutPrefix(text, "rexlint:")
+	if !ok {
+		return "", nil, false
+	}
+	if i := strings.IndexAny(rest, " \t"); i >= 0 {
+		return rest[:i], strings.Fields(rest[i:]), true
+	}
+	return rest, nil, true
+}
+
 // directiveArgs parses one comment as a `//rexlint:<name> args...`
 // directive and returns its argument fields. The name must end at a word
 // boundary, so `rexlint:stream` never matches `rexlint:streamsource`.
 func directiveArgs(c *ast.Comment, name string) (args []string, ok bool) {
-	text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-	rest, ok := strings.CutPrefix(text, "rexlint:"+name)
-	if !ok || (rest != "" && rest[0] != ' ' && rest[0] != '\t') {
+	kind, args, ok := parseDirective(c)
+	if !ok || kind != name {
 		return nil, false
 	}
-	return strings.Fields(rest), true
+	return args, true
 }
 
 // groupDirective returns the argument fields of each occurrence of the
@@ -202,15 +216,6 @@ func blockFallsToExit(g *CFG, b *Block, info *types.Info) bool {
 		}
 	}
 	return true
-}
-
-// lastPos picks a report position for a fall-off-the-end block: its last
-// node, or the body's closing brace when the block is empty.
-func lastPos(b *Block, body *ast.BlockStmt) token.Pos {
-	if len(b.Nodes) > 0 {
-		return b.Nodes[len(b.Nodes)-1].Pos()
-	}
-	return body.Rbrace
 }
 
 // forEachAccess classifies, within one straight-line node, which selector

@@ -1,16 +1,14 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
 // LeakCheck flags goroutines with no reachable shutdown path. For every
-// `go` statement it takes the CFG of the spawned function — a literal,
-// or a same-package named function/method — and requires the synthetic
-// exit block to be reachable from entry. A goroutine whose body is an
-// unconditional loop with no break, return, or terminating range/receive
-// cannot be stopped and outlives every controller shutdown:
+// `go` statement it takes the CFG of the spawned function — the one
+// module-local function or literal its call site resolves to — and
+// requires the synthetic exit block to be reachable from entry. A
+// goroutine whose body is an unconditional loop with no break, return, or
+// terminating range/receive cannot be stopped and outlives every
+// controller shutdown:
 //
 //	go func() {
 //		for {
@@ -20,8 +18,8 @@ import (
 //
 // Threading a done channel (`case <-done: return`), ranging over a
 // closable channel, or any conditional return satisfies the check.
-// Spawned functions from other packages cannot be analyzed and are
-// skipped.
+// A call site that resolves to no module-local function (the stdlib, a
+// dynamic call) or to several (interface dispatch) is skipped.
 var LeakCheck = &Analyzer{
 	Name: "leakcheck",
 	Doc:  "flag go statements whose goroutine has no reachable termination path (unstoppable goroutine)",
@@ -45,25 +43,16 @@ func runLeakCheck(pass *Pass) error {
 	return nil
 }
 
-// spawnedNode resolves the function started by gs to its node: a function
-// literal, or a function/method declared in the package under analysis.
-// Returns nil for bodies we cannot see.
+// spawnedNode returns the function gs starts, read from its resolved call
+// site: nil unless the site reaches exactly one module-local function.
 func spawnedNode(pass *Pass, gs *ast.GoStmt) (*FuncNode, string) {
-	var callee *ast.Ident
-	switch fun := ast.Unparen(gs.Call.Fun).(type) {
-	case *ast.FuncLit:
-		return pass.Prog.LitNodeOf(fun), "func literal"
-	case *ast.Ident:
-		callee = fun
-	case *ast.SelectorExpr:
-		callee = fun.Sel
-	default:
+	site := pass.Prog.SiteAt(gs.Call)
+	if site == nil || len(site.Callees) != 1 {
 		return nil, ""
 	}
-	if fn, ok := pass.TypesInfo.Uses[callee].(*types.Func); ok {
-		if node := pass.Prog.NodeOf(fn); node != nil && node.Pkg == pass.pkg() {
-			return node, fn.Name()
-		}
+	callee := site.Callees[0]
+	if callee.Fn == nil {
+		return callee, "func literal"
 	}
-	return nil, ""
+	return callee, callee.Fn.Name()
 }

@@ -98,10 +98,13 @@ type lineDirective struct {
 	used bool
 }
 
-// lineDirectives indexes a package's line-level waivers by file and line.
+// lineDirectives indexes a package's line-level waivers by file and line,
+// and holds the findings for its directives of a kind the suite does not
+// read.
 type lineDirectives struct {
-	lines map[string]map[int][]*lineDirective // filename → line → entries
-	all   []*lineDirective                    // in directive order
+	lines   map[string]map[int][]*lineDirective // filename → line → entries
+	all     []*lineDirective                    // in directive order
+	unknown []Diagnostic
 }
 
 // covers reports whether a waiver covers pos — an ignore naming the
@@ -119,9 +122,9 @@ func (s *lineDirectives) covers(name string, pos token.Position) bool {
 
 // buildLineDirectives scans the package's comments for line-level waivers.
 // A directive covers its own line and the line immediately below (for
-// whole-line comments placed above the code). A rexlint:transfer inside a
-// function's doc comment declares the function a transfer sink instead
-// (FuncNode.TransferSink) and is excluded here.
+// whole-line comments placed above the code). A directive of a kind outside
+// directiveKinds is recorded as a finding under the pseudo-analyzer name
+// "rexlint": it would look like a contract while checking nothing.
 func buildLineDirectives(fset *token.FileSet, files []*ast.File) *lineDirectives {
 	out := &lineDirectives{lines: make(map[string]map[int][]*lineDirective)}
 	add := func(c *ast.Comment, name string) {
@@ -137,20 +140,25 @@ func buildLineDirectives(fset *token.FileSet, files []*ast.File) *lineDirectives
 		lines[pos.Line+1] = append(lines[pos.Line+1], e)
 	}
 	for _, f := range files {
-		funcDocs := map[*ast.CommentGroup]bool{}
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Doc != nil {
-				funcDocs[fd.Doc] = true
-			}
-		}
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				if args, ok := directiveArgs(c, "ignore"); ok && len(args) > 0 {
-					for _, name := range strings.Split(args[0], ",") {
-						add(c, name)
+				kind, args, ok := parseDirective(c)
+				switch {
+				case !ok:
+				case kind == "ignore":
+					if len(args) > 0 {
+						for _, name := range strings.Split(args[0], ",") {
+							add(c, name)
+						}
 					}
-				} else if _, ok := directiveArgs(c, "transfer"); ok && !funcDocs[cg] {
+				case kind == "transfer":
 					add(c, "")
+				case !directiveKinds[kind]:
+					out.unknown = append(out.unknown, Diagnostic{
+						Analyzer: "rexlint",
+						Pos:      fset.Position(c.Pos()),
+						Message:  fmt.Sprintf("unknown directive rexlint:%s: no analyzer reads it", kind),
+					})
 				}
 			}
 		}
@@ -175,6 +183,23 @@ func (s *lineDirectives) unusedIgnores(ran map[string]bool) []Diagnostic {
 		})
 	}
 	return out
+}
+
+// directiveKinds are the `//rexlint:<kind>` directives some part of the
+// suite reads.
+var directiveKinds = map[string]bool{
+	"ignore":       true, // line-level waiver of any analyzer
+	"transfer":     true, // sharecheck, line-level hand-off
+	"transition":   true, // statecheck
+	"holds":        true, // lockcheck
+	"owned":        true, // sharecheck
+	"noalloc":      true, // alloccheck
+	"pure":         true, // purity
+	"streamsource": true, // streamflow
+	"stream":       true, // streamflow
+	"detsink":      true, // detflow
+	"nonneg":       true, // nonneg
+	"requires":     true, // nonneg
 }
 
 // unusedTransfers reports transfers that sanctioned nothing, under
@@ -204,8 +229,8 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 }
 
 // RunAnalyzersIn executes every analyzer that applies to pkg with prog as
-// the interprocedural context, appends unused-suppression diagnostics, and
-// returns everything sorted by position.
+// the interprocedural context, appends unused-suppression and
+// unknown-directive diagnostics, and returns everything sorted by position.
 func RunAnalyzersIn(prog *Program, pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	waivers := prog.waiversFor(pkg)
@@ -230,6 +255,7 @@ func RunAnalyzersIn(prog *Program, pkg *Package, analyzers []*Analyzer) ([]Diagn
 		}
 	}
 	diags = append(diags, waivers.unusedIgnores(ran)...)
+	diags = append(diags, waivers.unknown...)
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i].Pos, diags[j].Pos
 		if a.Filename != b.Filename {

@@ -1,6 +1,7 @@
 package lint_test
 
 import (
+	"strings"
 	"testing"
 
 	"rexchange/internal/lint"
@@ -36,6 +37,50 @@ func TestAnalyzers(t *testing.T) {
 			t.Parallel()
 			linttest.Run(t, tc.analyzer, tc.fixture)
 		})
+	}
+}
+
+// TestUnknownDirectiveKinds pins that a directive no analyzer reads is a
+// finding, not a silent no-op: a `resource` and a `canonical` directive
+// each fire, whichever analyzers run, while a kind the suite reads stays
+// silent.
+func TestUnknownDirectiveKinds(t *testing.T) {
+	src := `package p
+
+//rexlint:resource reservation held=InFlight acquire=reserve release=release
+
+// canon sorts its input in place.
+//
+//rexlint:canonical
+func canon(keys []string) []string { return keys }
+
+// total is allocation-free.
+//
+//rexlint:noalloc
+func total(xs []int) (n int) {
+	for _, x := range xs {
+		n += x
+	}
+	return n
+}
+`
+	prog, pkg := loadSnippet(t, "directives", src)
+	for _, analyzers := range [][]*lint.Analyzer{nil, {lint.StateCheck, lint.DetFlow}} {
+		diags, err := lint.RunAnalyzersIn(prog, pkg, analyzers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, d := range diags {
+			got = append(got, strings.TrimPrefix(d.String(), d.Pos.Filename+":"))
+		}
+		want := []string{
+			"3:1: unknown directive rexlint:resource: no analyzer reads it (rexlint)",
+			"7:1: unknown directive rexlint:canonical: no analyzer reads it (rexlint)",
+		}
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("with %d analyzers:\n%s\nwant:\n%s", len(analyzers), strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
 	}
 }
 

@@ -10,12 +10,8 @@ package lint
 // by or passed to a goroutine, stored into package-level state, stored
 // into a second owner (a structure rooted at the receiver, a parameter,
 // or a captured variable), or passed to a callee whose parameter escape
-// summary says it leaks — unless the hand-off is sanctioned:
-//
-//   - a line-level `//rexlint:transfer <reason>` on or above the escape
-//     site, or
-//   - the callee is declared `//rexlint:transfer <reason>` in its doc
-//     comment (a transfer sink: it takes ownership by contract).
+// summary says it leaks — unless a `//rexlint:transfer <reason>` on or
+// above the escape site sanctions the hand-off.
 //
 // Freshly created values (a call result like Clone(), or a composite
 // literal) stored in the same statement do not create a second owner: the
@@ -128,9 +124,6 @@ func checkShareCall(pass *Pass, site *CallSite, ownedName func(ast.Expr) string,
 			continue
 		}
 		for _, callee := range site.Callees {
-			if callee.TransferSink {
-				continue // declared hand-off: callee takes ownership
-			}
 			cs := pass.Prog.SummaryOf(callee)
 			idx := argParamIndex(callee, call, arg)
 			if idx >= 0 && idx < len(cs.ParamEscape) && cs.ParamEscape[idx] != "" {

@@ -1340,9 +1340,7 @@ func (p *Program) mergeCallee(n *FuncNode, s *Summary, lf *localFacts, site Call
 	}
 
 	// Escape propagation: caller values passed to escaping callee
-	// parameters escape too (unless the callee is a declared transfer
-	// sink — sharecheck honors that annotation at report time, but the
-	// summary still records the flow for non-owned reasoning).
+	// parameters escape too.
 	if site.Call != nil {
 		for i, esc := range cs.ParamEscape {
 			if esc == "" || i >= len(site.Call.Args) {

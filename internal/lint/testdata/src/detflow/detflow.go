@@ -1,8 +1,8 @@
 // Fixture for the detflow analyzer: a miniature journal sink plus the
 // positive cases (map-ordered keys emitted unsorted, a sink called inside
 // map iteration, an ordered value laundered through a forwarding helper)
-// and the near-miss negatives (sorted before emit, a //rexlint:canonical
-// normalizer, writes into a map that erase order).
+// and the near-miss negatives (sorted before emit, writes into a map that
+// erase order).
 package detflow
 
 import "sort"
@@ -58,25 +58,6 @@ func launder(m map[string]int) {
 	}
 	for _, k := range keys {
 		forward(k) // want `value ordered by map iteration order flows into journal write sink .*emit`
-	}
-}
-
-// canon normalizes order; passing through it cleans the taint.
-//
-//rexlint:canonical
-func canon(keys []string) []string {
-	sort.Strings(keys)
-	return keys
-}
-
-// canonicalized launders through canon before emitting: clean.
-func canonicalized(m map[string]int) {
-	var keys []string
-	for k := range m {
-		keys = append(keys, k)
-	}
-	for _, k := range canon(keys) {
-		emit(k)
 	}
 }
 

@@ -104,19 +104,11 @@ func (k *keeper) adopt(b *Box) {
 	k.held = b
 }
 
-// register takes ownership of b: it joins the package registry. The doc
-// directive marks it a transfer sink for callers; the line-level directive
-// sanctions its own store.
-//
-//rexlint:transfer register is the declared ownership hand-off point
+// register takes ownership of b: it joins the package registry, and the
+// line-level directive sanctions the store.
 func register(b *Box) {
 	//rexlint:transfer the registry takes ownership by contract
 	registry = append(registry, b)
-}
-
-// handOff passes to a declared transfer sink: silent.
-func handOff(b *Box) {
-	register(b)
 }
 
 // A store under a constant debug guard, or a send after a panic, is

@@ -13,10 +13,9 @@ package lint
 //     the enclosing declaration. Stream names must be named constants.
 //   - detflow: values whose order derives from map iteration, maps.Keys/
 //     Values/All, or multi-arm select receives carry order taint until
-//     sorted (a sort./slices. call) or passed through a //rexlint:canonical
-//     function. Order-tainted values must not reach //rexlint:detsink
-//     functions (journal writes, Prometheus exposition, fixed-format
-//     reports), directly or through callees.
+//     sorted (a sort./slices. call). Order-tainted values must not reach
+//     //rexlint:detsink functions (journal writes, Prometheus exposition,
+//     fixed-format reports), directly or through callees.
 //   - nonneg: integer struct fields annotated //rexlint:nonneg must be
 //     provably non-negative on every path: decrements are only legal when
 //     the lower bound is positive, //rexlint:requires f>=k states a callee's

@@ -36,9 +36,6 @@ type vfDirectives struct {
 	declared map[*FuncNode][]string
 	// sinks are //rexlint:detsink functions with their description.
 	sinks map[*FuncNode]string
-	// canonical are //rexlint:canonical functions: they canonicalize their
-	// input, so order taint neither enters nor leaves them.
-	canonical map[*FuncNode]bool
 	// nonneg are the //rexlint:nonneg-annotated integer struct fields.
 	nonneg map[*types.Var]bool
 	// requires maps functions to their //rexlint:requires field>=k entry
@@ -52,13 +49,12 @@ type vfDirectives struct {
 // collectVFDirectives parses every value-flow directive in the program.
 func collectVFDirectives(p *Program) *vfDirectives {
 	d := &vfDirectives{
-		sources:   make(map[*FuncNode]bool),
-		declared:  make(map[*FuncNode][]string),
-		sinks:     make(map[*FuncNode]string),
-		canonical: make(map[*FuncNode]bool),
-		nonneg:    make(map[*types.Var]bool),
-		requires:  make(map[*FuncNode]map[string]int),
-		pkgFind:   make(map[*Package][]vfFinding),
+		sources:  make(map[*FuncNode]bool),
+		declared: make(map[*FuncNode][]string),
+		sinks:    make(map[*FuncNode]string),
+		nonneg:   make(map[*types.Var]bool),
+		requires: make(map[*FuncNode]map[string]int),
+		pkgFind:  make(map[*Package][]vfFinding),
 	}
 	for _, n := range p.graph.nodes {
 		if n.Decl == nil {
@@ -82,9 +78,6 @@ func collectVFDirectives(p *Program) *vfDirectives {
 				desc = "deterministic output"
 			}
 			d.sinks[n] = desc
-		}
-		if len(funcDirective(n.Decl, "canonical")) > 0 {
-			d.canonical[n] = true
 		}
 		for _, fields := range funcDirective(n.Decl, "requires") {
 			for _, f := range fields {
@@ -795,9 +788,6 @@ func (fl *vfFlow) callTaint(call *ast.CallExpr, st *vfState) (streamSet, *Trace,
 				}
 			}
 			continue
-		}
-		if fl.p.dirs.canonical[callee] {
-			continue // canonicalized result
 		}
 		sum := fl.p.summaries[callee].flow
 		for name, tr := range sum.returnStreams {

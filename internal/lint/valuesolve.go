@@ -159,7 +159,7 @@ func (fl *vfFlow) sinkDescAt(call *ast.CallExpr, argIdx int) (string, *Trace) {
 		return "", nil
 	}
 	for _, callee := range site.Callees {
-		if dirs.canonical[callee] || dirs.sources[callee] {
+		if dirs.sources[callee] {
 			continue
 		}
 		if desc, ok := dirs.sinks[callee]; ok {
