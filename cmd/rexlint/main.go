@@ -34,7 +34,8 @@
 //	              exposition, fixed-format reports)
 //	nonneg        //rexlint:nonneg counters proven non-negative on every
 //	              path, with //rexlint:requires preconditions checked at
-//	              call sites and callee deltas folded through summaries
+//	              call sites; a callee whose effect summary writes its
+//	              receiver, parameters or globals resets field bounds to 0
 //
 // Unused //rexlint:ignore and //rexlint:transfer directives are themselves
 // errors (pseudo-analyzers "rexlint" and "sharecheck"), so stale waivers

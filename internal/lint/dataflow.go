@@ -118,8 +118,8 @@ func Forward[F any](g *CFG, fl Flow[F]) Facts[F] {
 // and shows visit each straight-line node with the fact that holds just
 // before it. This is the reporting pass of every flow-sensitive analyzer —
 // facts are solved to a fixpoint first, diagnostics are emitted once
-// afterwards. The solved facts are returned for checks at block ends.
-func replay[F any](g *CFG, fl Flow[F], visit func(n ast.Node, before F)) Facts[F] {
+// afterwards.
+func replay[F any](g *CFG, fl Flow[F], visit func(n ast.Node, before F)) {
 	facts := Forward(g, fl)
 	for _, b := range g.Blocks {
 		f, ok := facts.In[b]
@@ -131,5 +131,4 @@ func replay[F any](g *CFG, fl Flow[F], visit func(n ast.Node, before F)) Facts[F
 			f = fl.Transfer(n, f)
 		}
 	}
-	return facts
 }

@@ -24,20 +24,16 @@ func sweep(p *Program) {
 // fact carries depends on the order the driver visits nodes in.
 func summaryFacts(s *Summary) string {
 	f := s.flow
-	var counters []string
-	for _, name := range sortedKeys(f.counters) {
-		counters = append(counters, fmt.Sprintf("%s:%+v", name, *f.counters[name]))
-	}
-	return fmt.Sprintf("mask=%08b unlocks=%q escapes=%q recv=%q streams=%q ordered=%v params=%b sinks=%q counters=%v",
+	return fmt.Sprintf("mask=%08b unlocks=%q escapes=%q recv=%q streams=%q ordered=%v params=%b sinks=%q",
 		s.Mask, s.UnlockFields, s.ParamEscape, s.RecvEscape, sortedKeys(f.returnStreams),
-		f.returnsOrdered != nil, f.returnsParam, f.paramSink, counters)
+		f.returnsOrdered != nil, f.returnsParam, f.paramSink)
 }
 
 // TestFixpointMatchesSweep holds the caller-driven worklist of NewProgram
 // to the whole-list sweep, on every fixture package and on the module:
 // every node's effect facts (mask, unlock fields, escape strings) and
 // value-flow facts (return streams, ordered-ness, parameter marks,
-// parameter sinks, counter effects) must be the same under both drivers.
+// parameter sinks) must be the same under both drivers.
 func TestFixpointMatchesSweep(t *testing.T) {
 	for _, set := range LoadFixtures(t, nil, true) {
 		p := NewProgram(set.Pkgs)

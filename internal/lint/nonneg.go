@@ -8,12 +8,14 @@ package lint
 //	count int //rexlint:nonneg
 //
 // Decrements are legal only where the proven lower bound covers them:
-// branch conditions refine bounds (`if q.n > 0 { q.n-- }` is proven),
+// branch conditions refine bounds (`if q.n > 0 { q.n-- }` is proven), and
 // //rexlint:requires f>=k states a method's entry precondition (checked at
-// every call site against the caller's proven bound), and method summaries
-// carry a guaranteed minimum net delta that callers fold at call sites.
-// Local copies of a counter (`remaining := p.vacant`) are tracked under the
-// same invariant. Writes through index expressions are outside the proof
+// every call site against the caller's proven bound). A call whose callee's
+// effect summary may write its receiver, its parameters or global state
+// (or that has no resolvable target) drops every field-rooted bound to the
+// invariant floor 0; a callee's net increment is not credited. Local copies
+// of a counter (`remaining := p.vacant`) are tracked under the same
+// invariant and keep their bounds across calls. Writes through index expressions are outside the proof
 // (exprKey cannot canonicalize them); decrements the checker cannot prove
 // are waivable with //rexlint:ignore nonneg <invariant>.
 var NonNeg = &Analyzer{

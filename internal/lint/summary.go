@@ -113,8 +113,7 @@ type Summary struct {
 	// RecvEscape is the same fact for the receiver.
 	RecvEscape string
 
-	// flow is the value-flow half: return taints, parameter sinks and
-	// counter effects.
+	// flow is the value-flow half: return taints and parameter sinks.
 	flow *valueSummary
 }
 

@@ -4,7 +4,7 @@
 // released a reservation that the success path had already released, so
 // the counter went negative. The near-miss negatives show what the proof
 // accepts: guard-refined decrements, balanced reserve/release in one body,
-// a callee increment folded through its summary, and a discharged
+// a read-only call between guard and decrement, and a discharged
 // //rexlint:requires precondition.
 package nonneg
 
@@ -64,13 +64,40 @@ func (e *exec) balanced() {
 	e.inflight--
 }
 
-// reserve's summary guarantees a net +1, which callers fold in.
-func (e *exec) reserve() { e.inflight++ }
+// zero resets the counter through a parameter.
+func zero(e *exec) { e.pending = 0 }
 
-// foldedRelease is proven through reserve's summary: clean.
-func (e *exec) foldedRelease() {
-	e.reserve()
-	e.inflight--
+// resetThenRelease lets a callee write the counter through a parameter
+// between the guard and the decrement, so the guard proves nothing.
+func resetThenRelease(e *exec) {
+	if e.pending > 0 {
+		zero(e)
+		e.pending-- // want `e\.pending may go negative: decrement of //rexlint:nonneg counter at proven lower bound 0`
+	}
+}
+
+// reset resets the counter through the receiver.
+func (e *exec) reset() { e.pending = 0 }
+
+// clearThenRelease: a receiver write drops the guard's bound the same way.
+func (e *exec) clearThenRelease() {
+	if e.pending > 0 {
+		e.reset()
+		e.pending-- // want `e\.pending may go negative: decrement of //rexlint:nonneg counter at proven lower bound 0`
+	}
+}
+
+// peek only reads the receiver.
+func (e *exec) peek() int { return e.pending }
+
+// peekThenRelease keeps the guard's bound across a read-only call: clean.
+func (e *exec) peekThenRelease() int {
+	if e.pending > 0 {
+		seen := e.peek()
+		e.pending--
+		return seen
+	}
+	return 0
 }
 
 // drainOne may only run on a non-empty executor.

@@ -19,8 +19,9 @@ package lint
 //   - nonneg: integer struct fields annotated //rexlint:nonneg must be
 //     provably non-negative on every path: decrements are only legal when
 //     the lower bound is positive, //rexlint:requires f>=k states a callee's
-//     entry precondition that callers must discharge, and callee summaries
-//     carry a guaranteed minimum net delta folded at call sites.
+//     entry precondition that callers must discharge, and a call whose
+//     effect summary may write caller-visible state drops every
+//     field-rooted bound to the invariant floor 0.
 //
 // Soundness boundaries (deliberate, documented): taint does not flow
 // through struct-field stores across functions (field-mediated flows stay
@@ -56,27 +57,8 @@ type vfFinding struct {
 // the dataflow fixpoint terminates regardless of loop structure.
 const lbSat = 64
 
-// satAdd adds with saturation at ±lbSat.
-func satAdd(a, b int) int {
-	s := a + b
-	if s > lbSat {
-		return lbSat
-	}
-	if s < -lbSat {
-		return -lbSat
-	}
-	return s
-}
-
-// counterEffect is the nonneg summary of one annotated receiver field.
-type counterEffect struct {
-	// Req is the declared entry precondition (//rexlint:requires f>=k).
-	Req int
-	// Delta is the guaranteed minimum net change over any terminating
-	// path, valid only when Known.
-	Known bool
-	Delta int
-}
+// satAdd adds a non-negative amount to a bound with saturation at lbSat.
+func satAdd(a, b int) int { return min(a+min(b, lbSat), lbSat) }
 
 // valueSummary is the value-flow summary of one function node.
 type valueSummary struct {
@@ -94,8 +76,6 @@ type valueSummary struct {
 	// matching provenance.
 	paramSink   []string
 	paramSinkTr []*Trace
-	// counters holds the nonneg effect per annotated receiver field name.
-	counters map[string]*counterEffect
 }
 
 // newValueSummary returns n's empty value-flow summary, one sink slot per
@@ -107,9 +87,8 @@ func newValueSummary(n *FuncNode) *valueSummary {
 	}
 }
 
-// mergeValueSummary folds src into dst (union / min joins, all monotone:
-// stream sets and sink marks only grow, Known only falls, Delta only
-// drops). Reports whether dst changed.
+// mergeValueSummary folds src into dst (union joins, all monotone: stream
+// sets and sink marks only grow). Reports whether dst changed.
 func mergeValueSummary(dst, src *valueSummary) bool {
 	changed := false
 	for name, tr := range src.returnStreams {
@@ -136,26 +115,6 @@ func mergeValueSummary(dst, src *valueSummary) bool {
 			changed = true
 		}
 	}
-	for f, ce := range src.counters {
-		de, ok := dst.counters[f]
-		if !ok {
-			if dst.counters == nil {
-				dst.counters = make(map[string]*counterEffect)
-			}
-			cp := *ce
-			dst.counters[f] = &cp
-			changed = true
-			continue
-		}
-		if de.Known && !ce.Known {
-			de.Known = false
-			changed = true
-		}
-		if de.Known && ce.Delta < de.Delta {
-			de.Delta = ce.Delta
-			changed = true
-		}
-	}
 	return changed
 }
 
@@ -165,16 +124,13 @@ type streamSet map[string]*Trace
 // vfState is the per-program-point fact: which value paths carry which
 // stream taints, which carry nondeterministic ordering, which carry
 // parameter marks, and the proven lower bound of each tracked counter.
-// Missing lb keys mean 0 (absolute mode: the declared invariant floor;
-// delta mode: net offset zero), so states normalize by dropping zeros.
+// Every bound lies in [0, lbSat]; a missing lb key means 0, the declared
+// invariant floor, so states normalize by dropping zeros.
 type vfState struct {
 	streams map[string]streamSet
 	ordered map[string]*Trace
 	pmark   map[string]uint64
 	lb      map[string]int
-	// cKill marks counters whose delta became untrackable (delta mode
-	// only): an absolute assignment or an unknown callee effect.
-	cKill map[string]bool
 }
 
 func newVFState() *vfState { return &vfState{} }
@@ -207,12 +163,6 @@ func (s *vfState) clone() *vfState {
 		c.lb = make(map[string]int, len(s.lb))
 		for k, v := range s.lb {
 			c.lb[k] = v
-		}
-	}
-	if len(s.cKill) > 0 {
-		c.cKill = make(map[string]bool, len(s.cKill))
-		for k := range s.cKill {
-			c.cKill[k] = true
 		}
 	}
 	return c
@@ -264,13 +214,6 @@ func (s *vfState) setPmark(key string, bits uint64) {
 	s.pmark[key] = bits
 }
 
-func (s *vfState) kill(key string) {
-	if s.cKill == nil {
-		s.cKill = make(map[string]bool)
-	}
-	s.cKill[key] = true
-}
-
 // taintsAt looks up the taint of a path key. Order taint and parameter
 // marks consider ancestors and descendants both ways (`ev` is ordered when
 // `ev.spans` is, and vice versa). Stream taint only flows downward — exact
@@ -313,7 +256,7 @@ func (s *vfState) taintsAt(key string) (streamSet, *Trace, uint64) {
 // equalVFState compares lattice content (trace decoration excluded).
 func equalVFState(a, b *vfState) bool {
 	if len(a.streams) != len(b.streams) || len(a.ordered) != len(b.ordered) ||
-		len(a.pmark) != len(b.pmark) || len(a.lb) != len(b.lb) || len(a.cKill) != len(b.cKill) {
+		len(a.pmark) != len(b.pmark) || len(a.lb) != len(b.lb) {
 		return false
 	}
 	for k, av := range a.streams {
@@ -342,16 +285,11 @@ func equalVFState(a, b *vfState) bool {
 			return false
 		}
 	}
-	for k := range a.cKill {
-		if !b.cKill[k] {
-			return false
-		}
-	}
 	return true
 }
 
-// joinVFState unions taints and marks, mins lower bounds (missing = 0),
-// and unions counter kills.
+// joinVFState unions taints and marks and mins lower bounds (missing = 0,
+// which no bound is below).
 func joinVFState(a, b *vfState) *vfState {
 	out := a.clone()
 	for k, set := range b.streams {
@@ -378,14 +316,6 @@ func joinVFState(a, b *vfState) *vfState {
 		if bv := b.lb[k]; bv < av { // missing keys default to 0
 			out.setLB(k, bv)
 		}
-	}
-	for k, bv := range b.lb {
-		if _, ok := out.lb[k]; !ok && bv < 0 {
-			out.setLB(k, bv)
-		}
-	}
-	for k := range b.cKill {
-		out.kill(k)
 	}
 	return out
 }

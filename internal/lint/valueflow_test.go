@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/token"
+	"math"
 	"testing"
 )
 
@@ -9,9 +10,9 @@ func TestSatAddSaturates(t *testing.T) {
 	cases := []struct{ a, b, want int }{
 		{0, 1, 1},
 		{lbSat, 1, lbSat},
-		{-lbSat, -1, -lbSat},
 		{lbSat - 1, 5, lbSat},
-		{3, -7, -4},
+		{3, 7, 10},
+		{1, math.MaxInt, lbSat},
 	}
 	for _, tc := range cases {
 		if got := satAdd(tc.a, tc.b); got != tc.want {
@@ -27,32 +28,24 @@ func TestJoinVFStateLowerBounds(t *testing.T) {
 	tr := &Trace{Pos: token.Pos(1), What: "test"}
 	a := newVFState()
 	a.setLB("x", 2)
-	a.setLB("neg", -3)
 	a.setStreams("r", streamSet{"workload": tr})
 	b := newVFState()
 	b.setLB("x", 1)
-	b.setLB("only", -1)
+	b.setLB("only", 3)
 	b.setOrdered("k", tr)
-	b.kill("c")
 
 	j := joinVFState(a, b)
 	if got := j.getLB("x"); got != 1 {
 		t.Errorf("lb(x) = %d, want min 1", got)
 	}
-	if got := j.getLB("neg"); got != -3 {
-		t.Errorf("lb(neg) = %d, want -3 (missing in b means 0, min keeps -3)", got)
-	}
-	if got := j.getLB("only"); got != -1 {
-		t.Errorf("lb(only) = %d, want -1 (missing in a means 0)", got)
+	if got := j.getLB("only"); got != 0 {
+		t.Errorf("lb(only) = %d, want 0 (missing in a means 0)", got)
 	}
 	if _, ok := j.streams["r"]["workload"]; !ok {
 		t.Error("stream taint lost in join")
 	}
 	if j.ordered["k"] == nil {
 		t.Error("order taint lost in join")
-	}
-	if !j.cKill["c"] {
-		t.Error("counter kill lost in join")
 	}
 
 	// A positive bound present on only one side must fall to the other
@@ -104,14 +97,13 @@ func TestStreamTaintFlowsDownwardOnly(t *testing.T) {
 func fuzzSummary(data []byte, params int) *valueSummary {
 	pool := []string{"workload", "drift", "chaos", "trace"}
 	sinks := []string{"", "journal write sink emit", "report sink render"}
-	fields := []string{"n", "inflight", "pending"}
 	s := &valueSummary{
 		paramSink:   make([]string, params),
 		paramSinkTr: make([]*Trace, params),
 	}
 	tr := &Trace{Pos: token.Pos(1), What: "fuzz"}
 	for i, b := range data {
-		switch i % 4 {
+		switch i % 3 {
 		case 0:
 			if b&1 == 1 {
 				if s.returnStreams == nil {
@@ -131,16 +123,6 @@ func fuzzSummary(data []byte, params int) *valueSummary {
 					s.paramSink[p] = d
 					s.paramSinkTr[p] = tr
 				}
-			}
-		case 3:
-			f := fields[int(b)%len(fields)]
-			if s.counters == nil {
-				s.counters = make(map[string]*counterEffect)
-			}
-			s.counters[f] = &counterEffect{
-				Req:   int(b>>4) % 3,
-				Known: b&8 == 0,
-				Delta: int(int8(b)) % (lbSat + 1),
 			}
 		}
 	}
@@ -173,9 +155,9 @@ func FuzzValueSummaryMerge(f *testing.F) {
 
 		// Cyclic fixpoint: fold each summary into its cycle successor
 		// until a full round changes nothing. The lattice height bounds
-		// the rounds: stream names, param marks, sink slots, and counter
-		// entries are all drawn from finite pools and every merge moves
-		// at least one of them monotonically.
+		// the rounds: stream names, param marks and sink slots are all
+		// drawn from finite pools and every merge moves at least one of
+		// them monotonically.
 		rounds := 0
 		for {
 			changed := false
@@ -194,10 +176,10 @@ func FuzzValueSummaryMerge(f *testing.F) {
 		}
 
 		// At the fixpoint every node absorbed the cycle's union-joined
-		// content. paramSink descriptions and counter Reqs are first-wins
-		// rather than joins (in the engine they are per-function constants
-		// that never differ across merges of the same node), so only the
-		// union-valued components must agree.
+		// content. paramSink descriptions are first-wins rather than joins
+		// (in the engine they are per-function constants that never differ
+		// across merges of the same node), so only the union-valued
+		// components must agree.
 		for i := 1; i < len(nodes); i++ {
 			a, b := nodes[0], nodes[i]
 			if len(a.returnStreams) != len(b.returnStreams) {

@@ -11,19 +11,10 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
-)
-
-// vfMode selects the counter interpretation of one local pass. Absolute
-// mode proves lower bounds from function entry (reporting); delta mode
-// tracks the net offset from an arbitrary entry value (summary inference).
-type vfMode int
-
-const (
-	vfAbs vfMode = iota
-	vfDelta
 )
 
 // vfDirectives is the parsed annotation universe of one program.
@@ -229,10 +220,9 @@ func isReceiveExpr(e ast.Expr) bool {
 
 // vfFlow is the Flow instance of one local pass over one node.
 type vfFlow struct {
-	p    *Program
-	n    *FuncNode
-	lf   *localFacts
-	mode vfMode
+	p  *Program
+	n  *FuncNode
+	lf *localFacts
 }
 
 // counterKeyOf canonicalizes an expression that denotes a tracked counter:
@@ -259,12 +249,9 @@ func (fl *vfFlow) counterKeyOf(e ast.Expr) (string, bool) {
 func (fl *vfFlow) Entry() *vfState {
 	st := newVFState()
 	n := fl.n
-	if fl.mode == vfAbs {
-		req := fl.p.dirs.requires[n]
-		for _, f := range fl.lf.recvFields {
-			if k := req[f]; k > 0 {
-				st.setLB(fl.lf.recvKey+"."+f, min(k, lbSat))
-			}
+	for _, f := range fl.lf.recvFields {
+		if k := fl.p.dirs.requires[n][f]; k > 0 {
+			st.setLB(fl.lf.recvKey+"."+f, min(k, lbSat))
 		}
 	}
 	for i, pobj := range n.Params {
@@ -296,7 +283,7 @@ func (fl *vfFlow) Transfer(n ast.Node, in *vfState) *vfState {
 }
 
 // apply mutates st with the effects of one straight-line node: call
-// effects first (sanitizers, counter folds), then the statement's own
+// effects first (sanitizers, callee writes), then the statement's own
 // assignment/taint semantics.
 func (fl *vfFlow) apply(n ast.Node, st *vfState) {
 	fl.callEffects(n, st)
@@ -332,15 +319,10 @@ func (fl *vfFlow) apply(n ast.Node, st *vfState) {
 	}
 }
 
-// lowerLB applies a decrement of c: in absolute mode the bound clamps at
-// the invariant floor 0 (the checker reports the dip separately); in delta
-// mode the offset goes negative.
+// lowerLB applies a decrement of c: the bound clamps at the invariant
+// floor 0 (the checker reports the dip separately).
 func (fl *vfFlow) lowerLB(st *vfState, key string, c int) {
-	v := satAdd(st.getLB(key), -c)
-	if fl.mode == vfAbs && v < 0 {
-		v = 0
-	}
-	st.setLB(key, v)
+	st.setLB(key, max(st.getLB(key)-c, 0))
 }
 
 func (fl *vfFlow) assign(s *ast.AssignStmt, st *vfState) {
@@ -364,37 +346,21 @@ func (fl *vfFlow) assign(s *ast.AssignStmt, st *vfState) {
 						fl.lowerLB(st, key, -c)
 					}
 				} else {
-					fl.killCounter(st, key)
+					st.setLB(key, 0)
 				}
 			case token.SUB_ASSIGN:
 				if c, isConst := constIntOf(info, rhs); isConst && c >= 0 {
 					fl.lowerLB(st, key, c)
 				} else {
-					fl.killCounter(st, key)
+					st.setLB(key, 0)
 				}
 			case token.ASSIGN, token.DEFINE:
-				switch {
-				case isConstAssign(info, rhs):
-					c, _ := constIntOf(info, rhs)
-					if fl.mode == vfDelta {
-						st.kill(key)
-						st.setLB(key, 0)
-					} else if c >= 0 {
-						st.setLB(key, min(c, lbSat))
-					} else {
-						st.setLB(key, 0) // checker reports the negative constant
-					}
-				case isLenOrCap(info, rhs):
-					if fl.mode == vfDelta {
-						st.kill(key)
-					}
+				if c, isConst := constIntOf(info, rhs); isConst {
+					st.setLB(key, min(max(c, 0), lbSat)) // checker reports a negative constant
+				} else if rk, rok := fl.counterKeyOf(rhs); rok {
+					st.setLB(key, st.getLB(rk))
+				} else {
 					st.setLB(key, 0)
-				default:
-					if rk, rok := fl.counterKeyOf(rhs); rok {
-						st.setLB(key, st.getLB(rk))
-					} else {
-						fl.killCounter(st, key)
-					}
 				}
 			}
 		}
@@ -409,15 +375,6 @@ func (fl *vfFlow) assign(s *ast.AssignStmt, st *vfState) {
 			str, ord, marks := fl.taintOf(rhs, st)
 			fl.writeTaint(st, lhs, str, ord, marks, false)
 		}
-	}
-}
-
-// killCounter marks a counter's value unknown: bound 0 in absolute mode
-// (the declared invariant floor), an untrackable delta in summary mode.
-func (fl *vfFlow) killCounter(st *vfState, key string) {
-	st.setLB(key, 0)
-	if fl.mode == vfDelta {
-		st.kill(key)
 	}
 }
 
@@ -520,9 +477,12 @@ func (fl *vfFlow) rangeTaint(s *ast.RangeStmt, st *vfState) {
 }
 
 // callEffects applies the state changes of every call inside the node:
-// sort sanitization, builtin copy propagation, and callee counter folds.
+// sort sanitization, builtin copy propagation, and callee writes.
 func (fl *vfFlow) callEffects(n ast.Node, st *vfState) {
 	info := fl.n.Pkg.Info
+	writes := func(c *FuncNode) bool {
+		return fl.p.summaries[c].Mask&(EffMutatesRecv|EffMutatesParam|EffGlobal|EffUnknown) != 0
+	}
 	inspectShallow(n, func(x ast.Node) bool {
 		call, ok := x.(*ast.CallExpr)
 		if !ok {
@@ -551,64 +511,24 @@ func (fl *vfFlow) callEffects(n ast.Node, st *vfState) {
 		if site == nil {
 			return true
 		}
-		if site.Unknown {
-			// A dynamic call could mutate any field-rooted counter; the
-			// declared invariant floor is all that survives.
+		if site.Unknown || slices.ContainsFunc(site.Callees, writes) {
+			// The callee may write any field-rooted counter; the declared
+			// invariant floor is all that survives. Derived locals are the
+			// caller's own and keep their bounds.
 			for k := range st.lb {
 				if strings.Contains(k, ".") {
-					fl.killCounter(st, k)
+					delete(st.lb, k)
 				}
 			}
-			return true
-		}
-		if site.RecvExpr == nil || len(site.Callees) == 0 {
-			return true
-		}
-		recvKey, ok := exprKey(info, site.RecvExpr)
-		if !ok {
-			return true
-		}
-		// Fold callee counter effects onto the receiver's fields. With
-		// several candidates (interface dispatch) take the worst case.
-		effects := map[string]*counterEffect{}
-		for _, callee := range site.Callees {
-			for f, ce := range fl.p.summaries[callee].flow.counters {
-				cur, dup := effects[f]
-				if !dup {
-					cp := *ce
-					effects[f] = &cp
-					continue
-				}
-				if !ce.Known {
-					cur.Known = false
-				} else if cur.Known && ce.Delta < cur.Delta {
-					cur.Delta = ce.Delta
-				}
-			}
-		}
-		for _, f := range sortedKeys(effects) {
-			ce := effects[f]
-			key := recvKey + "." + f
-			if !ce.Known {
-				fl.killCounter(st, key)
-				continue
-			}
-			v := satAdd(st.getLB(key), ce.Delta)
-			if fl.mode == vfAbs && v < 0 {
-				// The callee proved its own body never dips below zero
-				// from its declared entry; the caller keeps the floor.
-				v = 0
-			}
-			st.setLB(key, v)
 		}
 		return true
 	})
 }
 
-// Refine exploits branch conditions on counters in absolute mode:
-// `if q.n > 0 { q.n-- }` proves the decrement.
+// Refine exploits branch conditions on counters: `if q.n > 0 { q.n-- }`
+// proves the decrement.
 func (fl *vfFlow) Refine(e Edge, f *vfState) *vfState {
-	if fl.mode != vfAbs || e.Cond == nil {
+	if e.Cond == nil {
 		return f
 	}
 	cmp, ok := ast.Unparen(e.Cond).(*ast.BinaryExpr)
@@ -865,19 +785,6 @@ func constIntOf(info *types.Info, e ast.Expr) (int, bool) {
 		return 0, false
 	}
 	return int(v), true
-}
-
-func isConstAssign(info *types.Info, e ast.Expr) bool {
-	_, ok := constIntOf(info, e)
-	return ok
-}
-
-func isLenOrCap(info *types.Info, e ast.Expr) bool {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	return isBuiltinCall(info, call, "len") || isBuiltinCall(info, call, "cap")
 }
 
 // isRandPointer reports *math/rand.Rand.

@@ -36,18 +36,15 @@ func (p *Program) valueFindings(pkg *Package, kind vfKind) []vfFinding {
 // updateFlow recomputes one node's value-flow facts from the current callee
 // summaries and merges them in; reports whether anything grew.
 func (p *Program) updateFlow(n *FuncNode) bool {
-	fl := &vfFlow{p: p, n: n, lf: p.local[n], mode: vfDelta}
+	fl := &vfFlow{p: p, n: n, lf: p.local[n]}
 	return mergeValueSummary(p.summaries[n].flow, fl.extractSummary())
 }
 
-// extractSummary solves one delta-mode pass and reads the node's summary
-// facts out of it: return taints, parameter-to-sink flows, and the net
-// counter deltas at function exit.
+// extractSummary solves one local pass and reads the node's summary facts
+// out of it: return taints and parameter-to-sink flows.
 func (fl *vfFlow) extractSummary() *valueSummary {
-	n, lf := fl.n, fl.lf
-	sum := newValueSummary(n)
-	g := fl.p.CFG(n)
-	facts := replay[*vfState](g, fl, func(node ast.Node, st *vfState) {
+	sum := newValueSummary(fl.n)
+	replay[*vfState](fl.p.CFG(fl.n), fl, func(node ast.Node, st *vfState) {
 		if ret, ok := node.(*ast.ReturnStmt); ok {
 			fl.recordReturn(ret, st, sum)
 		}
@@ -75,26 +72,6 @@ func (fl *vfFlow) extractSummary() *valueSummary {
 			return true
 		})
 	})
-	if len(lf.recvFields) > 0 {
-		if exitIn, ok := facts.In[g.Exit]; ok {
-			req := fl.p.dirs.requires[n]
-			for _, f := range lf.recvFields {
-				key := lf.recvKey + "." + f
-				ce := &counterEffect{
-					Req:   req[f],
-					Known: !exitIn.cKill[key],
-					Delta: exitIn.getLB(key),
-				}
-				if ce.Known && ce.Delta == 0 && ce.Req == 0 {
-					continue // no caller-visible effect
-				}
-				if sum.counters == nil {
-					sum.counters = make(map[string]*counterEffect)
-				}
-				sum.counters[f] = ce
-			}
-		}
-	}
 	return sum
 }
 
@@ -178,10 +155,10 @@ func (fl *vfFlow) sinkDescAt(call *ast.CallExpr, argIdx int) (string, *Trace) {
 	return "", nil
 }
 
-// checkFlow runs the absolute-mode reporting pass over one node and
-// returns its findings.
+// checkFlow runs the reporting pass over one node and returns its
+// findings.
 func (p *Program) checkFlow(n *FuncNode) []vfFinding {
-	fl := &vfFlow{p: p, n: n, lf: p.local[n], mode: vfAbs}
+	fl := &vfFlow{p: p, n: n, lf: p.local[n]}
 	var finds []vfFinding
 	report := func(kind vfKind, pos token.Pos, format string, args ...any) {
 		finds = append(finds, vfFinding{kind: kind, pos: pos, msg: fmt.Sprintf(format, args...)})
@@ -336,19 +313,16 @@ func (fl *vfFlow) checkCall(call *ast.CallExpr, st *vfState, report func(vfKind,
 		}
 	}
 
-	// Rule 7: callee entry preconditions (//rexlint:requires).
+	// Rule 7: callee entry preconditions (//rexlint:requires) on the
+	// receiver's counters, the ones the callee's entry state assumes.
 	if site.RecvExpr != nil {
 		if recvKey, ok := exprKey(info, site.RecvExpr); ok {
 			for _, callee := range site.Callees {
-				sum := fl.p.summaries[callee].flow
-				for _, f := range sortedKeys(sum.counters) {
-					ce := sum.counters[f]
-					if ce.Req <= 0 {
-						continue
-					}
-					if lb := st.getLB(recvKey + "." + f); lb < ce.Req {
+				for _, f := range fl.p.local[callee].recvFields {
+					k := dirs.requires[callee][f]
+					if lb := st.getLB(recvKey + "." + f); lb < k {
 						report(vfNonneg, call.Pos(), "call to %s requires %s >= %d (//rexlint:requires); caller's proven lower bound is %d",
-							callee.Name(), f, ce.Req, lb)
+							callee.Name(), f, k, lb)
 					}
 				}
 			}
