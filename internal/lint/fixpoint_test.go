@@ -25,8 +25,8 @@ func sweep(p *Program) {
 func summaryFacts(s *Summary) string {
 	f := s.flow
 	return fmt.Sprintf("mask=%08b unlocks=%q escapes=%q recv=%q streams=%q ordered=%v params=%b sinks=%q",
-		s.Mask, s.UnlockFields, s.ParamEscape, s.RecvEscape, sortedKeys(f.returnStreams),
-		f.returnsOrdered != nil, f.returnsParam, f.paramSink)
+		s.Mask, s.UnlockFields, s.ParamEscape, s.RecvEscape, sortedKeys(f.ret.streams),
+		f.ret.ord != nil, f.ret.marks, f.paramSink)
 }
 
 // TestFixpointMatchesSweep holds the caller-driven worklist of NewProgram

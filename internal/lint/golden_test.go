@@ -21,6 +21,38 @@ var update = flag.Bool("update", false, "rewrite testdata/diagnostics.golden fro
 //	go test ./internal/lint/ -run TestFixtureDiagnosticsGolden -update
 func TestFixtureDiagnosticsGolden(t *testing.T) {
 	const golden = "testdata/diagnostics.golden"
+	got := fixtureDiagnostics(t)
+	if *update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if line, g, w := firstDiff(got, string(want)); line > 0 {
+		t.Fatalf("diagnostics differ from %s at line %d (rerun with -update if intended):\n got: %s\nwant: %s", golden, line, g, w)
+	}
+}
+
+// TestFixtureDiagnosticsDeterministic guards rexlint's own output against
+// map order: the golden matrix, rendered five times from freshly loaded
+// fixtures and fresh Programs, must come out byte-identical every time.
+func TestFixtureDiagnosticsDeterministic(t *testing.T) {
+	first := fixtureDiagnostics(t)
+	for run := 2; run <= 5; run++ {
+		if line, g, w := firstDiff(fixtureDiagnostics(t), first); line > 0 {
+			t.Fatalf("run %d differs from run 1 at line %d:\n got: %s\nwant: %s", run, line, g, w)
+		}
+	}
+}
+
+// fixtureDiagnostics renders every analyzer over every fixture package —
+// its own and the other fourteen — one diagnostic a line.
+func fixtureDiagnostics(t *testing.T) string {
+	t.Helper()
 	var got strings.Builder
 	for _, set := range lint.LoadFixtures(t, nil, false) {
 		pkg := set.Pkgs[0]
@@ -38,22 +70,18 @@ func TestFixtureDiagnosticsGolden(t *testing.T) {
 			}
 		}
 	}
-	if *update {
-		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
+	return got.String()
+}
+
+// firstDiff returns the first line (1-based) at which got and want differ,
+// with both versions of it, or 0 when they are equal.
+func firstDiff(got, want string) (line int, g, w string) {
+	if got == want {
+		return 0, "", ""
 	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.String() == string(want) {
-		return
-	}
-	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
-		var g, w string
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; ; i++ {
+		g, w = "", ""
 		if i < len(gotLines) {
 			g = gotLines[i]
 		}
@@ -61,7 +89,7 @@ func TestFixtureDiagnosticsGolden(t *testing.T) {
 			w = wantLines[i]
 		}
 		if g != w {
-			t.Fatalf("diagnostics differ from %s at line %d (rerun with -update if intended):\n got: %s\nwant: %s", golden, i+1, g, w)
+			return i + 1, g, w
 		}
 	}
 }

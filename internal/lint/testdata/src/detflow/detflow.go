@@ -110,3 +110,25 @@ func mapCopy(m map[string]int) map[string]int {
 	emit("copied")
 	return c
 }
+
+// mixed carries two orders: keys from map iteration, last from a select.
+type mixed struct {
+	keys []string
+	last string
+}
+
+func lastOf(p *mixed) string { return p.last }
+
+// mixedOrder emits a value whose ordering has two sources. The message
+// names the one under the smallest path, p.keys, on every run.
+func mixedOrder(m map[string]int, a, b chan string) {
+	p := &mixed{}
+	for k := range m {
+		p.keys = append(p.keys, k)
+	}
+	select {
+	case p.last = <-a:
+	case p.last = <-b:
+	}
+	emit(lastOf(p)) // want `value ordered by map iteration order flows into journal write sink`
+}

@@ -1,10 +1,12 @@
 package lint
 
 // Interprocedural value-flow/taint engine: per-function def-use chains over
-// the v2 CFG (cfg.go, dataflow.go), with taint lattices propagated bottom-up
-// through call-site summaries by the same fixpoint, in the same Summary, as
-// v3's effect masks (summary.go), including "via a → b" blame traces. Three
-// analyzers draw on it:
+// the v2 CFG (cfg.go, dataflow.go). Each value path carries one taint
+// (stream names, order, parameter marks), propagated bottom-up through
+// call-site summaries by the same fixpoint, in the same Summary, as v3's
+// effect masks (summary.go), including "via a → b" blame traces. Where
+// several related paths carry the same fact, the smallest path's trace is
+// the one a message names. Three analyzers draw on it:
 //
 //   - streamflow: a value returned by a //rexlint:streamsource function
 //     (rng.Partitioned.Stream) carries its stream name as taint. A function
@@ -34,6 +36,8 @@ package lint
 
 import (
 	"go/token"
+	"maps"
+	"slices"
 	"strings"
 )
 
@@ -62,110 +66,95 @@ func satAdd(a, b int) int { return min(a+min(b, lbSat), lbSat) }
 
 // valueSummary is the value-flow summary of one function node.
 type valueSummary struct {
-	// returnStreams maps stream names that may taint a return value to
-	// their provenance.
-	returnStreams map[string]*Trace
-	// returnsOrdered is non-nil when a return value may carry map/select
-	// ordering.
-	returnsOrdered *Trace
-	// returnsParam is a bitmask of parameters whose order taint flows
-	// through to a return value (identity-style helpers).
-	returnsParam uint64
+	// ret is the taint a return value may carry; its marks are the
+	// parameters whose taint flows through to a return value
+	// (identity-style helpers).
+	ret taint
 	// paramSink describes, per parameter, the deterministic-output sink the
-	// parameter reaches inside the function ("" = none); paramSinkTr is the
-	// matching provenance.
-	paramSink   []string
-	paramSinkTr []*Trace
+	// parameter reaches inside the function ("" = none).
+	paramSink []string
 }
 
 // newValueSummary returns n's empty value-flow summary, one sink slot per
 // parameter.
 func newValueSummary(n *FuncNode) *valueSummary {
-	return &valueSummary{
-		paramSink:   make([]string, len(n.Params)),
-		paramSinkTr: make([]*Trace, len(n.Params)),
-	}
+	return &valueSummary{paramSink: make([]string, len(n.Params))}
 }
 
-// mergeValueSummary folds src into dst (union joins, all monotone: stream
-// sets and sink marks only grow). Reports whether dst changed.
+// mergeValueSummary folds src into dst (union joins, all monotone: taints
+// and sink marks only grow). Reports whether dst changed.
 func mergeValueSummary(dst, src *valueSummary) bool {
 	changed := false
-	for name, tr := range src.returnStreams {
-		if _, ok := dst.returnStreams[name]; !ok {
-			if dst.returnStreams == nil {
-				dst.returnStreams = make(map[string]*Trace)
-			}
-			dst.returnStreams[name] = tr
-			changed = true
-		}
-	}
-	if src.returnsOrdered != nil && dst.returnsOrdered == nil {
-		dst.returnsOrdered = src.returnsOrdered
-		changed = true
-	}
-	if src.returnsParam&^dst.returnsParam != 0 {
-		dst.returnsParam |= src.returnsParam
+	if u := dst.ret.union(src.ret); !sameTaint(u, dst.ret) {
+		dst.ret = u
 		changed = true
 	}
 	for i, d := range src.paramSink {
 		if d != "" && i < len(dst.paramSink) && dst.paramSink[i] == "" {
 			dst.paramSink[i] = d
-			dst.paramSinkTr[i] = src.paramSinkTr[i]
 			changed = true
 		}
 	}
 	return changed
 }
 
-// streamSet maps stream names to their provenance.
-type streamSet map[string]*Trace
+// taint is what one value path carries: the RNG stream names that may
+// taint it, the nondeterministic ordering it derives from (nil = none) and
+// the bitmask of function parameters it derives from (how sink obligations
+// propagate bottom-up). Traces are provenance for blame chains. A taint's
+// stream map is never written after it is built, so taints share it.
+type taint struct {
+	streams map[string]*Trace
+	ord     *Trace
+	marks   uint64
+}
 
-// vfState is the per-program-point fact: which value paths carry which
-// stream taints, which carry nondeterministic ordering, which carry
-// parameter marks, and the proven lower bound of each tracked counter.
-// Every bound lies in [0, lbSat]; a missing lb key means 0, the declared
-// invariant floor, so states normalize by dropping zeros.
+func (t taint) empty() bool { return len(t.streams) == 0 && t.ord == nil && t.marks == 0 }
+
+// union joins u into t; where both carry a stream name or an order, t's
+// trace wins.
+func (t taint) union(u taint) taint {
+	switch {
+	case len(t.streams) == 0:
+		t.streams = u.streams
+	case len(u.streams) > 0:
+		s := maps.Clone(u.streams)
+		maps.Copy(s, t.streams)
+		t.streams = s
+	}
+	if t.ord == nil {
+		t.ord = u.ord
+	}
+	t.marks |= u.marks
+	return t
+}
+
+// sameTaint compares lattice content (trace decoration excluded).
+func sameTaint(a, b taint) bool {
+	if (a.ord == nil) != (b.ord == nil) || a.marks != b.marks || len(a.streams) != len(b.streams) {
+		return false
+	}
+	for n := range a.streams {
+		if _, ok := b.streams[n]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// vfState is the per-program-point fact: the taint of each value path and
+// the proven lower bound of each tracked counter. Every bound lies in
+// [0, lbSat]; a missing lb key means 0, the declared invariant floor, so
+// states normalize by dropping zeros, as taints drop empty values.
 type vfState struct {
-	streams map[string]streamSet
-	ordered map[string]*Trace
-	pmark   map[string]uint64
-	lb      map[string]int
+	taints map[string]taint
+	lb     map[string]int
 }
 
 func newVFState() *vfState { return &vfState{} }
 
 func (s *vfState) clone() *vfState {
-	c := &vfState{}
-	if len(s.streams) > 0 {
-		c.streams = make(map[string]streamSet, len(s.streams))
-		for k, v := range s.streams {
-			set := make(streamSet, len(v))
-			for n, tr := range v {
-				set[n] = tr
-			}
-			c.streams[k] = set
-		}
-	}
-	if len(s.ordered) > 0 {
-		c.ordered = make(map[string]*Trace, len(s.ordered))
-		for k, v := range s.ordered {
-			c.ordered[k] = v
-		}
-	}
-	if len(s.pmark) > 0 {
-		c.pmark = make(map[string]uint64, len(s.pmark))
-		for k, v := range s.pmark {
-			c.pmark[k] = v
-		}
-	}
-	if len(s.lb) > 0 {
-		c.lb = make(map[string]int, len(s.lb))
-		for k, v := range s.lb {
-			c.lb[k] = v
-		}
-	}
-	return c
+	return &vfState{taints: maps.Clone(s.taints), lb: maps.Clone(s.lb)}
 }
 
 func (s *vfState) getLB(key string) int { return s.lb[key] }
@@ -181,37 +170,15 @@ func (s *vfState) setLB(key string, v int) {
 	s.lb[key] = v
 }
 
-func (s *vfState) setStreams(key string, set streamSet) {
-	if len(set) == 0 {
-		delete(s.streams, key)
+func (s *vfState) setTaint(key string, t taint) {
+	if t.empty() {
+		delete(s.taints, key)
 		return
 	}
-	if s.streams == nil {
-		s.streams = make(map[string]streamSet)
+	if s.taints == nil {
+		s.taints = make(map[string]taint)
 	}
-	s.streams[key] = set
-}
-
-func (s *vfState) setOrdered(key string, tr *Trace) {
-	if tr == nil {
-		delete(s.ordered, key)
-		return
-	}
-	if s.ordered == nil {
-		s.ordered = make(map[string]*Trace)
-	}
-	s.ordered[key] = tr
-}
-
-func (s *vfState) setPmark(key string, bits uint64) {
-	if bits == 0 {
-		delete(s.pmark, key)
-		return
-	}
-	if s.pmark == nil {
-		s.pmark = make(map[string]uint64)
-	}
-	s.pmark[key] = bits
+	s.taints[key] = t
 }
 
 // taintsAt looks up the taint of a path key. Order taint and parameter
@@ -219,64 +186,35 @@ func (s *vfState) setPmark(key string, bits uint64) {
 // `ev.spans` is, and vice versa). Stream taint only flows downward — exact
 // key or a tainted ancestor — because a struct that stores an RNG in a
 // field is not itself a stream: passing the struct along is not a
-// hand-off, only passing the *rand.Rand is.
-func (s *vfState) taintsAt(key string) (streamSet, *Trace, uint64) {
-	var str streamSet
-	var ord *Trace
-	var marks uint64
-	related := func(k string) bool {
-		return k == key || strings.HasPrefix(k, key+".") || strings.HasPrefix(key, k+".")
-	}
-	for k, set := range s.streams {
-		if k != key && !strings.HasPrefix(key, k+".") {
-			continue
-		}
-		if str == nil {
-			str = make(streamSet)
-		}
-		for n, tr := range set {
-			if _, ok := str[n]; !ok {
-				str[n] = tr
-			}
+// hand-off, only passing the *rand.Rand is. The related keys fold in
+// sorted order, so the smallest key's trace wins and a message does not
+// depend on map iteration order.
+func (s *vfState) taintsAt(key string) taint {
+	var related []string
+	for k := range s.taints {
+		if k == key || strings.HasPrefix(k, key+".") || strings.HasPrefix(key, k+".") {
+			related = append(related, k)
 		}
 	}
-	for k, tr := range s.ordered {
-		if related(k) && ord == nil {
-			ord = tr
+	slices.Sort(related)
+	var out taint
+	for _, k := range related {
+		t := s.taints[k]
+		if len(k) > len(key) {
+			t.streams = nil // a descendant
 		}
+		out = out.union(t)
 	}
-	for k, bits := range s.pmark {
-		if related(k) {
-			marks |= bits
-		}
-	}
-	return str, ord, marks
+	return out
 }
 
 // equalVFState compares lattice content (trace decoration excluded).
 func equalVFState(a, b *vfState) bool {
-	if len(a.streams) != len(b.streams) || len(a.ordered) != len(b.ordered) ||
-		len(a.pmark) != len(b.pmark) || len(a.lb) != len(b.lb) {
+	if len(a.taints) != len(b.taints) || len(a.lb) != len(b.lb) {
 		return false
 	}
-	for k, av := range a.streams {
-		bv, ok := b.streams[k]
-		if !ok || len(av) != len(bv) {
-			return false
-		}
-		for n := range av {
-			if _, ok := bv[n]; !ok {
-				return false
-			}
-		}
-	}
-	for k := range a.ordered {
-		if _, ok := b.ordered[k]; !ok {
-			return false
-		}
-	}
-	for k, av := range a.pmark {
-		if b.pmark[k] != av {
+	for k, at := range a.taints {
+		if bt, ok := b.taints[k]; !ok || !sameTaint(at, bt) {
 			return false
 		}
 	}
@@ -288,29 +226,12 @@ func equalVFState(a, b *vfState) bool {
 	return true
 }
 
-// joinVFState unions taints and marks and mins lower bounds (missing = 0,
-// which no bound is below).
+// joinVFState unions taints and mins lower bounds (missing = 0, which no
+// bound is below).
 func joinVFState(a, b *vfState) *vfState {
 	out := a.clone()
-	for k, set := range b.streams {
-		cur := out.streams[k]
-		if cur == nil {
-			cur = make(streamSet, len(set))
-			out.setStreams(k, cur)
-		}
-		for n, tr := range set {
-			if _, ok := cur[n]; !ok {
-				cur[n] = tr
-			}
-		}
-	}
-	for k, tr := range b.ordered {
-		if _, ok := out.ordered[k]; !ok {
-			out.setOrdered(k, tr)
-		}
-	}
-	for k, bits := range b.pmark {
-		out.setPmark(k, out.pmark[k]|bits)
+	for k, t := range b.taints {
+		out.setTaint(k, out.taints[k].union(t))
 	}
 	for k, av := range out.lb {
 		if bv := b.lb[k]; bv < av { // missing keys default to 0

@@ -28,11 +28,11 @@ func TestJoinVFStateLowerBounds(t *testing.T) {
 	tr := &Trace{Pos: token.Pos(1), What: "test"}
 	a := newVFState()
 	a.setLB("x", 2)
-	a.setStreams("r", streamSet{"workload": tr})
+	a.setTaint("r", taint{streams: map[string]*Trace{"workload": tr}})
 	b := newVFState()
 	b.setLB("x", 1)
 	b.setLB("only", 3)
-	b.setOrdered("k", tr)
+	b.setTaint("k", taint{ord: tr})
 
 	j := joinVFState(a, b)
 	if got := j.getLB("x"); got != 1 {
@@ -41,10 +41,10 @@ func TestJoinVFStateLowerBounds(t *testing.T) {
 	if got := j.getLB("only"); got != 0 {
 		t.Errorf("lb(only) = %d, want 0 (missing in a means 0)", got)
 	}
-	if _, ok := j.streams["r"]["workload"]; !ok {
+	if _, ok := j.taints["r"].streams["workload"]; !ok {
 		t.Error("stream taint lost in join")
 	}
-	if j.ordered["k"] == nil {
+	if j.taints["k"].ord == nil {
 		t.Error("order taint lost in join")
 	}
 
@@ -70,23 +70,23 @@ func TestJoinVFStateLowerBounds(t *testing.T) {
 func TestStreamTaintFlowsDownwardOnly(t *testing.T) {
 	tr := &Trace{Pos: token.Pos(1), What: "test"}
 	st := newVFState()
-	st.setStreams("v1.workload", streamSet{"workload": tr})
-	st.setOrdered("v2.keys", tr)
+	st.setTaint("v1.workload", taint{streams: map[string]*Trace{"workload": tr}})
+	st.setTaint("v2.keys", taint{ord: tr})
 
-	if str, _, _ := st.taintsAt("v1"); len(str) != 0 {
+	if str := st.taintsAt("v1").streams; len(str) != 0 {
 		t.Errorf("container inherited stream taint from its field: %v", str)
 	}
-	if str, _, _ := st.taintsAt("v1.workload"); len(str) != 1 {
+	if str := st.taintsAt("v1.workload").streams; len(str) != 1 {
 		t.Error("exact-key stream taint lost")
 	}
 	st2 := newVFState()
-	st2.setStreams("v1", streamSet{"drift": tr})
-	if str, _, _ := st2.taintsAt("v1.anything"); len(str) != 1 {
+	st2.setTaint("v1", taint{streams: map[string]*Trace{"drift": tr}})
+	if str := st2.taintsAt("v1.anything").streams; len(str) != 1 {
 		t.Error("field read did not inherit ancestor stream taint")
 	}
 	// Order taint keeps the two-way relation: a struct holding ordered
 	// data is ordered.
-	if _, ord, _ := st.taintsAt("v2"); ord == nil {
+	if st.taintsAt("v2").ord == nil {
 		t.Error("container did not inherit order taint from its field")
 	}
 }
@@ -97,31 +97,25 @@ func TestStreamTaintFlowsDownwardOnly(t *testing.T) {
 func fuzzSummary(data []byte, params int) *valueSummary {
 	pool := []string{"workload", "drift", "chaos", "trace"}
 	sinks := []string{"", "journal write sink emit", "report sink render"}
-	s := &valueSummary{
-		paramSink:   make([]string, params),
-		paramSinkTr: make([]*Trace, params),
-	}
+	s := &valueSummary{paramSink: make([]string, params)}
 	tr := &Trace{Pos: token.Pos(1), What: "fuzz"}
 	for i, b := range data {
 		switch i % 3 {
 		case 0:
 			if b&1 == 1 {
-				if s.returnStreams == nil {
-					s.returnStreams = make(map[string]*Trace)
-				}
-				s.returnStreams[pool[int(b>>1)%len(pool)]] = tr
+				name := pool[int(b>>1)%len(pool)]
+				s.ret = s.ret.union(taint{streams: map[string]*Trace{name: tr}})
 			}
 		case 1:
 			if b&1 == 1 {
-				s.returnsOrdered = tr
+				s.ret.ord = tr
 			}
-			s.returnsParam |= uint64(b >> 1)
+			s.ret.marks |= uint64(b >> 1)
 		case 2:
 			if params > 0 {
 				p := int(b) % params
 				if d := sinks[int(b>>2)%len(sinks)]; d != "" && s.paramSink[p] == "" {
 					s.paramSink[p] = d
-					s.paramSinkTr[p] = tr
 				}
 			}
 		}
@@ -182,16 +176,8 @@ func FuzzValueSummaryMerge(f *testing.F) {
 		// components must agree.
 		for i := 1; i < len(nodes); i++ {
 			a, b := nodes[0], nodes[i]
-			if len(a.returnStreams) != len(b.returnStreams) {
-				t.Fatalf("returnStreams diverge at fixpoint: %d vs %d", len(a.returnStreams), len(b.returnStreams))
-			}
-			for name := range a.returnStreams {
-				if _, ok := b.returnStreams[name]; !ok {
-					t.Fatalf("stream %q missing from node %d at fixpoint", name, i)
-				}
-			}
-			if (a.returnsOrdered == nil) != (b.returnsOrdered == nil) || a.returnsParam != b.returnsParam {
-				t.Fatal("ordered/param marks diverge at fixpoint")
+			if !sameTaint(a.ret, b.ret) {
+				t.Fatalf("return taint of node %d diverges at fixpoint", i)
 			}
 			for j := range a.paramSink {
 				if (a.paramSink[j] == "") != (b.paramSink[j] == "") {
@@ -200,4 +186,29 @@ func FuzzValueSummaryMerge(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestTaintsAtTieBreak pins which trace a lookup names when several
+// related keys carry the same fact with different provenance: the
+// smallest key's trace wins, on every fresh state, whatever order the
+// taint map iterates in.
+func TestTaintsAtTieBreak(t *testing.T) {
+	mapTr := &Trace{Pos: token.Pos(1), What: "map iteration order"}
+	selTr := &Trace{Pos: token.Pos(2), What: "select arm completion order"}
+	outer := &Trace{Pos: token.Pos(3), What: "Stream(\"workload\")"}
+	inner := &Trace{Pos: token.Pos(4), What: "Stream(\"workload\") via field"}
+	for i := 0; i < 100; i++ {
+		st := newVFState()
+		st.setTaint("v.b", taint{ord: selTr})
+		st.setTaint("v.x", taint{streams: map[string]*Trace{"workload": inner}})
+		st.setTaint("v.a", taint{ord: mapTr})
+		st.setTaint("v", taint{streams: map[string]*Trace{"workload": outer}})
+
+		if got := st.taintsAt("v").ord; got != mapTr {
+			t.Fatalf("state %d: ord of v = %q, want %q (from v.a, the smallest key)", i, got.What, mapTr.What)
+		}
+		if got := st.taintsAt("v.x").streams["workload"]; got != outer {
+			t.Fatalf("state %d: stream trace of v.x = %q, want %q (from v, the smallest key)", i, got.What, outer.What)
+		}
+	}
 }

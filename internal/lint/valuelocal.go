@@ -258,17 +258,17 @@ func (fl *vfFlow) Entry() *vfState {
 		if pobj == nil {
 			continue
 		}
-		key := objKey(pobj)
+		var t taint
 		if i < 64 {
-			st.setPmark(key, 1<<uint(i))
+			t.marks = 1 << uint(i)
 		}
 		if len(fl.lf.declared) > 0 && isRandPointer(pobj.Type()) {
-			set := make(streamSet, len(fl.lf.declared))
+			t.streams = make(map[string]*Trace, len(fl.lf.declared))
 			for _, name := range fl.lf.declared {
-				set[name] = &Trace{Pos: n.Pos(), What: fmt.Sprintf("*rand.Rand parameter of //rexlint:stream %s function", name), EntryPos: n.Pos()}
+				t.streams[name] = &Trace{Pos: n.Pos(), What: fmt.Sprintf("*rand.Rand parameter of //rexlint:stream %s function", name), EntryPos: n.Pos()}
 			}
-			st.setStreams(key, set)
 		}
+		st.setTaint(objKey(pobj), t)
 	}
 	return st
 }
@@ -309,8 +309,7 @@ func (fl *vfFlow) apply(n ast.Node, st *vfState) {
 					if name.Name == "_" || i >= len(vs.Values) {
 						continue
 					}
-					str, ord, marks := fl.taintOf(vs.Values[i], st)
-					fl.writeTaint(st, name, str, ord, marks, true)
+					fl.writeTaint(st, name, fl.taintOf(vs.Values[i], st), true)
 				}
 			}
 		}
@@ -365,16 +364,11 @@ func (fl *vfFlow) assign(s *ast.AssignStmt, st *vfState) {
 			}
 		}
 		// Taint semantics.
-		if s.Tok == token.DEFINE || s.Tok == token.ASSIGN {
-			str, ord, marks := fl.taintOf(rhs, st)
-			if fl.lf.selectOrdered[s] && ord == nil {
-				ord = &Trace{Pos: s.Pos(), What: "select arm completion order", EntryPos: s.Pos()}
-			}
-			fl.writeTaint(st, lhs, str, ord, marks, true)
-		} else {
-			str, ord, marks := fl.taintOf(rhs, st)
-			fl.writeTaint(st, lhs, str, ord, marks, false)
+		t := fl.taintOf(rhs, st)
+		if fl.lf.selectOrdered[s] && t.ord == nil {
+			t.ord = &Trace{Pos: s.Pos(), What: "select arm completion order", EntryPos: s.Pos()}
 		}
+		fl.writeTaint(st, lhs, t, s.Tok == token.DEFINE || s.Tok == token.ASSIGN)
 	}
 }
 
@@ -383,15 +377,14 @@ func (fl *vfFlow) assign(s *ast.AssignStmt, st *vfState) {
 // index/deref targets join into their base path. A write into a map
 // element absorbs order taint: the destination has no order to perturb, so
 // copying a range's pairs into another map is order-insensitive.
-func (fl *vfFlow) writeTaint(st *vfState, lhs ast.Expr, str streamSet, ord *Trace, marks uint64, strong bool) {
+func (fl *vfFlow) writeTaint(st *vfState, lhs ast.Expr, t taint, strong bool) {
 	info := fl.n.Pkg.Info
 	target := ast.Unparen(lhs)
 	for {
 		if ix, ok := target.(*ast.IndexExpr); ok {
-			if t := info.TypeOf(ix.X); t != nil {
-				if _, isMap := t.Underlying().(*types.Map); isMap {
-					ord = nil
-					marks = 0
+			if typ := info.TypeOf(ix.X); typ != nil {
+				if _, isMap := typ.Underlying().(*types.Map); isMap {
+					t.ord, t.marks = nil, 0
 				}
 			}
 			target, strong = ix.X, false
@@ -404,44 +397,15 @@ func (fl *vfFlow) writeTaint(st *vfState, lhs ast.Expr, str streamSet, ord *Trac
 		return
 	}
 	if strong {
-		for k := range st.streams {
+		for k := range st.taints {
 			if k == key || strings.HasPrefix(k, key+".") {
-				delete(st.streams, k)
+				delete(st.taints, k)
 			}
 		}
-		for k := range st.ordered {
-			if k == key || strings.HasPrefix(k, key+".") {
-				delete(st.ordered, k)
-			}
-		}
-		for k := range st.pmark {
-			if k == key || strings.HasPrefix(k, key+".") {
-				delete(st.pmark, k)
-			}
-		}
-		st.setStreams(key, str)
-		st.setOrdered(key, ord)
-		st.setPmark(key, marks)
+		st.setTaint(key, t)
 		return
 	}
-	if len(str) > 0 {
-		cur := st.streams[key]
-		if cur == nil {
-			cur = make(streamSet)
-		}
-		for n, tr := range str {
-			if _, dup := cur[n]; !dup {
-				cur[n] = tr
-			}
-		}
-		st.setStreams(key, cur)
-	}
-	if ord != nil && st.ordered[key] == nil {
-		st.setOrdered(key, ord)
-	}
-	if marks != 0 {
-		st.setPmark(key, st.pmark[key]|marks)
-	}
+	st.setTaint(key, st.taints[key].union(t))
 }
 
 func (fl *vfFlow) rangeTaint(s *ast.RangeStmt, st *vfState) {
@@ -459,7 +423,7 @@ func (fl *vfFlow) rangeTaint(s *ast.RangeStmt, st *vfState) {
 			if id, ok := v.(*ast.Ident); ok && id.Name == "_" {
 				continue
 			}
-			fl.writeTaint(st, v, nil, tr, 0, true)
+			fl.writeTaint(st, v, taint{ord: tr}, true)
 		}
 		return
 	}
@@ -472,8 +436,7 @@ func (fl *vfFlow) rangeTaint(s *ast.RangeStmt, st *vfState) {
 	if id, ok := s.Value.(*ast.Ident); ok && id.Name == "_" {
 		return
 	}
-	str, ord, marks := fl.taintOf(s.X, st)
-	fl.writeTaint(st, s.Value, str, ord, marks, true)
+	fl.writeTaint(st, s.Value, fl.taintOf(s.X, st), true)
 }
 
 // callEffects applies the state changes of every call inside the node:
@@ -489,8 +452,7 @@ func (fl *vfFlow) callEffects(n ast.Node, st *vfState) {
 			return true
 		}
 		if isBuiltinCall(info, call, "copy") && len(call.Args) == 2 {
-			str, ord, marks := fl.taintOf(call.Args[1], st)
-			fl.writeTaint(st, call.Args[0], str, ord, marks, false)
+			fl.writeTaint(st, call.Args[0], fl.taintOf(call.Args[1], st), false)
 			return true
 		}
 		site := fl.p.SiteAt(call)
@@ -500,9 +462,10 @@ func (fl *vfFlow) callEffects(n ast.Node, st *vfState) {
 				if !ok {
 					continue
 				}
-				for k := range st.ordered {
+				for k, t := range st.taints {
 					if k == key || strings.HasPrefix(k, key+".") {
-						delete(st.ordered, k)
+						t.ord = nil
+						st.setTaint(k, t)
 					}
 				}
 			}
@@ -595,9 +558,8 @@ func (fl *vfFlow) Refine(e Edge, f *vfState) *vfState {
 	return out
 }
 
-// taintOf evaluates the taint of an expression under the current state:
-// stream taints, order taint, and parameter marks.
-func (fl *vfFlow) taintOf(e ast.Expr, st *vfState) (streamSet, *Trace, uint64) {
+// taintOf evaluates the taint of an expression under the current state.
+func (fl *vfFlow) taintOf(e ast.Expr, st *vfState) taint {
 	info := fl.n.Pkg.Info
 	e = ast.Unparen(e)
 	switch x := e.(type) {
@@ -605,133 +567,91 @@ func (fl *vfFlow) taintOf(e ast.Expr, st *vfState) (streamSet, *Trace, uint64) {
 		if key, ok := exprKey(info, e); ok {
 			return st.taintsAt(key)
 		}
-		return nil, nil, 0
 	case *ast.StarExpr:
 		return fl.taintOf(x.X, st)
 	case *ast.UnaryExpr:
 		return fl.taintOf(x.X, st)
 	case *ast.BinaryExpr:
-		return unionTaint3(fl.taintOf(x.X, st))(fl.taintOf(x.Y, st))
+		return fl.taintOf(x.X, st).union(fl.taintOf(x.Y, st))
 	case *ast.IndexExpr:
-		return unionTaint3(fl.taintOf(x.X, st))(fl.taintOf(x.Index, st))
+		return fl.taintOf(x.X, st).union(fl.taintOf(x.Index, st))
 	case *ast.SliceExpr:
 		return fl.taintOf(x.X, st)
 	case *ast.TypeAssertExpr:
 		return fl.taintOf(x.X, st)
 	case *ast.CompositeLit:
-		var str streamSet
-		var ord *Trace
-		var marks uint64
+		var t taint
 		for _, elt := range x.Elts {
 			if kv, ok := elt.(*ast.KeyValueExpr); ok {
 				elt = kv.Value
 			}
-			str, ord, marks = unionTaint3(str, ord, marks)(fl.taintOf(elt, st))
+			t = t.union(fl.taintOf(elt, st))
 		}
-		return str, ord, marks
+		return t
 	case *ast.CallExpr:
 		return fl.callTaint(x, st)
 	}
-	return nil, nil, 0
-}
-
-// unionTaint3 curries a three-way taint union.
-func unionTaint3(str streamSet, ord *Trace, marks uint64) func(streamSet, *Trace, uint64) (streamSet, *Trace, uint64) {
-	return func(s2 streamSet, o2 *Trace, m2 uint64) (streamSet, *Trace, uint64) {
-		if len(s2) > 0 {
-			if str == nil {
-				str = make(streamSet, len(s2))
-			}
-			for n, tr := range s2 {
-				if _, ok := str[n]; !ok {
-					str[n] = tr
-				}
-			}
-		}
-		if ord == nil {
-			ord = o2
-		}
-		return str, ord, marks | m2
-	}
+	return taint{}
 }
 
 // callTaint evaluates the taint of a call result.
-func (fl *vfFlow) callTaint(call *ast.CallExpr, st *vfState) (streamSet, *Trace, uint64) {
+func (fl *vfFlow) callTaint(call *ast.CallExpr, st *vfState) taint {
 	info := fl.n.Pkg.Info
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
 		return fl.taintOf(call.Args[0], st) // conversion T(x)
 	}
+	var t taint
 	if isBuiltinCall(info, call, "append") {
-		var str streamSet
-		var ord *Trace
-		var marks uint64
 		for _, arg := range call.Args {
-			str, ord, marks = unionTaint3(str, ord, marks)(fl.taintOf(arg, st))
+			t = t.union(fl.taintOf(arg, st))
 		}
-		return str, ord, marks
+		return t
 	}
 	if isBuiltinCall(info, call, "len") || isBuiltinCall(info, call, "cap") {
-		return nil, nil, 0
+		return t
 	}
 	site := fl.p.SiteAt(call)
 	if site == nil || len(site.Callees) == 0 {
 		switch site.std().order {
 		case orderSource:
-			return nil, &Trace{Pos: call.Pos(), What: site.Std[0] + " iteration order", EntryPos: call.Pos()}, 0
+			t.ord = &Trace{Pos: call.Pos(), What: site.Std[0] + " iteration order", EntryPos: call.Pos()}
 		case orderKeep:
 			// Formatting propagates ordering (and param marks), not
 			// stream identity.
-			var ord *Trace
-			var marks uint64
 			for _, arg := range call.Args {
-				_, o, m := fl.taintOf(arg, st)
-				if ord == nil {
-					ord = o
-				}
-				marks |= m
+				u := fl.taintOf(arg, st)
+				t = t.union(taint{ord: u.ord, marks: u.marks})
 			}
-			return nil, ord, marks
 		}
-		return nil, nil, 0
+		return t
 	}
-	var str streamSet
-	var ord *Trace
-	var marks uint64
 	for _, callee := range site.Callees {
 		if fl.p.dirs.sources[callee] {
 			if name, ok := streamNameArg(info, call); ok {
-				if str == nil {
-					str = make(streamSet)
-				}
-				if _, dup := str[name]; !dup {
-					str[name] = &Trace{Pos: call.Pos(), What: fmt.Sprintf("Stream(%q)", name), EntryPos: call.Pos()}
-				}
+				tr := &Trace{Pos: call.Pos(), What: fmt.Sprintf("Stream(%q)", name), EntryPos: call.Pos()}
+				t = t.union(taint{streams: map[string]*Trace{name: tr}})
 			}
 			continue
 		}
-		sum := fl.p.summaries[callee].flow
-		for name, tr := range sum.returnStreams {
-			if str == nil {
-				str = make(streamSet)
-			}
-			if _, dup := str[name]; !dup {
-				str[name] = wrapVia(tr, callee.Name(), call.Pos())
+		ret := fl.p.summaries[callee].flow.ret
+		var via taint
+		if len(ret.streams) > 0 {
+			via.streams = make(map[string]*Trace, len(ret.streams))
+			for name, tr := range ret.streams {
+				via.streams[name] = wrapVia(tr, callee.Name(), call.Pos())
 			}
 		}
-		if ord == nil && sum.returnsOrdered != nil {
-			ord = wrapVia(sum.returnsOrdered, callee.Name(), call.Pos())
+		if ret.ord != nil {
+			via.ord = wrapVia(ret.ord, callee.Name(), call.Pos())
 		}
-		if sum.returnsParam != 0 {
-			for i, arg := range call.Args {
-				bit := min(i, 63)
-				if i >= 64 || sum.returnsParam&(1<<uint(bit)) == 0 {
-					continue
-				}
-				str, ord, marks = unionTaint3(str, ord, marks)(fl.taintOf(arg, st))
+		t = t.union(via)
+		for i, arg := range call.Args {
+			if i < 64 && ret.marks&(1<<uint(i)) != 0 {
+				t = t.union(fl.taintOf(arg, st))
 			}
 		}
 	}
-	return str, ord, marks
+	return t
 }
 
 // wrapVia extends a trace's blame chain with the callee it flowed through.

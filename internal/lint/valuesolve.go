@@ -54,18 +54,17 @@ func (fl *vfFlow) extractSummary() *valueSummary {
 				return true
 			}
 			for i, arg := range call.Args {
-				_, _, marks := fl.taintOf(arg, st)
+				marks := fl.taintOf(arg, st).marks
 				if marks == 0 {
 					continue
 				}
-				desc, _ := fl.sinkDescAt(call, i)
+				desc := fl.sinkDescAt(call, i)
 				if desc == "" {
 					continue
 				}
 				for bit := 0; bit < len(sum.paramSink) && bit < 64; bit++ {
 					if marks&(1<<uint(bit)) != 0 && sum.paramSink[bit] == "" {
 						sum.paramSink[bit] = desc
-						sum.paramSinkTr[bit] = &Trace{Pos: call.Pos(), What: desc, EntryPos: call.Pos()}
 					}
 				}
 			}
@@ -77,29 +76,15 @@ func (fl *vfFlow) extractSummary() *valueSummary {
 
 // recordReturn folds the taint of each returned value into the summary.
 func (fl *vfFlow) recordReturn(ret *ast.ReturnStmt, st *vfState, sum *valueSummary) {
-	record := func(str streamSet, ord *Trace, marks uint64) {
-		for name, tr := range str {
-			if _, ok := sum.returnStreams[name]; !ok {
-				if sum.returnStreams == nil {
-					sum.returnStreams = make(map[string]*Trace)
-				}
-				sum.returnStreams[name] = tr
-			}
-		}
-		if ord != nil && sum.returnsOrdered == nil {
-			sum.returnsOrdered = ord
-		}
-		sum.returnsParam |= marks
-	}
 	if len(ret.Results) > 0 {
 		for _, res := range ret.Results {
-			record(fl.taintOf(res, st))
+			sum.ret = sum.ret.union(fl.taintOf(res, st))
 		}
 		return
 	}
 	for _, obj := range namedResultObjs(fl.n) {
 		if obj != nil {
-			record(st.taintsAt(objKey(obj)))
+			sum.ret = sum.ret.union(st.taintsAt(objKey(obj)))
 		}
 	}
 }
@@ -127,21 +112,19 @@ func namedResultObjs(n *FuncNode) []types.Object {
 
 // sinkDescAt reports whether passing argument i of the call hands the
 // value to a deterministic-output sink, directly (//rexlint:detsink) or
-// through a callee whose parameter reaches one; the trace carries the
-// blame chain.
-func (fl *vfFlow) sinkDescAt(call *ast.CallExpr, argIdx int) (string, *Trace) {
+// through a callee whose parameter reaches one.
+func (fl *vfFlow) sinkDescAt(call *ast.CallExpr, argIdx int) string {
 	dirs := fl.p.dirs
 	site := fl.p.SiteAt(call)
 	if site == nil {
-		return "", nil
+		return ""
 	}
 	for _, callee := range site.Callees {
 		if dirs.sources[callee] {
 			continue
 		}
 		if desc, ok := dirs.sinks[callee]; ok {
-			d := fmt.Sprintf("%s sink %s", desc, callee.Name())
-			return d, &Trace{Pos: call.Pos(), What: d, EntryPos: call.Pos()}
+			return fmt.Sprintf("%s sink %s", desc, callee.Name())
 		}
 		sum := fl.p.summaries[callee].flow
 		if len(sum.paramSink) == 0 {
@@ -149,10 +132,10 @@ func (fl *vfFlow) sinkDescAt(call *ast.CallExpr, argIdx int) (string, *Trace) {
 		}
 		i := min(argIdx, len(sum.paramSink)-1) // variadic tail shares the last param
 		if d := sum.paramSink[i]; d != "" {
-			return d, wrapVia(sum.paramSinkTr[i], callee.Name(), call.Pos())
+			return d
 		}
 	}
-	return "", nil
+	return ""
 }
 
 // checkFlow runs the reporting pass over one node and returns its
@@ -265,7 +248,7 @@ func (fl *vfFlow) checkCall(call *ast.CallExpr, st *vfState, report func(vfKind,
 	// call, e.g. r.Intn on a *rand.Rand obtained from Stream).
 	if site.RecvExpr != nil && len(site.Callees) == 0 && len(site.Std) > 0 {
 		if key, ok := exprKey(info, site.RecvExpr); ok {
-			str, _, _ := st.taintsAt(key)
+			str := st.taintsAt(key).streams
 			for _, name := range sortedKeys(str) {
 				if !slices.Contains(lf.declared, name) {
 					report(vfStream, call.Pos(), "%s draws from RNG stream %q but declares %s%s; add //rexlint:stream %s to its doc comment",
@@ -277,10 +260,10 @@ func (fl *vfFlow) checkCall(call *ast.CallExpr, st *vfState, report func(vfKind,
 
 	// Rules 3–5: per-argument hand-off, sink, and precondition checks.
 	for i, arg := range call.Args {
-		str, ord, _ := fl.taintOf(arg, st)
-		if len(str) > 0 {
-			for _, name := range sortedKeys(str) {
-				tr := str[name]
+		t := fl.taintOf(arg, st)
+		if len(t.streams) > 0 {
+			for _, name := range sortedKeys(t.streams) {
+				tr := t.streams[name]
 				if len(site.Callees) > 0 {
 					for _, callee := range site.Callees {
 						if !slices.Contains(fl.p.local[callee].declared, name) {
@@ -294,10 +277,10 @@ func (fl *vfFlow) checkCall(call *ast.CallExpr, st *vfState, report func(vfKind,
 				}
 			}
 		}
-		if ord != nil {
-			if desc, _ := fl.sinkDescAt(call, i); desc != "" {
+		if t.ord != nil {
+			if desc := fl.sinkDescAt(call, i); desc != "" {
 				report(vfDet, arg.Pos(), "value ordered by %s flows into %s without sort or canonicalization%s",
-					ord.What, desc, ord.Chain())
+					t.ord.What, desc, t.ord.Chain())
 			}
 		}
 	}
