@@ -61,7 +61,6 @@ func run() error {
 
 		high       = flag.Float64("high", 1.25, "imbalance high-water mark (trigger re-solve)")
 		low        = flag.Float64("low", 1.10, "imbalance low-water mark (stop churning)")
-		cooldown   = flag.Float64("cooldown", 0, "minimum seconds between solves")
 		iters      = flag.Int("iters", 600, "LNS iterations per solve round")
 		restarts   = flag.Int("restarts", 2, "parallel SRA restarts per solve round")
 		partitions = flag.Int("partitions", 0, "solve resource-shape partitions concurrently when > 1 (0/1 = whole-cluster portfolio)")
@@ -160,7 +159,7 @@ func run() error {
 
 	cfg := ctl.DefaultConfig()
 	cfg.Window = *window
-	cfg.Policy = ctl.Policy{HighWater: *high, LowWater: *low, Cooldown: *cooldown}
+	cfg.Policy = ctl.Policy{HighWater: *high, LowWater: *low}
 	cfg.Budget = ctl.Budget{
 		Iterations:     *iters,
 		Restarts:       *restarts,

@@ -12,7 +12,8 @@ import (
 	"rexchange/internal/obs"
 )
 
-// State is the controller's top-level mode, exposed on /status.
+// State is the controller's top-level mode, exposed on /status and as
+// rex_ctl_state. It is derived, never stored: see stateOf.
 type State int
 
 // Controller states.
@@ -24,6 +25,20 @@ const (
 	// StateMigrating: a plan is installed and the executor is draining it.
 	StateMigrating
 )
+
+// stateOf derives the controller state from its two sources of truth:
+// whether a solve round is running, and whether the executor has drained
+// its plan.
+func stateOf(solving, done bool) State {
+	switch {
+	case solving:
+		return StateSolving
+	case !done:
+		return StateMigrating
+	default:
+		return StateIdle
+	}
+}
 
 // String names the state.
 func (s State) String() string {
@@ -43,7 +58,7 @@ func (s State) String() string {
 type Config struct {
 	// Window is the seconds between load snapshots (one control round).
 	Window float64
-	// Policy is the solve trigger (hysteresis + cooldown).
+	// Policy is the solve trigger (hysteresis).
 	Policy Policy
 	// Budget bounds each solve round.
 	Budget Budget
@@ -115,13 +130,12 @@ type Controller struct {
 	mu       sync.Mutex
 	live     *cluster.Placement // guarded by: mu
 	exec     *Executor          // guarded by: mu
-	state    State              // guarded by: mu
+	solving  bool               // guarded by: mu
 	campaign bool               // guarded by: mu
 	round    int                // guarded by: mu
 	solves   int                // guarded by: mu
-	// lastSolveAt is meaningful only once everSolved is true.
+	// lastSolveAt is meaningful only once solves > 0.
 	lastSolveAt float64        // guarded by: mu
-	everSolved  bool           // guarded by: mu
 	lastReport  cluster.Report // guarded by: mu
 	history     []RoundStat    // guarded by: mu
 
@@ -181,63 +195,36 @@ func New(cfg Config, clock Clock, p *cluster.Placement, src LoadSource) (*Contro
 	return c, nil
 }
 
-// setState transitions the controller state, mirroring it onto the
-// rex_ctl_state gauge. Callers hold c.mu.
-//
-//rexlint:holds c.mu
-func (c *Controller) setState(s State) {
-	c.state = s
-	c.m.state.Set(float64(s))
-}
-
 // Stop makes Run return after the current round. Safe to call from any
 // goroutine (e.g. a signal handler).
 func (c *Controller) Stop() { c.stopped.Store(true) }
 
 // Run executes `rounds` control rounds (≤0 means until Stop), then drains
-// any outstanding migration. Each round services executor events until the
-// window closes, ingests a load snapshot, and consults the trigger policy.
-// Run returns the first hard error (a snapshot or solve infrastructure
-// failure); executor plan failures are recorded in the round history and
-// operation continues.
+// any outstanding migration. Every round has one shape: drive the executor
+// to the window end, sleep to the boundary, ingest a load snapshot, and
+// consult the trigger policy. Run returns the first hard error (a snapshot
+// or solve infrastructure failure); executor plan failures are recorded in
+// the round history and operation continues.
 func (c *Controller) Run(rounds int) error {
 	start := c.clock.Now()
 	for r := 0; (rounds <= 0 || r < rounds) && !c.stopped.Load(); r++ {
 		t1 := start + float64(r+1)*c.cfg.Window
-		if err := c.serviceUntil(t1); err != nil {
-			c.noteExecError(err)
-		}
+		c.driveExec(t1)
+		c.clock.Sleep(t1 - c.clock.Now())
 		if err := c.snapshotAndDecide(t1-c.cfg.Window, t1); err != nil {
 			return err
 		}
 	}
-	return c.drain()
-}
-
-// serviceUntil advances the clock to t, processing executor events on the
-// way. Executor plan failures abort the plan and surface as the returned
-// error; the controller keeps running.
-func (c *Controller) serviceUntil(t float64) error {
-	if err := c.driveExec(t); err != nil {
-		return err
-	}
-	c.clock.Sleep(t - c.clock.Now())
+	c.driveExec(math.Inf(1))
 	return nil
 }
 
-// drain services the executor until the installed plan finishes (or
-// fails), without ingesting further snapshots.
-func (c *Controller) drain() error {
-	if err := c.driveExec(math.Inf(1)); err != nil {
-		c.noteExecError(err)
-	}
-	return nil
-}
-
-// driveExec runs the executor's events scheduled at or before until and
-// returns the controller to idle when the plan drains or fails. c.mu is
-// held across executor calls and released while the clock advances.
-func (c *Controller) driveExec(until float64) error {
+// driveExec runs the executor's events scheduled at or before until. c.mu
+// is held across executor calls and released while the clock advances. A
+// plan failure (the executor aborts the plan before reporting it) goes on
+// the latest round's stat, or on a stat of its own when that round already
+// carries an error.
+func (c *Controller) driveExec(until float64) {
 	sleepTo := SleepTo(c.clock)
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -246,18 +233,10 @@ func (c *Controller) driveExec(until float64) error {
 		defer c.mu.Lock()
 		return sleepTo(t)
 	})
-	if c.exec.Done() && c.state == StateMigrating {
-		c.setState(StateIdle)
+	c.m.state.Set(float64(stateOf(c.solving, c.exec.Done())))
+	if err == nil {
+		return
 	}
-	return err
-}
-
-// noteExecError records an executor plan failure in the round history.
-// driveExec has already returned the controller to idle: the executor
-// aborts a failed plan before reporting it.
-func (c *Controller) noteExecError(err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.m.execErrors.Inc()
 	if n := len(c.history); n > 0 && c.history[n-1].Err == "" {
 		c.history[n-1].Err = err.Error()
@@ -281,11 +260,14 @@ func (c *Controller) snapshotAndDecide(t0, t1 float64) error {
 	rep := c.live.Report()
 	c.lastReport = rep
 	now := c.clock.Now()
-	migrating := c.state == StateMigrating && !c.exec.Done()
-	trigger := c.cfg.Policy.ShouldSolve(rep.Imbalance, c.campaign, migrating, now, c.lastSolveAt, c.everSolved)
+	trigger := c.cfg.Policy.ShouldSolve(rep.Imbalance, c.campaign, !c.exec.Done())
 	if rep.Imbalance >= c.cfg.Policy.HighWater {
 		c.campaign = true
 	}
+	// The solve, if any, runs between this locked section and the next;
+	// /status and rex_ctl_state report it as solving.
+	c.solving = trigger
+	c.m.state.Set(float64(stateOf(c.solving, c.exec.Done())))
 	stat := RoundStat{
 		Round: c.round, At: now,
 		Imbalance: rep.Imbalance, MaxUtil: rep.MaxUtil, MeanUtil: rep.MeanUtil,
@@ -303,6 +285,8 @@ func (c *Controller) snapshotAndDecide(t0, t1 float64) error {
 	}
 
 	c.mu.Lock()
+	c.solving = false
+	c.m.state.Set(float64(stateOf(c.solving, c.exec.Done())))
 	// End the campaign only from the freshly observed report; a solve this
 	// round begins paying off in later windows.
 	if c.campaign && rep.Imbalance <= c.cfg.Policy.LowWater {
@@ -380,7 +364,6 @@ func (c *Controller) solveRound(stat *RoundStat) {
 	// (or, for aborts, superseded) the plan.
 	c.exec.round = stat.Round
 	c.exec.SetPlan(nil) // supersede: abort in-flight, cancel pending
-	c.setState(StateSolving)
 	// The solvers only read planning, and it is the controller's private
 	// clone; the live placement stays behind the mutex.
 	planning := c.live.Clone()
@@ -426,11 +409,9 @@ func (c *Controller) solveRound(stat *RoundStat) {
 	c.solves++
 	c.m.solves.Inc()
 	c.lastSolveAt = now
-	c.everSolved = true
 	stat.Solved = true
 	if err != nil {
 		stat.Err = err.Error()
-		c.setState(StateIdle)
 		c.journal.Emit(obs.Event{T: now, Span: obs.SpanSolve, Phase: obs.PhaseEnd,
 			Round: stat.Round, Outcome: obs.OutcomeErr, Err: stat.Err,
 			Seconds: c.cfg.Budget.SolveSeconds})
@@ -448,13 +429,10 @@ func (c *Controller) solveRound(stat *RoundStat) {
 	emitSolveTrace(now)
 	c.exec.SetPlan(res.Plan)
 	if res.Plan.NumMoves() == 0 {
-		c.setState(StateIdle)
 		return
 	}
-	c.setState(StateMigrating)
 	if err := c.exec.Tick(c.live, now); err != nil {
 		stat.Err = err.Error()
-		c.setState(StateIdle)
 	}
 }
 
@@ -484,7 +462,7 @@ func (c *Controller) Status() Status {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := Status{
-		State:       c.state.String(),
+		State:       stateOf(c.solving, c.exec.Done()).String(),
 		Now:         c.clock.Now(),
 		Round:       c.round,
 		Solves:      c.solves,

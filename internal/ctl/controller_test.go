@@ -9,33 +9,29 @@ import (
 	"testing"
 
 	"rexchange/internal/cluster"
+	"rexchange/internal/obs"
 	"rexchange/internal/plan"
 	"rexchange/internal/workload"
 )
 
 func TestPolicyShouldSolve(t *testing.T) {
-	p := Policy{HighWater: 1.25, LowWater: 1.10, Cooldown: 30}
+	p := Policy{HighWater: 1.25, LowWater: 1.10}
 	cases := []struct {
 		name                string
 		imb                 float64
 		campaign, migrating bool
-		now, lastAt         float64
-		everSolved          bool
 		want                bool
 	}{
-		{"below band idle", 1.05, false, false, 100, 0, false, false},
-		{"above high triggers", 1.30, false, false, 100, 0, false, true},
-		{"above high supersedes migration", 1.30, true, true, 100, 0, false, true},
-		{"mid band no campaign", 1.15, false, false, 100, 0, false, false},
-		{"mid band campaign continues", 1.15, true, false, 100, 0, false, true},
-		{"mid band never supersedes", 1.15, true, true, 100, 0, false, false},
-		{"at low water stops", 1.10, true, false, 100, 0, false, false},
-		{"cooldown gates", 1.50, true, false, 100, 80, true, false},
-		{"cooldown expired", 1.50, true, false, 100, 60, true, true},
-		{"first solve ignores cooldown", 1.50, false, false, 5, 0, false, true},
+		{"below band idle", 1.05, false, false, false},
+		{"above high triggers", 1.30, false, false, true},
+		{"above high supersedes migration", 1.30, true, true, true},
+		{"mid band no campaign", 1.15, false, false, false},
+		{"mid band campaign continues", 1.15, true, false, true},
+		{"mid band never supersedes", 1.15, true, true, false},
+		{"at low water stops", 1.10, true, false, false},
 	}
 	for _, tc := range cases {
-		got := p.ShouldSolve(tc.imb, tc.campaign, tc.migrating, tc.now, tc.lastAt, tc.everSolved)
+		got := p.ShouldSolve(tc.imb, tc.campaign, tc.migrating)
 		if got != tc.want {
 			t.Errorf("%s: ShouldSolve = %v, want %v", tc.name, got, tc.want)
 		}
@@ -46,7 +42,6 @@ func TestPolicyValidate(t *testing.T) {
 	bad := []Policy{
 		{HighWater: 1.2, LowWater: 0.9},
 		{HighWater: 1.1, LowWater: 1.2},
-		{HighWater: 1.2, LowWater: 1.1, Cooldown: -1},
 	}
 	for _, p := range bad {
 		if err := p.validate(); err == nil {
@@ -242,10 +237,11 @@ func TestControllerRetriesInjectedFailures(t *testing.T) {
 	}
 }
 
-// TestControllerSupersedesPlan scripts two successive load spikes with slow
-// migration: the second spike must supersede the still-migrating first
-// plan (aborting its in-flight copy) rather than queue behind it.
-func TestControllerSupersedesPlan(t *testing.T) {
+// slowCopyFleet scripts two successive load spikes on an 8-machine fleet
+// whose copies take far longer than a window, so the second spike arrives
+// while the first plan is still migrating.
+func slowCopyFleet(t *testing.T) (Config, *cluster.Placement, LoadSource) {
+	t.Helper()
 	nm, ns := 8, 16
 	caps := make([]float64, nm)
 	for i := range caps {
@@ -286,7 +282,14 @@ func TestControllerSupersedesPlan(t *testing.T) {
 	// far longer than the 10s window, so round 1 arrives mid-migration
 	cfg.Exec.Migration = MigrationConfig{Bandwidth: 0.04, Concurrency: 1}
 	cfg.Seed = 9
+	return cfg, p, src
+}
 
+// TestControllerSupersedesPlan scripts two successive load spikes with slow
+// migration: the second spike must supersede the still-migrating first
+// plan (aborting its in-flight copy) rather than queue behind it.
+func TestControllerSupersedesPlan(t *testing.T) {
+	cfg, p, src := slowCopyFleet(t)
 	ctl, err := New(cfg, NewVirtualClock(), p, src)
 	if err != nil {
 		t.Fatal(err)
@@ -304,6 +307,111 @@ func TestControllerSupersedesPlan(t *testing.T) {
 	}
 	if err := ctl.SnapshotPlacement().CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sleepProbe is a VirtualClock that calls probe before every Sleep. The
+// controller never sleeps holding its mutex, so probe may call Status.
+type sleepProbe struct {
+	*VirtualClock
+	probe func()
+}
+
+func (c sleepProbe) Sleep(d float64) {
+	c.probe()
+	c.VirtualClock.Sleep(d)
+}
+
+// TestControllerStateFollowsExecutor checks that the state /status and
+// rex_ctl_state report is derived, not stored: "solving" (1) exactly while
+// a round's solve runs, "migrating" exactly while a plan has unfinished
+// moves, "idle" otherwise, and idle once Run has drained.
+func TestControllerStateFollowsExecutor(t *testing.T) {
+	cfg, p, src := slowCopyFleet(t)
+	cfg.Registry = obs.NewRegistry()
+	var c *Controller
+	// solvingIn[r] records that the state read "solving" while round r ran;
+	// Status().Round has already moved past r when its solve sleeps.
+	solvingIn := map[int]bool{}
+	clock := sleepProbe{VirtualClock: NewVirtualClock(), probe: func() {
+		status := c.Status()
+		solving := status.State == StateSolving.String()
+		if gauge := c.m.state.Value(); solving != (gauge == float64(StateSolving)) {
+			t.Errorf("round %d: state %q but rex_ctl_state = %g", status.Round-1, status.State, gauge)
+		}
+		if solving {
+			solvingIn[status.Round-1] = true
+		}
+	}}
+	migrating, solved := 0, 0
+	cfg.OnRound = func(st RoundStat) {
+		if solvingIn[st.Round] != st.Solved {
+			t.Errorf("round %d: solved=%v but state read solving=%v during the round",
+				st.Round, st.Solved, solvingIn[st.Round])
+		}
+		if st.Solved {
+			solved++
+		}
+		status := c.Status()
+		want := StateIdle
+		if !status.Executor.Done {
+			want = StateMigrating
+			migrating++
+		}
+		if status.State != want.String() {
+			t.Errorf("round %d: state %q with executor done=%v, want %q",
+				st.Round, status.State, status.Executor.Done, want)
+		}
+		if got := c.m.state.Value(); got != float64(want) {
+			t.Errorf("round %d: rex_ctl_state = %g, want %d", st.Round, got, want)
+		}
+	}
+	var err error
+	if c, err = New(cfg, clock, p, src); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(3); err != nil {
+		t.Fatal(err)
+	}
+	if migrating == 0 || solved == 0 {
+		t.Fatalf("%d rounds ended mid-migration and %d solved; the scenario needs both", migrating, solved)
+	}
+	if st := c.Status(); st.State != "idle" || !st.Executor.Done {
+		t.Fatalf("after Run: state %q, executor done=%v; want idle and done", st.State, st.Executor.Done)
+	}
+	if got := c.m.state.Value(); got != 0 {
+		t.Fatalf("after Run: rex_ctl_state = %g, want 0", got)
+	}
+}
+
+// TestRoundsCloseAtWindowAfterPlanFailure makes every copy fail on its
+// only attempt, so each installed plan fails inside its window. Each round
+// must still snapshot at its window boundary, not at the failure.
+func TestRoundsCloseAtWindowAfterPlanFailure(t *testing.T) {
+	cfg, p, src := e2eConfig(t, 60, 700, 3)
+	cfg.Exec.MaxAttempts = 1
+	cfg.Exec.Failure = func(plan.Move, int) bool { return true }
+	var at []float64
+	cfg.OnRound = func(st RoundStat) { at = append(at, st.At) }
+	c, err := New(cfg, NewVirtualClock(), p, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(6); err != nil {
+		t.Fatal(err)
+	}
+	want := []float64{10, 20, 30, 40, 50, 60}
+	if !reflect.DeepEqual(at, want) {
+		t.Fatalf("rounds closed at %v, want %v", at, want)
+	}
+	failed := 0
+	for _, st := range c.History() {
+		if st.Err != "" {
+			failed++
+		}
+	}
+	if failed == 0 {
+		t.Fatal("no plan failure was recorded; the scenario checks nothing")
 	}
 }
 
@@ -393,8 +501,8 @@ func TestVirtualClock(t *testing.T) {
 
 func ExamplePolicy() {
 	p := DefaultPolicy()
-	fmt.Println(p.ShouldSolve(1.30, false, false, 0, 0, false))
-	fmt.Println(p.ShouldSolve(1.05, false, false, 0, 0, false))
+	fmt.Println(p.ShouldSolve(1.30, false, false))
+	fmt.Println(p.ShouldSolve(1.05, false, false))
 	// Output:
 	// true
 	// false

@@ -2,8 +2,9 @@ package ctl
 
 import "fmt"
 
-// Policy decides when the controller re-solves. It implements hysteresis
-// with a cooldown:
+// Policy decides when the controller re-solves. It implements hysteresis,
+// consulted once per control window — the window pacing is what
+// rate-limits solves:
 //
 //   - a *campaign* starts when observed imbalance reaches HighWater;
 //   - while a campaign is active the controller keeps re-solving (once the
@@ -11,9 +12,7 @@ import "fmt"
 //     the campaign ends — the dead band between the marks prevents churn
 //     around a single threshold;
 //   - an in-flight plan is superseded (cancelled and re-solved) only when
-//     imbalance climbs back above HighWater, never for mid-band drift;
-//   - Cooldown is the minimum spacing between solve rounds regardless of
-//     the watermarks.
+//     imbalance climbs back above HighWater, never for mid-band drift.
 type Policy struct {
 	// HighWater triggers a re-solve (imbalance = MaxUtil/MeanUtil, 1.0 is
 	// perfect balance).
@@ -21,12 +20,9 @@ type Policy struct {
 	// LowWater ends an active rebalancing campaign. Must be ≥ 1 and below
 	// HighWater.
 	LowWater float64
-	// Cooldown is the minimum seconds between consecutive solves.
-	Cooldown float64
 }
 
-// DefaultPolicy triggers at 25% over ideal and stops churning at 10% over,
-// with no cooldown (the window pacing already rate-limits solves).
+// DefaultPolicy triggers at 25% over ideal and stops churning at 10% over.
 func DefaultPolicy() Policy {
 	return Policy{HighWater: 1.25, LowWater: 1.10}
 }
@@ -39,20 +35,13 @@ func (p Policy) validate() error {
 	if p.HighWater < p.LowWater {
 		return fmt.Errorf("ctl: HighWater %g below LowWater %g", p.HighWater, p.LowWater)
 	}
-	if p.Cooldown < 0 {
-		return fmt.Errorf("ctl: negative Cooldown %g", p.Cooldown)
-	}
 	return nil
 }
 
-// ShouldSolve reports whether a solve should run now. campaign is whether a
-// rebalancing campaign is active, migrating whether a plan is still
-// executing, and lastSolveAt the time of the previous solve (NaN-free: pass
-// everSolved=false before the first).
-func (p Policy) ShouldSolve(imb float64, campaign, migrating bool, now, lastSolveAt float64, everSolved bool) bool {
-	if everSolved && now-lastSolveAt < p.Cooldown {
-		return false
-	}
+// ShouldSolve reports whether a solve should run this window. campaign is
+// whether a rebalancing campaign is active, migrating whether a plan is
+// still executing.
+func (p Policy) ShouldSolve(imb float64, campaign, migrating bool) bool {
 	if imb >= p.HighWater {
 		return true
 	}

@@ -391,7 +391,8 @@ func (s *Sim) Sleep(d float64) {
 
 // Next implements ctl.LoadSource: per-shard work routed since the last
 // snapshot, as a rate in cluster Load units. The simulator must have
-// been advanced to t1 (the controller's serviceUntil guarantees this).
+// been advanced to t1 (ctl.Controller.Run sleeps to the window end before
+// every snapshot).
 func (s *Sim) Next(t0, t1 float64) ([]float64, error) {
 	if t1 <= t0 {
 		return nil, fmt.Errorf("des: load window [%g,%g) is inverted", t0, t1)
