@@ -33,8 +33,7 @@
 //	              a //rexlint:detsink (journal writes, Prometheus
 //	              exposition, fixed-format reports)
 //	nonneg        //rexlint:nonneg counters proven non-negative on every
-//	              path, with //rexlint:requires preconditions checked at
-//	              call sites; a callee whose effect summary writes its
+//	              path; a callee whose effect summary writes its
 //	              receiver, parameters or globals resets field bounds to 0
 //
 // Unused //rexlint:ignore and //rexlint:transfer directives are themselves

@@ -486,6 +486,27 @@ func TestTraceDriftSourceDeterministicAndWrapping(t *testing.T) {
 	}
 }
 
+// TestTraceDriftSourceLongWindow reads a flat trace through windows of up
+// to nine and a half passes: every window, wrapped or not, sees the trace
+// mean, so its intensity is 1.
+func TestTraceDriftSourceLongWindow(t *testing.T) {
+	tr := &workload.Trace{Duration: 10}
+	for i := 0; i < 10; i++ {
+		tr.Queries = append(tr.Queries, workload.Query{At: float64(i) + 0.5, Cost: 1})
+	}
+	s, err := NewTraceDriftSource(nil, tr, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, t0 := range []float64{0, 3, 17} {
+		for _, w := range []float64{5, 10, 20, 25, 30, 35, 45, 50, 95} {
+			if got := s.intensity(t0, t0+w); math.Abs(got-1) > 1e-9 {
+				t.Errorf("window [%g,%g): intensity %.6f, want 1", t0, t0+w, got)
+			}
+		}
+	}
+}
+
 func TestVirtualClock(t *testing.T) {
 	c := NewVirtualClock()
 	if now := c.Now(); now != 0 {

@@ -101,7 +101,7 @@ func (s *TraceDriftSource) intensity(t0, t1 float64) float64 {
 	// the trace end. A window longer than the whole trace counts full
 	// passes first.
 	D := s.trace.Duration
-	for full := 0; float64(full+1)*D <= dur; full++ {
+	for dur >= D {
 		total += s.meanRate * D
 		dur -= D
 	}

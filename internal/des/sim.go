@@ -643,7 +643,6 @@ func (s *Sim) startService(t float64, mi int32) {
 // query, and starts the next queued leg.
 func (s *Sim) legDoneEvent(t float64, mi int32) {
 	m := &s.machines[mi]
-	//rexlint:ignore nonneg the event heap holds one KindLegDone per startLeg, so the popped machine is non-empty
 	l := m.pop()
 	l.state = LegDone
 	if l.tr != nil {

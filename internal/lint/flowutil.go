@@ -180,23 +180,6 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// derefStruct unwraps pointers and named types down to a struct type, or
-// nil.
-func derefStruct(t types.Type) *types.Struct {
-	for {
-		switch x := t.(type) {
-		case *types.Pointer:
-			t = x.Elem()
-		case *types.Named:
-			t = x.Underlying()
-		case *types.Struct:
-			return x
-		default:
-			return nil
-		}
-	}
-}
-
 // blockFallsToExit reports whether b flows into the synthetic exit block
 // without an explicit return/panic node of its own — the implicit return
 // at the closing brace.

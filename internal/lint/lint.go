@@ -191,7 +191,6 @@ var directiveKinds = map[string]bool{
 	"ignore":       true, // line-level waiver of any analyzer
 	"transfer":     true, // sharecheck, line-level hand-off
 	"transition":   true, // statecheck
-	"holds":        true, // lockcheck
 	"owned":        true, // sharecheck
 	"noalloc":      true, // alloccheck
 	"pure":         true, // purity
@@ -199,7 +198,6 @@ var directiveKinds = map[string]bool{
 	"stream":       true, // streamflow
 	"detsink":      true, // detflow
 	"nonneg":       true, // nonneg
-	"requires":     true, // nonneg
 }
 
 // unusedTransfers reports transfers that sanctioned nothing, under

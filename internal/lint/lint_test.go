@@ -41,9 +41,9 @@ func TestAnalyzers(t *testing.T) {
 }
 
 // TestUnknownDirectiveKinds pins that a directive no analyzer reads is a
-// finding, not a silent no-op: a `resource` and a `canonical` directive
-// each fire, whichever analyzers run, while a kind the suite reads stays
-// silent.
+// finding, not a silent no-op: the retired `resource`, `canonical`,
+// `holds` and `requires` directives each fire, whichever analyzers run,
+// while a kind the suite reads stays silent.
 func TestUnknownDirectiveKinds(t *testing.T) {
 	src := `package p
 
@@ -63,6 +63,12 @@ func total(xs []int) (n int) {
 	}
 	return n
 }
+
+// drain runs with q.mu held on a non-empty queue.
+//
+//rexlint:holds q.mu
+//rexlint:requires n>=1
+func drain() {}
 `
 	prog, pkg := loadSnippet(t, "directives", src)
 	for _, analyzers := range [][]*lint.Analyzer{nil, {lint.StateCheck, lint.DetFlow}} {
@@ -77,6 +83,8 @@ func total(xs []int) (n int) {
 		want := []string{
 			"3:1: unknown directive rexlint:resource: no analyzer reads it (rexlint)",
 			"7:1: unknown directive rexlint:canonical: no analyzer reads it (rexlint)",
+			"22:1: unknown directive rexlint:holds: no analyzer reads it (rexlint)",
+			"23:1: unknown directive rexlint:requires: no analyzer reads it (rexlint)",
 		}
 		if strings.Join(got, "\n") != strings.Join(want, "\n") {
 			t.Errorf("with %d analyzers:\n%s\nwant:\n%s", len(analyzers), strings.Join(got, "\n"), strings.Join(want, "\n"))

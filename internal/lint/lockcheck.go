@@ -30,11 +30,6 @@ import (
 // lock role of its stdlib callee in the table, so a method promoted from
 // an embedded sync.Mutex counts like one called on a mutex field.
 //
-// Helper functions that run with the lock already held declare their
-// entry contract with a doc-comment directive:
-//
-//	//rexlint:holds c.mu
-//
 // Locals initialized from a composite literal or new() in the same
 // function are exempt from the guarded-field check: nothing else can hold
 // a reference yet, so constructors may fill fields lock-free.
@@ -48,11 +43,10 @@ var guardedRe = regexp.MustCompile(`guarded by:?\s*([A-Za-z_]\w*)`)
 
 // lockInfo describes one held mutex on a path.
 type lockInfo struct {
-	pos       token.Pos // Lock() position (or func start for entry facts)
-	path      string    // rendered mutex path for diagnostics
-	read      bool      // held via RLock only
-	deferred  bool      // an Unlock is deferred on this path
-	fromEntry bool      // held per //rexlint:holds; release is the caller's duty
+	pos      token.Pos // Lock() position
+	path     string    // rendered mutex path for diagnostics
+	read     bool      // held via RLock only
+	deferred bool      // an Unlock is deferred on this path
 }
 
 // lockFact maps mutex keys (exprKey of the mutex path) to hold info.
@@ -65,13 +59,12 @@ type lockFact map[string]lockInfo
 // held fact, closing the hidden-unlock blind spot (the caller can no
 // longer be assumed to still hold the lock after the call).
 type lockFlow struct {
-	info  *types.Info
-	prog  *Program
-	entry lockFact
-	must  bool
+	info *types.Info
+	prog *Program
+	must bool
 }
 
-func (lf *lockFlow) Entry() lockFact { return lf.entry }
+func (lf *lockFlow) Entry() lockFact { return lockFact{} }
 
 func (lf *lockFlow) mergeInfo(a, b lockInfo) lockInfo {
 	out := a
@@ -80,7 +73,6 @@ func (lf *lockFlow) mergeInfo(a, b lockInfo) lockInfo {
 	}
 	out.read = a.read || b.read
 	out.deferred = a.deferred && b.deferred
-	out.fromEntry = a.fromEntry || b.fromEntry
 	return out
 }
 
@@ -356,65 +348,13 @@ func freshLocals(info *types.Info, body *ast.BlockStmt) map[types.Object]bool {
 	return out
 }
 
-// entryLocks builds the entry fact from //rexlint:holds directives on the
-// function's doc comment.
-func (ctx *lockCtx) entryLocks(fd *ast.FuncDecl) lockFact {
-	entry := lockFact{}
-	for _, fields := range funcDirective(fd, "holds") {
-		for _, pathStr := range fields {
-			key, ok := ctx.resolveHolds(fd, pathStr)
-			if !ok {
-				ctx.pass.Reportf(fd.Pos(), "rexlint:holds %s does not name a mutex path on a receiver or parameter", pathStr)
-				continue
-			}
-			entry[key] = lockInfo{pos: fd.Pos(), path: pathStr, fromEntry: true}
-		}
-	}
-	return entry
-}
-
-// resolveHolds maps a textual path like "c.mu" onto the receiver/parameter
-// objects of fd.
-func (ctx *lockCtx) resolveHolds(fd *ast.FuncDecl, path string) (string, bool) {
-	root, rest := path, ""
-	if dot := strings.IndexByte(path, '.'); dot >= 0 {
-		root, rest = path[:dot], path[dot:]
-	}
-	var fieldLists []*ast.FieldList
-	if fd.Recv != nil {
-		fieldLists = append(fieldLists, fd.Recv)
-	}
-	if fd.Type.Params != nil {
-		fieldLists = append(fieldLists, fd.Type.Params)
-	}
-	for _, fl := range fieldLists {
-		for _, f := range fl.List {
-			for _, name := range f.Names {
-				if name.Name != root {
-					continue
-				}
-				obj := ctx.pass.TypesInfo.Defs[name]
-				if obj == nil {
-					return "", false
-				}
-				return objKey(obj) + rest, true
-			}
-		}
-	}
-	return "", false
-}
-
 // checkFunc runs the lock analysis over one function node.
 func (ctx *lockCtx) checkFunc(node *FuncNode) {
 	info := ctx.pass.TypesInfo
 	prog := ctx.pass.Prog
 	g := prog.CFG(node)
-	entry := lockFact{}
-	if node.Decl != nil {
-		entry = ctx.entryLocks(node.Decl)
-	}
-	must := Forward[lockFact](g, &lockFlow{info: info, prog: prog, entry: entry, must: true})
-	may := Forward[lockFact](g, &lockFlow{info: info, prog: prog, entry: entry, must: false})
+	must := Forward[lockFact](g, &lockFlow{info: info, prog: prog, must: true})
+	may := Forward[lockFact](g, &lockFlow{info: info, prog: prog, must: false})
 	fresh := freshLocals(info, node.Body)
 	sites := prog.local[node].sites
 
@@ -437,10 +377,10 @@ func (ctx *lockCtx) checkFunc(node *FuncNode) {
 	}
 }
 
-// reportLeaks flags every may-held, non-deferred, non-entry lock once.
+// reportLeaks flags every may-held, non-deferred lock once.
 func (ctx *lockCtx) reportLeaks(fMay lockFact) {
 	for _, li := range fMay {
-		if li.deferred || li.fromEntry || ctx.leakReported[li.pos] {
+		if li.deferred || ctx.leakReported[li.pos] {
 			continue
 		}
 		ctx.leakReported[li.pos] = true

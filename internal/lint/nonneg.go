@@ -8,9 +8,8 @@ package lint
 //	count int //rexlint:nonneg
 //
 // Decrements are legal only where the proven lower bound covers them:
-// branch conditions refine bounds (`if q.n > 0 { q.n-- }` is proven), and
-// //rexlint:requires f>=k states a method's entry precondition (checked at
-// every call site against the caller's proven bound). A call whose callee's
+// branch conditions refine bounds (`if q.n > 0 { q.n-- }` is proven); a
+// method assumes nothing of its receiver's counters on entry. A call whose callee's
 // effect summary may write its receiver, its parameters or global state
 // (or that has no resolvable target) drops every field-rooted bound to the
 // invariant floor 0; a callee's net increment is not credited. Local copies
@@ -20,6 +19,6 @@ package lint
 // are waivable with //rexlint:ignore nonneg <invariant>.
 var NonNeg = &Analyzer{
 	Name: "nonneg",
-	Doc:  "prove //rexlint:nonneg counters never go negative on any path; check //rexlint:requires preconditions at call sites",
+	Doc:  "prove //rexlint:nonneg counters never go negative on any path",
 	Run:  func(pass *Pass) error { return runValueFlow(pass, vfNonneg) },
 }

@@ -324,10 +324,6 @@ type localFacts struct {
 	// mapRanges are the body spans of map-range statements, for the
 	// sink-called-inside-map-iteration check.
 	mapRanges []posRange
-	// recvKey is the receiver's path key; recvFields are the annotated
-	// field names of the receiver's struct type, sorted.
-	recvKey    string
-	recvFields []string
 	// declared is the effective //rexlint:stream set (literals inherit
 	// the lexically enclosing declaration).
 	declared []string

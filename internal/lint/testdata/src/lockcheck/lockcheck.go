@@ -1,7 +1,7 @@
 // Fixture for the lockcheck analyzer: guarded-field access without the
 // mutex, lock leaks on some path, writes under RLock, blocking under a
-// lock, and self-deadlocking re-entrant calls are flagged; constructors,
-// //rexlint:holds callees, and select-with-default are not.
+// lock, and self-deadlocking re-entrant calls are flagged; constructors
+// and select-with-default are not.
 package lockcheck
 
 import "sync"
@@ -68,13 +68,6 @@ func okConstructor() *counter {
 	c.n = 41
 	c.n++
 	return c
-}
-
-// incLocked runs with the lock already held by the caller.
-//
-//rexlint:holds c.mu
-func (c *counter) incLocked() {
-	c.n++
 }
 
 // okBothPaths releases on every path; the access is under the lock on

@@ -4,8 +4,8 @@
 // released a reservation that the success path had already released, so
 // the counter went negative. The near-miss negatives show what the proof
 // accepts: guard-refined decrements, balanced reserve/release in one body,
-// a read-only call between guard and decrement, and a discharged
-// //rexlint:requires precondition.
+// a read-only call between guard and decrement, and a derived local copy
+// kept under the same invariant.
 package nonneg
 
 type exec struct {
@@ -98,25 +98,6 @@ func (e *exec) peekThenRelease() int {
 		return seen
 	}
 	return 0
-}
-
-// drainOne may only run on a non-empty executor.
-//
-//rexlint:requires pending>=1
-func (e *exec) drainOne() {
-	e.pending--
-}
-
-// drainAll discharges the precondition with the loop guard: clean.
-func (e *exec) drainAll() {
-	for e.pending > 0 {
-		e.drainOne()
-	}
-}
-
-// drainBlind calls drainOne without establishing the precondition.
-func (e *exec) drainBlind() {
-	e.drainOne() // want `call to .*drainOne requires pending >= 1 \(//rexlint:requires\); caller's proven lower bound is 0`
 }
 
 // localCopy tracks a derived local under the same invariant.

@@ -20,10 +20,9 @@ package lint
 //     fixed-format reports), directly or through callees.
 //   - nonneg: integer struct fields annotated //rexlint:nonneg must be
 //     provably non-negative on every path: decrements are only legal when
-//     the lower bound is positive, //rexlint:requires f>=k states a callee's
-//     entry precondition that callers must discharge, and a call whose
-//     effect summary may write caller-visible state drops every
-//     field-rooted bound to the invariant floor 0.
+//     the lower bound is positive, and a call whose effect summary may
+//     write caller-visible state drops every field-rooted bound to the
+//     invariant floor 0.
 //
 // Soundness boundaries (deliberate, documented): taint does not flow
 // through struct-field stores across functions (field-mediated flows stay

@@ -12,8 +12,6 @@ import (
 	"go/token"
 	"go/types"
 	"slices"
-	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -29,11 +27,8 @@ type vfDirectives struct {
 	sinks map[*FuncNode]string
 	// nonneg are the //rexlint:nonneg-annotated integer struct fields.
 	nonneg map[*types.Var]bool
-	// requires maps functions to their //rexlint:requires field>=k entry
-	// preconditions.
-	requires map[*FuncNode]map[string]int
-	// pkgFind collects directive-validation findings (malformed requires,
-	// nonneg on a non-integer field) per package.
+	// pkgFind collects directive-validation findings (nonneg on a
+	// non-integer field) per package.
 	pkgFind map[*Package][]vfFinding
 }
 
@@ -44,7 +39,6 @@ func collectVFDirectives(p *Program) *vfDirectives {
 		declared: make(map[*FuncNode][]string),
 		sinks:    make(map[*FuncNode]string),
 		nonneg:   make(map[*types.Var]bool),
-		requires: make(map[*FuncNode]map[string]int),
 		pkgFind:  make(map[*Package][]vfFinding),
 	}
 	for _, n := range p.graph.nodes {
@@ -70,40 +64,11 @@ func collectVFDirectives(p *Program) *vfDirectives {
 			}
 			d.sinks[n] = desc
 		}
-		for _, fields := range funcDirective(n.Decl, "requires") {
-			for _, f := range fields {
-				name, k, ok := parseRequires(f)
-				if !ok {
-					d.pkgFind[n.Pkg] = append(d.pkgFind[n.Pkg], vfFinding{
-						kind: vfNonneg, pos: n.Decl.Pos(),
-						msg: fmt.Sprintf("malformed //rexlint:requires clause %q: want field>=k", f),
-					})
-					continue
-				}
-				if d.requires[n] == nil {
-					d.requires[n] = make(map[string]int)
-				}
-				d.requires[n][name] = k
-			}
-		}
 	}
 	for _, pkg := range p.Pkgs {
 		collectNonnegFields(pkg, d)
 	}
 	return d
-}
-
-// parseRequires parses one "field>=k" clause.
-func parseRequires(s string) (field string, k int, ok bool) {
-	name, num, found := strings.Cut(s, ">=")
-	if !found || name == "" {
-		return "", 0, false
-	}
-	v, err := strconv.Atoi(num)
-	if err != nil || v < 0 {
-		return "", 0, false
-	}
-	return name, v, true
 }
 
 // collectNonnegFields scans struct declarations for //rexlint:nonneg field
@@ -141,8 +106,8 @@ func collectNonnegFields(pkg *Package, d *vfDirectives) {
 }
 
 // scanFlow is the value-flow part of one node's local stage: the effective
-// stream declaration, the receiver's annotated counter fields, derived
-// counter copies, multi-arm select receives and map-range spans.
+// stream declaration, derived counter copies, multi-arm select receives and
+// map-range spans.
 func scanFlow(p *Program, n *FuncNode, lf *localFacts) {
 	info := n.Pkg.Info
 	for m := n; m != nil && lf.declared == nil; m = m.Enclosing {
@@ -150,17 +115,6 @@ func scanFlow(p *Program, n *FuncNode, lf *localFacts) {
 	}
 	lf.derived = make(map[types.Object]bool)
 	lf.selectOrdered = make(map[ast.Node]bool)
-	if n.Recv != nil {
-		lf.recvKey = objKey(n.Recv)
-		if st := derefStruct(n.Recv.Type()); st != nil {
-			for i := 0; i < st.NumFields(); i++ {
-				if p.dirs.nonneg[st.Field(i)] {
-					lf.recvFields = append(lf.recvFields, st.Field(i).Name())
-				}
-			}
-			sort.Strings(lf.recvFields)
-		}
-	}
 	inspectShallow(n.Body, func(x ast.Node) bool {
 		switch s := x.(type) {
 		case *ast.AssignStmt:
@@ -249,11 +203,6 @@ func (fl *vfFlow) counterKeyOf(e ast.Expr) (string, bool) {
 func (fl *vfFlow) Entry() *vfState {
 	st := newVFState()
 	n := fl.n
-	for _, f := range fl.lf.recvFields {
-		if k := fl.p.dirs.requires[n][f]; k > 0 {
-			st.setLB(fl.lf.recvKey+"."+f, min(k, lbSat))
-		}
-	}
 	for i, pobj := range n.Params {
 		if pobj == nil {
 			continue

@@ -211,8 +211,8 @@ func (fl *vfFlow) checkCounterAssign(s *ast.AssignStmt, st *vfState, report func
 	}
 }
 
-// checkCall applies the stream, determinism, and precondition rules to one
-// call expression.
+// checkCall applies the stream and determinism rules to one call
+// expression.
 func (fl *vfFlow) checkCall(call *ast.CallExpr, st *vfState, report func(vfKind, token.Pos, string, ...any)) {
 	n, lf, dirs := fl.n, fl.lf, fl.p.dirs
 	info := n.Pkg.Info
@@ -258,7 +258,8 @@ func (fl *vfFlow) checkCall(call *ast.CallExpr, st *vfState, report func(vfKind,
 		}
 	}
 
-	// Rules 3–5: per-argument hand-off, sink, and precondition checks.
+	// Rules 3–5: per-argument stream hand-off (to a resolved or an
+	// unresolved callee) and sink checks.
 	for i, arg := range call.Args {
 		t := fl.taintOf(arg, st)
 		if len(t.streams) > 0 {
@@ -292,22 +293,6 @@ func (fl *vfFlow) checkCall(call *ast.CallExpr, st *vfState, report func(vfKind,
 			if desc, ok := dirs.sinks[callee]; ok {
 				report(vfDet, call.Pos(), "%s sink %s called inside map iteration: emission order is nondeterministic",
 					desc, callee.Name())
-			}
-		}
-	}
-
-	// Rule 7: callee entry preconditions (//rexlint:requires) on the
-	// receiver's counters, the ones the callee's entry state assumes.
-	if site.RecvExpr != nil {
-		if recvKey, ok := exprKey(info, site.RecvExpr); ok {
-			for _, callee := range site.Callees {
-				for _, f := range fl.p.local[callee].recvFields {
-					k := dirs.requires[callee][f]
-					if lb := st.getLB(recvKey + "." + f); lb < k {
-						report(vfNonneg, call.Pos(), "call to %s requires %s >= %d (//rexlint:requires); caller's proven lower bound is %d",
-							callee.Name(), f, k, lb)
-					}
-				}
 			}
 		}
 	}
