@@ -27,7 +27,6 @@ import (
 
 	"rexchange/internal/cluster"
 	"rexchange/internal/ctl"
-	"rexchange/internal/des"
 	"rexchange/internal/obs"
 	"rexchange/internal/plan"
 	"rexchange/internal/workload"
@@ -50,7 +49,6 @@ func run() error {
 		k        = flag.Int("k", 0, "exchange machines borrowed at startup")
 
 		virtual = flag.Bool("virtual", false, "run on the deterministic virtual clock (no sleeps)")
-		desMode = flag.Bool("des", false, "drive the controller against the discrete-event simulator (per-query latency accounting; implies a deterministic clock)")
 		rounds  = flag.Int("rounds", 0, "control rounds to run (0 = until interrupted)")
 		window  = flag.Float64("window", 10, "seconds per control round")
 
@@ -118,9 +116,6 @@ func run() error {
 	defer closeJournal()
 
 	if *planIn != "" {
-		if *desMode {
-			return fmt.Errorf("-des and -plan-in are mutually exclusive")
-		}
 		if err := runPlan(p, *planIn, clock, ecfg, reg, journal); err != nil {
 			return err
 		}
@@ -132,29 +127,9 @@ func run() error {
 		return err
 	}
 
-	// The load source and clock: either the statistical trace+drift pair,
-	// or — with -des — the discrete-event simulator, which serves both
-	// roles (per-query queueing on the simulated clock) and additionally
-	// observes executor moves to degrade migration sources mid-flight.
-	var src ctl.LoadSource
-	var dsim *des.Sim
-	if *desMode {
-		scfg := des.DefaultConfig()
-		scfg.Window = *window
-		scfg.DriftSigma = *drift
-		scfg.Seed = *seed
-		dsim, err = des.New(scfg, p, tr)
-		if err != nil {
-			return err
-		}
-		dsim.AttachObs(reg, journal)
-		clock, src = dsim, dsim
-		ecfg.Observer = dsim
-	} else {
-		src, err = ctl.NewTraceDriftSource(p.Cluster(), tr, *drift, *seed+101)
-		if err != nil {
-			return err
-		}
+	src, err := ctl.NewTraceDriftSource(p.Cluster(), tr, *drift, *seed+101)
+	if err != nil {
+		return err
 	}
 
 	cfg := ctl.DefaultConfig()
@@ -216,9 +191,6 @@ func run() error {
 		ctr.Dispatched, ctr.Completed, ctr.Failures, ctr.Aborted, ctr.BytesMoved)
 	fmt.Printf("final imbalance=%.4f max=%.4f mean=%.4f after %d rounds, %d solves\n",
 		rep.Imbalance, rep.MaxUtil, rep.MeanUtil, c.Status().Round, c.Status().Solves)
-	if dsim != nil {
-		fmt.Print(dsim.Report().Render())
-	}
 	return finishObs(reg, journal, closeJournal, *eventsPath, *metricsOut)
 }
 

@@ -7,49 +7,14 @@ import (
 	"rexchange/internal/ctl"
 )
 
-// LegState is the lifecycle of one query leg inside a machine queue. The
-// transition table is machine-checked by rexlint's statecheck analyzer:
-// a leg can never skip the queue, run twice, or complete from the queued
-// state.
-//
-//rexlint:transition LegQueued -> LegRunning
-//rexlint:transition LegRunning -> LegDone
-//rexlint:transition LegDone ->
-type LegState uint8
-
-// Leg lifecycle states.
-const (
-	// LegQueued: waiting in the machine's FIFO.
-	LegQueued LegState = iota
-	// LegRunning: at the head of the queue, being served.
-	LegRunning
-	// LegDone: service finished; the leg has merged back into its query.
-	LegDone
-)
-
-// String names the state for diagnostics.
-func (s LegState) String() string {
-	switch s {
-	case LegQueued:
-		return "queued"
-	case LegRunning:
-		return "running"
-	case LegDone:
-		return "done"
-	default:
-		return "leg(?)"
-	}
-}
-
 // leg is one unit of query work routed to a machine: the owning query and
 // the work to serve, in cluster Load units (speed-seconds). tr is nil on
 // every unsampled leg — the hot path carries one extra pointer-sized
 // field and allocates nothing.
 type leg struct {
-	q     int32
-	work  float64
-	state LegState
-	tr    *legTrace
+	q    int32
+	work float64
+	tr   *legTrace
 }
 
 // machine is the simulator's per-machine serving state: a FIFO ring of
@@ -106,12 +71,11 @@ func (m *machine) oldestRef() (ctl.MoveRef, bool) {
 //rexlint:noalloc
 func (m *machine) depth() int { return m.n }
 
-// push appends a leg in LegQueued state, growing the ring if full.
+// push appends a leg at the tail of the queue, growing the ring if full.
 func (m *machine) push(l leg) {
 	if m.n == len(m.ring) {
 		m.grow()
 	}
-	l.state = LegQueued
 	m.ring[(m.head+m.n)&(len(m.ring)-1)] = l
 	m.n++
 }
@@ -141,7 +105,7 @@ func (m *machine) front() *leg { return &m.ring[m.head] }
 func (m *machine) pop() leg {
 	l := m.ring[m.head]
 	m.head = (m.head + 1) & (len(m.ring) - 1)
-	//rexlint:ignore nonneg pop's one caller is legDoneEvent, and the event heap holds one KindLegDone per startLeg, so the machine is non-empty
+	//rexlint:ignore nonneg pop's one caller is legDoneEvent, and the event heap holds one KindLegDone per startService, so the machine is non-empty
 	m.n--
 	if cluster.DebugAsserts {
 		assertNonneg("machine.n", m.n)

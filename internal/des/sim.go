@@ -623,7 +623,6 @@ func (s *Sim) allocQuery(t float64, legs int32) int32 {
 func (s *Sim) startService(t float64, mi int32) {
 	m := &s.machines[mi]
 	l := m.front()
-	l.state = LegRunning
 	eff := m.effectiveSpeed(s.cfg.Drag)
 	if l.tr != nil {
 		l.tr.svcAt = t
@@ -644,12 +643,11 @@ func (s *Sim) startService(t float64, mi int32) {
 func (s *Sim) legDoneEvent(t float64, mi int32) {
 	m := &s.machines[mi]
 	l := m.pop()
-	l.state = LegDone
 	if l.tr != nil {
 		s.traceLegDone(t, &l, m)
 	}
 	q := &s.qs[l.q]
-	//rexlint:ignore nonneg remain was set to the leg count at arrival and each leg completes exactly once (statecheck pins LegRunning -> LegDone)
+	//rexlint:ignore nonneg remain was set to the leg count at arrival, and each leg completes once: the heap holds one KindLegDone per startService, and pop removes the leg that event completes
 	q.remain--
 	if cluster.DebugAsserts {
 		assertNonneg("query.remain", int(q.remain))

@@ -9,6 +9,7 @@ import (
 
 	"rexchange/internal/cluster"
 	"rexchange/internal/ctl"
+	"rexchange/internal/obs"
 	"rexchange/internal/plan"
 	"rexchange/internal/rng"
 	"rexchange/internal/vec"
@@ -382,6 +383,37 @@ func TestCampaignEndToEnd(t *testing.T) {
 	if res.Report.Arrivals < base.Report.Arrivals {
 		t.Fatalf("solve run generated fewer arrivals (%d) than baseline (%d)",
 			res.Report.Arrivals, base.Report.Arrivals)
+	}
+}
+
+// TestProductionMetricsRegister mounts the simulator, with tracing on,
+// under a controller on one registry, as RunCampaign does. That reaches
+// every metric registration site in the module: ctl's families, its
+// collector and solver recorder, the simulator's and the tracer's. None
+// may panic on the registry's name rule, and the family count says no
+// site was skipped. A new family raises it.
+func TestProductionMetricsRegister(t *testing.T) {
+	const families = 48
+	p := flatCluster(t, []float64{1, 1})
+	cfg := DefaultConfig()
+	cfg.TraceSample = 0.5
+	s, err := New(cfg, p, flatSimTrace(2, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	s.AttachObs(reg, nil)
+	ccfg := ctl.DefaultConfig()
+	ccfg.Registry = reg
+	if _, err := ctl.New(ccfg, s, p, s); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(b.String(), "\n# TYPE "); got != families {
+		t.Fatalf("%d metric families registered, want %d", got, families)
 	}
 }
 

@@ -11,11 +11,15 @@ import (
 // operator periodically rebalances with a small borrowed pool. Two series
 // are reported per round — letting imbalance accumulate ("static") versus
 // rebalancing each round with SRA ("rebalanced") — plus the migration
-// volume each round costs.
+// volume each round costs. Loads are exact and moves instant: the solver
+// reads the drifted loads themselves, not a measurement of them, and its
+// plan lands whole before the next round, with no copy in flight. The
+// table is labelled so until a loop with measured loads and migration
+// time replaces it.
 func F7ContinuousRebalance(sc Scale) (*Table, error) {
 	tbl := &Table{
 		ID:      "F7",
-		Title:   "Continuous rebalancing under load drift — extension",
+		Title:   "Continuous rebalancing under load drift (exact loads, instant moves) — extension",
 		Columns: []string{"round", "static-maxU", "rebal-maxU-before", "rebal-maxU-after", "moves", "disk-moved"},
 	}
 	p0, err := genInstance(sc.sel(16, 60), sc.sel(200, 900), 0.82, 1101)

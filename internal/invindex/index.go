@@ -28,7 +28,6 @@ type Posting struct {
 // termInfo is the per-term state: the postings list (sorted by DocID) and
 // the maximum term frequency (used for score upper bounds).
 type termInfo struct {
-	text     string
 	postings []Posting
 	maxTF    int32
 }
@@ -90,7 +89,7 @@ func (ix *Index) Add(tokens []string) DocID {
 		if !ok {
 			tid = len(ix.terms)
 			ix.dict[tok] = tid
-			ix.terms = append(ix.terms, termInfo{text: tok})
+			ix.terms = append(ix.terms, termInfo{})
 		}
 		tf[tid]++
 	}

@@ -141,7 +141,6 @@ func Solve(p *Problem) (*Solution, error) {
 // of each row.
 type tableau struct {
 	m, n    int // constraints, total columns (vars + slacks + artificials)
-	numVars int
 	numArt  int
 	artFrom int // first artificial column index
 	rows    [][]float64
@@ -177,7 +176,6 @@ func newTableau(p *Problem) *tableau {
 	n := p.NumVars + numSlack + numArt
 	t := &tableau{
 		m: m, n: n,
-		numVars: p.NumVars,
 		numArt:  numArt,
 		artFrom: p.NumVars + numSlack,
 		rows:    make([][]float64, m),

@@ -20,6 +20,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -162,10 +163,10 @@ func (f *family) get(vals []string) *child {
 }
 
 // Registry holds metric families and renders them as Prometheus text
-// exposition. Registration panics on invalid or duplicate names — metric
-// identity is a build-time property, not a runtime condition. A nil
-// *Registry is telemetry switched off: it registers nothing and hands out
-// nil handles.
+// exposition. Registration panics on a name outside rexMetricName or on a
+// duplicate — metric identity is a build-time property, not a runtime
+// condition. A nil *Registry is telemetry switched off: it registers
+// nothing and hands out nil handles.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family // guarded by: mu
@@ -176,10 +177,15 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
+// rexMetricName is the project's metric naming rule: rex_ prefix,
+// lowercase snake_case segments, no leading, trailing or doubled
+// underscores. Every such name is also a valid Prometheus name.
+var rexMetricName = regexp.MustCompile(`^rex_[a-z0-9]+(_[a-z0-9]+)*$`)
+
 // register validates and installs a new family.
 func (r *Registry) register(name, help, kind string, labels []string, bounds []float64) *family {
-	if !validMetricName(name) {
-		panic(fmt.Sprintf("obs: invalid metric name %q", name))
+	if !rexMetricName.MatchString(name) {
+		panic(fmt.Sprintf("obs: invalid metric name %q: want %s", name, rexMetricName))
 	}
 	for _, l := range labels {
 		if !validLabelName(l) {
@@ -455,9 +461,9 @@ func escapeLabel(s string) string {
 }
 
 // validMetricName reports whether name matches the Prometheus metric name
-// charset [a-zA-Z_:][a-zA-Z0-9_:]*. Project policy additionally demands
-// rex_-prefixed snake_case, enforced statically by rexlint's metricname
-// rule at registration sites.
+// charset [a-zA-Z_:][a-zA-Z0-9_:]*; LintExposition applies it to scraped
+// text, where names from other exporters may appear. Registration applies
+// the stricter rexMetricName.
 func validMetricName(name string) bool {
 	if name == "" {
 		return false

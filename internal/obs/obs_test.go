@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -152,6 +153,27 @@ func TestRegistryPanics(t *testing.T) {
 	expectPanic("label arity", func() {
 		NewRegistry().CounterVec("rex_test_a_total", "x.", "a", "b").With("only-one")
 	})
+}
+
+// TestRegistryEnforcesNameRule: registration panics on any name outside
+// rex_-prefixed snake_case, even one Prometheus would accept, and names
+// the offending metric in the panic.
+func TestRegistryEnforcesNameRule(t *testing.T) {
+	for _, name := range []string{
+		"queries_total", "rex", "rex_", "rex_Queries_total", "rex__queries",
+		"rex_queries_", "rex_queries:rate", "_rex_queries",
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, fmt.Sprintf("%q", name)) {
+					t.Fatalf("panic = %q, want one naming %q", msg, name)
+				}
+			}()
+			NewRegistry().Counter(name, "x.")
+		})
+	}
+	NewRegistry().Counter("rex_sim_2x_queries_total", "x.")
 }
 
 // TestConcurrentUpdates hammers one counter, gauge, and histogram from

@@ -133,7 +133,6 @@ func (cfg *Config) validate() error {
 type Instance struct {
 	Cluster   *cluster.Cluster
 	Placement *cluster.Placement
-	Config    Config
 }
 
 // Generate builds an instance from cfg. The initial placement is produced
@@ -251,7 +250,7 @@ func Generate(cfg Config) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Instance{Cluster: c, Placement: p, Config: cfg}, nil
+	return &Instance{Cluster: c, Placement: p}, nil
 }
 
 // capLoads water-fills loads under a per-shard cap, preserving the total:
