@@ -1,6 +1,6 @@
 // Command clustergen generates synthetic or realistic cluster instances
 // (cluster + initial placement JSON) and query traces (CSV) for use with
-// cmd/rebalance and the examples.
+// cmd/rebalance and cmd/rexd.
 //
 // Usage:
 //

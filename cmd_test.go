@@ -9,14 +9,16 @@ import (
 	"testing"
 )
 
-// buildTool compiles one cmd/ binary into dir and returns its path.
-func buildTool(t *testing.T, dir, name string) string {
+// buildTool compiles the main package at pkg (relative to the module
+// root, e.g. "cmd/rebalance") into dir, named after its last path element,
+// and returns its path.
+func buildTool(t *testing.T, dir, pkg string) string {
 	t.Helper()
-	bin := filepath.Join(dir, name)
-	cmd := exec.Command("go", "build", "-o", bin, "./cmd/"+name)
+	bin := filepath.Join(dir, filepath.Base(pkg))
+	cmd := exec.Command("go", "build", "-o", bin, "./"+pkg)
 	cmd.Env = os.Environ()
 	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("build %s: %v\n%s", name, err, out)
+		t.Fatalf("build %s: %v\n%s", pkg, err, out)
 	}
 	return bin
 }
@@ -36,8 +38,8 @@ func TestCLIEndToEnd(t *testing.T) {
 		t.Skip("builds binaries")
 	}
 	dir := t.TempDir()
-	clustergen := buildTool(t, dir, "clustergen")
-	rebalance := buildTool(t, dir, "rebalance")
+	clustergen := buildTool(t, dir, "cmd/clustergen")
+	rebalance := buildTool(t, dir, "cmd/rebalance")
 
 	// 1. generate a placement JSON, a CSV snapshot, and a trace
 	placement := filepath.Join(dir, "p.json")
@@ -81,10 +83,41 @@ func TestCLISrabenchQuick(t *testing.T) {
 		t.Skip("builds binaries")
 	}
 	dir := t.TempDir()
-	srabench := buildTool(t, dir, "srabench")
+	srabench := buildTool(t, dir, "cmd/srabench")
 	out := runTool(t, srabench, "-quick", "-run", "F4")
 	if !strings.Contains(out, "== F4:") || !strings.Contains(out, "best-objective") {
 		t.Errorf("srabench output:\n%s", out)
+	}
+}
+
+// TestExampleQuickstart runs the one example program. Its plan stages a
+// shard through the borrowed machine: some move goes into an exchange
+// machine, a later move leaves it, and a machine is handed back. The exact
+// moves are the solver's to choose, so only that shape is checked.
+func TestExampleQuickstart(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	out := runTool(t, buildTool(t, t.TempDir(), "examples/quickstart"))
+	into, leave := -1, -1
+	for i, line := range strings.Split(out, "\n") {
+		from, to, ok := strings.Cut(line, " → ")
+		if !ok {
+			continue
+		}
+		if into < 0 && strings.HasPrefix(to, "exchange-") {
+			into = i
+		}
+		if into >= 0 && i > into && strings.Contains(from, " exchange-") {
+			leave = i
+		}
+	}
+	if into < 0 || leave < 0 {
+		t.Errorf("no move stages through an exchange machine:\n%s", out)
+	}
+	_, returned, ok := strings.Cut(out, "returned as compensation:")
+	if !ok || strings.TrimSpace(returned) == "" {
+		t.Errorf("no machine returned as compensation:\n%s", out)
 	}
 }
 
@@ -93,7 +126,7 @@ func TestCLIErrors(t *testing.T) {
 		t.Skip("builds binaries")
 	}
 	dir := t.TempDir()
-	rebalance := buildTool(t, dir, "rebalance")
+	rebalance := buildTool(t, dir, "cmd/rebalance")
 	// missing inputs must fail with a message, not panic
 	cmd := exec.Command(rebalance)
 	out, err := cmd.CombinedOutput()
@@ -105,7 +138,7 @@ func TestCLIErrors(t *testing.T) {
 	}
 
 	// A NaN simulator parameter is a named error and exit status 1.
-	rexsim := buildTool(t, dir, "rexsim")
+	rexsim := buildTool(t, dir, "cmd/rexsim")
 	out, err = exec.Command(rexsim, "-machines", "10", "-shards", "60", "-rounds", "1", "-util", "NaN").CombinedOutput()
 	var exit *exec.ExitError
 	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "TargetUtil") {

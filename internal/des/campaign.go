@@ -73,18 +73,12 @@ func DefaultCampaignConfig() CampaignConfig {
 
 // CampaignResult is one campaign run's outcome.
 type CampaignResult struct {
-	Variant string  `json:"variant"`
 	Report  Report  `json:"report"`
 	Rounds  int     `json:"rounds"`
 	Solves  int     `json:"solves"`
 	Moves   int     `json:"moves"`   // copies committed
 	Aborted int     `json:"aborted"` // copies aborted by supersession
 	Final   float64 `json:"final_imbalance"`
-
-	// P99Inflation is the during-phase p99 relative to the before-phase
-	// p99 (1 = no tail inflation while migrating); 0 when a phase is
-	// empty.
-	P99Inflation float64 `json:"p99_inflation"`
 }
 
 // RunCampaign generates the instance, builds the simulator, and drives
@@ -189,17 +183,12 @@ func RunCampaign(cfg CampaignConfig, variant string) (*CampaignResult, error) {
 
 	rep := sim.Report()
 	ctr := c.ExecCounters()
-	res := &CampaignResult{
-		Variant: variant,
+	return &CampaignResult{
 		Report:  rep,
 		Rounds:  c.Status().Round,
 		Solves:  c.Status().Solves,
 		Moves:   ctr.Completed,
 		Aborted: ctr.Aborted,
 		Final:   c.Report().Imbalance,
-	}
-	if rep.Before.P99 > 0 && rep.During.Queries > 0 {
-		res.P99Inflation = rep.During.P99 / rep.Before.P99
-	}
-	return res, nil
+	}, nil
 }

@@ -391,7 +391,11 @@ func TestCampaignEndToEnd(t *testing.T) {
 // every metric registration site in the module: ctl's families, its
 // collector and solver recorder, the simulator's and the tracer's. None
 // may panic on the registry's name rule, and the family count says no
-// site was skipped. A new family raises it.
+// site was skipped. A new family raises it. The exposition renders only
+// families with a series, so the count is taken after one round whose
+// trigger always fires: the solver's per-operator vector gains its series
+// in that solve. Before and after, the exposition must pass the project's
+// own lint — a scrape before the first solve included.
 func TestProductionMetricsRegister(t *testing.T) {
 	const families = 48
 	p := flatCluster(t, []float64{1, 1})
@@ -405,14 +409,31 @@ func TestProductionMetricsRegister(t *testing.T) {
 	s.AttachObs(reg, nil)
 	ccfg := ctl.DefaultConfig()
 	ccfg.Registry = reg
-	if _, err := ctl.New(ccfg, s, p, s); err != nil {
+	ccfg.Window = cfg.Window
+	ccfg.Policy = ctl.Policy{HighWater: 1, LowWater: 1}
+	ccfg.Budget.Iterations = 20
+	c, err := ctl.New(ccfg, s, p, s)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
+	scrape := func(when string) string {
+		var b strings.Builder
+		if err := reg.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		if problems := obs.LintExposition(strings.NewReader(b.String())); len(problems) > 0 {
+			t.Fatalf("exposition %s fails its lint:\n%s", when, strings.Join(problems, "\n"))
+		}
+		return b.String()
+	}
+	scrape("before the first solve")
+	if err := c.Run(1); err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Count(b.String(), "\n# TYPE "); got != families {
+	if st := c.Status(); st.Solves != 1 {
+		t.Fatalf("%d solves, want 1", st.Solves)
+	}
+	if got := strings.Count(scrape("after one solve"), "\n# TYPE "); got != families {
 		t.Fatalf("%d metric families registered, want %d", got, families)
 	}
 }

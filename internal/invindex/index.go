@@ -11,7 +11,6 @@
 package invindex
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -220,10 +219,4 @@ func (ix *Index) resolveTerms(terms []string) []int {
 		}
 	}
 	return ids
-}
-
-// String summarizes the index.
-func (ix *Index) String() string {
-	return fmt.Sprintf("index{docs=%d terms=%d postings=%d}",
-		ix.NumDocs(), ix.NumTerms(), ix.NumPostings())
 }

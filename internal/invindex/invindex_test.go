@@ -221,12 +221,12 @@ func TestProfileShards(t *testing.T) {
 	}
 }
 
-// TestProfileShardsPinned holds the shard profiles of the three real call
-// shapes — F5 at quick scale, examples/searchcluster, and the integration
-// test's search-to-balance pipeline — to literals recorded before the
-// codec, the persistence layer and ProfileConfig were cut: an FNV-1a hash
-// over every shard's Name and the Float64bits of its Static and Load, then
-// the shard count.
+// TestProfileShardsPinned holds the shard profiles of three call shapes —
+// F5 at quick scale, a 4000-document corpus over 96 shards, and the
+// integration test's search-to-balance pipeline — to literals recorded
+// before the codec, the persistence layer and ProfileConfig were cut: an
+// FNV-1a hash over every shard's Name and the Float64bits of its Static and
+// Load, then the shard count.
 func TestProfileShardsPinned(t *testing.T) {
 	withSize := func(docs, vocab, queries int) (CorpusConfig, QueryConfig) {
 		c, q := DefaultCorpusConfig(), DefaultQueryConfig()
@@ -244,7 +244,7 @@ func TestProfileShardsPinned(t *testing.T) {
 		want    uint64
 	}{
 		{"F5 quick", f5Corpus, f5Queries, 48, 0x659210f0b32fd6ee},
-		{"examples/searchcluster", exCorpus, exQueries, 96, 0x73fadf52e2bedce2},
+		{"4000 docs, 96 shards", exCorpus, exQueries, 96, 0x73fadf52e2bedce2},
 		{"TestSearchToBalancePipeline",
 			CorpusConfig{Docs: 600, Vocab: 800, ZipfS: 1.2, MeanDocLen: 30, Seed: 2},
 			QueryConfig{Queries: 60, Vocab: 800, ZipfS: 1.05, MaxTerms: 3, Seed: 3}, 24, 0xfb65b6548ef2071a},
@@ -338,11 +338,5 @@ func TestCorpusAndQueriesDeterministic(t *testing.T) {
 		if len(qa[i]) != len(qb[i]) {
 			t.Fatalf("query %d differs between same-seed runs", i)
 		}
-	}
-}
-
-func TestIndexString(t *testing.T) {
-	if s := tinyIndex().String(); s == "" {
-		t.Error("String should describe the index")
 	}
 }

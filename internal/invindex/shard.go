@@ -83,8 +83,8 @@ func (si *ShardedIndex) ProfileShards(queries [][]string) ([]cluster.Shard, erro
 
 // ClusterFromProfiles builds a cluster and an initial placement that packs
 // the profiled shards onto machines sized so that fill ≈ targetFill, using
-// a random best-fit like production growth would. It is used by the
-// searchcluster example and the F5 experiment.
+// a random best-fit like production growth would. It is used by the F5
+// experiment.
 func ClusterFromProfiles(shards []cluster.Shard, machines int, targetFill float64, seed int64) (*cluster.Placement, error) {
 	if machines <= 0 || targetFill <= 0 || targetFill >= 1 {
 		return nil, fmt.Errorf("invindex: need positive machines and fill in (0,1)")

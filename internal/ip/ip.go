@@ -359,16 +359,3 @@ func (md *Model) extractAssignment(x []float64) []cluster.MachineID {
 	}
 	return out
 }
-
-// RootBound solves only the root relaxation, giving a lower bound on the
-// optimal makespan for instances too large to solve exactly.
-func (md *Model) RootBound() (float64, error) {
-	sol, err := lp.Solve(md.base)
-	if err != nil {
-		return 0, err
-	}
-	if sol.Status != lp.Optimal {
-		return 0, fmt.Errorf("ip: root relaxation %v", sol.Status)
-	}
-	return sol.Obj, nil
-}

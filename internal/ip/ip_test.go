@@ -50,24 +50,6 @@ func TestExactPartition(t *testing.T) {
 	}
 }
 
-func TestRootBoundIsLower(t *testing.T) {
-	md, err := BuildModel(twoMachine(4, 3, 2, 1), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lb, err := md.RootBound()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// LP bound is total/2 = 5 here (perfectly divisible), ≤ optimum.
-	if lb > 5+1e-6 {
-		t.Errorf("root bound %v exceeds optimum 5", lb)
-	}
-	if lb < 5-1e-6 {
-		t.Logf("root bound %v (fractional relaxation)", lb)
-	}
-}
-
 func TestStaticCapacityBinds(t *testing.T) {
 	// Two shards of static 2 cannot share a machine with capacity 3, even
 	// though load-wise they would: optimal must split them.

@@ -221,9 +221,6 @@ func (p *Program) NodesOf(pkg *Package) []*FuncNode {
 // NodeOf returns the node of a declared function, or nil.
 func (p *Program) NodeOf(fn *types.Func) *FuncNode { return p.graph.byFunc[fn] }
 
-// LitNodeOf returns the node of a function literal, or nil.
-func (p *Program) LitNodeOf(lit *ast.FuncLit) *FuncNode { return p.graph.byLit[lit] }
-
 // SiteAt returns the resolved call site of a call expression, or nil for
 // builtins, conversions and calls with nothing to resolve.
 func (p *Program) SiteAt(call *ast.CallExpr) *CallSite { return p.graph.siteAt[call] }

@@ -355,12 +355,10 @@ func (r *Registry) writePrometheus(w io.Writer, exemplars bool) error {
 	return nil
 }
 
-// write renders one family.
+// write renders one family. A family with no series yet (a vector no
+// caller has resolved a label set of) renders nothing, as client_golang's
+// Gather does: a HELP/TYPE header without samples is not a valid family.
 func (f *family) write(w io.Writer, exemplars bool) error {
-	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n",
-		f.name, escapeHelp(f.help), f.name, f.kind); err != nil {
-		return err
-	}
 	f.mu.Lock()
 	keys := make([]string, 0, len(f.children))
 	for k := range f.children {
@@ -373,6 +371,13 @@ func (f *family) write(w io.Writer, exemplars bool) error {
 	}
 	f.mu.Unlock()
 
+	if len(kids) == 0 {
+		return nil
+	}
+	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n",
+		f.name, escapeHelp(f.help), f.name, f.kind); err != nil {
+		return err
+	}
 	for _, ch := range kids {
 		var err error
 		switch f.kind {

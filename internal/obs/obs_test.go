@@ -9,8 +9,8 @@ import (
 )
 
 // TestRegistryExposition pins the rendered exposition for a registry with
-// every metric kind: scrapers parse this byte stream, so drift is a
-// breaking change.
+// every metric kind, and a vector that has no series: scrapers parse this
+// byte stream, so drift is a breaking change.
 func TestRegistryExposition(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("rex_test_ops_total", "Operations performed.")
@@ -24,6 +24,8 @@ func TestRegistryExposition(t *testing.T) {
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(5)
+	// A vector with no series yet renders nothing, not a bare header.
+	reg.CounterVec("rex_test_unused_total", "Never resolved.", "kind")
 
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
