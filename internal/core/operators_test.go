@@ -78,6 +78,23 @@ func TestOperatorTrajectoryPinned(t *testing.T) {
 // cost. Like refKernel they live here so that production code carries one
 // form; the differential tests hold the cheap forms to them draw for draw.
 
+// canInsert is the insertion scans' feasibility read per call: static
+// capacity and anti-affinity must hold, and occupying a currently vacant
+// machine is allowed only while more than K machines are vacant.
+func (st *state) canInsert(s cluster.ShardID, m cluster.MachineID) bool {
+	if st.cur.IsVacant(m) && st.cur.NumVacant() <= st.k {
+		return false
+	}
+	return st.cur.CanPlace(s, m)
+}
+
+// insertCost is the insertion scans' cost read per call: the utilization
+// machine m would reach after hosting s.
+func (st *state) insertCost(s cluster.ShardID, m cluster.MachineID) float64 {
+	c := st.cur.Cluster()
+	return (st.cur.Load(m) + c.Shards[s].Load) / c.Machines[m].Speed
+}
+
 // byKeyThenID is the total order every selection uses.
 func byKeyThenID(a, b ranked) int {
 	switch {
@@ -376,5 +393,141 @@ func TestRegretCandidatesMatchWholeFleetSelection(t *testing.T) {
 				fast.rerank(low, m)
 			}
 		}
+	}
+}
+
+// regretCoverage counts what naiveRegret ran into, so that a test can
+// require each path it means to exercise to have been taken.
+type regretCoverage struct {
+	grouped   int // grouped shards placed: their feasibility went through CanPlace
+	fallbacks int // full-fleet scans after the candidate subset found nothing
+	flips     int // placements onto a vacant machine that used the last spare vacancy
+}
+
+// naiveRegret is regret repair as it was before its scans read dense
+// per-machine data: candidates selected over the whole fleet, every
+// candidate's feasibility and cost read per pool shard through canInsert and
+// insertCost, and the feasibility-first full scan as the fallback.
+func naiveRegret(st *state, cov *regretCoverage) bool {
+	remaining := slices.Clone(st.pool)
+	for len(remaining) > 0 {
+		cands := naiveCandidates(st)
+		bestIdx := -1
+		var bestM cluster.MachineID
+		bestRegret := -1.0
+		for i, s := range remaining {
+			m1 := cluster.Unassigned
+			c1, c2 := math.Inf(1), math.Inf(1)
+			for _, id := range cands {
+				if !st.canInsert(s, id) {
+					continue
+				}
+				switch cost := st.insertCost(s, id); {
+				case cost < c1:
+					m1, c2, c1 = id, c1, cost
+				case cost < c2:
+					c2 = cost
+				}
+			}
+			if m1 == cluster.Unassigned {
+				cov.fallbacks++
+				if m1, c1, c2 = naiveBestTwo(st, s); m1 == cluster.Unassigned {
+					return false
+				}
+			}
+			regret := c2 - c1
+			if math.IsInf(regret, 1) {
+				regret = 1e18 - c1
+			}
+			if regret > bestRegret {
+				bestIdx, bestM, bestRegret = i, m1, regret
+			}
+		}
+		if bestIdx < 0 {
+			return false
+		}
+		s := remaining[bestIdx]
+		if st.cur.Cluster().Shards[s].Group != 0 {
+			cov.grouped++
+		}
+		if st.cur.IsVacant(bestM) && st.cur.NumVacant() == st.k+1 {
+			cov.flips++
+		}
+		if err := st.cur.Place(s, bestM); err != nil {
+			return false
+		}
+		remaining[bestIdx] = remaining[len(remaining)-1]
+		remaining = remaining[:len(remaining)-1]
+	}
+	return true
+}
+
+// TestRegretRepairMatchesNaive holds regret repair — candidate reads taken
+// once per step, the vacancy verdict hoisted out of the scans — to
+// naiveRegret: the same placements in the same order, the same return value,
+// the same final assignment and the same RNG position, over 40 seeds and
+// destroy sizes up to maxDestroy, each repair starting from the placement the
+// last one kept. The fleets exercise anti-affinity (CanPlace), the full-scan
+// fallback, and a vacancy rule that flips mid-repair: with K+1 machines
+// vacant and k = K, the first placement onto a vacant machine closes the
+// others.
+func TestRegretRepairMatchesNaive(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		p    *cluster.Placement
+		k    int
+		need func(regretCoverage) bool
+	}{
+		{"replicated48", operatorFleet(t, 48, 240, 2, 0.75, 3), 3, func(c regretCoverage) bool { return c.grouped > 0 }},
+		{"tight40", operatorFleet(t, 40, 600, 1, 0.98, 1), 1, func(c regretCoverage) bool { return c.fallbacks > 0 }},
+		{"spare-vacancy48", operatorFleet(t, 48, 240, 1, 0.75, 4), 3, func(c regretCoverage) bool { return c.flips > 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var cov regretCoverage
+			for seed := int64(0); seed < 40; seed++ {
+				cfg := quickConfig()
+				cfg.Seed = seed
+				fast, naive := newState(cfg, tc.p, tc.k), newState(cfg, tc.p, tc.k)
+				for round, q := range []int{1, 5, 17, 38, maxDestroy, 9} {
+					var order [2][][2]int
+					var ok [2]bool
+					for i, st := range []*state{fast, naive} {
+						st.cur.BeginTxn()
+						st.pool = st.pool[:0]
+						st.destroyRandom(q)
+						from := st.cur.TxnLen()
+						if i == 0 {
+							ok[i] = st.repairRegret()
+						} else {
+							ok[i] = naiveRegret(st, &cov)
+						}
+						for j := from; j < st.cur.TxnLen(); j++ {
+							s, m := st.cur.TxnOp(j)
+							order[i] = append(order[i], [2]int{int(s), int(m)})
+						}
+					}
+					if ok[0] != ok[1] || !slices.Equal(order[0], order[1]) {
+						t.Fatalf("seed %d round %d (q=%d): repair returned %v placing %v; naive form %v placing %v",
+							seed, round, q, ok[0], order[0], ok[1], order[1])
+					}
+					if !slices.Equal(fast.cur.Assignment(), naive.cur.Assignment()) {
+						t.Fatalf("seed %d round %d: final assignments differ", seed, round)
+					}
+					for _, st := range []*state{fast, naive} {
+						if ok[0] {
+							st.cur.Commit()
+						} else {
+							st.cur.Rollback()
+						}
+					}
+				}
+				if a, b := fast.rng.Int63(), naive.rng.Int63(); a != b {
+					t.Fatalf("seed %d: RNG streams diverged", seed)
+				}
+			}
+			if !tc.need(cov) {
+				t.Errorf("the fleet did not exercise its path: %+v", cov)
+			}
+		})
 	}
 }

@@ -6,25 +6,21 @@ import (
 	"slices"
 
 	"rexchange/internal/cluster"
+	"rexchange/internal/vec"
 )
 
-// canInsert reports whether shard s may be placed on machine m: static
-// capacity must hold, and — the resource-exchange contract — occupying a
-// currently vacant machine is allowed only while more than K machines are
-// vacant, so that K can still be returned.
-func (st *state) canInsert(s cluster.ShardID, m cluster.MachineID) bool {
-	if st.cur.IsVacant(m) && st.cur.NumVacant() <= st.k {
-		return false
-	}
-	return st.cur.CanPlace(s, m)
-}
+// vacancyBlocked reports whether the resource-exchange contract holds back
+// every currently vacant machine: occupying one is allowed only while more
+// than K machines are vacant, so that K can still be returned. NumVacant
+// changes only at Place and Remove, so a scan takes the verdict once. A
+// shard may go on machine m when the verdict does not hold m back and
+// CanPlace(s, m): static capacity and anti-affinity hold.
+func (st *state) vacancyBlocked() bool { return st.cur.NumVacant() <= st.k }
 
-// insertCost is the utilization machine m would reach after hosting s —
-// the greedy criterion that directly minimizes the makespan objective.
-func (st *state) insertCost(s cluster.ShardID, m cluster.MachineID) float64 {
-	c := st.cur.Cluster()
-	return (st.cur.Load(m) + c.Shards[s].Load) / c.Machines[m].Speed
-}
+// insertionCost is the cost every insertion scan minimizes: the utilization
+// a machine of the given load and speed reaches after taking a shard of load
+// ls — the greedy criterion that directly minimizes the makespan objective.
+func insertionCost(load, ls, speed float64) float64 { return (load + ls) / speed }
 
 // bestMachineFor scans all machines for the cheapest feasible insertion of
 // s, breaking cost ties toward the machine with more static slack (to keep
@@ -32,14 +28,15 @@ func (st *state) insertCost(s cluster.ShardID, m cluster.MachineID) float64 {
 // cost comes first: a machine too expensive to change the answer is never
 // asked whether s fits on it.
 func (st *state) bestMachineFor(s cluster.ShardID) cluster.MachineID {
-	c := st.cur.Cluster()
+	ls := st.cur.Cluster().Shards[s].Load
+	blocked := st.vacancyBlocked()
 	best := cluster.Unassigned
 	bestCost := math.Inf(1)
 	bestSlack := -1.0
-	for m := 0; m < c.NumMachines(); m++ {
+	for m, speed := range st.speeds {
 		id := cluster.MachineID(m)
-		cost := st.insertCost(s, id)
-		if cost > bestCost+1e-12 || !st.canInsert(s, id) {
+		cost := insertionCost(st.cur.Load(id), ls, speed)
+		if cost > bestCost+1e-12 || (blocked && st.cur.IsVacant(id)) || !st.cur.CanPlace(s, id) {
 			continue
 		}
 		if cost < bestCost-1e-12 {
@@ -96,15 +93,16 @@ func (st *state) repairGreedy() bool {
 // insertion cost so the caller can compute a meaningful regret. c2 is +Inf
 // only when a single machine is feasible.
 func (st *state) bestTwoMachinesFor(s cluster.ShardID) (best cluster.MachineID, c1, c2 float64) {
-	c := st.cur.Cluster()
+	ls := st.cur.Cluster().Shards[s].Load
+	blocked := st.vacancyBlocked()
 	best = cluster.Unassigned
 	c1, c2 = math.Inf(1), math.Inf(1)
 	bestSlack := -1.0
-	for m := 0; m < c.NumMachines(); m++ {
+	for m, speed := range st.speeds {
 		id := cluster.MachineID(m)
-		cost := st.insertCost(s, id)
-		if (cost > c1+1e-12 && cost >= c2) || !st.canInsert(s, id) {
-			continue // too expensive to be best or runner-up, or infeasible
+		cost := insertionCost(st.cur.Load(id), ls, speed)
+		if (cost > c1+1e-12 && cost >= c2) || (blocked && st.cur.IsVacant(id)) || !st.cur.CanPlace(s, id) {
+			continue // too expensive to be best or runner-up, held back, or infeasible
 		}
 		switch {
 		case cost < c1-1e-12:
@@ -136,21 +134,33 @@ func (st *state) bestTwoMachinesFor(s cluster.ShardID) (best cluster.MachineID, 
 // and hand the shard top priority merely because the subset missed its
 // alternatives.
 func (st *state) repairRegret() bool {
+	c := st.cur.Cluster()
 	remaining := append(st.remainScratch[:0], st.pool...)
 	st.remainScratch = remaining
 	low := st.lowestMachines(lowCount + len(remaining))
 	for len(remaining) > 0 {
 		cands := st.candidateMachines(low)
+		load, speed, used, held := st.readCandidates(cands)
 		bestIdx := -1
 		var bestM cluster.MachineID
 		bestRegret := -1.0
 		for i, s := range remaining {
+			sh := &c.Shards[s]
 			m1 := cluster.Unassigned
 			c1, c2 := math.Inf(1), math.Inf(1)
-			for _, id := range cands {
-				cost := st.insertCost(s, id)
-				if cost >= c2 || !st.canInsert(s, id) {
-					continue // neither best nor runner-up, or infeasible
+			for j, id := range cands {
+				cost := insertionCost(load[j], sh.Load, speed[j])
+				if cost >= c2 || held[j] {
+					continue // neither best nor runner-up, or held back
+				}
+				// An ungrouped shard's fit reads only the static usage taken
+				// this step; a grouped one's also reads its replicas' homes.
+				if sh.Group != 0 {
+					if !st.cur.CanPlace(s, id) {
+						continue
+					}
+				} else if !sh.Static.FitsWithin(used[j], c.Machines[id].Capacity) {
+					continue
 				}
 				switch {
 				case cost < c1:
@@ -186,6 +196,24 @@ func (st *state) repairRegret() bool {
 		remaining = remaining[:len(remaining)-1]
 	}
 	return true
+}
+
+// readCandidates reads, aligned with cands, what regret's per-shard loop
+// needs of each candidate machine: its load, its speed, its static usage and
+// whether the vacancy contract holds it back. Nothing changes the placement
+// between one step's reads and its Place, so each is read once per step
+// rather than once per pool shard.
+func (st *state) readCandidates(cands []cluster.MachineID) (load, speed []float64, used []vec.Vec, held []bool) {
+	blocked := st.vacancyBlocked()
+	load, speed, used, held = st.candLoad[:0], st.candSpeed[:0], st.candUsed[:0], st.candHeld[:0]
+	for _, id := range cands {
+		load = append(load, st.cur.Load(id))
+		speed = append(speed, st.speeds[id])
+		used = append(used, st.cur.Used(id))
+		held = append(held, blocked && st.cur.IsVacant(id))
+	}
+	st.candLoad, st.candSpeed, st.candUsed, st.candHeld = load, speed, used, held
+	return load, speed, used, held
 }
 
 // Regret repair's candidate subset: the lowCount lowest-utilization

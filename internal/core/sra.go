@@ -9,6 +9,7 @@ import (
 
 	"rexchange/internal/cluster"
 	"rexchange/internal/plan"
+	"rexchange/internal/vec"
 )
 
 // state carries one Solve invocation.
@@ -21,6 +22,7 @@ type state struct {
 	initial  []cluster.MachineID // starting assignment (move-penalty reference)
 
 	cur    *cluster.Placement
+	speeds []float64 // machine speeds, read once: the insertion scans' divisors
 	curObj float64
 	kern   kernel // how run() tries a neighborhood on cur and takes it back
 
@@ -56,6 +58,12 @@ type state struct {
 	candScratch    []cluster.MachineID
 	remainScratch  []cluster.ShardID
 
+	// Regret repair's reads of its candidate machines, aligned with
+	// candScratch and refilled once per step (readCandidates).
+	candLoad, candSpeed []float64
+	candUsed            []vec.Vec
+	candHeld            []bool
+
 	// Shaw removal's normalizers: the largest shard load and static norm.
 	loadScale, staticScale float64
 
@@ -88,6 +96,10 @@ func newState(cfg Config, p *cluster.Placement, k int) *state {
 		initialP: p,
 		initial:  p.Assignment(),
 		cur:      p.Clone(),
+	}
+	st.speeds = make([]float64, p.Cluster().NumMachines())
+	for m := range st.speeds {
+		st.speeds[m] = p.Cluster().Machines[m].Speed
 	}
 	st.kern = deltaKernel{st}
 	if cfg.Operators.RandomRemove {

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -132,5 +133,110 @@ func TestQuickPercentileMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// sortedPercentiles is Percentiles as it was before it selected ranks: sort
+// a copy of xs whole, then interpolate.
+func sortedPercentiles(xs []float64, ps ...float64) []float64 {
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	out := make([]float64, len(ps))
+	for i, p := range ps {
+		out[i] = percentileSorted(sorted, p)
+	}
+	return out
+}
+
+func percentileSorted(sorted []float64, p float64) float64 {
+	if p <= 0 {
+		return sorted[0]
+	}
+	if p >= 100 {
+		return sorted[len(sorted)-1]
+	}
+	rank := p / 100 * float64(len(sorted)-1)
+	lo := int(math.Floor(rank))
+	hi := int(math.Ceil(rank))
+	if lo == hi {
+		return sorted[lo]
+	}
+	frac := rank - float64(lo)
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
+// TestPercentilesMatchSort holds Percentiles' rank selection to the full
+// sort it replaced, bit for bit, asking for each percentile alone and for all
+// of them in one call in an order that is neither sorted nor duplicate-free.
+// Samples are never −0 (latencies are not), which is the one value the two
+// may order differently from +0.
+func TestPercentilesMatchSort(t *testing.T) {
+	ps := []float64{0, 0.1, 50, 99, 99.9, 100}
+	batch := []float64{99.9, 0, 50, 100, 0.1, 99, 50}
+	r := rand.New(rand.NewSource(11))
+	for _, sample := range []struct {
+		name string
+		gen  func(n int) []float64
+	}{
+		{"random", func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = r.ExpFloat64()
+			}
+			return xs
+		}},
+		{"duplicates", func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = float64(r.Intn(4))
+			}
+			return xs
+		}},
+		{"sorted", func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = float64(i) / 3
+			}
+			return xs
+		}},
+		{"reverse", func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = float64(n-i) / 3
+			}
+			return xs
+		}},
+		{"nan", func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = r.Float64()
+				if i%7 == 3 {
+					xs[i] = math.NaN()
+				}
+			}
+			return xs
+		}},
+	} {
+		for _, n := range []int{1, 2, 3, 17, 18, 100, 1001, 50000} {
+			xs := sample.gen(n)
+			orig := append([]float64(nil), xs...)
+			check := func(ps []float64) {
+				got, want := Percentiles(xs, ps...), sortedPercentiles(xs, ps...)
+				for i := range ps {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s n=%d: p%v = %v, full sort gives %v", sample.name, n, ps[i], got[i], want[i])
+					}
+				}
+			}
+			for _, p := range ps {
+				check([]float64{p})
+			}
+			check(batch)
+			for i := range xs {
+				if math.Float64bits(xs[i]) != math.Float64bits(orig[i]) {
+					t.Fatalf("%s n=%d: Percentiles reordered its input", sample.name, n)
+				}
+			}
+		}
 	}
 }
