@@ -53,8 +53,9 @@ func (e *unsupportedFloat) Error() string {
 // value. bad keeps the first float JSON cannot carry; encoding runs on to
 // the end regardless and appendEvent discards the line.
 type encoder struct {
-	b   []byte
-	bad unsupportedFloat
+	b    []byte
+	bad  unsupportedFloat
+	memo *floatMemo
 }
 
 func (e *encoder) int(key string, v int) {
@@ -72,6 +73,12 @@ func (e *encoder) float(key string, f float64) {
 		return
 	}
 	b := append(e.b, key...)
+	bits := math.Float64bits(f)
+	if text, ok := e.memo.lookup(bits); ok {
+		e.b = append(b, text...)
+		return
+	}
+	from := len(b)
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
@@ -81,23 +88,76 @@ func (e *encoder) float(key string, f float64) {
 		b[n-2] = b[n-1]
 		b = b[:n-1]
 	}
+	e.memo.store(bits, b[from:])
 	e.b = b
 }
 
+// floatMemo holds the final text of the last few floats the encoder
+// formatted, keyed by their bits, so -0 and 0 are different keys. The
+// simulator writes three records per traced leg whose times pair up (the
+// queue span ends where the service span starts, the service and leg
+// spans end together, the leg span starts where the queue span does), so
+// about half of a traced journal's floats were formatted a record or two
+// earlier. NaN and ±Inf are refused before lookup and never stored.
+type floatMemo struct {
+	slots [3]memoSlot
+	next  int // the slot the next store overwrites
+}
+
+// memoSlot is one memo entry. n == 0 marks it empty, so a fresh slot,
+// whose bits read as +0, matches nothing: no float formats to nothing.
+type memoSlot struct {
+	bits uint64
+	n    uint8
+	text [32]byte // the longest form json writes is 25 bytes (-0.0000012345678901234567)
+}
+
+func (m *floatMemo) lookup(bits uint64) ([]byte, bool) {
+	for i := range m.slots {
+		if s := &m.slots[i]; s.n != 0 && s.bits == bits {
+			return s.text[:s.n], true
+		}
+	}
+	return nil, false
+}
+
+func (m *floatMemo) store(bits uint64, text []byte) {
+	s := &m.slots[m.next]
+	s.bits, s.n = bits, uint8(copy(s.text[:], text))
+	m.next = (m.next + 1) % len(m.slots)
+}
+
+// htmlSafe marks the bytes json.Marshal copies into a string unchanged:
+// ' ' through DEL except ", \, <, > and &, as encoding/json's htmlSafeSet.
+var htmlSafe = func() (t [256]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = true
+	}
+	for _, c := range `"\<>&` {
+		t[c] = false
+	}
+	return t
+}()
+
 // str follows encoding/json with HTML escaping on, as json.Marshal has
 // it: ", \ and control bytes escaped, <, > and & as \u00XX, U+2028 and
-// U+2029 as \u202X, each invalid UTF-8 byte as \ufffd.
+// U+2029 as \u202X, each invalid UTF-8 byte as \ufffd. A string with
+// nothing to escape, as every ID and op name is, is one copy.
 func (e *encoder) str(key, s string) {
 	b := append(e.b, key...)
 	b = append(b, '"')
+	i := 0
+	for i < len(s) && htmlSafe[s[i]] {
+		i++
+	}
 	start := 0 // s[start:i] is scanned and needs no escaping
-	for i := 0; i < len(s); {
+	for i < len(s) {
 		c := s[i]
+		if htmlSafe[c] {
+			i++
+			continue
+		}
 		if c < utf8.RuneSelf {
-			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
 			b = append(b, s[start:i]...)
 			switch c {
 			case '"', '\\':
@@ -137,9 +197,10 @@ func (e *encoder) str(key, s string) {
 }
 
 // appendEvent appends ev as one JSON object, without a newline, exactly
-// as json.Marshal(ev) renders it, or fails on the first NaN or ±Inf.
-func appendEvent(buf []byte, ev *Event) ([]byte, error) {
-	e := encoder{b: buf}
+// as json.Marshal(ev) renders it, or fails on the first NaN or ±Inf. memo
+// carries formatted floats from one call to the next.
+func appendEvent(buf []byte, ev *Event, memo *floatMemo) ([]byte, error) {
+	e := encoder{b: buf, memo: memo}
 	e.float(`{"t":`, ev.T)
 	e.str(`,"span":`, ev.Span)
 	e.str(`,"phase":`, ev.Phase)

@@ -35,9 +35,15 @@ var (
 // for fails the test by name.
 func fillRandom(t *testing.T, r *rand.Rand, path string, v reflect.Value) {
 	t.Helper()
+	fillFrom(t, r, oracleFloats, path, v)
+}
+
+// fillFrom is fillRandom with floats drawn from the given pool.
+func fillFrom(t *testing.T, r *rand.Rand, floats []float64, path string, v reflect.Value) {
+	t.Helper()
 	switch v.Kind() {
 	case reflect.Float64:
-		v.SetFloat(oracleFloats[r.Intn(len(oracleFloats))])
+		v.SetFloat(floats[r.Intn(len(floats))])
 	case reflect.Int:
 		v.SetInt(int64(oracleInts[r.Intn(len(oracleInts))]))
 	case reflect.String:
@@ -48,10 +54,10 @@ func fillRandom(t *testing.T, r *rand.Rand, path string, v reflect.Value) {
 			return
 		}
 		v.Set(reflect.New(v.Type().Elem()))
-		fillRandom(t, r, path, v.Elem())
+		fillFrom(t, r, floats, path, v.Elem())
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
-			fillRandom(t, r, path+"."+v.Type().Field(i).Name, v.Field(i))
+			fillFrom(t, r, floats, path+"."+v.Type().Field(i).Name, v.Field(i))
 		}
 	default:
 		t.Fatalf("%s is a %s: appendEvent has no encoding for that kind; add one there and a case here", path, v.Kind())
@@ -64,7 +70,10 @@ func fillRandom(t *testing.T, r *rand.Rand, path string, v reflect.Value) {
 // added, whether or not appendEvent learned about it.
 func TestAppendEventMatchesJSON(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	var buf []byte
+	var (
+		buf  []byte
+		memo floatMemo
+	)
 	for i := 0; i < 20000; i++ {
 		var ev Event
 		fillRandom(t, r, "Event", reflect.ValueOf(&ev).Elem())
@@ -72,7 +81,7 @@ func TestAppendEventMatchesJSON(t *testing.T) {
 		if err != nil {
 			t.Fatalf("oracle refused %+v: %v", ev, err)
 		}
-		buf, err = appendEvent(buf[:0], &ev)
+		buf, err = appendEvent(buf[:0], &ev, &memo)
 		if err != nil {
 			t.Fatalf("appendEvent refused %s: %v", want, err)
 		}
@@ -82,13 +91,50 @@ func TestAppendEventMatchesJSON(t *testing.T) {
 	}
 }
 
+// TestJournalStreamMatchesJSON holds a whole journal, float memo and all,
+// to encoding/json: one Journal writes 20 000 events whose floats come
+// from a pool small enough that the memo both hits and misses on every
+// distinction it must keep — 0 from -0, two values one ulp apart, and
+// the exponent forms json rewrites (1e-07 → 1e-7) — and each line it
+// writes must be json.Marshal's.
+func TestJournalStreamMatchesJSON(t *testing.T) {
+	pool := []float64{0, math.Copysign(0, -1), 1e-7, 9.999999e-7, 1e21, 0.1, math.Nextafter(0.1, 1)}
+	r := rand.New(rand.NewSource(4))
+	var got bytes.Buffer
+	j := NewJournal(&got)
+	for i := 0; i < 20000; i++ {
+		// A campaign's journal opens at t=0, a +0 the fresh memo's empty
+		// slots must not claim to hold.
+		ev := Event{Span: SpanRound, Phase: PhaseBegin}
+		if i > 0 {
+			ev = Event{}
+			fillFrom(t, r, pool, "Event", reflect.ValueOf(&ev).Elem())
+		}
+		want, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatalf("oracle refused %+v: %v", ev, err)
+		}
+		want = append(want, '\n')
+		n := got.Len()
+		j.Emit(ev)
+		if line := got.Bytes()[n:]; !bytes.Equal(line, want) {
+			t.Fatalf("event %d:\n got %s\nwant %s", i, line, want)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // FuzzAppendEvent: raw float bits and arbitrary strings through every
 // field, same oracle. Where json.Marshal refuses (NaN, ±Inf), appendEvent
-// must refuse too.
+// must refuse too. Each event is encoded twice through one memo, so the
+// second line is written from what the first stored.
 func FuzzAppendEvent(f *testing.F) {
 	f.Add(math.Float64bits(21.5), math.Float64bits(1e-7), math.Float64bits(1e21), "trace", "end", int64(-1), byte(0xff))
 	f.Add(math.Float64bits(math.Copysign(0, -1)), uint64(0), math.Float64bits(math.NaN()), "a\"b\\c<d>&e", "\u2028\xff\x01", int64(0), byte(0x0f))
 	f.Add(math.Float64bits(math.Inf(-1)), uint64(1), math.Float64bits(9.999999e-7), "", "日本", int64(math.MinInt64), byte(0))
+	f.Add(uint64(0), math.Float64bits(math.Copysign(0, -1)), math.Float64bits(0.1), "00000000000000ab", "leg", int64(3), byte(0x0f))
 	f.Fuzz(func(t *testing.T, a, b, c uint64, s, u string, n int64, shape byte) {
 		x, y, z := math.Float64frombits(a), math.Float64frombits(b), math.Float64frombits(c)
 		ev := Event{
@@ -110,12 +156,15 @@ func FuzzAppendEvent(f *testing.F) {
 			}
 		}
 		want, wantErr := json.Marshal(ev)
-		got, gotErr := appendEvent(nil, &ev)
-		if (wantErr != nil) != (gotErr != nil) {
-			t.Fatalf("json err %v, appendEvent err %v", wantErr, gotErr)
-		}
-		if wantErr == nil && !bytes.Equal(got, want) {
-			t.Fatalf("\n got %s\nwant %s", got, want)
+		var memo floatMemo
+		for pass := 1; pass <= 2; pass++ {
+			got, gotErr := appendEvent(nil, &ev, &memo)
+			if (wantErr != nil) != (gotErr != nil) {
+				t.Fatalf("pass %d: json err %v, appendEvent err %v", pass, wantErr, gotErr)
+			}
+			if wantErr == nil && !bytes.Equal(got, want) {
+				t.Fatalf("pass %d:\n got %s\nwant %s", pass, got, want)
+			}
 		}
 	})
 }
@@ -271,24 +320,57 @@ func TestEmitAllocFree(t *testing.T) {
 	}
 }
 
+// legRecords are the three trace records the simulator writes per traced
+// leg (des.traceLegDone): the queue span ends at svcAt, the service and
+// leg spans at t, and the leg span starts where the queue span does.
+type legRecords struct {
+	tr [3]TraceEvent
+	ev [3]Event
+}
+
+func newLegRecords() *legRecords {
+	l := &legRecords{}
+	for k, op := range []string{OpQueue, OpService, OpLeg} {
+		l.tr[k] = TraceEvent{ID: "9e3779b97f4a7c15", Span: "c2b2ae3d27d4eb4f", Parent: "165667b19e3779f9",
+			Op: op, Machine: 4, Shard: 9, Seq: -1}
+		l.ev[k] = Event{Span: SpanTrace, Phase: PhaseEnd, Round: 2, Trace: &l.tr[k]}
+	}
+	l.tr[2].Blocked = &BlameRef{Round: 2, Seq: 5, Machine: 4, Kind: BlameQueue, Delay: 0.125739}
+	return l
+}
+
+// record returns record k of leg n. Times advance per leg by steps that
+// keep each one a full-length shortest form, as simulated times are.
+func (l *legRecords) record(n, k int) Event {
+	enq := 20.258817 + float64(n)*0.0013791
+	svcAt := enq + 0.0071143
+	t := svcAt + 0.0029517
+	ends := [3]float64{svcAt, t, t}
+	starts := [3]float64{enq, svcAt, enq}
+	l.ev[k].T, l.tr[k].Start = ends[k], starts[k]
+	return l.ev[k]
+}
+
 // BenchmarkJournalEmit is the per-event cost of the write path on its own:
-// encode plus one Write to a sink that does nothing.
+// encode plus one Write to a sink that does nothing. trace_span walks the
+// simulator's three records per leg, so the float memo hits where a real
+// journal lets it and no more.
 func BenchmarkJournalEmit(b *testing.B) {
-	span := Event{T: 21.514583, Span: SpanTrace, Phase: PhaseEnd, Round: 2,
-		Trace: &TraceEvent{ID: "9e3779b97f4a7c15", Span: "c2b2ae3d27d4eb4f", Parent: "165667b19e3779f9",
-			Op: OpLeg, Start: 20.258817, Machine: 4, Shard: 9, Seq: -1,
-			Blocked: &BlameRef{Round: 2, Seq: 5, Machine: 4, Kind: BlameQueue, Delay: 0.125739}}}
+	legs := newLegRecords()
 	move := Event{T: 12.5, Span: SpanMove, Phase: PhaseEnd, Round: 2, Outcome: OutcomeOK,
 		Seconds: 1.531, Move: &MoveEvent{Seq: 17, Shard: 3, From: 0, To: 4, Attempt: 1}}
 	for _, c := range []struct {
 		name string
-		ev   Event
-	}{{"trace_span", span}, {"move_span", move}} {
+		ev   func(i int) Event
+	}{
+		{"trace_span", func(i int) Event { return legs.record(i/3, i%3) }},
+		{"move_span", func(int) Event { return move }},
+	} {
 		b.Run(c.name, func(b *testing.B) {
 			j := NewJournal(io.Discard)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				j.Emit(c.ev)
+				j.Emit(c.ev(i))
 			}
 			if err := j.Err(); err != nil {
 				b.Fatal(err)

@@ -94,11 +94,12 @@ type Event struct {
 // write errors are sticky and surfaced by Err/Close rather than per
 // event, so instrumented code paths never branch on telemetry failures.
 type Journal struct {
-	mu  sync.Mutex
-	w   io.Writer // guarded by: mu
-	n   int       // guarded by: mu
-	err error     // guarded by: mu
-	buf []byte    // guarded by: mu; the line being encoded, reused across emits
+	mu   sync.Mutex
+	w    io.Writer // guarded by: mu
+	n    int       // guarded by: mu
+	err  error     // guarded by: mu
+	buf  []byte    // guarded by: mu; the line being encoded, reused across emits
+	memo floatMemo // guarded by: mu; the last floats encoded, by bits
 }
 
 // NewJournal wraps w. The caller owns closing any underlying file; Close
@@ -120,7 +121,7 @@ func (j *Journal) Emit(ev Event) {
 	if j.err != nil {
 		return
 	}
-	line, err := appendEvent(j.buf[:0], &ev)
+	line, err := appendEvent(j.buf[:0], &ev, &j.memo)
 	if err != nil {
 		// The span kind is cloned: handing fmt a string of ev's would
 		// make every caller's event escape (see encode.go).
@@ -176,9 +177,14 @@ func CreateJournal(path string) (*Journal, func() error, error) {
 	return j, closeFn, nil
 }
 
+// journalBufSize is CreateJournal's write buffer. A traced campaign
+// writes hundreds of megabytes; at bufio's default 4 KiB that is one
+// write call per 4 KiB.
+const journalBufSize = 64 << 10
+
 // bufferJournal is CreateJournal on an already opened destination.
 func bufferJournal(wc io.WriteCloser) (*Journal, func() error) {
-	bw := bufio.NewWriter(wc)
+	bw := bufio.NewWriterSize(wc, journalBufSize)
 	j := NewJournal(bw)
 	closed := false
 	return j, func() error {

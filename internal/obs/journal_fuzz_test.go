@@ -162,7 +162,7 @@ func FuzzReadJournalMatchesJSON(f *testing.F) {
 		{T: 23, Span: SpanRound, Phase: PhaseEnd, Round: 3, Outcome: OutcomeErr, Err: `back\slash`},
 		{T: 23, Span: SpanRound, Phase: PhaseEnd, Round: 3, Outcome: OutcomeErr, Err: "solve \"m<3>\":\n\xff é"},
 	} {
-		line, err := appendEvent(nil, &ev)
+		line, err := appendEvent(nil, &ev, &floatMemo{})
 		if err != nil {
 			f.Fatal(err)
 		}
