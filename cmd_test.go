@@ -1,12 +1,14 @@
 package rexchange
 
 import (
+	"context"
 	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // buildTool compiles the main package at pkg (relative to the module
@@ -143,5 +145,16 @@ func TestCLIErrors(t *testing.T) {
 	var exit *exec.ExitError
 	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "TargetUtil") {
 		t.Errorf("rexsim -util NaN: %v, want exit status 1 naming TargetUtil:\n%s", err, out)
+	}
+
+	// A NaN solve cost is refused before the campaign runs; without the
+	// check the simulator clock is handed a NaN target, so the run is
+	// bounded by a short timeout.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	out, err = exec.CommandContext(ctx, rexsim, "-machines", "20", "-shards", "100", "-rounds", "2",
+		"-variants", "solve", "-solve-cost", "NaN").CombinedOutput()
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "SolveSeconds") {
+		t.Errorf("rexsim -solve-cost NaN: %v, want exit status 1 naming SolveSeconds:\n%s", err, out)
 	}
 }

@@ -53,6 +53,23 @@ func TestPolicyValidate(t *testing.T) {
 	}
 }
 
+// TestBudgetValidate: a negative or non-finite SolveSeconds is refused with
+// an error naming the field. Validation only: a NaN solve cost must never
+// reach a clock.
+func TestBudgetValidate(t *testing.T) {
+	for _, v := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		b := Budget{Iterations: 10, SolveSeconds: v}
+		if err := b.validate(); err == nil || !strings.Contains(err.Error(), "SolveSeconds") {
+			t.Errorf("SolveSeconds %g: error %v, want one naming SolveSeconds", v, err)
+		}
+	}
+	for _, v := range []float64{0, 1, 1e9} {
+		if err := (Budget{Iterations: 10, SolveSeconds: v}).validate(); err != nil {
+			t.Errorf("SolveSeconds %g: %v", v, err)
+		}
+	}
+}
+
 // scriptSource plays back a fixed sequence of load snapshots.
 type scriptSource struct {
 	rows [][]float64

@@ -1,6 +1,7 @@
 package ctl
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -137,8 +138,11 @@ func TestExecutePlanDetectsBadPlan(t *testing.T) {
 func TestExecutePlanValidation(t *testing.T) {
 	c := mkCluster([]float64{10}, []float64{1})
 	from := mustPlacement(t, c, []cluster.MachineID{0})
-	if _, _, err := ExecutePlan(from, &plan.Plan{}, MigrationConfig{Bandwidth: 0, Concurrency: 1}); err == nil {
-		t.Error("expected bandwidth error")
+	for _, bw := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, _, err := ExecutePlan(from, &plan.Plan{}, MigrationConfig{Bandwidth: bw, Concurrency: 1})
+		if err == nil || !strings.Contains(err.Error(), "Bandwidth") {
+			t.Errorf("Bandwidth %g: error %v, want one naming Bandwidth", bw, err)
+		}
 	}
 	if _, _, err := ExecutePlan(from, &plan.Plan{}, MigrationConfig{Bandwidth: 1, Concurrency: 0}); err == nil {
 		t.Error("expected concurrency error")

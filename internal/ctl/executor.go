@@ -136,8 +136,8 @@ func DefaultExecConfig() ExecConfig {
 
 // normalize fills defaults and validates.
 func (cfg *ExecConfig) normalize() error {
-	if cfg.Migration.Bandwidth <= 0 {
-		return fmt.Errorf("ctl: executor Bandwidth must be positive, got %g", cfg.Migration.Bandwidth)
+	if bw := cfg.Migration.Bandwidth; !(bw > 0) || math.IsInf(bw, 1) {
+		return fmt.Errorf("ctl: executor Bandwidth must be positive and finite, got %g", bw)
 	}
 	if cfg.Migration.Concurrency <= 0 {
 		return fmt.Errorf("ctl: executor Concurrency must be positive, got %d", cfg.Migration.Concurrency)

@@ -1,6 +1,9 @@
 package ctl
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Policy decides when the controller re-solves. It implements hysteresis,
 // consulted once per control window — the window pacing is what
@@ -99,6 +102,11 @@ func (b Budget) validate() error {
 	}
 	if b.ExchangeRounds < 0 {
 		return fmt.Errorf("ctl: negative Budget.ExchangeRounds %d", b.ExchangeRounds)
+	}
+	// A NaN or infinite cost would hand the clock a target no event
+	// reaches.
+	if math.IsNaN(b.SolveSeconds) || math.IsInf(b.SolveSeconds, 0) {
+		return fmt.Errorf("ctl: Budget.SolveSeconds must be finite, got %g", b.SolveSeconds)
 	}
 	if b.SolveSeconds < 0 {
 		return fmt.Errorf("ctl: negative Budget.SolveSeconds %g", b.SolveSeconds)

@@ -247,8 +247,9 @@ func TestPickShardMatchesSearch(t *testing.T) {
 	}
 }
 
-// TestArrivalMergeOrder: arrivals read from the window's slice merge into
-// the heap's stream under (At, Kind, Seq).
+// TestArrivalMergeOrder: the pending window boundary, the arrivals read
+// from the window's slice and the leg completions merge under (At, Kind,
+// Seq).
 func TestArrivalMergeOrder(t *testing.T) {
 	// One machine whose running leg completes at t=5, a window boundary at
 	// 5, and an arrival at exactly 5. The window fires first (the arrival
@@ -259,7 +260,7 @@ func TestArrivalMergeOrder(t *testing.T) {
 	s.tr = &workload.Trace{Duration: 10} // no intensity: windows add no arrivals
 	s.workload = s.streams.Stream(rng.StreamWorkload)
 	enqueue(s, 0, s.allocQuery(0, 1), 0, 5)
-	s.heap.Push(Event{At: 5, Kind: KindWindow})
+	s.window = 5
 	s.windowIdx = 1
 	s.arrivals = []float64{5}
 	s.Sleep(6)
@@ -289,14 +290,24 @@ func TestArrivalMergeOrder(t *testing.T) {
 	}
 }
 
-// BenchmarkEventLoop is sim_steady's event loop at 200 machines: fan-out
-// 16, TargetUtil 0.15, no drift, 500 qps with a 0.2 diurnal swing. One op
-// is one 10 s window; ns/event divides the loop's time by the events it
-// fired. The only allocations in steady state are the window's arrival
-// slice and latency-record growth, so allocs/event rounds to zero.
+// BenchmarkEventLoop is sim_steady's event loop: fan-out 16, TargetUtil
+// 0.15, no drift, 500 qps with a 0.2 diurnal swing, at 200 machines over
+// 1600 shards (about 30 completions pending) and at sim_steady's own 1000
+// machines over 8000 shards (about 160). One op is one 10 s window;
+// ns/event divides the loop's time by the events it fired. The only
+// allocations in steady state are the window's arrival slice and
+// latency-record growth, so allocs/event rounds to zero.
 func BenchmarkEventLoop(b *testing.B) {
+	for _, size := range []struct{ machines, shards int }{{200, 1600}, {1000, 8000}} {
+		b.Run(fmt.Sprintf("m%d_s%d", size.machines, size.shards), func(b *testing.B) {
+			benchEventLoop(b, size.machines, size.shards)
+		})
+	}
+}
+
+func benchEventLoop(b *testing.B, machines, shards int) {
 	wcfg := workload.DefaultConfig()
-	wcfg.Machines, wcfg.Shards, wcfg.TargetFill = 200, 1600, 0.85
+	wcfg.Machines, wcfg.Shards, wcfg.TargetFill = machines, shards, 0.85
 	inst, err := workload.Generate(wcfg)
 	if err != nil {
 		b.Fatal(err)

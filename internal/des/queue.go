@@ -105,7 +105,7 @@ func (m *machine) front() *leg { return &m.ring[m.head] }
 func (m *machine) pop() leg {
 	l := m.ring[m.head]
 	m.head = (m.head + 1) & (len(m.ring) - 1)
-	//rexlint:ignore nonneg pop's one caller is legDoneEvent, and the event heap holds one KindLegDone per startService, so the machine is non-empty
+	//rexlint:ignore nonneg pop's one caller is legDoneEvent, and the leg queue holds one completion per startService, so the machine is non-empty
 	m.n--
 	if cluster.DebugAsserts {
 		assertNonneg("machine.n", m.n)

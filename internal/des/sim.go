@@ -147,7 +147,7 @@ type query struct {
 }
 
 // Sim is the discrete-event cluster simulator. It implements ctl.Clock
-// (Sleep advances the event heap to the target time), ctl.LoadSource
+// (Sleep advances the event loop to the target time), ctl.LoadSource
 // (observed loads are the work actually routed per shard since the last
 // snapshot), and ctl.MoveObserver (executor copies degrade their source
 // machine and commits reroute subsequent queries) — so the unmodified
@@ -175,9 +175,11 @@ type Sim struct {
 	wtotal   float64   // invariant Σweights, restored after each drift step
 	machines []machine
 
-	// heap holds window boundaries and leg completions; arrivals[next:]
-	// are the generated arrivals not yet fired, sorted.
-	heap     eventHeap
+	// window is the pending window boundary (+Inf when none), legs the
+	// pending leg completions, and arrivals[next:] the generated arrivals
+	// not yet fired, sorted.
+	window   float64
+	legs     legQueue
 	arrivals []float64
 	next     int
 	qs       []query
@@ -256,6 +258,7 @@ func New(cfg Config, p *cluster.Placement, tr *workload.Trace) (*Sim, error) {
 		streams:  rng.NewPartitioned(cfg.Seed),
 		srcLoad:  make([]float64, c.NumShards()),
 		m:        newSimMetrics(nil),
+		window:   0, // the first boundary opens window 0
 	}
 	s.workload = s.streams.Stream(rng.StreamWorkload)
 	s.drift = s.streams.Stream(rng.StreamDrift)
@@ -301,7 +304,10 @@ func New(cfg Config, p *cluster.Placement, tr *workload.Trace) (*Sim, error) {
 	meanUtil := c.TotalLoad() / totalSpeed
 	s.serveScale = cfg.TargetUtil / meanUtil
 	s.rebuildCum()
-	s.heap.Push(Event{At: 0, Kind: KindWindow})
+	// Until the first window's pops retune it, the leg queue's days are
+	// twice the mean gap between completions at the trace's mean rate,
+	// and its year has room for one completion per machine.
+	s.legs.presize(2/(rate*float64(cfg.Fanout)), len(s.machines))
 	return s, nil
 }
 
@@ -353,36 +359,36 @@ func (s *Sim) setNow(t float64) {
 // Sleep advances simulated time by d seconds, running every event that
 // falls strictly before the target; events scheduled exactly at the
 // target run at the start of the next advance, so a load snapshot taken
-// at a window boundary never sees the next window's arrivals. The next
-// pending arrival fires when it orders before the heap's minimum; the
-// heap is never empty while arrivals are pending, because the window
-// that generated them scheduled the next boundary.
+// at a window boundary never sees the next window's arrivals. Each step
+// fires the earliest of the pending window boundary, the cursor's arrival
+// and the earliest leg completion, ties broken in Kind order. A target
+// that is not finite advances nothing: no event would ever reach it.
 func (s *Sim) Sleep(d float64) {
-	if d <= 0 {
+	target := s.Now() + d
+	if !(d > 0) || math.IsInf(target, 0) {
 		return
 	}
-	target := s.Now() + d
-	for s.heap.Len() > 0 {
-		e := s.heap.Min()
-		if s.next < len(s.arrivals) {
-			if a := (Event{At: s.arrivals[s.next], Kind: KindArrival}); a.before(e) {
-				e = a
-			}
+	for {
+		at, kind := s.window, KindWindow
+		if s.next < len(s.arrivals) && s.arrivals[s.next] < at {
+			at, kind = s.arrivals[s.next], KindArrival
 		}
-		if e.At >= target {
+		if t := s.legs.MinAt(); t < at {
+			at, kind = t, KindLegDone
+		}
+		if at >= target {
 			break
 		}
 		s.events++
-		switch e.Kind {
+		switch kind {
 		case KindWindow:
-			s.heap.Pop()
-			s.windowEvent(e.At)
+			s.windowEvent(at)
 		case KindArrival:
 			s.next++
-			s.arrivalEvent(e.At)
+			s.arrivalEvent(at)
 		case KindLegDone:
-			s.heap.Pop()
-			s.legDoneEvent(e.At, e.M)
+			_, mi := s.legs.Pop()
+			s.legDoneEvent(at, mi)
 		}
 	}
 	s.setNow(target)
@@ -441,6 +447,7 @@ func (s *Sim) MoveFinished(mv plan.Move, ref ctl.MoveRef, at float64, committed 
 // windowEvent closes the measurement window ending at t, applies one
 // popularity-drift step, and generates the next window's arrivals.
 func (s *Sim) windowEvent(t float64) {
+	s.legs.retune(t)
 	if s.windowIdx > 0 {
 		s.closeWindow(t)
 	}
@@ -454,7 +461,7 @@ func (s *Sim) windowEvent(t float64) {
 	s.arrivals = append(s.arrivals[:pending], s.tr.Arrivals(t, t+s.cfg.Window, s.workload)...)
 	s.next = 0
 	s.windowIdx++
-	s.heap.Push(Event{At: t + s.cfg.Window, Kind: KindWindow})
+	s.window = t + s.cfg.Window
 }
 
 // closeWindow publishes the window's latency summary to the journal.
@@ -635,7 +642,7 @@ func (s *Sim) startService(t float64, mi int32) {
 	service := l.work * s.serveScale / eff
 	m.busy += service
 	m.busyUntil = t + service
-	s.heap.Push(Event{At: t + service, Kind: KindLegDone, M: mi})
+	s.legs.Push(t+service, mi)
 }
 
 // legDoneEvent completes the head leg of machine m, merges it into its
@@ -647,7 +654,7 @@ func (s *Sim) legDoneEvent(t float64, mi int32) {
 		s.traceLegDone(t, &l, m)
 	}
 	q := &s.qs[l.q]
-	//rexlint:ignore nonneg remain was set to the leg count at arrival, and each leg completes once: the heap holds one KindLegDone per startService, and pop removes the leg that event completes
+	//rexlint:ignore nonneg remain was set to the leg count at arrival, and each leg completes once: the leg queue holds one completion per startService, and pop removes the leg that completion ends
 	q.remain--
 	if cluster.DebugAsserts {
 		assertNonneg("query.remain", int(q.remain))

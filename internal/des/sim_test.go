@@ -25,11 +25,13 @@ var (
 )
 
 // bareSim builds a simulator shell with unit calibration and no scheduled
-// events, for white-box queueing tests: legUnit=1, serveScale=1, so a
-// leg's work is its service time on a speed-1 idle machine.
+// events (no window boundary either), for white-box queueing tests:
+// legUnit=1, serveScale=1, so a leg's work is its service time on a
+// speed-1 idle machine.
 func bareSim(speeds []float64, shards int) *Sim {
 	s := &Sim{
 		cfg:      Config{Fanout: 1, TargetUtil: 0.5, Window: 10, Drag: 0.3},
+		window:   math.Inf(1),
 		home:     make([]cluster.MachineID, shards),
 		weights:  make([]float64, shards),
 		cum:      make([]float64, shards),
@@ -62,6 +64,38 @@ func enqueue(s *Sim, t float64, qi int32, mi int32, work float64) {
 	m.push(leg{q: qi, work: work})
 	if m.depth() == 1 {
 		s.startService(t, mi)
+	}
+}
+
+// TestSleepNonFiniteTarget: a NaN or infinite advance returns at once,
+// fires nothing and leaves the clock where it was, where the loop would
+// otherwise run window boundaries forever; a finite advance after it
+// still runs. The trace has no intensity, so a regression spins without
+// growing, and the timeout names it.
+func TestSleepNonFiniteTarget(t *testing.T) {
+	s := bareSim([]float64{1}, 1)
+	s.tr = &workload.Trace{Duration: 10}
+	s.workload = s.streams.Stream(rng.StreamWorkload)
+	s.window = 0
+	enqueue(s, 0, s.allocQuery(0, 1), 0, 5)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			s.Sleep(d)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Sleep with a non-finite advance did not return")
+	}
+	if s.events != 0 || s.Now() != 0 {
+		t.Fatalf("non-finite advances fired %d events and moved the clock to %g", s.events, s.Now())
+	}
+	s.Sleep(6)
+	if s.Now() != 6 || len(s.lat[PhaseBefore]) != 1 {
+		t.Fatalf("Sleep(6) after them: clock %g, %d completions, want 6 and 1", s.Now(), len(s.lat[PhaseBefore]))
 	}
 }
 

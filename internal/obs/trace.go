@@ -135,10 +135,10 @@ type TraceEvent struct {
 }
 
 // traceMetrics is the rex_trace_* family set, attached lazily so a
-// metrics-less tracer still journals.
+// metrics-less tracer still journals. spans[i] counts traceOps[i].
 type traceMetrics struct {
 	sampled *Counter
-	spans   map[string]*Counter
+	spans   [len(traceOps)]*Counter
 	blame   *Counter
 }
 
@@ -146,7 +146,30 @@ type traceMetrics struct {
 // never fires still renders as a zero sample, so LintExposition never
 // sees a declared-but-empty family and dashboards see a stable series
 // set.
-var traceOps = []string{OpQuery, OpLeg, OpQueue, OpService, OpMerge, OpRound, OpSolve, OpMove}
+var traceOps = [...]string{OpQuery, OpLeg, OpQueue, OpService, OpMerge, OpRound, OpSolve, OpMove}
+
+// opIndex is op's index in traceOps, -1 for an op outside the set.
+func opIndex(op string) int {
+	switch op {
+	case OpQuery:
+		return 0
+	case OpLeg:
+		return 1
+	case OpQueue:
+		return 2
+	case OpService:
+		return 3
+	case OpMerge:
+		return 4
+	case OpRound:
+		return 5
+	case OpSolve:
+		return 6
+	case OpMove:
+		return 7
+	}
+	return -1
+}
 
 // newTraceMetrics registers the rex_trace_* families on reg.
 func newTraceMetrics(reg *Registry) *traceMetrics {
@@ -155,12 +178,11 @@ func newTraceMetrics(reg *Registry) *traceMetrics {
 			"Queries selected by the trace sampler."),
 		blame: reg.Counter("rex_trace_blame_seconds_total",
 			"Simulated seconds of query delay attributed to migration moves."),
-		spans: make(map[string]*Counter, len(traceOps)),
 	}
 	vec := reg.CounterVec("rex_trace_spans_total",
 		"Trace spans emitted to the journal.", "op")
-	for _, op := range traceOps {
-		m.spans[op] = vec.With(op)
+	for i, op := range traceOps {
+		m.spans[i] = vec.With(op)
 	}
 	return m
 }
@@ -230,8 +252,8 @@ func (t *Tracer) Emit(at float64, round int, ev TraceEvent) {
 		return
 	}
 	if t.m != nil {
-		if c, ok := t.m.spans[ev.Op]; ok {
-			c.Inc()
+		if i := opIndex(ev.Op); i >= 0 {
+			t.m.spans[i].Inc()
 		}
 		if ev.Blocked != nil {
 			t.m.blame.Add(ev.Blocked.Delay)

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -133,5 +135,43 @@ func TestTraceReportsStable(t *testing.T) {
 	}
 	if !strings.Contains(first, "move r0#3") {
 		t.Fatalf("reports never name the blamed move:\n%s", first)
+	}
+}
+
+// TestTracerCountsSpansByOp: each op of the closed set counts against its
+// own rex_trace_spans_total series, in traceOps order, and an op outside
+// the set journals without counting.
+func TestTracerCountsSpansByOp(t *testing.T) {
+	reg := NewRegistry()
+	var buf bytes.Buffer
+	j := NewJournal(&buf)
+	tr := NewTracer(rand.New(rand.NewSource(1)), 1, j)
+	tr.AttachMetrics(reg)
+	for i, op := range traceOps {
+		if got := opIndex(op); got != i {
+			t.Fatalf("opIndex(%q) = %d, want %d", op, got, i)
+		}
+		for k := 0; k <= i; k++ {
+			tr.Emit(1, 0, TraceEvent{Op: op})
+		}
+	}
+	tr.Emit(1, 0, TraceEvent{Op: "unknown"})
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if lines := bytes.Count(buf.Bytes(), []byte("\n")); lines != 37 {
+		t.Fatalf("journal has %d lines, want 37 (36 counted spans and the unknown one)", lines)
+	}
+	for i, op := range traceOps {
+		if got := tr.m.spans[i].Value(); got != float64(i+1) {
+			t.Errorf("op %s counted %g spans, want %d", op, got, i+1)
+		}
+	}
+	var exp bytes.Buffer
+	if err := reg.WritePrometheus(&exp); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(exp.String(), "unknown") {
+		t.Errorf("an op outside the set reached the exposition:\n%s", exp.String())
 	}
 }
