@@ -157,4 +157,11 @@ func TestCLIErrors(t *testing.T) {
 	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "SolveSeconds") {
 		t.Errorf("rexsim -solve-cost NaN: %v, want exit status 1 naming SolveSeconds:\n%s", err, out)
 	}
+
+	// A NaN watermark would never trigger a solve; it is refused instead.
+	out, err = exec.CommandContext(ctx, rexsim, "-machines", "20", "-shards", "100", "-rounds", "2",
+		"-variants", "solve", "-high", "NaN").CombinedOutput()
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "HighWater") {
+		t.Errorf("rexsim -high NaN: %v, want exit status 1 naming HighWater:\n%s", err, out)
+	}
 }

@@ -53,6 +53,31 @@ func TestPolicyValidate(t *testing.T) {
 	}
 }
 
+// TestPolicyRejectsNaNWatermarks: a NaN in either watermark is refused
+// with an error naming the field, whatever the other one holds.
+func TestPolicyRejectsNaNWatermarks(t *testing.T) {
+	nan := math.NaN()
+	cases := []struct {
+		p     Policy
+		field string
+	}{
+		{Policy{HighWater: nan, LowWater: 1.1}, "HighWater"},
+		{Policy{HighWater: nan, LowWater: nan}, "HighWater"},
+		{Policy{HighWater: 1.25, LowWater: nan}, "LowWater"},
+		{Policy{HighWater: math.Inf(1), LowWater: nan}, "LowWater"},
+	}
+	for _, tc := range cases {
+		if err := tc.p.validate(); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("policy %+v: error %v, want one naming %s", tc.p, err, tc.field)
+		}
+	}
+	for _, p := range []Policy{DefaultPolicy(), {HighWater: 1, LowWater: 1}, {HighWater: math.Inf(1), LowWater: 1.1}, {HighWater: 100, LowWater: 99}} {
+		if err := p.validate(); err != nil {
+			t.Errorf("policy %+v: %v", p, err)
+		}
+	}
+}
+
 // TestBudgetValidate: a negative or non-finite SolveSeconds is refused with
 // an error naming the field. Validation only: a NaN solve cost must never
 // reach a clock.

@@ -30,8 +30,16 @@ func DefaultPolicy() Policy {
 	return Policy{HighWater: 1.25, LowWater: 1.10}
 }
 
-// validate checks the watermark ordering.
+// validate checks the watermark ordering. A NaN watermark is refused
+// first: it compares false with everything, so it would pass the ordering
+// checks and ShouldSolve would never fire.
 func (p Policy) validate() error {
+	if math.IsNaN(p.HighWater) {
+		return fmt.Errorf("ctl: Policy.HighWater is NaN")
+	}
+	if math.IsNaN(p.LowWater) {
+		return fmt.Errorf("ctl: Policy.LowWater is NaN")
+	}
 	if p.LowWater < 1 {
 		return fmt.Errorf("ctl: LowWater must be ≥ 1, got %g", p.LowWater)
 	}

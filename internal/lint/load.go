@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -10,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -35,11 +37,13 @@ type Package struct {
 // Standard-library imports are typechecked once per process, not once per
 // Loader: every Loader shares the stdCache below, so a whole-repo
 // `rexlint ./...` run (and equally the fixture test harness, which builds
-// one Loader per fixture) pays for a single GOROOT pass. Imported
-// packages are checked without a types.Info — analyzers only inspect the
-// syntax of target packages, and skipping the Defs/Uses/Selections maps
-// for the (much larger) import closure is the bulk of the loader's
-// speedup.
+// one Loader per fixture) pays for a single GOROOT pass. That pass is most
+// of a cold run's load: the closure net/http pulls in is about 200
+// packages, several times the module. Analyzers only inspect the syntax of
+// target packages, so stdlib packages are read for their package-scope
+// API alone — shaped by shapeSource, parsed, and checked without a
+// types.Info or function bodies — while module packages get a full parse
+// and a full types.Info.
 type Loader struct {
 	ModPath string // module path from go.mod
 	ModDir  string // module root directory
@@ -88,16 +92,21 @@ func stdCacheFor(tags []string) *stdCache {
 	if c, ok := stdCaches.byKey[key]; ok {
 		return c
 	}
+	c := newStdCache(sorted)
+	stdCaches.byKey[key] = c
+	return c
+}
+
+// newStdCache returns an empty stdlib cache for the given build tags.
+func newStdCache(tags []string) *stdCache {
 	ctx := build.Default
 	ctx.CgoEnabled = false
-	ctx.BuildTags = append([]string(nil), sorted...)
-	c := &stdCache{
+	ctx.BuildTags = append([]string(nil), tags...)
+	return &stdCache{
 		fset: token.NewFileSet(),
 		ctx:  ctx,
 		pkgs: make(map[string]*types.Package),
 	}
-	stdCaches.byKey[key] = c
-	return c
 }
 
 // NewLoader creates a Loader for the module rooted at modDir. The module
@@ -203,16 +212,15 @@ func (c *stdCache) loadStd(path string) (*types.Package, error) {
 }
 
 // loadStdLocked parses and typechecks one stdlib package (and, through the
-// stdImporter, its import closure) under the cache lock. Imported
-// packages are checked without a types.Info and with IgnoreFuncBodies:
-// analyzers never inspect stdlib syntax or effects — call sites into the
-// standard library are classified by name against known tables, not by
-// analyzing stdlib bodies — so only the exported API shape matters, and
-// skipping body checking cuts the dominant cost of a cold whole-module
-// run. With bodies ignored go/types can no longer see body-only uses of
-// imports and variables, so it raises spurious "imported and not used"
-// diagnostics; those are soft errors by definition, and the handler below
-// keeps only hard ones.
+// stdImporter, its import closure) under the cache lock. Analyzers never
+// inspect stdlib syntax or effects — call sites into the standard library
+// are classified by name against known tables, not by analyzing stdlib
+// bodies — so only the package-scope API shape matters. Each file is
+// parsed from shapeSource's rewrite, which empties function bodies and
+// composite literals before the parser sees them; the parser then no
+// longer builds body ASTs that are thrown away, and go/types no longer
+// walks unicode's tables. TestStdShapeMatchesFullParse holds the result
+// to a check of the full files.
 func (c *stdCache) loadStdLocked(path string) (*types.Package, error) {
 	if p, ok := c.pkgs[path]; ok {
 		return p, nil
@@ -222,16 +230,29 @@ func (c *stdCache) loadStdLocked(path string) (*types.Package, error) {
 		return nil, err
 	}
 	// No analyzer reads stdlib comments, so they are not kept.
-	files, err := parseGoDir(c.fset, &c.ctx, dir, parser.SkipObjectResolution)
+	files, err := parseGoDir(c.fset, &c.ctx, dir, parser.SkipObjectResolution, shapeSource)
 	if err != nil {
 		return nil, err
 	}
+	tpkg, err := c.check(path, dir, files, stdImporter{c})
+	if err != nil {
+		return nil, err
+	}
+	c.pkgs[path] = tpkg
+	return tpkg, nil
+}
+
+// check typechecks the parsed files of one stdlib package with
+// IgnoreFuncBodies and no types.Info. Soft errors — go/types' class for
+// diagnostics such as unused names, which a check without bodies cannot
+// judge — are dropped; the first hard one fails the package.
+func (c *stdCache) check(path, dir string, files []*ast.File, imp types.Importer) (*types.Package, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("lint: no buildable Go files in %s", dir)
 	}
 	var hard error
 	conf := types.Config{
-		Importer:         stdImporter{c},
+		Importer:         imp,
 		Sizes:            types.SizesFor(c.ctx.Compiler, c.ctx.GOARCH),
 		IgnoreFuncBodies: true,
 		Error: func(err error) {
@@ -247,7 +268,6 @@ func (c *stdCache) loadStdLocked(path string) (*types.Package, error) {
 	if hard != nil {
 		return nil, fmt.Errorf("lint: typecheck %s: %w", path, hard)
 	}
-	c.pkgs[path] = tpkg
 	return tpkg, nil
 }
 
@@ -334,7 +354,7 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	if files, ok := l.parsed[dir]; ok {
 		return files, nil
 	}
-	files, err := parseGoDir(l.fset, &l.ctx, dir, parser.ParseComments|parser.SkipObjectResolution)
+	files, err := parseGoDir(l.fset, &l.ctx, dir, parser.ParseComments|parser.SkipObjectResolution, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -343,14 +363,15 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 }
 
 // parseGoDir parses the buildable non-test Go files of dir, honoring build
-// constraints under the given build context. Files are parsed concurrently:
-// token.FileSet is documented as safe for concurrent use, and parsing is
-// the dominant cost of a cold stdlib pass once body typechecking is
-// skipped. Results keep directory order so positions and declaration order
+// constraints under the given build context. A non-nil shape rewrites each
+// file's source before it is parsed (the stdlib passes shapeSource; module
+// packages pass nil and are parsed as written). Files are read, shaped and
+// parsed concurrently: token.FileSet is documented as safe for concurrent
+// use. Results keep directory order so positions and declaration order
 // stay deterministic run to run. Every caller passes SkipObjectResolution in
 // mode: go/types resolves identifiers itself and no analyzer reads the
 // parser's ast.Object links.
-func parseGoDir(fset *token.FileSet, ctx *build.Context, dir string, mode parser.Mode) ([]*ast.File, error) {
+func parseGoDir(fset *token.FileSet, ctx *build.Context, dir string, mode parser.Mode, shape func([]byte) []byte) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("lint: %w", err)
@@ -374,7 +395,16 @@ func parseGoDir(fset *token.FileSet, ctx *build.Context, dir string, mode parser
 		wg.Add(1)
 		go func(i int, name string) {
 			defer wg.Done()
-			files[i], errs[i] = parser.ParseFile(fset, filepath.Join(dir, name), nil, mode)
+			path := filepath.Join(dir, name)
+			src, err := os.ReadFile(path)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			if shape != nil {
+				src = shape(src)
+			}
+			files[i], errs[i] = parser.ParseFile(fset, path, src, mode)
 		}(i, name)
 	}
 	wg.Wait()
@@ -384,6 +414,248 @@ func parseGoDir(fset *token.FileSet, ctx *build.Context, dir string, mode parser
 		}
 	}
 	return files, nil
+}
+
+// shapeSource rewrites the source of one standard-library file, in place,
+// into what go/types reads of it when it checks with IgnoreFuncBodies and
+// no types.Info: the package-scope declarations. Every brace that opens a
+// function body or a composite literal, wherever it stands, is emptied:
+// its contents are dropped but for their newlines, so every later token
+// keeps its line. Two kinds of brace hold what the declared API depends
+// on and are not emptied: a struct or interface type body is kept, and
+// so is the element list of a [...]T literal, whose length is its element
+// count — an unkeyed one becomes [N]T{} with its N counted, a keyed one
+// stays whole. Comments, interpreted and raw strings and rune literals
+// are skipped whole, so no brace inside one counts.
+//
+// Emptying changes no declared type: a literal's type is written before
+// its brace, and a function's signature before its body. The output is
+// never longer than the input — N's digits take no more room than the
+// "..." and the N elements they replace — so the pass writes over src and
+// returns the prefix in use.
+func shapeSource(src []byte) []byte {
+	var (
+		w, kept  int  // src[:w] is the output; src[kept:i] is still to be appended
+		depth    int  // open parens, brackets and type bodies; places a [...]T's brace
+		typeKw   bool // the last token was struct or interface
+		ell      int  // tokens of a "[...]" seen so far: 1 after "[", 2 after "..."
+		dotsAt   int  // index of the last "..." token
+		ellAt    = -1 // index of the "..." of a [...]T whose literal brace is still to come
+		ellDepth int  // depth of that [...]T
+		num      [20]byte
+	)
+	for i := 0; i < len(src); {
+		if j := skipNoise(src, i); j > i {
+			i = j
+			continue
+		}
+		c := src[i]
+		if c == ' ' || c == '\t' || c == '\n' || c == '\r' {
+			i++
+			continue
+		}
+		afterType, e := typeKw, ell
+		typeKw, ell = false, 0
+		if isWordByte(c) {
+			j := i + 1
+			for j < len(src) && isWordByte(src[j]) {
+				j++
+			}
+			word := string(src[i:j])
+			typeKw = word == "struct" || word == "interface"
+			i = j
+			continue
+		}
+		switch c {
+		case '.':
+			if i+2 < len(src) && src[i+1] == '.' && src[i+2] == '.' {
+				if e == 1 {
+					ell, dotsAt = 2, i
+				}
+				i += 3
+				continue
+			}
+		case '(':
+			depth++
+		case '[':
+			depth++
+			ell = 1
+		case ')', '}':
+			if depth > 0 {
+				depth--
+			}
+		case ']':
+			if depth > 0 {
+				depth--
+			}
+			if e == 2 && ellAt < 0 {
+				ellAt, ellDepth = dotsAt, depth
+			}
+		case '{':
+			if afterType {
+				depth++
+				break
+			}
+			end := closeBrace(src, i)
+			switch {
+			case ellAt >= 0 && depth > ellDepth:
+				// A literal inside the element type of a pending [...]T
+				// (an array length, say): kept whole.
+			case ellAt >= 0 && depth == ellDepth:
+				// Nothing between the "..." and this brace was emptied, so
+				// src[kept:ellAt] still holds the text before the dots.
+				if elems, keyed := literalElems(src, i, end); !keyed {
+					newlines := bytes.Count(src[i:end], []byte{'\n'})
+					w += copy(src[w:], src[kept:ellAt])
+					n := strconv.AppendInt(num[:0], int64(elems), 10)
+					typ := src[ellAt+3 : i+1] // "]T{"
+					copy(src[w+len(n):], typ)
+					w += copy(src[w:], n) + len(typ)
+					w = putNewlines(src, w, newlines)
+					kept = end
+				}
+				ellAt = -1
+			default:
+				ellAt = -1
+				newlines := bytes.Count(src[i:end], []byte{'\n'})
+				w += copy(src[w:], src[kept:i+1])
+				w = putNewlines(src, w, newlines)
+				kept = end
+			}
+			i = end + 1
+			continue
+		}
+		i++
+	}
+	w += copy(src[w:], src[kept:])
+	return src[:w]
+}
+
+// putNewlines writes n newlines into src at w and returns the new end.
+func putNewlines(src []byte, w, n int) int {
+	for ; n > 0; n-- {
+		src[w] = '\n'
+		w++
+	}
+	return w
+}
+
+// braceStop marks the bytes closeBrace must look at: braces, and the
+// first bytes of comments, strings and runes.
+var braceStop = [256]bool{'{': true, '}': true, '/': true, '"': true, '\'': true, '`': true}
+
+// closeBrace returns the index of the brace that closes the one at
+// src[open], or len(src) when none does.
+func closeBrace(src []byte, open int) int {
+	depth := 0
+	for i := open; i < len(src); i++ {
+		if !braceStop[src[i]] {
+			continue
+		}
+		switch src[i] {
+		case '{':
+			depth++
+		case '}':
+			if depth--; depth == 0 {
+				return i
+			}
+		default:
+			if j := skipNoise(src, i); j > i {
+				i = j - 1
+			}
+		}
+	}
+	return len(src)
+}
+
+// literalElems reads src[open:end], a composite literal from its opening
+// to its closing brace, and returns its element count and whether any
+// element is keyed.
+func literalElems(src []byte, open, end int) (elems int, keyed bool) {
+	depth := 0
+	elem := false // an element has begun since the last comma
+	for i := open; i < end; {
+		if j := skipNoise(src, i); j > i {
+			if src[i] != '/' {
+				elem = true
+			}
+			i = j
+			continue
+		}
+		switch src[i] {
+		case ' ', '\t', '\n', '\r':
+		case '{', '(', '[':
+			depth++
+			elem = elem || depth > 1
+		case '}', ')', ']':
+			depth--
+		case ',':
+			if depth == 1 {
+				elems++
+				elem = false
+			}
+		case ':':
+			keyed = keyed || depth == 1
+		default:
+			elem = elem || depth == 1
+		}
+		i++
+	}
+	if elem {
+		elems++
+	}
+	return elems, keyed
+}
+
+// skipNoise returns the end of the comment, string or rune literal that
+// starts at src[i], or i when none does. A line comment ends before its
+// newline, and an interpreted string or rune left open at a newline ends
+// there: the parser rejects such a file, and the newline stays a newline.
+func skipNoise(src []byte, i int) int {
+	switch q := src[i]; q {
+	case '/':
+		if i+1 < len(src) {
+			switch src[i+1] {
+			case '/':
+				if j := bytes.IndexByte(src[i+2:], '\n'); j >= 0 {
+					return i + 2 + j
+				}
+				return len(src)
+			case '*':
+				if j := bytes.Index(src[i+2:], []byte("*/")); j >= 0 {
+					return i + 4 + j
+				}
+				return len(src)
+			}
+		}
+	case '`':
+		if j := bytes.IndexByte(src[i+1:], '`'); j >= 0 {
+			return i + 2 + j
+		}
+		return len(src)
+	case '"', '\'':
+		for j := i + 1; j < len(src); j++ {
+			switch src[j] {
+			case '\\':
+				if j+1 < len(src) && src[j+1] != '\n' {
+					j++
+				}
+			case q:
+				return j + 1
+			case '\n':
+				return j
+			}
+		}
+		return len(src)
+	}
+	return i
+}
+
+// isWordByte reports whether b can be part of an identifier, keyword or
+// number. Bytes of a multi-byte UTF-8 rune count: outside comments and
+// literals, Go source has them only in identifiers.
+func isWordByte(b byte) bool {
+	return b == '_' || b >= 0x80 || '0' <= b && b <= '9' || 'a' <= b && b <= 'z' || 'A' <= b && b <= 'Z'
 }
 
 // Packages returns every module-local package this loader has typechecked
