@@ -164,4 +164,12 @@ func TestCLIErrors(t *testing.T) {
 	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "HighWater") {
 		t.Errorf("rexsim -high NaN: %v, want exit status 1 naming HighWater:\n%s", err, out)
 	}
+
+	// A negative cost spread would draw unit costs against a calibration
+	// that divides by exp(σ²/2); it is refused by name.
+	out, err = exec.CommandContext(ctx, rexsim, "-machines", "20", "-shards", "100", "-rounds", "2",
+		"-cost-sigma", "-1").CombinedOutput()
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "CostSigma") {
+		t.Errorf("rexsim -cost-sigma -1: %v, want exit status 1 naming CostSigma:\n%s", err, out)
+	}
 }

@@ -80,15 +80,16 @@ func TestNewValidation(t *testing.T) {
 		p   *cluster.Placement
 		tr  *workload.Trace
 	}{
-		"unknown routing":     {Config{Routing: Routing(9)}, p, tr},
-		"saturating util":     {Config{TargetUtil: 1}, p, tr},
-		"negative fanout":     {Config{Fanout: -1}, p, tr},
-		"negative drift":      {Config{DriftSigma: -1}, p, tr},
-		"nil placement":       {Config{}, nil, tr},
-		"trace without span":  {Config{}, p, &workload.Trace{}},
-		"trace without query": {Config{}, p, &workload.Trace{Duration: 5}},
-		"unassigned shard":    {Config{}, unplaced, tr},
-		"no load":             {Config{}, idle, tr},
+		"unknown routing":      {Config{Routing: Routing(9)}, p, tr},
+		"saturating util":      {Config{TargetUtil: 1}, p, tr},
+		"negative fanout":      {Config{Fanout: -1}, p, tr},
+		"negative drift":       {Config{DriftSigma: -1}, p, tr},
+		"negative cost spread": {Config{CostSigma: -1}, p, tr},
+		"nil placement":        {Config{}, nil, tr},
+		"trace without span":   {Config{}, p, &workload.Trace{}},
+		"trace without query":  {Config{}, p, &workload.Trace{Duration: 5}},
+		"unassigned shard":     {Config{}, unplaced, tr},
+		"no load":              {Config{}, idle, tr},
 	} {
 		if _, err := New(tc.cfg, tc.p, tc.tr); err == nil {
 			t.Errorf("%s: New accepted it", name)

@@ -62,7 +62,7 @@ type Config struct {
 	// disables degradation.
 	Drag float64 `json:"drag"`
 	// CostSigma is the lognormal spread of per-query cost (0 = uniform
-	// unit cost).
+	// unit cost; negative is rejected).
 	CostSigma float64 `json:"cost_sigma"`
 	// MaxQueue caps a machine's queue depth in legs; a query any of
 	// whose legs meets a full queue is dropped whole. 0 = unbounded.
@@ -118,6 +118,9 @@ func (cfg *Config) normalize() error {
 	}
 	if cfg.DriftSigma < 0 {
 		return fmt.Errorf("des: negative drift: DriftSigma must be ≥ 0, got %g", cfg.DriftSigma)
+	}
+	if cfg.CostSigma < 0 {
+		return fmt.Errorf("des: negative cost spread: CostSigma must be ≥ 0, got %g", cfg.CostSigma)
 	}
 	if cfg.Drag == 0 {
 		cfg.Drag = 0.3
