@@ -77,6 +77,9 @@ func run() error {
 		metricsOut = flag.String("metrics-out", "", "write the final Prometheus exposition to this file on exit")
 	)
 	flag.Parse()
+	if !(*failRate >= 0 && *failRate < 1) {
+		return fmt.Errorf("-fail-rate must be in [0,1), got %g", *failRate)
+	}
 
 	p, err := loadOrGenerate(*in, *machines, *shards, *fill, *seed)
 	if err != nil {

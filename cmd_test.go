@@ -172,4 +172,24 @@ func TestCLIErrors(t *testing.T) {
 	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "CostSigma") {
 		t.Errorf("rexsim -cost-sigma -1: %v, want exit status 1 naming CostSigma:\n%s", err, out)
 	}
+
+	// rexd refuses a NaN window and a NaN drift by name. Without the
+	// checks the first dies later on a NaN snapshot (and -rounds 0 runs
+	// until interrupted, hence the timeout), the second runs as -drift 0.
+	rexd := buildTool(t, dir, "cmd/rexd")
+	for _, tc := range []struct {
+		args []string
+		name string
+	}{
+		{[]string{"-rounds", "0", "-window", "NaN"}, "Window"},
+		{[]string{"-rounds", "4", "-drift", "NaN"}, "drift sigma"},
+		{[]string{"-rounds", "4", "-fail-rate", "NaN"}, "-fail-rate"},
+		{[]string{"-rounds", "4", "-fail-rate", "1"}, "-fail-rate"},
+	} {
+		args := append([]string{"-virtual", "-machines", "20", "-shards", "100"}, tc.args...)
+		out, err = exec.CommandContext(ctx, rexd, args...).CombinedOutput()
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), tc.name) {
+			t.Errorf("rexd %s: %v, want exit status 1 naming %s:\n%s", strings.Join(tc.args, " "), err, tc.name, out)
+		}
+	}
 }

@@ -56,7 +56,8 @@ func (s State) String() string {
 
 // Config parameterizes the controller.
 type Config struct {
-	// Window is the seconds between load snapshots (one control round).
+	// Window is the seconds between load snapshots (one control round);
+	// it must be positive and finite.
 	Window float64
 	// Policy is the solve trigger (hysteresis).
 	Policy Policy
@@ -156,8 +157,8 @@ type Controller struct {
 // owned by the controller from here on: the executor commits moves into it
 // and load snapshots replace its cluster's shard loads.
 func New(cfg Config, clock Clock, p *cluster.Placement, src LoadSource) (*Controller, error) {
-	if cfg.Window <= 0 {
-		return nil, fmt.Errorf("ctl: Window must be positive, got %g", cfg.Window)
+	if !(cfg.Window > 0) || math.IsInf(cfg.Window, 1) {
+		return nil, fmt.Errorf("ctl: Window must be positive and finite, got %g", cfg.Window)
 	}
 	if err := cfg.Policy.validate(); err != nil {
 		return nil, err

@@ -457,6 +457,22 @@ func TestRoundsCloseAtWindowAfterPlanFailure(t *testing.T) {
 	}
 }
 
+// TestNewRejectsBadWindow pins that a window which is not a positive finite
+// number of seconds is refused by name at construction, not later as a bad
+// snapshot (NaN) or a round that never closes (+Inf).
+func TestNewRejectsBadWindow(t *testing.T) {
+	c := mkCluster([]float64{10, 10}, []float64{2, 2})
+	p := mustPlacement(t, c, []cluster.MachineID{0, 1})
+	for _, w := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg := DefaultConfig()
+		cfg.Window = w
+		_, err := New(cfg, NewVirtualClock(), p, &scriptSource{rows: [][]float64{{1, 1}}})
+		if err == nil || !strings.Contains(err.Error(), "Window must be positive and finite") {
+			t.Errorf("Window %g: err = %v, want a Window error", w, err)
+		}
+	}
+}
+
 func TestControllerRejectsBadSnapshots(t *testing.T) {
 	c := mkCluster([]float64{10, 10}, []float64{2, 2})
 	p := mustPlacement(t, c, []cluster.MachineID{0, 1})
@@ -525,6 +541,13 @@ func TestTraceDriftSourceDeterministicAndWrapping(t *testing.T) {
 	// A negative sigma must not silently run a frozen fleet.
 	if _, err := NewTraceDriftSource(inst.Cluster, tr, -1, 42); err == nil || !strings.Contains(err.Error(), "negative drift") {
 		t.Fatalf("sigma -1: err = %v, want a negative-drift error", err)
+	}
+	// Nor may a NaN or infinite one: NaN fails every comparison, so it
+	// used to run the fleet frozen, as sigma 0 does.
+	for _, sigma := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewTraceDriftSource(inst.Cluster, tr, sigma, 42); err == nil || !strings.Contains(err.Error(), "drift sigma must be finite") {
+			t.Fatalf("sigma %g: err = %v, want a non-finite drift error", sigma, err)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"rexchange/internal/lint"
-	"rexchange/internal/lint/linttest"
 )
 
 // loadSnippet typechecks one synthetic package and builds its
@@ -18,8 +17,7 @@ func loadSnippet(t *testing.T, name, src string) (*lint.Program, *lint.Package) 
 	if err := os.WriteFile(filepath.Join(dir, name+".go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	loader := linttest.NewLoader(t)
-	pkg, err := loader.LoadDir(dir, "snippet/"+name)
+	pkg, err := lint.ModuleLoader(t, nil).LoadDir(dir, "snippet/"+name)
 	if err != nil {
 		t.Fatalf("load snippet %s: %v", name, err)
 	}
@@ -373,7 +371,7 @@ func TestInterfaceCalleesInFileOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		pkg, err := linttest.NewLoader(t).LoadDir(dir, "snippet/order")
+		pkg, err := lint.ModuleLoader(t, nil).LoadDir(dir, "snippet/order")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,11 +12,13 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/diagnostics.golden from the current analyzers")
 
-// TestFixtureDiagnosticsGolden holds the bytes the `// want` regexps do not:
-// every analyzer runs over every fixture package — its own and the other
-// fourteen — and the rendered diagnostics must equal the committed golden
-// file. Message drift and a neighbour analyzer starting to fire on a fixture
-// both fail here. Regenerate on purpose with
+// TestFixtureDiagnosticsGolden is the fixture oracle: every analyzer runs,
+// unscoped, over every fixture package — its own and the other fourteen —
+// and the rendered diagnostics, text and position, must equal the committed
+// golden file byte for byte. A lost or new finding, message drift and a
+// neighbour analyzer starting to fire on a fixture all fail here. A golden
+// blessed with -update cannot tell an analyzer that went silent; that is
+// TestAnalyzers' check. Regenerate on purpose with
 //
 //	go test ./internal/lint/ -run TestFixtureDiagnosticsGolden -update
 func TestFixtureDiagnosticsGolden(t *testing.T) {
@@ -55,16 +57,8 @@ func fixtureDiagnostics(t *testing.T) string {
 	t.Helper()
 	var got strings.Builder
 	for _, set := range lint.LoadFixtures(t, nil, false) {
-		pkg := set.Pkgs[0]
 		for _, a := range lint.Analyzers("rexchange") {
-			unscoped := *a
-			unscoped.AppliesTo = nil
-			// A fresh Program per run: waiver use-marks are Program state.
-			diags, err := lint.RunAnalyzers(pkg, []*lint.Analyzer{&unscoped})
-			if err != nil {
-				t.Fatalf("run %s on %s: %v", a.Name, set.Name, err)
-			}
-			for _, d := range diags {
+			for _, d := range lint.RunUnscoped(t, a, set.Pkgs[0]) {
 				got.WriteString(filepath.ToSlash(d.String()))
 				got.WriteByte('\n')
 			}

@@ -217,15 +217,6 @@ func (s *lineDirectives) unusedTransfers() []Diagnostic {
 	return out
 }
 
-// RunAnalyzers executes every analyzer that applies to pkg and returns the
-// diagnostics sorted by position. The interprocedural program is built
-// over pkg alone; whole-module runs should build one Program over every
-// loaded package and use RunAnalyzersIn so summaries cross package
-// boundaries.
-func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunAnalyzersIn(NewProgram([]*Package{pkg}), pkg, analyzers)
-}
-
 // RunAnalyzersIn executes every analyzer that applies to pkg with prog as
 // the interprocedural context, appends unused-suppression and
 // unknown-directive diagnostics, and returns everything sorted by position.

@@ -5,37 +5,30 @@ import (
 	"testing"
 
 	"rexchange/internal/lint"
-	"rexchange/internal/lint/linttest"
 )
 
-// TestAnalyzers runs each analyzer over its fixture package and checks the
-// reported diagnostics against the // want comments in the fixture.
+// TestAnalyzers runs each analyzer of the suite, unscoped, over its own
+// fixture package (testdata/src/<name>) and fails when it reports nothing
+// there under its own name. diagnostics.golden pins every finding byte for
+// byte, but a golden blessed with -update would also accept a fixture that
+// no longer exercises its analyzer.
 func TestAnalyzers(t *testing.T) {
-	cases := []struct {
-		analyzer *lint.Analyzer
-		fixture  string
-	}{
-		{lint.NoGlobalRand, "noglobalrand"},
-		{lint.MapOrder, "maporder"},
-		{lint.FloatEq, "floateq"},
-		{lint.ErrIgnore, "errignore"},
-		{lint.MetricName, "metricname"},
-		{lint.LockCheck, "lockcheck"},
-		{lint.ClockPurity, "clockpurity"},
-		{lint.StateCheck, "statecheck"},
-		{lint.LeakCheck, "leakcheck"},
-		{lint.ShareCheck, "sharecheck"},
-		{lint.AllocCheck, "alloccheck"},
-		{lint.Purity, "purity"},
-		{lint.StreamFlow, "streamflow"},
-		{lint.DetFlow, "detflow"},
-		{lint.NonNeg, "nonneg"},
+	fixtures := map[string]*lint.Package{}
+	for _, set := range lint.LoadFixtures(t, nil, false) {
+		fixtures[set.Name] = set.Pkgs[0]
 	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.fixture, func(t *testing.T) {
-			t.Parallel()
-			linttest.Run(t, tc.analyzer, tc.fixture)
+	for _, a := range lint.Analyzers("rexchange") {
+		t.Run(a.Name, func(t *testing.T) {
+			pkg, ok := fixtures[a.Name]
+			if !ok {
+				t.Fatalf("no fixture package testdata/src/%s", a.Name)
+			}
+			for _, d := range lint.RunUnscoped(t, a, pkg) {
+				if d.Analyzer == a.Name {
+					return
+				}
+			}
+			t.Errorf("%s reports nothing on its own fixture", a.Name)
 		})
 	}
 }
@@ -154,8 +147,7 @@ func TestAnalyzerScopes(t *testing.T) {
 // TestLoaderLoadsModulePackages is a smoke test that the source loader can
 // typecheck a real module package (with stdlib imports) offline.
 func TestLoaderLoadsModulePackages(t *testing.T) {
-	loader := linttest.NewLoader(t)
-	pkgs, err := loader.Load([]string{"./internal/vec"})
+	pkgs, err := lint.ModuleLoader(t, nil).Load([]string{"./internal/vec"})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}

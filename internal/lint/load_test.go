@@ -5,18 +5,14 @@ import (
 	"go/types"
 	"testing"
 
-	"rexchange/internal/lint/linttest"
+	"rexchange/internal/lint"
 )
 
 // debugAssertsValue loads rexchange/internal/cluster under the given build
 // tags and returns the value of its DebugAsserts constant.
 func debugAssertsValue(t *testing.T, tags []string) bool {
 	t.Helper()
-	loader := linttest.NewLoader(t)
-	if tags != nil {
-		loader.SetBuildTags(tags)
-	}
-	pkgs, err := loader.Load([]string{"./internal/cluster"})
+	pkgs, err := lint.ModuleLoader(t, tags).Load([]string{"./internal/cluster"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +53,8 @@ func TestStdCacheKeyedByBuildTags(t *testing.T) {
 // std packages (identity, not just equality), which is what keeps whole-
 // module rexlint runs inside the wall-time budget.
 func TestStdCacheSharedWithinTagSet(t *testing.T) {
-	a := linttest.NewLoader(t)
-	a.SetBuildTags([]string{"x", "debugasserts"})
-	b := linttest.NewLoader(t)
-	b.SetBuildTags([]string{"debugasserts", "x"})
+	a := lint.ModuleLoader(t, []string{"x", "debugasserts"})
+	b := lint.ModuleLoader(t, []string{"debugasserts", "x"})
 
 	pa, err := a.Import("sort")
 	if err != nil {
@@ -74,7 +68,7 @@ func TestStdCacheSharedWithinTagSet(t *testing.T) {
 		t.Error("same tag set (reordered) did not share the stdlib cache")
 	}
 
-	c := linttest.NewLoader(t)
+	c := lint.ModuleLoader(t, nil)
 	pc, err := c.Import("sort")
 	if err != nil {
 		t.Fatal(err)

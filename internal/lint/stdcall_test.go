@@ -130,22 +130,12 @@ func TestStdCallTable(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	loader, err := NewLoader(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := loader.LoadDir(dir, "snippet/stdcalls")
-	if err != nil {
-		t.Fatal(err)
-	}
-	unscoped := *ClockPurity
-	unscoped.AppliesTo = nil
-	diags, err := RunAnalyzers(pkg, []*Analyzer{&unscoped})
+	pkg, err := ModuleLoader(t, nil).LoadDir(dir, "snippet/stdcalls")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got []string
-	for _, d := range diags {
+	for _, d := range RunUnscoped(t, ClockPurity, pkg) {
 		got = append(got, d.Message)
 	}
 	sort.Strings(got)

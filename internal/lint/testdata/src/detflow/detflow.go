@@ -21,7 +21,7 @@ func unsortedKeys(m map[string]int) {
 		keys = append(keys, k)
 	}
 	for _, k := range keys {
-		emit(k) // want `value ordered by map iteration order flows into journal write sink`
+		emit(k)
 	}
 }
 
@@ -42,7 +42,7 @@ func sortedKeys(m map[string]int) {
 func inlineEmit(m map[string]int) {
 	for k := range m {
 		_ = k
-		emit("entry") // want `journal write sink .*emit called inside map iteration`
+		emit("entry")
 	}
 }
 
@@ -57,7 +57,7 @@ func launder(m map[string]int) {
 		keys = append(keys, k)
 	}
 	for _, k := range keys {
-		forward(k) // want `value ordered by map iteration order flows into journal write sink .*emit`
+		forward(k)
 	}
 }
 
@@ -69,7 +69,7 @@ func selectOrder(a, b chan string) {
 	case v = <-a:
 	case v = <-b:
 	}
-	emit(v) // want `value ordered by select arm completion order flows into journal write sink`
+	emit(v)
 }
 
 // pingPong and pongPing are mutually recursive: the summary solver must
@@ -96,7 +96,7 @@ func cyclicLaunder(m map[string]int) {
 		keys = append(keys, k)
 	}
 	for _, k := range keys {
-		pongPing(k, 3) // want `value ordered by map iteration order flows into journal write sink .*emit`
+		pongPing(k, 3)
 	}
 }
 
@@ -130,5 +130,5 @@ func mixedOrder(m map[string]int, a, b chan string) {
 	case p.last = <-a:
 	case p.last = <-b:
 	}
-	emit(lastOf(p)) // want `value ordered by map iteration order flows into journal write sink`
+	emit(lastOf(p))
 }

@@ -5,13 +5,13 @@ package floateq
 import "sort"
 
 func bad(a, b float64) bool {
-	return a == b // want `exact floating-point ==`
+	return a == b
 }
 
 func badNeq(xs []float64) int {
 	n := 0
 	for i := 1; i < len(xs); i++ {
-		if xs[i] != xs[i-1] { // want `exact floating-point !=`
+		if xs[i] != xs[i-1] {
 			n++
 		}
 	}
@@ -19,7 +19,7 @@ func badNeq(xs []float64) int {
 }
 
 func badFloat32(a, b float32) bool {
-	return a == b // want `exact floating-point ==`
+	return a == b
 }
 
 func goodConstZero(x float64) bool {

