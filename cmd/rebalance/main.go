@@ -52,6 +52,12 @@ func run() error {
 		planOut   = flag.String("plan-out", "", "write the move schedule as JSON (replayable with rexd -plan-in)")
 	)
 	flag.Parse()
+	if *k < 0 {
+		return fmt.Errorf("-k must be non-negative, got %d", *k)
+	}
+	if *restarts < 0 {
+		return fmt.Errorf("-restarts must be non-negative, got %d", *restarts)
+	}
 
 	var p *cluster.Placement
 	var err error

@@ -80,6 +80,9 @@ func run() error {
 	if !(*failRate >= 0 && *failRate < 1) {
 		return fmt.Errorf("-fail-rate must be in [0,1), got %g", *failRate)
 	}
+	if *k < 0 {
+		return fmt.Errorf("-k must be non-negative, got %d", *k)
+	}
 
 	p, err := loadOrGenerate(*in, *machines, *shards, *fill, *seed)
 	if err != nil {

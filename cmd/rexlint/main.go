@@ -32,9 +32,9 @@
 //	detflow       map/select-ordered values must be sorted before reaching
 //	              a //rexlint:detsink (journal writes, Prometheus
 //	              exposition, fixed-format reports)
-//	nonneg        //rexlint:nonneg counters proven non-negative on every
-//	              path; a callee whose effect summary writes its
-//	              receiver, parameters or globals resets field bounds to 0
+//	nonneg        every write that can take a //rexlint:nonneg counter
+//	              below 0 (a decrement, a negative step or constant) is a
+//	              finding unless a waiver names the invariant
 //
 // Unused //rexlint:ignore and //rexlint:transfer directives are themselves
 // errors (pseudo-analyzers "rexlint" and "sharecheck"), so stale waivers

@@ -139,10 +139,28 @@ func TestCLIErrors(t *testing.T) {
 		t.Errorf("error output should be prefixed:\n%s", out)
 	}
 
+	// A negative count is refused by flag name: without the checks -k -1
+	// borrows no machine and -restarts -1 runs the default portfolio.
+	var exit *exec.ExitError
+	for _, tc := range []struct{ flag, value string }{{"-k", "-1"}, {"-restarts", "-1"}} {
+		out, err = exec.Command(rebalance, "-generate", "-machines", "20", "-shards", "100", "-iters", "50", tc.flag, tc.value).CombinedOutput()
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), tc.flag+" must be non-negative") {
+			t.Errorf("rebalance %s %s: %v, want exit status 1 naming %s:\n%s", tc.flag, tc.value, err, tc.flag, out)
+		}
+	}
+
+	// A NaN load skew is refused by name before anything is written;
+	// without the check JSON encoding fails on the NaN loads.
+	clustergen := buildTool(t, dir, "cmd/clustergen")
+	out, err = exec.Command(clustergen, "-machines", "20", "-shards", "100", "-skew", "NaN",
+		"-placement", filepath.Join(dir, "nan.json")).CombinedOutput()
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "LoadSkew") {
+		t.Errorf("clustergen -skew NaN: %v, want exit status 1 naming LoadSkew:\n%s", err, out)
+	}
+
 	// A NaN simulator parameter is a named error and exit status 1.
 	rexsim := buildTool(t, dir, "cmd/rexsim")
 	out, err = exec.Command(rexsim, "-machines", "10", "-shards", "60", "-rounds", "1", "-util", "NaN").CombinedOutput()
-	var exit *exec.ExitError
 	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "TargetUtil") {
 		t.Errorf("rexsim -util NaN: %v, want exit status 1 naming TargetUtil:\n%s", err, out)
 	}
@@ -165,6 +183,14 @@ func TestCLIErrors(t *testing.T) {
 		t.Errorf("rexsim -high NaN: %v, want exit status 1 naming HighWater:\n%s", err, out)
 	}
 
+	// A NaN fill is refused by the generator, before the simulator sees
+	// NaN shard loads.
+	out, err = exec.CommandContext(ctx, rexsim, "-machines", "20", "-shards", "100", "-rounds", "2",
+		"-fill", "NaN").CombinedOutput()
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "TargetFill") {
+		t.Errorf("rexsim -fill NaN: %v, want exit status 1 naming TargetFill:\n%s", err, out)
+	}
+
 	// A negative cost spread would draw unit costs against a calibration
 	// that divides by exp(σ²/2); it is refused by name.
 	out, err = exec.CommandContext(ctx, rexsim, "-machines", "20", "-shards", "100", "-rounds", "2",
@@ -173,9 +199,11 @@ func TestCLIErrors(t *testing.T) {
 		t.Errorf("rexsim -cost-sigma -1: %v, want exit status 1 naming CostSigma:\n%s", err, out)
 	}
 
-	// rexd refuses a NaN window and a NaN drift by name. Without the
-	// checks the first dies later on a NaN snapshot (and -rounds 0 runs
-	// until interrupted, hence the timeout), the second runs as -drift 0.
+	// rexd refuses a NaN window, a NaN drift, a NaN fill and a negative
+	// -k by name. Without the checks the first dies later on a NaN
+	// snapshot (and -rounds 0 runs until interrupted, hence the timeout),
+	// the second runs as -drift 0, the third dies on a NaN snapshot load
+	// and the last borrows no machine.
 	rexd := buildTool(t, dir, "cmd/rexd")
 	for _, tc := range []struct {
 		args []string
@@ -185,6 +213,8 @@ func TestCLIErrors(t *testing.T) {
 		{[]string{"-rounds", "4", "-drift", "NaN"}, "drift sigma"},
 		{[]string{"-rounds", "4", "-fail-rate", "NaN"}, "-fail-rate"},
 		{[]string{"-rounds", "4", "-fail-rate", "1"}, "-fail-rate"},
+		{[]string{"-rounds", "2", "-fill", "NaN"}, "TargetFill"},
+		{[]string{"-rounds", "2", "-k", "-1"}, "-k must be non-negative"},
 	} {
 		args := append([]string{"-virtual", "-machines", "20", "-shards", "100"}, tc.args...)
 		out, err = exec.CommandContext(ctx, rexd, args...).CombinedOutput()

@@ -157,6 +157,9 @@ type Program struct {
 	owned     map[*types.TypeName]bool
 	dirs      *vfDirectives
 	findings  map[*FuncNode][]vfFinding
+	// nonneg maps each //rexlint:nonneg field to whether it is an
+	// integer (nonneg.go).
+	nonneg map[*types.Var]bool
 }
 
 // NewProgram builds the call graph, computes every function summary to
@@ -179,6 +182,7 @@ func NewProgram(pkgs []*Package) *Program {
 		collectOwnedTypes(pkg, p.owned)
 	}
 	p.dirs = collectVFDirectives(p)
+	p.nonneg = collectNonnegFields(pkgs)
 	for _, n := range p.graph.nodes {
 		p.nodesExpr[n.Pkg] = append(p.nodesExpr[n.Pkg], n)
 		p.local[n] = computeLocalFacts(p, n)
@@ -311,12 +315,9 @@ type localFacts struct {
 	// sites is the site table, sorted by position.
 	sites []site
 
-	// The value-flow prescan (scanFlow, valuelocal.go). derived marks
-	// locals initialized as direct copies of an annotated counter field
-	// (`remaining := p.vacant`): tracked counters in their own right.
-	derived map[types.Object]bool
-	// selectOrdered marks receive-assignments inside selects with two or
-	// more receive arms: arrival order is scheduler-dependent.
+	// The value-flow prescan (scanFlow, valuelocal.go). selectOrdered
+	// marks receive-assignments inside selects with two or more receive
+	// arms: arrival order is scheduler-dependent.
 	selectOrdered map[ast.Node]bool
 	// mapRanges are the body spans of map-range statements, for the
 	// sink-called-inside-map-iteration check.

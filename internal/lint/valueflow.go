@@ -6,7 +6,7 @@ package lint
 // call-site summaries by the same fixpoint, in the same Summary, as v3's
 // effect masks (summary.go), including "via a → b" blame traces. Where
 // several related paths carry the same fact, the smallest path's trace is
-// the one a message names. Three analyzers draw on it:
+// the one a message names. Two analyzers draw on it:
 //
 //   - streamflow: a value returned by a //rexlint:streamsource function
 //     (rng.Partitioned.Stream) carries its stream name as taint. A function
@@ -18,20 +18,13 @@ package lint
 //     sorted (a sort./slices. call). Order-tainted values must not reach
 //     //rexlint:detsink functions (journal writes, Prometheus exposition,
 //     fixed-format reports), directly or through callees.
-//   - nonneg: integer struct fields annotated //rexlint:nonneg must be
-//     provably non-negative on every path: decrements are only legal when
-//     the lower bound is positive, and a call whose effect summary may
-//     write caller-visible state drops every field-rooted bound to the
-//     invariant floor 0.
 //
 // Soundness boundaries (deliberate, documented): taint does not flow
 // through struct-field stores across functions (field-mediated flows stay
-// covered by the dynamic byte-diff tests), closures do not inherit taint of
-// captured variables, and counter writes through index expressions
-// (s.machines[i].n--) are not tracked because exprKey cannot
-// canonicalize them. Within those boundaries every lattice is finite and
-// every merge monotone, so the fixpoint terminates (FuzzValueSummaryMerge
-// pins this on cyclic call graphs).
+// covered by the dynamic byte-diff tests) and closures do not inherit
+// taint of captured variables. Within those boundaries every lattice is
+// finite and every merge monotone, so the fixpoint terminates
+// (FuzzValueSummaryMerge pins this on cyclic call graphs).
 
 import (
 	"go/token"
@@ -46,22 +39,14 @@ type vfKind uint8
 const (
 	vfStream vfKind = iota
 	vfDet
-	vfNonneg
 )
 
-// vfFinding is one engine finding, routed to streamflow/detflow/nonneg.
+// vfFinding is one engine finding, routed to streamflow or detflow.
 type vfFinding struct {
 	kind vfKind
 	pos  token.Pos
 	msg  string
 }
-
-// lbSat bounds every lower-bound value so decreasing chains are finite and
-// the dataflow fixpoint terminates regardless of loop structure.
-const lbSat = 64
-
-// satAdd adds a non-negative amount to a bound with saturation at lbSat.
-func satAdd(a, b int) int { return min(a+min(b, lbSat), lbSat) }
 
 // valueSummary is the value-flow summary of one function node.
 type valueSummary struct {
@@ -141,33 +126,15 @@ func sameTaint(a, b taint) bool {
 	return true
 }
 
-// vfState is the per-program-point fact: the taint of each value path and
-// the proven lower bound of each tracked counter. Every bound lies in
-// [0, lbSat]; a missing lb key means 0, the declared invariant floor, so
-// states normalize by dropping zeros, as taints drop empty values.
+// vfState is the per-program-point fact: the taint of each value path.
+// setTaint drops empty taints, so equal states hold the same keys.
 type vfState struct {
 	taints map[string]taint
-	lb     map[string]int
 }
 
 func newVFState() *vfState { return &vfState{} }
 
-func (s *vfState) clone() *vfState {
-	return &vfState{taints: maps.Clone(s.taints), lb: maps.Clone(s.lb)}
-}
-
-func (s *vfState) getLB(key string) int { return s.lb[key] }
-
-func (s *vfState) setLB(key string, v int) {
-	if v == 0 {
-		delete(s.lb, key)
-		return
-	}
-	if s.lb == nil {
-		s.lb = make(map[string]int)
-	}
-	s.lb[key] = v
-}
+func (s *vfState) clone() *vfState { return &vfState{taints: maps.Clone(s.taints)} }
 
 func (s *vfState) setTaint(key string, t taint) {
 	if t.empty() {
@@ -209,7 +176,7 @@ func (s *vfState) taintsAt(key string) taint {
 
 // equalVFState compares lattice content (trace decoration excluded).
 func equalVFState(a, b *vfState) bool {
-	if len(a.taints) != len(b.taints) || len(a.lb) != len(b.lb) {
+	if len(a.taints) != len(b.taints) {
 		return false
 	}
 	for k, at := range a.taints {
@@ -217,25 +184,14 @@ func equalVFState(a, b *vfState) bool {
 			return false
 		}
 	}
-	for k, av := range a.lb {
-		if bv, ok := b.lb[k]; !ok || bv != av {
-			return false
-		}
-	}
 	return true
 }
 
-// joinVFState unions taints and mins lower bounds (missing = 0, which no
-// bound is below).
+// joinVFState unions taints.
 func joinVFState(a, b *vfState) *vfState {
 	out := a.clone()
 	for k, t := range b.taints {
 		out.setTaint(k, out.taints[k].union(t))
-	}
-	for k, av := range out.lb {
-		if bv := b.lb[k]; bv < av { // missing keys default to 0
-			out.setLB(k, bv)
-		}
 	}
 	return out
 }

@@ -2,66 +2,8 @@ package lint
 
 import (
 	"go/token"
-	"math"
 	"testing"
 )
-
-func TestSatAddSaturates(t *testing.T) {
-	cases := []struct{ a, b, want int }{
-		{0, 1, 1},
-		{lbSat, 1, lbSat},
-		{lbSat - 1, 5, lbSat},
-		{3, 7, 10},
-		{1, math.MaxInt, lbSat},
-	}
-	for _, tc := range cases {
-		if got := satAdd(tc.a, tc.b); got != tc.want {
-			t.Errorf("satAdd(%d, %d) = %d, want %d", tc.a, tc.b, got, tc.want)
-		}
-	}
-}
-
-// TestJoinVFStateLowerBounds pins the min-join with missing-means-zero
-// normalization: a bound only present on one branch joins against the
-// other branch's implicit zero, in both directions.
-func TestJoinVFStateLowerBounds(t *testing.T) {
-	tr := &Trace{Pos: token.Pos(1), What: "test"}
-	a := newVFState()
-	a.setLB("x", 2)
-	a.setTaint("r", taint{streams: map[string]*Trace{"workload": tr}})
-	b := newVFState()
-	b.setLB("x", 1)
-	b.setLB("only", 3)
-	b.setTaint("k", taint{ord: tr})
-
-	j := joinVFState(a, b)
-	if got := j.getLB("x"); got != 1 {
-		t.Errorf("lb(x) = %d, want min 1", got)
-	}
-	if got := j.getLB("only"); got != 0 {
-		t.Errorf("lb(only) = %d, want 0 (missing in a means 0)", got)
-	}
-	if _, ok := j.taints["r"].streams["workload"]; !ok {
-		t.Error("stream taint lost in join")
-	}
-	if j.taints["k"].ord == nil {
-		t.Error("order taint lost in join")
-	}
-
-	// A positive bound present on only one side must fall to the other
-	// side's implicit zero.
-	c := newVFState()
-	c.setLB("p", 4)
-	j2 := joinVFState(c, newVFState())
-	if got := j2.getLB("p"); got != 0 {
-		t.Errorf("lb(p) = %d, want 0 after joining with empty state", got)
-	}
-
-	// Join is idempotent on equal states.
-	if !equalVFState(joinVFState(a, a), a) {
-		t.Error("join(a, a) != a")
-	}
-}
 
 // TestStreamTaintFlowsDownwardOnly pins the asymmetry that keeps struct
 // values holding an RNG field from being treated as streams themselves: a

@@ -11,7 +11,6 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
-	"slices"
 	"strings"
 )
 
@@ -25,11 +24,6 @@ type vfDirectives struct {
 	declared map[*FuncNode][]string
 	// sinks are //rexlint:detsink functions with their description.
 	sinks map[*FuncNode]string
-	// nonneg are the //rexlint:nonneg-annotated integer struct fields.
-	nonneg map[*types.Var]bool
-	// pkgFind collects directive-validation findings (nonneg on a
-	// non-integer field) per package.
-	pkgFind map[*Package][]vfFinding
 }
 
 // collectVFDirectives parses every value-flow directive in the program.
@@ -38,8 +32,6 @@ func collectVFDirectives(p *Program) *vfDirectives {
 		sources:  make(map[*FuncNode]bool),
 		declared: make(map[*FuncNode][]string),
 		sinks:    make(map[*FuncNode]string),
-		nonneg:   make(map[*types.Var]bool),
-		pkgFind:  make(map[*Package][]vfFinding),
 	}
 	for _, n := range p.graph.nodes {
 		if n.Decl == nil {
@@ -65,75 +57,19 @@ func collectVFDirectives(p *Program) *vfDirectives {
 			d.sinks[n] = desc
 		}
 	}
-	for _, pkg := range p.Pkgs {
-		collectNonnegFields(pkg, d)
-	}
 	return d
 }
 
-// collectNonnegFields scans struct declarations for //rexlint:nonneg field
-// annotations (doc comment above the field or line comment beside it).
-func collectNonnegFields(pkg *Package, d *vfDirectives) {
-	hasDirective := func(cg *ast.CommentGroup) bool { return len(groupDirective(cg, "nonneg")) > 0 }
-	for _, file := range pkg.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			st, ok := n.(*ast.StructType)
-			if !ok || st.Fields == nil {
-				return true
-			}
-			for _, field := range st.Fields.List {
-				if !hasDirective(field.Doc) && !hasDirective(field.Comment) {
-					continue
-				}
-				for _, name := range field.Names {
-					obj, _ := pkg.Info.Defs[name].(*types.Var)
-					if obj == nil {
-						continue
-					}
-					if basic, isBasic := obj.Type().Underlying().(*types.Basic); !isBasic || basic.Info()&types.IsInteger == 0 {
-						d.pkgFind[pkg] = append(d.pkgFind[pkg], vfFinding{
-							kind: vfNonneg, pos: name.Pos(),
-							msg: fmt.Sprintf("//rexlint:nonneg on non-integer field %s (%s)", name.Name, obj.Type()),
-						})
-						continue
-					}
-					d.nonneg[obj] = true
-				}
-			}
-			return true
-		})
-	}
-}
-
 // scanFlow is the value-flow part of one node's local stage: the effective
-// stream declaration, derived counter copies, multi-arm select receives and
-// map-range spans.
+// stream declaration, multi-arm select receives and map-range spans.
 func scanFlow(p *Program, n *FuncNode, lf *localFacts) {
 	info := n.Pkg.Info
 	for m := n; m != nil && lf.declared == nil; m = m.Enclosing {
 		lf.declared = p.dirs.declared[m]
 	}
-	lf.derived = make(map[types.Object]bool)
 	lf.selectOrdered = make(map[ast.Node]bool)
 	inspectShallow(n.Body, func(x ast.Node) bool {
 		switch s := x.(type) {
-		case *ast.AssignStmt:
-			if len(s.Lhs) != len(s.Rhs) {
-				return true
-			}
-			for i, lhs := range s.Lhs {
-				id, ok := lhs.(*ast.Ident)
-				if !ok || id.Name == "_" {
-					continue
-				}
-				if sel, ok := ast.Unparen(s.Rhs[i]).(*ast.SelectorExpr); ok {
-					if fv, _ := info.Uses[sel.Sel].(*types.Var); fv != nil && p.dirs.nonneg[fv] {
-						if obj := info.Defs[id]; obj != nil {
-							lf.derived[obj] = true
-						}
-					}
-				}
-			}
 		case *ast.SelectStmt:
 			recvs := 0
 			var comms []ast.Node
@@ -179,27 +115,6 @@ type vfFlow struct {
 	lf *localFacts
 }
 
-// counterKeyOf canonicalizes an expression that denotes a tracked counter:
-// a path ending in a //rexlint:nonneg field, or a derived local copy.
-func (fl *vfFlow) counterKeyOf(e ast.Expr) (string, bool) {
-	info := fl.n.Pkg.Info
-	switch x := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		obj := info.Uses[x]
-		if obj == nil {
-			obj = info.Defs[x]
-		}
-		if obj != nil && fl.lf.derived[obj] {
-			return objKey(obj), true
-		}
-	case *ast.SelectorExpr:
-		if fv, _ := info.Uses[x.Sel].(*types.Var); fv != nil && fl.p.dirs.nonneg[fv] {
-			return exprKey(info, e)
-		}
-	}
-	return "", false
-}
-
 func (fl *vfFlow) Entry() *vfState {
 	st := newVFState()
 	n := fl.n
@@ -232,21 +147,13 @@ func (fl *vfFlow) Transfer(n ast.Node, in *vfState) *vfState {
 }
 
 // apply mutates st with the effects of one straight-line node: call
-// effects first (sanitizers, callee writes), then the statement's own
-// assignment/taint semantics.
+// effects first (sanitizers, copies), then the statement's own taint
+// semantics.
 func (fl *vfFlow) apply(n ast.Node, st *vfState) {
 	fl.callEffects(n, st)
 	switch s := n.(type) {
 	case *ast.AssignStmt:
 		fl.assign(s, st)
-	case *ast.IncDecStmt:
-		if key, ok := fl.counterKeyOf(s.X); ok {
-			if s.Tok == token.INC {
-				st.setLB(key, satAdd(st.getLB(key), 1))
-			} else {
-				fl.lowerLB(st, key, 1)
-			}
-		}
 	case *ast.DeclStmt:
 		if gd, ok := s.Decl.(*ast.GenDecl); ok {
 			for _, spec := range gd.Specs {
@@ -267,14 +174,7 @@ func (fl *vfFlow) apply(n ast.Node, st *vfState) {
 	}
 }
 
-// lowerLB applies a decrement of c: the bound clamps at the invariant
-// floor 0 (the checker reports the dip separately).
-func (fl *vfFlow) lowerLB(st *vfState, key string, c int) {
-	st.setLB(key, max(st.getLB(key)-c, 0))
-}
-
 func (fl *vfFlow) assign(s *ast.AssignStmt, st *vfState) {
-	info := fl.n.Pkg.Info
 	tuple := len(s.Lhs) != len(s.Rhs)
 	for i, lhs := range s.Lhs {
 		var rhs ast.Expr
@@ -283,36 +183,6 @@ func (fl *vfFlow) assign(s *ast.AssignStmt, st *vfState) {
 		} else {
 			rhs = s.Rhs[i]
 		}
-		// Counter semantics.
-		if key, ok := fl.counterKeyOf(lhs); ok {
-			switch s.Tok {
-			case token.ADD_ASSIGN:
-				if c, isConst := constIntOf(info, rhs); isConst {
-					if c >= 0 {
-						st.setLB(key, satAdd(st.getLB(key), c))
-					} else {
-						fl.lowerLB(st, key, -c)
-					}
-				} else {
-					st.setLB(key, 0)
-				}
-			case token.SUB_ASSIGN:
-				if c, isConst := constIntOf(info, rhs); isConst && c >= 0 {
-					fl.lowerLB(st, key, c)
-				} else {
-					st.setLB(key, 0)
-				}
-			case token.ASSIGN, token.DEFINE:
-				if c, isConst := constIntOf(info, rhs); isConst {
-					st.setLB(key, min(max(c, 0), lbSat)) // checker reports a negative constant
-				} else if rk, rok := fl.counterKeyOf(rhs); rok {
-					st.setLB(key, st.getLB(rk))
-				} else {
-					st.setLB(key, 0)
-				}
-			}
-		}
-		// Taint semantics.
 		t := fl.taintOf(rhs, st)
 		if fl.lf.selectOrdered[s] && t.ord == nil {
 			t.ord = &Trace{Pos: s.Pos(), What: "select arm completion order", EntryPos: s.Pos()}
@@ -389,12 +259,9 @@ func (fl *vfFlow) rangeTaint(s *ast.RangeStmt, st *vfState) {
 }
 
 // callEffects applies the state changes of every call inside the node:
-// sort sanitization, builtin copy propagation, and callee writes.
+// sort sanitization and builtin copy propagation.
 func (fl *vfFlow) callEffects(n ast.Node, st *vfState) {
 	info := fl.n.Pkg.Info
-	writes := func(c *FuncNode) bool {
-		return fl.p.summaries[c].Mask&(EffMutatesRecv|EffMutatesParam|EffGlobal|EffUnknown) != 0
-	}
 	inspectShallow(n, func(x ast.Node) bool {
 		call, ok := x.(*ast.CallExpr)
 		if !ok {
@@ -404,8 +271,7 @@ func (fl *vfFlow) callEffects(n ast.Node, st *vfState) {
 			fl.writeTaint(st, call.Args[0], fl.taintOf(call.Args[1], st), false)
 			return true
 		}
-		site := fl.p.SiteAt(call)
-		if site.std().order == orderSanitize {
+		if fl.p.SiteAt(call).std().order == orderSanitize {
 			for _, arg := range call.Args {
 				key, ok := exprKey(info, unwrapConversion(info, arg))
 				if !ok {
@@ -418,93 +284,9 @@ func (fl *vfFlow) callEffects(n ast.Node, st *vfState) {
 					}
 				}
 			}
-			return true
-		}
-		if site == nil {
-			return true
-		}
-		if site.Unknown || slices.ContainsFunc(site.Callees, writes) {
-			// The callee may write any field-rooted counter; the declared
-			// invariant floor is all that survives. Derived locals are the
-			// caller's own and keep their bounds.
-			for k := range st.lb {
-				if strings.Contains(k, ".") {
-					delete(st.lb, k)
-				}
-			}
 		}
 		return true
 	})
-}
-
-// Refine exploits branch conditions on counters: `if q.n > 0 { q.n-- }`
-// proves the decrement.
-func (fl *vfFlow) Refine(e Edge, f *vfState) *vfState {
-	if e.Cond == nil {
-		return f
-	}
-	cmp, ok := ast.Unparen(e.Cond).(*ast.BinaryExpr)
-	if !ok {
-		return f
-	}
-	info := fl.n.Pkg.Info
-	key, okKey := fl.counterKeyOf(cmp.X)
-	c, okC := constIntOf(info, cmp.Y)
-	op := cmp.Op
-	if !okKey || !okC {
-		// Mirror c OP key.
-		key, okKey = fl.counterKeyOf(cmp.Y)
-		c, okC = constIntOf(info, cmp.X)
-		if !okKey || !okC {
-			return f
-		}
-		switch op {
-		case token.GTR:
-			op = token.LSS
-		case token.GEQ:
-			op = token.LEQ
-		case token.LSS:
-			op = token.GTR
-		case token.LEQ:
-			op = token.GEQ
-		}
-	}
-	if e.Neg {
-		switch op {
-		case token.GTR:
-			op = token.LEQ
-		case token.GEQ:
-			op = token.LSS
-		case token.LSS:
-			op = token.GEQ
-		case token.LEQ:
-			op = token.GTR
-		case token.EQL:
-			op = token.NEQ
-		case token.NEQ:
-			op = token.EQL
-		}
-	}
-	lb := f.getLB(key)
-	derived := lb
-	switch op {
-	case token.GTR:
-		derived = c + 1
-	case token.GEQ:
-		derived = c
-	case token.EQL:
-		derived = c
-	case token.NEQ:
-		if lb == c {
-			derived = c + 1
-		}
-	}
-	if derived <= lb {
-		return f
-	}
-	out := f.clone()
-	out.setLB(key, min(derived, lbSat))
-	return out
 }
 
 // taintOf evaluates the taint of an expression under the current state.
@@ -642,18 +424,6 @@ func unwrapConversion(info *types.Info, e ast.Expr) ast.Expr {
 		return call.Args[0]
 	}
 	return e
-}
-
-func constIntOf(info *types.Info, e ast.Expr) (int, bool) {
-	tv, ok := info.Types[e]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.Int {
-		return 0, false
-	}
-	v, exact := constant.Int64Val(tv.Value)
-	if !exact {
-		return 0, false
-	}
-	return int(v), true
 }
 
 // isRandPointer reports *math/rand.Rand.

@@ -3,7 +3,7 @@ package lint
 // Interprocedural half of the value-flow engine: the summary update the
 // Program's one fixpoint runs (summary.go), the reporting pass NewProgram
 // runs on the solved summaries, and the finding store the
-// streamflow/detflow/nonneg analyzers read.
+// streamflow and detflow analyzers read.
 
 import (
 	"fmt"
@@ -18,11 +18,6 @@ import (
 // in deterministic (node, source) order.
 func (p *Program) valueFindings(pkg *Package, kind vfKind) []vfFinding {
 	var out []vfFinding
-	for _, f := range p.dirs.pkgFind[pkg] {
-		if f.kind == kind {
-			out = append(out, f)
-		}
-	}
 	for _, n := range p.NodesOf(pkg) {
 		for _, f := range p.findings[n] {
 			if f.kind == kind {
@@ -147,68 +142,14 @@ func (p *Program) checkFlow(n *FuncNode) []vfFinding {
 		finds = append(finds, vfFinding{kind: kind, pos: pos, msg: fmt.Sprintf(format, args...)})
 	}
 	replay[*vfState](p.CFG(n), fl, func(node ast.Node, st *vfState) {
-		fl.checkNode(node, st, report)
+		inspectShallow(node, func(x ast.Node) bool {
+			if call, ok := x.(*ast.CallExpr); ok {
+				fl.checkCall(call, st, report)
+			}
+			return true
+		})
 	})
 	return finds
-}
-
-// checkNode applies every diagnostic rule to one straight-line node with
-// its pre-state.
-func (fl *vfFlow) checkNode(node ast.Node, st *vfState, report func(vfKind, token.Pos, string, ...any)) {
-	switch s := node.(type) {
-	case *ast.IncDecStmt:
-		if key, ok := fl.counterKeyOf(s.X); ok && s.Tok == token.DEC && st.getLB(key) <= 0 {
-			report(vfNonneg, s.Pos(), "%s may go negative: decrement of //rexlint:nonneg counter at proven lower bound %d",
-				renderPath(s.X), st.getLB(key))
-		}
-	case *ast.AssignStmt:
-		fl.checkCounterAssign(s, st, report)
-	}
-	inspectShallow(node, func(x ast.Node) bool {
-		if call, ok := x.(*ast.CallExpr); ok {
-			fl.checkCall(call, st, report)
-		}
-		return true
-	})
-}
-
-// checkCounterAssign reports counter assignments that cannot keep the
-// non-negativity invariant.
-func (fl *vfFlow) checkCounterAssign(s *ast.AssignStmt, st *vfState, report func(vfKind, token.Pos, string, ...any)) {
-	info := fl.n.Pkg.Info
-	for i, lhs := range s.Lhs {
-		key, ok := fl.counterKeyOf(lhs)
-		if !ok {
-			continue
-		}
-		var rhs ast.Expr
-		if len(s.Rhs) == len(s.Lhs) {
-			rhs = s.Rhs[i]
-		} else {
-			continue
-		}
-		switch s.Tok {
-		case token.SUB_ASSIGN:
-			c, isConst := constIntOf(info, rhs)
-			switch {
-			case !isConst:
-				report(vfNonneg, s.Pos(), "%s may go negative: decrement of //rexlint:nonneg counter by a non-constant amount cannot be proven",
-					renderPath(lhs))
-			case c > 0 && st.getLB(key) < c:
-				report(vfNonneg, s.Pos(), "%s may go negative: decrement by %d at proven lower bound %d",
-					renderPath(lhs), c, st.getLB(key))
-			}
-		case token.ADD_ASSIGN:
-			if c, isConst := constIntOf(info, rhs); isConst && c < 0 && st.getLB(key) < -c {
-				report(vfNonneg, s.Pos(), "%s may go negative: increment by negative constant %d at proven lower bound %d",
-					renderPath(lhs), c, st.getLB(key))
-			}
-		case token.ASSIGN, token.DEFINE:
-			if c, isConst := constIntOf(info, rhs); isConst && c < 0 {
-				report(vfNonneg, s.Pos(), "//rexlint:nonneg counter %s assigned negative constant %d", renderPath(lhs), c)
-			}
-		}
-	}
 }
 
 // checkCall applies the stream and determinism rules to one call

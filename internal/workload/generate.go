@@ -114,14 +114,28 @@ func (cfg *Config) validate() error {
 	if cfg.Shards <= 0 {
 		return fmt.Errorf("workload: Shards must be positive, got %d", cfg.Shards)
 	}
-	if cfg.TargetFill <= 0 || cfg.TargetFill >= 1 {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{"TargetFill", cfg.TargetFill}, {"LoadSkew", cfg.LoadSkew}, {"SizeSigma", cfg.SizeSigma}, {"LoadSizeCorr", cfg.LoadSizeCorr}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("workload: %s must be finite, got %g", f.name, f.v)
+		}
+	}
+	if !(cfg.TargetFill > 0 && cfg.TargetFill < 1) {
 		return fmt.Errorf("workload: TargetFill must be in (0,1), got %g", cfg.TargetFill)
 	}
 	if len(cfg.Tiers) == 0 {
 		cfg.Tiers = []MachineTier{{Capacity: vec.New(100, 100, 100), Speed: 1, Weight: 1}}
 	}
 	for i, t := range cfg.Tiers {
-		if t.Speed <= 0 || t.Weight <= 0 {
+		if math.IsNaN(t.Speed) || math.IsInf(t.Speed, 0) {
+			return fmt.Errorf("workload: tier %d Speed must be finite, got %g", i, t.Speed)
+		}
+		if math.IsNaN(t.Weight) || math.IsInf(t.Weight, 0) {
+			return fmt.Errorf("workload: tier %d Weight must be finite, got %g", i, t.Weight)
+		}
+		if !(t.Speed > 0) || !(t.Weight > 0) {
 			return fmt.Errorf("workload: tier %d has non-positive speed/weight", i)
 		}
 	}

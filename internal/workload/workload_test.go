@@ -164,6 +164,24 @@ func TestGenerateValidation(t *testing.T) {
 	if _, err := Generate(bad); err == nil {
 		t.Error("expected error for zero-speed tier")
 	}
+	// A NaN passes a `<= 0` test, so each float parameter is refused by
+	// name when it is not finite.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for field, set := range map[string]func(*Config){
+			"TargetFill":   func(c *Config) { c.TargetFill = v },
+			"LoadSkew":     func(c *Config) { c.LoadSkew = v },
+			"SizeSigma":    func(c *Config) { c.SizeSigma = v },
+			"LoadSizeCorr": func(c *Config) { c.LoadSizeCorr = v },
+			"Speed":        func(c *Config) { c.Tiers = []MachineTier{{Speed: v, Weight: 1}} },
+			"Weight":       func(c *Config) { c.Tiers = []MachineTier{{Speed: 1, Weight: v}} },
+		} {
+			cfg := DefaultConfig()
+			set(&cfg)
+			if _, err := Generate(cfg); err == nil || !strings.Contains(err.Error(), field) {
+				t.Errorf("%s = %g: err = %v, want one naming %s", field, v, err, field)
+			}
+		}
+	}
 }
 
 func TestGenerateTraceFlat(t *testing.T) {
