@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"rexchange/internal/baseline"
@@ -57,6 +58,17 @@ func run() error {
 	}
 	if *restarts < 0 {
 		return fmt.Errorf("-restarts must be non-negative, got %d", *restarts)
+	}
+	// The flags read after the solve are refused before any work, not
+	// after the plan has been printed.
+	if *method == "sra" && *iters <= 0 {
+		return fmt.Errorf("-iters must be positive, got %d", *iters)
+	}
+	if *simulate && *parallel <= 0 {
+		return fmt.Errorf("-parallel must be positive, got %d", *parallel)
+	}
+	if *simulate && !(*bandwidth > 0 && !math.IsInf(*bandwidth, 1)) {
+		return fmt.Errorf("-bandwidth must be positive and finite, got %g", *bandwidth)
 	}
 
 	var p *cluster.Placement

@@ -25,13 +25,16 @@
 //	              every path, through every module-local callee
 //	purity        //rexlint:pure functions proven free of side effects by
 //	              bottom-up effect summaries
-//	streamflow    RNG stream isolation: values from rng.Partitioned.Stream
-//	              carry their stream name as taint; functions declare the
-//	              streams they draw or pass along (//rexlint:stream) and
-//	              stream names must be named constants
-//	detflow       map/select-ordered values must be sorted before reaching
-//	              a //rexlint:detsink (journal writes, Prometheus
-//	              exposition, fixed-format reports)
+//	streamflow    RNG stream isolation, one function at a time: values
+//	              from rng.Partitioned.Stream or a //rexlint:stream function
+//	              returning *rand.Rand carry their stream name as taint;
+//	              functions declare the streams they draw or pass along
+//	              (//rexlint:stream), callees are checked by their own
+//	              declaration, and stream names must be named constants
+//	detflow       within a function, map/select-ordered values must be
+//	              sorted before reaching a //rexlint:detsink (journal
+//	              writes, Prometheus exposition, fixed-format reports),
+//	              and no sink is called inside a map range
 //	nonneg        every write that can take a //rexlint:nonneg counter
 //	              below 0 (a decrement, a negative step or constant) is a
 //	              finding unless a waiver names the invariant

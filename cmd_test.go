@@ -149,6 +149,23 @@ func TestCLIErrors(t *testing.T) {
 		}
 	}
 
+	// The flags the solve and the migration read are refused before the
+	// instance is generated: without the checks each run solved and
+	// printed its "after:" line, then failed on the value.
+	for _, args := range [][]string{
+		{"-iters", "0"}, {"-iters", "-3"},
+		{"-simulate", "-parallel", "0"}, {"-simulate", "-parallel", "-1"},
+		{"-simulate", "-bandwidth", "0"}, {"-simulate", "-bandwidth", "-5"},
+		{"-simulate", "-bandwidth", "NaN"}, {"-simulate", "-bandwidth", "+Inf"},
+	} {
+		flag := args[len(args)-2]
+		out, err = exec.Command(rebalance, append([]string{"-generate", "-machines", "20", "-shards", "100"}, args...)...).CombinedOutput()
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), flag+" must be positive") ||
+			strings.Contains(string(out), "after:") {
+			t.Errorf("rebalance %s: %v, want exit status 1 naming %s before any solve:\n%s", strings.Join(args, " "), err, flag, out)
+		}
+	}
+
 	// A NaN load skew is refused by name before anything is written;
 	// without the check JSON encoding fails on the NaN loads.
 	clustergen := buildTool(t, dir, "cmd/clustergen")
@@ -199,17 +216,32 @@ func TestCLIErrors(t *testing.T) {
 		t.Errorf("rexsim -cost-sigma -1: %v, want exit status 1 naming CostSigma:\n%s", err, out)
 	}
 
-	// rexd refuses a NaN window, a NaN drift, a NaN fill and a negative
-	// -k by name. Without the checks the first dies later on a NaN
-	// snapshot (and -rounds 0 runs until interrupted, hence the timeout),
-	// the second runs as -drift 0, the third dies on a NaN snapshot load
-	// and the last borrows no machine.
+	// A negative or NaN window is refused by name; without the check the
+	// campaign sized its trace from it and blamed the trace.
+	for _, window := range []string{"-5", "NaN"} {
+		out, err = exec.CommandContext(ctx, rexsim, "-machines", "20", "-shards", "100", "-rounds", "2",
+			"-window", window).CombinedOutput()
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "Window must be positive") ||
+			strings.Contains(string(out), "after:") {
+			t.Errorf("rexsim -window %s: %v, want exit status 1 naming Window:\n%s", window, err, out)
+		}
+	}
+
+	// rexd refuses a non-positive or non-finite window, a NaN drift, a
+	// NaN fill and a negative -k by name. Without the checks a NaN window
+	// dies later on a NaN snapshot (and -rounds 0 runs until interrupted,
+	// hence the timeout), a zero or negative one is blamed on the trace,
+	// the drift runs as -drift 0, the fill dies on a NaN snapshot load and
+	// the last borrows no machine.
 	rexd := buildTool(t, dir, "cmd/rexd")
 	for _, tc := range []struct {
 		args []string
 		name string
 	}{
-		{[]string{"-rounds", "0", "-window", "NaN"}, "Window"},
+		{[]string{"-rounds", "0", "-window", "NaN"}, "-window must be positive"},
+		{[]string{"-rounds", "2", "-window", "0"}, "-window must be positive"},
+		{[]string{"-rounds", "2", "-window", "-5"}, "-window must be positive"},
+		{[]string{"-rounds", "2", "-window", "+Inf"}, "-window must be positive"},
 		{[]string{"-rounds", "4", "-drift", "NaN"}, "drift sigma"},
 		{[]string{"-rounds", "4", "-fail-rate", "NaN"}, "-fail-rate"},
 		{[]string{"-rounds", "4", "-fail-rate", "1"}, "-fail-rate"},
@@ -218,7 +250,8 @@ func TestCLIErrors(t *testing.T) {
 	} {
 		args := append([]string{"-virtual", "-machines", "20", "-shards", "100"}, tc.args...)
 		out, err = exec.CommandContext(ctx, rexd, args...).CombinedOutput()
-		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), tc.name) {
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), tc.name) ||
+			strings.Contains(string(out), "after:") {
 			t.Errorf("rexd %s: %v, want exit status 1 naming %s:\n%s", strings.Join(tc.args, " "), err, tc.name, out)
 		}
 	}

@@ -2,6 +2,7 @@ package des
 
 import (
 	"fmt"
+	"math"
 
 	"rexchange/internal/cluster"
 	"rexchange/internal/ctl"
@@ -100,6 +101,11 @@ func RunCampaign(cfg CampaignConfig, variant string) (*CampaignResult, error) {
 	if cfg.Rounds <= 0 {
 		return nil, fmt.Errorf("des: campaign needs Rounds > 0, got %d", cfg.Rounds)
 	}
+	// The trace is sized from the window New will run, so Window is
+	// checked and defaulted here, before anything is generated.
+	if w := cfg.Sim.Window; w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+		return nil, fmt.Errorf("des: Window must be positive and finite (0 for the default), got %g", w)
+	}
 	wcfg := workload.DefaultConfig()
 	wcfg.Machines = cfg.Machines
 	wcfg.Shards = cfg.Shards
@@ -137,6 +143,9 @@ func RunCampaign(cfg CampaignConfig, variant string) (*CampaignResult, error) {
 	scfg := cfg.Sim
 	if scfg.Seed == 0 {
 		scfg.Seed = cfg.Seed
+	}
+	if scfg.Window == 0 {
+		scfg.Window = defaultWindow
 	}
 	dur := float64(cfg.Rounds) * scfg.Window
 	tr, err := workload.GenerateTrace(workload.TraceConfig{

@@ -82,9 +82,12 @@ type Config struct {
 	Seed int64 `json:"seed"`
 }
 
+// defaultWindow is the Window a zero Config.Window stands for.
+const defaultWindow = 10
+
 // DefaultConfig returns the standard simulation parameters.
 func DefaultConfig() Config {
-	return Config{Fanout: 8, TargetUtil: 0.6, Window: 10, CostSigma: 0.5, Drag: 0.3, Seed: 1}
+	return Config{Fanout: 8, TargetUtil: 0.6, Window: defaultWindow, CostSigma: 0.5, Drag: 0.3, Seed: 1}
 }
 
 // normalize fills defaults and validates.
@@ -111,7 +114,7 @@ func (cfg *Config) normalize() error {
 		return fmt.Errorf("des: TargetUtil must be in (0,1), got %g", cfg.TargetUtil)
 	}
 	if cfg.Window == 0 {
-		cfg.Window = 10
+		cfg.Window = defaultWindow
 	}
 	if cfg.Window < 0 {
 		return fmt.Errorf("des: Window must be positive, got %g", cfg.Window)

@@ -383,6 +383,37 @@ func TestRunCampaignRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// TestRunCampaignDefaultWindow: a zero Sim.Window stands for the default
+// window in the trace, the simulator and the controller alike, so the
+// campaign renders the report of an explicit Window of 10. A negative or
+// non-finite window is refused by name, not blamed on the trace.
+func TestRunCampaignDefaultWindow(t *testing.T) {
+	run := func(window float64) (string, error) {
+		cfg := DefaultCampaignConfig()
+		cfg.Machines, cfg.Shards, cfg.Rounds = 16, 160, 3
+		cfg.Rate, cfg.Iterations = 60, 120
+		cfg.Sim.Window = window
+		cfg.Sim.DriftSigma = 0.4
+		res, err := RunCampaign(cfg, "solve")
+		if err != nil {
+			return "", err
+		}
+		return res.Report.Render(), nil
+	}
+	want, err := run(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := run(0); err != nil || got != want {
+		t.Fatalf("Window 0: err = %v, report differs from Window 10:\n--- 0 ---\n%s--- 10 ---\n%s", err, got, want)
+	}
+	for _, w := range []float64{-5, math.NaN(), math.Inf(1)} {
+		if _, err := run(w); err == nil || !strings.Contains(err.Error(), "Window must be positive") {
+			t.Errorf("Window %g: err = %v, want a named Window error", w, err)
+		}
+	}
+}
+
 // TestCampaignEndToEnd: a drifting campaign triggers solves, migrations
 // degrade and then relieve the fleet, and all three phases see traffic.
 func TestCampaignEndToEnd(t *testing.T) {

@@ -62,8 +62,8 @@ func Analyzers(modPath string) []*Analyzer {
 		// //rexlint:pure.
 		{AllocCheck, wholeModule},
 		{Purity, wholeModule},
-		// RNG stream isolation is a global property and the taint follows
-		// values across package boundaries.
+		// RNG stream isolation is a global property: any package may draw
+		// from a stream or hand one on.
 		{StreamFlow, wholeModule},
 		// The deterministic-output packages, where journal writes,
 		// expositions, and reports must be byte-reproducible.

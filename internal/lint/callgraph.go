@@ -28,11 +28,14 @@ package lint
 // from selector syntax.
 
 import (
+	"cmp"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // FuncNode is one function body in the call graph.
@@ -62,6 +65,12 @@ type FuncNode struct {
 	// DeclaredPure marks functions declared `//rexlint:pure`: the purity
 	// analyzer requires their summary free of observable side effects.
 	DeclaredPure bool
+	// Streams are the sorted `//rexlint:stream` names (a literal inherits
+	// its enclosing declaration's); StreamSource marks the
+	// `//rexlint:streamsource`; Sink is a `//rexlint:detsink` description.
+	Streams      []string
+	StreamSource bool
+	Sink         string
 
 	// Calls are the node's resolved outgoing call sites in source order.
 	Calls []CallSite
@@ -161,6 +170,13 @@ func buildCallGraph(pkgs []*Package) *callGraph {
 				node.ClockExempt = clockExempt(pkg.Info, fd, clockIface)
 				node.NoAlloc = len(funcDirective(fd, "noalloc")) > 0
 				node.DeclaredPure = len(funcDirective(fd, "pure")) > 0
+				node.StreamSource = len(funcDirective(fd, "streamsource")) > 0
+				node.Streams = slices.Concat(funcDirective(fd, "stream")...)
+				slices.Sort(node.Streams)
+				node.Streams = slices.Compact(node.Streams)
+				if dirs := funcDirective(fd, "detsink"); len(dirs) > 0 {
+					node.Sink = cmp.Or(strings.Join(dirs[0], " "), "deterministic output")
+				}
 				if fd.Recv != nil && len(fd.Recv.List) > 0 && len(fd.Recv.List[0].Names) > 0 {
 					node.Recv = pkg.Info.Defs[fd.Recv.List[0].Names[0]]
 				}
@@ -222,7 +238,7 @@ func (g *callGraph) addLits(encl *FuncNode, block *ast.BlockStmt) {
 			if !ok {
 				return true
 			}
-			node := &FuncNode{Lit: lit, Body: lit.Body, Pkg: owner.Pkg, Enclosing: owner}
+			node := &FuncNode{Lit: lit, Body: lit.Body, Pkg: owner.Pkg, Enclosing: owner, Streams: owner.Streams}
 			node.Params = paramObjects(owner.Pkg.Info, lit.Type)
 			g.byLit[lit] = node
 			g.nodes = append(g.nodes, node)

@@ -547,7 +547,7 @@ func TestForwardMustAssigned(t *testing.T) {
 		_ = neither
 	}`)
 	facts := Forward[map[string]bool](g, assignedFlow{})
-	atExit, ok := facts.In[g.Exit]
+	atExit, ok := facts[g.Exit]
 	if !ok {
 		t.Fatalf("no fact at exit\n%s", dumpCFG(g))
 	}
@@ -572,7 +572,7 @@ func TestForwardLoopConverges(t *testing.T) {
 		_ = y
 	}`)
 	facts := Forward[map[string]bool](g, assignedFlow{})
-	atExit := facts.In[g.Exit]
+	atExit := facts[g.Exit]
 	// i := 0 runs before the loop, x only inside the body (the body may
 	// execute zero times), y always after.
 	if !atExit["i"] || !atExit["y"] || atExit["x"] {

@@ -29,92 +29,6 @@ var ClockPurity = &Analyzer{
 	Run:  runClockPurity,
 }
 
-// taintFact maps object keys of locals to the banned time function they
-// currently hold ("time.Now", ...). May-analysis: union join.
-type taintFact map[string]string
-
-type taintFlow struct {
-	info *types.Info
-}
-
-func (tf *taintFlow) Entry() taintFact { return taintFact{} }
-
-func (tf *taintFlow) Join(a, b taintFact) taintFact {
-	out := taintFact{}
-	for k, v := range a {
-		out[k] = v
-	}
-	for k, v := range b {
-		out[k] = v
-	}
-	return out
-}
-
-func (tf *taintFlow) Equal(a, b taintFact) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-func (tf *taintFlow) Transfer(n ast.Node, in taintFact) taintFact {
-	out := in
-	copied := false
-	set := func(k, v string) {
-		if !copied {
-			cp := taintFact{}
-			for kk, vv := range out {
-				cp[kk] = vv
-			}
-			out, copied = cp, true
-		}
-		if v == "" {
-			delete(out, k)
-		} else {
-			out[k] = v
-		}
-	}
-	inspectShallow(n, func(x ast.Node) bool {
-		as, ok := x.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != len(as.Rhs) {
-			return true
-		}
-		for i, lhs := range as.Lhs {
-			key, okKey := exprKey(tf.info, lhs)
-			if !okKey {
-				continue
-			}
-			if src := clockFuncValue(tf.info, as.Rhs[i]); src != "" {
-				set(key, src)
-			} else if rk, okR := exprKey(tf.info, as.Rhs[i]); okR && out[rk] != "" {
-				set(key, out[rk])
-			} else {
-				if out[key] != "" {
-					set(key, "")
-				}
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// clockFuncValue reports the qualified name of the function e references
-// as a value ("time.Now") when the stdlib table marks it EffClock, or "".
-// Calls are handled separately, through their resolved site: this matches
-// the bare function value only, which has no site.
-func clockFuncValue(info *types.Info, e ast.Expr) string {
-	if name := funcNameOf(info, e); name != "" && stdCallOf(name).mask&EffClock != 0 {
-		return name
-	}
-	return ""
-}
-
 func runClockPurity(pass *Pass) error {
 	for _, node := range pass.Prog.NodesOf(pass.pkg()) {
 		// Only the declaration itself is exempt from the local check: a
@@ -243,35 +157,24 @@ func clockExempt(info *types.Info, fd *ast.FuncDecl, iface *types.Interface) boo
 	return false
 }
 
-// checkClockPurity solves the taint facts over the node's CFG and reports
-// banned calls.
+// checkClockPurity flags direct calls of the table's EffClock functions,
+// read off the resolved call site, and calls of a stored value that holds
+// one, on the local taint flow (taint.go).
 func checkClockPurity(pass *Pass, node *FuncNode) {
-	replay[taintFact](pass.Prog.CFG(node), &taintFlow{info: pass.TypesInfo}, func(n ast.Node, f taintFact) {
-		reportClockCalls(pass, n, f)
-	})
-}
-
-// reportClockCalls flags direct calls of the table's EffClock functions,
-// read off the resolved call site, and stored-value calls of them within
-// one straight-line node.
-func reportClockCalls(pass *Pass, n ast.Node, f taintFact) {
-	info := pass.TypesInfo
-	inspectShallow(n, func(x ast.Node) bool {
-		call, ok := x.(*ast.CallExpr)
-		if !ok {
-			return true
+	// Calls are read off their resolved site; the source is the bare
+	// function value, which has none.
+	tf := &taintFlow{info: pass.TypesInfo, prog: pass.Prog, source: func(e ast.Expr) taint {
+		if name := funcNameOf(pass.TypesInfo, e); name != "" && stdCallOf(name).mask&EffClock != 0 {
+			return taint{name: ""}
 		}
+		return nil
+	}}
+	tf.eachCall(node, func(call *ast.CallExpr, f taintFact) {
 		if name := pass.Prog.SiteAt(call).stdWith(EffClock); name != "" {
 			pass.Reportf(call.Pos(), "%s bypasses the Clock seam; inject a ctl.Clock instead", name)
-			return true
+		} else if held := sortedKeys(tf.taintOf(call.Fun, f)); len(held) > 0 {
+			pass.Reportf(call.Pos(), "call of %s (holds %s) bypasses the Clock seam; inject a ctl.Clock instead",
+				renderPath(ast.Unparen(call.Fun)), held[0])
 		}
-		fun := ast.Unparen(call.Fun)
-		if key, ok := exprKey(info, fun); ok {
-			if src := f[key]; src != "" {
-				pass.Reportf(call.Pos(), "call of %s (holds %s) bypasses the Clock seam; inject a ctl.Clock instead",
-					renderPath(fun), src)
-			}
-		}
-		return true
 	})
 }

@@ -34,15 +34,9 @@ type EdgeRefiner[F any] interface {
 	Refine(e Edge, f F) F
 }
 
-// Facts holds the solved per-block input and output facts. Blocks absent
-// from the maps were unreachable.
-type Facts[F any] struct {
-	In  map[*Block]F
-	Out map[*Block]F
-}
-
-// Forward solves a forward dataflow problem over g.
-func Forward[F any](g *CFG, fl Flow[F]) Facts[F] {
+// Forward solves a forward dataflow problem over g and returns each
+// block's input fact. Blocks absent from the map were unreachable.
+func Forward[F any](g *CFG, fl Flow[F]) map[*Block]F {
 	refiner, _ := fl.(EdgeRefiner[F])
 
 	in := make(map[*Block]F)
@@ -111,7 +105,7 @@ func Forward[F any](g *CFG, fl Flow[F]) Facts[F] {
 			}
 		}
 	}
-	return Facts[F]{In: in, Out: out}
+	return in
 }
 
 // replay solves fl over g, then walks every reachable block in index order
@@ -120,9 +114,9 @@ func Forward[F any](g *CFG, fl Flow[F]) Facts[F] {
 // facts are solved to a fixpoint first, diagnostics are emitted once
 // afterwards.
 func replay[F any](g *CFG, fl Flow[F], visit func(n ast.Node, before F)) {
-	facts := Forward(g, fl)
+	in := Forward(g, fl)
 	for _, b := range g.Blocks {
-		f, ok := facts.In[b]
+		f, ok := in[b]
 		if !ok {
 			continue // unreachable
 		}

@@ -12,7 +12,7 @@ func sweep(p *Program) {
 	for changed := true; changed; {
 		changed = false
 		for _, n := range p.graph.nodes {
-			if p.update(n, famEffects|famFlow) != 0 {
+			if p.updateEffects(n) {
 				changed = true
 			}
 		}
@@ -23,24 +23,21 @@ func sweep(p *Program) {
 // form. Traces are left out: provenance is first-wins, so which trace a
 // fact carries depends on the order the driver visits nodes in.
 func summaryFacts(s *Summary) string {
-	f := s.flow
-	return fmt.Sprintf("mask=%08b unlocks=%q escapes=%q recv=%q streams=%q ordered=%v params=%b sinks=%q",
-		s.Mask, s.UnlockFields, s.ParamEscape, s.RecvEscape, sortedKeys(f.ret.streams),
-		f.ret.ord != nil, f.ret.marks, f.paramSink)
+	return fmt.Sprintf("mask=%08b unlocks=%q escapes=%q recv=%q",
+		s.Mask, s.UnlockFields, s.ParamEscape, s.RecvEscape)
 }
 
 // TestFixpointMatchesSweep holds the caller-driven worklist of NewProgram
 // to the whole-list sweep, on every fixture package and on the module:
-// every node's effect facts (mask, unlock fields, escape strings) and
-// value-flow facts (return streams, ordered-ness, parameter marks,
-// parameter sinks) must be the same under both drivers.
+// every node's effect facts (mask, unlock fields, escape strings) must be
+// the same under both drivers.
 func TestFixpointMatchesSweep(t *testing.T) {
 	for _, set := range LoadFixtures(t, nil, true) {
 		p := NewProgram(set.Pkgs)
 		worklist := p.summaries
 		p.summaries = make(map[*FuncNode]*Summary, len(worklist))
 		for _, n := range p.graph.nodes {
-			p.summaries[n] = &Summary{flow: newValueSummary(n)}
+			p.summaries[n] = &Summary{}
 		}
 		sweep(p)
 		diffs := 0

@@ -331,11 +331,7 @@ func freshLocals(info *types.Info, body *ast.BlockStmt) map[types.Object]bool {
 					fresh = isLit
 				}
 			case *ast.CallExpr:
-				if fn, ok := ast.Unparen(r.Fun).(*ast.Ident); ok && fn.Name == "new" {
-					if _, isBuiltin := info.Uses[fn].(*types.Builtin); isBuiltin {
-						fresh = true
-					}
-				}
+				fresh = isBuiltinCall(info, r, "new")
 			}
 			if fresh {
 				if obj := info.Defs[id]; obj != nil {
@@ -359,11 +355,11 @@ func (ctx *lockCtx) checkFunc(node *FuncNode) {
 	sites := prog.local[node].sites
 
 	for _, b := range g.Blocks {
-		fMust, reachable := must.In[b]
+		fMust, reachable := must[b]
 		if !reachable {
 			continue
 		}
-		fMay := may.In[b]
+		fMay := may[b]
 		for _, n := range b.Nodes {
 			ctx.checkNode(n, fMust, fMay, fresh, sites)
 			fMust = lockTransfer(info, prog, n, fMust)

@@ -32,14 +32,9 @@ func runMapOrder(pass *Pass) error {
 				if !ok {
 					continue
 				}
-				t := pass.TypesInfo.TypeOf(rs.X)
-				if t == nil {
-					continue
+				if isMap(pass.TypesInfo.TypeOf(rs.X)) {
+					checkMapRange(pass, rs, stmts[i+1:])
 				}
-				if _, isMap := t.Underlying().(*types.Map); !isMap {
-					continue
-				}
-				checkMapRange(pass, rs, stmts[i+1:])
 			}
 			return true
 		})
@@ -65,14 +60,7 @@ func stmtList(n ast.Node) []ast.Stmt {
 func checkMapRange(pass *Pass, rs *ast.RangeStmt, following []ast.Stmt) {
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok || len(call.Args) == 0 {
-			return true
-		}
-		fn, ok := call.Fun.(*ast.Ident)
-		if !ok || fn.Name != "append" {
-			return true
-		}
-		if _, isBuiltin := pass.TypesInfo.Uses[fn].(*types.Builtin); !isBuiltin {
+		if !ok || len(call.Args) == 0 || !isBuiltinCall(pass.TypesInfo, call, "append") {
 			return true
 		}
 		root := rootIdent(call.Args[0])

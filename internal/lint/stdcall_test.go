@@ -16,7 +16,7 @@ import (
 // value; the seven sync.Mutex/RWMutex methods carry their lock role; the
 // EffBlock entries lockcheck reports under a lock are WaitGroup.Wait and
 // time.Sleep; (time.Time).Add and (sync.WaitGroup).Add carry nothing. The
-// five never-returning calls end a CFG path, and the value-flow order roles
+// five never-returning calls end a CFG path, and detflow's order roles
 // cover maps.Keys/Values/All (sources), every sort. and slices. function
 // (sanitizers) and fmt., strings., strconv. and bytes. (order kept);
 // entries that exist only for a flag keep the default mask.

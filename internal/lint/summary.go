@@ -4,19 +4,19 @@ package lint
 // callgraph.go plus one Summary per function node: a monotone effect mask
 // (allocates / reads the wall clock / blocks / mutates receiver or
 // parameter state / global effect / unresolvable call) with provenance
-// traces, receiver-mutex unlock facts for lockcheck, per-parameter escape
-// facts for sharecheck, and the value-flow facts of valueflow.go.
+// traces, receiver-mutex unlock facts for lockcheck, and per-parameter
+// escape facts for sharecheck.
 //
 // Summaries are computed bottom-up in two stages. The local stage walks the
 // blocks of each function's CFG that are reachable from entry — so effects
 // in unreachable code (after return/panic, or pruned by the CFG builder)
 // never enter a summary — and collects provenance sites from them in
 // source order, plus the site table (channel operations, goroutine
-// hand-offs, non-local stores) that lockcheck and sharecheck read too, and
-// the value-flow prescan. The interprocedural stage then runs one
-// caller-driven worklist to a fixpoint, folding callee summaries of both
-// families into callers; every lattice is finite and every transfer
-// monotone, so recursion and mutual recursion converge deterministically.
+// hand-offs, non-local stores) that lockcheck and sharecheck read too. The
+// interprocedural stage then runs one caller-driven worklist to a
+// fixpoint, folding callee summaries into callers; every lattice is finite
+// and every transfer monotone, so recursion and mutual recursion converge
+// deterministically.
 //
 // Two deliberate scope decisions, shared by every consumer:
 //
@@ -112,9 +112,6 @@ type Summary struct {
 	ParamEscape []string
 	// RecvEscape is the same fact for the receiver.
 	RecvEscape string
-
-	// flow is the value-flow half: return taints and parameter sinks.
-	flow *valueSummary
 }
 
 // Purity maps the mask onto the four-level classification used by the
@@ -141,10 +138,8 @@ const impureBits = EffClock | EffBlock | EffGlobal | EffMutatesRecv | EffMutates
 
 // Program is the substrate every analyzer reads, built once per lint run
 // over every loaded package: the call graph's function nodes, one CFG per
-// node, each package's line-level waivers and value-flow directives, and
-// the facts computed on them — one Summary per node holding the effect and
-// the value-flow families, solved together by one fixpoint, plus the
-// value-flow findings reported from the solved summaries.
+// node, each package's line-level waivers, and the facts computed on them
+// — one Summary per node, solved by one fixpoint.
 type Program struct {
 	Pkgs []*Package
 
@@ -155,17 +150,14 @@ type Program struct {
 	nodesExpr map[*Package][]*FuncNode
 	waivers   map[*Package]*lineDirectives
 	owned     map[*types.TypeName]bool
-	dirs      *vfDirectives
-	findings  map[*FuncNode][]vfFinding
 	// nonneg maps each //rexlint:nonneg field to whether it is an
 	// integer (nonneg.go).
 	nonneg map[*types.Var]bool
 }
 
-// NewProgram builds the call graph, computes every function summary to
-// fixpoint and runs the value-flow reporting pass. Analyzer scope does not
-// matter here: summaries cover the whole package set so facts can cross
-// package boundaries.
+// NewProgram builds the call graph and solves every function summary.
+// Analyzer scope does not matter here: summaries cover the whole package
+// set so facts can cross package boundaries.
 func NewProgram(pkgs []*Package) *Program {
 	p := &Program{
 		Pkgs:      pkgs,
@@ -176,22 +168,17 @@ func NewProgram(pkgs []*Package) *Program {
 		nodesExpr: make(map[*Package][]*FuncNode),
 		waivers:   make(map[*Package]*lineDirectives),
 		owned:     make(map[*types.TypeName]bool),
-		findings:  make(map[*FuncNode][]vfFinding),
 	}
 	for _, pkg := range pkgs {
 		collectOwnedTypes(pkg, p.owned)
 	}
-	p.dirs = collectVFDirectives(p)
 	p.nonneg = collectNonnegFields(pkgs)
 	for _, n := range p.graph.nodes {
 		p.nodesExpr[n.Pkg] = append(p.nodesExpr[n.Pkg], n)
 		p.local[n] = computeLocalFacts(p, n)
-		p.summaries[n] = &Summary{flow: newValueSummary(n)}
+		p.summaries[n] = &Summary{}
 	}
 	p.solve()
-	for _, n := range p.graph.nodes {
-		p.findings[n] = p.checkFlow(n)
-	}
 	return p
 }
 
@@ -314,17 +301,6 @@ type localFacts struct {
 	locked map[string]bool
 	// sites is the site table, sorted by position.
 	sites []site
-
-	// The value-flow prescan (scanFlow, valuelocal.go). selectOrdered
-	// marks receive-assignments inside selects with two or more receive
-	// arms: arrival order is scheduler-dependent.
-	selectOrdered map[ast.Node]bool
-	// mapRanges are the body spans of map-range statements, for the
-	// sink-called-inside-map-iteration check.
-	mapRanges []posRange
-	// declared is the effective //rexlint:stream set (literals inherit
-	// the lexically enclosing declaration).
-	declared []string
 }
 
 // effectEvent is one local effect site.
@@ -393,7 +369,6 @@ func computeLocalFacts(p *Program, n *FuncNode) *localFacts {
 	}
 	sort.Strings(lf.unlocks)
 	lf.unlocks = slices.Compact(lf.unlocks)
-	scanFlow(p, n, lf)
 	return lf
 }
 
@@ -898,8 +873,7 @@ func (c *nodeClassifier) collectSites(n ast.Node, lf *localFacts) {
 				}
 			}
 		case *ast.CallExpr:
-			id, _ := ast.Unparen(s.Fun).(*ast.Ident)
-			if b, ok := c.info.Uses[id].(*types.Builtin); !ok || b.Name() != "append" || len(s.Args) < 2 ||
+			if !isBuiltinCall(c.info, s, "append") || len(s.Args) < 2 ||
 				classifyForNode(c.node, rootObject(c.info, s.Args[0])) == rootLocal {
 				break
 			}
@@ -952,7 +926,7 @@ const (
 	lockRelease
 )
 
-// orderRole is what a stdlib call does to value-flow order taint.
+// orderRole is what a stdlib call does to detflow's order taint.
 type orderRole uint8
 
 const (
@@ -962,15 +936,15 @@ const (
 	orderSource
 	// orderSanitize: the call sorts its arguments; its result is clean.
 	orderSanitize
-	// orderKeep: the result keeps its arguments' order taint and parameter
-	// marks, not their stream identity (formatting and conversion).
+	// orderKeep: the result keeps its arguments' order taint (formatting
+	// and conversion).
 	orderKeep
 )
 
 // stdCall is one entry of the stdlib table: the callee's effect mask, its
 // mutex role, whether it is an in-place sorter (sort.Sort/Stable) whose
 // effects are its argument's method set (merged by the caller), whether it
-// never returns, and its role for value-flow order taint.
+// never returns, and its role for detflow's order taint.
 type stdCall struct {
 	mask  uint16
 	lock  lockRole
@@ -986,7 +960,7 @@ const stdDefault = EffAlloc | EffGlobal
 // qualified name a CallSite records in Std. Its readers: the summary's
 // effect bits, lockcheck's lock transfer and blocking check, clockpurity's
 // direct and stored-value checks, sharecheck's retention rule, the CFG's
-// never-returning calls, and value flow's and maporder's order taint.
+// never-returning calls, and detflow's and maporder's order taint.
 // Entries absent from the table and not matched by a prefix rule default
 // to stdDefault: safe for noalloc/purity, and deliberately free of
 // Clock/Block so stdlib use does not trip the clock or lock analyzers
@@ -1079,25 +1053,11 @@ func (s *CallSite) stdWith(bits uint16) string {
 	return ""
 }
 
-// maxVFSweeps is a termination backstop: every lattice is finite and every
-// merge monotone, so real programs converge in a handful of updates per
-// node; the cap bounds the engine even against adversarial (fuzzed) inputs.
-const maxVFSweeps = 32
-
-// The summary families an update recomputes.
-const (
-	famEffects uint8 = 1 << iota
-	famFlow
-)
-
-// solve drives both summary families to one fixpoint with a caller-driven
+// solve drives the effect summaries to a fixpoint with a caller-driven
 // worklist: every node is updated once in node order, and again only when
 // a summary it reads grew — a callee's at one of its call sites, or a
-// Len/Less/Swap method's of a value it hands to sort.Sort — and then only
-// in the families that grew there, since a value-flow pass costs far more
-// than an effect update. maxVFSweeps bounds the per-node updates as a
-// backstop, not a budget. The order is deterministic, so provenance (first
-// trace wins) is too.
+// Len/Less/Swap method's of a value it hands to sort.Sort. The order is
+// deterministic, so provenance (first trace wins) is too.
 func (p *Program) solve() {
 	nodes := p.graph.nodes
 	callers := make(map[*FuncNode][]*FuncNode)
@@ -1113,44 +1073,24 @@ func (p *Program) solve() {
 		}
 	}
 	work := slices.Clone(nodes)
-	pending := make(map[*FuncNode]uint8, len(nodes))
-	rounds := make(map[*FuncNode]int, len(nodes))
+	queued := make(map[*FuncNode]bool, len(nodes))
 	for _, n := range nodes {
-		pending[n] = famEffects | famFlow
+		queued[n] = true
 	}
 	for len(work) > 0 {
 		n := work[0]
 		work = work[1:]
-		fams := pending[n]
-		delete(pending, n)
-		if rounds[n] >= maxVFSweeps {
-			continue
-		}
-		rounds[n]++
-		grew := p.update(n, fams)
-		if grew == 0 {
+		queued[n] = false
+		if !p.updateEffects(n) {
 			continue
 		}
 		for _, caller := range callers[n] {
-			if pending[caller] == 0 {
+			if !queued[caller] {
+				queued[caller] = true
 				work = append(work, caller)
 			}
-			pending[caller] |= grew
 		}
 	}
-}
-
-// update recomputes the given summary families of one node from its local
-// facts and the current callee summaries; returns the families that grew.
-func (p *Program) update(n *FuncNode, fams uint8) uint8 {
-	var grew uint8
-	if fams&famEffects != 0 && p.updateEffects(n) {
-		grew |= famEffects
-	}
-	if fams&famFlow != 0 && p.updateFlow(n) {
-		grew |= famFlow
-	}
-	return grew
 }
 
 // updateEffects recomputes one node's effect facts; reports whether

@@ -1,8 +1,8 @@
 // Fixture for the detflow analyzer: a miniature journal sink plus the
 // positive cases (map-ordered keys emitted unsorted, a sink called inside
-// map iteration, an ordered value laundered through a forwarding helper)
-// and the near-miss negatives (sorted before emit, writes into a map that
-// erase order).
+// map iteration, a select-ordered value), the near-miss negatives (sorted
+// before emit, writes into a map that erase order), and flows through a
+// callee, which the local check does not follow.
 package detflow
 
 import "sort"
@@ -46,11 +46,11 @@ func inlineEmit(m map[string]int) {
 	}
 }
 
-// forward launders its argument into the sink; the obligation propagates
-// to forward's callers through the parameter-sink summary.
+// forward launders its argument into the sink. The check is local: the
+// obligation does not propagate to forward's callers.
 func forward(line string) { emit(line) }
 
-// launder passes a map-ordered value through the forwarding helper.
+// launder hands a map-ordered value to forward: not followed, no finding.
 func launder(m map[string]int) {
 	var keys []string
 	for k := range m {
@@ -72,9 +72,9 @@ func selectOrder(a, b chan string) {
 	emit(v)
 }
 
-// pingPong and pongPing are mutually recursive: the summary solver must
-// reach a fixpoint on the cycle and still carry the sink obligation out to
-// callers.
+// pingPong and pongPing are mutually recursive and end in the sink. No
+// caller reads their bodies, so the cycle carries no sink obligation out
+// to callers.
 func pingPong(line string, depth int) {
 	if depth == 0 {
 		emit(line)
@@ -89,7 +89,7 @@ func pongPing(line string, depth int) {
 	}
 }
 
-// cyclicLaunder feeds a map-ordered value into the recursive pair.
+// cyclicLaunder feeds a map-ordered value into the pair: not followed.
 func cyclicLaunder(m map[string]int) {
 	var keys []string
 	for k := range m {
@@ -119,8 +119,8 @@ type mixed struct {
 
 func lastOf(p *mixed) string { return p.last }
 
-// mixedOrder emits a value whose ordering has two sources. The message
-// names the one under the smallest path, p.keys, on every run.
+// mixedOrder emits a value with two orderings through a getter. A call's
+// result holds nothing, so the emit is not flagged.
 func mixedOrder(m map[string]int, a, b chan string) {
 	p := &mixed{}
 	for k := range m {

@@ -98,3 +98,15 @@ func inject(r *rand.Rand) { _ = r.Int() }
 func dynamicHandoff(f *family, use func(*rand.Rand)) {
 	use(f.Stream(StreamDrift))
 }
+
+// chaosRNG owns the chaos stream and returns it, the way des.Sim.Chaos
+// does: a call of it mints the chaos stream for the caller.
+//
+//rexlint:stream chaos
+func chaosRNG(f *family) *rand.Rand { return f.Stream(StreamChaos) }
+
+// chaosDraw draws from the minted chaos stream without declaring it.
+func chaosDraw(f *family) float64 {
+	r := chaosRNG(f)
+	return r.Float64()
+}

@@ -133,8 +133,9 @@ func NewPartitioned(base int64) *Partitioned {
 // regardless of which other streams exist or how much they have drawn.
 //
 // rexlint's streamflow analyzer treats the returned value as tainted with
-// the stream name: callers must pass a named constant and declare
-// ownership with //rexlint:stream.
+// the stream name inside the calling function: callers must pass a named
+// constant and declare ownership with //rexlint:stream, and so must any
+// module function they hand the stream to.
 //
 //rexlint:streamsource
 func (p *Partitioned) Stream(name string) *rand.Rand {
