@@ -83,6 +83,9 @@ func run() error {
 	if *k < 0 {
 		return fmt.Errorf("-k must be non-negative, got %d", *k)
 	}
+	if *rounds < 0 {
+		return fmt.Errorf("-rounds must be non-negative, got %d", *rounds)
+	}
 	if !(*window > 0 && !math.IsInf(*window, 1)) {
 		return fmt.Errorf("-window must be positive and finite, got %g", *window)
 	}

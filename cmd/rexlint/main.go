@@ -2,8 +2,10 @@
 // over the custom go/analysis-style suite in internal/lint. It typechecks
 // the requested packages from source (module-local and standard-library
 // imports only — this module has no external dependencies by policy),
-// builds the module-local call graph and interprocedural function
-// summaries, and reports determinism and correctness hazards:
+// builds the module-local call graph and one summary of each function's
+// own effects, and reports determinism and correctness hazards. Analyzers
+// that look past a function read a module callee's summary at the call,
+// one hop deep, or its directive (//rexlint:noalloc, //rexlint:pure):
 //
 //	noglobalrand  global math/rand use (breaks seed reproducibility)
 //	maporder      order-dependent slices built from map iteration
@@ -11,20 +13,22 @@
 //	errignore     dropped error returns, incl. sticky Close/Err/Flush results
 //	metricname    Prometheus naming conventions on obs registrations
 //	lockcheck     guarded-by annotations: unlocked access, lock leaks,
-//	              blocking calls under a lock — including callees that block
-//	              or unlock deeper in the call graph (CFG + dataflow)
+//	              blocking calls under a lock — including callees whose own
+//	              sites block or unlock (CFG + dataflow, one hop)
 //	statecheck    declared state-machine transitions along all paths
 //	clockpurity   wall-clock access outside the ctl.Clock seam, including
 //	              stored-then-called time functions and module-local callees
-//	              that hide a clock read (flow-sensitive + summaries)
+//	              whose own sites read the clock (flow-sensitive, one hop)
 //	leakcheck     goroutines with no reachable termination path
 //	sharecheck    single-owner discipline for //rexlint:owned types: an
 //	              owned value may not escape to a goroutine, channel,
-//	              global, or second owner without a //rexlint:transfer
-//	alloccheck    //rexlint:noalloc functions proven allocation-free on
-//	              every path, through every module-local callee
-//	purity        //rexlint:pure functions proven free of side effects by
-//	              bottom-up effect summaries
+//	              global, second owner, or a callee parameter that escapes
+//	              there, without a //rexlint:transfer
+//	alloccheck    //rexlint:noalloc functions allocation-free on every
+//	              path: own sites, unannotated callees one hop deep, and
+//	              the directive on any callee that calls further
+//	purity        //rexlint:pure functions free of side effects, callees
+//	              read as alloccheck reads them
 //	streamflow    RNG stream isolation, one function at a time: values
 //	              from rng.Partitioned.Stream or a //rexlint:stream function
 //	              returning *rand.Rand carry their stream name as taint;
@@ -124,9 +128,9 @@ func run(opts options, patterns []string) int {
 		return 2
 	}
 
-	// One interprocedural program over every package the loader
-	// typechecked (a superset of the analyzed patterns), so call-graph
-	// facts cross package boundaries.
+	// One program over every package the loader typechecked (a superset
+	// of the analyzed patterns), so a callee in another package can be
+	// read at its call sites.
 	prog := lint.NewProgram(loader.Packages())
 
 	var all []lint.Diagnostic

@@ -47,7 +47,7 @@ func run() error {
 
 		fanout    = flag.Int("fanout", 8, "shard legs sampled per query")
 		util      = flag.Float64("util", 0.6, "target mean machine busy fraction")
-		drag      = flag.Float64("drag", 0.3, "fractional speed loss per outbound migration copy")
+		drag      = flag.Float64("drag", 0.3, "fractional speed loss per outbound migration copy (negative = no drag)")
 		costSigma = flag.Float64("cost-sigma", 0.5, "lognormal per-query cost spread")
 		maxQueue  = flag.Int("max-queue", 0, "per-machine queue cap in legs (0 = unbounded)")
 
@@ -73,6 +73,11 @@ func run() error {
 		metricsOut = flag.String("metrics-out", "", "write per-variant Prometheus expositions to <path>.<variant>")
 	)
 	flag.Parse()
+	// des.Config reads a zero Drag as "use the default", so -drag 0 would
+	// silently run 0.3; a negative value is how drag is switched off.
+	if *drag == 0 {
+		return fmt.Errorf("-drag 0 would run the default 0.3; pass a negative value to disable drag")
+	}
 
 	cfg := des.CampaignConfig{
 		Machines: *machines, Shards: *shards, Fill: *fill, Seed: *seed,

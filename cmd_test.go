@@ -177,6 +177,13 @@ func TestCLIErrors(t *testing.T) {
 
 	// A NaN simulator parameter is a named error and exit status 1.
 	rexsim := buildTool(t, dir, "cmd/rexsim")
+	// -drag 0 is refused by name: the simulator reads a zero drag as its
+	// default 0.3, so the run would silently use drag.
+	out, err = exec.Command(rexsim, "-machines", "10", "-shards", "60", "-rounds", "1", "-drag", "0").CombinedOutput()
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "-drag") {
+		t.Errorf("rexsim -drag 0: %v, want exit status 1 naming -drag:\n%s", err, out)
+	}
+
 	out, err = exec.Command(rexsim, "-machines", "10", "-shards", "60", "-rounds", "1", "-util", "NaN").CombinedOutput()
 	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "TargetUtil") {
 		t.Errorf("rexsim -util NaN: %v, want exit status 1 naming TargetUtil:\n%s", err, out)
@@ -228,11 +235,12 @@ func TestCLIErrors(t *testing.T) {
 	}
 
 	// rexd refuses a non-positive or non-finite window, a NaN drift, a
-	// NaN fill and a negative -k by name. Without the checks a NaN window
-	// dies later on a NaN snapshot (and -rounds 0 runs until interrupted,
-	// hence the timeout), a zero or negative one is blamed on the trace,
-	// the drift runs as -drift 0, the fill dies on a NaN snapshot load and
-	// the last borrows no machine.
+	// NaN fill, a negative -k and a negative -rounds by name. Without the
+	// checks a NaN window dies later on a NaN snapshot (and -rounds 0 runs
+	// until interrupted, hence the timeout), a zero or negative one is
+	// blamed on the trace, the drift runs as -drift 0, the fill dies on a
+	// NaN snapshot load, -k -1 borrows no machine and -rounds -1 never
+	// returns.
 	rexd := buildTool(t, dir, "cmd/rexd")
 	for _, tc := range []struct {
 		args []string
@@ -247,6 +255,7 @@ func TestCLIErrors(t *testing.T) {
 		{[]string{"-rounds", "4", "-fail-rate", "1"}, "-fail-rate"},
 		{[]string{"-rounds", "2", "-fill", "NaN"}, "TargetFill"},
 		{[]string{"-rounds", "2", "-k", "-1"}, "-k must be non-negative"},
+		{[]string{"-rounds", "-1"}, "-rounds must be non-negative"},
 	} {
 		args := append([]string{"-virtual", "-machines", "20", "-shards", "100"}, tc.args...)
 		out, err = exec.CommandContext(ctx, rexd, args...).CombinedOutput()

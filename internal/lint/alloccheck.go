@@ -4,24 +4,27 @@ package lint
 //
 //	//rexlint:noalloc
 //
-// in its doc comment must be provably allocation-free on every reachable
-// path, through every module-local callee. The summary engine (summary.go)
-// supplies the proof obligations: allocation sites are make/new, slice and
-// map literals, &composite literals, append (potential growth), string
-// concatenation and copying conversions, capturing closures (a literal that
-// captures variables allocates unless the call containing it invokes it in
-// place), interface boxing, and goroutine spawns; stdlib callees allocate
-// unless allowlisted; dynamic calls with no resolvable target are unprovable and
-// reported as such. Violations name the allocating call chain
-// ("via a → b") and the root site.
+// in its doc comment must be allocation-free on every reachable path. Its
+// own sites are checked, and so is each module callee one hop deep: a
+// callee that is itself //rexlint:noalloc is trusted, since it is checked on
+// its own; any other callee's own sites are read at the call, and if that
+// callee calls module functions itself, the finding names it and asks for
+// the directive. Allocation sites are make/new, slice and map literals,
+// &composite literals, append (potential growth), string concatenation and
+// copying conversions, capturing closures (a literal that captures
+// variables allocates unless the call containing it invokes it in place),
+// interface boxing, and goroutine spawns; stdlib callees allocate unless
+// allowlisted; dynamic calls (through a func value or an interface) are
+// unprovable and reported as such. A callee's site is named with the
+// callee ("via f").
 //
-// Two sanctioned outs: `//rexlint:ignore alloccheck <reason>` on a leaf
-// site waives it for the whole chain (amortized append growth into a
-// pre-sized scratch buffer is the intended use), and debug-assertion
-// blocks guarded by a named boolean constant are folded away entirely.
+// Two sanctioned outs: `//rexlint:ignore alloccheck <reason>` on a site
+// waives it for its callers too (amortized append growth into a pre-sized
+// scratch buffer is the intended use), and debug-assertion blocks guarded
+// by a named boolean constant are folded away entirely.
 var AllocCheck = &Analyzer{
 	Name: "alloccheck",
-	Doc:  "require //rexlint:noalloc functions to be allocation-free on every path, callees included; name the allocating chain",
+	Doc:  "require //rexlint:noalloc functions to be allocation-free on every path, reading unannotated callees one hop deep",
 	Run:  runAllocCheck,
 }
 
@@ -30,26 +33,20 @@ func runAllocCheck(pass *Pass) error {
 		if !node.NoAlloc {
 			continue
 		}
-		sum := pass.Prog.SummaryOf(node)
-		if sum.Mask&EffAlloc != 0 {
-			tr := sum.Alloc
-			if tr == nil {
-				tr = &Trace{Pos: node.Pos(), What: "allocation", EntryPos: node.Pos()}
-			}
-			if len(tr.Via) == 0 {
-				pass.Reportf(tr.EntryPos, "%s is declared //rexlint:noalloc but allocates: %s", node.Name(), tr.What)
-			} else {
-				pass.Reportf(tr.EntryPos, "%s is declared //rexlint:noalloc but allocates: %s at %s%s",
-					node.Name(), tr.What, pass.Fset.Position(tr.Pos), tr.Chain())
-			}
+		effs, deep := pass.Prog.oneHop(node, func(c *FuncNode) bool { return c.NoAlloc })
+		if e := firstOf(effs, EffAlloc); e != nil && e.via == nil {
+			pass.Reportf(e.pos, "%s is declared //rexlint:noalloc but allocates: %s", node.Name(), e.what)
+		} else if e != nil {
+			pass.Reportf(e.at(), "%s is declared //rexlint:noalloc but allocates: %s at %s%s",
+				node.Name(), e.what, pass.Fset.Position(e.pos), e.chain())
 		}
-		if sum.Mask&EffUnknown != 0 {
-			tr := sum.Unknown
-			if tr == nil {
-				tr = &Trace{Pos: node.Pos(), What: "dynamic call", EntryPos: node.Pos()}
-			}
-			pass.Reportf(tr.EntryPos, "%s is declared //rexlint:noalloc but cannot be proven: %s%s",
-				node.Name(), tr.What, tr.Chain())
+		if e := firstOf(effs, EffUnknown); e != nil {
+			pass.Reportf(e.at(), "%s is declared //rexlint:noalloc but cannot be proven: %s%s",
+				node.Name(), e.what, e.chain())
+		}
+		for _, site := range deep {
+			pass.Reportf(site.Pos, "%s is declared //rexlint:noalloc but calls %s, which calls module functions; declare it //rexlint:noalloc",
+				node.Name(), site.Callee.Name())
 		}
 	}
 	return nil

@@ -48,9 +48,13 @@ func Analyzers(modPath string) []*Analyzer {
 		// Activates only in packages that declare transition/resource
 		// directives.
 		{StateCheck, wholeModule},
-		// The deterministic packages: wall time must enter through the
-		// ctl.Clock seam only.
-		{ClockPurity, []string{"/internal/core", "/internal/ctl", "/internal/obs", "/internal/des"}},
+		// The deterministic packages and every module package they import:
+		// wall time must enter through the ctl.Clock seam only.
+		{ClockPurity, []string{
+			"/internal/core", "/internal/ctl", "/internal/obs", "/internal/des",
+			"/internal/cluster", "/internal/plan", "/internal/rng", "/internal/stats",
+			"/internal/vec", "/internal/workload",
+		}},
 		// The long-running control plane (ctl and the commands), where an
 		// unstoppable goroutine defeats shutdown.
 		{LeakCheck, []string{"/internal/ctl", "/cmd"}},

@@ -4,22 +4,17 @@ package lint
 // function bodies — declared functions, methods, and function literals —
 // and edges are the call sites that can reach them:
 //
-//   - direct calls of package-level functions and methods resolve through
-//     types.Info (static dispatch);
-//   - calls through an interface method resolve to every module-local
-//     named type whose method set implements the interface (go/types
-//     method sets). The module is dependency-free by policy, so treating
-//     module-local types as the universe of implementations is sound for
-//     module-declared interfaces; calls through interfaces declared
-//     outside the module stay conservative (unknown);
+//   - direct calls of package-level functions and methods, and calls of
+//     method expressions (T.M(x)), resolve through types.Info (static
+//     dispatch);
 //   - a function literal is an edge target wherever it appears: invoked
 //     directly, passed as a callback, launched with go, or deferred — the
 //     caller is charged with its effects either way;
-//   - method values (x.M used as a value) and method expressions (T.M)
-//     edge to the method, again assuming the value is eventually invoked;
 //   - `f := func() {...}; f()` resolves through a local single-assignment
-//     binding; any other call through a function-typed value is recorded
-//     as unknown, which the summary layer treats pessimistically.
+//     binding;
+//   - any other call through a function-typed value, and every call
+//     through an interface method, is recorded as unknown: no callee is
+//     guessed, and the summary layer treats the call pessimistically.
 //
 // Standard-library callees are not graph nodes; call sites record their
 // qualified names, and every reader classifies them from the one stdlib
@@ -60,10 +55,12 @@ type FuncNode struct {
 	// exemption): their wall-clock reads do not taint callers.
 	ClockExempt bool
 	// NoAlloc marks functions declared `//rexlint:noalloc` in their doc
-	// comment: alloccheck requires them allocation-free, callees included.
+	// comment: alloccheck requires them allocation-free, and their callers
+	// trust them.
 	NoAlloc bool
 	// DeclaredPure marks functions declared `//rexlint:pure`: the purity
-	// analyzer requires their summary free of observable side effects.
+	// analyzer requires them free of observable side effects, and their
+	// callers trust them.
 	DeclaredPure bool
 	// Streams are the sorted `//rexlint:stream` names (a literal inherits
 	// its enclosing declaration's); StreamSource marks the
@@ -108,24 +105,22 @@ func recvTypeName(t types.Type) string {
 	return t.String()
 }
 
-// CallSite is one outgoing edge bundle: a call expression (or value use of
-// a function) and every callee it can statically reach.
+// CallSite is one outgoing edge: a call expression, or the creation of a
+// function literal, and the one callee it statically reaches, if any.
 type CallSite struct {
 	Pos token.Pos
-	// Call is the call expression; nil when the edge comes from a value
-	// use (callback argument, method value) assumed to be invoked later,
-	// or from a function literal charged to its creator.
+	// Call is the call expression; nil when the edge is a function
+	// literal charged to its creator.
 	Call *ast.CallExpr
-	// RecvExpr is the receiver operand for method calls and method values
-	// (the x of x.M), used to map callee receiver effects onto the
-	// caller's own receiver, parameters, or globals.
+	// RecvExpr is the receiver operand for method calls (the x of x.M),
+	// used to map callee receiver effects onto the caller's own receiver,
+	// parameters, or globals.
 	RecvExpr ast.Expr
-	// Callees are the module-local candidate targets (several for
-	// interface dispatch).
-	Callees []*FuncNode
-	// Std holds qualified standard-library callees, e.g. "time.Now" or
-	// "(sync.Mutex).Unlock".
-	Std []string
+	// Callee is the module-local target; nil for a stdlib or unknown call.
+	Callee *FuncNode
+	// Std is the qualified standard-library callee, e.g. "time.Now" or
+	// "(sync.Mutex).Unlock"; "" for any other call.
+	Std string
 	// Unknown marks a dynamic call with no resolvable target; summaries
 	// treat it as an arbitrary effect.
 	Unknown bool
@@ -136,25 +131,21 @@ type CallSite struct {
 
 // callGraph is the built graph plus its lookup indexes.
 type callGraph struct {
-	nodes   []*FuncNode // deterministic: package path, then file, then offset
-	byFunc  map[*types.Func]*FuncNode
-	byLit   map[*ast.FuncLit]*FuncNode
-	siteAt  map[*ast.CallExpr]*CallSite // every recorded call, into its node's Calls
-	named   []*types.TypeName           // module-local non-interface named types
-	modPkgs map[*types.Package]bool
+	nodes  []*FuncNode // deterministic: package path, then file, then offset
+	byFunc map[*types.Func]*FuncNode
+	byLit  map[*ast.FuncLit]*FuncNode
+	siteAt map[*ast.CallExpr]*CallSite // every recorded call, into its node's Calls
 }
 
 // buildCallGraph creates the nodes and edges for every function in pkgs.
 func buildCallGraph(pkgs []*Package) *callGraph {
 	g := &callGraph{
-		byFunc:  make(map[*types.Func]*FuncNode),
-		byLit:   make(map[*ast.FuncLit]*FuncNode),
-		siteAt:  make(map[*ast.CallExpr]*CallSite),
-		modPkgs: make(map[*types.Package]bool),
+		byFunc: make(map[*types.Func]*FuncNode),
+		byLit:  make(map[*ast.FuncLit]*FuncNode),
+		siteAt: make(map[*ast.CallExpr]*CallSite),
 	}
 	// Pass 1: nodes for every declared function, then every literal.
 	for _, pkg := range pkgs {
-		g.modPkgs[pkg.Types] = true
 		clockIface := findClockInterface(pkg.Types)
 		for _, file := range pkg.Files {
 			for _, d := range file.Decls {
@@ -185,17 +176,6 @@ func buildCallGraph(pkgs []*Package) *callGraph {
 				g.nodes = append(g.nodes, node)
 				g.addLits(node, fd.Body)
 			}
-		}
-		scope := pkg.Types.Scope()
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
-			}
-			if _, isIface := tn.Type().Underlying().(*types.Interface); isIface {
-				continue
-			}
-			g.named = append(g.named, tn)
 		}
 	}
 	// Pass 2: resolve edges, every node (declared or literal) uniformly,
@@ -274,16 +254,11 @@ func (g *callGraph) resolveCalls(n *FuncNode) {
 	info := n.Pkg.Info
 	binds := localFuncBindings(info, n.Body, g.byLit)
 
-	// Pre-collect context: which call expressions sit under a go statement,
-	// and which selector expressions are the Fun of some call.
+	// Pre-collect which call expressions sit under a go statement.
 	async := map[*ast.CallExpr]bool{}
-	callFun := map[ast.Expr]bool{}
 	inspectShallow(n.Body, func(x ast.Node) bool {
-		switch s := x.(type) {
-		case *ast.GoStmt:
-			async[s.Call] = true
-		case *ast.CallExpr:
-			callFun[ast.Unparen(s.Fun)] = true
+		if g, ok := x.(*ast.GoStmt); ok {
+			async[g.Call] = true
 		}
 		return true
 	})
@@ -294,15 +269,11 @@ func (g *callGraph) resolveCalls(n *FuncNode) {
 			// The literal's body belongs to its own node; its creation is
 			// an edge on the creator.
 			if ln := g.byLit[s]; ln != nil {
-				n.Calls = append(n.Calls, CallSite{Pos: s.Pos(), Callees: []*FuncNode{ln}})
+				n.Calls = append(n.Calls, CallSite{Pos: s.Pos(), Callee: ln})
 			}
 			return false
 		case *ast.CallExpr:
 			g.callSite(n, s, binds, async[s])
-		case *ast.SelectorExpr:
-			if !callFun[ast.Expr(s)] {
-				g.methodValue(n, s)
-			}
 		}
 		return true
 	})
@@ -360,20 +331,15 @@ func (g *callGraph) callSite(n *FuncNode, call *ast.CallExpr, binds map[types.Ob
 		case *types.Func:
 			g.addCallee(&site, o)
 		case *types.Var:
-			if ln, ok := binds[o]; ok {
-				site.Callees = append(site.Callees, ln)
-			} else {
-				site.Unknown = true
-			}
+			site.Callee = binds[o]
+			site.Unknown = site.Callee == nil
 		default:
 			// Builtin, conversion, or unresolved: builtins and conversions
 			// are classified as local effects by the summary layer.
 			return
 		}
 	case *ast.FuncLit:
-		if ln := g.byLit[f]; ln != nil {
-			site.Callees = append(site.Callees, ln)
-		}
+		site.Callee = g.byLit[f]
 	case *ast.SelectorExpr:
 		if _, isType := info.Uses[f.Sel].(*types.TypeName); isType {
 			return // conversion pkg.T(x)
@@ -389,20 +355,14 @@ func (g *callGraph) callSite(n *FuncNode, call *ast.CallExpr, binds map[types.Ob
 			break
 		}
 		site.RecvExpr = f.X
-		switch sel.Kind() {
-		case types.MethodVal:
-			recv := sel.Recv()
-			if iface, isIface := recv.Underlying().(*types.Interface); isIface {
-				g.resolveInterface(&site, recv, iface, f.Sel.Name)
-			} else if fn, ok := sel.Obj().(*types.Func); ok {
-				g.addCallee(&site, fn)
-			}
-		case types.MethodExpr:
-			if fn, ok := sel.Obj().(*types.Func); ok {
-				g.addCallee(&site, fn)
-			}
-		default:
+		fn, ok := sel.Obj().(*types.Func)
+		switch {
+		case !ok:
 			site.Unknown = true // struct field of function type
+		case sel.Kind() == types.MethodVal && types.IsInterface(sel.Recv()):
+			site.Unknown = true // interface dispatch: no callee is guessed
+		default:
+			g.addCallee(&site, fn)
 		}
 	case *ast.IndexExpr, *ast.IndexListExpr:
 		// Generic instantiation, or indexing into a function table.
@@ -417,7 +377,7 @@ func (g *callGraph) callSite(n *FuncNode, call *ast.CallExpr, binds map[types.Ob
 		site.Unknown = true
 	}
 
-	if len(site.Callees) == 0 && len(site.Std) == 0 && !site.Unknown {
+	if site.Callee == nil && site.Std == "" && !site.Unknown {
 		return
 	}
 	n.Calls = append(n.Calls, site)
@@ -440,13 +400,10 @@ func indexeeIdent(e ast.Expr) (*ast.Ident, bool) {
 // node edges, everything else is recorded by qualified name.
 func (g *callGraph) addCallee(site *CallSite, fn *types.Func) {
 	if node, ok := g.byFunc[fn]; ok {
-		site.Callees = append(site.Callees, node)
-		return
+		site.Callee = node
+	} else if fn.Pkg() != nil { // not error.Error and friends from the universe scope
+		site.Std = qualifiedFuncName(fn)
 	}
-	if fn.Pkg() == nil {
-		return // error.Error and friends from the universe scope
-	}
-	site.Std = append(site.Std, qualifiedFuncName(fn))
 }
 
 // qualifiedFuncName renders fn as "path.F" or "(path.T).M" using the full
@@ -472,56 +429,4 @@ func funcNameOf(info *types.Info, e ast.Expr) string {
 		return ""
 	}
 	return qualifiedFuncName(fn)
-}
-
-// resolveInterface finds every module-local named type implementing the
-// interface and edges to its method. Interfaces declared outside the
-// module may be satisfied by types we cannot see, so those calls stay
-// unknown even when local candidates exist.
-func (g *callGraph) resolveInterface(site *CallSite, recv types.Type, iface *types.Interface, method string) {
-	moduleDeclared := false
-	if named, ok := recv.(*types.Named); ok {
-		if pkg := named.Obj().Pkg(); pkg != nil {
-			moduleDeclared = g.modPkgs[pkg]
-		}
-	}
-	for _, tn := range g.named {
-		t := tn.Type()
-		var impl types.Type
-		switch {
-		case types.Implements(t, iface):
-			impl = t
-		case types.Implements(types.NewPointer(t), iface):
-			impl = types.NewPointer(t)
-		default:
-			continue
-		}
-		obj, _, _ := types.LookupFieldOrMethod(impl, true, tn.Pkg(), method)
-		if fn, ok := obj.(*types.Func); ok {
-			if node, okN := g.byFunc[fn]; okN {
-				site.Callees = append(site.Callees, node)
-			}
-		}
-	}
-	if !moduleDeclared || len(site.Callees) == 0 {
-		site.Unknown = true
-	}
-	sort.Slice(site.Callees, func(i, j int) bool { return nodeLess(site.Callees[i], site.Callees[j]) })
-}
-
-// methodValue records edges for method values and method expressions used
-// outside call position (x.M passed as a callback): the method is assumed
-// to be invoked eventually.
-func (g *callGraph) methodValue(n *FuncNode, sel *ast.SelectorExpr) {
-	s := n.Pkg.Info.Selections[sel]
-	if s == nil || (s.Kind() != types.MethodVal && s.Kind() != types.MethodExpr) {
-		return
-	}
-	fn, ok := s.Obj().(*types.Func)
-	if !ok {
-		return
-	}
-	if node, okN := g.byFunc[fn]; okN {
-		n.Calls = append(n.Calls, CallSite{Pos: sel.Pos(), RecvExpr: sel.X, Callees: []*FuncNode{node}})
-	}
 }

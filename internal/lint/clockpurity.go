@@ -16,8 +16,11 @@ import (
 //	...
 //	t := now() // flagged here
 //
-// cannot smuggle wall time past a grep. Global math/rand use is policed
-// separately by noglobalrand.
+// cannot smuggle wall time past a grep. A call of a module function whose
+// own sites read the clock is flagged too, reading the callee one hop deep;
+// a read further down is flagged where it happens, since the scope covers
+// every module package the deterministic ones import. Global math/rand use
+// is policed separately by noglobalrand.
 //
 // A function is exempt when its receiver type or any of its result types
 // implements the Clock interface (resolved from the package itself or
@@ -33,7 +36,7 @@ func runClockPurity(pass *Pass) error {
 	for _, node := range pass.Prog.NodesOf(pass.pkg()) {
 		// Only the declaration itself is exempt from the local check: a
 		// literal nested in a Clock implementation is still held to it
-		// (the interprocedural half exempts it as a caller).
+		// (the callee check exempts it as a caller).
 		if !node.ClockExempt {
 			checkClockPurity(pass, node)
 		}
@@ -42,12 +45,11 @@ func runClockPurity(pass *Pass) error {
 	return nil
 }
 
-// checkHiddenClockReads is the interprocedural half: a call to a
-// module-local function whose summary says it reads the wall clock —
-// directly or through further callees — is flagged at the call site with
-// the chain to the root read. Clock implementations are exempt as callers,
-// and waived leaf sites never enter summaries, so a reviewed
-// //rexlint:ignore on the root read blesses every caller.
+// checkHiddenClockReads reads each module callee one hop deep: a call to
+// a function whose own sites read the wall clock is flagged at the call
+// site with the callee's read. Clock implementations are exempt as callers,
+// and a waived read never enters its function's summary, so a reviewed
+// //rexlint:ignore on the read blesses every caller.
 func checkHiddenClockReads(pass *Pass) {
 	prog := pass.Prog
 	for _, node := range prog.NodesOf(pass.pkg()) {
@@ -55,19 +57,12 @@ func checkHiddenClockReads(pass *Pass) {
 			continue
 		}
 		for _, site := range prog.EffectiveCalls(node) {
-			for _, callee := range site.Callees {
-				sum := prog.SummaryOf(callee)
-				if sum.Mask&EffClock == 0 {
-					continue
-				}
-				what, at := "a wall-clock read", ""
-				if sum.Clock != nil {
-					what = sum.Clock.What
-					at = " at " + pass.Fset.Position(sum.Clock.Pos).String()
-				}
-				pass.Reportf(site.Pos, "call of %s hides %s%s%s; inject a ctl.Clock instead",
-					callee.Name(), what, at, sum.Clock.Chain())
-				break
+			if site.Callee == nil {
+				continue
+			}
+			if c := firstOf(prog.SummaryOf(site.Callee).effects, EffClock); c != nil {
+				pass.Reportf(site.Pos, "call of %s hides %s at %s; inject a ctl.Clock instead",
+					site.Callee.Name(), c.what, pass.Fset.Position(c.pos))
 			}
 		}
 	}

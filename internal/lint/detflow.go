@@ -57,14 +57,14 @@ func checkOrder(pass *Pass, n *FuncNode) {
 		}
 		return true
 	})
-	ordered := func(s *CallSite) bool { return len(s.Callees) == 0 && s.std().order == orderSource }
+	ordered := func(s *CallSite) bool { return s.Callee == nil && s.std().order == orderSource }
 	if len(ranges) == 0 && len(selected) == 0 && !slices.ContainsFunc(n.Calls, func(s CallSite) bool { return ordered(&s) }) {
 		return
 	}
 	tf := &taintFlow{info: info, prog: pass.Prog, order: true, source: func(e ast.Expr) taint {
 		call, _ := e.(*ast.CallExpr)
 		if s := pass.Prog.SiteAt(call); s != nil && ordered(s) {
-			return taint{s.Std[0] + " iteration order": ""}
+			return taint{s.Std + " iteration order": ""}
 		} else if selected[e] {
 			return taint{"select arm completion order": ""}
 		}

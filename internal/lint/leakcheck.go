@@ -44,13 +44,13 @@ func runLeakCheck(pass *Pass) error {
 }
 
 // spawnedNode returns the function gs starts, read from its resolved call
-// site: nil unless the site reaches exactly one module-local function.
+// site: nil unless the site reaches a module-local function.
 func spawnedNode(pass *Pass, gs *ast.GoStmt) (*FuncNode, string) {
 	site := pass.Prog.SiteAt(gs.Call)
-	if site == nil || len(site.Callees) != 1 {
+	if site == nil || site.Callee == nil {
 		return nil, ""
 	}
-	callee := site.Callees[0]
+	callee := site.Callee
 	if callee.Fn == nil {
 		return callee, "func literal"
 	}

@@ -60,8 +60,8 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// Prog is the interprocedural context: the module-local call graph
-	// and function summaries over every package of the run (summary.go).
+	// Prog is the whole-run context: the module-local call graph and
+	// function summaries over every package of the run (summary.go).
 	// Never nil inside Run.
 	Prog *Program
 
@@ -71,7 +71,7 @@ type Pass struct {
 
 // pkg returns the loaded package under analysis (the *Package behind the
 // exported Fset/Files/Pkg/TypesInfo fields), for analyzers that consult
-// the interprocedural program.
+// the program.
 func (p *Pass) pkg() *Package { return p.pkgRef }
 
 // Reportf records a diagnostic at pos unless an ignore comment suppresses
@@ -218,7 +218,7 @@ func (s *lineDirectives) unusedTransfers() []Diagnostic {
 }
 
 // RunAnalyzersIn executes every analyzer that applies to pkg with prog as
-// the interprocedural context, appends unused-suppression and
+// the whole-run context, appends unused-suppression and
 // unknown-directive diagnostics, and returns everything sorted by position.
 func RunAnalyzersIn(prog *Program, pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic

@@ -201,7 +201,6 @@ func (c *stdCache) loadStd(path string) (*types.Package, error) {
 	if err := c.listLocked([]string{path}); err != nil {
 		return nil, err
 	}
-	//rexlint:ignore lockcheck the gc importer reads export files only and never calls back into a Loader
 	return c.imp.Import(path)
 }
 
@@ -376,8 +375,8 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 
 // Packages returns every module-local package this loader has typechecked
 // so far — the requested targets plus their module-local import closure —
-// sorted by import path. The interprocedural engine builds its program
-// over this set so call edges can cross package boundaries.
+// sorted by import path. NewProgram is built over this set so call edges
+// can cross package boundaries.
 func (l *Loader) Packages() []*Package {
 	paths := make([]string, 0, len(l.pkgs))
 	for p := range l.pkgs {

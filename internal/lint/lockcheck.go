@@ -21,10 +21,10 @@ import (
 //     channel sites of the summary's site table (summary.go; a send or
 //     receive in a select with a default clause does not block), calls
 //     whose stdlib callee the stdlib table marks EffBlock (WaitGroup.Wait,
-//     time.Sleep), calls to callees whose summary may block, and calls to
-//     same-package methods that acquire the mutex already held
-//     (self-deadlock, detected via the receiver mutexes the callee's local
-//     summary facts say it acquires).
+//     time.Sleep), calls to module callees whose own sites may block (read
+//     one hop deep), and calls to same-package methods that acquire the
+//     mutex already held (self-deadlock, detected via the receiver mutexes
+//     the callee's summary says it acquires).
 //
 // Which calls lock and unlock is read off each call's resolved site and the
 // lock role of its stdlib callee in the table, so a method promoted from
@@ -54,10 +54,10 @@ type lockFact map[string]lockInfo
 
 // lockFlow solves held-mutex facts forward; must selects intersection
 // (held on every path) versus union (held on some path) joins. prog
-// supplies the resolved call sites and the interprocedural unlock
-// summaries: a call to a method that may unlock a receiver mutex drops the
-// held fact, closing the hidden-unlock blind spot (the caller can no
-// longer be assumed to still hold the lock after the call).
+// supplies the resolved call sites and the callees' own unlocks: a call to
+// a method that unlocks a receiver mutex drops the held fact, closing the
+// hidden-unlock blind spot (the caller can no longer be assumed to still
+// hold the lock after the call).
 type lockFlow struct {
 	info *types.Info
 	prog *Program
@@ -159,8 +159,8 @@ func lockTransfer(info *types.Info, prog *Program, n ast.Node, in lockFact) lock
 				delete(out, key)
 			}
 		case lockNone:
-			// Interprocedural: a callee that may unlock a receiver mutex
-			// means the lock cannot be assumed held after the call.
+			// One hop: a callee that unlocks a receiver mutex means the
+			// lock cannot be assumed held after the call.
 			for _, k := range hiddenUnlockKeys(info, prog, site) {
 				if _, held := out[k]; held {
 					ensure()
@@ -173,11 +173,11 @@ func lockTransfer(info *types.Info, prog *Program, n ast.Node, in lockFact) lock
 	return out
 }
 
-// hiddenUnlockKeys returns the lock-fact keys a call may release through
-// its callees' unlock summaries (e.g. x.finish() where finish does
+// hiddenUnlockKeys returns the lock-fact keys a call releases through its
+// callee's own unlocks, read one hop deep (e.g. x.finish() where finish does
 // x.mu.Unlock()).
 func hiddenUnlockKeys(info *types.Info, prog *Program, site *CallSite) []string {
-	if site == nil || len(site.Callees) == 0 {
+	if site == nil || site.Callee == nil {
 		return nil
 	}
 	baseKey, ok := exprKey(info, site.RecvExpr)
@@ -185,10 +185,8 @@ func hiddenUnlockKeys(info *types.Info, prog *Program, site *CallSite) []string 
 		return nil
 	}
 	var keys []string
-	for _, callee := range site.Callees {
-		for _, f := range prog.SummaryOf(callee).UnlockFields {
-			keys = append(keys, fieldKey(baseKey, f))
-		}
+	for _, f := range prog.SummaryOf(site.Callee).UnlockFields {
+		keys = append(keys, fieldKey(baseKey, f))
 	}
 	return keys
 }
@@ -352,7 +350,7 @@ func (ctx *lockCtx) checkFunc(node *FuncNode) {
 	must := Forward[lockFact](g, &lockFlow{info: info, prog: prog, must: true})
 	may := Forward[lockFact](g, &lockFlow{info: info, prog: prog, must: false})
 	fresh := freshLocals(info, node.Body)
-	sites := prog.local[node].sites
+	sites := prog.SummaryOf(node).sites
 
 	for _, b := range g.Blocks {
 		fMust, reachable := must[b]
@@ -485,7 +483,7 @@ func (ctx *lockCtx) checkSelfDeadlock(call *ast.CallExpr, sel *ast.SelectorExpr,
 		return
 	}
 	if baseKey, okKey := exprKey(info, sel.X); okKey {
-		for _, mf := range sortedKeys(ctx.pass.Prog.local[callee].locked) {
+		for _, mf := range sortedKeys(ctx.pass.Prog.SummaryOf(callee).locked) {
 			if li, held := fMust[fieldKey(baseKey, mf)]; held && !li.read {
 				ctx.pass.Reportf(call.Pos(), "call to %s while holding %s: the callee locks the same mutex (self-deadlock)",
 					sel.Sel.Name, li.path)
@@ -494,26 +492,19 @@ func (ctx *lockCtx) checkSelfDeadlock(call *ast.CallExpr, sel *ast.SelectorExpr,
 	}
 }
 
-// checkBlockingCallee is the interprocedural half of the blocking check: a
-// module-local callee whose summary says it may block (a blocking channel
-// site, range over a channel, WaitGroup.Wait, time.Sleep — directly or
-// deeper in the call graph) is flagged when a lock is must-held at the
-// call, with the chain to the root blocking site. A callee that first unlocks the held
-// mutex drops the fact in the transfer before this check fires, so
+// checkBlockingCallee reads each module callee one hop deep: a callee whose
+// own sites may block (a blocking channel site, range over a channel,
+// WaitGroup.Wait, time.Sleep) is flagged when a lock is must-held at the
+// call, with the callee's blocking site. A callee that first unlocks the
+// held mutex drops the fact in the transfer before this check fires, so
 // unlock-then-block helpers stay silent.
 func (ctx *lockCtx) checkBlockingCallee(site *CallSite, fMust lockFact) {
-	for _, callee := range site.Callees {
-		sum := ctx.pass.Prog.SummaryOf(callee)
-		if sum.Mask&EffBlock == 0 {
-			continue
-		}
-		what := "a blocking operation"
-		if sum.Block != nil && sum.Block.What != "" {
-			what = sum.Block.What
-		}
-		ctx.pass.Reportf(site.Pos, "call to %s while holding %s may block under the lock: %s%s",
-			callee.Name(), heldPath(fMust), what, sum.Block.Chain())
+	if site.Callee == nil {
 		return
+	}
+	if b := firstOf(ctx.pass.Prog.SummaryOf(site.Callee).effects, EffBlock); b != nil {
+		ctx.pass.Reportf(site.Pos, "call to %s while holding %s may block under the lock: %s",
+			site.Callee.Name(), heldPath(fMust), b.what)
 	}
 }
 

@@ -1,68 +1,89 @@
 package lint
 
-// Purity enforces declared side-effect contracts using the interprocedural
-// summaries. A function declared
+// Purity enforces declared side-effect contracts. A function declared
 //
 //	//rexlint:pure
 //
-// must classify as "pure" on the summary lattice (pure < reads-receiver <
-// mutates-receiver < global-effect): no receiver or parameter mutation, no
-// package-level writes, no wall-clock reads, no blocking, and no dynamic
-// calls the engine cannot resolve. Allocation alone is allowed — a pure
-// function may build and return a fresh value.
-//
-// The same summaries also feed clockpurity (a callee chain hiding a
-// wall-clock read) and lockcheck (a callee chain that blocks or unlocks
-// while the caller reasons about held locks), upgrading both from
-// per-function heuristics to call-graph facts.
+// must classify as "pure" (pure < reads-receiver < mutates-receiver <
+// global-effect): no receiver or parameter mutation, no package-level
+// writes, no wall-clock reads, no blocking, and no dynamic calls (through a
+// func value or an interface). Allocation alone is allowed — a pure
+// function may build and return a fresh value. Its own sites are checked,
+// and each module callee one hop deep, as alloccheck reads them: a
+// //rexlint:pure callee is trusted, any other callee's own effects are
+// mapped onto the caller through the call's receiver and argument
+// operands, and a callee that calls module functions itself is named and
+// asked for the directive.
 var Purity = &Analyzer{
 	Name: "purity",
-	Doc:  "require //rexlint:pure functions to have no observable side effects per their interprocedural summary",
+	Doc:  "require //rexlint:pure functions to have no observable side effects, reading unannotated callees one hop deep",
 	Run:  runPurity,
 }
+
+// impureBits are the effects a //rexlint:pure function must not have.
+const impureBits = EffClock | EffBlock | EffGlobal | EffMutatesRecv | EffMutatesParam | EffUnknown
 
 func runPurity(pass *Pass) error {
 	for _, node := range pass.Prog.NodesOf(pass.pkg()) {
 		if !node.DeclaredPure {
 			continue
 		}
-		sum := pass.Prog.SummaryOf(node)
-		bad := sum.Mask & impureBits
-		if bad == 0 {
-			continue
+		effs, deep := pass.Prog.oneHop(node, func(c *FuncNode) bool { return c.DeclaredPure })
+		var mask uint16
+		for _, e := range effs {
+			mask |= e.bit
 		}
-		what, tr := describeImpurity(sum, bad)
-		pos := node.Pos()
-		if tr != nil && tr.EntryPos.IsValid() {
-			pos = tr.EntryPos
+		if mask&impureBits != 0 {
+			what, e := describeImpurity(effs, mask)
+			pos := node.Pos()
+			if e != nil {
+				pos = e.at()
+			}
+			pass.Reportf(pos, "%s is declared //rexlint:pure but is %s: %s%s",
+				node.Name(), purityClass(mask), what, e.chain())
 		}
-		pass.Reportf(pos, "%s is declared //rexlint:pure but is %s: %s%s",
-			node.Name(), sum.Purity(), what, tr.Chain())
+		for _, site := range deep {
+			pass.Reportf(site.Pos, "%s is declared //rexlint:pure but calls %s, which calls module functions; declare it //rexlint:pure",
+				node.Name(), site.Callee.Name())
+		}
 	}
 	return nil
 }
 
-// describeImpurity picks the most severe violated bit and its provenance.
-func describeImpurity(sum *Summary, bad uint16) (string, *Trace) {
+// purityClass maps an effect mask onto the four-level classification.
+// Parameter mutation classifies with receiver mutation (both are
+// caller-visible writes through the signature).
+func purityClass(mask uint16) string {
 	switch {
-	case bad&EffUnknown != 0:
-		return "it contains " + traceWhat(sum.Unknown, "a dynamic call"), sum.Unknown
-	case bad&EffClock != 0:
-		return "it reads the wall clock (" + traceWhat(sum.Clock, "clock read") + ")", sum.Clock
-	case bad&EffBlock != 0:
-		return "it may block (" + traceWhat(sum.Block, "blocking operation") + ")", sum.Block
-	case bad&EffGlobal != 0:
+	case mask&(EffGlobal|EffUnknown|EffClock|EffBlock) != 0:
+		return "global-effect"
+	case mask&(EffMutatesRecv|EffMutatesParam) != 0:
+		return "mutates-receiver"
+	case mask&EffReadsRecv != 0:
+		return "reads-receiver"
+	default:
+		return "pure"
+	}
+}
+
+// describeImpurity picks the most severe violated bit and, for the bits
+// that name a site, its first effect.
+func describeImpurity(effs []effect, mask uint16) (string, *effect) {
+	switch {
+	case mask&EffUnknown != 0:
+		e := firstOf(effs, EffUnknown)
+		return "it contains " + e.what, e
+	case mask&EffClock != 0:
+		e := firstOf(effs, EffClock)
+		return "it reads the wall clock (" + e.what + ")", e
+	case mask&EffBlock != 0:
+		e := firstOf(effs, EffBlock)
+		return "it may block (" + e.what + ")", e
+	case mask&EffGlobal != 0:
 		return "it has package-level effects", nil
-	case bad&EffMutatesRecv != 0:
+	case mask&EffMutatesRecv != 0:
 		return "it mutates its receiver", nil
 	default:
 		return "it writes through a parameter", nil
 	}
-}
-
-func traceWhat(tr *Trace, fallback string) string {
-	if tr == nil || tr.What == "" {
-		return fallback
-	}
-	return tr.What
 }

@@ -9,9 +9,10 @@ package lint
 // owned value must not escape its owner — be sent on a channel, captured
 // by or passed to a goroutine, stored into package-level state, stored
 // into a second owner (a structure rooted at the receiver, a parameter,
-// or a captured variable), or passed to a callee whose parameter escape
-// summary says it leaks — unless a `//rexlint:transfer <reason>` on or
-// above the escape site sanctions the hand-off.
+// or a captured variable), or passed to a module callee whose own sites
+// let that parameter escape (read one hop deep) — unless a
+// `//rexlint:transfer <reason>` on or above the escape site sanctions the
+// hand-off.
 //
 // Freshly created values (a call result like Clone(), or a composite
 // literal) stored in the same statement do not create a second owner: the
@@ -67,7 +68,7 @@ func checkShareNode(pass *Pass, node *FuncNode, transfers *lineDirectives) {
 		pass.Reportf(pos, "owned %s value %s; annotate the hand-off with //rexlint:transfer <reason> or clone first", name, how)
 	}
 
-	for _, st := range prog.local[node].sites {
+	for _, st := range prog.SummaryOf(node).sites {
 		if st.value == nil || st.kind >= siteGlobal && freshValue(st.value) {
 			continue // a receive, or a store of a value made in place
 		}
@@ -103,58 +104,33 @@ func freshValue(e ast.Expr) bool {
 	return false
 }
 
-// checkShareCall flags owned arguments passed to escaping parameters.
+// checkShareCall flags owned arguments passed to a parameter the module
+// callee lets escape, read one hop deep from its summary, or passed out of
+// the module to a call that may retain them.
 func checkShareCall(pass *Pass, site *CallSite, ownedName func(ast.Expr) string, report func(token.Pos, string, string)) {
-	call := site.Call
-	if len(site.Callees) == 0 {
-		// Stdlib or unresolved: passing an owned value out of the module
-		// is conservatively an escape (the callee may retain it).
-		if mayRetain(site) {
-			for _, arg := range call.Args {
-				if name := ownedName(arg); name != "" && !freshValue(arg) {
-					report(arg.Pos(), name, "passed to an unresolvable callee that may retain it")
-				}
-			}
-		}
+	callee := site.Callee
+	if callee == nil && !mayRetain(site) {
 		return
 	}
-	for _, arg := range call.Args {
+	for i, arg := range site.Call.Args {
 		name := ownedName(arg)
 		if name == "" || freshValue(arg) {
 			continue
 		}
-		for _, callee := range site.Callees {
-			cs := pass.Prog.SummaryOf(callee)
-			idx := argParamIndex(callee, call, arg)
-			if idx >= 0 && idx < len(cs.ParamEscape) && cs.ParamEscape[idx] != "" {
-				report(arg.Pos(), name, cs.ParamEscape[idx]+" by "+callee.Name())
-				break
-			}
+		if callee == nil {
+			report(arg.Pos(), name, "passed to an unresolvable callee that may retain it")
+			continue
+		}
+		esc := pass.Prog.SummaryOf(callee).ParamEscape
+		if j := min(i, len(esc)-1); j >= 0 && esc[j] != "" { // a variadic tail maps to the last parameter
+			report(arg.Pos(), name, esc[j]+" by "+callee.Name())
 		}
 	}
-}
-
-// argParamIndex maps a call argument back to the callee's parameter index.
-func argParamIndex(callee *FuncNode, call *ast.CallExpr, arg ast.Expr) int {
-	for i, a := range call.Args {
-		if a == arg {
-			if i >= len(callee.Params) && len(callee.Params) > 0 {
-				return len(callee.Params) - 1 // variadic tail
-			}
-			return i
-		}
-	}
-	return -1
 }
 
 // mayRetain reports whether a call with no module-local callee might
 // retain its arguments: an unresolvable call does, and so does every
 // stdlib callee bar the effect-free entries of the table, such as math.
 func mayRetain(site *CallSite) bool {
-	retains := site.Unknown
-	for _, name := range site.Std {
-		sc := stdCallOf(name)
-		retains = retains || sc.mask != 0 || sc.sorts
-	}
-	return retains
+	return site.Unknown || site.std().mask != 0
 }

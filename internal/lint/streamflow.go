@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"cmp"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -40,7 +41,7 @@ func checkStreams(pass *Pass, n *FuncNode) {
 			entry.set(objKey(p), streamTaint(n.Streams, ""))
 		}
 	}
-	if entry == nil && !slices.ContainsFunc(n.Calls, func(s CallSite) bool { return slices.ContainsFunc(s.Callees, mintsStream) }) {
+	if entry == nil && !slices.ContainsFunc(n.Calls, func(s CallSite) bool { return s.Callee != nil && mintsStream(s.Callee) }) {
 		return
 	}
 	tf := &taintFlow{info: n.Pkg.Info, prog: pass.Prog, entry: entry, source: func(e ast.Expr) taint {
@@ -77,8 +78,8 @@ func checkStreams(pass *Pass, n *FuncNode) {
 		}
 		// A draw is a standard-library method called on a stream; one
 		// minted by the streamsource right there was reported as minted.
-		if recv, _ := ast.Unparen(site.RecvExpr).(*ast.CallExpr); site.RecvExpr != nil && len(site.Std) > 0 &&
-			len(site.Callees) == 0 && calleeWhere(pass.Prog.SiteAt(recv), isSource) == nil {
+		if recv, _ := ast.Unparen(site.RecvExpr).(*ast.CallExpr); site.RecvExpr != nil && site.Std != "" &&
+			calleeWhere(pass.Prog.SiteAt(recv), isSource) == nil {
 			t := tf.taintOf(site.RecvExpr, f)
 			for _, name := range sortedKeys(t) {
 				if !slices.Contains(n.Streams, name) {
@@ -89,16 +90,11 @@ func checkStreams(pass *Pass, n *FuncNode) {
 		for _, arg := range call.Args {
 			t := tf.taintOf(arg, f)
 			for _, name := range sortedKeys(t) {
-				for _, callee := range site.Callees {
-					if !slices.Contains(callee.Streams, name) {
-						pass.Reportf(arg.Pos(), "%s passes RNG stream %q to %s, which does not declare it (//rexlint:stream)%s",
-							n.Name(), name, callee.Name(), t.chain(name))
-					}
+				if callee := site.Callee; callee != nil && !slices.Contains(callee.Streams, name) {
+					pass.Reportf(arg.Pos(), "%s passes RNG stream %q to %s, which does not declare it (//rexlint:stream)%s",
+						n.Name(), name, callee.Name(), t.chain(name))
 				}
-				if target := "a dynamic call"; len(site.Callees) == 0 && !slices.Contains(n.Streams, name) {
-					if len(site.Std) > 0 {
-						target = site.Std[0]
-					}
+				if target := cmp.Or(site.Std, "a dynamic call"); site.Callee == nil && !slices.Contains(n.Streams, name) {
 					undeclared(arg.Pos(), "passes", name, " to "+target, t.chain(name))
 				}
 			}
@@ -121,13 +117,11 @@ func mintsStream(n *FuncNode) bool {
 	return false
 }
 
-// calleeWhere returns the site's first module callee that satisfies ok, or
-// nil (also for a nil site).
+// calleeWhere returns the site's module callee if it satisfies ok, or nil
+// (also for a nil site).
 func calleeWhere(site *CallSite, ok func(*FuncNode) bool) *FuncNode {
-	if site != nil {
-		if i := slices.IndexFunc(site.Callees, ok); i >= 0 {
-			return site.Callees[i]
-		}
+	if site != nil && site.Callee != nil && ok(site.Callee) {
+		return site.Callee
 	}
 	return nil
 }

@@ -1,22 +1,20 @@
 package lint
 
-// Interprocedural function summaries. A Program owns the call graph of
-// callgraph.go plus one Summary per function node: a monotone effect mask
-// (allocates / reads the wall clock / blocks / mutates receiver or
-// parameter state / global effect / unresolvable call) with provenance
-// traces, receiver-mutex unlock facts for lockcheck, and per-parameter
-// escape facts for sharecheck.
-//
-// Summaries are computed bottom-up in two stages. The local stage walks the
-// blocks of each function's CFG that are reachable from entry — so effects
+// Function summaries. A Program owns the call graph of callgraph.go plus one
+// Summary per function node, computed once from that function's own body:
+// an effect mask (allocates / reads the wall clock / blocks / mutates
+// receiver or parameter state / global effect / unresolvable call) with the
+// sites behind it, the receiver mutexes it unlocks on net, its parameter and
+// receiver escapes, and the site table (channel operations, goroutine
+// hand-offs, non-local stores) that lockcheck and sharecheck read too. Only
+// the blocks of the function's CFG reachable from entry are read, so effects
 // in unreachable code (after return/panic, or pruned by the CFG builder)
-// never enter a summary — and collects provenance sites from them in
-// source order, plus the site table (channel operations, goroutine
-// hand-offs, non-local stores) that lockcheck and sharecheck read too. The
-// interprocedural stage then runs one caller-driven worklist to a
-// fixpoint, folding callee summaries into callers; every lattice is finite
-// and every transfer monotone, so recursion and mutual recursion converge
-// deterministically.
+// never enter a summary.
+//
+// Nothing is folded up the call graph. A consumer reads a module callee's
+// summary at the call site, one hop deep; where one hop is not enough, a
+// directive stands in for the callee (//rexlint:noalloc, //rexlint:pure:
+// a callee that carries it is checked on its own).
 //
 // Two deliberate scope decisions, shared by every consumer:
 //
@@ -25,9 +23,9 @@ package lint
 //     the constant's build-tag value: production builds compile them out,
 //     and folding keeps default and -tags debugasserts lint runs in
 //     agreement.
-//   - A `//rexlint:ignore <analyzer> <reason>` on a leaf site blesses the
-//     whole call chain: the waived effect is kept out of the summary, so
-//     callers are not re-flagged for a site a reviewer already accepted.
+//   - A `//rexlint:ignore <analyzer> <reason>` on a leaf site keeps the
+//     waived effect out of the summary, so callers reading it one hop deep
+//     are not re-flagged for a site a reviewer already accepted.
 
 import (
 	"go/ast"
@@ -60,93 +58,88 @@ const (
 	EffMutatesRecv
 	// EffMutatesParam: writes through a pointer/slice/map parameter.
 	EffMutatesParam
-	// EffUnknown: contains a dynamic call with no resolvable target, so
-	// nothing can be proven about it.
+	// EffUnknown: contains a dynamic call with no resolvable target (a call
+	// through a func value or an interface), so nothing can be proven about
+	// it.
 	EffUnknown
 )
 
-// Trace is the provenance of one effect bit: the root site that produced
-// it, the call chain it arrived through, and where that chain enters the
-// summarized function.
-type Trace struct {
-	// Pos is the root site (the actual allocation / clock read / ...).
-	Pos token.Pos
-	// What describes the root site ("make([]int, n)", "time.Now", ...).
-	What string
-	// Via is the callee chain from the summarized function down to the
-	// root site's function; empty for a local site.
-	Via []string
-	// EntryPos is where the effect enters this function: the root site
-	// itself when local, otherwise the call site of Via[0].
-	EntryPos token.Pos
+// effect is one site behind an effect bit: where it is and what it is
+// ("make", "time.Now", "channel send", ...).
+type effect struct {
+	bit  uint16
+	pos  token.Pos
+	what string
+	// via is the call a module callee's own site enters the caller through,
+	// when the effect is read one hop deep; nil for the function's own site.
+	via *CallSite
 }
 
-// Chain renders "via a → b" for diagnostics, or "" for local sites.
-func (t *Trace) Chain() string {
-	if t == nil || len(t.Via) == 0 {
+// at is where the effect enters the function: its own site, or the call.
+func (e *effect) at() token.Pos {
+	if e.via != nil {
+		return e.via.Pos
+	}
+	return e.pos
+}
+
+// chain renders " (via callee)" for a callee's site, or "" (also for nil).
+func (e *effect) chain() string {
+	if e == nil || e.via == nil {
 		return ""
 	}
-	return " (via " + strings.Join(t.Via, " → ") + ")"
+	return " (via " + e.via.Callee.Name() + ")"
 }
 
-// Summary is the interprocedural fact set of one function node.
+// firstOf returns the first effect with the bit, or nil.
+func firstOf(es []effect, bit uint16) *effect {
+	for i := range es {
+		if es[i].bit == bit {
+			return &es[i]
+		}
+	}
+	return nil
+}
+
+// Summary holds one function node's own facts.
 type Summary struct {
 	Mask uint16
+	// effects are the sites behind Mask in the order the summary reads
+	// them: the body's own sites by position, then each call's stdlib
+	// callee or unresolvable target.
+	effects []effect
 
-	// Provenance for the caller-visible effect bits; nil when the bit is
-	// unset.
-	Alloc   *Trace
-	Clock   *Trace
-	Block   *Trace
-	Unknown *Trace
-
-	// UnlockFields are receiver mutex field paths ("mu") the function may
-	// unlock on some path, directly or through callees. Sorted.
+	// UnlockFields are receiver mutex field paths ("mu") the function
+	// unlocks without acquiring them itself. Sorted.
 	UnlockFields []string
 
 	// ParamEscape describes, per parameter (parallel to FuncNode.Params),
-	// how the parameter value may escape its caller's ownership ("" = does
-	// not escape): stored into non-local state, sent on a channel,
-	// captured by a goroutine, or passed onward to an escaping parameter.
-	// Nil while no parameter escapes.
+	// how the parameter value escapes its caller's ownership ("" = does not
+	// escape): stored into non-local state, sent on a channel, or captured
+	// by a goroutine. Nil while no parameter escapes.
 	ParamEscape []string
 	// RecvEscape is the same fact for the receiver.
 	RecvEscape string
-}
 
-// Purity maps the mask onto the four-level classification used by the
-// purity analyzer: "pure" < "reads-receiver" < "mutates-receiver" <
-// "global-effect". Parameter mutation classifies with receiver mutation
-// (both are caller-visible writes through the signature).
-func (s *Summary) Purity() string {
-	switch {
-	case s.Mask&(EffGlobal|EffUnknown|EffClock|EffBlock) != 0:
-		return "global-effect"
-	case s.Mask&(EffMutatesRecv|EffMutatesParam) != 0:
-		return "mutates-receiver"
-	case s.Mask&EffReadsRecv != 0:
-		return "reads-receiver"
-	default:
-		return "pure"
-	}
+	// calls are the call sites that survive reachability and debug-guard
+	// folding.
+	calls []CallSite
+	// locked are receiver mutex fields the body acquires itself;
+	// lockcheck's self-deadlock check reads them.
+	locked map[string]bool
+	// sites is the site table, sorted by position.
+	sites []site
 }
-
-// impureBits are the effects a //rexlint:pure function must not have.
-// Allocation alone is allowed: a pure function may build and return a
-// fresh value.
-const impureBits = EffClock | EffBlock | EffGlobal | EffMutatesRecv | EffMutatesParam | EffUnknown
 
 // Program is the substrate every analyzer reads, built once per lint run
 // over every loaded package: the call graph's function nodes, one CFG per
-// node, each package's line-level waivers, and the facts computed on them
-// — one Summary per node, solved by one fixpoint.
+// node, each package's line-level waivers, and one Summary per node.
 type Program struct {
 	Pkgs []*Package
 
 	graph     *callGraph
 	cfgs      map[*FuncNode]*CFG
 	summaries map[*FuncNode]*Summary
-	local     map[*FuncNode]*localFacts
 	nodesExpr map[*Package][]*FuncNode
 	waivers   map[*Package]*lineDirectives
 	owned     map[*types.TypeName]bool
@@ -155,16 +148,15 @@ type Program struct {
 	nonneg map[*types.Var]bool
 }
 
-// NewProgram builds the call graph and solves every function summary.
-// Analyzer scope does not matter here: summaries cover the whole package
-// set so facts can cross package boundaries.
+// NewProgram builds the call graph and every function summary. Analyzer
+// scope does not matter here: summaries cover the whole package set so a
+// callee in another package can be read at its call sites.
 func NewProgram(pkgs []*Package) *Program {
 	p := &Program{
 		Pkgs:      pkgs,
 		graph:     buildCallGraph(pkgs),
 		cfgs:      make(map[*FuncNode]*CFG),
 		summaries: make(map[*FuncNode]*Summary),
-		local:     make(map[*FuncNode]*localFacts),
 		nodesExpr: make(map[*Package][]*FuncNode),
 		waivers:   make(map[*Package]*lineDirectives),
 		owned:     make(map[*types.TypeName]bool),
@@ -175,10 +167,8 @@ func NewProgram(pkgs []*Package) *Program {
 	p.nonneg = collectNonnegFields(pkgs)
 	for _, n := range p.graph.nodes {
 		p.nodesExpr[n.Pkg] = append(p.nodesExpr[n.Pkg], n)
-		p.local[n] = computeLocalFacts(p, n)
-		p.summaries[n] = &Summary{}
+		p.summaries[n] = summarize(p, n)
 	}
-	p.solve()
 	return p
 }
 
@@ -218,20 +208,10 @@ func (p *Program) SiteAt(call *ast.CallExpr) *CallSite { return p.graph.siteAt[c
 
 // EffectiveCalls returns n's call sites that survive CFG reachability and
 // debug-guard folding — the sites its summary was computed from.
-func (p *Program) EffectiveCalls(n *FuncNode) []CallSite {
-	if lf, ok := p.local[n]; ok {
-		return lf.calls
-	}
-	return n.Calls
-}
+func (p *Program) EffectiveCalls(n *FuncNode) []CallSite { return p.summaries[n].calls }
 
-// SummaryOf returns the node's summary (never nil for graph nodes).
-func (p *Program) SummaryOf(n *FuncNode) *Summary {
-	if s, ok := p.summaries[n]; ok {
-		return s
-	}
-	return &Summary{}
-}
+// SummaryOf returns the node's summary.
+func (p *Program) SummaryOf(n *FuncNode) *Summary { return p.summaries[n] }
 
 // OwnedTypeName reports the qualified name of t's named type when it is
 // declared //rexlint:owned (pointers are dereferenced), or "".
@@ -284,37 +264,13 @@ func collectOwnedTypes(pkg *Package, out map[*types.TypeName]bool) {
 }
 
 // ---------------------------------------------------------------------------
-// Local stage: per-function effect facts over the reachable CFG blocks.
+// Local stage: one function's own facts over its reachable CFG blocks.
 
-// localFacts is the intraprocedural part of a node's summary: its own
-// effect events plus the call sites that survive reachability and
-// debug-guard folding.
-type localFacts struct {
-	events []effectEvent
-	calls  []CallSite
-	// unlocks are receiver mutex fields unlocked directly in this body.
-	unlocks []string
-	// locked are receiver mutex fields the body also acquires itself; an
-	// unlock balanced by a local acquisition is not a net unlock and must
-	// not surface in UnlockFields (callers' held facts survive the call).
-	// lockcheck's self-deadlock check reads the same set.
-	locked map[string]bool
-	// sites is the site table, sorted by position.
-	sites []site
-}
-
-// effectEvent is one local effect site.
-type effectEvent struct {
-	bit  uint16
-	pos  token.Pos
-	what string
-}
-
-// computeLocalFacts builds one node's local facts: harvest provenance
-// events and surviving call sites from the CFG blocks reachable from entry,
-// in block order, so nothing from unreachable code enters the summary.
-func computeLocalFacts(p *Program, n *FuncNode) *localFacts {
-	lf := &localFacts{}
+// summarize builds one node's summary: effect sites, the site table and the
+// surviving call sites, harvested from the CFG blocks reachable from entry
+// in block order, so nothing from unreachable code enters it.
+func summarize(p *Program, n *FuncNode) *Summary {
+	s := &Summary{}
 	cls := newNodeClassifier(p, n)
 	g := p.CFG(n)
 	reach := g.Reachable()
@@ -326,30 +282,51 @@ func computeLocalFacts(p *Program, n *FuncNode) *localFacts {
 		for _, node := range b.Nodes {
 			reachSpans = append(reachSpans, posRange{node.Pos(), node.End()})
 			cls.walkEffects(node, func(bit uint16, pos token.Pos, what string) {
-				lf.events = append(lf.events, effectEvent{bit: bit, pos: pos, what: what})
+				s.effects = append(s.effects, effect{bit: bit, pos: pos, what: what})
 			})
-			cls.collectSites(node, lf)
+			cls.collectSites(node, s)
 		}
 	}
-	sort.SliceStable(lf.sites, func(i, j int) bool { return lf.sites[i].pos < lf.sites[j].pos })
-	for _, st := range lf.sites {
-		if st.blocks && !cls.waived("lockcheck", st.op) {
-			lf.events = append(lf.events, effectEvent{bit: EffBlock, pos: st.op, what: st.opName()})
+	sort.SliceStable(s.sites, func(i, j int) bool { return s.sites[i].pos < s.sites[j].pos })
+	for _, st := range s.sites {
+		if st.blocks && !p.waivedAt(n, "lockcheck", st.op) {
+			s.effects = append(s.effects, effect{bit: EffBlock, pos: st.op, what: st.opName()})
+		}
+		if id, ok := ast.Unparen(st.value).(*ast.Ident); ok {
+			s.markEscape(n, rootObject(n.Pkg.Info, id), st.how)
 		}
 	}
-	sort.Slice(lf.events, func(i, j int) bool { return lf.events[i].pos < lf.events[j].pos })
+	sort.Slice(s.effects, func(i, j int) bool { return s.effects[i].pos < s.effects[j].pos })
 
 	// Call sites survive if reachable and not inside a folded debug guard.
+	var unlocks []string
 	for _, site := range n.Calls {
 		if !inRanges(reachSpans, site.Pos) || cls.guarded(site.Pos) {
 			continue
 		}
-		lf.calls = append(lf.calls, site)
-	}
-
-	// Receiver mutexes the surviving calls release and acquire, by their
-	// lock role in the stdlib table.
-	for _, site := range lf.calls {
+		s.calls = append(s.calls, site)
+		if site.Unknown {
+			s.effects = append(s.effects,
+				effect{bit: EffUnknown, pos: site.Pos, what: "dynamic call with no resolvable target"},
+				effect{bit: EffGlobal, pos: site.Pos})
+		}
+		mask := site.std().mask
+		if mask&EffClock != 0 && (n.ClockExempt || p.waivedAt(n, "clockpurity", site.Pos)) {
+			mask &^= EffClock
+		}
+		if mask&EffAlloc != 0 && p.waivedAt(n, "alloccheck", site.Pos) {
+			mask &^= EffAlloc
+		}
+		if site.Async {
+			mask &^= EffBlock
+		}
+		for _, bit := range []uint16{EffAlloc, EffClock, EffBlock, EffGlobal, EffMutatesParam} {
+			if mask&bit != 0 {
+				s.effects = append(s.effects, effect{bit: bit, pos: site.Pos, what: site.Std})
+			}
+		}
+		// Receiver mutexes the call releases or acquires, by the lock role
+		// of its stdlib callee.
 		role := site.std().lock
 		if role == lockNone || n.Recv == nil || rootObject(n.Pkg.Info, site.RecvExpr) != n.Recv {
 			continue
@@ -359,17 +336,49 @@ func computeLocalFacts(p *Program, n *FuncNode) *localFacts {
 			field = f
 		}
 		if role == lockRelease {
-			lf.unlocks = append(lf.unlocks, field)
+			unlocks = append(unlocks, field)
 		} else {
-			if lf.locked == nil {
-				lf.locked = make(map[string]bool)
+			if s.locked == nil {
+				s.locked = make(map[string]bool)
 			}
-			lf.locked[field] = true
+			s.locked[field] = true
 		}
 	}
-	sort.Strings(lf.unlocks)
-	lf.unlocks = slices.Compact(lf.unlocks)
-	return lf
+	for _, e := range s.effects {
+		s.Mask |= e.bit
+	}
+	// An unlock balanced by a local acquisition is not a net unlock: a
+	// caller's held fact survives the call.
+	for _, u := range unlocks {
+		if !s.locked[u] {
+			s.UnlockFields = append(s.UnlockFields, u)
+		}
+	}
+	sort.Strings(s.UnlockFields)
+	s.UnlockFields = slices.Compact(s.UnlockFields)
+	return s
+}
+
+// markEscape records an escape fact for the node's receiver or one of its
+// parameters; the first escape of each wins.
+func (s *Summary) markEscape(n *FuncNode, obj types.Object, how string) {
+	if obj == nil {
+		return
+	}
+	if obj == n.Recv && s.RecvEscape == "" {
+		s.RecvEscape = how
+		return
+	}
+	for i, pr := range n.Params {
+		if pr != nil && obj == pr {
+			if s.ParamEscape == nil {
+				s.ParamEscape = make([]string, len(n.Params))
+			}
+			if s.ParamEscape[i] == "" {
+				s.ParamEscape[i] = how
+			}
+		}
+	}
 }
 
 type posRange struct{ lo, hi token.Pos }
@@ -387,9 +396,9 @@ func inRanges(ranges []posRange, pos token.Pos) bool {
 // ---------------------------------------------------------------------------
 // Node-level effect classification.
 
-// nodeClassifier computes the effect mask and provenance events of single
-// straight-line CFG nodes for one function, honoring debug-guard folding
-// and leaf-site ignore waivers.
+// nodeClassifier computes the effect sites of single straight-line CFG
+// nodes for one function, honoring debug-guard folding and leaf-site ignore
+// waivers.
 type nodeClassifier struct {
 	prog *Program
 	node *FuncNode
@@ -438,15 +447,6 @@ func constBoolGuard(info *types.Info, cond ast.Expr) bool {
 // guarded reports whether pos lies inside a folded debug-assertion block.
 func (c *nodeClassifier) guarded(pos token.Pos) bool { return inRanges(c.guards, pos) }
 
-// waived reports whether an effect at pos was accepted by a reviewer via a
-// line-level ignore for the given analyzer; the waiver then blesses the
-// whole call chain. Marking the entry used here is deliberate: a waiver
-// consumed by the summary layer is doing work even if the analyzer itself
-// never fires at that line.
-func (c *nodeClassifier) waived(analyzer string, pos token.Pos) bool {
-	return c.prog.waivedAt(c.node, analyzer, pos)
-}
-
 // walkEffects visits one straight-line node and emits its local effects.
 func (c *nodeClassifier) walkEffects(n ast.Node, emit func(bit uint16, pos token.Pos, what string)) {
 	info := c.info
@@ -488,7 +488,7 @@ func (c *nodeClassifier) walkEffects(n ast.Node, emit func(bit uint16, pos token
 				c.alloc(emit, s.Pos(), "string concatenation")
 			}
 		case *ast.RangeStmt:
-			if _, ok := info.TypeOf(s.X).Underlying().(*types.Chan); ok && !c.waived("lockcheck", s.For) {
+			if _, ok := info.TypeOf(s.X).Underlying().(*types.Chan); ok && !c.prog.waivedAt(c.node, "lockcheck", s.For) {
 				emit(EffBlock, s.For, "range over channel")
 			}
 		case *ast.GoStmt:
@@ -533,16 +533,16 @@ func (c *nodeClassifier) walkEffects(n ast.Node, emit func(bit uint16, pos token
 }
 
 func (c *nodeClassifier) alloc(emit func(uint16, token.Pos, string), pos token.Pos, what string) {
-	if c.waived("alloccheck", pos) {
+	if c.prog.waivedAt(c.node, "alloccheck", pos) {
 		return
 	}
 	emit(EffAlloc, pos, what)
 }
 
 // callEffects classifies one call expression: builtins, conversions, and
-// interface-boxing argument passing. Module-local callee effects arrive
-// later through the summary fixpoint; stdlib callees, clock reads among
-// them, are classified there too (stdCallOf), so this handles only
+// interface-boxing argument passing. Stdlib callees, clock reads among
+// them, are classified from the call sites (stdCallOf), and module-local
+// callees are read by the consumers at the call, so this handles only
 // syntax-local effects.
 func (c *nodeClassifier) callEffects(call *ast.CallExpr, emit func(uint16, token.Pos, string)) {
 	info := c.info
@@ -828,9 +828,9 @@ func (s *site) opName() string {
 }
 
 // collectSites appends the site-table entries of one reachable CFG node.
-func (c *nodeClassifier) collectSites(n ast.Node, lf *localFacts) {
+func (c *nodeClassifier) collectSites(n ast.Node, sum *Summary) {
 	add := func(kind siteKind, pos token.Pos, value ast.Expr, how string) {
-		lf.sites = append(lf.sites, site{kind: kind, node: n, pos: pos, op: pos, value: value, how: how})
+		sum.sites = append(sum.sites, site{kind: kind, node: n, pos: pos, op: pos, value: value, how: how})
 	}
 	inspectShallow(n, func(x ast.Node) bool {
 		if x == nil || c.guarded(x.Pos()) {
@@ -838,11 +838,11 @@ func (c *nodeClassifier) collectSites(n ast.Node, lf *localFacts) {
 		}
 		switch s := x.(type) {
 		case *ast.SendStmt:
-			lf.sites = append(lf.sites, site{kind: siteSend, node: n, pos: s.Pos(), op: s.Arrow,
+			sum.sites = append(sum.sites, site{kind: siteSend, node: n, pos: s.Pos(), op: s.Arrow,
 				value: s.Value, how: "sent on a channel", blocks: !c.nonBlocking[n]})
 		case *ast.UnaryExpr:
 			if s.Op == token.ARROW {
-				lf.sites = append(lf.sites, site{kind: siteRecv, node: n, pos: s.OpPos, op: s.OpPos, blocks: !c.nonBlocking[n]})
+				sum.sites = append(sum.sites, site{kind: siteRecv, node: n, pos: s.OpPos, op: s.OpPos, blocks: !c.nonBlocking[n]})
 			}
 		case *ast.GoStmt:
 			for _, arg := range s.Call.Args {
@@ -914,7 +914,7 @@ func (c *nodeClassifier) capturedIdents(lit *ast.FuncLit) []*ast.Ident {
 }
 
 // ---------------------------------------------------------------------------
-// Interprocedural stage: fixpoint over sorted nodes.
+// Stdlib table.
 
 // lockRole is what a stdlib call does to the mutex it is called on.
 type lockRole uint8
@@ -942,13 +942,11 @@ const (
 )
 
 // stdCall is one entry of the stdlib table: the callee's effect mask, its
-// mutex role, whether it is an in-place sorter (sort.Sort/Stable) whose
-// effects are its argument's method set (merged by the caller), whether it
-// never returns, and its role for detflow's order taint.
+// mutex role, whether it never returns, and its role for detflow's order
+// taint.
 type stdCall struct {
 	mask  uint16
 	lock  lockRole
-	sorts bool
 	exits bool
 	order orderRole
 }
@@ -989,8 +987,8 @@ var stdCalls = map[string]stdCall{
 	"(sync.WaitGroup).Wait":  {mask: EffBlock},
 
 	"sort.Search": {order: orderSanitize},
-	"sort.Sort":   {sorts: true, order: orderSanitize},
-	"sort.Stable": {sorts: true, order: orderSanitize},
+	"sort.Sort":   {order: orderSanitize},
+	"sort.Stable": {order: orderSanitize},
 
 	"maps.Keys":   {mask: stdDefault, order: orderSource},
 	"maps.Values": {mask: stdDefault, order: orderSource},
@@ -1033,288 +1031,28 @@ func stdCallOf(name string) stdCall {
 // std classifies the site's stdlib callee; the zero stdCall for a nil site
 // or a site without one.
 func (s *CallSite) std() stdCall {
-	if s == nil || len(s.Std) == 0 {
+	if s == nil || s.Std == "" {
 		return stdCall{}
 	}
-	return stdCallOf(s.Std[0])
+	return stdCallOf(s.Std)
 }
 
-// stdWith returns the site's first stdlib callee whose table mask has one
-// of bits, or "" (also for a nil site).
+// stdWith returns the site's stdlib callee when its table mask has one of
+// bits, or "" (also for a nil site).
 func (s *CallSite) stdWith(bits uint16) string {
-	if s == nil {
-		return ""
-	}
-	for _, name := range s.Std {
-		if stdCallOf(name).mask&bits != 0 {
-			return name
-		}
+	if s.std().mask&bits != 0 {
+		return s.Std
 	}
 	return ""
 }
 
-// solve drives the effect summaries to a fixpoint with a caller-driven
-// worklist: every node is updated once in node order, and again only when
-// a summary it reads grew — a callee's at one of its call sites, or a
-// Len/Less/Swap method's of a value it hands to sort.Sort. The order is
-// deterministic, so provenance (first trace wins) is too.
-func (p *Program) solve() {
-	nodes := p.graph.nodes
-	callers := make(map[*FuncNode][]*FuncNode)
-	for _, n := range nodes {
-		for i := range n.Calls {
-			site := &n.Calls[i]
-			for _, callee := range site.Callees {
-				callers[callee] = append(callers[callee], n)
-			}
-			for _, m := range p.sortMethods(n, site) {
-				callers[m] = append(callers[m], n)
-			}
-		}
-	}
-	work := slices.Clone(nodes)
-	queued := make(map[*FuncNode]bool, len(nodes))
-	for _, n := range nodes {
-		queued[n] = true
-	}
-	for len(work) > 0 {
-		n := work[0]
-		work = work[1:]
-		queued[n] = false
-		if !p.updateEffects(n) {
-			continue
-		}
-		for _, caller := range callers[n] {
-			if !queued[caller] {
-				queued[caller] = true
-				work = append(work, caller)
-			}
-		}
-	}
-}
-
-// updateEffects recomputes one node's effect facts; reports whether
-// anything grew.
-func (p *Program) updateEffects(n *FuncNode) bool {
-	s := p.summaries[n]
-	lf := p.local[n]
-	changed := false
-
-	setBit := func(bit uint16, tr *Trace) {
-		if s.Mask&bit != 0 {
-			return
-		}
-		s.Mask |= bit
-		changed = true
-		if slot := s.traceSlot(bit); slot != nil {
-			*slot = tr
-		}
-	}
-
-	// Local events.
-	for _, ev := range lf.events {
-		setBit(ev.bit, &Trace{Pos: ev.pos, What: ev.what, EntryPos: ev.pos})
-	}
-	for _, st := range lf.sites {
-		if id, ok := ast.Unparen(st.value).(*ast.Ident); ok {
-			p.markEscape(n, s, rootObject(n.Pkg.Info, id), st.how, &changed)
-		}
-	}
-	for _, u := range lf.unlocks {
-		if lf.locked[u] {
-			continue // balanced by a local acquisition: not a net unlock
-		}
-		if !slices.Contains(s.UnlockFields, u) {
-			s.UnlockFields = append(s.UnlockFields, u)
-			sort.Strings(s.UnlockFields)
-			changed = true
-		}
-	}
-
-	// Call sites.
-	for _, site := range lf.calls {
-		if site.Unknown {
-			setBit(EffUnknown, &Trace{Pos: site.Pos, What: "dynamic call with no resolvable target", EntryPos: site.Pos})
-			setBit(EffGlobal, nil)
-		}
-		// The in-place sorters charge the caller with the sorted value's
-		// Len/Less/Swap and allocate nothing themselves.
-		for _, m := range p.sortMethods(n, &site) {
-			ms := p.summaries[m]
-			for _, bit := range []uint16{EffAlloc, EffClock, EffBlock, EffGlobal, EffUnknown} {
-				if ms.Mask&bit != 0 && (bit != EffAlloc || !p.waivedAt(n, "alloccheck", site.Pos)) {
-					setBit(bit, liftTrace(ms, bit, m, site.Pos))
-				}
-			}
-		}
-		for _, name := range site.Std {
-			mask := stdCallOf(name).mask
-			if mask&EffClock != 0 && (n.ClockExempt || p.waivedAt(n, "clockpurity", site.Pos)) {
-				mask &^= EffClock
-			}
-			if mask&EffAlloc != 0 && p.waivedAt(n, "alloccheck", site.Pos) {
-				mask &^= EffAlloc
-			}
-			if site.Async {
-				mask &^= EffBlock
-			}
-			for _, bit := range []uint16{EffAlloc, EffClock, EffBlock, EffGlobal, EffMutatesParam} {
-				if mask&bit != 0 {
-					setBit(bit, &Trace{Pos: site.Pos, What: name, EntryPos: site.Pos})
-				}
-			}
-		}
-		for _, callee := range site.Callees {
-			p.mergeCallee(n, s, lf, site, callee, setBit, &changed)
-		}
-	}
-	return changed
-}
-
 // waivedAt reports whether a line-level ignore for the analyzer covers pos
-// in n, marking it used.
+// in n, marking it used. A waived effect stays out of n's summary, so
+// callers reading it are not flagged either; marking the entry used there is
+// deliberate: a waiver consumed by the summary layer is doing work even if
+// the analyzer itself never fires at that line.
 func (p *Program) waivedAt(n *FuncNode, analyzer string, pos token.Pos) bool {
 	return p.waiversFor(n.Pkg).covers(analyzer, n.Pkg.Fset.Position(pos))
-}
-
-// traceSlot returns the provenance field of a caller-visible effect bit, or
-// nil for the bits that carry none.
-func (s *Summary) traceSlot(bit uint16) **Trace {
-	switch bit {
-	case EffAlloc:
-		return &s.Alloc
-	case EffClock:
-		return &s.Clock
-	case EffBlock:
-		return &s.Block
-	case EffUnknown:
-		return &s.Unknown
-	}
-	return nil
-}
-
-// liftTrace extends the callee's provenance of one effect bit by the callee
-// itself, entering the caller at pos.
-func liftTrace(cs *Summary, bit uint16, callee *FuncNode, pos token.Pos) *Trace {
-	var root Trace
-	if slot := cs.traceSlot(bit); slot != nil && *slot != nil {
-		root = **slot
-	}
-	return &Trace{Pos: root.Pos, What: root.What, Via: append([]string{callee.Name()}, root.Via...), EntryPos: pos}
-}
-
-// mergeCallee folds one callee summary into the caller at one site.
-func (p *Program) mergeCallee(n *FuncNode, s *Summary, lf *localFacts, site CallSite, callee *FuncNode, setBit func(uint16, *Trace), changed *bool) {
-	cs := p.summaries[callee]
-	lift := func(bit uint16) { setBit(bit, liftTrace(cs, bit, callee, site.Pos)) }
-	if cs.Mask&EffAlloc != 0 && !p.waivedAt(n, "alloccheck", site.Pos) {
-		lift(EffAlloc)
-	}
-	if cs.Mask&EffClock != 0 && !n.ClockExempt && !p.waivedAt(n, "clockpurity", site.Pos) {
-		lift(EffClock)
-	}
-	if cs.Mask&EffBlock != 0 && !site.Async && !p.waivedAt(n, "lockcheck", site.Pos) {
-		lift(EffBlock)
-	}
-	if cs.Mask&EffUnknown != 0 {
-		lift(EffUnknown)
-	}
-	if cs.Mask&EffGlobal != 0 {
-		setBit(EffGlobal, nil)
-	}
-
-	// Receiver effects map through the call's receiver operand.
-	if cs.Mask&(EffReadsRecv|EffMutatesRecv) != 0 || len(cs.UnlockFields) > 0 || cs.RecvEscape != "" {
-		root := rootObject(n.Pkg.Info, site.RecvExpr)
-		class := classifyForNode(n, root)
-		if cs.Mask&EffMutatesRecv != 0 {
-			switch class {
-			case rootRecv:
-				setBit(EffMutatesRecv, nil)
-			case rootParam:
-				setBit(EffMutatesParam, nil)
-			case rootGlobal, rootCaptured:
-				setBit(EffGlobal, nil)
-			}
-		}
-		if cs.Mask&EffReadsRecv != 0 && class == rootRecv {
-			setBit(EffReadsRecv, nil)
-		}
-		if class == rootRecv && !site.Async {
-			for _, u := range cs.UnlockFields {
-				if lf.locked[u] {
-					continue // caller re-balances what the callee releases
-				}
-				if !slices.Contains(s.UnlockFields, u) {
-					s.UnlockFields = append(s.UnlockFields, u)
-					sort.Strings(s.UnlockFields)
-					*changed = true
-				}
-			}
-		}
-	}
-
-	// Parameter mutation: a callee that writes through its pointer
-	// parameters mutates whatever the caller passed.
-	if cs.Mask&EffMutatesParam != 0 && site.Call != nil {
-		for i := range callee.Params {
-			if i >= len(site.Call.Args) {
-				break
-			}
-			switch classifyForNode(n, rootObject(n.Pkg.Info, site.Call.Args[i])) {
-			case rootRecv:
-				setBit(EffMutatesRecv, nil)
-			case rootParam:
-				setBit(EffMutatesParam, nil)
-			case rootGlobal, rootCaptured:
-				setBit(EffGlobal, nil)
-			}
-		}
-	}
-
-	// Escape propagation: caller values passed to escaping callee
-	// parameters escape too.
-	if site.Call != nil {
-		for i, esc := range cs.ParamEscape {
-			if esc == "" || i >= len(site.Call.Args) {
-				continue
-			}
-			how := "passed to " + callee.Name() + ", which " + escVerb(esc)
-			p.markEscape(n, s, rootObject(n.Pkg.Info, site.Call.Args[i]), how, changed)
-		}
-	}
-	if cs.RecvEscape != "" && site.RecvExpr != nil {
-		how := "receiver passed to " + callee.Name() + ", which " + escVerb(cs.RecvEscape)
-		p.markEscape(n, s, rootObject(n.Pkg.Info, site.RecvExpr), how, changed)
-	}
-}
-
-// escVerb turns an escape description into a clause ("stores it ...").
-func escVerb(desc string) string {
-	return "lets it escape (" + desc + ")"
-}
-
-// markEscape records an escape fact for a caller receiver/param object.
-func (p *Program) markEscape(n *FuncNode, s *Summary, obj types.Object, how string, changed *bool) {
-	if obj == nil {
-		return
-	}
-	if obj == n.Recv && s.RecvEscape == "" {
-		s.RecvEscape = how
-		*changed = true
-		return
-	}
-	for i, pr := range n.Params {
-		if pr != nil && obj == pr {
-			if s.ParamEscape == nil {
-				s.ParamEscape = make([]string, len(n.Params))
-			}
-			if s.ParamEscape[i] == "" {
-				s.ParamEscape[i] = how
-				*changed = true
-			}
-		}
-	}
 }
 
 // classifyForNode places a root object relative to the function n: its
@@ -1347,22 +1085,96 @@ func classifyForNode(n *FuncNode, obj types.Object) rootClass {
 	return rootLocal
 }
 
-// sortMethods returns the module-local Len/Less/Swap methods of the value a
-// sort.Sort/sort.Stable site sorts — the in-place sorters invoke them, so
-// the caller reads their summaries — or nil for any other site.
-func (p *Program) sortMethods(n *FuncNode, site *CallSite) []*FuncNode {
-	if !site.std().sorts || site.Call == nil || len(site.Call.Args) == 0 {
-		return nil
+// ---------------------------------------------------------------------------
+// One hop: a directive function's callees, read at the call.
+
+// oneHop reads what a function that carries a directive is held to: its own
+// effects, then, call by call, each module callee's own effects mapped onto
+// it at the call. A literal the function creates is its own code, so the
+// literal's calls are read as the function's. A callee for which trusted
+// holds carries the same directive and is checked on its own, so it is
+// skipped. deep lists, once per callee, the calls of the other callees that
+// call module functions themselves: what those reach lies past the one hop.
+func (p *Program) oneHop(n *FuncNode, trusted func(*FuncNode) bool) (effs []effect, deep []*CallSite) {
+	effs = slices.Clone(p.summaries[n].effects)
+	seen := map[*FuncNode]bool{}
+	var walk func(caller *FuncNode)
+	walk = func(caller *FuncNode) {
+		calls := p.summaries[caller].calls
+		for i := range calls {
+			site := &calls[i]
+			callee := site.Callee
+			if callee == nil || trusted(callee) {
+				continue
+			}
+			effs = append(effs, p.hopEffects(caller, site)...)
+			if seen[callee] {
+				continue
+			}
+			seen[callee] = true
+			if callee.Lit != nil {
+				walk(callee)
+			} else if slices.ContainsFunc(p.EffectiveCalls(callee), func(s CallSite) bool { return s.Callee != nil }) {
+				deep = append(deep, site)
+			}
+		}
 	}
-	argType := n.Pkg.Info.TypeOf(site.Call.Args[0])
-	if argType == nil {
-		return nil
+	walk(n)
+	return effs, deep
+}
+
+// hopEffects maps a module callee's own effects onto the caller n at one
+// call: receiver and parameter effects follow the call's receiver and
+// argument operands, and a waiver at the call, a go statement, or n's Clock
+// exemption drops the bit it covers.
+func (p *Program) hopEffects(n *FuncNode, site *CallSite) []effect {
+	callee := site.Callee
+	cs := p.summaries[callee]
+	info := n.Pkg.Info
+	var out []effect
+	add := func(bit uint16) {
+		e := effect{bit: bit, pos: site.Pos}
+		if own := firstOf(cs.effects, bit); own != nil {
+			e = *own
+		}
+		e.via = site
+		out = append(out, e)
 	}
-	var out []*FuncNode
-	for _, m := range []string{"Len", "Less", "Swap"} {
-		obj, _, _ := types.LookupFieldOrMethod(argType, true, n.Pkg.Types, m)
-		if fn, ok := obj.(*types.Func); ok && p.graph.byFunc[fn] != nil {
-			out = append(out, p.graph.byFunc[fn])
+	mapped := func(obj types.Object) {
+		switch classifyForNode(n, obj) {
+		case rootRecv:
+			add(EffMutatesRecv)
+		case rootParam:
+			add(EffMutatesParam)
+		case rootGlobal, rootCaptured:
+			add(EffGlobal)
+		}
+	}
+	if cs.Mask&EffAlloc != 0 && !p.waivedAt(n, "alloccheck", site.Pos) {
+		add(EffAlloc)
+	}
+	if cs.Mask&EffClock != 0 && !n.ClockExempt && !p.waivedAt(n, "clockpurity", site.Pos) {
+		add(EffClock)
+	}
+	if cs.Mask&EffBlock != 0 && !site.Async && !p.waivedAt(n, "lockcheck", site.Pos) {
+		add(EffBlock)
+	}
+	for _, bit := range []uint16{EffUnknown, EffGlobal} {
+		if cs.Mask&bit != 0 {
+			add(bit)
+		}
+	}
+	if cs.Mask&EffMutatesRecv != 0 {
+		mapped(rootObject(info, site.RecvExpr))
+	}
+	if cs.Mask&EffReadsRecv != 0 && classifyForNode(n, rootObject(info, site.RecvExpr)) == rootRecv {
+		add(EffReadsRecv)
+	}
+	if cs.Mask&EffMutatesParam != 0 && site.Call != nil {
+		for i := range callee.Params {
+			if i < len(site.Call.Args) {
+				mapped(rootObject(info, site.Call.Args[i]))
+			}
 		}
 	}
 	return out

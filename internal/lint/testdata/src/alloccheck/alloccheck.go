@@ -1,5 +1,5 @@
 // Fixture for the alloccheck analyzer: //rexlint:noalloc functions must be
-// provably allocation-free on every reachable path, callees included.
+// provably allocation-free on every reachable path, callees one hop deep.
 // Near-misses: dead code, debug-guarded blocks, waived amortized growth,
 // and clean recursion must stay silent.
 package alloccheck
@@ -105,7 +105,7 @@ func guarded(n int) int {
 }
 
 // amortized waives its append: growth into a reused buffer is amortized
-// zero and the waiver blesses the whole call chain.
+// zero, and the waived site stays out of the summary callers read.
 //
 //rexlint:noalloc
 func amortized(v int) {
@@ -113,15 +113,15 @@ func amortized(v int) {
 	scratch = append(scratch, v)
 }
 
-// callsAmortized inherits the waived summary: silent.
+// callsAmortized calls an annotated callee, which it trusts: silent.
 //
 //rexlint:noalloc
 func callsAmortized() {
 	amortized(3)
 }
 
-// recurseOK exercises the summary fixpoint over recursion: no allocation
-// on any path, so the self-referential summary converges clean.
+// recurseOK calls itself, an annotated callee: no allocation on any path
+// of its own, so it is silent.
 //
 //rexlint:noalloc
 func recurseOK(n int) int {

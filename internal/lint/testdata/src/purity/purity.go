@@ -32,7 +32,7 @@ func hidesClock() int64 {
 	return readClock()
 }
 
-// mutator is impure; pureCaller inherits the mutation through the summary.
+// mutator is impure; pureCaller reads the mutation one hop deep.
 func (c *counter) mutator() { c.n = 0 }
 
 //rexlint:pure
