@@ -48,14 +48,3 @@ func Shuffled(r *rand.Rand, n int) []int {
 	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
 	return p
 }
-
-// clamp bounds x to [lo, hi].
-func clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}

@@ -125,6 +125,9 @@ func (cfg *Config) validate() error {
 	if !(cfg.TargetFill > 0 && cfg.TargetFill < 1) {
 		return fmt.Errorf("workload: TargetFill must be in (0,1), got %g", cfg.TargetFill)
 	}
+	if !(cfg.LoadSizeCorr >= 0 && cfg.LoadSizeCorr <= 1) {
+		return fmt.Errorf("workload: LoadSizeCorr must be in [0,1], got %g", cfg.LoadSizeCorr)
+	}
 	if len(cfg.Tiers) == 0 {
 		cfg.Tiers = []MachineTier{{Capacity: vec.New(100, 100, 100), Speed: 1, Weight: 1}}
 	}
@@ -137,6 +140,11 @@ func (cfg *Config) validate() error {
 		}
 		if !(t.Speed > 0) || !(t.Weight > 0) {
 			return fmt.Errorf("workload: tier %d has non-positive speed/weight", i)
+		}
+		for _, x := range t.Capacity {
+			if !(x > 0) || math.IsInf(x, 1) {
+				return fmt.Errorf("workload: tier %d Capacity must be finite and positive in every dimension, got %v", i, t.Capacity)
+			}
 		}
 	}
 	return nil
@@ -154,8 +162,22 @@ type Instance struct {
 // index growth — so it is statically feasible yet load-imbalanced, which is
 // exactly the state the paper's rebalancer starts from.
 func Generate(cfg Config) (*Instance, error) {
-	if err := cfg.validate(); err != nil {
+	c, r, err := generateCluster(cfg)
+	if err != nil {
 		return nil, err
+	}
+	p, err := initialPlacement(r, c)
+	if err != nil {
+		return nil, err
+	}
+	return &Instance{Cluster: c, Placement: p}, nil
+}
+
+// generateCluster builds the machines and shards of cfg's instance, and
+// returns the random stream positioned where the initial placement draws.
+func generateCluster(cfg Config) (*cluster.Cluster, *rand.Rand, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, nil, err
 	}
 	r := rand.New(rand.NewSource(cfg.Seed))
 
@@ -210,7 +232,7 @@ func Generate(cfg Config) (*Instance, error) {
 		}
 	}
 	if err := capLoads(rawMem, maxShardSizeFrac*memCap); err != nil {
-		return nil, fmt.Errorf("workload: shard sizes cannot fit under cap: %w", err)
+		return nil, nil, fmt.Errorf("workload: shard sizes cannot fit under cap: %w", err)
 	}
 
 	// --- shard loads: Zipf popularity blended with size share.
@@ -222,21 +244,21 @@ func Generate(cfg Config) (*Instance, error) {
 		memTotal += m
 	}
 	totalLoad := meanUtil * c.TotalSpeed()
-	corr := clamp(cfg.LoadSizeCorr, 0, 1)
+	corr := cfg.LoadSizeCorr
 	loads := make([]float64, cfg.Shards)
 	for i := 0; i < cfg.Shards; i++ {
 		share := corr*(rawMem[i]/memTotal) + (1-corr)*zipf[perm[i]]
 		loads[i] = share * totalLoad
 	}
 	if err := capLoads(loads, maxShardLoadFrac*c.TotalSpeed()/float64(cfg.Machines)); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	replicas := cfg.Replicas
 	if replicas < 1 {
 		replicas = 1
 	}
 	if replicas > cfg.Machines {
-		return nil, fmt.Errorf("workload: %d replicas cannot be spread over %d machines",
+		return nil, nil, fmt.Errorf("workload: %d replicas cannot be spread over %d machines",
 			replicas, cfg.Machines)
 	}
 	for i := 0; i < cfg.Shards; i++ {
@@ -257,14 +279,9 @@ func Generate(cfg Config) (*Instance, error) {
 	}
 
 	if err := c.Validate(); err != nil {
-		return nil, fmt.Errorf("workload: generated invalid cluster: %w", err)
+		return nil, nil, fmt.Errorf("workload: generated invalid cluster: %w", err)
 	}
-
-	p, err := initialPlacement(r, c)
-	if err != nil {
-		return nil, err
-	}
-	return &Instance{Cluster: c, Placement: p}, nil
+	return c, r, nil
 }
 
 // capLoads water-fills loads under a per-shard cap, preserving the total:
@@ -379,36 +396,14 @@ func dealTiers(r *rand.Rand, n int, tiers []MachineTier) []int {
 
 // initialPlacement packs shards by static best-fit in random arrival order,
 // ignoring load. Mimics organic index growth: feasible statically,
-// imbalanced in load.
+// imbalanced in load. Each shard goes to the machine of least slack that
+// can take it, the lowest machine ID among equals (fitIndex).
 func initialPlacement(r *rand.Rand, c *cluster.Cluster) (*cluster.Placement, error) {
 	p := cluster.NewPlacement(c)
 	order := Shuffled(r, c.NumShards())
-	// Pre-sort a machine index by capacity so ties break deterministically.
-	machs := make([]cluster.MachineID, c.NumMachines())
-	for i := range machs {
-		machs[i] = cluster.MachineID(i)
-	}
+	fit := newFitIndex(p)
 	for _, si := range order {
-		s := cluster.ShardID(si)
-		static := c.Shards[si].Static
-		// best-fit: machine with minimal remaining slack (in the max
-		// dimension) that still fits.
-		best := cluster.Unassigned
-		bestSlack := -1.0
-		for _, m := range machs {
-			if !p.CanPlace(s, m) {
-				continue
-			}
-			free := p.Free(m).Sub(static)
-			slack := free.MaxRatio(c.Machines[m].Capacity)
-			if best == cluster.Unassigned || slack < bestSlack {
-				best, bestSlack = m, slack
-			}
-		}
-		if best == cluster.Unassigned {
-			return nil, fmt.Errorf("workload: shard %d (static %v) does not fit anywhere; lower TargetFill", si, static)
-		}
-		if err := p.Place(s, best); err != nil {
+		if err := fit.place(cluster.ShardID(si)); err != nil {
 			return nil, err
 		}
 	}

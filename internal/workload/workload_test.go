@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"rexchange/internal/cluster"
+	"rexchange/internal/vec"
 )
 
 func TestZipfWeights(t *testing.T) {
@@ -174,12 +175,37 @@ func TestGenerateValidation(t *testing.T) {
 			"LoadSizeCorr": func(c *Config) { c.LoadSizeCorr = v },
 			"Speed":        func(c *Config) { c.Tiers = []MachineTier{{Speed: v, Weight: 1}} },
 			"Weight":       func(c *Config) { c.Tiers = []MachineTier{{Speed: 1, Weight: v}} },
+			"Capacity":     func(c *Config) { c.Tiers = []MachineTier{{Capacity: vec.New(100, v, 100), Speed: 1, Weight: 1}} },
 		} {
 			cfg := DefaultConfig()
 			set(&cfg)
 			if _, err := Generate(cfg); err == nil || !strings.Contains(err.Error(), field) {
 				t.Errorf("%s = %g: err = %v, want one naming %s", field, v, err, field)
 			}
+		}
+	}
+	// Finite values out of range are refused by name too, not clamped or
+	// carried into NaN shard loads: a capacity dimension must be positive,
+	// and LoadSizeCorr is a mixing weight in [0,1].
+	for _, v := range []float64{0, -1} {
+		cfg := DefaultConfig()
+		cfg.Tiers = []MachineTier{{Capacity: vec.New(100, 100, v), Speed: 1, Weight: 1}}
+		if _, err := Generate(cfg); err == nil || !strings.Contains(err.Error(), "Capacity") {
+			t.Errorf("Capacity dimension = %g: err = %v, want one naming Capacity", v, err)
+		}
+	}
+	for _, v := range []float64{-0.1, 1.01} {
+		cfg := DefaultConfig()
+		cfg.LoadSizeCorr = v
+		if _, err := Generate(cfg); err == nil || !strings.Contains(err.Error(), "LoadSizeCorr") {
+			t.Errorf("LoadSizeCorr = %g: err = %v, want one naming LoadSizeCorr", v, err)
+		}
+	}
+	for _, v := range []float64{0, 1} {
+		cfg := DefaultConfig()
+		cfg.LoadSizeCorr = v
+		if _, err := Generate(cfg); err != nil {
+			t.Errorf("LoadSizeCorr = %g: %v", v, err)
 		}
 	}
 }
