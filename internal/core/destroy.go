@@ -1,9 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"rexchange/internal/cluster"
+	"rexchange/internal/vec"
 )
 
 // destroyRandom removes q uniformly random shards via a partial
@@ -78,55 +81,131 @@ func (st *state) destroyWorst(q int) {
 // most similar to it in (load, static footprint), with a bonus for sharing
 // the seed's machine. Removing related shards together lets repair
 // recombine them more freely than unrelated random picks. The q−1 nearest
-// under (distance, shard ID) are kept in a bounded heap while scoring, so a
-// call costs O(shards + q log q) rather than a sort of every shard.
+// under (distance, shard ID) are kept in a bounded heap; that set is unique,
+// so the shards may be offered in any order as long as none that belongs in
+// it is left out. The seed machine's own shards go first — the only ones
+// without the home term — then the walk goes outward from the seed in the
+// (load, ID) order buildShawOrder made, nearer load gap first, and ends once
+// a gap plus the home term exceeds the heap's root: both only grow along the
+// walk, and the root only falls.
 func (st *state) destroyRelated(q int) {
-	c := st.cur.Cluster()
-	n := c.NumShards()
+	n := st.cur.Cluster().NumShards()
 	if n == 0 || q <= 0 {
 		return
 	}
-	seed := cluster.ShardID(st.rng.Intn(n))
-	seedSh := &c.Shards[seed]
-	seedHome := st.cur.Home(seed)
-
+	seed := st.rng.Intn(n)
+	seedHome := st.cur.Home(cluster.ShardID(seed))
+	r, k := int(st.shawRank[seed]), q-1
 	near := st.rankScratch[:0]
-	for i := 0; i < n; i++ {
-		s := cluster.ShardID(i)
-		if s == seed {
-			continue
-		}
-		sh := &c.Shards[i]
-		d := 0.0
-		if st.loadScale > 0 {
-			d += math.Abs(sh.Load-seedSh.Load) / st.loadScale
-		}
-		away := st.cur.Home(s) != seedHome
-		// The load and home terms alone bound d from below (adding a
-		// non-negative float never lowers a sum, in any order); past the
-		// heap's root, the static term cannot bring the shard back in.
-		if q > 1 && len(near) == q-1 {
-			bound := d
-			if away {
-				bound += 0.3
-			}
-			if bound > near[0].key {
-				continue
+	if k > 0 {
+		for j, cnt := 0, st.cur.Count(seedHome); j < cnt; j++ {
+			if s := st.cur.ShardAt(seedHome, j); int(s) != seed {
+				i := int(st.shawRank[s])
+				near = st.offerRelated(near, k, i, r, st.loadGap(i, r), false)
 			}
 		}
-		if st.staticScale > 0 {
-			d += sh.Static.Dist2(seedSh.Static) / st.staticScale
+		lo, hi := r-1, r+1
+		for lo >= 0 || hi < n {
+			var i int
+			if lo >= 0 && (hi >= n || st.loadGap(lo, r) <= st.loadGap(hi, r)) {
+				i, lo = lo, lo-1
+			} else {
+				i, hi = hi, hi+1
+			}
+			gap := st.loadGap(i, r)
+			if len(near) == k && gap+0.3 > near[0].key {
+				break
+			}
+			if st.cur.Home(st.shawID[i]) != seedHome {
+				near = st.offerRelated(near, k, i, r, gap, true)
+			}
 		}
-		if away {
-			d += 0.3
-		}
-		near = keepLowest(near, q-1, ranked{d, i})
 	}
 	sortLowest(near)
 	st.rankScratch = near
-	st.removeToPool(seed)
+	st.removeToPool(cluster.ShardID(seed))
 	for _, e := range near {
 		st.removeToPool(cluster.ShardID(e.id))
+	}
+}
+
+// loadGap is the load term of the Shaw distance between the shards at ranks
+// i and r of the Shaw order. Rounding is monotone, so it does not fall as i
+// moves away from r on either side.
+func (st *state) loadGap(i, r int) float64 {
+	if st.loadScale > 0 {
+		return math.Abs(st.shawLoad[i]-st.shawLoad[r]) / st.loadScale
+	}
+	return 0
+}
+
+// offerRelated scores the shard at rank i against the seed at rank r —
+// load term, then static term, then the home term when away, summed in that
+// order — and offers it to near, the heap of the k nearest. Adding a
+// non-negative float never lowers a sum, so the load and home terms plus a
+// lower bound on the static term bound the distance from below: one
+// coordinate's gap, squared and rooted as Dist2 does it, is at most Dist2,
+// whose sum of squares holds that square as one of its non-negative terms.
+// Past the heap's root, the full static distance is not computed.
+func (st *state) offerRelated(near []ranked, k, i, r int, gap float64, away bool) []ranked {
+	if len(near) == k {
+		bound := gap
+		if st.staticScale > 0 {
+			g := st.shawStatic[i] - st.shawStatic[r]
+			bound += math.Sqrt(g*g) / st.staticScale
+		}
+		if away {
+			bound += 0.3
+		}
+		if bound > near[0].key {
+			return near
+		}
+	}
+	d := gap
+	if st.staticScale > 0 {
+		c := st.cur.Cluster()
+		d += c.Shards[st.shawID[i]].Static.Dist2(c.Shards[st.shawID[r]].Static) / st.staticScale
+	}
+	if away {
+		d += 0.3
+	}
+	return keepLowest(near, k, ranked{d, int(st.shawID[i])})
+}
+
+// buildShawOrder fills Shaw removal's normalizers, its (load, ID) shard
+// order with each shard's load and static coordinate of widest range (whose
+// gap bounds Dist2 best) beside it, and every shard's rank.
+func (st *state) buildShawOrder() {
+	c := st.cur.Cluster()
+	lo, hi := vec.Uniform(math.Inf(1)), vec.Uniform(math.Inf(-1))
+	for i := range c.Shards {
+		sh := &c.Shards[i]
+		st.loadScale = max(st.loadScale, sh.Load)
+		st.staticScale = max(st.staticScale, sh.Static.Norm2())
+		for d, x := range sh.Static {
+			lo[d], hi[d] = min(lo[d], x), max(hi[d], x)
+		}
+	}
+	dim := 0
+	for d := range hi {
+		if hi[d]-lo[d] > hi[dim]-lo[dim] {
+			dim = d
+		}
+	}
+	n := c.NumShards()
+	st.shawID = make([]cluster.ShardID, n)
+	for i := range st.shawID {
+		st.shawID[i] = cluster.ShardID(i)
+	}
+	slices.SortFunc(st.shawID, func(a, b cluster.ShardID) int {
+		if o := cmp.Compare(c.Shards[a].Load, c.Shards[b].Load); o != 0 {
+			return o
+		}
+		return cmp.Compare(a, b)
+	})
+	st.shawLoad, st.shawStatic, st.shawRank = make([]float64, n), make([]float64, n), make([]int32, n)
+	for i, s := range st.shawID {
+		st.shawLoad[i], st.shawStatic[i], st.shawRank[s] = c.Shards[s].Load, c.Shards[s].Static[dim], int32(i)
 	}
 }
 
@@ -175,26 +254,6 @@ func (st *state) removeToPool(s cluster.ShardID) {
 	}
 }
 
-func maxShardLoad(c *cluster.Cluster) float64 {
-	m := 0.0
-	for i := range c.Shards {
-		if c.Shards[i].Load > m {
-			m = c.Shards[i].Load
-		}
-	}
-	return m
-}
-
-func maxShardStatic(c *cluster.Cluster) float64 {
-	m := 0.0
-	for i := range c.Shards {
-		if d := c.Shards[i].Static.Norm2(); d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 // ranked is a shard or machine ID with the key an operator selects it by;
 // the total order is (key, id).
 type ranked struct {
@@ -212,6 +271,61 @@ func (a ranked) ranksAfter(b ranked) bool {
 		return false
 	}
 	return a.id > b.id
+}
+
+// compareRanked is the (key, id) order as a comparison function.
+func compareRanked(a, b ranked) int {
+	switch {
+	case a.ranksAfter(b):
+		return 1
+	case b.ranksAfter(a):
+		return -1
+	}
+	return 0
+}
+
+// selectLowest reorders h so that its first k entries are its k lowest,
+// in no particular order, and returns them: quickselect with a
+// median-of-three pivot, O(len(h)) expected. The entries' IDs are distinct,
+// so the k lowest are one set whatever the pivots.
+func selectLowest(h []ranked, k int) []ranked {
+	k = min(k, len(h))
+	for lo, hi := 0, len(h)-1; lo < hi; {
+		mid := lo + (hi-lo)/2
+		if h[lo].ranksAfter(h[mid]) {
+			h[lo], h[mid] = h[mid], h[lo]
+		}
+		if h[mid].ranksAfter(h[hi]) {
+			h[mid], h[hi] = h[hi], h[mid]
+			if h[lo].ranksAfter(h[mid]) {
+				h[lo], h[mid] = h[mid], h[lo]
+			}
+		}
+		pivot := h[mid]
+		i, j := lo, hi
+		for i <= j {
+			for pivot.ranksAfter(h[i]) {
+				i++
+			}
+			for h[j].ranksAfter(pivot) {
+				j--
+			}
+			if i <= j {
+				h[i], h[j] = h[j], h[i]
+				i, j = i+1, j-1
+			}
+		}
+		// h[lo..j] ≤ pivot ≤ h[i..hi], and any entry between is the pivot
+		switch {
+		case k-1 <= j:
+			hi = j
+		case k-1 >= i:
+			lo = i
+		default:
+			return h[:k]
+		}
+	}
+	return h[:k]
 }
 
 // keepLowest offers e to h, a max-heap of the k lowest-ranked entries

@@ -178,6 +178,28 @@ func naiveRelated(st *state, q int) {
 	}
 }
 
+// maxShardLoad and maxShardStatic are Shaw removal's normalizers: the
+// largest shard load and static norm.
+func maxShardLoad(c *cluster.Cluster) float64 {
+	m := 0.0
+	for i := range c.Shards {
+		if c.Shards[i].Load > m {
+			m = c.Shards[i].Load
+		}
+	}
+	return m
+}
+
+func maxShardStatic(c *cluster.Cluster) float64 {
+	m := 0.0
+	for i := range c.Shards {
+		if d := c.Shards[i].Static.Norm2(); d > m {
+			m = d
+		}
+	}
+	return m
+}
+
 func naiveDrain(st *state, q int) {
 	c := st.cur.Cluster()
 	var cands []ranked
@@ -302,13 +324,38 @@ func tiedFleet(t testing.TB) *cluster.Placement {
 	return p
 }
 
+// reshaped is p's placement over a copy of its cluster whose shards carry
+// the load and static vector f gives them.
+func reshaped(t testing.TB, p *cluster.Placement, f func(*cluster.Shard)) *cluster.Placement {
+	t.Helper()
+	c := *p.Cluster()
+	c.Shards = slices.Clone(c.Shards)
+	for i := range c.Shards {
+		f(&c.Shards[i])
+	}
+	q, err := cluster.FromAssignment(&c, p.Assignment())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
 // TestDestroyersMatchNaive holds the destroy operators — random over its
-// persistent permutation, worst, related and drain over the bounded heap —
-// to their naive forms: same pool, same order, same RNG draws, over 200 seeds
-// and destroy sizes from 1 to past the shard count, on a generated fleet and
-// on one where distances tie.
+// persistent permutation, worst, related and drain over the bounded heap,
+// related's walk over the Shaw order — to their naive forms: same pool, same
+// order, same RNG draws, over 200 seeds and destroy sizes from 1 to past the
+// shard count, on a generated fleet, on one where distances tie, and on
+// copies of that one where every load is equal, every load is zero (no load
+// term) or every static vector is zero (no static term).
 func TestDestroyersMatchNaive(t *testing.T) {
-	fleets := map[string]*cluster.Placement{"generated": bigFleetInstance(t, 64), "tied": tiedFleet(t)}
+	tied := tiedFleet(t)
+	fleets := map[string]*cluster.Placement{
+		"generated":    bigFleetInstance(t, 64),
+		"tied":         tied,
+		"equal-loads":  reshaped(t, tied, func(sh *cluster.Shard) { sh.Load = 2 }),
+		"zero-loads":   reshaped(t, tied, func(sh *cluster.Shard) { sh.Load = 0 }),
+		"zero-statics": reshaped(t, tied, func(sh *cluster.Shard) { sh.Static = vec.Vec{} }),
+	}
 	ops := []struct {
 		name        string
 		fast, naive func(*state, int)
@@ -528,6 +575,178 @@ func TestRegretRepairMatchesNaive(t *testing.T) {
 			if !tc.need(cov) {
 				t.Errorf("the fleet did not exercise its path: %+v", cov)
 			}
+		})
+	}
+}
+
+// greedyCoverage counts which way the walk went on the naive side, so that
+// a test can require each path it means to exercise to have been taken.
+type greedyCoverage struct {
+	stops     int // walks that stopped inside the prefix
+	bands     int // of those, walks whose band had more than one machine
+	fallbacks int // walks that ran out of prefix: the full scan decided
+	grouped   int // grouped shards placed: their feasibility went through CanPlace
+	flips     int // placements onto a vacant machine that used the last spare vacancy
+}
+
+// naiveGreedy is greedy repair as it was before it walked the
+// lowest-utilization prefix: the pool hardest-first, then each shard at the
+// machine of a whole-fleet scan (feasibility first). At every step it also
+// runs the walk on its own once-selected, re-ranked prefix, records which
+// way the walk went, and fails t if a walk that stopped disagrees with the
+// scan.
+func naiveGreedy(t *testing.T, st *state, cov *greedyCoverage) bool {
+	t.Helper()
+	c := st.cur.Cluster()
+	pool := slices.Clone(st.pool)
+	slices.SortFunc(pool, func(x, y cluster.ShardID) int {
+		a, b := &c.Shards[x], &c.Shards[y]
+		if o := cmp.Compare(b.Load, a.Load); o != 0 {
+			return o
+		}
+		if o := cmp.Compare(b.Static.MaxDim(), a.Static.MaxDim()); o != 0 {
+			return o
+		}
+		return cmp.Compare(x, y)
+	})
+	low := st.lowestMachines(greedyLow + len(pool))
+	for j, s := range pool {
+		m := naiveBest(st, s)
+		switch walked, ok := st.walkBest(s, low[:max(len(low)-j, 0)]); {
+		case !ok:
+			cov.fallbacks++
+		case walked != m:
+			t.Fatalf("shard %d: the walk picked machine %d, the whole-fleet scan %d", s, walked, m)
+		default:
+			cov.stops++
+			if len(st.bandScratch) > 1 {
+				cov.bands++
+			}
+		}
+		if m == cluster.Unassigned {
+			return false
+		}
+		if c.Shards[s].Group != 0 {
+			cov.grouped++
+		}
+		if st.cur.IsVacant(m) && st.cur.NumVacant() == st.k+1 {
+			cov.flips++
+		}
+		if err := st.cur.Place(s, m); err != nil {
+			return false
+		}
+		st.rerank(low, m)
+	}
+	return true
+}
+
+// epsilonFleet has 64 speed-1 machines whose loads come in groups of four,
+// 2⁻⁶ apart. In even groups the four sit 0.6e-12 apart, so insertion costs
+// chain past bestMachineFor's 1e-12 tolerance; in odd groups two of them sit
+// one 1e-12 step above the other two, exactly as float64 adds it, since every
+// load stays on one binade's grid. Capacities and shard sizes differ, so static
+// slack decides between near-equal costs, and 6 vacant exchange machines of one
+// shape (k = 3 keeps three of them open) tie exactly.
+func epsilonFleet(t testing.TB) *cluster.Placement {
+	t.Helper()
+	c := &cluster.Cluster{}
+	var assign []cluster.MachineID
+	for m := 0; m < 64; m++ {
+		c.Machines = append(c.Machines, cluster.Machine{
+			ID: cluster.MachineID(m), Capacity: vec.Uniform(float64(40 + m*37%23)), Speed: 1,
+		})
+		g, j := m/4, (3*m+m/4)%4
+		load := 0.5 + float64(g)*0x1p-6
+		if g%2 == 0 {
+			load += float64(j) * 0.6e-12
+		} else if j%2 == 1 {
+			load += 1e-12
+		}
+		for i, l := range []float64{load, 0x1p-6, 0x1p-7} {
+			c.Shards = append(c.Shards, cluster.Shard{
+				ID: cluster.ShardID(len(c.Shards)), Static: vec.Uniform(float64(1 + (m+i)%3)), Load: l,
+			})
+			assign = append(assign, cluster.MachineID(m))
+		}
+	}
+	p, err := cluster.FromAssignment(c.WithExchange(6, vec.Uniform(60), 1), assign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestGreedyRepairMatchesNaive holds greedy repair — each shard's machine
+// walked off the lowest-utilization prefix, or found by the full scan when
+// the walk runs out — to naiveGreedy: the same placements in the same order,
+// the same return value, the same final assignment and the same RNG
+// position, over 40 seeds and destroy sizes up to maxDestroy, each repair
+// starting from the placement the last one kept. The fleets exercise
+// near-equal costs chained within and past the 1e-12 tolerance, exact ties
+// on vacant exchange machines, mixed speeds, anti-affinity, a vacancy rule
+// that flips mid-repair, and a fleet small enough that the full scan
+// decides every shard.
+func TestGreedyRepairMatchesNaive(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		p    *cluster.Placement
+		k    int
+		need func(greedyCoverage) bool
+	}{
+		{"epsilon64", epsilonFleet(t), 3, func(c greedyCoverage) bool { return c.bands > 0 && c.flips > 0 }},
+		{"mixed-speeds96", benchFleet(t, 96, 768, 5), 2, func(c greedyCoverage) bool { return c.stops > 0 }},
+		{"replicated48", operatorFleet(t, 48, 240, 3, 0.75, 3), 3, func(c greedyCoverage) bool { return c.grouped > 0 }},
+		{"tight40", operatorFleet(t, 40, 600, 1, 0.98, 1), 1, func(c greedyCoverage) bool { return c.fallbacks > 0 }},
+		{"spare-vacancy48", operatorFleet(t, 48, 240, 1, 0.75, 4), 3, func(c greedyCoverage) bool { return c.flips > 0 }},
+		{"small26", operatorFleet(t, 24, 200, 1, 0.8, 2), 2, func(c greedyCoverage) bool { return c.fallbacks > 0 && c.stops == 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var cov greedyCoverage
+			for seed := int64(0); seed < 40; seed++ {
+				cfg := quickConfig()
+				cfg.Seed = seed
+				fast, naive := newState(cfg, tc.p, tc.k), newState(cfg, tc.p, tc.k)
+				for round, q := range []int{1, 5, 17, 38, maxDestroy, 9} {
+					var order [2][][2]int
+					var ok [2]bool
+					for i, st := range []*state{fast, naive} {
+						st.cur.BeginTxn()
+						st.pool = st.pool[:0]
+						st.destroyRandom(q)
+						from := st.cur.TxnLen()
+						if i == 0 {
+							ok[i] = st.repairGreedy()
+						} else {
+							ok[i] = naiveGreedy(t, st, &cov)
+						}
+						for j := from; j < st.cur.TxnLen(); j++ {
+							s, m := st.cur.TxnOp(j)
+							order[i] = append(order[i], [2]int{int(s), int(m)})
+						}
+					}
+					if ok[0] != ok[1] || !slices.Equal(order[0], order[1]) {
+						t.Fatalf("seed %d round %d (q=%d): repair returned %v placing %v; naive form %v placing %v",
+							seed, round, q, ok[0], order[0], ok[1], order[1])
+					}
+					if !slices.Equal(fast.cur.Assignment(), naive.cur.Assignment()) {
+						t.Fatalf("seed %d round %d: final assignments differ", seed, round)
+					}
+					for _, st := range []*state{fast, naive} {
+						if ok[0] {
+							st.cur.Commit()
+						} else {
+							st.cur.Rollback()
+						}
+					}
+				}
+				if a, b := fast.rng.Int63(), naive.rng.Int63(); a != b {
+					t.Fatalf("seed %d: RNG streams diverged", seed)
+				}
+			}
+			if !tc.need(cov) {
+				t.Errorf("the fleet did not exercise its path: %+v", cov)
+			}
+			t.Logf("%+v", cov)
 		})
 	}
 }

@@ -22,6 +22,27 @@ func (st *state) vacancyBlocked() bool { return st.cur.NumVacant() <= st.k }
 // ls — the greedy criterion that directly minimizes the makespan objective.
 func insertionCost(load, ls, speed float64) float64 { return (load + ls) / speed }
 
+// choice is an insertion scan's best machine so far, its cost and its
+// static slack.
+type choice struct {
+	m           cluster.MachineID
+	cost, slack float64
+}
+
+// offer applies bestMachineFor's rule to a feasible machine id of the given
+// insertion cost and static slack, and returns the new best: a cost more
+// than 1e-12 below the best's takes over, one within 1e-12 of it takes over
+// only with more slack, and the best's cost moves only on the first kind.
+func (c choice) offer(id cluster.MachineID, cost, slack float64) choice {
+	if cost < c.cost-1e-12 {
+		return choice{id, cost, slack}
+	}
+	if cost <= c.cost+1e-12 && slack > c.slack {
+		c.m, c.slack = id, slack
+	}
+	return c
+}
+
 // bestMachineFor scans all machines for the cheapest feasible insertion of
 // s, breaking cost ties toward the machine with more static slack (to keep
 // future insertions feasible). Returns Unassigned when nothing fits. The
@@ -30,30 +51,137 @@ func insertionCost(load, ls, speed float64) float64 { return (load + ls) / speed
 func (st *state) bestMachineFor(s cluster.ShardID) cluster.MachineID {
 	ls := st.cur.Cluster().Shards[s].Load
 	blocked := st.vacancyBlocked()
-	best := cluster.Unassigned
-	bestCost := math.Inf(1)
-	bestSlack := -1.0
+	best := choice{cluster.Unassigned, math.Inf(1), -1}
 	for m, speed := range st.speeds {
 		id := cluster.MachineID(m)
 		cost := insertionCost(st.cur.Load(id), ls, speed)
-		if cost > bestCost+1e-12 || (blocked && st.cur.IsVacant(id)) || !st.cur.CanPlace(s, id) {
+		if cost > best.cost+1e-12 || (blocked && st.cur.IsVacant(id)) || !st.cur.CanPlace(s, id) {
 			continue
 		}
-		if cost < bestCost-1e-12 {
-			best, bestCost = id, cost
-			bestSlack = st.cur.Free(id).MaxDim()
-		} else if cost <= bestCost+1e-12 {
-			if slack := st.cur.Free(id).MaxDim(); slack > bestSlack {
-				best, bestSlack = id, slack
+		best = best.offer(id, cost, st.cur.Free(id).MaxDim())
+	}
+	return best.m
+}
+
+// Greedy repair walks the greedyLow+p lowest-utilization machines, selected
+// once per repair of p shards.
+const greedyLow = 48
+
+// clears reports whether a feasible machine of insertion cost c can take
+// no part in bestMachineFor's answer once every feasible machine of cost at
+// most top has been offered: were the best cost b ≤ top, c > b+1e-12 (it is
+// skipped), and were c the best so far, every b ≤ top is below c−1e-12 (the
+// first such machine takes over and erases it). Both sides are the rule's
+// own float64 expressions, monotone in b and c.
+func clears(top, c float64) bool { return c > top+1e-12 && c-1e-12 > top }
+
+// costFloor bounds from below the insertion cost of a shard of load ls on
+// every machine whose utilization is at least u. In reals such a machine
+// costs at least u + w, w = ls/maxSpeed. The computed cost and utilization
+// are three correctly rounded operations from their real values and the
+// floor six more, each off by at most 2⁻⁵³ of its magnitude, or 2⁻¹⁰⁷⁵
+// where the result is subnormal; the margin (|u|+w)·2⁻⁴⁸ + 2⁻¹⁰²⁰ covers
+// them all.
+func (st *state) costFloor(u, ls float64) float64 {
+	w := ls / st.maxSpeed
+	return (u + w) - (math.Abs(u)+w)*0x1p-48 - 0x1p-1020
+}
+
+// walkBest returns bestMachineFor(s) having visited only a prefix of low,
+// which must hold the fleet's lowest-(utilization, ID) machines in that
+// order. It stops once costFloor proves that every machine it has not
+// visited clears the band: the feasible machines whose costs chain up from
+// the lowest one, each not clearing the band's top so far. A feasible
+// machine outside the band clears its top, so bestMachineFor's ID-order
+// scan makes the band's first member its best whatever came before, and
+// lets nothing outside the band change the best after; replaying the rule
+// over the band in ID order gives the scan's answer. ok is false when low
+// runs out first, or once the utilization stops rising before the floor
+// clears the lowest cost: no later floor can then clear it, nor the cost
+// of a machine still to come. A walk that stopped leaves its band in
+// bandScratch, in ID order.
+func (st *state) walkBest(s cluster.ShardID, low []ranked) (m cluster.MachineID, ok bool) {
+	if len(low) == 0 {
+		return cluster.Unassigned, false
+	}
+	ls := st.cur.Cluster().Shards[s].Load
+	blocked := st.vacancyBlocked()
+	band := st.bandScratch[:0]
+	lowest, last := math.Inf(1), low[len(low)-1].key
+	for i := 0; ; i++ {
+		// past the prefix, the machines left rank after its last entry
+		key := low[min(i, len(low)-1)].key
+		floor := st.costFloor(key, ls)
+		if clears(lowest, floor) {
+			if top := bandTop(band, lowest); clears(top, floor) {
+				return st.replayBand(band, top), true
+			}
+		} else if !(key < last) {
+			break
+		}
+		if i == len(low) {
+			break
+		}
+		id := cluster.MachineID(low[i].id)
+		if (blocked && st.cur.IsVacant(id)) || !st.cur.CanPlace(s, id) {
+			continue
+		}
+		cost := insertionCost(st.cur.Load(id), ls, st.speeds[id])
+		band = append(band, ranked{cost, int(id)})
+		lowest = min(lowest, cost)
+	}
+	st.bandScratch = band
+	return cluster.Unassigned, false
+}
+
+// bandTop returns the top of the band over the visited feasible machines:
+// starting from the lowest cost, it rises to any cost that does not clear
+// it until every cost above it does. Raising the top only makes more costs
+// fail to clear it, so the order of the rises does not matter.
+func bandTop(visited []ranked, lowest float64) float64 {
+	top := lowest
+	for rose := true; rose; {
+		rose = false
+		for _, e := range visited {
+			if e.key > top && !clears(top, e.key) {
+				top, rose = e.key, true
 			}
 		}
 	}
-	return best
+	return top
+}
+
+// replayBand keeps the visited machines of cost at most top — the band —
+// sorts them by ID and applies bestMachineFor's rule to them in that order.
+func (st *state) replayBand(visited []ranked, top float64) cluster.MachineID {
+	band := visited[:0]
+	for _, e := range visited {
+		if e.key <= top {
+			band = append(band, e)
+		}
+	}
+	for i := 1; i < len(band); i++ {
+		for j := i; j > 0 && band[j].id < band[j-1].id; j-- {
+			band[j], band[j-1] = band[j-1], band[j]
+		}
+	}
+	st.bandScratch = band
+	best := choice{cluster.Unassigned, math.Inf(1), -1}
+	for _, e := range band {
+		id := cluster.MachineID(e.id)
+		best = best.offer(id, e.key, st.cur.Free(id).MaxDim())
+	}
+	return best.m
 }
 
 // repairGreedy inserts the pool hardest-first (largest load, then largest
 // static footprint) at each shard's cheapest feasible machine. Returns
-// false when some shard fits nowhere (caller restores the snapshot).
+// false when some shard fits nowhere (caller restores the snapshot). It
+// selects the greedyLow+p lowest-utilization machines once and re-ranks
+// after each placement, as regret repair does; after j placements the
+// first greedyLow+p−j entries are the fleet's lowest in order, and each
+// shard's answer is walked off them, or found by the full scan when the
+// walk runs out of them or the fleet is small.
 func (st *state) repairGreedy() bool {
 	c := st.cur.Cluster()
 	// hardest first: descending load, then descending maximum static
@@ -75,14 +203,19 @@ func (st *state) repairGreedy() bool {
 		}
 		return cmp.Compare(x, y)
 	})
-	for _, s := range st.pool {
-		m := st.bestMachineFor(s)
+	low := st.lowestMachines(greedyLow + len(st.pool))
+	for j, s := range st.pool {
+		m, ok := st.walkBest(s, low[:max(len(low)-j, 0)])
+		if !ok {
+			m = st.bestMachineFor(s)
+		}
 		if m == cluster.Unassigned {
 			return false
 		}
 		if err := st.cur.Place(s, m); err != nil {
 			return false
 		}
+		st.rerank(low, m)
 	}
 	return true
 }
@@ -222,24 +355,25 @@ const lowCount, randCount = 24, 8
 
 // lowestMachines returns the k lowest-(utilization, ID) machines in
 // ascending order, or nil on a fleet small enough that every machine is a
-// candidate. A regret repair of p shards takes lowCount+p of them once and
-// calls rerank after each placement instead of selecting over the whole
-// fleet again. Placements only raise utilization, so every machine left out
-// keeps ranking after every entry no placement has touched; after j ≤ p
-// placements at least lowCount+p−j of those remain, so the first lowCount
-// entries all rank before every machine left out — they are the fleet's
-// true lowest lowCount, in order.
+// candidate. A regret repair of p shards takes lowCount+p of them once (a
+// greedy one greedyLow+p) and calls rerank after each placement instead of
+// selecting over the whole fleet again. Placements only raise utilization,
+// so every machine left out keeps ranking after every entry no placement
+// has touched; after j ≤ p placements at least k−j of those remain, so the
+// first k−j entries all rank before every machine left out — they are the
+// fleet's true lowest k−j, in order.
 func (st *state) lowestMachines(k int) []ranked {
 	n := st.cur.Cluster().NumMachines()
 	if n <= lowCount+randCount {
 		return nil
 	}
-	low := st.rankScratch[:0]
+	all := st.rankScratch[:0]
 	for m := 0; m < n; m++ {
-		low = keepLowest(low, k, ranked{st.cur.Utilization(cluster.MachineID(m)), m})
+		all = append(all, ranked{st.cur.Utilization(cluster.MachineID(m)), m})
 	}
-	sortLowest(low)
-	st.rankScratch = low
+	st.rankScratch = all
+	low := selectLowest(all, k)
+	slices.SortFunc(low, compareRanked)
 	return low
 }
 
@@ -259,7 +393,8 @@ func (st *state) rerank(low []ranked, m cluster.MachineID) {
 // repairRegret: the first lowCount machines of low plus randCount random
 // distinct extras (all machines when low is nil: the fleet is small). The
 // extras are deduplicated: drawing the same machine twice (or one already
-// in the lowest set) would silently shrink candidate diversity.
+// in the lowest set) would silently shrink candidate diversity. A machine
+// already taken carries this call's stamp.
 func (st *state) candidateMachines(low []ranked) []cluster.MachineID {
 	n := st.cur.Cluster().NumMachines()
 	out := st.candScratch[:0]
@@ -270,16 +405,24 @@ func (st *state) candidateMachines(low []ranked) []cluster.MachineID {
 		st.candScratch = out
 		return out
 	}
+	if len(st.candMark) != n {
+		st.candMark = make([]uint32, n)
+	}
+	if st.candGen++; st.candGen == 0 { // wrapped: no stamp in use may match
+		clear(st.candMark)
+		st.candGen = 1
+	}
 	for _, e := range low[:lowCount] {
 		out = append(out, cluster.MachineID(e.id))
+		st.candMark[e.id] = st.candGen
 	}
 
 	// Distinct random extras from the rest of the fleet; rejection
 	// sampling terminates because n > lowCount+randCount.
 	for len(out) < lowCount+randCount {
-		m := cluster.MachineID(st.rng.Intn(n))
-		if !slices.Contains(out, m) {
-			out = append(out, m)
+		if m := st.rng.Intn(n); st.candMark[m] != st.candGen {
+			st.candMark[m] = st.candGen
+			out = append(out, cluster.MachineID(m))
 		}
 	}
 	st.candScratch = out

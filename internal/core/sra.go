@@ -21,10 +21,11 @@ type state struct {
 	initialP *cluster.Placement  // untouched starting placement
 	initial  []cluster.MachineID // starting assignment (move-penalty reference)
 
-	cur    *cluster.Placement
-	speeds []float64 // machine speeds, read once: the insertion scans' divisors
-	curObj float64
-	kern   kernel // how run() tries a neighborhood on cur and takes it back
+	cur      *cluster.Placement
+	speeds   []float64 // machine speeds, read once: the insertion scans' divisors
+	maxSpeed float64   // the largest of them: greedy's walk bounds costs with it
+	curObj   float64
+	kern     kernel // how run() tries a neighborhood on cur and takes it back
 
 	bestObj float64
 	// improving records every new-best placement in discovery order, so
@@ -59,13 +60,26 @@ type state struct {
 	remainScratch  []cluster.ShardID
 
 	// Regret repair's reads of its candidate machines, aligned with
-	// candScratch and refilled once per step (readCandidates).
+	// candScratch and refilled once per step (readCandidates), and the
+	// per-machine stamps that keep its random extras distinct.
 	candLoad, candSpeed []float64
 	candUsed            []vec.Vec
 	candHeld            []bool
+	candMark            []uint32
+	candGen             uint32
 
-	// Shaw removal's normalizers: the largest shard load and static norm.
+	// Greedy repair's walk: the feasible machines it has visited for the
+	// current shard, as (cost, ID).
+	bandScratch []ranked
+
+	// Shaw removal's normalizers (the largest shard load and static norm)
+	// and its shard order, built once per solve: shard IDs by ascending
+	// (load, ID) with each one's load and static coordinate of widest
+	// range beside it, and every shard's rank in that order.
 	loadScale, staticScale float64
+	shawID                 []cluster.ShardID
+	shawLoad, shawStatic   []float64
+	shawRank               []int32
 
 	trajectory     []float64
 	accepted       int
@@ -100,6 +114,7 @@ func newState(cfg Config, p *cluster.Placement, k int) *state {
 	st.speeds = make([]float64, p.Cluster().NumMachines())
 	for m := range st.speeds {
 		st.speeds[m] = p.Cluster().Machines[m].Speed
+		st.maxSpeed = max(st.maxSpeed, st.speeds[m])
 	}
 	st.kern = deltaKernel{st}
 	if cfg.Operators.RandomRemove {
@@ -110,7 +125,7 @@ func newState(cfg Config, p *cluster.Placement, k int) *state {
 	}
 	if cfg.Operators.RelatedRemove {
 		st.destroyOps = append(st.destroyOps, destroyOp{"related", (*state).destroyRelated})
-		st.loadScale, st.staticScale = maxShardLoad(p.Cluster()), maxShardStatic(p.Cluster())
+		st.buildShawOrder()
 	}
 	if cfg.Operators.DrainRemove {
 		st.destroyOps = append(st.destroyOps, destroyOp{"drain", (*state).destroyDrain})

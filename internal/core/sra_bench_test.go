@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"rexchange/internal/cluster"
@@ -72,13 +73,25 @@ func BenchmarkObjective(b *testing.B) {
 	}
 }
 
-// operatorBenchState is a solver state on a 1 000-machine, 8 000-shard fleet
-// with the delta kernel ready, for benchmarks that drive single operators.
-func operatorBenchState(b *testing.B) *state {
-	st := newState(DefaultConfig(), benchFleet(b, 1000, 8000, 42), 0)
-	st.curObj = objective(st.cur, st.cfg.SpreadWeight, st.cfg.MovePenalty, st.initial)
-	st.initIncremental()
-	return st
+// sizedState is a solver state with the name of its fleet size.
+type sizedState struct {
+	name string
+	st   *state
+}
+
+// operatorBenchStates are solver states on benchFleet fleets of 1 000 and
+// 10 000 machines (8 shards a machine) with the delta kernel ready, for
+// benchmarks that drive single operators: an operator whose cost scales
+// with the work reads about the same at both sizes.
+func operatorBenchStates(b *testing.B) []sizedState {
+	var out []sizedState
+	for _, machines := range []int{1000, 10000} {
+		st := newState(DefaultConfig(), benchFleet(b, machines, machines*8, 42), 0)
+		st.curObj = objective(st.cur, st.cfg.SpreadWeight, st.cfg.MovePenalty, st.initial)
+		st.initIncremental()
+		out = append(out, sizedState{fmt.Sprintf("%dk", machines/1000), st})
+	}
+	return out
 }
 
 // benchNeighborhood times destroy, then repair when there is one, then the
@@ -106,20 +119,32 @@ func benchNeighborhood(b *testing.B, st *state, destroy func(*state, int), repai
 	}
 }
 
-// BenchmarkOperator times each destroy operator alone (destroy + rollback):
-// a repair would cost more than most of them and hide what is measured.
+// BenchmarkOperator times each destroy operator alone (destroy + rollback),
+// at each fleet size: a repair would cost more than most of them and hide
+// what is measured.
 func BenchmarkOperator(b *testing.B) {
-	st := operatorBenchState(b)
-	for _, op := range st.destroyOps {
-		b.Run(op.name, func(b *testing.B) { benchNeighborhood(b, st, op.fn, nil) })
+	sizes := operatorBenchStates(b)
+	for i, op := range sizes[0].st.destroyOps {
+		b.Run(op.name, func(b *testing.B) {
+			for _, size := range sizes {
+				b.Run(size.name, func(b *testing.B) { benchNeighborhood(b, size.st, size.st.destroyOps[i].fn, nil) })
+			}
+		})
 	}
 }
 
 // BenchmarkRepair times each repair operator on the pool of a random
-// destroy, the cheapest one (random destroy + repair + rollback).
+// destroy, the cheapest one (random destroy + repair + rollback), at each
+// fleet size.
 func BenchmarkRepair(b *testing.B) {
-	st := operatorBenchState(b)
-	for _, op := range st.repairOps {
-		b.Run(op.name, func(b *testing.B) { benchNeighborhood(b, st, (*state).destroyRandom, op.fn) })
+	sizes := operatorBenchStates(b)
+	for i, op := range sizes[0].st.repairOps {
+		b.Run(op.name, func(b *testing.B) {
+			for _, size := range sizes {
+				b.Run(size.name, func(b *testing.B) {
+					benchNeighborhood(b, size.st, (*state).destroyRandom, size.st.repairOps[i].fn)
+				})
+			}
+		})
 	}
 }

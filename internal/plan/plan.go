@@ -15,11 +15,13 @@
 package plan
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 
 	"rexchange/internal/cluster"
@@ -91,82 +93,90 @@ func (pl Planner) Build(from, to *cluster.Placement) (*Plan, error) {
 			from.UnassignedCount(), to.UnassignedCount())
 	}
 
-	target := to.Assignment()
-	w := from.Clone()
-
-	// pending: shards not yet on their final machine.
-	pendingSet := make(map[cluster.ShardID]bool)
-	for s := range target {
-		if w.Home(cluster.ShardID(s)) != target[s] {
-			pendingSet[cluster.ShardID(s)] = true
+	b := &builder{
+		pl:      pl,
+		c:       c,
+		w:       from.Clone(),
+		target:  to.Assignment(),
+		pending: make([]bool, c.NumShards()),
+		hops:    make([]int, c.NumShards()),
+		plan:    &Plan{},
+	}
+	for s, t := range b.target {
+		if b.w.Home(cluster.ShardID(s)) != t {
+			b.pending[s] = true
+			b.order = append(b.order, cluster.ShardID(s))
 		}
 	}
+	slices.SortFunc(b.order, b.largerFirst)
 	// The step budget bounds total scheduled moves, staging hops included.
-	maxSteps := 8*len(pendingSet) + 64
+	maxSteps := 8*len(b.order) + 64
 
-	plan := &Plan{}
-	hops := make(map[cluster.ShardID]int)
-
-	for len(pendingSet) > 0 {
-		if len(plan.Moves) >= maxSteps {
+	for len(b.order) > 0 {
+		if len(b.plan.Moves) >= maxSteps {
 			return nil, fmt.Errorf("%w: step budget %d exhausted with %d shards pending",
-				ErrInfeasible, maxSteps, len(pendingSet))
+				ErrInfeasible, maxSteps, len(b.order))
 		}
-		pending := sortedPending(c, pendingSet)
 
 		// Phase 1: apply every direct move currently admissible. Largest
 		// shards first: they are the hardest to fit, so give them first
 		// pick of the free space.
 		progress := false
-		for _, s := range pending {
-			if !pendingSet[s] { // may have been resolved this sweep
+		for _, s := range b.order {
+			t := b.target[s]
+			if b.w.Home(s) == t {
+				b.pending[s] = false
 				continue
 			}
-			t := target[s]
-			if w.Home(s) == t {
-				delete(pendingSet, s)
-				continue
-			}
-			if w.CanPlace(s, t) {
-				plan.Moves = append(plan.Moves, Move{S: s, From: w.Home(s), To: t})
-				w.Move(s, t)
+			if b.w.CanPlace(s, t) {
+				b.plan.Moves = append(b.plan.Moves, Move{S: s, From: b.w.Home(s), To: t})
+				b.w.Move(s, t)
 				if cluster.DebugAsserts {
-					w.MustInvariants("plan direct move")
+					b.w.MustInvariants("plan direct move")
 				}
-				delete(pendingSet, s)
+				b.pending[s] = false
 				progress = true
 			}
 		}
+		b.order = slices.DeleteFunc(b.order, func(s cluster.ShardID) bool { return !b.pending[s] })
 		if progress {
 			continue
 		}
 
 		// Phase 2: deadlock. Stage one blocking shard to an intermediate
 		// machine to open space.
-		if pl.stageOne(c, w, target, pendingSet, hops, plan) {
+		if b.stageOne() {
 			continue
 		}
 		return nil, fmt.Errorf("%w: %d shards pending and no staging possible",
-			ErrInfeasible, len(pendingSet))
+			ErrInfeasible, len(b.order))
 	}
-	return plan, nil
+	return b.plan, nil
 }
 
-// sortedPending returns the pending shards ordered by decreasing static
-// footprint (ties by ID) for deterministic schedules.
-func sortedPending(c *cluster.Cluster, set map[cluster.ShardID]bool) []cluster.ShardID {
-	out := make([]cluster.ShardID, 0, len(set))
-	for s := range set {
-		out = append(out, s)
+// builder is one Build's working state.
+type builder struct {
+	pl      Planner
+	c       *cluster.Cluster
+	w       *cluster.Placement  // the working copy moves are applied to
+	target  []cluster.MachineID // every shard's final machine
+	pending []bool              // per shard: not on its final machine yet
+	hops    []int               // per shard: staging hops taken so far
+	order   []cluster.ShardID   // the pending shards, in largerFirst order
+	plan    *Plan
+}
+
+// largerFirst orders shards by decreasing static footprint, ties by ID,
+// for deterministic schedules.
+func (b *builder) largerFirst(x, y cluster.ShardID) int {
+	mx, my := b.c.Shards[x].Static.MaxDim(), b.c.Shards[y].Static.MaxDim()
+	switch {
+	case mx > my:
+		return -1
+	case mx < my:
+		return 1
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := c.Shards[out[i]].Static.MaxDim(), c.Shards[out[j]].Static.MaxDim()
-		if a != b {
-			return a > b
-		}
-		return out[i] < out[j]
-	})
-	return out
+	return cmp.Compare(x, y)
 }
 
 // stageOne relocates one shard off a blocked target machine to an
@@ -174,22 +184,13 @@ func sortedPending(c *cluster.Cluster, set map[cluster.ShardID]bool) []cluster.S
 // order: (1) a pending shard sitting on some pending shard's target —
 // moving it is work we owe anyway; (2) with AllowDisplace, any shard on a
 // blocked target, which then becomes pending to return.
-func (pl Planner) stageOne(
-	c *cluster.Cluster,
-	w *cluster.Placement,
-	target []cluster.MachineID,
-	pendingSet map[cluster.ShardID]bool,
-	hops map[cluster.ShardID]int,
-	plan *Plan,
-) bool {
-	pending := sortedPending(c, pendingSet)
-
+func (b *builder) stageOne() bool {
 	// Collect the set of blocked target machines, biggest blocked shard
 	// first so we open space where it matters most.
 	var blocked []cluster.MachineID
 	seen := make(map[cluster.MachineID]bool)
-	for _, s := range pending {
-		t := target[s]
+	for _, s := range b.order {
+		t := b.target[s]
 		if !seen[t] {
 			seen[t] = true
 			blocked = append(blocked, t)
@@ -197,54 +198,56 @@ func (pl Planner) stageOne(
 	}
 
 	tryStage := func(victim cluster.ShardID, isPending bool) bool {
-		if hops[victim] >= maxHops {
+		if b.hops[victim] >= maxHops {
 			return false
 		}
-		m := pl.bestStaging(c, w, victim, target[victim])
+		m := b.pl.bestStaging(b.c, b.w, victim, b.target[victim])
 		if m == cluster.Unassigned {
 			return false
 		}
-		plan.Moves = append(plan.Moves, Move{S: victim, From: w.Home(victim), To: m})
-		plan.Staged++
+		b.plan.Moves = append(b.plan.Moves, Move{S: victim, From: b.w.Home(victim), To: m})
+		b.plan.Staged++
 		if !isPending {
-			plan.Displaced++
-			pendingSet[victim] = true // must return to its (unchanged) target
+			b.plan.Displaced++
+			b.pending[victim] = true // must return to its (unchanged) target
+			i, _ := slices.BinarySearchFunc(b.order, victim, b.largerFirst)
+			b.order = slices.Insert(b.order, i, victim)
 		}
-		w.Move(victim, m)
+		b.w.Move(victim, m)
 		if cluster.DebugAsserts {
-			w.MustInvariants("plan staging move")
+			b.w.MustInvariants("plan staging move")
 		}
-		hops[victim]++
+		b.hops[victim]++
 		return true
 	}
 
 	// Preference 1: pending shards that sit on blocked machines.
 	for _, t := range blocked {
 		var victims []cluster.ShardID
-		w.EachShardOn(t, func(u cluster.ShardID) {
-			if pendingSet[u] {
+		b.w.EachShardOn(t, func(u cluster.ShardID) {
+			if b.pending[u] {
 				victims = append(victims, u)
 			}
 		})
-		sortCandidates(c, victims)
+		sortCandidates(b.c, victims)
 		for _, v := range victims {
 			if tryStage(v, true) {
 				return true
 			}
 		}
 	}
-	if !pl.AllowDisplace {
+	if !b.pl.AllowDisplace {
 		return false
 	}
 	// Preference 2: displace settled shards off blocked machines.
 	for _, t := range blocked {
 		var victims []cluster.ShardID
-		w.EachShardOn(t, func(u cluster.ShardID) {
-			if !pendingSet[u] {
+		b.w.EachShardOn(t, func(u cluster.ShardID) {
+			if !b.pending[u] {
 				victims = append(victims, u)
 			}
 		})
-		sortCandidates(c, victims)
+		sortCandidates(b.c, victims)
 		for _, v := range victims {
 			if tryStage(v, false) {
 				return true

@@ -2,7 +2,10 @@ package plan
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -338,5 +341,276 @@ func TestTightRandomWithExchange(t *testing.T) {
 			t.Fatalf("seed %d with exchange: %v", seed, err)
 		}
 		assertRealizes(t, p, efrom, eto)
+	}
+}
+
+// naiveBuild is Build as it was before it kept its pending shards in one
+// sorted slice and dense per-shard arrays: every sweep and every staging
+// step re-reads the pending map and sorts it again. TestPlannerMatchesNaive
+// holds Build to it.
+func naiveBuild(pl Planner, from, to *cluster.Placement) (*Plan, error) {
+	if from.Cluster() != to.Cluster() {
+		return nil, fmt.Errorf("plan: placements refer to different clusters")
+	}
+	c := from.Cluster()
+	if from.UnassignedCount() > 0 || to.UnassignedCount() > 0 {
+		return nil, fmt.Errorf("plan: placements must be complete (unassigned: from=%d to=%d)",
+			from.UnassignedCount(), to.UnassignedCount())
+	}
+
+	target := to.Assignment()
+	w := from.Clone()
+
+	// pending: shards not yet on their final machine.
+	pendingSet := make(map[cluster.ShardID]bool)
+	for s := range target {
+		if w.Home(cluster.ShardID(s)) != target[s] {
+			pendingSet[cluster.ShardID(s)] = true
+		}
+	}
+	// The step budget bounds total scheduled moves, staging hops included.
+	maxSteps := 8*len(pendingSet) + 64
+
+	plan := &Plan{}
+	hops := make(map[cluster.ShardID]int)
+
+	for len(pendingSet) > 0 {
+		if len(plan.Moves) >= maxSteps {
+			return nil, fmt.Errorf("%w: step budget %d exhausted with %d shards pending",
+				ErrInfeasible, maxSteps, len(pendingSet))
+		}
+		pending := naiveSortedPending(c, pendingSet)
+
+		// Phase 1: apply every direct move currently admissible. Largest
+		// shards first: they are the hardest to fit, so give them first
+		// pick of the free space.
+		progress := false
+		for _, s := range pending {
+			if !pendingSet[s] { // may have been resolved this sweep
+				continue
+			}
+			t := target[s]
+			if w.Home(s) == t {
+				delete(pendingSet, s)
+				continue
+			}
+			if w.CanPlace(s, t) {
+				plan.Moves = append(plan.Moves, Move{S: s, From: w.Home(s), To: t})
+				w.Move(s, t)
+				if cluster.DebugAsserts {
+					w.MustInvariants("plan direct move")
+				}
+				delete(pendingSet, s)
+				progress = true
+			}
+		}
+		if progress {
+			continue
+		}
+
+		// Phase 2: deadlock. Stage one blocking shard to an intermediate
+		// machine to open space.
+		if naiveStageOne(pl, c, w, target, pendingSet, hops, plan) {
+			continue
+		}
+		return nil, fmt.Errorf("%w: %d shards pending and no staging possible",
+			ErrInfeasible, len(pendingSet))
+	}
+	return plan, nil
+}
+
+// naiveSortedPending returns the pending shards ordered by decreasing static
+// footprint (ties by ID) for deterministic schedules.
+func naiveSortedPending(c *cluster.Cluster, set map[cluster.ShardID]bool) []cluster.ShardID {
+	out := make([]cluster.ShardID, 0, len(set))
+	for s := range set {
+		out = append(out, s)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := c.Shards[out[i]].Static.MaxDim(), c.Shards[out[j]].Static.MaxDim()
+		if a != b {
+			return a > b
+		}
+		return out[i] < out[j]
+	})
+	return out
+}
+
+// naiveStageOne relocates one shard off a blocked target machine to an
+// intermediate machine, reporting whether it scheduled a move. Preference
+// order: (1) a pending shard sitting on some pending shard's target —
+// moving it is work we owe anyway; (2) with AllowDisplace, any shard on a
+// blocked target, which then becomes pending to return.
+func naiveStageOne(
+	pl Planner,
+	c *cluster.Cluster,
+	w *cluster.Placement,
+	target []cluster.MachineID,
+	pendingSet map[cluster.ShardID]bool,
+	hops map[cluster.ShardID]int,
+	plan *Plan,
+) bool {
+	pending := naiveSortedPending(c, pendingSet)
+
+	// Collect the set of blocked target machines, biggest blocked shard
+	// first so we open space where it matters most.
+	var blocked []cluster.MachineID
+	seen := make(map[cluster.MachineID]bool)
+	for _, s := range pending {
+		t := target[s]
+		if !seen[t] {
+			seen[t] = true
+			blocked = append(blocked, t)
+		}
+	}
+
+	tryStage := func(victim cluster.ShardID, isPending bool) bool {
+		if hops[victim] >= maxHops {
+			return false
+		}
+		m := pl.bestStaging(c, w, victim, target[victim])
+		if m == cluster.Unassigned {
+			return false
+		}
+		plan.Moves = append(plan.Moves, Move{S: victim, From: w.Home(victim), To: m})
+		plan.Staged++
+		if !isPending {
+			plan.Displaced++
+			pendingSet[victim] = true // must return to its (unchanged) target
+		}
+		w.Move(victim, m)
+		if cluster.DebugAsserts {
+			w.MustInvariants("plan staging move")
+		}
+		hops[victim]++
+		return true
+	}
+
+	// Preference 1: pending shards that sit on blocked machines.
+	for _, t := range blocked {
+		var victims []cluster.ShardID
+		w.EachShardOn(t, func(u cluster.ShardID) {
+			if pendingSet[u] {
+				victims = append(victims, u)
+			}
+		})
+		sortCandidates(c, victims)
+		for _, v := range victims {
+			if tryStage(v, true) {
+				return true
+			}
+		}
+	}
+	if !pl.AllowDisplace {
+		return false
+	}
+	// Preference 2: displace settled shards off blocked machines.
+	for _, t := range blocked {
+		var victims []cluster.ShardID
+		w.EachShardOn(t, func(u cluster.ShardID) {
+			if !pendingSet[u] {
+				victims = append(victims, u)
+			}
+		})
+		sortCandidates(c, victims)
+		for _, v := range victims {
+			if tryStage(v, false) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestPlannerMatchesNaive holds Build to naiveBuild: the same moves, Staged
+// and Displaced counts, or the same error, on reassignments that take the
+// direct, staging and displacement paths, and on one that is infeasible.
+func TestPlannerMatchesNaive(t *testing.T) {
+	var direct, staged, displaced, infeasible int
+	check := func(name string, from, to *cluster.Placement) {
+		t.Helper()
+		for _, pl := range []Planner{DefaultPlanner(), {AllowDisplace: false}} {
+			got, gotErr := pl.Build(from, to)
+			want, wantErr := naiveBuild(pl, from, to)
+			if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+				t.Fatalf("%s (displace %v): error %v, naive form %v", name, pl.AllowDisplace, gotErr, wantErr)
+			}
+			if gotErr != nil {
+				if errors.Is(gotErr, ErrInfeasible) {
+					infeasible++
+				}
+				continue
+			}
+			if !slices.Equal(got.Moves, want.Moves) || got.Staged != want.Staged || got.Displaced != want.Displaced {
+				t.Fatalf("%s (displace %v): %d moves, %d staged, %d displaced; naive form %d, %d, %d",
+					name, pl.AllowDisplace, got.NumMoves(), got.Staged, got.Displaced, want.NumMoves(), want.Staged, want.Displaced)
+			}
+			direct += got.NumMoves() - got.Staged
+			staged += got.Staged
+			displaced += got.Displaced
+		}
+	}
+	for seed := int64(0); seed < 12; seed++ {
+		// A generated fleet with exchange machines: a rotation of every
+		// shard one machine over, and a random reassignment of a fifth of
+		// the shards onto machines with room.
+		cfg := workload.DefaultConfig()
+		cfg.Machines, cfg.Shards, cfg.TargetFill, cfg.Seed = 30, 360, 0.9+0.007*float64(seed), seed
+		inst, err := workload.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ec := inst.Cluster.WithExchange(1+int(seed%3), vec.Uniform(100), 1)
+		from := mustPlacement(t, ec, inst.Placement.Assignment())
+		rotated := from.Assignment()
+		for s, m := range rotated {
+			rotated[s] = (m + 1) % cluster.MachineID(cfg.Machines)
+		}
+		check("rotation", from, mustPlacement(t, ec, rotated))
+		r := rand.New(rand.NewSource(seed))
+		moved := from.Clone()
+		for s := range rotated {
+			if r.Intn(5) == 0 {
+				moved.MoveChecked(cluster.ShardID(s), cluster.MachineID(r.Intn(ec.NumMachines())))
+			}
+		}
+		check("random", from, moved)
+	}
+	// Small full fleets, one small exchange machine, random pairs: the
+	// pending shards on a blocked target often fit nowhere, so settled
+	// shards are displaced.
+	for seed := int64(0); seed < 1000; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		nm := 3 + r.Intn(8)
+		caps := make([]float64, nm)
+		statics := make([]float64, 3*nm)
+		for i := range caps {
+			caps[i] = 10
+		}
+		for i := range statics {
+			statics[i] = float64(1 + r.Intn(5))
+		}
+		ec := mkCluster(caps, statics).WithExchange(1, vec.Uniform(float64(2+r.Intn(5))), 1)
+		randomPlacement := func() *cluster.Placement {
+			p := cluster.NewPlacement(ec)
+			for s := range statics {
+				for _, m := range workload.Shuffled(r, nm) {
+					if p.PlaceChecked(cluster.ShardID(s), cluster.MachineID(m)) {
+						break
+					}
+				}
+			}
+			return p
+		}
+		if from, to := randomPlacement(), randomPlacement(); from.UnassignedCount() == 0 && to.UnassignedCount() == 0 {
+			check(fmt.Sprintf("small seed %d", seed), from, to)
+		}
+	}
+	// Two full machines swapping their shards with no room anywhere.
+	c := mkCluster([]float64{10, 10}, []float64{6, 6})
+	check("swap without room", mustPlacement(t, c, []cluster.MachineID{0, 1}), mustPlacement(t, c, []cluster.MachineID{1, 0}))
+	if direct == 0 || staged == 0 || displaced == 0 || infeasible == 0 {
+		t.Errorf("a path went untaken: %d direct moves, %d staged, %d displaced, %d infeasible plans",
+			direct, staged, displaced, infeasible)
 	}
 }
